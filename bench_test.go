@@ -326,6 +326,7 @@ func BenchmarkColumnGenerationParallel(b *testing.B) {
 // BenchmarkYenKShortest measures candidate-path enumeration.
 func BenchmarkYenKShortest(b *testing.B) {
 	net, pairs := ablationNetwork(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]

@@ -249,7 +249,8 @@ func attemptCost(net *topo.Network, c *segment.Candidate) float64 {
 // candidatePaths enumerates the per-pair candidate entanglement paths on
 // the segment graph (Yen K shortest under the static attempt-cost metric
 // with −ln q node weights, the same weights the greedy planner routes
-// with).
+// with). The metric is static, so each segment-graph edge's cost is
+// computed once per build and looked up by edge ID.
 func (e *Engine) candidatePaths() [][]graph.Path {
 	nodeWeight := func(u int) float64 {
 		q := e.Net.SwapProb[u]
@@ -258,18 +259,20 @@ func (e *Engine) candidatePaths() [][]graph.Path {
 		}
 		return -math.Log(q)
 	}
-	edgeWeight := func(id int, _ float64) float64 {
+	edgeCost := make([]float64, len(e.Set.EdgePairs))
+	for id, pk := range e.Set.EdgePairs {
 		best := math.Inf(1)
-		for _, c := range e.Set.ByPair[e.Set.EdgePairs[id]] {
+		for _, c := range e.Set.ByPair[pk] {
 			if cost := attemptCost(e.Net, c); cost < best {
 				best = cost
 			}
 		}
 		if math.IsInf(best, 1) {
-			return infeasibleWeight
+			best = infeasibleWeight
 		}
-		return best
+		edgeCost[id] = best
 	}
+	edgeWeight := func(id int, _ float64) float64 { return edgeCost[id] }
 	out := make([][]graph.Path, len(e.Pairs))
 	for i, sd := range e.Pairs {
 		out[i] = graph.YenKShortest(e.Set.SegGraph, sd.S, sd.D, e.opts.PathsPerPair, graph.DijkstraOptions{

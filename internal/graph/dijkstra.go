@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // Unreachable is the distance reported for nodes with no path from the
 // source.
@@ -72,23 +69,53 @@ func (r *ShortestResult) EdgesTo(t int) []int {
 	return rev
 }
 
+// pqItem is one heap entry: a node and the tentative distance it was
+// pushed with. Stale entries (the node settled since) are skipped at pop.
 type pqItem struct {
 	node int
 	dist float64
 }
 
-type priorityQueue []pqItem
+// minHeap is a binary min-heap of pqItems keyed on dist. push and pop copy
+// container/heap's Push/Pop and its up/down sift loops step for step, so
+// entries with tied distances pop in the same order they always have,
+// without boxing every entry in an interface.
+type minHeap []pqItem
 
-func (q priorityQueue) Len() int            { return len(q) }
-func (q priorityQueue) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q priorityQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *priorityQueue) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *priorityQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+func (h *minHeap) push(it pqItem) {
+	*h = append(*h, it)
+	q := *h
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *minHeap) pop() pqItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q[j2].dist < q[j1].dist {
+			j = j2 // right child
+		}
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 // Dijkstra computes single-source shortest paths with non-negative edge
@@ -96,71 +123,16 @@ func (q *priorityQueue) Pop() interface{} {
 // honouring node/edge exclusions. Negative edge weights cause undefined
 // results; use BellmanFord to detect them in tests.
 func Dijkstra(g *Graph, source int, opts DijkstraOptions) *ShortestResult {
-	n := g.N()
-	res := &ShortestResult{
-		Dist:     make([]float64, n),
-		prev:     make([]int, n),
-		prevEdge: make([]int, n),
-		source:   source,
-	}
-	for i := range res.Dist {
-		res.Dist[i] = Unreachable
-		res.prev[i] = -1
-		res.prevEdge[i] = -1
-	}
-	if source < 0 || source >= n {
-		return res
-	}
-	res.Dist[source] = 0
-	done := make([]bool, n)
-	pq := priorityQueue{{node: source, dist: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(&pq).(pqItem)
-		u := it.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		// Departing u costs its node weight, unless u is the source.
-		depart := it.dist
-		if opts.NodeWeight != nil && u != source {
-			depart += opts.NodeWeight(u)
-		}
-		for _, e := range g.Neighbors(u) {
-			if done[e.To] {
-				continue
-			}
-			if opts.Forbidden != nil && opts.Forbidden(e.To) {
-				continue
-			}
-			if opts.ForbiddenEdge != nil && opts.ForbiddenEdge(e.ID) {
-				continue
-			}
-			w := e.Weight
-			if opts.EdgeWeight != nil {
-				w = opts.EdgeWeight(e.ID, e.Weight)
-			}
-			nd := depart + w
-			if nd < res.Dist[e.To] {
-				res.Dist[e.To] = nd
-				res.prev[e.To] = u
-				res.prevEdge[e.To] = e.ID
-				heap.Push(&pq, pqItem{node: e.To, dist: nd})
-			}
-		}
-	}
-	return res
+	var sc DijkstraScratch
+	sc.search(g, source, -1, opts, nil)
+	return &ShortestResult{Dist: sc.dist, prev: sc.prev, prevEdge: sc.prevEdge, source: source}
 }
 
-// ShortestPath is a convenience wrapper returning the path from s to t and
-// its length. It returns (nil, Unreachable) when no path exists.
+// ShortestPath returns the path from s to t and its length, exactly as
+// Dijkstra(g, s, opts).PathTo(t) and .Dist[t] would. It returns
+// (nil, Unreachable) when no path exists.
 func ShortestPath(g *Graph, s, t int, opts DijkstraOptions) (Path, float64) {
-	res := Dijkstra(g, s, opts)
-	p := res.PathTo(t)
-	if p == nil {
-		return nil, Unreachable
-	}
-	return p, res.Dist[t]
+	return ShortestPathTarget(g, s, t, opts, nil)
 }
 
 // PathLength computes the total cost of a path under the same cost model as

@@ -1,14 +1,19 @@
 // Package graph provides the graph substrate used throughout the simulator:
 // adjacency structures, shortest-path algorithms (Dijkstra with combined
 // edge and node weights, Bellman-Ford as a test oracle), Yen's K-shortest
-// loopless paths, and connectivity utilities.
+// loopless paths, and connectivity utilities. Dijkstra, the targeted
+// queries and every Yen spur share one search over a typed binary heap
+// and reusable scratch buffers.
 //
 // Nodes are dense integers in [0, N). Edges carry a float64 weight and an
 // opaque integer ID so that callers can attach attributes (lengths,
 // capacities, success probabilities) in side tables.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Edge is a directed arc stored in an adjacency list.
 type Edge struct {
@@ -127,14 +132,28 @@ func (p Path) Hops() int {
 	return len(p) - 1
 }
 
-// Loopless reports whether the path visits each node at most once.
+// looplessScanMax is the longest path Loopless checks by comparing every
+// pair of nodes; longer paths sort a copy instead.
+const looplessScanMax = 32
+
+// Loopless reports whether the path visits each node at most once. It
+// allocates nothing for paths of up to looplessScanMax nodes, which is
+// every Yen candidate and priced column at the paper's scale.
 func (p Path) Loopless() bool {
-	seen := make(map[int]struct{}, len(p))
-	for _, v := range p {
-		if _, dup := seen[v]; dup {
+	if len(p) > looplessScanMax {
+		s := slices.Clone(p)
+		slices.Sort(s)
+		for i := 1; i < len(s); i++ {
+			if s[i] == s[i-1] {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 1; i < len(p); i++ {
+		if slices.Contains(p[:i], p[i]) {
 			return false
 		}
-		seen[v] = struct{}{}
 	}
 	return true
 }

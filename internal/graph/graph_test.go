@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -79,6 +80,44 @@ func TestPathHelpers(t *testing.T) {
 	}
 	if (Path{}).Hops() != 0 {
 		t.Fatal("empty path hops must be 0")
+	}
+}
+
+// TestLoopless pins both branches of Loopless: the pairwise scan for short
+// paths (allocation-free) and the sorted copy for long ones, each with an
+// early and a late repeat.
+func TestLoopless(t *testing.T) {
+	long := make(Path, 3*looplessScanMax)
+	for i := range long {
+		long[i] = 1000 - i
+	}
+	lateRepeat := append(append(Path{}, long...), long[1])
+	cases := []struct {
+		p    Path
+		want bool
+	}{
+		{nil, true},
+		{Path{7}, true},
+		{Path{1, 2, 1}, false},
+		{Path{3, 3}, false},
+		{Path{1, 2, 3, 4, 5, 6, 7, 8, 9, 1}, false},
+		{long[:looplessScanMax], true},
+		{append(append(Path{}, long[:looplessScanMax-1]...), long[3]), false},
+		{long, true},
+		{lateRepeat, false},
+		{append(Path{long[len(long)-1]}, long...), false},
+	}
+	for _, c := range cases {
+		if got := c.p.Loopless(); got != c.want {
+			t.Fatalf("Loopless(len %d) = %v, want %v", len(c.p), got, c.want)
+		}
+	}
+	short := long[:looplessScanMax]
+	if allocs := testing.AllocsPerRun(100, func() { short.Loopless() }); allocs != 0 {
+		t.Fatalf("Loopless on a %d-node path allocates %v times", len(short), allocs)
+	}
+	if !sort.SliceIsSorted(long, func(i, j int) bool { return long[i] > long[j] }) {
+		t.Fatal("Loopless must not reorder its receiver")
 	}
 }
 

@@ -1,18 +1,20 @@
 package graph
 
-import "container/heap"
+import "slices"
 
-// DijkstraScratch holds the reusable per-call buffers of a targeted
-// shortest-path query. Engines run thousands of small queries per slot
-// (the ECE stitch loop, REPS's pool selection); keeping one scratch per
-// engine turns the four O(n) allocations per query into zero. The zero
-// value is ready and grows on first use. Not safe for concurrent queries.
+// DijkstraScratch holds the reusable per-call buffers of a shortest-path
+// search. Engines run thousands of small queries per slot (the ECE stitch
+// loop, REPS's pool selection); keeping one scratch per engine turns the
+// four O(n) allocations per query into zero. Dijkstra, ShortestPath,
+// ShortestPathTarget and every Yen spur run the same search over one.
+// The zero value is ready and grows on first use. Not safe for
+// concurrent queries.
 type DijkstraScratch struct {
 	dist     []float64
 	prev     []int
 	prevEdge []int
 	done     []bool
-	pq       priorityQueue
+	pq       minHeap
 }
 
 func (sc *DijkstraScratch) reset(n int) {
@@ -31,41 +33,56 @@ func (sc *DijkstraScratch) reset(n int) {
 	sc.pq = sc.pq[:0]
 }
 
-// ShortestPathTarget is ShortestPath with two observationally transparent
-// optimizations: the search stops as soon as the target is settled (its
-// distance and predecessor chain are final at pop time under non-negative
-// weights, and the chain's nodes are all settled, so the reconstructed
-// path is identical to the full run's), and all working storage comes from
-// sc (nil allocates fresh buffers). Returns (nil, Unreachable) when no
-// path exists.
-func ShortestPathTarget(g *Graph, s, t int, opts DijkstraOptions, sc *DijkstraScratch) (Path, float64) {
-	if sc == nil {
-		sc = &DijkstraScratch{}
-	}
+// spurBan is what a Yen spur search must avoid besides opts' exclusions:
+// every arc from the spur node (the search source) to a node in targets,
+// all parallel arcs included, and every node v with root[v] == epoch (the
+// root path before the spur node).
+type spurBan struct {
+	targets []int
+	root    []uint32
+	epoch   uint32
+}
+
+// search runs Dijkstra from s into sc. With t a node, it stops once t is
+// settled: under non-negative weights t's distance and predecessor chain
+// are final at pop time and every node on the chain is already settled,
+// so the path to t is exactly the full run's. t = -1 settles every
+// reachable node. ban, when non-nil, hides a Yen spur's banned arcs and
+// root nodes as if they were not in g, keeping the adjacency order of the
+// rest, so the search relaxes the same arcs in the same order as one over
+// a copy of g with them removed.
+func (sc *DijkstraScratch) search(g *Graph, s, t int, opts DijkstraOptions, ban *spurBan) {
 	n := g.N()
 	sc.reset(n)
-	if s < 0 || s >= n || t < 0 || t >= n {
-		return nil, Unreachable
+	if s < 0 || s >= n {
+		return
 	}
 	sc.dist[s] = 0
-	sc.pq = append(sc.pq, pqItem{node: s, dist: 0})
-	pq := &sc.pq
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pqItem)
+	sc.pq.push(pqItem{node: s, dist: 0})
+	for len(sc.pq) > 0 {
+		it := sc.pq.pop()
 		u := it.node
 		if sc.done[u] {
 			continue
 		}
 		sc.done[u] = true
 		if u == t {
-			break
+			return
 		}
+		// Departing u costs its node weight, unless u is the source.
 		depart := it.dist
 		if opts.NodeWeight != nil && u != s {
 			depart += opts.NodeWeight(u)
 		}
+		var banned []int
+		if ban != nil && u == s {
+			banned = ban.targets
+		}
 		for _, e := range g.Neighbors(u) {
 			if sc.done[e.To] {
+				continue
+			}
+			if ban != nil && (ban.root[e.To] == ban.epoch || slices.Contains(banned, e.To)) {
 				continue
 			}
 			if opts.Forbidden != nil && opts.Forbidden(e.To) {
@@ -83,22 +100,41 @@ func ShortestPathTarget(g *Graph, s, t int, opts DijkstraOptions, sc *DijkstraSc
 				sc.dist[e.To] = nd
 				sc.prev[e.To] = u
 				sc.prevEdge[e.To] = e.ID
-				heap.Push(pq, pqItem{node: e.To, dist: nd})
+				sc.pq.push(pqItem{node: e.To, dist: nd})
 			}
 		}
 	}
+}
+
+// appendPath appends the s→t predecessor chain of the last search to dst.
+// t must be reachable from s.
+func (sc *DijkstraScratch) appendPath(dst Path, s, t int) Path {
+	hops := 0
+	for v := t; v != s; v = sc.prev[v] {
+		hops++
+	}
+	start := len(dst)
+	dst = slices.Grow(dst, hops+1)[:start+hops+1]
+	for i, v := start+hops, t; i >= start; i, v = i-1, sc.prev[v] {
+		dst[i] = v
+	}
+	return dst
+}
+
+// ShortestPathTarget is ShortestPath with all working storage taken from
+// sc (nil allocates fresh buffers). The search stops as soon as the target
+// is settled, which returns the full Dijkstra's path and distance (see
+// search). Returns (nil, Unreachable) when no path exists.
+func ShortestPathTarget(g *Graph, s, t int, opts DijkstraOptions, sc *DijkstraScratch) (Path, float64) {
+	if sc == nil {
+		sc = &DijkstraScratch{}
+	}
+	if t < 0 || t >= g.N() {
+		return nil, Unreachable
+	}
+	sc.search(g, s, t, opts, nil)
 	if sc.dist[t] == Unreachable {
 		return nil, Unreachable
 	}
-	// Reconstruct s→t. Every node on the chain is settled, so the path is
-	// exactly what the full Dijkstra would return.
-	length := 1
-	for v := t; v != s; v = sc.prev[v] {
-		length++
-	}
-	path := make(Path, length)
-	for i, v := length-1, t; i >= 0; i, v = i-1, sc.prev[v] {
-		path[i] = v
-	}
-	return path, sc.dist[t]
+	return sc.appendPath(nil, s, t), sc.dist[t]
 }

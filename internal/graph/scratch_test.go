@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// TestShortestPathTargetMatchesFull: the early-stop targeted query must
-// return exactly the full Dijkstra's path and distance, on random graphs,
-// with and without node weights, reusing one scratch across queries.
+// TestShortestPathTargetMatchesFull: the early-stop targeted query (and
+// ShortestPath, which runs it) must return exactly the full Dijkstra's
+// path and distance, on random graphs, with and without node weights,
+// reusing one scratch across queries.
 func TestShortestPathTargetMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	sc := &DijkstraScratch{}
@@ -28,11 +29,16 @@ func TestShortestPathTargetMatchesFull(t *testing.T) {
 		}
 		for q := 0; q < 10; q++ {
 			s, d := rng.Intn(n), rng.Intn(n)
-			wantPath, wantDist := ShortestPath(g, s, d, opts)
+			full := Dijkstra(g, s, opts)
+			wantPath, wantDist := full.PathTo(d), full.Dist[d]
 			gotPath, gotDist := ShortestPathTarget(g, s, d, opts, sc)
 			if gotDist != wantDist || !reflect.DeepEqual(gotPath, wantPath) {
 				t.Fatalf("trial %d query %d→%d: target-stop (%v, %v) != full (%v, %v)",
 					trial, s, d, gotPath, gotDist, wantPath, wantDist)
+			}
+			if p, dist := ShortestPath(g, s, d, opts); dist != wantDist || !reflect.DeepEqual(p, wantPath) {
+				t.Fatalf("trial %d query %d→%d: ShortestPath (%v, %v) != full (%v, %v)",
+					trial, s, d, p, dist, wantPath, wantDist)
 			}
 		}
 	}

@@ -1,11 +1,16 @@
 package graph
 
-import "sort"
+import "slices"
 
 // YenKShortest returns up to k loopless shortest paths from s to t in
 // non-decreasing order of length, using Yen's algorithm over Dijkstra.
 // Node weights in opts apply to intermediate nodes exactly as in Dijkstra.
 // It returns fewer than k paths when the graph does not contain them.
+//
+// Every search, the first path's and each spur's, runs over one scratch
+// for the whole call and stops once t is settled. A spur's bans never
+// copy the graph: the spur search skips the banned arcs out of the spur
+// node and the root-path nodes in place (see spurBan).
 func YenKShortest(g *Graph, s, t, k int, opts DijkstraOptions) []Path {
 	if k <= 0 || s < 0 || t < 0 || s >= g.N() || t >= g.N() {
 		return nil
@@ -13,19 +18,35 @@ func YenKShortest(g *Graph, s, t, k int, opts DijkstraOptions) []Path {
 	if s == t {
 		return []Path{{s}}
 	}
-	first, firstLen := ShortestPath(g, s, t, opts)
-	if first == nil {
+	var sc DijkstraScratch
+	sc.search(g, s, t, opts, nil)
+	if sc.dist[t] == Unreachable {
 		return nil
 	}
-	accepted := []Path{first}
-	lengths := []float64{firstLen}
+	accepted := []Path{sc.appendPath(nil, s, t)}
 
 	type candidate struct {
 		path Path
 		len  float64
 	}
 	var candidates []candidate
-	seen := map[string]struct{}{pathKey(first): {}}
+	// known reports whether p was ever a candidate; candidates leave the
+	// list only by being accepted.
+	known := func(p Path) bool {
+		for _, a := range accepted {
+			if a.Equal(p) {
+				return true
+			}
+		}
+		for _, c := range candidates {
+			if c.path.Equal(p) {
+				return true
+			}
+		}
+		return false
+	}
+	ban := spurBan{root: make([]uint32, g.N())}
+	var total Path
 
 	for len(accepted) < k {
 		prev := accepted[len(accepted)-1]
@@ -35,95 +56,48 @@ func YenKShortest(g *Graph, s, t, k int, opts DijkstraOptions) []Path {
 			spurNode := prev[i]
 			rootPath := prev[:i+1]
 
-			// Edges to remove: for every accepted path sharing the root,
-			// ban the arc it takes out of the spur node.
-			banned := make(map[[2]int]struct{})
+			// Arcs to remove: for every accepted path sharing the root,
+			// the arc it takes out of the spur node. Bans are (from, to)
+			// pairs, so every parallel arc between the two is banned, the
+			// standard Yen treatment for multigraphs.
+			ban.targets = ban.targets[:0]
 			for _, p := range accepted {
-				if len(p) > i+1 && Path(p[:i+1]).Equal(rootPath) {
-					banned[[2]int{p[i], p[i+1]}] = struct{}{}
+				if len(p) > i+1 && p[:i+1].Equal(rootPath) {
+					ban.targets = append(ban.targets, p[i+1])
 				}
 			}
 			// Nodes on the root path (except the spur node) are forbidden
 			// to keep paths loopless.
-			rootSet := make(map[int]struct{}, i)
-			for _, v := range rootPath[:i] {
-				rootSet[v] = struct{}{}
+			ban.epoch++
+			for _, v := range prev[:i] {
+				ban.root[v] = ban.epoch
 			}
-
-			spurOpts := opts
-			baseForbidden := opts.Forbidden
-			spurOpts.Forbidden = func(v int) bool {
-				if _, ok := rootSet[v]; ok {
-					return true
-				}
-				return baseForbidden != nil && baseForbidden(v)
-			}
-			spurRes := dijkstraWithArcBan(g, spurNode, spurOpts, banned)
-			spurPath := spurRes.PathTo(t)
-			if spurPath == nil {
+			sc.search(g, spurNode, t, opts, &ban)
+			if sc.dist[t] == Unreachable {
 				continue
 			}
-			total := append(append(Path{}, rootPath...), spurPath[1:]...)
-			if !total.Loopless() {
+			total = sc.appendPath(append(total[:0], prev[:i]...), spurNode, t)
+			if !total.Loopless() || known(total) {
 				continue
 			}
-			key := pathKey(total)
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-			candidates = append(candidates, candidate{
-				path: total,
-				len:  PathLength(g, total, opts),
-			})
+			p := slices.Clone(total)
+			candidates = append(candidates, candidate{path: p, len: PathLength(g, p, opts)})
 		}
 		if len(candidates) == 0 {
 			break
 		}
-		sort.SliceStable(candidates, func(a, b int) bool {
-			if candidates[a].len != candidates[b].len {
-				return candidates[a].len < candidates[b].len
+		// A stable sort only asks whether cmp(a, b) < 0, so this is the
+		// less "shorter, then lexicographically smaller" and nothing else.
+		slices.SortStableFunc(candidates, func(a, b candidate) int {
+			if a.len < b.len || a.len == b.len && lessPath(a.path, b.path) {
+				return -1
 			}
-			return lessPath(candidates[a].path, candidates[b].path)
+			return 1
 		})
-		best := candidates[0]
+		accepted = append(accepted, candidates[0].path)
 		candidates = candidates[1:]
-		accepted = append(accepted, best.path)
-		lengths = append(lengths, best.len)
 	}
-	_ = lengths
 	return accepted
-}
-
-// dijkstraWithArcBan runs Dijkstra while skipping specific (from, to) arcs.
-func dijkstraWithArcBan(g *Graph, source int, opts DijkstraOptions, banned map[[2]int]struct{}) *ShortestResult {
-	if len(banned) == 0 {
-		return Dijkstra(g, source, opts)
-	}
-	// Wrap the edge filter: identify banned arcs by scanning the adjacency
-	// list. Arc identity is (from, to); parallel arcs are all banned, which
-	// is the standard Yen treatment for multigraphs.
-	// We implement the ban by building a filtered clone for correctness and
-	// simplicity; Yen instances in this codebase are small (K ≤ ~8).
-	h := New(g.N())
-	h.numEdges = g.numEdges
-	for u := 0; u < g.N(); u++ {
-		for _, e := range g.Neighbors(u) {
-			if _, bad := banned[[2]int{u, e.To}]; bad {
-				continue
-			}
-			h.adj[u] = append(h.adj[u], e)
-		}
-	}
-	return Dijkstra(h, source, opts)
-}
-
-func pathKey(p Path) string {
-	b := make([]byte, 0, len(p)*3)
-	for _, v := range p {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), ',')
-	}
-	return string(b)
 }
 
 func lessPath(a, b Path) bool {

@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"container/heap"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -150,4 +153,284 @@ func TestYenFindsAllSimplePathsInSmallGraph(t *testing.T) {
 	if len(paths) != 5 {
 		t.Fatalf("got %d paths, want 5: %v", len(paths), paths)
 	}
+}
+
+// TestYenMatchesReference: the in-place spur kernel returns exactly the
+// paths of the clone-per-spur Yen over the boxed-heap Dijkstra, on random
+// multigraphs with parallel arcs, one-way arcs, zero-weight arcs, node
+// weights, edge-weight overrides, Forbidden and ForbiddenEdge.
+func TestYenMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(24)
+		g := randomMultigraph(rng, n)
+		opts := randomOptions(rng, g)
+		for q := 0; q < 6; q++ {
+			s, d := rng.Intn(n), rng.Intn(n)
+			k := 1 + rng.Intn(9)
+			want := yenReference(g, s, d, k, opts)
+			got := YenKShortest(g, s, d, k, opts)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: Yen(%d→%d, k=%d) = %v, reference %v", trial, s, d, k, got, want)
+			}
+		}
+	}
+}
+
+// TestDijkstraMatchesReference: the typed-heap search settles the same
+// distances and predecessor edges as the boxed container/heap loop, tied
+// distances included (integer weights make ties common).
+func TestDijkstraMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(30)
+		g := randomMultigraph(rng, n)
+		opts := randomOptions(rng, g)
+		src := rng.Intn(n)
+		got, want := Dijkstra(g, src, opts), dijkstraReference(g, src, opts)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Dijkstra from %d = %+v, reference %+v", trial, src, got, want)
+		}
+	}
+}
+
+// TestMinHeapMatchesContainerHeap: pushes and pops interleaved at random,
+// with many tied distances, leave the typed heap and container/heap in the
+// same order and pop the same sequence.
+func TestMinHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 200; trial++ {
+		var got minHeap
+		var want priorityQueue
+		for op := 0; op < 400; op++ {
+			if len(want) == 0 || rng.Intn(3) > 0 {
+				it := pqItem{node: op, dist: float64(rng.Intn(6))}
+				got.push(it)
+				heap.Push(&want, it)
+			} else if g, w := got.pop(), heap.Pop(&want).(pqItem); g != w {
+				t.Fatalf("trial %d op %d: popped %+v, container/heap %+v", trial, op, g, w)
+			}
+			if !reflect.DeepEqual([]pqItem(got), []pqItem(want)) {
+				t.Fatalf("trial %d op %d: heap layouts diverged", trial, op)
+			}
+		}
+	}
+}
+
+// randomMultigraph mixes undirected edges, one-way arcs, parallel arcs and
+// self-loops, with small integer weights (0 included) so ties are common.
+func randomMultigraph(rng *rand.Rand, n int) *Graph {
+	g := New(n)
+	for i := 0; i < 3*n; i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		w := float64(rng.Intn(4))
+		switch rng.Intn(4) {
+		case 0:
+			g.AddArc(u, v, w)
+		case 1:
+			g.AddEdge(u, v, w)
+			g.AddEdge(u, v, w+float64(rng.Intn(2)))
+		default:
+			g.AddEdge(u, v, w)
+		}
+	}
+	return g
+}
+
+// randomOptions switches each DijkstraOptions hook on with probability
+// one half.
+func randomOptions(rng *rand.Rand, g *Graph) DijkstraOptions {
+	var opts DijkstraOptions
+	n := g.N()
+	if rng.Intn(2) == 0 {
+		nw := make([]float64, n)
+		for v := range nw {
+			nw[v] = float64(rng.Intn(3)) / 2
+		}
+		opts.NodeWeight = func(v int) float64 { return nw[v] }
+	}
+	if rng.Intn(2) == 0 {
+		bad := rng.Intn(n)
+		opts.Forbidden = func(v int) bool { return v == bad }
+	}
+	if rng.Intn(2) == 0 && g.NumEdgeIDs() > 0 {
+		bad := rng.Intn(g.NumEdgeIDs())
+		opts.ForbiddenEdge = func(id int) bool { return id == bad }
+	}
+	if rng.Intn(2) == 0 {
+		opts.EdgeWeight = func(id int, stored float64) float64 { return stored + float64(id%3) }
+	}
+	return opts
+}
+
+// priorityQueue is the container/heap adapter the kernel used before the
+// typed heap; the reference searches below run on it.
+type priorityQueue []pqItem
+
+func (q priorityQueue) Len() int            { return len(q) }
+func (q priorityQueue) Less(i, j int) bool  { return q[i].dist < q[j].dist }
+func (q priorityQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *priorityQueue) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
+func (q *priorityQueue) Pop() interface{} {
+	old := *q
+	n := len(old)
+	it := old[n-1]
+	*q = old[:n-1]
+	return it
+}
+
+// dijkstraReference is the full single-source Dijkstra over
+// container/heap that the typed-heap search replaced.
+func dijkstraReference(g *Graph, source int, opts DijkstraOptions) *ShortestResult {
+	n := g.N()
+	res := &ShortestResult{
+		Dist:     make([]float64, n),
+		prev:     make([]int, n),
+		prevEdge: make([]int, n),
+		source:   source,
+	}
+	for i := range res.Dist {
+		res.Dist[i] = Unreachable
+		res.prev[i] = -1
+		res.prevEdge[i] = -1
+	}
+	if source < 0 || source >= n {
+		return res
+	}
+	res.Dist[source] = 0
+	done := make([]bool, n)
+	pq := priorityQueue{{node: source, dist: 0}}
+	for pq.Len() > 0 {
+		it := heap.Pop(&pq).(pqItem)
+		u := it.node
+		if done[u] {
+			continue
+		}
+		done[u] = true
+		depart := it.dist
+		if opts.NodeWeight != nil && u != source {
+			depart += opts.NodeWeight(u)
+		}
+		for _, e := range g.Neighbors(u) {
+			if done[e.To] {
+				continue
+			}
+			if opts.Forbidden != nil && opts.Forbidden(e.To) {
+				continue
+			}
+			if opts.ForbiddenEdge != nil && opts.ForbiddenEdge(e.ID) {
+				continue
+			}
+			w := e.Weight
+			if opts.EdgeWeight != nil {
+				w = opts.EdgeWeight(e.ID, e.Weight)
+			}
+			nd := depart + w
+			if nd < res.Dist[e.To] {
+				res.Dist[e.To] = nd
+				res.prev[e.To] = u
+				res.prevEdge[e.To] = e.ID
+				heap.Push(&pq, pqItem{node: e.To, dist: nd})
+			}
+		}
+	}
+	return res
+}
+
+// yenReference is Yen's algorithm as the kernel ran it before the in-place
+// spur search: each spur deep-copies the adjacency without its banned
+// (from, to) arcs, forbids the root path through a wrapped Forbidden, and
+// runs dijkstraReference to exhaustion.
+func yenReference(g *Graph, s, t, k int, opts DijkstraOptions) []Path {
+	if k <= 0 || s < 0 || t < 0 || s >= g.N() || t >= g.N() {
+		return nil
+	}
+	if s == t {
+		return []Path{{s}}
+	}
+	first := dijkstraReference(g, s, opts).PathTo(t)
+	if first == nil {
+		return nil
+	}
+	accepted := []Path{first}
+
+	type candidate struct {
+		path Path
+		len  float64
+	}
+	var candidates []candidate
+	seen := map[string]struct{}{pathKey(first): {}}
+
+	for len(accepted) < k {
+		prev := accepted[len(accepted)-1]
+		for i := 0; i+1 < len(prev); i++ {
+			spurNode := prev[i]
+			rootPath := prev[:i+1]
+			banned := make(map[[2]int]struct{})
+			for _, p := range accepted {
+				if len(p) > i+1 && Path(p[:i+1]).Equal(rootPath) {
+					banned[[2]int{p[i], p[i+1]}] = struct{}{}
+				}
+			}
+			rootSet := make(map[int]struct{}, i)
+			for _, v := range rootPath[:i] {
+				rootSet[v] = struct{}{}
+			}
+			spurOpts := opts
+			baseForbidden := opts.Forbidden
+			spurOpts.Forbidden = func(v int) bool {
+				if _, ok := rootSet[v]; ok {
+					return true
+				}
+				return baseForbidden != nil && baseForbidden(v)
+			}
+			h := g
+			if len(banned) > 0 {
+				h = New(g.N())
+				h.numEdges = g.numEdges
+				for u := 0; u < g.N(); u++ {
+					for _, e := range g.Neighbors(u) {
+						if _, bad := banned[[2]int{u, e.To}]; bad {
+							continue
+						}
+						h.adj[u] = append(h.adj[u], e)
+					}
+				}
+			}
+			spurPath := dijkstraReference(h, spurNode, spurOpts).PathTo(t)
+			if spurPath == nil {
+				continue
+			}
+			total := append(append(Path{}, rootPath...), spurPath[1:]...)
+			if !total.Loopless() {
+				continue
+			}
+			key := pathKey(total)
+			if _, dup := seen[key]; dup {
+				continue
+			}
+			seen[key] = struct{}{}
+			candidates = append(candidates, candidate{path: total, len: PathLength(g, total, opts)})
+		}
+		if len(candidates) == 0 {
+			break
+		}
+		sort.SliceStable(candidates, func(a, b int) bool {
+			if candidates[a].len != candidates[b].len {
+				return candidates[a].len < candidates[b].len
+			}
+			return lessPath(candidates[a].path, candidates[b].path)
+		})
+		accepted = append(accepted, candidates[0].path)
+		candidates = candidates[1:]
+	}
+	return accepted
+}
+
+func pathKey(p Path) string {
+	b := make([]byte, 0, len(p)*3)
+	for _, v := range p {
+		b = append(b, byte(v), byte(v>>8), byte(v>>16), ',')
+	}
+	return string(b)
 }
