@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race verify bench bench-smoke bench-pr4 bench-pr9 profile chaos-smoke serve-smoke fidelity-smoke docs-check cover cover-update fuzz-smoke figures
+.PHONY: all build test vet race verify bench bench-check bench-smoke bench-pr4 bench-pr9 profile chaos-smoke serve-smoke fidelity-smoke docs-check cover cover-update fuzz-smoke figures
 
 # bench narrows the benchmark pattern / iteration budget, e.g.
 #   make bench BENCH=ColumnGeneration BENCHTIME=5s
@@ -31,7 +31,15 @@ race:
 # kills and resumes a checkpointing service-mode run, and a fidelity
 # smoke that pins the floor layer's disabled path to the committed
 # golden and drives floors + swap order + carry-aware pricing end-to-end.
-verify: vet docs-check build race cover fuzz-smoke bench-smoke chaos-smoke serve-smoke fidelity-smoke
+# bench-check compiles and tests the benchmark harness in bench/.
+verify: vet docs-check build bench-check race cover fuzz-smoke bench-smoke chaos-smoke serve-smoke fidelity-smoke
+
+# bench-check vets and runs the benchmark harness's own tests (about 4 s).
+# bench/ is its own module, so the root `go build ./...` never compiles it,
+# yet it calls the engine, registry and bank surface directly.
+bench-check:
+	$(GO) -C bench vet -tags benchcheck .
+	$(GO) -C bench test -count=1 -tags benchcheck .
 
 # cover enforces the committed per-package statement-coverage floors in
 # COVERAGE.txt (cmd/covercheck); cover-update re-derives the floors after

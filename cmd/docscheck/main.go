@@ -1,5 +1,5 @@
 // Command docscheck is the documentation gate wired into `make verify`.
-// It enforces two repo conventions that plain `go vet` does not:
+// It enforces repo conventions that plain `go vet` does not:
 //
 //  1. every package under internal/ (and the root package) carries a
 //     package comment, so `go doc ./internal/...` always explains the
@@ -11,7 +11,10 @@
 //     drift apart, and
 //  3. the packages whose API contracts are taught by example (the LP
 //     solver's warm restart, the flow solver's arena reuse) keep at
-//     least one godoc Example, so `go doc` never loses the worked code.
+//     least one godoc Example, so `go doc` never loses the worked code,
+//     and
+//  4. README.md's architecture tree lists exactly the packages under
+//     internal/, so a package added or deleted cannot leave it stale.
 //
 // It exits non-zero with one line per violation.
 package main
@@ -62,6 +65,7 @@ func main() {
 		os.Exit(1)
 	}
 	problems = append(problems, checkFlagTable(string(readme), flags)...)
+	problems = append(problems, checkArchitectureTree(string(readme), root, pkgDirs)...)
 
 	// The packages whose contracts are taught by worked godoc Examples
 	// (DESIGN.md §9 links to both).
@@ -133,6 +137,57 @@ func checkFlagTable(readme string, flags []flagDef) []string {
 	for _, name := range stale {
 		problems = append(problems,
 			fmt.Sprintf("README.md: flag table row for -%s matches no registered seesim flag", name))
+	}
+	return problems
+}
+
+// checkArchitectureTree diffs the internal/* entries of README.md's
+// architecture tree against the package directories on disk. A top-level
+// entry reads "── internal/name"; an entry nested under it ("── sub")
+// names internal/name/sub.
+func checkArchitectureTree(readme, root string, pkgDirs []string) []string {
+	_, tree, _ := strings.Cut(readme, "## Architecture")
+	_, tree, _ = strings.Cut(tree, "```\n")
+	tree, _, _ = strings.Cut(tree, "```")
+	listed := make(map[string]bool)
+	parent := ""
+	for _, line := range strings.Split(tree, "\n") {
+		_, entry, ok := strings.Cut(line, "── ")
+		if !ok {
+			continue
+		}
+		name, _, _ := strings.Cut(strings.TrimSpace(entry), " ")
+		if strings.HasPrefix(name, "internal/") {
+			parent = name
+		} else if parent != "" {
+			name = parent + "/" + name
+		} else {
+			continue
+		}
+		listed[name] = true
+	}
+	var problems []string
+	onDisk := make(map[string]bool)
+	for _, dir := range pkgDirs {
+		rel, err := filepath.Rel(root, dir)
+		if err != nil || !strings.HasPrefix(filepath.ToSlash(rel), "internal/") {
+			continue
+		}
+		rel = filepath.ToSlash(rel)
+		onDisk[rel] = true
+		if !listed[rel] {
+			problems = append(problems, fmt.Sprintf("README.md: architecture tree is missing %s", rel))
+		}
+	}
+	stale := make([]string, 0)
+	for name := range listed {
+		if !onDisk[name] {
+			stale = append(stale, name)
+		}
+	}
+	sort.Strings(stale)
+	for _, name := range stale {
+		problems = append(problems, fmt.Sprintf("README.md: architecture tree lists %s, which is not a package", name))
 	}
 	return problems
 }

@@ -27,6 +27,16 @@ func (in *Injector) State() *InjectorState {
 	return &InjectorState{Slot: in.slot, Counts: in.counts}
 }
 
+// CheckRestore reports the error Restore(st) would return, without changing
+// the injector, so a caller restoring several parts can validate them all
+// before committing any.
+func (in *Injector) CheckRestore(st *InjectorState) error {
+	if !in.Active() && st != nil {
+		return errors.New("chaos: cannot restore fault state into an inert injector (fault plan mismatch)")
+	}
+	return nil
+}
+
 // Restore rewinds the injector to a snapshotted phase: the slot clock and
 // counts are set and the down sets recomputed for that slot, without
 // re-incrementing the outage counters (the original BeginSlot already
@@ -34,11 +44,8 @@ func (in *Injector) State() *InjectorState {
 // state; restoring a non-nil state into an inert injector is a
 // configuration mismatch and errors.
 func (in *Injector) Restore(st *InjectorState) error {
-	if !in.Active() {
-		if st == nil {
-			return nil
-		}
-		return errors.New("chaos: cannot restore fault state into an inert injector (fault plan mismatch)")
+	if err := in.CheckRestore(st); err != nil || !in.Active() {
+		return err
 	}
 	if st == nil {
 		in.slot = -1

@@ -115,7 +115,7 @@ func TestPlanRespectsResources(t *testing.T) {
 	}
 	channels := make([]int, net.NumLinks())
 	memory := make([]int, net.NumNodes())
-	for c, n := range eng.plan {
+	for c, n := range eng.fixed.Plan {
 		for _, id := range c.EdgeIDs {
 			channels[id] += n
 		}
@@ -170,7 +170,7 @@ func TestRecoveryFires(t *testing.T) {
 	net, pairs := diamond()
 	tr := sched.NewCountingTracer()
 	opts := DefaultOptions()
-	opts.Tracer = tr
+	opts.Slot.Tracer = tr
 	eng, err := NewEngine(net, pairs, opts)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -222,7 +222,7 @@ func TestCarryOverConservation(t *testing.T) {
 		t.Fatal("Bank() did not return the attached bank")
 	}
 	rng := xrand.New(3)
-	baseline := eng.plan.TotalAttempts() + eng.recovery.TotalAttempts()
+	baseline := eng.fixed.Plan.TotalAttempts() + eng.recovery.TotalAttempts()
 	trimmed := false
 	for s := 0; s < 20; s++ {
 		res, err := eng.RunSlot(rng)
@@ -248,7 +248,7 @@ func TestCarryOverConservation(t *testing.T) {
 // recovery plan.
 func planLinks(e *Engine) map[int]bool {
 	used := make(map[int]bool)
-	for c := range e.plan {
+	for c := range e.fixed.Plan {
 		for _, id := range c.EdgeIDs {
 			used[id] = true
 		}
@@ -278,7 +278,7 @@ func TestPlanCapacityOverrides(t *testing.T) {
 		break
 	}
 	opts := DefaultOptions()
-	opts.Algorithm = sched.ContendAware
+	opts.Slot.Algorithm = sched.ContendAware
 	opts.PlanChannels = append([]int(nil), net.Channels...)
 	opts.PlanChannels[dead] = 0
 	opts.PlanMemory = append([]int(nil), net.Memory...)
@@ -321,7 +321,7 @@ func TestOfflinePlan(t *testing.T) {
 	build := func() *Engine {
 		opts := DefaultOptions()
 		opts.Offline = true
-		opts.Algorithm = sched.QPass
+		opts.Slot.Algorithm = sched.QPass
 		eng, err := NewEngine(net, pairs, opts)
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
@@ -346,7 +346,7 @@ func TestOfflinePlan(t *testing.T) {
 			memory[c.V()] += n
 		}
 	}
-	charge(eng.plan)
+	charge(eng.fixed.Plan)
 	charge(eng.recovery)
 	for id, used := range channels {
 		if used > net.Channels[id] {
@@ -363,20 +363,20 @@ func TestOfflinePlan(t *testing.T) {
 	// byte-identical.
 	opts := DefaultOptions()
 	opts.Offline = true
-	opts.Algorithm = sched.QPass
+	opts.Slot.Algorithm = sched.QPass
 	opts.PlanChannels = make([]int, net.NumLinks()) // everything "announced dead"
 	blind, err := NewEngine(net, pairs, opts)
 	if err != nil {
 		t.Fatalf("NewEngine(blind): %v", err)
 	}
-	if planSig(blind.plan) != planSig(eng.plan) || planSig(blind.recovery) != planSig(eng.recovery) {
+	if planSig(blind.fixed.Plan) != planSig(eng.fixed.Plan) || planSig(blind.recovery) != planSig(eng.recovery) {
 		t.Error("offline plan consulted the capacity overrides")
 	}
 	if _, err := eng.RunSlot(xrand.New(5)); err != nil {
 		t.Fatalf("RunSlot: %v", err)
 	}
 	again := build()
-	if planSig(again.plan) != planSig(eng.plan) {
+	if planSig(again.fixed.Plan) != planSig(eng.fixed.Plan) {
 		t.Error("offline planning is not deterministic")
 	}
 }
@@ -387,8 +387,8 @@ func TestForecastAvoidedIncident(t *testing.T) {
 	net, pairs := topo.Motivation()
 	tr := sched.NewCountingTracer()
 	opts := DefaultOptions()
-	opts.Tracer = tr
-	opts.ForecastAvoided = 3
+	opts.Slot.Tracer = tr
+	opts.Slot.ForecastAvoided = 3
 	eng, err := NewEngine(net, pairs, opts)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)

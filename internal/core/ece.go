@@ -42,17 +42,9 @@ func (e *Engine) establishConnections(provisioned []PlannedPath, created []*qnet
 	return established, attempts
 }
 
-// establishFromPool is establishConnections over a caller-built pool. The
-// carry-over path uses it so the pool can mix withdrawn (carried) segments
-// with the slot's fresh ones and so the engine can deposit the pool's
-// unconsumed leftovers into the state bank afterwards.
-func (e *Engine) establishFromPool(provisioned []PlannedPath, pool *qnet.Pool, rng *rand.Rand) (established []*qnet.Connection, attempts int) {
-	established, attempts, _ = e.establishFromPoolScratch(provisioned, pool, rng, nil)
-	return established, attempts
-}
-
-// establishFromPoolScratch is establishFromPool over an optional slot
-// scratch: the per-pair counters, the auxiliary stitch graph and the
+// establishFromPoolScratch is establishConnections over a caller-built
+// pool (withdrawn carried segments mixed with the slot's fresh ones, so the
+// runner can bank the leftovers afterwards) and an optional slot scratch: the per-pair counters, the auxiliary stitch graph and the
 // Dijkstra buffers are recycled across slots, and the per-pair queries run
 // the early-stop targeted Dijkstra (identical result, less work). The
 // established connections are always freshly allocated — they outlive the
@@ -66,9 +58,10 @@ func (e *Engine) establishFromPoolScratch(provisioned []PlannedPath, pool *qnet.
 		perPair = make([]int, len(e.Pairs))
 	}
 	var out []*qnet.Connection
-	tr := e.tracer
+	tr := e.Tracer()
 	swapObs := qnet.SwapObserver(tr.SwapResolved)
-	fp := qnet.NewFloorPolicy(e.opts.FidelityFloors, e.Net)
+	order := e.SlotConfig().SwapOrder
+	fp := qnet.NewFloorPolicy(e.SlotConfig().FidelityFloors, e.Net)
 	var floorDead []bool // provisioned paths proven unable to meet their floor
 
 	// Lines 2–6: assign realized segments to provisioned paths. The pass
@@ -112,7 +105,7 @@ func (e *Engine) establishFromPoolScratch(provisioned []PlannedPath, pool *qnet.
 			}
 			attempts++
 			phaseAProgress = true
-			ok = conn.EstablishOrderedObserved(e.Net, pool, rng, swapObs, e.opts.SwapOrder)
+			ok = conn.EstablishOrderedObserved(e.Net, pool, rng, swapObs, order)
 			tr.ConnectionAssembled(p.Commodity, ok)
 			if ok {
 				out = append(out, conn)
@@ -191,7 +184,7 @@ func (e *Engine) establishFromPoolScratch(provisioned []PlannedPath, pool *qnet.
 			}
 			attempts++
 			progress = true
-			ok := conn.EstablishOrderedObserved(e.Net, pool, rng, swapObs, e.opts.SwapOrder)
+			ok := conn.EstablishOrderedObserved(e.Net, pool, rng, swapObs, order)
 			tr.ConnectionAssembled(i, ok)
 			if ok {
 				out = append(out, conn)

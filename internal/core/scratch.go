@@ -24,12 +24,12 @@ type slotScratch struct {
 	keys     []segment.PairKey
 	escPre   []escCandidate
 
-	// Physical phase: candidate ordering buffer.
-	att qnet.AttemptScratch
+	// EPI's planned paths and ESC's provisioned subset, handed from phase
+	// to phase within the slot.
+	planned, provisioned []PlannedPath
 
-	// ECE: segment pool, per-pair counters, auxiliary stitch graph and the
+	// ECE: per-pair counters, auxiliary stitch graph and the
 	// targeted-Dijkstra buffers.
-	pool     *qnet.Pool
 	perPair  []int
 	aux      *graph.Graph
 	auxPairs []segment.PairKey

@@ -7,6 +7,7 @@ import (
 
 	"see/internal/chaos"
 	"see/internal/sched"
+	"see/internal/state"
 	"see/internal/topo"
 	"see/internal/xrand"
 )
@@ -286,5 +287,63 @@ func TestFaultAwareBuilders(t *testing.T) {
 				t.Errorf("fault-blind engine reported IncidentForecastAvoid = %d", avoided)
 			}
 		})
+	}
+}
+
+// TestResilientRestoreLadder round-trips a degraded ladder (fallback
+// serving, primary still failing) into a fresh wrapper, and checks the
+// snapshots a restore must reject or reset on.
+func TestResilientRestoreLadder(t *testing.T) {
+	net, pairs := topo.Motivation()
+	build := func() *Resilient {
+		r, err := NewResilient(sched.SEE, net, pairs, Config{}, time.Nanosecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.AttachBank(state.NewBank(net, state.Policy{CarrySlots: 2}))
+		return r
+	}
+	r := build()
+	stream := xrand.NewStream(8)
+	for s := 0; s < 2; s++ {
+		if _, err := r.RunSlot(stream.Rand()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := r.EngineState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Ladder == nil || !st.Ladder.FallbackBuilt || st.Ladder.PrimaryBuilt || st.Ladder.Failures != 2 {
+		t.Fatalf("unexpected ladder %+v", st.Ladder)
+	}
+	resumed := build()
+	if err := resumed.RestoreEngineState(st); err != nil {
+		t.Fatal(err)
+	}
+	cur := stream.Cursor()
+	want, err := r.RunSlot(stream.Rand())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := resumed.RunSlot(xrand.Restore(cur).Rand())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*got, *want) {
+		t.Errorf("restored ladder diverged:\n got %+v\nwant %+v", *got, *want)
+	}
+
+	if err := resumed.RestoreEngineState(&sched.EngineState{Algorithm: sched.SEE}); err == nil {
+		t.Error("snapshot without ladder state restored")
+	}
+	if err := resumed.RestoreEngineState(&sched.EngineState{Algorithm: sched.REPS, Ladder: st.Ladder}); err == nil {
+		t.Error("REPS snapshot restored into a SEE ladder")
+	}
+	if err := resumed.RestoreEngineState(nil); err != nil {
+		t.Fatalf("reset: %v", err)
+	}
+	if degraded, _ := resumed.Degraded(); degraded || resumed.Bank().Size() != 0 {
+		t.Errorf("reset left degraded=%v and %d banked segments", degraded, resumed.Bank().Size())
 	}
 }

@@ -1,8 +1,9 @@
 // Package engines is the single construction point for the slot-pipeline
 // engines: it maps a sched.Algorithm to the package implementing it
-// (internal/core, internal/reps, internal/e2e, internal/greedy,
-// internal/contend) and
-// translates the shared Config into each engine's options. Both the public
+// (internal/core for SEE, SEE-Aware and E2E, internal/reps,
+// internal/greedy, internal/contend for Contend, Contend-Aware and QPass,
+// internal/oracle) and translates the shared Config into each engine's
+// options, with the slot-level part filled in one place (slotConfig). Both the public
 // API (package see) and the experiment harness build engines here, so no
 // algorithm type-switch exists anywhere else.
 //
@@ -24,7 +25,6 @@ import (
 	"see/internal/chaos"
 	"see/internal/contend"
 	"see/internal/core"
-	"see/internal/e2e"
 	"see/internal/greedy"
 	"see/internal/oracle"
 	"see/internal/qnet"
@@ -137,7 +137,22 @@ func NewCtx(ctx context.Context, alg sched.Algorithm, net *topo.Network, pairs [
 	return b(ctx, net, pairs, cfg)
 }
 
-func newSEE(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
+// slotConfig is the slot-level part of every engine's options: the scheme
+// label plus the tracer, chaos injector, fidelity floors and swap order
+// from the shared Config.
+func slotConfig(alg sched.Algorithm, cfg Config) sched.SlotConfig {
+	return sched.SlotConfig{
+		Algorithm:      alg,
+		Tracer:         cfg.Tracer,
+		Chaos:          cfg.Chaos,
+		FidelityFloors: cfg.FidelityFloors,
+		SwapOrder:      cfg.SwapOrder,
+	}
+}
+
+// seeOptions translates the shared Config into SEE options; the SEE and
+// SEE-Aware builders start from it.
+func seeOptions(alg sched.Algorithm, cfg Config) core.Options {
 	co := core.DefaultOptions()
 	if cfg.KPaths > 0 {
 		co.Segment.KPaths = cfg.KPaths
@@ -151,34 +166,52 @@ func newSEE(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Con
 	co.StrictProvisioning = cfg.StrictProvisioning
 	co.Flow.SwapWeightedObjective = !cfg.PlainObjective
 	co.Flow.Workers = cfg.Workers
-	co.Tracer = cfg.Tracer
-	co.Chaos = cfg.Chaos
 	co.Warm = cfg.Warm
-	co.FidelityFloors = cfg.FidelityFloors
-	co.SwapOrder = cfg.SwapOrder
 	co.CarryAwareLP = cfg.CarryAwareLP
-	return core.NewEngineCtx(ctx, net, pairs, co)
+	co.Slot = slotConfig(alg, cfg)
+	return co
+}
+
+func newSEE(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
+	return core.NewEngineCtx(ctx, net, pairs, seeOptions(sched.SEE, cfg))
 }
 
 func newREPS(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
-	o := reps.Options{KPaths: cfg.KPaths, Tracer: cfg.Tracer, Chaos: cfg.Chaos, Warm: cfg.Warm,
-		FidelityFloors: cfg.FidelityFloors, SwapOrder: cfg.SwapOrder}
+	o := reps.Options{KPaths: cfg.KPaths, Warm: cfg.Warm, Slot: slotConfig(sched.REPS, cfg)}
 	o.Flow.Workers = cfg.Workers
 	return reps.NewEngineCtx(ctx, net, pairs, o)
 }
 
+// newE2E builds the all-optical-switching-only baseline of the paper's
+// evaluation: every connection is one entanglement segment spanning a full
+// physical SD route, with no swapping. It is the "only all-optical
+// switching" extreme of SEE (§IV-A), so it is the SEE engine restricted to
+// full-path candidates. The default is one route per pair (the paper's
+// strawman; larger KPaths make E2E noticeably stronger), and it keeps
+// attempting even hopeless routes (no probability pruning). Only the
+// worker count, the warm cache and the slot-level fields carry over from
+// Config.
 func newE2E(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
-	return e2e.NewEngineCtx(ctx, net, pairs, e2e.Options{KPaths: cfg.KPaths, Workers: cfg.Workers, Tracer: cfg.Tracer, Chaos: cfg.Chaos, Warm: cfg.Warm,
-		FidelityFloors: cfg.FidelityFloors, SwapOrder: cfg.SwapOrder})
+	co := core.DefaultOptions()
+	co.Segment.FullPathOnly = true
+	co.Segment.MinProb = 0
+	co.Segment.KPaths = 1
+	if cfg.KPaths > 0 {
+		co.Segment.KPaths = cfg.KPaths
+	}
+	co.Flow.Workers = cfg.Workers
+	co.Warm = cfg.Warm
+	co.Slot = slotConfig(sched.E2E, cfg)
+	return core.NewEngineCtx(ctx, net, pairs, co)
 }
 
 func newContend(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
-	return contend.NewEngine(net, pairs, contendOptions(cfg))
+	return contend.NewEngine(net, pairs, contendOptions(sched.Contend, cfg))
 }
 
 // contendOptions translates the shared Config into contend options; the
 // Contend, ContendAware and QPass builders all start from it.
-func contendOptions(cfg Config) contend.Options {
+func contendOptions(alg sched.Algorithm, cfg Config) contend.Options {
 	o := contend.DefaultOptions()
 	if cfg.KPaths > 0 {
 		o.Segment.KPaths = cfg.KPaths
@@ -190,11 +223,8 @@ func contendOptions(cfg Config) contend.Options {
 	if cfg.MinSegmentProb > 0 {
 		o.Segment.MinProb = cfg.MinSegmentProb
 	}
-	o.Tracer = cfg.Tracer
-	o.Chaos = cfg.Chaos
 	o.Warm = cfg.Warm
-	o.FidelityFloors = cfg.FidelityFloors
-	o.SwapOrder = cfg.SwapOrder
+	o.Slot = slotConfig(alg, cfg)
 	return o
 }
 
@@ -221,27 +251,8 @@ func forecastTables(in *chaos.Injector, net *topo.Network) (channels, memory []i
 }
 
 func newSEEAware(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
-	co := core.DefaultOptions()
-	if cfg.KPaths > 0 {
-		co.Segment.KPaths = cfg.KPaths
-	}
-	if cfg.MaxSegmentHops > 0 {
-		co.Segment.MaxSegmentHops = cfg.MaxSegmentHops
-	}
-	if cfg.MinSegmentProb > 0 {
-		co.Segment.MinProb = cfg.MinSegmentProb
-	}
-	co.StrictProvisioning = cfg.StrictProvisioning
-	co.Flow.SwapWeightedObjective = !cfg.PlainObjective
-	co.Flow.Workers = cfg.Workers
-	co.Tracer = cfg.Tracer
-	co.Chaos = cfg.Chaos
-	co.Warm = cfg.Warm
-	co.FidelityFloors = cfg.FidelityFloors
-	co.SwapOrder = cfg.SwapOrder
-	co.CarryAwareLP = cfg.CarryAwareLP
-	co.Algorithm = sched.SEEAware
-	co.PlanChannels, co.PlanMemory, co.ForecastAvoided = forecastTables(cfg.Chaos, net)
+	co := seeOptions(sched.SEEAware, cfg)
+	co.PlanChannels, co.PlanMemory, co.Slot.ForecastAvoided = forecastTables(cfg.Chaos, net)
 	// Always on (not gated on a non-zero forecast) so planning on a full
 	// topology with forecast tables is the same code path as planning on a
 	// pre-shrunk topology with none — the equivalence the schedtest
@@ -251,9 +262,8 @@ func newSEEAware(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cf
 }
 
 func newContendAware(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
-	o := contendOptions(cfg)
-	o.Algorithm = sched.ContendAware
-	o.PlanChannels, o.PlanMemory, o.ForecastAvoided = forecastTables(cfg.Chaos, net)
+	o := contendOptions(sched.ContendAware, cfg)
+	o.PlanChannels, o.PlanMemory, o.Slot.ForecastAvoided = forecastTables(cfg.Chaos, net)
 	return contend.NewEngine(net, pairs, o)
 }
 
@@ -261,8 +271,7 @@ func newContendAware(_ context.Context, net *topo.Network, pairs []topo.SDPair, 
 // fixed from the fault-free topology with per-hop recovery reserved up
 // front, and the forecast is deliberately ignored.
 func newQPass(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
-	o := contendOptions(cfg)
-	o.Algorithm = sched.QPass
+	o := contendOptions(sched.QPass, cfg)
 	o.Offline = true
 	return contend.NewEngine(net, pairs, o)
 }
@@ -278,11 +287,8 @@ func newGreedy(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Co
 	if cfg.MinSegmentProb > 0 {
 		o.Segment.MinProb = cfg.MinSegmentProb
 	}
-	o.Tracer = cfg.Tracer
-	o.Chaos = cfg.Chaos
 	o.Warm = cfg.Warm
-	o.FidelityFloors = cfg.FidelityFloors
-	o.SwapOrder = cfg.SwapOrder
+	o.Slot = slotConfig(sched.Greedy, cfg)
 	return greedy.NewEngine(net, pairs, o)
 }
 

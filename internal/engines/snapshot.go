@@ -61,27 +61,28 @@ func (r *Resilient) EngineState() (*sched.EngineState, error) {
 // once in the original run, and a resume on a slower machine must not
 // diverge into the fallback. A snapshot taken mid-ladder (primary still
 // failing) restores the failure count, so the resumed run retries the
-// budgeted construction exactly as the uninterrupted one would.
+// budgeted construction exactly as the uninterrupted one would. The
+// rebuilt engines replace the current ones only once the inner restore
+// succeeded, so a rejected snapshot leaves the wrapper untouched.
 func (r *Resilient) RestoreEngineState(st *sched.EngineState) error {
 	if err := sched.CheckRestoreAlgorithm(r.alg, st); err != nil {
 		return err
 	}
 	ld := &sched.LadderState{}
+	var inner *sched.EngineState
 	if st != nil {
 		if st.Ladder == nil {
 			return errors.New("engines: resilient snapshot is missing its ladder state")
 		}
-		ld = st.Ladder
+		ld, inner = st.Ladder, st.Inner
 	}
-	r.failures = ld.Failures
-	r.lastErr = nil
-	r.primary, r.fallback = nil, nil
+	var primary, fallback sched.Engine
 	if ld.PrimaryBuilt {
 		eng, err := NewCtx(nil, r.alg, r.net, r.pairs, r.cfg)
 		if err != nil {
 			return fmt.Errorf("engines: rebuilding primary: %w", err)
 		}
-		r.primary = eng
+		primary = eng
 		r.attachBank(eng)
 	}
 	if ld.FallbackBuilt {
@@ -89,25 +90,33 @@ func (r *Resilient) RestoreEngineState(st *sched.EngineState) error {
 		if err != nil {
 			return fmt.Errorf("engines: rebuilding fallback: %w", err)
 		}
-		r.fallback = eng
+		fallback = eng
 		r.attachBank(eng)
 	}
-	active := r.activeEngine()
+	active := primary
+	if active == nil {
+		active = fallback
+	}
 	if active == nil {
 		// Pre-first-slot snapshot: no engine ever ran, so the shared phase
-		// state is pristine; reset the injector and bank explicitly.
+		// state is pristine; reset the bank and injector explicitly.
+		if err := r.bank.Restore(nil, nil); err != nil {
+			return err
+		}
 		if err := r.cfg.Chaos.Restore(nil); err != nil {
 			return err
 		}
-		return r.bank.Restore(nil, nil)
+	} else {
+		ck, ok := active.(sched.Checkpointable)
+		if !ok {
+			return fmt.Errorf("engines: %v engine is not checkpointable", active.Algorithm())
+		}
+		if err := ck.RestoreEngineState(inner); err != nil {
+			return err
+		}
 	}
-	ck, ok := active.(sched.Checkpointable)
-	if !ok {
-		return fmt.Errorf("engines: %v engine is not checkpointable", active.Algorithm())
-	}
-	var inner *sched.EngineState
-	if st != nil {
-		inner = st.Inner
-	}
-	return ck.RestoreEngineState(inner)
+	r.failures = ld.Failures
+	r.lastErr = nil
+	r.primary, r.fallback = primary, fallback
+	return nil
 }

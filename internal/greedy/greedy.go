@@ -18,14 +18,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
-	"see/internal/chaos"
 	"see/internal/graph"
 	"see/internal/qnet"
 	"see/internal/sched"
 	"see/internal/segment"
-	"see/internal/state"
 	"see/internal/topo"
 	"see/internal/warm"
 )
@@ -44,48 +41,20 @@ type Options struct {
 	// defaults (hop cap 10) so the greedy plans over the same segment
 	// catalogue as the engine it substitutes for.
 	Segment segment.Options
-	// Algorithm is the scheme label reported through Engine.Algorithm and
-	// the Tracer; the zero value is sched.Greedy.
-	Algorithm sched.Algorithm
-	// Tracer observes the slot pipeline; nil means no instrumentation.
-	Tracer sched.Tracer
-	// Chaos injects deterministic faults into the physical phase; see the
-	// matching field in core.Options.
-	Chaos *chaos.Injector
+	// Slot is the slot-level configuration the shared sched.Runner
+	// applies; a zero (sched.SEE) Algorithm selects sched.Greedy.
+	Slot sched.SlotConfig
 	// Warm, when non-nil, memoizes the segment-candidate set across engine
 	// (re)builds over the same network (see internal/warm). The engine
 	// solves no LP, so the candidate build is the only cacheable stage.
 	Warm *warm.Cache
-	// FidelityFloors is the per-request minimum delivered end-to-end
-	// fidelity; the stitch loop never attempts an assembly whose predicted
-	// fidelity misses its pair's floor (see qnet.FloorPolicy and the
-	// matching field in core.Options). Nil or all-zero disables it.
-	FidelityFloors *qnet.FloorSpec
-	// SwapOrder selects the stitch phase's swap schedule; the zero value
-	// (qnet.SwapOrderPath) is the historical left-to-right order.
-	SwapOrder qnet.SwapOrder
 }
 
 // DefaultOptions returns the greedy defaults.
 func DefaultOptions() Options {
 	seg := segment.DefaultOptions()
 	seg.MaxSegmentHops = 10
-	return Options{Segment: seg, Algorithm: sched.Greedy}
-}
-
-// hop is one planned segment: the endpoint pair, the physical realization
-// reserved for it and the number of creation attempts.
-type hop struct {
-	pair     segment.PairKey
-	cand     *segment.Candidate
-	attempts int
-}
-
-// plannedPath is one greedy-selected entanglement path.
-type plannedPath struct {
-	commodity int
-	nodes     graph.Path
-	hops      []hop
+	return Options{Segment: seg, Slot: sched.SlotConfig{Algorithm: sched.Greedy}}
 }
 
 // Engine runs greedy time slots over a fixed network and workload.
@@ -96,37 +65,18 @@ type Engine struct {
 	// ConnCap is the per-pair connection cap.
 	ConnCap []int
 
-	paths    []plannedPath
-	plan     qnet.AttemptPlan
+	// Runner is the shared slot skeleton; the fixed plan supplies every
+	// phase.
+	sched.Runner
+
+	fixed    sched.FixedPlan
 	expected float64
-
-	opts   Options
-	tracer sched.Tracer
-	// bank is the optional cross-slot segment bank; nil keeps the engine
-	// memoryless (see the matching field in core.Engine).
-	bank *state.Bank
-	// slot is the reusable per-slot scratch (attempt ordering, segment
-	// pool, per-pair counters); the same lifetime rule as core.slotScratch
-	// applies — nothing in it may outlive the slot.
-	slot *slotScratch
 }
 
-// slotScratch holds the greedy engine's per-slot reusable buffers.
-type slotScratch struct {
-	att     qnet.AttemptScratch
-	pool    *qnet.Pool
-	perPair []int
-}
-
-// scratch returns the engine's slot scratch, creating it on first use.
-func (e *Engine) scratch() *slotScratch {
-	if e.slot == nil {
-		e.slot = &slotScratch{perPair: make([]int, len(e.Pairs))}
-	}
-	return e.slot
-}
-
-var _ sched.Stateful = (*Engine)(nil)
+var (
+	_ sched.Stateful       = (*Engine)(nil)
+	_ sched.Checkpointable = (*Engine)(nil)
+)
 
 // NewEngine enumerates candidates and fixes the greedy plan. It never
 // solves an LP, so unlike the other engines it needs no context/budget
@@ -143,8 +93,8 @@ func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, e
 		d := DefaultOptions()
 		opts.Segment = d.Segment
 	}
-	if opts.Algorithm == 0 {
-		opts.Algorithm = sched.Greedy
+	if opts.Slot.Algorithm == 0 {
+		opts.Slot.Algorithm = sched.Greedy
 	}
 	var set *segment.Set
 	var err error
@@ -165,8 +115,7 @@ func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, e
 		Pairs:   pairs,
 		Set:     set,
 		ConnCap: connCap,
-		opts:    opts,
-		tracer:  sched.OrNop(opts.Tracer),
+		Runner:  sched.NewRunner(opts.Slot, net, set.CandidateFor),
 	}
 	e.buildPlan()
 	return e, nil
@@ -183,7 +132,7 @@ func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, e
 func (e *Engine) buildPlan() {
 	channels := append([]int(nil), e.Net.Channels...)
 	memory := append([]int(nil), e.Net.Memory...)
-	e.plan = make(qnet.AttemptPlan)
+	e.fixed = sched.FixedPlan{Plan: make(qnet.AttemptPlan), ConnCap: e.ConnCap}
 
 	// cheapestFeasible returns the lowest-cost realization of the edge's
 	// pair that fits at least one attempt in the residual resources.
@@ -237,7 +186,7 @@ func (e *Engine) buildPlan() {
 			if path == nil || dist >= rejectThreshold {
 				continue
 			}
-			pp := plannedPath{commodity: i, nodes: path}
+			var hops []hop
 			ok := true
 			for h := 0; h+1 < len(path); h++ {
 				pk := segment.MakePairKey(path[h], path[h+1])
@@ -272,11 +221,11 @@ func (e *Engine) buildPlan() {
 				}
 				memory[pk.U] -= n
 				memory[pk.V] -= n
-				pp.hops = append(pp.hops, hop{pair: pk, cand: cand, attempts: n})
+				hops = append(hops, hop{pair: pk, cand: cand, attempts: n})
 			}
 			if !ok {
 				// Roll back this path's partial reservations.
-				for _, h := range pp.hops {
+				for _, h := range hops {
 					for _, id := range h.cand.EdgeIDs {
 						channels[id] += h.attempts
 					}
@@ -285,10 +234,13 @@ func (e *Engine) buildPlan() {
 				}
 				continue
 			}
-			for _, h := range pp.hops {
-				e.plan[h.cand] += h.attempts
+			fp := sched.FixedPath{Commodity: i, Nodes: path}
+			for _, h := range hops {
+				e.fixed.Plan[h.cand] += h.attempts
+				fp.Hops = append(fp.Hops, h.pair)
 			}
-			e.paths = append(e.paths, pp)
+			e.fixed.Paths = append(e.fixed.Paths, fp)
+			e.expected += expectedEstablished(e.Net, path, hops)
 			planned[i]++
 			progress = true
 		}
@@ -296,7 +248,6 @@ func (e *Engine) buildPlan() {
 			break
 		}
 	}
-	e.expected = e.expectedEstablished()
 }
 
 // attemptCost is the expected number of attempts a unit of flow costs on
@@ -312,201 +263,41 @@ func attemptCost(net *topo.Network, c *segment.Candidate) float64 {
 	return 1 / den
 }
 
-// expectedEstablished is the heuristic value of the plan: per path, the
+// hop is one planned segment: the endpoint pair, the physical realization
+// reserved for it and the number of creation attempts.
+type hop struct {
+	pair     segment.PairKey
+	cand     *segment.Candidate
+	attempts int
+}
+
+// expectedEstablished is the heuristic value of one planned path: the
 // probability every hop realizes at least one segment times the junction
-// swap survival.
-func (e *Engine) expectedEstablished() float64 {
-	var total float64
-	for _, pp := range e.paths {
-		p := 1.0
-		for _, h := range pp.hops {
-			p *= 1 - math.Pow(1-h.cand.Prob, float64(h.attempts))
-		}
-		for j := 1; j+1 < len(pp.nodes); j++ {
-			p *= e.Net.SwapProb[pp.nodes[j]]
-		}
-		total += p
+// swap survival. The plan's value is the sum over its paths.
+func expectedEstablished(net *topo.Network, nodes graph.Path, hops []hop) float64 {
+	p := 1.0
+	for _, h := range hops {
+		p *= 1 - math.Pow(1-h.cand.Prob, float64(h.attempts))
 	}
-	return total
+	for j := 1; j+1 < len(nodes); j++ {
+		p *= net.SwapProb[nodes[j]]
+	}
+	return p
 }
 
 // RunSlot simulates one time slot: attempt the fixed plan, then assemble
 // the planned paths from realized segments (repeating while redundant
 // segments allow retries, like ECE's provisioned pass).
 func (e *Engine) RunSlot(rng *rand.Rand) (*sched.SlotResult, error) {
-	tr := e.tracer
-	traced := !sched.IsNop(tr)
-	tr.SlotStart(e.opts.Algorithm)
-	res := &sched.SlotResult{
+	n := len(e.fixed.Paths)
+	return e.Run(&e.fixed, rng, &sched.SlotResult{
 		LPObjective:      e.expected,
-		PlannedPaths:     len(e.paths),
-		ProvisionedPaths: len(e.paths),
+		PlannedPaths:     n,
+		ProvisionedPaths: n,
 		PerPair:          make([]int, len(e.Pairs)),
-	}
-
-	var fm qnet.FaultModel
-	faultsBefore := 0
-	var countsBefore chaos.Counts
-	if e.opts.Chaos.Active() {
-		countsBefore = e.opts.Chaos.Counts()
-		e.opts.Chaos.BeginSlot()
-		faultsBefore = e.opts.Chaos.Counts().Total()
-		fm = e.opts.Chaos
-	}
-
-	// Cross-slot state: withdraw surviving carried segments and trim their
-	// endpoint pairs out of the fixed plan (the cached e.plan is never
-	// mutated). With no bank, plan aliases e.plan and the slot is
-	// byte-identical to the memoryless path.
-	plan := e.plan
-	var withdrawn []*qnet.Segment
-	if e.bank != nil {
-		if expired, decohered := e.bank.BeginSlot(); expired+decohered > 0 {
-			tr.Incident(sched.IncidentBankDecohered, expired+decohered)
-		}
-		if withdrawn = e.bank.WithdrawAll(); len(withdrawn) > 0 {
-			tr.Incident(sched.IncidentBankWithdraw, len(withdrawn))
-		}
-		plan, _ = e.bank.TrimPlan(plan, withdrawn)
-	}
-	res.Attempts = plan.TotalAttempts()
-
-	t0 := time.Now()
-	if traced {
-		for _, pp := range e.paths {
-			tr.PathPlanned(pp.commodity, len(pp.hops))
-		}
-	}
-	tr.PhaseDone(sched.PhasePlan, time.Since(t0))
-
-	t0 = time.Now()
-	if traced {
-		for _, pp := range e.paths {
-			tr.PathProvisioned(pp.commodity)
-		}
-		for _, c := range plan.SortedCandidates() {
-			tr.AttemptReserved(c.U(), c.V(), plan[c])
-		}
-	}
-	tr.PhaseDone(sched.PhaseReserve, time.Since(t0))
-
-	t0 = time.Now()
-	var attemptObs qnet.AttemptObserver
-	if traced {
-		attemptObs = func(c *segment.Candidate, ok bool) {
-			tr.AttemptResolved(c.U(), c.V(), ok)
-		}
-	}
-	sc := e.scratch()
-	created := qnet.AttemptAllFaultyScratch(plan, rng, fm, attemptObs, &sc.att)
-	res.SegmentsCreated = len(created)
-	created, _ = qnet.ApplyDecoherence(created, fm)
-	if fm != nil {
-		// Brownout denials and flap downs get their own incident kinds; the
-		// rest stays IncidentFault (see the matching block in internal/core).
-		da := e.opts.Chaos.Counts().Sub(countsBefore)
-		if d := e.opts.Chaos.Counts().Total() - faultsBefore - da.BrownoutAttemptsLost; d > 0 {
-			tr.Incident(sched.IncidentFault, d)
-		}
-		if da.FlapSlotsDown > 0 {
-			tr.Incident(sched.IncidentFlap, da.FlapSlotsDown)
-		}
-		if da.BrownoutAttemptsLost > 0 {
-			tr.Incident(sched.IncidentBrownout, da.BrownoutAttemptsLost)
-		}
-	}
-	tr.PhaseDone(sched.PhasePhysical, time.Since(t0))
-
-	// Withdrawn carried segments join the pool ahead of the fresh ones so
-	// the oldest photons are consumed preferentially.
-	t0 = time.Now()
-	slotSegs := append(withdrawn, created...)
-	if sc.pool == nil {
-		sc.pool = qnet.NewPool(slotSegs)
-	} else {
-		sc.pool.Reset(slotSegs)
-	}
-	pool := sc.pool
-	swapObs := qnet.SwapObserver(tr.SwapResolved)
-	perPair := sc.perPair
-	clear(perPair)
-	fp := qnet.NewFloorPolicy(e.opts.FidelityFloors, e.Net)
-	var floorDead []bool // planned paths proven unable to meet their floor
-	for {
-		progress := false
-		for ppi, pp := range e.paths {
-			if perPair[pp.commodity] >= e.ConnCap[pp.commodity] {
-				continue
-			}
-			if floorDead != nil && floorDead[ppi] {
-				continue
-			}
-			ok := true
-			for _, h := range pp.hops {
-				if pool.Available(h.pair) < 1 {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			conn := &qnet.Connection{Pair: pp.commodity, Nodes: pp.nodes}
-			for _, h := range pp.hops {
-				conn.Segments = append(conn.Segments, fp.Take(pool, pp.commodity, h.pair))
-			}
-			if fp.Rejects(pp.commodity, conn.Segments) {
-				for _, s := range conn.Segments {
-					pool.Return(s)
-				}
-				if floorDead == nil {
-					floorDead = make([]bool, len(e.paths))
-				}
-				floorDead[ppi] = true
-				res.FloorRejected++
-				tr.Incident(sched.IncidentFloorReject, 1)
-				continue
-			}
-			res.Assembled++
-			progress = true
-			ok = conn.EstablishOrderedObserved(e.Net, pool, rng, swapObs, e.opts.SwapOrder)
-			tr.ConnectionAssembled(pp.commodity, ok)
-			if ok {
-				if err := conn.Validate(); err != nil {
-					return nil, fmt.Errorf("greedy: invalid connection: %w", err)
-				}
-				res.Established++
-				res.PerPair[pp.commodity]++
-				res.Connections = append(res.Connections, conn)
-				perPair[pp.commodity]++
-			}
-		}
-		if !progress {
-			break
-		}
-	}
-	// Cross-slot state: bank the slot's unconsumed leftovers for the next
-	// slot, within each node's memory budget.
-	if e.bank != nil {
-		if accepted := e.bank.Deposit(pool.Unconsumed()); accepted > 0 {
-			tr.Incident(sched.IncidentBankDeposit, accepted)
-		}
-	}
-	tr.PhaseDone(sched.PhaseStitch, time.Since(t0))
-	tr.SlotEnd(res)
-	return res, nil
+	})
 }
-
-// Algorithm identifies the scheme.
-func (e *Engine) Algorithm() sched.Algorithm { return e.opts.Algorithm }
 
 // UpperBound returns the heuristic expected established count of the fixed
 // plan (not an LP bound — the greedy solves none).
 func (e *Engine) UpperBound() float64 { return e.expected }
-
-// AttachBank implements sched.Stateful: it installs the cross-slot segment
-// bank (nil detaches, restoring memoryless behavior).
-func (e *Engine) AttachBank(b *state.Bank) { e.bank = b }
-
-// Bank implements sched.Stateful.
-func (e *Engine) Bank() *state.Bank { return e.bank }

@@ -36,7 +36,6 @@ import (
 
 	"see/internal/graph"
 	"see/internal/sched"
-	"see/internal/state"
 	"see/internal/topo"
 )
 
@@ -106,12 +105,16 @@ func minCut(net *topo.Network, p topo.SDPair, capOf func(id, u, v int) int) int 
 // the LP-objective field so sweep reports can print capacity next to real
 // engines' throughput.
 type Engine struct {
+	// Runner supplies the scheme label, tracer, bank and checkpointing.
+	// The oracle runs no slot phases, so RunSlot bypasses Runner.Run, and
+	// it holds a bank without ever depositing or withdrawing: capacity
+	// bounds are properties of the topology, not of banked inventory.
+	sched.Runner
+
 	net    *topo.Network
 	pairs  []topo.SDPair
 	bounds []Bound
 	total  float64
-	bank   *state.Bank
-	tracer sched.Tracer
 }
 
 var (
@@ -135,7 +138,12 @@ func NewEngine(net *topo.Network, pairs []topo.SDPair, tr sched.Tracer) (*Engine
 			return nil, fmt.Errorf("oracle: pair (%d,%d) outside network", p.S, p.D)
 		}
 	}
-	e := &Engine{net: net, pairs: pairs, bounds: ComputeBounds(net, pairs), tracer: sched.OrNop(tr)}
+	e := &Engine{
+		Runner: sched.NewRunner(sched.SlotConfig{Algorithm: sched.Oracle, Tracer: tr}, net, nil),
+		net:    net,
+		pairs:  pairs,
+		bounds: ComputeBounds(net, pairs),
+	}
 	for _, b := range e.bounds {
 		e.total += b.Expected
 	}
@@ -145,9 +153,6 @@ func NewEngine(net *topo.Network, pairs []topo.SDPair, tr sched.Tracer) (*Engine
 // Bounds returns the per-pair capacity bounds, in demand order.
 func (e *Engine) Bounds() []Bound { return e.bounds }
 
-// Algorithm implements sched.Engine.
-func (e *Engine) Algorithm() sched.Algorithm { return sched.Oracle }
-
 // UpperBound implements sched.Engine: the summed Expected bound.
 func (e *Engine) UpperBound() float64 { return e.total }
 
@@ -155,44 +160,12 @@ func (e *Engine) UpperBound() float64 { return e.total }
 // oracle that consumed randomness would perturb seeded comparisons run in
 // the same sweep.
 func (e *Engine) RunSlot(*rand.Rand) (*sched.SlotResult, error) {
-	e.tracer.SlotStart(sched.Oracle)
+	tr := e.Tracer()
+	tr.SlotStart(sched.Oracle)
 	res := &sched.SlotResult{
 		LPObjective: e.total,
 		PerPair:     make([]int, len(e.pairs)),
 	}
-	e.tracer.SlotEnd(res)
+	tr.SlotEnd(res)
 	return res, nil
-}
-
-// AttachBank implements sched.Stateful. The oracle holds the bank without
-// ever depositing or withdrawing: capacity bounds are properties of the
-// topology, not of banked inventory.
-func (e *Engine) AttachBank(b *state.Bank) { e.bank = b }
-
-// Bank implements sched.Stateful.
-func (e *Engine) Bank() *state.Bank { return e.bank }
-
-// EngineState implements sched.Checkpointable. The oracle's only
-// cross-slot state is the (never-touched) bank, captured so kill/resume
-// round-trips through the shared harness stay uniform across engines.
-func (e *Engine) EngineState() (*sched.EngineState, error) {
-	return &sched.EngineState{
-		Algorithm: e.Algorithm(),
-		Bank:      e.bank.State(),
-	}, nil
-}
-
-// RestoreEngineState implements sched.Checkpointable.
-func (e *Engine) RestoreEngineState(st *sched.EngineState) error {
-	if err := sched.CheckRestoreAlgorithm(e.Algorithm(), st); err != nil {
-		return err
-	}
-	var bankSt *state.BankState
-	if st != nil {
-		bankSt = st.Bank
-	}
-	if err := e.bank.Restore(bankSt, nil); err != nil {
-		return fmt.Errorf("oracle: %w", err)
-	}
-	return nil
 }

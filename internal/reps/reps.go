@@ -19,15 +19,12 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"time"
 
-	"see/internal/chaos"
 	"see/internal/flow"
 	"see/internal/graph"
 	"see/internal/qnet"
 	"see/internal/sched"
 	"see/internal/segment"
-	"see/internal/state"
 	"see/internal/topo"
 	"see/internal/warm"
 )
@@ -41,25 +38,14 @@ type Options struct {
 	RoundingSolves int
 	// Flow tunes the underlying LP solves.
 	Flow flow.Options
-	// Tracer observes the slot pipeline; nil means no instrumentation.
-	Tracer sched.Tracer
-	// Chaos injects deterministic faults into the physical phase; nil or a
-	// zero-plan injector leaves the engine byte-identical to a run without
-	// any chaos layer (see the matching field in core.Options).
-	Chaos *chaos.Injector
+	// Slot is the slot-level configuration the shared sched.Runner
+	// applies; REPS always reports sched.REPS whatever its Algorithm says.
+	Slot sched.SlotConfig
 	// Warm, when non-nil, memoizes the link-candidate set and every
 	// progressive-rounding LP solution across engine (re)builds over the
 	// same network (see internal/warm and the matching field in
 	// core.Options). Bypassed for budgeted construction (non-nil ctx).
 	Warm *warm.Cache
-	// FidelityFloors is the per-request minimum delivered end-to-end
-	// fidelity; EPS never attempts an assembly whose predicted fidelity
-	// misses its pair's floor (see qnet.FloorPolicy and the matching field
-	// in core.Options). Nil or all-zero disables enforcement.
-	FidelityFloors *qnet.FloorSpec
-	// SwapOrder selects the stitch phase's swap schedule; the zero value
-	// (qnet.SwapOrderPath) is the historical left-to-right order.
-	SwapOrder qnet.SwapOrder
 }
 
 func (o Options) withDefaults() Options {
@@ -87,41 +73,23 @@ type Engine struct {
 	// ConnCap is the per-pair connection cap.
 	ConnCap []int
 
-	opts   Options
-	tracer sched.Tracer
-	// bank is the optional cross-slot segment bank; nil keeps the engine
-	// memoryless (see the matching field in core.Engine).
-	bank *state.Bank
-	// slot is the reusable per-slot scratch: attempt ordering, the segment
-	// pool, EPS's per-pair counters and auxiliary graph, and the targeted
-	// Dijkstra buffers. Only RunSlot uses it; the exported SelectPaths
-	// entry points allocate fresh.
-	slot *slotScratch
-}
+	// Runner is the shared slot skeleton; the engine supplies its fixed
+	// link plan and EPS as its phases.
+	sched.Runner
 
-// slotScratch holds REPS's per-slot reusable buffers; the same lifetime
-// rule as core.slotScratch applies — nothing in it may outlive the slot.
-type slotScratch struct {
-	att      qnet.AttemptScratch
-	pool     *qnet.Pool
+	opts Options
+	// EPS's reusable per-slot buffers; the same lifetime rule as
+	// core.slotScratch applies — nothing in them may outlive the slot.
 	perPair  []int
 	aux      *graph.Graph
 	auxPairs []segment.PairKey
 	dij      graph.DijkstraScratch
 }
 
-// scratch returns the engine's slot scratch, creating it on first use.
-func (e *Engine) scratch() *slotScratch {
-	if e.slot == nil {
-		e.slot = &slotScratch{
-			perPair: make([]int, len(e.Pairs)),
-			aux:     graph.New(e.Net.NumNodes()),
-		}
-	}
-	return e.slot
-}
-
-var _ sched.Stateful = (*Engine)(nil)
+var (
+	_ sched.Stateful       = (*Engine)(nil)
+	_ sched.Checkpointable = (*Engine)(nil)
+)
 
 // NewEngine provisions entanglement links for the workload.
 func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, error) {
@@ -161,7 +129,17 @@ func NewEngineCtx(ctx context.Context, net *topo.Network, pairs []topo.SDPair, o
 			connCap[i] = min(net.Memory[sd.S], net.Memory[sd.D])
 		}
 	}
-	e := &Engine{Net: net, Pairs: pairs, Set: set, ConnCap: connCap, opts: opts, tracer: sched.OrNop(opts.Tracer)}
+	opts.Slot.Algorithm = sched.REPS
+	e := &Engine{
+		Net:     net,
+		Pairs:   pairs,
+		Set:     set,
+		ConnCap: connCap,
+		Runner:  sched.NewRunner(opts.Slot, net, set.CandidateFor),
+		opts:    opts,
+		perPair: make([]int, len(pairs)),
+		aux:     graph.New(net.NumNodes()),
+	}
 	if err := e.provision(ctx); err != nil {
 		return nil, err
 	}
@@ -327,166 +305,44 @@ func fractionalAttempts(net *topo.Network, sol *flow.Solution) []fracAttempt {
 
 // RunSlot simulates one time slot: attempt the provisioned links, then
 // select entanglement paths on the realized link graph (EPS). The
-// provisioning plan is fixed at construction, so the per-slot reserve
-// phase just re-commits it (and reports it through the tracer);
-// PlannedPaths and ProvisionedPaths stay zero — REPS plans links, not
-// entanglement paths.
+// provisioning plan is fixed at construction, so there is no plan phase
+// and the reserve phase just re-commits it; PlannedPaths and
+// ProvisionedPaths stay zero — REPS plans links, not entanglement paths.
 func (e *Engine) RunSlot(rng *rand.Rand) (*sched.SlotResult, error) {
-	tr := e.tracer
-	tr.SlotStart(sched.REPS)
-	res := &sched.SlotResult{
+	return e.Run(e, rng, &sched.SlotResult{
 		LPObjective: e.LPObjective,
 		PerPair:     make([]int, len(e.Pairs)),
-	}
-
-	// Chaos slot clock; fm stays nil (and the slot byte-identical) without
-	// an active injector.
-	var fm qnet.FaultModel
-	faultsBefore := 0
-	var countsBefore chaos.Counts
-	if e.opts.Chaos.Active() {
-		countsBefore = e.opts.Chaos.Counts()
-		e.opts.Chaos.BeginSlot()
-		faultsBefore = e.opts.Chaos.Counts().Total()
-		fm = e.opts.Chaos
-	}
-
-	// Cross-slot state: withdraw surviving carried links and trim their
-	// endpoint pairs out of the provisioning plan (the cached e.Plan is
-	// never mutated). With no bank attached, plan aliases e.Plan and the
-	// slot is byte-identical to the memoryless path.
-	plan := e.Plan
-	var withdrawn []*qnet.Segment
-	if e.bank != nil {
-		if expired, decohered := e.bank.BeginSlot(); expired+decohered > 0 {
-			tr.Incident(sched.IncidentBankDecohered, expired+decohered)
-		}
-		if withdrawn = e.bank.WithdrawAll(); len(withdrawn) > 0 {
-			tr.Incident(sched.IncidentBankWithdraw, len(withdrawn))
-		}
-		plan, _ = e.bank.TrimPlan(plan, withdrawn)
-	}
-	res.Attempts = plan.TotalAttempts()
-
-	// The reservation events (and the sort that orders them) exist only for
-	// the tracer; skip them on bare runs. The rng stream is unaffected.
-	traced := !sched.IsNop(tr)
-	t0 := time.Now()
-	if traced {
-		for _, c := range plan.SortedCandidates() {
-			tr.AttemptReserved(c.U(), c.V(), plan[c])
-		}
-	}
-	tr.PhaseDone(sched.PhaseReserve, time.Since(t0))
-
-	t0 = time.Now()
-	var attemptObs qnet.AttemptObserver
-	if traced {
-		attemptObs = func(c *segment.Candidate, ok bool) {
-			tr.AttemptResolved(c.U(), c.V(), ok)
-		}
-	}
-	sc := e.scratch()
-	created := qnet.AttemptAllFaultyScratch(plan, rng, fm, attemptObs, &sc.att)
-	res.SegmentsCreated = len(created)
-	created, _ = qnet.ApplyDecoherence(created, fm)
-	if fm != nil {
-		// Brownout denials and flap downs get their own incident kinds; the
-		// rest stays IncidentFault (see the matching block in internal/core).
-		da := e.opts.Chaos.Counts().Sub(countsBefore)
-		if d := e.opts.Chaos.Counts().Total() - faultsBefore - da.BrownoutAttemptsLost; d > 0 {
-			tr.Incident(sched.IncidentFault, d)
-		}
-		if da.FlapSlotsDown > 0 {
-			tr.Incident(sched.IncidentFlap, da.FlapSlotsDown)
-		}
-		if da.BrownoutAttemptsLost > 0 {
-			tr.Incident(sched.IncidentBrownout, da.BrownoutAttemptsLost)
-		}
-	}
-	tr.PhaseDone(sched.PhasePhysical, time.Since(t0))
-
-	// Withdrawn carried links join the pool ahead of the fresh ones so the
-	// oldest photons are consumed preferentially.
-	t0 = time.Now()
-	slotSegs := append(withdrawn, created...)
-	if sc.pool == nil {
-		sc.pool = qnet.NewPool(slotSegs)
-	} else {
-		sc.pool.Reset(slotSegs)
-	}
-	pool := sc.pool
-	conns, assembled, floorRejected := e.selectFromPoolScratch(pool, rng, sc)
-	res.Assembled = assembled
-	res.FloorRejected = floorRejected
-	for _, c := range conns {
-		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("reps: invalid connection: %w", err)
-		}
-		res.Established++
-		res.PerPair[c.Pair]++
-		res.Connections = append(res.Connections, c)
-	}
-	// Cross-slot state: bank the slot's unconsumed leftovers for the next
-	// slot, within each node's memory budget.
-	if e.bank != nil {
-		if accepted := e.bank.Deposit(pool.Unconsumed()); accepted > 0 {
-			tr.Incident(sched.IncidentBankDeposit, accepted)
-		}
-	}
-	tr.PhaseDone(sched.PhaseStitch, time.Since(t0))
-	tr.SlotEnd(res)
-	return res, nil
+	})
 }
 
-// SelectPaths is REPS's EPS step: round-robin over SD pairs, repeatedly
-// routing each on the realized entanglement links via shortest path with
-// junction weight −ln q, until no pair can be served. Swapping is sampled
-// per assembled connection; a failure consumes the links but the pair stays
-// eligible, so redundant links back up failed swaps (see the matching note
-// on ECE in internal/core).
-func (e *Engine) SelectPaths(created []*qnet.Segment, rng *rand.Rand) []*qnet.Connection {
-	conns, _ := e.selectPaths(created, rng)
-	return conns
+// PlanPhase implements sched.SlotPhases: REPS has no per-slot plan phase.
+func (e *Engine) PlanPhase(*sched.Slot) bool { return false }
+
+// ReservePhase implements sched.SlotPhases: the provisioning plan (never
+// mutated; the runner's bank trim copies on write).
+func (e *Engine) ReservePhase(*sched.Slot) (plan, held qnet.AttemptPlan, err error) {
+	return e.Plan, nil, nil
 }
 
-// selectPaths is SelectPaths plus the number of assembly attempts (each
-// consumes one realized link per hop; swap failures make attempts exceed
-// the established count).
-func (e *Engine) selectPaths(created []*qnet.Segment, rng *rand.Rand) ([]*qnet.Connection, int) {
-	return e.selectFromPool(qnet.NewPool(created), rng)
-}
+// PhysicalHook implements sched.SlotPhases; REPS adds nothing to the
+// physical phase.
+func (e *Engine) PhysicalHook(*sched.Slot) {}
 
-// selectFromPool is selectPaths over a caller-built pool; the carry-over
-// path uses it so carried links mix with fresh ones and the leftovers can
-// be banked afterwards.
-func (e *Engine) selectFromPool(pool *qnet.Pool, rng *rand.Rand) ([]*qnet.Connection, int) {
-	conns, attempts, _ := e.selectFromPoolScratch(pool, rng, nil)
-	return conns, attempts
-}
-
-// selectFromPoolScratch is selectFromPool over an optional slot scratch
-// (reused auxiliary graph, per-pair counters and Dijkstra buffers, plus
-// the early-stop targeted queries); nil allocates fresh. Both paths
-// produce identical connections.
-func (e *Engine) selectFromPoolScratch(pool *qnet.Pool, rng *rand.Rand, sc *slotScratch) ([]*qnet.Connection, int, int) {
-	tr := e.tracer
-	swapObs := qnet.SwapObserver(tr.SwapResolved)
+// StitchPhase implements sched.SlotPhases with EPS: round-robin over SD
+// pairs, repeatedly routing each on the realized entanglement links via
+// shortest path with junction weight −ln q, until no pair can be served.
+// Swapping is sampled per assembled connection; a failure consumes the
+// links but the pair stays eligible, so redundant links back up failed
+// swaps (see the matching note on ECE in internal/core).
+func (e *Engine) StitchPhase(s *sched.Slot) ([]*qnet.Connection, int, int) {
+	pool := s.Pool
 	attempts := 0
 	floorRejected := 0
-	fp := qnet.NewFloorPolicy(e.opts.FidelityFloors, e.Net)
+	fp := qnet.NewFloorPolicy(e.SlotConfig().FidelityFloors, e.Net)
 	var floorDead []bool // pairs whose best route missed the floor
-	var aux *graph.Graph
-	var auxPairs []segment.PairKey
-	var dij *graph.DijkstraScratch
-	if sc != nil {
-		aux = sc.aux
-		aux.Reset()
-		auxPairs = sc.auxPairs[:0]
-		dij = &sc.dij
-	} else {
-		aux = graph.New(e.Net.NumNodes())
-	}
+	aux := e.aux
+	aux.Reset()
+	auxPairs := e.auxPairs[:0]
 	pairsWith := pool.Pairs()
 	if auxPairs == nil {
 		auxPairs = make([]segment.PairKey, 0, len(pairsWith))
@@ -495,9 +351,7 @@ func (e *Engine) selectFromPoolScratch(pool *qnet.Pool, rng *rand.Rand, sc *slot
 		aux.AddEdge(pk.U, pk.V, 1)
 		auxPairs = append(auxPairs, pk)
 	}
-	if sc != nil {
-		sc.auxPairs = auxPairs
-	}
+	e.auxPairs = auxPairs
 	nodeWeight := func(u int) float64 {
 		q := e.Net.SwapProb[u]
 		if q <= 0 {
@@ -511,13 +365,8 @@ func (e *Engine) selectFromPoolScratch(pool *qnet.Pool, rng *rand.Rand, sc *slot
 		}
 		return 1e9
 	}
-	var perPair []int
-	if sc != nil {
-		perPair = sc.perPair
-		clear(perPair)
-	} else {
-		perPair = make([]int, len(e.Pairs))
-	}
+	perPair := e.perPair
+	clear(perPair)
 	var out []*qnet.Connection
 	for {
 		progress := false
@@ -531,7 +380,7 @@ func (e *Engine) selectFromPoolScratch(pool *qnet.Pool, rng *rand.Rand, sc *slot
 			path, dist := graph.ShortestPathTarget(aux, sd.S, sd.D, graph.DijkstraOptions{
 				NodeWeight: nodeWeight,
 				EdgeWeight: edgeWeight,
-			}, dij)
+			}, &e.dij)
 			if path == nil || dist >= 1e8 {
 				continue
 			}
@@ -560,14 +409,12 @@ func (e *Engine) selectFromPoolScratch(pool *qnet.Pool, rng *rand.Rand, sc *slot
 				}
 				floorDead[i] = true
 				floorRejected++
-				tr.Incident(sched.IncidentFloorReject, 1)
+				e.Tracer().Incident(sched.IncidentFloorReject, 1)
 				continue
 			}
 			progress = true
 			attempts++
-			ok = conn.EstablishOrderedObserved(e.Net, pool, rng, swapObs, e.opts.SwapOrder)
-			tr.ConnectionAssembled(i, ok)
-			if ok {
+			if s.Establish(conn) {
 				out = append(out, conn)
 				perPair[i]++
 			}
@@ -578,15 +425,5 @@ func (e *Engine) selectFromPoolScratch(pool *qnet.Pool, rng *rand.Rand, sc *slot
 	}
 }
 
-// Algorithm identifies the scheme.
-func (e *Engine) Algorithm() sched.Algorithm { return sched.REPS }
-
 // UpperBound returns the provisioning LP optimum.
 func (e *Engine) UpperBound() float64 { return e.LPObjective }
-
-// AttachBank implements sched.Stateful: it installs the cross-slot segment
-// bank (nil detaches, restoring memoryless behavior).
-func (e *Engine) AttachBank(b *state.Bank) { e.bank = b }
-
-// Bank implements sched.Stateful.
-func (e *Engine) Bank() *state.Bank { return e.bank }

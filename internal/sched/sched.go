@@ -1,7 +1,7 @@
 // Package sched defines the common slot pipeline shared by every
-// entanglement-establishment engine in the repository. All three schemes
-// of the paper's evaluation (SEE, REPS, E2E) run the same four conceptual
-// phases each time slot:
+// entanglement-establishment engine in the repository. Every scheme —
+// the paper's SEE, REPS and E2E and the repo-grown baselines — runs the
+// same four conceptual phases each time slot:
 //
 //	plan     — identify entanglement paths (EPI / LP rounding)
 //	reserve  — reserve channels and memory for creation attempts (ESC /
@@ -11,11 +11,13 @@
 //	           quantum swaps (ECE / EPS)
 //
 // The package gives them one Engine interface, one canonical SlotResult,
-// and a Tracer hook with per-phase callbacks so callers can observe where
+// a Tracer hook with per-phase callbacks so callers can observe where
 // throughput is lost (attempts reserved vs. segments created vs. swaps
-// survived) without reaching into engine internals. Engines live in
-// internal/core, internal/reps and internal/e2e; the factory that builds
-// one by Algorithm is internal/engines.
+// survived) without reaching into engine internals, and one slot skeleton
+// (Runner, slot.go) that owns everything between the phases. Engines live
+// in internal/core (SEE, SEE-Aware, E2E), internal/reps, internal/greedy,
+// internal/contend (Contend, Contend-Aware, QPass) and internal/oracle;
+// the factory that builds one by Algorithm is internal/engines.
 package sched
 
 import (
@@ -82,77 +84,68 @@ const (
 // the paper's evaluation trio.
 var Algorithms = []Algorithm{SEE, REPS, E2E}
 
-// String implements fmt.Stringer.
-func (a Algorithm) String() string {
-	switch a {
-	case SEE:
-		return "SEE"
-	case REPS:
-		return "REPS"
-	case E2E:
-		return "E2E"
-	case Greedy:
-		return "Greedy"
-	case Contend:
-		return "Contend"
-	case QPass:
-		return "QPass"
-	case ContendAware:
-		return "Contend-Aware"
-	case SEEAware:
-		return "SEE-Aware"
-	case Oracle:
-		return "Oracle"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
+// noTwin marks a scheme without a forecast-aware variant.
+const noTwin Algorithm = -1
+
+// algorithmTable is the one table of scheme names and fault-aware twins
+// that String, ParseAlgorithm, FaultAware and FaultAwareVariant read,
+// indexed by Algorithm. ParseAlgorithm accepts each name in any case.
+var algorithmTable = [...]struct {
+	name string
+	// twin is the forecast-aware variant (the scheme itself for an aware
+	// one); REPS, E2E, Greedy and QPass plan fault-blind by design.
+	twin Algorithm
+}{
+	SEE:          {"SEE", SEEAware},
+	REPS:         {"REPS", noTwin},
+	E2E:          {"E2E", noTwin},
+	Greedy:       {"Greedy", noTwin},
+	Contend:      {"Contend", ContendAware},
+	QPass:        {"QPass", noTwin},
+	ContendAware: {"Contend-Aware", ContendAware},
+	SEEAware:     {"SEE-Aware", SEEAware},
+	Oracle:       {"Oracle", noTwin},
 }
 
-// ParseAlgorithm maps a case-insensitive scheme name ("see", "reps",
-// "e2e", "greedy", "contend", "qpass", "contend-aware", "see-aware",
-// "oracle") to its Algorithm.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "see":
-		return SEE, nil
-	case "reps":
-		return REPS, nil
-	case "e2e":
-		return E2E, nil
-	case "greedy":
-		return Greedy, nil
-	case "contend":
-		return Contend, nil
-	case "qpass":
-		return QPass, nil
-	case "contend-aware":
-		return ContendAware, nil
-	case "see-aware":
-		return SEEAware, nil
-	case "oracle":
-		return Oracle, nil
-	default:
-		return 0, fmt.Errorf("sched: unknown algorithm %q (want see, reps, e2e, greedy, contend, qpass, contend-aware, see-aware or oracle)", s)
+// known reports whether a has a row in the scheme table.
+func (a Algorithm) known() bool { return a >= 0 && int(a) < len(algorithmTable) }
+
+// String implements fmt.Stringer.
+func (a Algorithm) String() string {
+	if !a.known() {
+		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
+	return algorithmTable[a].name
+}
+
+// ParseAlgorithm maps a case-insensitive scheme name (see, reps, e2e,
+// greedy, contend, qpass, contend-aware, see-aware, oracle) to its
+// Algorithm.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	for i, row := range algorithmTable {
+		if strings.EqualFold(s, row.name) {
+			return Algorithm(i), nil
+		}
+	}
+	names := make([]string, len(algorithmTable))
+	for i, row := range algorithmTable {
+		names[i] = strings.ToLower(row.name)
+	}
+	last := len(names) - 1
+	return 0, fmt.Errorf("sched: unknown algorithm %q (want %s or %s)", s, strings.Join(names[:last], ", "), names[last])
 }
 
 // FaultAware reports whether the scheme subtracts the announced fault
 // forecast from its planning capacities.
-func (a Algorithm) FaultAware() bool { return a == SEEAware || a == ContendAware }
+func (a Algorithm) FaultAware() bool { return a.known() && algorithmTable[a].twin == a }
 
 // FaultAwareVariant returns the forecast-aware twin of a scheme and true,
-// or the scheme unchanged and false when no aware variant is registered
-// (REPS, E2E, Greedy and QPass plan fault-blind by design).
+// or the scheme unchanged and false when no aware variant is registered.
 func (a Algorithm) FaultAwareVariant() (Algorithm, bool) {
-	switch a {
-	case SEE:
-		return SEEAware, true
-	case Contend:
-		return ContendAware, true
-	case SEEAware, ContendAware:
-		return a, true
+	if !a.known() || algorithmTable[a].twin == noTwin {
+		return a, false
 	}
-	return a, false
+	return algorithmTable[a].twin, true
 }
 
 // SlotResult is the canonical report of one simulated time slot, shared by
@@ -215,8 +208,9 @@ type Engine interface {
 // The capability is strictly opt-in: with no bank attached (Bank() == nil)
 // a Stateful engine must be byte-identical to one without the capability,
 // the same contract zero fault plans honor. Attach a bank before the first
-// RunSlot and never swap it mid-run; all four engines plus the resilient
-// wrapper in internal/engines implement the interface.
+// RunSlot and never swap it mid-run; every registered engine (through the
+// shared Runner) plus the resilient wrapper in internal/engines implements
+// the interface.
 type Stateful interface {
 	Engine
 	// AttachBank installs the cross-slot segment bank (nil detaches).

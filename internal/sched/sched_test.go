@@ -23,6 +23,14 @@ func TestParseAlgorithm(t *testing.T) {
 			t.Errorf("ParseAlgorithm(%q) accepted", bad)
 		}
 	}
+	_, err := ParseAlgorithm("qcast")
+	want := `sched: unknown algorithm "qcast" (want see, reps, e2e, greedy, contend, qpass, contend-aware, see-aware or oracle)`
+	if err == nil || err.Error() != want {
+		t.Errorf("ParseAlgorithm error = %v, want %s", err, want)
+	}
+	if got := Algorithm(42).String(); got != "Algorithm(42)" {
+		t.Errorf("out-of-table String() = %q", got)
+	}
 	for _, a := range []Algorithm{SEE, REPS, E2E, Greedy, Contend, QPass, ContendAware, SEEAware} {
 		back, err := ParseAlgorithm(a.String())
 		if err != nil || back != a {

@@ -156,6 +156,104 @@ func TestResilientCheckpointRestore(t *testing.T) {
 	}
 }
 
+// TestFailedRestoreLeavesEngineUntouched feeds every registered engine, and
+// the degradation-ladder wrapper, a snapshot whose bank names a route no
+// catalogue has. The restore must fail, the engine's state must read
+// exactly as before, and the next slot must match a twin that was never
+// asked to restore: validation happens before anything is committed.
+func TestFailedRestoreLeavesEngineUntouched(t *testing.T) {
+	net, pairs, err := Instance(testNodes, testPairs, testSeed+14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, build func(t *testing.T) sched.Checkpointable) {
+		eng, twin := build(t), build(t)
+		rng, twinRng := NewRng(71), NewRng(71)
+		// The rejected snapshot is an older one (after the first slot), so
+		// a half-applied restore would visibly rewind the engine.
+		var bad *sched.EngineState
+		for s := 0; s < 3; s++ {
+			if _, err := eng.RunSlot(rng); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := twin.RunSlot(twinRng); err != nil {
+				t.Fatal(err)
+			}
+			if s == 0 {
+				st, err := eng.EngineState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				bad = jsonRoundTrip(t, st)
+			}
+		}
+		before, err := eng.EngineState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner := bad
+		if inner.Inner != nil {
+			inner = inner.Inner
+		}
+		if inner.Bank == nil {
+			t.Fatalf("fixture state has no bank: %+v", inner)
+		}
+		inner.Bank.Entries = append(inner.Bank.Entries, state.BankedSegment{A: 0, B: 1, Path: []int{0, 9999, 1}})
+		if err := eng.RestoreEngineState(bad); err == nil {
+			t.Fatal("restore of an unknown banked route succeeded")
+		}
+		after, err := eng.EngineState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(before, after) {
+			t.Fatalf("failed restore changed the engine state:\nbefore %+v\n after %+v", before, after)
+		}
+		got, err := eng.RunSlot(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.RunSlot(twinRng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*got, *want) {
+			t.Errorf("slot after the failed restore diverged from the unrestored twin:\n got %+v\nwant %+v", *got, *want)
+		}
+	}
+	bank := func() *state.Bank {
+		return state.NewBank(net, state.Policy{CarrySlots: 2, Seed: checkpointPlan().Seed})
+	}
+	forEachEngine(t, func(t *testing.T, alg sched.Algorithm) {
+		check(t, func(t *testing.T) sched.Checkpointable {
+			inj, err := chaos.NewInjector(checkpointPlan(), net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := engines.New(alg, net, pairs, engines.Config{Chaos: inj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.(sched.Stateful).AttachBank(bank())
+			return eng.(sched.Checkpointable)
+		})
+	})
+	t.Run("Resilient", func(t *testing.T) {
+		check(t, func(t *testing.T) sched.Checkpointable {
+			inj, err := chaos.NewInjector(checkpointPlan(), net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := engines.NewResilient(sched.SEE, net, pairs, engines.Config{Chaos: inj}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.AttachBank(bank())
+			return r
+		})
+	})
+}
+
 // TestCheckpointAlgorithmMismatch pins the configuration guard: state from
 // one scheme must not restore into another.
 func TestCheckpointAlgorithmMismatch(t *testing.T) {

@@ -2,6 +2,7 @@ package schedtest
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"see/internal/chaos"
@@ -33,6 +34,20 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if got := engines.List(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("engines.List() = %v, want %v", got, want)
+	}
+	// Every registered scheme has a row in sched's algorithm table: a name
+	// that parses back to it, in any case.
+	for _, alg := range engines.List() {
+		name := alg.String()
+		if strings.HasPrefix(name, "Algorithm(") {
+			t.Errorf("%d has no algorithm-table row", int(alg))
+			continue
+		}
+		for _, s := range []string{name, strings.ToLower(name), strings.ToUpper(name)} {
+			if got, err := sched.ParseAlgorithm(s); err != nil || got != alg {
+				t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", s, got, err, alg)
+			}
+		}
 	}
 }
 

@@ -1,0 +1,424 @@
+package sched
+
+import (
+	"fmt"
+	"math/rand"
+	"time"
+
+	"see/internal/chaos"
+	"see/internal/graph"
+	"see/internal/qnet"
+	"see/internal/segment"
+	"see/internal/state"
+	"see/internal/topo"
+)
+
+// SlotConfig is the slot-level configuration every engine shares: what the
+// Runner needs to label, observe, perturb and stitch a slot. Engine options
+// carry one in a single field; internal/engines fills it from its Config.
+type SlotConfig struct {
+	// Algorithm is the scheme label reported through Engine.Algorithm, the
+	// Tracer's SlotStart and EngineState.
+	Algorithm Algorithm
+	// Tracer observes the slot pipeline; nil means no instrumentation.
+	Tracer Tracer
+	// Chaos injects deterministic faults into the physical phase (blocked
+	// routes, brownouts, memory decoherence); nil or a zero-plan injector
+	// leaves the engine byte-identical to a run without any chaos layer.
+	Chaos *chaos.Injector
+	// FidelityFloors is the per-request minimum delivered end-to-end
+	// fidelity. No stitch phase attempts an assembly whose predicted
+	// fidelity (qnet.FloorPolicy) misses its pair's floor. Nil or all-zero
+	// disables enforcement.
+	FidelityFloors *qnet.FloorSpec
+	// SwapOrder selects the stitch phase's swap schedule; the zero value
+	// (qnet.SwapOrderPath) is the historical left-to-right order.
+	SwapOrder qnet.SwapOrder
+	// ForecastAvoided is the number of announced elements a fault-aware
+	// planner routes around; when positive it is reported every slot as
+	// IncidentForecastAvoid.
+	ForecastAvoided int
+}
+
+// SlotPhases is what an engine supplies to the Runner: its own parts of
+// the slot, as methods so the hot path allocates no closures. The Runner
+// owns everything in between (see Runner.Run for the order).
+type SlotPhases interface {
+	// PlanPhase identifies the slot's entanglement paths. It returns false
+	// when the engine has no plan phase (REPS), and the Runner then emits
+	// no PhasePlan.
+	PlanPhase(s *Slot) bool
+	// ReservePhase returns the slot's creation plan and, optionally, a
+	// held plan whose attempts are reserved alongside but which the engine
+	// fires itself in PhysicalHook (Contend's recovery attempts). The
+	// Runner trims the creation plan by the withdrawn banked segments and
+	// reports both plans' reservations.
+	ReservePhase(s *Slot) (plan, held qnet.AttemptPlan, err error)
+	// PhysicalHook runs after the planned attempts resolved and memory
+	// decoherence hit s.Created, before faults are attributed.
+	PhysicalHook(s *Slot)
+	// StitchPhase assembles connections from s.Pool and returns the
+	// established ones with the assembly and floor-rejection counts.
+	StitchPhase(s *Slot) (conns []*qnet.Connection, assembled, floorRejected int)
+}
+
+// Slot is the state of the slot in flight, handed to every phase method.
+// It lives in the Runner and is reused; nothing in it outlives the slot
+// except what the SlotResult takes over.
+type Slot struct {
+	// Rng drives every stochastic outcome of the slot.
+	Rng *rand.Rand
+	// Result is the slot's report, filled in as the phases run.
+	Result *SlotResult
+	// Traced is false under a no-op tracer: phases skip work that only
+	// feeds tracer callbacks.
+	Traced bool
+	// Faults is the active chaos injector, or nil.
+	Faults qnet.FaultModel
+	// ObserveAttempt reports each physical attempt to the tracer; nil when
+	// untraced.
+	ObserveAttempt qnet.AttemptObserver
+	// Withdrawn are the banked segments carried into this slot, oldest
+	// first.
+	Withdrawn []*qnet.Segment
+	// Created are the physical phase's realized segments that survived
+	// decoherence.
+	Created []*qnet.Segment
+	// Pool is the stitch phase's segment pool: Withdrawn then Created.
+	Pool *qnet.Pool
+
+	r *Runner
+}
+
+// Runner is the slot skeleton shared by every engine: chaos slot clock and
+// fault attribution, the cross-slot bank, the physical phase, connection
+// validation, tracing and checkpointing. Engines embed one, supply their
+// phases through SlotPhases and call Run from RunSlot. The embedded
+// methods implement Stateful and Checkpointable.
+type Runner struct {
+	cfg     SlotConfig
+	net     *topo.Network
+	tracer  Tracer
+	resolve state.CandidateResolver
+	bank    *state.Bank
+
+	// Reused per-slot state: the slot context, the attempt-ordering
+	// scratch, the segment pool and Slot.StitchFixed's per-pair counters.
+	slot    Slot
+	att     qnet.AttemptScratch
+	pool    *qnet.Pool
+	perPair []int
+	// Tracer adapters, bound once so slots allocate no method values.
+	observe qnet.AttemptObserver
+	swapObs qnet.SwapObserver
+}
+
+// NewRunner builds the skeleton of an engine over the network. resolve
+// re-links restored banked segments to the engine's candidate catalogue
+// (nil for engines without one).
+func NewRunner(cfg SlotConfig, net *topo.Network, resolve state.CandidateResolver) Runner {
+	tr := OrNop(cfg.Tracer)
+	r := Runner{cfg: cfg, net: net, tracer: tr, resolve: resolve, swapObs: tr.SwapResolved}
+	if !IsNop(tr) {
+		r.observe = func(c *segment.Candidate, ok bool) { tr.AttemptResolved(c.U(), c.V(), ok) }
+	}
+	return r
+}
+
+// Algorithm returns the configured scheme label.
+func (r *Runner) Algorithm() Algorithm { return r.cfg.Algorithm }
+
+// SlotConfig returns the slot-level configuration.
+func (r *Runner) SlotConfig() SlotConfig { return r.cfg }
+
+// Tracer returns the configured tracer (never nil).
+func (r *Runner) Tracer() Tracer { return r.tracer }
+
+// AttachBank implements Stateful: it installs the cross-slot segment bank
+// (nil detaches, restoring memoryless behavior).
+func (r *Runner) AttachBank(b *state.Bank) { r.bank = b }
+
+// Bank implements Stateful.
+func (r *Runner) Bank() *state.Bank { return r.bank }
+
+// Run simulates one slot through the engine's phases, in this order:
+//
+//  1. SlotStart; the chaos slot clock; IncidentForecastAvoid; the bank's
+//     boundary decoherence and withdrawal (their incidents).
+//  2. PlanPhase, then PhasePlan if the engine has one.
+//  3. ReservePhase; the bank trims the creation plan; AttemptReserved for
+//     the creation plan then the held plan; PhaseReserve.
+//  4. The planned attempts and memory decoherence; PhysicalHook; fault,
+//     flap and brownout incidents; PhasePhysical.
+//  5. StitchPhase over Withdrawn ++ Created; every connection validated
+//     and counted; the leftovers deposited; PhaseStitch; SlotEnd.
+//
+// res carries the engine's fixed fields (LPObjective, PerPair sized to the
+// demand set, and any per-slot constants). The rng is consumed only by
+// the phases and the physical attempts, never by tracing.
+func (r *Runner) Run(ph SlotPhases, rng *rand.Rand, res *SlotResult) (*SlotResult, error) {
+	tr := r.tracer
+	s := &r.slot
+	*s = Slot{Rng: rng, Result: res, Traced: !IsNop(tr), ObserveAttempt: r.observe, r: r}
+	tr.SlotStart(r.cfg.Algorithm)
+
+	// Chaos: advance the injector's slot clock. With a nil or zero-plan
+	// injector Faults stays nil and every fault check short-circuits.
+	in := r.cfg.Chaos
+	faultsBefore := 0
+	var countsBefore chaos.Counts
+	if in.Active() {
+		countsBefore = in.Counts()
+		in.BeginSlot()
+		faultsBefore = in.Counts().Total()
+		s.Faults = in
+	}
+	if r.cfg.ForecastAvoided > 0 {
+		tr.Incident(IncidentForecastAvoid, r.cfg.ForecastAvoided)
+	}
+	// Cross-slot state: age out banked segments, then withdraw the
+	// survivors. Every bank interaction is gated on an attached bank.
+	if r.bank != nil {
+		if expired, decohered := r.bank.BeginSlot(); expired+decohered > 0 {
+			tr.Incident(IncidentBankDecohered, expired+decohered)
+		}
+		if s.Withdrawn = r.bank.WithdrawAll(); len(s.Withdrawn) > 0 {
+			tr.Incident(IncidentBankWithdraw, len(s.Withdrawn))
+		}
+	}
+
+	t0 := time.Now()
+	if ph.PlanPhase(s) {
+		tr.PhaseDone(PhasePlan, time.Since(t0))
+	}
+
+	t0 = time.Now()
+	plan, held, err := ph.ReservePhase(s)
+	if err != nil {
+		return nil, err
+	}
+	// Carried segments substitute for planned creation attempts on their
+	// endpoint pair. The trim never mutates the engine's cached plan.
+	plan, _ = r.bank.TrimPlan(plan, s.Withdrawn)
+	res.Attempts = plan.TotalAttempts() + held.TotalAttempts()
+	if s.Traced {
+		for _, c := range plan.SortedCandidates() {
+			tr.AttemptReserved(c.U(), c.V(), plan[c])
+		}
+		for _, c := range held.SortedCandidates() {
+			tr.AttemptReserved(c.U(), c.V(), held[c])
+		}
+	}
+	tr.PhaseDone(PhaseReserve, time.Since(t0))
+
+	t0 = time.Now()
+	created := qnet.AttemptAllFaultyScratch(plan, rng, s.Faults, s.ObserveAttempt, &r.att)
+	res.SegmentsCreated = len(created)
+	// Memory decoherence loses realized segments before the stitch phase;
+	// SegmentsCreated still reconciles with the created=true events.
+	s.Created, _ = qnet.ApplyDecoherence(created, s.Faults)
+	ph.PhysicalHook(s)
+	if s.Faults != nil {
+		// Brownout denials and flap downs get their own incident kinds; the
+		// rest of the slot's delta stays IncidentFault (flap downs are
+		// counted by BeginSlot, before the faultsBefore snapshot).
+		da := in.Counts().Sub(countsBefore)
+		if d := in.Counts().Total() - faultsBefore - da.BrownoutAttemptsLost; d > 0 {
+			tr.Incident(IncidentFault, d)
+		}
+		if da.FlapSlotsDown > 0 {
+			tr.Incident(IncidentFlap, da.FlapSlotsDown)
+		}
+		if da.BrownoutAttemptsLost > 0 {
+			tr.Incident(IncidentBrownout, da.BrownoutAttemptsLost)
+		}
+	}
+	tr.PhaseDone(PhasePhysical, time.Since(t0))
+
+	// Withdrawn carried segments join the pool ahead of the fresh ones so
+	// the oldest photons are consumed preferentially.
+	t0 = time.Now()
+	segs := append(s.Withdrawn, s.Created...)
+	if r.pool == nil {
+		r.pool = qnet.NewPool(segs)
+	} else {
+		r.pool.Reset(segs)
+	}
+	s.Pool = r.pool
+	conns, assembled, floorRejected := ph.StitchPhase(s)
+	res.Assembled = assembled
+	res.FloorRejected = floorRejected
+	for _, c := range conns {
+		if err := c.Validate(); err != nil {
+			return nil, fmt.Errorf("sched: %v assembled an invalid connection: %w", r.cfg.Algorithm, err)
+		}
+		res.Established++
+		res.PerPair[c.Pair]++
+		res.Connections = append(res.Connections, c)
+	}
+	// Cross-slot state: bank the unconsumed leftovers (fresh and carried
+	// alike) for the next slot, within each node's memory budget.
+	if r.bank != nil {
+		if accepted := r.bank.Deposit(s.Pool.Unconsumed()); accepted > 0 {
+			tr.Incident(IncidentBankDeposit, accepted)
+		}
+	}
+	tr.PhaseDone(PhaseStitch, time.Since(t0))
+	tr.SlotEnd(res)
+	return res, nil
+}
+
+// FixedPath is one entanglement path of an engine whose plan is fixed at
+// construction (Greedy, Contend): the SD pair it serves, its node sequence
+// and the endpoint pair of each segment hop.
+type FixedPath struct {
+	Commodity int
+	Nodes     graph.Path
+	Hops      []segment.PairKey
+}
+
+// FixedPlan implements SlotPhases for an engine whose paths and creation
+// plan are fixed at construction: the plan phase reports the paths, the
+// reserve phase hands over the cached plan (every path counts as
+// provisioned), and the stitch phase is StitchFixed.
+type FixedPlan struct {
+	Paths []FixedPath
+	Plan  qnet.AttemptPlan
+	// ConnCap is the per-pair connection cap.
+	ConnCap []int
+}
+
+// PlanPhase implements SlotPhases: one PathPlanned per fixed path.
+func (f *FixedPlan) PlanPhase(s *Slot) bool {
+	if s.Traced {
+		for _, p := range f.Paths {
+			s.r.tracer.PathPlanned(p.Commodity, len(p.Hops))
+		}
+	}
+	return true
+}
+
+// ReservePhase implements SlotPhases: one PathProvisioned per fixed path,
+// and the cached plan is the slot's creation plan.
+func (f *FixedPlan) ReservePhase(s *Slot) (plan, held qnet.AttemptPlan, err error) {
+	if s.Traced {
+		for _, p := range f.Paths {
+			s.r.tracer.PathProvisioned(p.Commodity)
+		}
+	}
+	return f.Plan, nil, nil
+}
+
+// PhysicalHook implements SlotPhases; a fixed plan has no physical-phase
+// work of its own.
+func (f *FixedPlan) PhysicalHook(*Slot) {}
+
+// StitchPhase implements SlotPhases.
+func (f *FixedPlan) StitchPhase(s *Slot) ([]*qnet.Connection, int, int) {
+	return s.StitchFixed(f.Paths, f.ConnCap)
+}
+
+// StitchFixed is the floor-checked stitch loop over fixed paths: sweep the
+// paths in order, assembling each one whose hops all have a pooled segment
+// (the highest-fidelity one for floored pairs), until a sweep makes no
+// progress, so redundant segments retry failed swaps. A path whose best
+// composition misses its floor is floor-dead for the rest of the slot.
+func (s *Slot) StitchFixed(paths []FixedPath, connCap []int) (conns []*qnet.Connection, assembled, floorRejected int) {
+	r := s.r
+	pool := s.Pool
+	if len(r.perPair) != len(connCap) {
+		r.perPair = make([]int, len(connCap))
+	}
+	perPair := r.perPair
+	clear(perPair)
+	fp := qnet.NewFloorPolicy(r.cfg.FidelityFloors, r.net)
+	var floorDead []bool // paths proven unable to meet their floor
+	for {
+		progress := false
+		for pi, p := range paths {
+			if perPair[p.Commodity] >= connCap[p.Commodity] {
+				continue
+			}
+			if floorDead != nil && floorDead[pi] {
+				continue
+			}
+			ok := true
+			for _, pk := range p.Hops {
+				if pool.Available(pk) < 1 {
+					ok = false
+					break
+				}
+			}
+			if !ok {
+				continue
+			}
+			conn := &qnet.Connection{Pair: p.Commodity, Nodes: p.Nodes}
+			for _, pk := range p.Hops {
+				conn.Segments = append(conn.Segments, fp.Take(pool, p.Commodity, pk))
+			}
+			if fp.Rejects(p.Commodity, conn.Segments) {
+				for _, seg := range conn.Segments {
+					pool.Return(seg)
+				}
+				if floorDead == nil {
+					floorDead = make([]bool, len(paths))
+				}
+				floorDead[pi] = true
+				floorRejected++
+				r.tracer.Incident(IncidentFloorReject, 1)
+				continue
+			}
+			assembled++
+			progress = true
+			if s.Establish(conn) {
+				conns = append(conns, conn)
+				perPair[p.Commodity]++
+			}
+		}
+		if !progress {
+			return conns, assembled, floorRejected
+		}
+	}
+}
+
+// Establish samples an assembled connection's swaps from the slot's pool
+// in the configured swap order and reports the assembly to the tracer.
+func (s *Slot) Establish(conn *qnet.Connection) bool {
+	r := s.r
+	ok := conn.EstablishOrderedObserved(r.net, s.Pool, s.Rng, r.swapObs, r.cfg.SwapOrder)
+	r.tracer.ConnectionAssembled(conn.Pair, ok)
+	return ok
+}
+
+// EngineState implements Checkpointable: an engine's only cross-slot state
+// is the chaos injector's phase and the bank's contents (candidates, LPs
+// and plans rebuild deterministically from construction).
+func (r *Runner) EngineState() (*EngineState, error) {
+	return &EngineState{
+		Algorithm: r.cfg.Algorithm,
+		Chaos:     r.cfg.Chaos.State(),
+		Bank:      r.bank.State(),
+	}, nil
+}
+
+// RestoreEngineState implements Checkpointable. It validates before it
+// commits: a snapshot the injector or the bank would reject (a fault-plan
+// mismatch, a banked route missing from the catalogue) returns an error
+// and leaves the engine exactly as it was.
+func (r *Runner) RestoreEngineState(st *EngineState) error {
+	if err := CheckRestoreAlgorithm(r.cfg.Algorithm, st); err != nil {
+		return err
+	}
+	var chaosSt *chaos.InjectorState
+	var bankSt *state.BankState
+	if st != nil {
+		chaosSt, bankSt = st.Chaos, st.Bank
+	}
+	if err := r.cfg.Chaos.CheckRestore(chaosSt); err != nil {
+		return fmt.Errorf("sched: %w", err)
+	}
+	if err := r.bank.Restore(bankSt, r.resolve); err != nil {
+		return fmt.Errorf("sched: %w", err)
+	}
+	return r.cfg.Chaos.Restore(chaosSt)
+}

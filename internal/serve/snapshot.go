@@ -228,14 +228,17 @@ func (s *Server) Restore(snap *ckpt.Snapshot) error {
 		}
 	}
 
-	// All sections parsed and validated — apply. Engine first: it is the
-	// only restore that can still fail, and it leaves the server untouched
-	// when it does.
-	if err := ck.RestoreEngineState(engState); err != nil {
-		return fmt.Errorf("serve: engine restore: %w", err)
-	}
+	// All sections parsed and validated — apply. The arrival phase goes
+	// first, before anything touches the engine: the process validates it
+	// and is reverted if the engine restore (the only other step that can
+	// fail, and which validates before it commits) rejects its state.
+	oldPhase := s.cfg.Process.Phase()
 	if err := s.cfg.Process.SetPhase(phase); err != nil {
 		return err
+	}
+	if err := ck.RestoreEngineState(engState); err != nil {
+		_ = s.cfg.Process.SetPhase(oldPhase) // read from Phase, so valid
+		return fmt.Errorf("serve: engine restore: %w", err)
 	}
 	s.slot = slot
 	s.nextID = nextID

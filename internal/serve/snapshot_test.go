@@ -177,6 +177,58 @@ func TestServeCheckpointResumeSEE(t *testing.T) {
 	}
 }
 
+// TestRestoreBadPhaseLeavesEngineUntouched crafts a checkpoint whose
+// arrival phase the process rejects. Restore must fail before it touches
+// the engine, so the engine's state still reads as before.
+func TestRestoreBadPhaseLeavesEngineUntouched(t *testing.T) {
+	f := newServeFixture(t, sched.Greedy)
+	src := f.build(t)
+	if err := src.Run(5, nil); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	crafted := &ckpt.Snapshot{}
+	for _, name := range snap.Names() {
+		data, _ := snap.Section(name)
+		if name == secServe {
+			d := ckpt.NewDecoder(data)
+			nextID := d.Int()
+			d.Int() // the phase being replaced
+			e := &ckpt.Encoder{}
+			e.Int(nextID)
+			e.Int(7)
+			data = append(e.Bytes(), data[len(data)-d.Remaining():]...)
+		}
+		crafted.Add(name, data)
+	}
+
+	dst := f.build(t)
+	if err := dst.Run(2, nil); err != nil {
+		t.Fatal(err)
+	}
+	ck := dst.eng.(sched.Checkpointable)
+	before, err := ck.EngineState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Restore(crafted); err == nil {
+		t.Fatal("checkpoint with arrival phase 7 restored")
+	}
+	after, err := ck.EngineState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("rejected restore changed the engine state:\nbefore %+v\n after %+v", before, after)
+	}
+	if dst.Slot() != 2 {
+		t.Errorf("rejected restore moved the server to slot %d", dst.Slot())
+	}
+}
+
 // TestRestoreFingerprintMismatch checks a checkpoint refuses to restore
 // into a differently configured server.
 func TestRestoreFingerprintMismatch(t *testing.T) {

@@ -68,8 +68,9 @@ func (b *Bank) State() *BankState {
 // and re-linking its candidate through the resolver. Restore(nil) resets
 // the bank to empty pre-first-slot state. Restoring a non-nil state into a
 // nil bank is a configuration mismatch (the original run had carry-over
-// enabled) and errors; the memory-conservation invariants are re-checked
-// after the rebuild.
+// enabled) and errors. Every entry is validated and the memory-conservation
+// invariants re-checked before anything is committed, so a rejected
+// snapshot leaves the bank untouched.
 func (b *Bank) Restore(st *BankState, resolve CandidateResolver) error {
 	if b == nil {
 		if st == nil {
@@ -80,15 +81,12 @@ func (b *Bank) Restore(st *BankState, resolve CandidateResolver) error {
 	if st == nil {
 		st = &BankState{Slot: -1}
 	}
-	b.slot = st.Slot
-	b.seq = st.Seq
-	b.stats = st.Stats
-	b.withdrawnBirth = nil
-	b.entries = b.entries[:0]
-	for i := range b.used {
-		b.used[i] = 0
-	}
+	entries := make([]entry, 0, len(st.Entries))
+	used := make([]int, len(b.used))
 	for _, bs := range st.Entries {
+		if bs.A < 0 || bs.B < 0 || bs.A >= b.net.NumNodes() || bs.B >= b.net.NumNodes() {
+			return fmt.Errorf("state: banked segment endpoints ⟨%d,%d⟩ outside network", bs.A, bs.B)
+		}
 		seg := &qnet.Segment{A: bs.A, B: bs.B}
 		if len(bs.Path) > 0 {
 			if resolve == nil {
@@ -100,12 +98,18 @@ func (b *Bank) Restore(st *BankState, resolve CandidateResolver) error {
 			}
 			seg.Cand = c
 		}
-		if bs.A < 0 || bs.B < 0 || bs.A >= b.net.NumNodes() || bs.B >= b.net.NumNodes() {
-			return fmt.Errorf("state: banked segment endpoints ⟨%d,%d⟩ outside network", bs.A, bs.B)
-		}
-		b.used[bs.A]++
-		b.used[bs.B]++
-		b.entries = append(b.entries, entry{seg: seg, birth: bs.Birth, seq: bs.Seq})
+		used[bs.A]++
+		used[bs.B]++
+		entries = append(entries, entry{seg: seg, birth: bs.Birth, seq: bs.Seq})
 	}
-	return b.CheckConservation()
+	if err := checkConservation(b.net, entries, used); err != nil {
+		return err
+	}
+	b.slot = st.Slot
+	b.seq = st.Seq
+	b.stats = st.Stats
+	b.withdrawnBirth = nil
+	b.entries = entries
+	b.used = used
+	return nil
 }

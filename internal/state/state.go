@@ -308,20 +308,26 @@ func (b *Bank) CheckConservation() error {
 	if b == nil {
 		return nil
 	}
-	recount := make([]int, b.net.NumNodes())
-	for _, e := range b.entries {
+	return checkConservation(b.net, b.entries, b.used)
+}
+
+// checkConservation is CheckConservation over explicit entries and usage
+// counters, so Restore can check a rebuild before committing it.
+func checkConservation(net *topo.Network, entries []entry, used []int) error {
+	recount := make([]int, net.NumNodes())
+	for _, e := range entries {
 		recount[e.seg.A]++
 		recount[e.seg.B]++
 	}
 	for u, n := range recount {
-		if n != b.used[u] {
-			return fmt.Errorf("state: node %d usage counter %d, entries say %d", u, b.used[u], n)
+		if n != used[u] {
+			return fmt.Errorf("state: node %d usage counter %d, entries say %d", u, used[u], n)
 		}
-		if n > b.net.Memory[u] {
-			return fmt.Errorf("state: node %d banks %d units, memory size is %d", u, n, b.net.Memory[u])
+		if n > net.Memory[u] {
+			return fmt.Errorf("state: node %d banks %d units, memory size is %d", u, n, net.Memory[u])
 		}
 	}
-	for u, n := range b.used {
+	for u, n := range used {
 		if recount[u] != n {
 			return fmt.Errorf("state: node %d usage counter %d, entries say %d", u, n, recount[u])
 		}

@@ -9,9 +9,12 @@
 //	res, _ := sched.RunSlot(rand.New(rand.NewSource(1)))
 //	fmt.Println("established:", res.Established)
 //
-// Three schedulers are available: SEE (the paper's contribution), REPS
-// (the INFOCOM'21 entanglement-link baseline) and E2E (all-optical
-// switching only), plus the repo-grown Greedy non-LP baseline. The
+// The paper's three schedulers are available — SEE (its contribution),
+// REPS (the INFOCOM'21 entanglement-link baseline) and E2E (all-optical
+// switching only) — plus the repo-grown baselines Greedy (non-LP),
+// Contend (Q-CAST-style contention-aware routing), QPass (its offline
+// contrast), the fault-aware SEE-Aware and Contend-Aware, and the Oracle
+// capacity bound. The
 // experiment harness regenerating the paper's figures is exposed via
 // RunExperiment and the Fig* helpers. SchedulerOptions.Faults injects
 // deterministic faults (see ParseFaultSpec) and SchedulerOptions.SlotBudget
@@ -475,8 +478,8 @@ type FaultPlan = chaos.FaultPlan
 // slot ranges.
 func ParseFaultSpec(s string) (*FaultPlan, error) { return chaos.ParseSpec(s) }
 
-// ParseAlgorithm parses a case-insensitive algorithm name ("see", "reps",
-// "e2e", "greedy").
+// ParseAlgorithm parses a case-insensitive algorithm name (see, reps, e2e,
+// greedy, contend, qpass, contend-aware, see-aware, oracle).
 func ParseAlgorithm(s string) (Algorithm, error) { return sched.ParseAlgorithm(s) }
 
 // Algorithms lists all schemes in display order.
