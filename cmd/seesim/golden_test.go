@@ -37,7 +37,18 @@ var goldenCases = []struct {
 	{"nsfnet", []string{"-alg", "see", "-topo", "nsfnet", "-pairs", "4", "-trials", "2", "-seed", "7", "-workers", "1"}},
 	{"oracle", []string{"-alg", "see,oracle", "-nodes", "30", "-pairs", "5", "-trials", "2", "-seed", "7", "-workers", "1",
 		"-fidelity-floor", "0.6;0=0.7"}},
+	// knobs and serve pin every scheduler option seesim forwards (carry
+	// window, retention, min-scale, carry-aware LP, floors, swap order,
+	// slot budget, faults) in sim mode and in service mode.
+	{"knobs", append([]string{"-alg", "see,reps,e2e,contend,greedy", "-nodes", "30", "-pairs", "5", "-trials", "2", "-slots", "4", "-seed", "7", "-workers", "1"},
+		knobFlags...)},
+	{"serve", append([]string{"-serve", "-alg", "greedy,see", "-nodes", "30", "-pairs", "4", "-slots", "12", "-seed", "5", "-workers", "1",
+		"-arrivals", "bursty;rate=2;burst-rate=6;switch=0.2;users=40;max-active=30"}, knobFlags...)},
 }
+
+// knobFlags sets every scheduler option flag to a non-default value.
+var knobFlags = []string{"-carry", "-decohere-slots", "2", "-carry-retention", "0.9", "-carry-min-scale", "0.5", "-carry-aware-lp",
+	"-fidelity-floor", "0.6;0=0.7", "-swap-order", "greedy", "-slot-budget", "1h", "-faults", "seed=3;node=2@1-2;decohere=0.05"}
 
 func TestGolden(t *testing.T) {
 	for _, tc := range goldenCases {
