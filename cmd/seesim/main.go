@@ -143,24 +143,34 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}()
 	}
 
+	// The scheduler options every scheduler of the run is built with; each
+	// one only gets its own Tracer.
+	opts := see.SchedulerOptions{
+		Workers:              *workers,
+		Faults:               plan,
+		SlotBudget:           *budget,
+		CarryOver:            *carry,
+		DecoherenceSlots:     *decohere,
+		FidelityFloors:       floors,
+		SwapOrder:            order,
+		CarryAwareLP:         *carryLP,
+		CarryWernerRetention: *retention,
+		CarryMinWernerScale:  *minScale,
+	}
 	// One cache for the whole run: trials redraw topologies so sim mode
 	// only pays the (cheap) fingerprint lookups, but service mode and any
 	// same-topology rebuild replay their candidate sets and LP solutions.
-	var warmCache *see.WarmCache
 	if *warmStart {
-		warmCache = see.NewWarmCache()
+		opts.Warm = see.NewWarmCache()
 	}
 
 	if *serveMode {
 		return runServe(serveParams{
 			algs: algs, cfg: cfg, pairs: *pairs, topoName: *topoName,
 			pattern: pattern, traffic: *traffic, slots: *slots, seed: *seed,
-			workers: *workers, plan: plan, budget: *budget, carry: *carry,
-			decohere: *decohere, trace: *trace, jsonl: jsonlTracer,
+			opts: opts, trace: *trace, jsonl: jsonlTracer,
 			arrivals: *arrivals, ckptDir: *ckptDir, ckptEvery: *ckptEvery,
-			resume: *resume, dieAt: *dieAt, warm: warmCache,
-			floors: floors, swapOrder: order, carryLP: *carryLP,
-			retention: *retention, minScale: *minScale,
+			resume: *resume, dieAt: *dieAt,
 		}, stdout, stderr)
 	}
 
@@ -180,19 +190,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			return 1
 		}
 		for _, a := range algs {
-			opts := &see.SchedulerOptions{
-				Workers:              *workers,
-				Faults:               plan,
-				SlotBudget:           *budget,
-				CarryOver:            *carry,
-				DecoherenceSlots:     *decohere,
-				Warm:                 warmCache,
-				FidelityFloor:        floors,
-				SwapOrder:            order,
-				CarryAwareLP:         *carryLP,
-				CarryWernerRetention: *retention,
-				CarryMinWernerScale:  *minScale,
-			}
+			o := opts
 			var ts []see.Tracer
 			if *trace || countInjected {
 				ts = append(ts, tracers[a])
@@ -201,9 +199,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				ts = append(ts, jsonlTracer)
 			}
 			if len(ts) > 0 {
-				opts.Tracer = see.MultiTracer(ts...)
+				o.Tracer = see.MultiTracer(ts...)
 			}
-			sc, err := see.NewScheduler(a, net, sdPairs, opts)
+			sc, err := see.NewScheduler(a, net, sdPairs, &o)
 			if err != nil {
 				fmt.Fprintf(stderr, "trial %d (%v): %v\n", trial, a, err)
 				return 1

@@ -7,26 +7,22 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"see"
 )
 
 // serveParams carries the parsed service-mode configuration into runServe.
 type serveParams struct {
-	algs      []see.Algorithm
-	cfg       see.NetworkConfig
-	pairs     int
-	topoName  string
-	pattern   see.Traffic
-	traffic   string
-	slots     int
-	seed      int64
-	workers   int
-	plan      *see.FaultPlan
-	budget    time.Duration
-	carry     bool
-	decohere  int
+	algs     []see.Algorithm
+	cfg      see.NetworkConfig
+	pairs    int
+	topoName string
+	pattern  see.Traffic
+	traffic  string
+	slots    int
+	seed     int64
+	// opts is every scheduler's options; serveOne sets its Tracer.
+	opts      see.SchedulerOptions
 	trace     bool
 	jsonl     *see.JSONLTracer
 	arrivals  string
@@ -34,12 +30,6 @@ type serveParams struct {
 	ckptEvery int
 	resume    bool
 	dieAt     int
-	warm      *see.WarmCache
-	floors    *see.FloorSpec
-	swapOrder see.SwapOrder
-	carryLP   bool
-	retention float64
-	minScale  float64
 }
 
 // errDied is the sentinel the -die-at crash simulation stops a run with.
@@ -90,20 +80,9 @@ func (p serveParams) serveOne(a see.Algorithm, net *see.Network, sdPairs []see.S
 	if p.jsonl != nil {
 		ts = append(ts, p.jsonl)
 	}
-	sc, err := see.NewScheduler(a, net, sdPairs, &see.SchedulerOptions{
-		Workers:              p.workers,
-		Tracer:               see.MultiTracer(ts...),
-		Faults:               p.plan,
-		SlotBudget:           p.budget,
-		CarryOver:            p.carry,
-		DecoherenceSlots:     p.decohere,
-		Warm:                 p.warm,
-		FidelityFloor:        p.floors,
-		SwapOrder:            p.swapOrder,
-		CarryAwareLP:         p.carryLP,
-		CarryWernerRetention: p.retention,
-		CarryMinWernerScale:  p.minScale,
-	})
+	opts := p.opts
+	opts.Tracer = see.MultiTracer(ts...)
+	sc, err := see.NewScheduler(a, net, sdPairs, &opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "%v: %v\n", a, err)
 		return 1
@@ -115,7 +94,7 @@ func (p serveParams) serveOne(a see.Algorithm, net *see.Network, sdPairs []see.S
 	}
 	scfg.Seed = p.seed
 	scfg.Tracer = tracer
-	scfg.Warm = p.warm
+	scfg.Warm = p.opts.Warm
 	srv, err := see.NewTrafficServer(sc, len(sdPairs), scfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "%v: %v\n", a, err)

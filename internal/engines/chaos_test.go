@@ -23,6 +23,13 @@ func runSlots(t *testing.T, alg sched.Algorithm, net *topo.Network, pairs []topo
 	if err != nil {
 		t.Fatalf("New(%v): %v", alg, err)
 	}
+	return runEngine(t, eng, slots)
+}
+
+// runEngine returns every SlotResult of eng from runSlots' seed schedule.
+func runEngine(t *testing.T, eng sched.Engine, slots int) []sched.SlotResult {
+	t.Helper()
+	alg := eng.Algorithm()
 	rng := xrand.New(99)
 	out := make([]sched.SlotResult, 0, slots)
 	for s := 0; s < slots; s++ {
@@ -61,11 +68,19 @@ func TestZeroFaultPlanByteIdentical(t *testing.T) {
 		for _, alg := range allAlgorithms {
 			t.Run(tc.name+"/"+alg.String(), func(t *testing.T) {
 				plain := runSlots(t, alg, tc.net, tc.pairs, Config{}, 8)
+				if zero := runSlots(t, alg, tc.net, tc.pairs, Config{Faults: &chaos.FaultPlan{}}, 8); !reflect.DeepEqual(plain, zero) {
+					t.Fatalf("zero fault plan changed results:\nplain: %+v\nzero:  %+v", plain, zero)
+				}
+				// Build around an injector held here, to read its counters.
 				inj, err := chaos.NewInjector(&chaos.FaultPlan{}, tc.net)
 				if err != nil {
 					t.Fatalf("NewInjector: %v", err)
 				}
-				chaotic := runSlots(t, alg, tc.net, tc.pairs, Config{Chaos: inj}, 8)
+				eng, err := builders[alg](nil, tc.net, tc.pairs, Config{}, inj)
+				if err != nil {
+					t.Fatalf("build(%v): %v", alg, err)
+				}
+				chaotic := runEngine(t, eng, 8)
 				if !reflect.DeepEqual(plain, chaotic) {
 					t.Fatalf("zero fault plan changed results:\nplain:   %+v\nchaotic: %+v", plain, chaotic)
 				}
@@ -93,9 +108,9 @@ func TestFaultsReportedThroughTracer(t *testing.T) {
 				t.Fatalf("NewInjector: %v", err)
 			}
 			tr := sched.NewCountingTracer()
-			eng, err := New(alg, net, pairs, Config{Chaos: inj, Tracer: tr})
+			eng, err := builders[alg](nil, net, pairs, Config{Tracer: tr}, inj)
 			if err != nil {
-				t.Fatalf("New: %v", err)
+				t.Fatalf("build: %v", err)
 			}
 			res, err := eng.RunSlot(xrand.New(1))
 			if err != nil {
@@ -121,7 +136,7 @@ func TestFaultsReportedThroughTracer(t *testing.T) {
 func TestResilientDegradation(t *testing.T) {
 	net, pairs := topo.Motivation()
 	tr := sched.NewCountingTracer()
-	r, err := NewResilient(sched.SEE, net, pairs, Config{Tracer: tr}, time.Nanosecond)
+	r, err := NewResilient(sched.SEE, net, pairs, Config{Tracer: tr, SlotBudget: time.Nanosecond})
 	if err != nil {
 		t.Fatalf("NewResilient: %v", err)
 	}
@@ -170,7 +185,7 @@ func TestResilientHealthy(t *testing.T) {
 		t.Run(alg.String(), func(t *testing.T) {
 			plain := runSlots(t, alg, net, pairs, Config{}, 5)
 			tr := sched.NewCountingTracer()
-			r, err := NewResilient(alg, net, pairs, Config{Tracer: tr}, time.Minute)
+			r, err := NewResilient(alg, net, pairs, Config{Tracer: tr, SlotBudget: time.Minute})
 			if err != nil {
 				t.Fatalf("NewResilient: %v", err)
 			}
@@ -195,10 +210,10 @@ func TestResilientHealthy(t *testing.T) {
 	}
 }
 
-// announcedInjector builds an injector whose plan is entirely announced:
-// a dead link, a browned link and a flapping link, all windows covering
-// every slot the tests run.
-func announcedInjector(t *testing.T, net *topo.Network) *chaos.Injector {
+// announcedPlan is a fault plan that is entirely announced: a dead link, a
+// browned link and a flapping link, all windows covering every slot the
+// tests run.
+func announcedPlan(t *testing.T, net *topo.Network) *chaos.FaultPlan {
 	t.Helper()
 	plan := &chaos.FaultPlan{
 		Seed:        5,
@@ -209,11 +224,7 @@ func announcedInjector(t *testing.T, net *topo.Network) *chaos.Injector {
 	if err := plan.Validate(net.NumNodes(), net.NumLinks()); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	inj, err := chaos.NewInjector(plan, net)
-	if err != nil {
-		t.Fatalf("NewInjector: %v", err)
-	}
-	return inj
+	return plan
 }
 
 // TestForecastTables checks the translation from the injector's announced
@@ -222,7 +233,10 @@ func announcedInjector(t *testing.T, net *topo.Network) *chaos.Injector {
 // all-nil for an injector with nothing announced.
 func TestForecastTables(t *testing.T) {
 	net, _ := topo.Motivation()
-	inj := announcedInjector(t, net)
+	inj, err := chaos.NewInjector(announcedPlan(t, net), net)
+	if err != nil {
+		t.Fatalf("NewInjector: %v", err)
+	}
 	channels, memory, avoided := forecastTables(inj, net)
 	if avoided == 0 {
 		t.Error("announced plan but Avoided() = 0")
@@ -267,9 +281,8 @@ func TestFaultAwareBuilders(t *testing.T) {
 	net, pairs := topo.Motivation()
 	for _, alg := range List() {
 		t.Run(alg.String(), func(t *testing.T) {
-			inj := announcedInjector(t, net)
 			tr := sched.NewCountingTracer()
-			eng, err := New(alg, net, pairs, Config{Chaos: inj, Tracer: tr})
+			eng, err := New(alg, net, pairs, Config{Faults: announcedPlan(t, net), Tracer: tr})
 			if err != nil {
 				t.Fatalf("New(%v): %v", alg, err)
 			}
@@ -296,7 +309,7 @@ func TestFaultAwareBuilders(t *testing.T) {
 func TestResilientRestoreLadder(t *testing.T) {
 	net, pairs := topo.Motivation()
 	build := func() *Resilient {
-		r, err := NewResilient(sched.SEE, net, pairs, Config{}, time.Nanosecond)
+		r, err := NewResilient(sched.SEE, net, pairs, Config{SlotBudget: time.Nanosecond})
 		if err != nil {
 			t.Fatal(err)
 		}

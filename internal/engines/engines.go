@@ -2,10 +2,12 @@
 // engines: it maps a sched.Algorithm to the package implementing it
 // (internal/core for SEE, SEE-Aware and E2E, internal/reps,
 // internal/greedy, internal/contend for Contend, Contend-Aware and QPass,
-// internal/oracle) and translates the shared Config into each engine's
-// options, with the slot-level part filled in one place (slotConfig). Both the public
-// API (package see) and the experiment harness build engines here, so no
-// algorithm type-switch exists anywhere else.
+// internal/oracle) and translates the one scheduler-options struct, Config,
+// into each engine's options, with the slot-level part filled in one place
+// (slotConfig). New also builds the scheduler's fault injector, ladder and
+// bank. The public API (package see) and the experiment harness build
+// schedulers only here, so no algorithm type-switch and no such assembly
+// exists anywhere else.
 //
 // The package also owns the degradation ladder (NewResilient): when an
 // LP-based engine's construction exceeds its slot budget or fails, the
@@ -35,8 +37,9 @@ import (
 	"see/internal/warm"
 )
 
-// Config tunes an engine; the zero value selects paper defaults for every
-// scheme.
+// Config tunes a scheduler; the zero value selects paper defaults for
+// every scheme. It is the one scheduler-options struct: see.SchedulerOptions
+// is an alias and the experiment harness embeds it.
 type Config struct {
 	// KPaths is the Yen candidate-path budget per SD pair (0 = default:
 	// 5 for SEE/REPS/Greedy, 1 for E2E).
@@ -59,10 +62,25 @@ type Config struct {
 	Workers int
 	// Tracer observes the slot pipeline; nil means no instrumentation.
 	Tracer sched.Tracer
-	// Chaos injects deterministic faults into every engine's physical
-	// phase; nil (or a zero-plan injector) leaves engines byte-identical
-	// to a run without the chaos layer.
-	Chaos *chaos.Injector
+	// Faults is a deterministic fault schedule; New builds the scheduler's
+	// own injector from it. Nil, or a zero plan, leaves the scheduler
+	// byte-identical to a run without the fault layer.
+	Faults *chaos.FaultPlan
+	// SlotBudget, when positive, wraps the engine in the degradation
+	// ladder (NewResilient) with this LP budget per construction.
+	SlotBudget time.Duration
+	// CarryOver attaches a cross-slot state bank (see internal/state),
+	// whose stochastic decoherence is the Faults plan's.
+	CarryOver bool
+	// DecoherenceSlots is the bank's age window (0 = default 1; see
+	// state.Policy.CarrySlots).
+	DecoherenceSlots int
+	// CarryWernerRetention is the bank's per-boundary Werner aging (see
+	// state.Policy.WernerRetention).
+	CarryWernerRetention float64
+	// CarryMinWernerScale is the bank's substitution threshold (see
+	// state.Policy.MinWernerScale).
+	CarryMinWernerScale float64
 	// Warm, when non-nil, memoizes segment-candidate sets and LP solutions
 	// across engine (re)builds over the same network (see internal/warm).
 	// Every replayed artifact is byte-identical to a cold build, and
@@ -87,9 +105,44 @@ type Config struct {
 	CarryAwareLP bool
 }
 
-// Builder constructs one scheme's engine; ctx (nil = never cancelled)
-// bounds any LP solves the construction performs.
-type Builder func(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error)
+// Validate rejects a Config no scheduler can honour: negative counts and
+// budgets, floors outside [0,1] and unknown swap orders. New and
+// NewResilient call it, so every construction path checks the same rules.
+func (c Config) Validate() error {
+	switch {
+	case c.KPaths < 0:
+		return fmt.Errorf("engines: negative KPaths %d", c.KPaths)
+	case c.MaxSegmentHops < 0:
+		return fmt.Errorf("engines: negative MaxSegmentHops %d", c.MaxSegmentHops)
+	case c.Workers < 0:
+		return fmt.Errorf("engines: negative Workers %d (0 selects GOMAXPROCS)", c.Workers)
+	case c.SlotBudget < 0:
+		return fmt.Errorf("engines: negative SlotBudget %v", c.SlotBudget)
+	case c.DecoherenceSlots < 0:
+		return fmt.Errorf("engines: negative DecoherenceSlots %d", c.DecoherenceSlots)
+	}
+	if f := c.FidelityFloors; f != nil {
+		if f.Default < 0 || f.Default > 1 {
+			return fmt.Errorf("engines: fidelity floor %v outside [0,1]", f.Default)
+		}
+		for pair, v := range f.PerPair {
+			if v < 0 || v > 1 {
+				return fmt.Errorf("engines: fidelity floor %v for pair %d outside [0,1]", v, pair)
+			}
+		}
+	}
+	switch c.SwapOrder {
+	case qnet.SwapOrderPath, qnet.SwapOrderGreedy:
+	default:
+		return fmt.Errorf("engines: unknown SwapOrder %v", c.SwapOrder)
+	}
+	return nil
+}
+
+// Builder constructs one scheme's engine around the scheduler's injector
+// (nil without faults); ctx (nil = never cancelled) bounds any LP solves
+// the construction performs.
+type Builder func(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Engine, error)
 
 // builders is the algorithm registry.
 var builders = map[sched.Algorithm]Builder{
@@ -117,34 +170,79 @@ func List() []sched.Algorithm {
 	return out
 }
 
-// New builds the engine for the given algorithm.
+// New builds a ready scheduler for the algorithm: the engine with its own
+// fault injector built from cfg.Faults, wrapped in the degradation ladder
+// when cfg.SlotBudget > 0, with a cross-slot bank attached when
+// cfg.CarryOver is set.
 func New(alg sched.Algorithm, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
-	return NewCtx(nil, alg, net, pairs, cfg)
+	if cfg.SlotBudget > 0 {
+		return NewResilient(alg, net, pairs, cfg)
+	}
+	inj, err := prepare(alg, net, cfg)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := builders[alg](nil, net, pairs, cfg, inj)
+	if err != nil {
+		return nil, err
+	}
+	if err := attachCarry(eng, net, cfg); err != nil {
+		return nil, err
+	}
+	return eng, nil
 }
 
-// NewCtx is New with construction bounded by a context (nil = never
-// cancelled): LP-based engines abort their solve with an error wrapping
-// ctx.Err() once the deadline expires. The greedy engine solves no LP and
-// ignores the context.
-func NewCtx(ctx context.Context, alg sched.Algorithm, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
+// prepare checks what every construction path needs before any build work
+// and returns the scheduler's injector (nil without cfg.Faults).
+func prepare(alg sched.Algorithm, net *topo.Network, cfg Config) (*chaos.Injector, error) {
 	if net == nil {
 		return nil, errors.New("engines: nil network")
 	}
-	b, ok := builders[alg]
-	if !ok {
+	if !Registered(alg) {
 		return nil, fmt.Errorf("engines: unknown algorithm %v", alg)
 	}
-	return b(ctx, net, pairs, cfg)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Faults == nil {
+		return nil, nil
+	}
+	return chaos.NewInjector(cfg.Faults, net)
+}
+
+// attachCarry attaches a fresh cross-slot bank when cfg.CarryOver is set.
+// The bank's stochastic boundary hazard reuses the fault plan's
+// decoherence probability and seed; without a plan the hazard is zero and
+// only the age window drains the bank.
+func attachCarry(eng sched.Engine, net *topo.Network, cfg Config) error {
+	if !cfg.CarryOver {
+		return nil
+	}
+	st, ok := eng.(sched.Stateful)
+	if !ok {
+		return fmt.Errorf("engines: %v does not support carry-over", eng.Algorithm())
+	}
+	pol := state.Policy{
+		CarrySlots:      cfg.DecoherenceSlots,
+		WernerRetention: cfg.CarryWernerRetention,
+		MinWernerScale:  cfg.CarryMinWernerScale,
+	}
+	if cfg.Faults != nil {
+		pol.Decoherence = cfg.Faults.Decoherence
+		pol.Seed = cfg.Faults.Seed
+	}
+	st.AttachBank(state.NewBank(net, pol))
+	return nil
 }
 
 // slotConfig is the slot-level part of every engine's options: the scheme
-// label plus the tracer, chaos injector, fidelity floors and swap order
-// from the shared Config.
-func slotConfig(alg sched.Algorithm, cfg Config) sched.SlotConfig {
+// label and injector plus the tracer, fidelity floors and swap order from
+// the shared Config.
+func slotConfig(alg sched.Algorithm, cfg Config, inj *chaos.Injector) sched.SlotConfig {
 	return sched.SlotConfig{
 		Algorithm:      alg,
 		Tracer:         cfg.Tracer,
-		Chaos:          cfg.Chaos,
+		Chaos:          inj,
 		FidelityFloors: cfg.FidelityFloors,
 		SwapOrder:      cfg.SwapOrder,
 	}
@@ -152,7 +250,7 @@ func slotConfig(alg sched.Algorithm, cfg Config) sched.SlotConfig {
 
 // seeOptions translates the shared Config into SEE options; the SEE and
 // SEE-Aware builders start from it.
-func seeOptions(alg sched.Algorithm, cfg Config) core.Options {
+func seeOptions(alg sched.Algorithm, cfg Config, inj *chaos.Injector) core.Options {
 	co := core.DefaultOptions()
 	if cfg.KPaths > 0 {
 		co.Segment.KPaths = cfg.KPaths
@@ -168,16 +266,16 @@ func seeOptions(alg sched.Algorithm, cfg Config) core.Options {
 	co.Flow.Workers = cfg.Workers
 	co.Warm = cfg.Warm
 	co.CarryAwareLP = cfg.CarryAwareLP
-	co.Slot = slotConfig(alg, cfg)
+	co.Slot = slotConfig(alg, cfg, inj)
 	return co
 }
 
-func newSEE(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
-	return core.NewEngineCtx(ctx, net, pairs, seeOptions(sched.SEE, cfg))
+func newSEE(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Engine, error) {
+	return core.NewEngineCtx(ctx, net, pairs, seeOptions(sched.SEE, cfg, inj))
 }
 
-func newREPS(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
-	o := reps.Options{KPaths: cfg.KPaths, Warm: cfg.Warm, Slot: slotConfig(sched.REPS, cfg)}
+func newREPS(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Engine, error) {
+	o := reps.Options{KPaths: cfg.KPaths, Warm: cfg.Warm, Slot: slotConfig(sched.REPS, cfg, inj)}
 	o.Flow.Workers = cfg.Workers
 	return reps.NewEngineCtx(ctx, net, pairs, o)
 }
@@ -191,7 +289,7 @@ func newREPS(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Co
 // attempting even hopeless routes (no probability pruning). Only the
 // worker count, the warm cache and the slot-level fields carry over from
 // Config.
-func newE2E(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
+func newE2E(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Engine, error) {
 	co := core.DefaultOptions()
 	co.Segment.FullPathOnly = true
 	co.Segment.MinProb = 0
@@ -201,17 +299,17 @@ func newE2E(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Con
 	}
 	co.Flow.Workers = cfg.Workers
 	co.Warm = cfg.Warm
-	co.Slot = slotConfig(sched.E2E, cfg)
+	co.Slot = slotConfig(sched.E2E, cfg, inj)
 	return core.NewEngineCtx(ctx, net, pairs, co)
 }
 
-func newContend(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
-	return contend.NewEngine(net, pairs, contendOptions(sched.Contend, cfg))
+func newContend(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Engine, error) {
+	return contend.NewEngine(net, pairs, contendOptions(sched.Contend, cfg, inj))
 }
 
 // contendOptions translates the shared Config into contend options; the
 // Contend, ContendAware and QPass builders all start from it.
-func contendOptions(alg sched.Algorithm, cfg Config) contend.Options {
+func contendOptions(alg sched.Algorithm, cfg Config, inj *chaos.Injector) contend.Options {
 	o := contend.DefaultOptions()
 	if cfg.KPaths > 0 {
 		o.Segment.KPaths = cfg.KPaths
@@ -224,7 +322,7 @@ func contendOptions(alg sched.Algorithm, cfg Config) contend.Options {
 		o.Segment.MinProb = cfg.MinSegmentProb
 	}
 	o.Warm = cfg.Warm
-	o.Slot = slotConfig(alg, cfg)
+	o.Slot = slotConfig(alg, cfg, inj)
 	return o
 }
 
@@ -250,9 +348,9 @@ func forecastTables(in *chaos.Injector, net *topo.Network) (channels, memory []i
 	return channels, memory, fc.Avoided()
 }
 
-func newSEEAware(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
-	co := seeOptions(sched.SEEAware, cfg)
-	co.PlanChannels, co.PlanMemory, co.Slot.ForecastAvoided = forecastTables(cfg.Chaos, net)
+func newSEEAware(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Engine, error) {
+	co := seeOptions(sched.SEEAware, cfg, inj)
+	co.PlanChannels, co.PlanMemory, co.Slot.ForecastAvoided = forecastTables(inj, net)
 	// Always on (not gated on a non-zero forecast) so planning on a full
 	// topology with forecast tables is the same code path as planning on a
 	// pre-shrunk topology with none — the equivalence the schedtest
@@ -261,22 +359,22 @@ func newSEEAware(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cf
 	return core.NewEngineCtx(ctx, net, pairs, co)
 }
 
-func newContendAware(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
-	o := contendOptions(sched.ContendAware, cfg)
-	o.PlanChannels, o.PlanMemory, o.Slot.ForecastAvoided = forecastTables(cfg.Chaos, net)
+func newContendAware(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Engine, error) {
+	o := contendOptions(sched.ContendAware, cfg, inj)
+	o.PlanChannels, o.PlanMemory, o.Slot.ForecastAvoided = forecastTables(inj, net)
 	return contend.NewEngine(net, pairs, o)
 }
 
 // newQPass builds the Q-PASS-style offline contrast baseline: paths are
 // fixed from the fault-free topology with per-hop recovery reserved up
 // front, and the forecast is deliberately ignored.
-func newQPass(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
-	o := contendOptions(sched.QPass, cfg)
+func newQPass(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Engine, error) {
+	o := contendOptions(sched.QPass, cfg, inj)
 	o.Offline = true
 	return contend.NewEngine(net, pairs, o)
 }
 
-func newGreedy(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
+func newGreedy(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Engine, error) {
 	o := greedy.DefaultOptions()
 	if cfg.KPaths > 0 {
 		o.Segment.KPaths = cfg.KPaths
@@ -288,14 +386,14 @@ func newGreedy(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Co
 		o.Segment.MinProb = cfg.MinSegmentProb
 	}
 	o.Warm = cfg.Warm
-	o.Slot = slotConfig(sched.Greedy, cfg)
+	o.Slot = slotConfig(sched.Greedy, cfg, inj)
 	return greedy.NewEngine(net, pairs, o)
 }
 
 // newOracle builds the capacity-bound pseudo-engine. It takes only the
 // tracer from the shared Config, on purpose: capacity bounds depend on the
-// topology and the demand set alone, not on any scheme tuning.
-func newOracle(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
+// topology and the demand set alone, not on any scheme tuning or fault.
+func newOracle(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, _ *chaos.Injector) (sched.Engine, error) {
 	return oracle.NewEngine(net, pairs, cfg.Tracer)
 }
 
@@ -316,8 +414,10 @@ type Resilient struct {
 	net    *topo.Network
 	pairs  []topo.SDPair
 	cfg    Config
-	budget time.Duration
 	tracer sched.Tracer
+	// inj is the one fault injector the primary and the fallback share,
+	// so a failover keeps the slot clock and the fault stream.
+	inj *chaos.Injector
 
 	primary  sched.Engine
 	fallback sched.Engine
@@ -333,25 +433,28 @@ type Resilient struct {
 
 var _ sched.Stateful = (*Resilient)(nil)
 
-// NewResilient wraps the algorithm in the degradation ladder. budget <= 0
-// means no deadline (the primary still degrades on solver errors or
+// NewResilient wraps the algorithm in the degradation ladder, with the
+// injector and bank New would give it. cfg.SlotBudget is the LP budget;
+// zero means no deadline (the primary still degrades on solver errors or
 // panics). The network and configuration are validated eagerly, but the
 // primary's LP is deferred to the first slot.
-func NewResilient(alg sched.Algorithm, net *topo.Network, pairs []topo.SDPair, cfg Config, budget time.Duration) (*Resilient, error) {
-	if net == nil {
-		return nil, errors.New("engines: nil network")
+func NewResilient(alg sched.Algorithm, net *topo.Network, pairs []topo.SDPair, cfg Config) (*Resilient, error) {
+	inj, err := prepare(alg, net, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if _, ok := builders[alg]; !ok {
-		return nil, fmt.Errorf("engines: unknown algorithm %v", alg)
-	}
-	return &Resilient{
+	r := &Resilient{
 		alg:    alg,
 		net:    net,
 		pairs:  pairs,
 		cfg:    cfg,
-		budget: budget,
 		tracer: sched.OrNop(cfg.Tracer),
-	}, nil
+		inj:    inj,
+	}
+	if err := attachCarry(r, net, cfg); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // buildPrimary attempts the budgeted LP construction, converting panics
@@ -360,8 +463,8 @@ func NewResilient(alg sched.Algorithm, net *topo.Network, pairs []topo.SDPair, c
 func (r *Resilient) buildPrimary() (eng sched.Engine, err error) {
 	ctx := context.Context(nil)
 	cancel := func() {}
-	if r.budget > 0 {
-		ctx, cancel = context.WithTimeout(context.Background(), r.budget)
+	if r.cfg.SlotBudget > 0 {
+		ctx, cancel = context.WithTimeout(context.Background(), r.cfg.SlotBudget)
 	}
 	defer cancel()
 	defer func() {
@@ -369,7 +472,7 @@ func (r *Resilient) buildPrimary() (eng sched.Engine, err error) {
 			err = fmt.Errorf("engines: construction panic: %v", v)
 		}
 	}()
-	return NewCtx(ctx, r.alg, r.net, r.pairs, r.cfg)
+	return builders[r.alg](ctx, r.net, r.pairs, r.cfg, r.inj)
 }
 
 // RunSlot serves the slot with the primary engine when available, else
@@ -392,7 +495,7 @@ func (r *Resilient) RunSlot(rng *rand.Rand) (*sched.SlotResult, error) {
 		return r.primary.RunSlot(rng)
 	}
 	if r.fallback == nil {
-		eng, err := newGreedy(nil, r.net, r.pairs, r.cfg)
+		eng, err := newGreedy(nil, r.net, r.pairs, r.cfg, r.inj)
 		if err != nil {
 			return nil, fmt.Errorf("engines: greedy fallback: %w (primary: %v)", err, r.lastErr)
 		}

@@ -78,7 +78,7 @@ func (r *Resilient) RestoreEngineState(st *sched.EngineState) error {
 	}
 	var primary, fallback sched.Engine
 	if ld.PrimaryBuilt {
-		eng, err := NewCtx(nil, r.alg, r.net, r.pairs, r.cfg)
+		eng, err := builders[r.alg](nil, r.net, r.pairs, r.cfg, r.inj)
 		if err != nil {
 			return fmt.Errorf("engines: rebuilding primary: %w", err)
 		}
@@ -86,7 +86,7 @@ func (r *Resilient) RestoreEngineState(st *sched.EngineState) error {
 		r.attachBank(eng)
 	}
 	if ld.FallbackBuilt {
-		eng, err := newGreedy(nil, r.net, r.pairs, r.cfg)
+		eng, err := newGreedy(nil, r.net, r.pairs, r.cfg, r.inj)
 		if err != nil {
 			return fmt.Errorf("engines: rebuilding fallback: %w", err)
 		}
@@ -103,7 +103,7 @@ func (r *Resilient) RestoreEngineState(st *sched.EngineState) error {
 		if err := r.bank.Restore(nil, nil); err != nil {
 			return err
 		}
-		if err := r.cfg.Chaos.Restore(nil); err != nil {
+		if err := r.inj.Restore(nil); err != nil {
 			return err
 		}
 	} else {

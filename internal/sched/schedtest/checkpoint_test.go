@@ -100,19 +100,14 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, alg sched.Algorithm) {
 		build := func(t *testing.T) sched.Checkpointable {
 			t.Helper()
-			inj, err := chaos.NewInjector(checkpointPlan(), net)
+			eng, err := engines.New(alg, net, pairs, engines.Config{
+				Faults:           checkpointPlan(),
+				CarryOver:        true,
+				DecoherenceSlots: 2,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng, err := engines.New(alg, net, pairs, engines.Config{Chaos: inj})
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng.(sched.Stateful).AttachBank(state.NewBank(net, state.Policy{
-				CarrySlots:  2,
-				Decoherence: checkpointPlan().Decoherence,
-				Seed:        checkpointPlan().Seed,
-			}))
 			ck, ok := eng.(sched.Checkpointable)
 			if !ok {
 				t.Fatalf("%v does not implement sched.Checkpointable", alg)
@@ -138,11 +133,7 @@ func TestResilientCheckpointRestore(t *testing.T) {
 	}
 	build := func(t *testing.T) sched.Checkpointable {
 		t.Helper()
-		inj, err := chaos.NewInjector(checkpointPlan(), net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := engines.NewResilient(sched.SEE, net, pairs, engines.Config{Chaos: inj}, 0)
+		r, err := engines.NewResilient(sched.SEE, net, pairs, engines.Config{Faults: checkpointPlan()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,11 +217,7 @@ func TestFailedRestoreLeavesEngineUntouched(t *testing.T) {
 	}
 	forEachEngine(t, func(t *testing.T, alg sched.Algorithm) {
 		check(t, func(t *testing.T) sched.Checkpointable {
-			inj, err := chaos.NewInjector(checkpointPlan(), net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, err := engines.New(alg, net, pairs, engines.Config{Chaos: inj})
+			eng, err := engines.New(alg, net, pairs, engines.Config{Faults: checkpointPlan()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,11 +227,7 @@ func TestFailedRestoreLeavesEngineUntouched(t *testing.T) {
 	})
 	t.Run("Resilient", func(t *testing.T) {
 		check(t, func(t *testing.T) sched.Checkpointable {
-			inj, err := chaos.NewInjector(checkpointPlan(), net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := engines.NewResilient(sched.SEE, net, pairs, engines.Config{Chaos: inj}, 0)
+			r, err := engines.NewResilient(sched.SEE, net, pairs, engines.Config{Faults: checkpointPlan()})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,7 +15,6 @@ import (
 	"see/internal/graph"
 	"see/internal/qnet"
 	"see/internal/sched"
-	"see/internal/state"
 	"see/internal/topo"
 )
 
@@ -94,29 +93,22 @@ func TestEventStreamGolden(t *testing.T) {
 	}
 	plan := eventPlan(t, net, pairs)
 	forEachEngine(t, func(t *testing.T, alg sched.Algorithm) {
-		inj, err := chaos.NewInjector(plan, net)
-		if err != nil {
-			t.Fatal(err)
-		}
 		log := &eventLog{}
 		eng, err := engines.New(alg, net, pairs, engines.Config{
-			Workers:        1,
-			Tracer:         log,
-			Chaos:          inj,
-			FidelityFloors: &qnet.FloorSpec{Default: 0.7},
-			SwapOrder:      qnet.SwapOrderGreedy,
-			CarryAwareLP:   true,
+			Workers:              1,
+			Tracer:               log,
+			Faults:               plan,
+			FidelityFloors:       &qnet.FloorSpec{Default: 0.7},
+			SwapOrder:            qnet.SwapOrderGreedy,
+			CarryAwareLP:         true,
+			CarryOver:            true,
+			DecoherenceSlots:     2,
+			CarryWernerRetention: 0.9,
+			CarryMinWernerScale:  0.5,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.(sched.Stateful).AttachBank(state.NewBank(net, state.Policy{
-			CarrySlots:      2,
-			Decoherence:     plan.Decoherence,
-			Seed:            plan.Seed,
-			WernerRetention: 0.9,
-			MinWernerScale:  0.5,
-		}))
 		if _, err := Run(eng, 67, 3); err != nil {
 			t.Fatal(err)
 		}

@@ -172,11 +172,7 @@ func TestZeroChaosIsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inj, err := chaos.NewInjector(&chaos.FaultPlan{}, net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chaotic, err := engines.New(alg, net, pairs, engines.Config{Chaos: inj})
+		chaotic, err := engines.New(alg, net, pairs, engines.Config{Faults: &chaos.FaultPlan{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,11 +256,7 @@ func TestForecastContract(t *testing.T) {
 	plan := forecastPlan(t, net)
 	shrunk := shrinkNet(t, net, plan)
 	forEachEngine(t, func(t *testing.T, alg sched.Algorithm) {
-		inj, err := chaos.NewInjector(plan, net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		announced, err := engines.New(alg, net, pairs, engines.Config{Chaos: inj})
+		announced, err := engines.New(alg, net, pairs, engines.Config{Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,21 +26,18 @@ func runnerFixture(t *testing.T, alg sched.Algorithm) (sched.Checkpointable, *sc
 	}
 	pairs := topo.ChooseSDPairs(net, 5, xrand.New(6))
 	first := net.G.Neighbors(pairs[0].S)[0]
-	inj, err := chaos.NewInjector(&chaos.FaultPlan{
+	plan := &chaos.FaultPlan{
 		Seed:        9,
 		NodeOutages: []chaos.Window{{ID: first.To, From: 3, To: 5}},
 		Brownouts:   []chaos.Brownout{{Link: first.ID, Frac: 0.5, From: 0, To: 3}},
 		Flaps:       []chaos.Flap{{Link: net.G.Neighbors(pairs[1].S)[0].ID, Period: 2, Duty: 0.5}},
 		Decoherence: 0.1,
-	}, net)
-	if err != nil {
-		t.Fatal(err)
 	}
 	tr := sched.NewCountingTracer()
 	eng, err := engines.New(alg, net, pairs, engines.Config{
 		Workers:        1,
 		Tracer:         tr,
-		Chaos:          inj,
+		Faults:         plan,
 		FidelityFloors: &qnet.FloorSpec{Default: 0.6},
 		SwapOrder:      qnet.SwapOrderGreedy,
 	})

@@ -12,7 +12,6 @@ import (
 	"see/internal/engines"
 	"see/internal/sched"
 	"see/internal/sched/schedtest"
-	"see/internal/state"
 	"see/internal/topo"
 	"see/internal/warm"
 )
@@ -47,24 +46,20 @@ func newServeFixture(t *testing.T, alg sched.Algorithm) *serveFixture {
 // process.
 func (f *serveFixture) build(t *testing.T) *Server {
 	t.Helper()
-	inj, err := chaos.NewInjector(&chaos.FaultPlan{
-		Seed:        f.seed,
-		NodeOutages: []chaos.Window{{ID: 2, From: 4, To: 8}},
-		Decoherence: 0.1,
-	}, f.net)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tracer := sched.NewCountingTracer()
-	eng, err := engines.New(f.alg, f.net, f.pairs, engines.Config{Chaos: inj, Tracer: tracer})
+	eng, err := engines.New(f.alg, f.net, f.pairs, engines.Config{
+		Faults: &chaos.FaultPlan{
+			Seed:        f.seed,
+			NodeOutages: []chaos.Window{{ID: 2, From: 4, To: 8}},
+			Decoherence: 0.1,
+		},
+		Tracer:           tracer,
+		CarryOver:        true,
+		DecoherenceSlots: 2,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.(sched.Stateful).AttachBank(state.NewBank(f.net, state.Policy{
-		CarrySlots:  2,
-		Decoherence: 0.1,
-		Seed:        f.seed,
-	}))
 	cfg, err := ParseSpec(f.spec)
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,6 @@ package see
 import (
 	"errors"
 	"io"
-	"time"
 
 	"see/internal/chaos"
 	"see/internal/engines"
@@ -220,101 +219,29 @@ func MotivationNetwork() (*Network, []SDPair) {
 }
 
 // SchedulerOptions tunes a scheduler; the zero value (or nil pointer)
-// selects paper defaults.
-type SchedulerOptions struct {
-	// KPaths is the Yen candidate-path budget per SD pair (default 5 for
-	// SEE/REPS, 1 for E2E).
-	KPaths int
-	// MaxSegmentHops caps physical hops per entanglement segment for SEE
-	// (default 10).
-	MaxSegmentHops int
-	// MinSegmentProb prunes low-probability candidate segments for SEE
-	// (default 0.05).
-	MinSegmentProb float64
-	// StrictProvisioning switches SEE's ESC to the paper-literal
-	// Algorithm 2 (see core.Options).
-	StrictProvisioning bool
-	// PlainObjective disables the swap-survival weighting of the LP
-	// objective (ablation; see flow.Options.SwapWeightedObjective).
-	PlainObjective bool
-	// Workers bounds the goroutines used by the scheduler's LP pricing
-	// rounds: 0 means GOMAXPROCS, 1 is fully serial. Any worker count
-	// produces a byte-identical scheduler (the parallel pricing is
-	// deterministic), so the knob trades construction latency only.
-	Workers int
-	// Tracer observes the slot pipeline phases (planning, reservation,
-	// physical attempts, stitching); nil disables instrumentation. Attach
-	// a *CountingTracer to collect phase-event counts and latencies.
-	Tracer Tracer
-	// Faults injects deterministic faults (node crashes, link outages,
-	// control-message loss, memory decoherence) into the scheduler's slots;
-	// nil — or a zero plan — leaves the scheduler byte-identical to a run
-	// without the fault layer. Parse a compact spec with ParseFaultSpec.
-	Faults *FaultPlan
-	// SlotBudget bounds the scheduler's LP solve (which runs lazily inside
-	// the first slot). When the solve exceeds the budget or fails, the slot
-	// degrades to the Greedy fallback and the LP is retried on later slots
-	// a bounded number of times; every degradation and retry is reported
-	// through the Tracer as an Incident. Zero means no budget.
-	SlotBudget time.Duration
-	// CarryOver enables the cross-slot entanglement-state bank (see
-	// internal/state and DESIGN.md §6): realized segments no connection
-	// consumed are kept in node memories across the slot boundary — within
-	// each node's memory size m_u — and withdrawn at the next slot, where
-	// they substitute for planned creation attempts. Disabled (the
-	// default), the scheduler is memoryless and byte-identical to pre-bank
-	// behavior. Banked segments decohere stochastically at each boundary
-	// with the Faults plan's decoherence probability (zero without a plan).
-	CarryOver bool
-	// DecoherenceSlots is the bank's age window when CarryOver is on: the
-	// number of slot boundaries a banked segment survives before its
-	// quantum memory decoheres deterministically (default 1 — usable in
-	// the next slot only). Ignored when CarryOver is false.
-	DecoherenceSlots int
-	// Warm, when non-nil, memoizes the expensive construction artifacts —
-	// segment-candidate sets and LP solutions — across schedulers built
-	// over the same Network (see DESIGN.md §9). Share one WarmCache across
-	// NewScheduler calls (traffic-server restarts, REPS rounds, benchmark
-	// rebuilds) to skip redundant solves; every replayed artifact is
-	// byte-identical to a cold build, so results never change. In-place
-	// topology mutation is detected by fingerprint and invalidates the
-	// affected entries. Nil disables warm starts.
-	Warm *WarmCache
-	// FidelityFloor is the per-request minimum delivered end-to-end
-	// fidelity (see DESIGN.md §10): the stitch phase predicts every
-	// candidate connection's fidelity under the Werner model before
-	// sampling its swaps and rolls back any assembly that would miss its
-	// SD pair's floor — the request is never attempted, its segments stay
-	// available, and the rejection is reported via IncidentFloorReject and
-	// SlotResult.FloorRejected. Parse a compact spec with ParseFloorSpec.
-	// Nil (or an all-zero spec) disables enforcement and leaves the
-	// scheduler byte-identical to the pre-floor pipeline.
-	FidelityFloor *FloorSpec
-	// SwapOrder selects the order a connection's junction swaps are
-	// sampled in: SwapOrderPath (the default, source to destination) or
-	// SwapOrderGreedy (least reliable junction first, so doomed
-	// connections fail before burning spare segments). Delivered fidelity
-	// is swap-order-independent; throughput is not.
-	SwapOrder SwapOrder
-	// CarryAwareLP, with CarryOver, re-prices the provisioning LP at the
-	// start of any slot that withdrew banked segments: segment-graph edges
-	// covered by carried inventory price cheaper in the column generation,
-	// so the plan leans into entanglement the network already holds.
-	// Without banked inventory (or without CarryOver) the slot runs the
-	// unmodified LP, byte-identical to the flag being off.
-	CarryAwareLP bool
-	// CarryWernerRetention, with CarryOver, ages banked segments: a
-	// segment withdrawn n slot boundaries after creation has its Werner
-	// parameter scaled by retention^n, degrading the fidelity of
-	// connections built from carried entanglement. 0 (or >= 1) disables
-	// aging. See state.Policy.WernerRetention.
-	CarryWernerRetention float64
-	// CarryMinWernerScale, with CarryOver, stops a withdrawn segment whose
-	// decayed Werner scale fell below the threshold from substituting for
-	// planned creation attempts (the plan re-attempts fresh entanglement
-	// instead). See state.Policy.MinWernerScale.
-	CarryMinWernerScale float64
-}
+// selects paper defaults. It is the canonical engines.Config, the one
+// scheduler-options struct every layer shares:
+//
+//   - KPaths, MaxSegmentHops, MinSegmentProb, StrictProvisioning,
+//     PlainObjective and Workers tune construction (Workers bounds the LP
+//     pricing goroutines; any count gives a byte-identical scheduler).
+//   - Tracer observes the slot pipeline phases and incidents; attach a
+//     *CountingTracer to collect counts and latencies.
+//   - Faults injects a deterministic fault schedule (see ParseFaultSpec)
+//     and SlotBudget bounds the LP solve, degrading to Greedy when
+//     exceeded.
+//   - CarryOver keeps unconsumed segments in node memories across slots;
+//     DecoherenceSlots, CarryWernerRetention, CarryMinWernerScale and
+//     CarryAwareLP tune that bank and how the LP prices it.
+//   - Warm shares construction artifacts across schedulers built over the
+//     same Network.
+//   - FidelityFloors (see ParseFloorSpec) and SwapOrder shape the stitch
+//     phase.
+//
+// Every option at its zero value leaves the scheduler byte-identical to
+// one built without that layer. NewScheduler rejects out-of-range values
+// (negative counts or budgets, floors outside [0,1], unknown swap orders).
+type SchedulerOptions = engines.Config
 
 // FloorSpec is a per-request fidelity-floor table: a default floor plus
 // per-SD-pair overrides. It is the canonical qnet.FloorSpec; build one
@@ -379,7 +306,7 @@ type SlotResult = sched.SlotResult
 
 // Scheduler runs time slots of one entanglement-establishment scheme over
 // a fixed network and demand set. It is the canonical sched.Engine
-// interface implemented by all three engine stacks.
+// interface every registered scheme implements.
 type Scheduler = sched.Engine
 
 // Tracer observes the slot pipeline with per-phase callbacks; see
@@ -450,7 +377,7 @@ const (
 	// IncidentFloorReject counts candidate connection assemblies the
 	// stitch phase rolled back because their predicted end-to-end
 	// fidelity missed the request's floor (fires only with
-	// SchedulerOptions.FidelityFloor set).
+	// SchedulerOptions.FidelityFloors set).
 	IncidentFloorReject = sched.IncidentFloorReject
 )
 
@@ -486,9 +413,9 @@ func ParseAlgorithm(s string) (Algorithm, error) { return sched.ParseAlgorithm(s
 var Algorithms = sched.Algorithms
 
 // NewScheduler builds a scheduler for the given algorithm. opts may be nil.
-// All three schemes are constructed through the shared internal/engines
-// factory, so a scheduler built here behaves identically to one driven by
-// the experiment harness.
+// Every scheme is constructed through the shared internal/engines factory,
+// so a scheduler built here behaves identically to one driven by the
+// experiment harness.
 func NewScheduler(alg Algorithm, net *Network, pairs []SDPair, opts *SchedulerOptions) (Scheduler, error) {
 	if net == nil {
 		return nil, errors.New("see: nil network")
@@ -501,56 +428,7 @@ func NewScheduler(alg Algorithm, net *Network, pairs []SDPair, opts *SchedulerOp
 	if opts != nil {
 		o = *opts
 	}
-	cfg := engines.Config{
-		KPaths:             o.KPaths,
-		MaxSegmentHops:     o.MaxSegmentHops,
-		MinSegmentProb:     o.MinSegmentProb,
-		StrictProvisioning: o.StrictProvisioning,
-		PlainObjective:     o.PlainObjective,
-		Workers:            o.Workers,
-		Tracer:             o.Tracer,
-		Warm:               o.Warm,
-		FidelityFloors:     o.FidelityFloor,
-		SwapOrder:          o.SwapOrder,
-		CarryAwareLP:       o.CarryAwareLP,
-	}
-	if o.Faults != nil {
-		inj, err := chaos.NewInjector(o.Faults, net.inner)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Chaos = inj
-	}
-	var s Scheduler
-	var err error
-	if o.SlotBudget > 0 {
-		s, err = engines.NewResilient(alg, net.inner, raw, cfg, o.SlotBudget)
-	} else {
-		s, err = engines.New(alg, net.inner, raw, cfg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if o.CarryOver {
-		// The bank's stochastic boundary hazard reuses the fault plan's
-		// decoherence knob and seed; without a plan the hazard is zero and
-		// only the age window drains the bank.
-		pol := state.Policy{
-			CarrySlots:      o.DecoherenceSlots,
-			WernerRetention: o.CarryWernerRetention,
-			MinWernerScale:  o.CarryMinWernerScale,
-		}
-		if o.Faults != nil {
-			pol.Decoherence = o.Faults.Decoherence
-			pol.Seed = o.Faults.Seed
-		}
-		st, ok := s.(sched.Stateful)
-		if !ok {
-			return nil, errors.New("see: scheduler does not support carry-over")
-		}
-		st.AttachBank(state.NewBank(net.inner, pol))
-	}
-	return s, nil
+	return engines.New(alg, net.inner, raw, o)
 }
 
 // LoadNetwork reads a topology from the edge-list text format of

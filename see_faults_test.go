@@ -103,27 +103,29 @@ func TestFaultSpecParsingAndValidation(t *testing.T) {
 }
 
 // TestExperimentWithFaultsDeterministic runs the experiment harness with a
-// fault plan twice (different worker counts) and expects identical numbers:
-// every engine gets its own injector, so concurrency cannot leak between
-// fault streams.
+// fault plan at two worker counts and expects identical numbers: every
+// engine gets its own injector, so concurrency cannot leak between fault
+// streams.
 func TestExperimentWithFaultsDeterministic(t *testing.T) {
 	plan, err := ParseFaultSpec("seed=5;node=2@0-;decohere=0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := ExperimentParams{Nodes: 30, SDPairs: 4, Trials: 3, Seed: 11, Faults: plan}
+	base := ExperimentParams{Nodes: 30, SDPairs: 4, Trials: 3, Seed: 11,
+		SchedulerOptions: SchedulerOptions{Faults: plan, Workers: 1}}
 	r1, err := RunExperiment(base)
 	if err != nil {
 		t.Fatal(err)
 	}
+	base.Workers = 4
 	r2, err := RunExperiment(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, alg := range Algorithms {
-		if r1[alg].MeanThroughput != r2[alg].MeanThroughput {
-			t.Errorf("%v: faulty experiment not deterministic: %v vs %v",
-				alg, r1[alg].MeanThroughput, r2[alg].MeanThroughput)
+		if !reflect.DeepEqual(r1[alg], r2[alg]) {
+			t.Errorf("%v: faulty experiment differs across worker counts: %+v vs %+v",
+				alg, r1[alg], r2[alg])
 		}
 	}
 }

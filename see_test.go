@@ -5,6 +5,10 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
+
+	"see/internal/engines"
+	"see/internal/topo"
 )
 
 func TestGenerateNetworkAndStats(t *testing.T) {
@@ -158,6 +162,42 @@ func TestSchedulerOptionsAblation(t *testing.T) {
 	}
 	if _, err := NewScheduler(SEE, net, pairs, &SchedulerOptions{PlainObjective: true, KPaths: 2, MaxSegmentHops: 2, MinSegmentProb: 0.01}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSchedulerOptionsValidate checks that every construction path
+// applies the one options validation: out-of-range values are rejected by
+// engines.New (plain and under a slot budget) and by NewScheduler, the
+// same values experiment.Params.Validate rejects.
+func TestSchedulerOptionsValidate(t *testing.T) {
+	net, pairs := MotivationNetwork()
+	raw := make([]topo.SDPair, len(pairs))
+	for i, p := range pairs {
+		raw[i] = topo.SDPair{S: p.S, D: p.D}
+	}
+	for _, tc := range []struct {
+		name string
+		opts SchedulerOptions
+	}{
+		{"unknown swap order", SchedulerOptions{SwapOrder: SwapOrder(7)}},
+		{"unknown swap order under budget", SchedulerOptions{SwapOrder: SwapOrder(7), SlotBudget: time.Hour}},
+		{"negative kpaths", SchedulerOptions{KPaths: -1}},
+		{"negative hops", SchedulerOptions{MaxSegmentHops: -1}},
+		{"negative workers", SchedulerOptions{Workers: -1}},
+		{"negative decoherence", SchedulerOptions{CarryOver: true, DecoherenceSlots: -3}},
+		{"negative budget", SchedulerOptions{SlotBudget: -1}},
+		{"floor above one", SchedulerOptions{FidelityFloors: &FloorSpec{Default: 1.5}}},
+		{"negative pair floor", SchedulerOptions{FidelityFloors: &FloorSpec{PerPair: map[int]float64{0: -0.1}}}},
+	} {
+		if _, err := engines.New(SEE, net.inner, raw, tc.opts); err == nil {
+			t.Errorf("%s: engines.New accepted", tc.name)
+		}
+		if _, err := NewScheduler(SEE, net, pairs, &tc.opts); err == nil {
+			t.Errorf("%s: NewScheduler accepted", tc.name)
+		}
+	}
+	if _, err := NewScheduler(SEE, net, pairs, &SchedulerOptions{SwapOrder: SwapOrderGreedy, FidelityFloors: &FloorSpec{Default: 1}}); err != nil {
+		t.Errorf("in-range options rejected: %v", err)
 	}
 }
 
