@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) -run='^$$' ./internal/chaos
 	$(GO) test -fuzz=FuzzLoadEdgeList -fuzztime=$(FUZZTIME) -run='^$$' ./internal/topo
 	$(GO) test -fuzz=FuzzParseFloorSpec -fuzztime=$(FUZZTIME) -run='^$$' ./internal/qnet
+	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ckpt
 
 # docs-check keeps the documentation honest: gofmt-clean tree, a package
 # comment on every internal/* package, and every seesim flag present in
@@ -73,7 +74,7 @@ docs-check:
 # fault-aware planning) under -race to shake the new capacity paths.
 chaos-smoke:
 	$(GO) run ./cmd/seesim -nodes 40 -pairs 6 -trials 1 -slots 2 -alg all \
-		-faults 'seed=7;node=3@1-;loss=0.05;decohere=0.01' -slot-budget 5s
+		-faults 'seed=7;node=3@1-;decohere=0.01' -slot-budget 5s
 	$(GO) run ./cmd/seesim -nodes 40 -pairs 6 -trials 1 -slots 2 -alg see \
 		-slot-budget 1ns -trace-jsonl /tmp/see-chaos-smoke.jsonl
 	$(GO) run -race ./cmd/seesim -nodes 40 -pairs 6 -trials 1 -slots 6 -workers 4 \

@@ -29,7 +29,7 @@ var goldenCases = []struct {
 	{"contend", []string{"-alg", "contend", "-nodes", "30", "-pairs", "5", "-trials", "2", "-seed", "7", "-workers", "1"}},
 	{"all", []string{"-alg", "all", "-nodes", "30", "-pairs", "5", "-trials", "2", "-seed", "7", "-workers", "1"}},
 	{"faults", []string{"-alg", "greedy,contend", "-nodes", "30", "-pairs", "5", "-trials", "2", "-slots", "4", "-seed", "7", "-workers", "1",
-		"-faults", "seed=7;node=2@1-2;loss=0.1"}},
+		"-faults", "seed=7;node=2@1-2"}},
 	{"carry", []string{"-alg", "greedy,contend", "-nodes", "30", "-pairs", "5", "-trials", "2", "-slots", "4", "-seed", "7", "-workers", "1",
 		"-carry", "-decohere-slots", "2"}},
 	{"correlated", []string{"-alg", "see,contend,qpass", "-fault-aware", "-nodes", "30", "-pairs", "5", "-trials", "2", "-slots", "6", "-seed", "7", "-workers", "1",

@@ -1,6 +1,5 @@
 // Faults demonstrates the robustness layer: deterministic fault injection
-// (node crashes, link outages, control-message loss, memory decoherence)
-// and graceful degradation of the LP scheduler to the greedy fallback when
+// (node crashes, link outages, memory decoherence) and graceful degradation of the LP scheduler to the greedy fallback when
 // its solve budget is exceeded. Every event streams to a JSONL trace.
 package main
 
@@ -13,10 +12,6 @@ import (
 	"time"
 
 	"see"
-	"see/internal/chaos"
-	"see/internal/core"
-	"see/internal/protocol"
-	"see/internal/topo"
 	"see/internal/xrand"
 )
 
@@ -32,10 +27,9 @@ func main() {
 	st := net.Stats()
 	fmt.Printf("network: %d nodes, %d links, %d SD pairs\n", st.Nodes, st.Links, len(pairs))
 
-	// A compact fault spec: node 3 crashes from slot 1 on, link 10 flaps
-	// for slots 2-3, 10%% of control messages are dropped (and retried
-	// with backoff), and 2%% of created segments decohere in memory.
-	spec := "seed=7;node=3@1-;link=10@2-3;loss=0.10;decohere=0.02"
+	// A compact fault spec: node 3 crashes from slot 1 on, link 10 is down
+	// for slots 2-3, and 2% of created segments decohere in memory.
+	spec := "seed=7;node=3@1-;link=10@2-3;decohere=0.02"
 	plan, err := see.ParseFaultSpec(spec)
 	if err != nil {
 		log.Fatal(err)
@@ -65,10 +59,9 @@ func main() {
 		log.Fatal(err)
 	}
 	c := tracer.Counts()
-	fmt.Printf("incidents: faults=%d degraded=%d msg_drop=%d\n",
+	fmt.Printf("incidents: faults=%d degraded=%d\n",
 		c.IncidentCount(see.IncidentFault),
-		c.IncidentCount(see.IncidentDegraded),
-		c.IncidentCount(see.IncidentMessageDrop))
+		c.IncidentCount(see.IncidentDegraded))
 	fmt.Printf("throughput: %d established without faults, %d with\n", clean, faulty)
 	showTrace(trace)
 
@@ -84,33 +77,6 @@ func main() {
 	dc := degTracer.Counts()
 	fmt.Printf("degraded slots: %d, LP retries: %d, established: %d\n",
 		dc.IncidentCount(see.IncidentDegraded), dc.IncidentCount(see.IncidentRetry), degraded)
-
-	// Lossy control plane: the §II-F protocol session on the Fig. 2
-	// fixture with 15% of controller/node messages dropped in transit.
-	// The bus retries each drop with exponential backoff, so single drops
-	// are absorbed instead of aborting the slot.
-	fmt.Printf("\n=== protocol session over a lossy bus ===\n")
-	mnet, mpairs := topo.Motivation()
-	session, err := protocol.NewSession(mnet, mpairs, core.DefaultOptions(), xrand.New(11))
-	if err != nil {
-		log.Fatal(err)
-	}
-	inj, err := chaos.NewInjector(&chaos.FaultPlan{Seed: 7, MsgLoss: 0.15}, mnet)
-	if err != nil {
-		log.Fatal(err)
-	}
-	session.Bus.Faults = inj.DropDelivery
-	busTracer := see.NewCountingTracer()
-	session.Controller.Tracer = busTracer
-	out, err := session.RunSlot(xrand.New(3))
-	if err != nil {
-		log.Fatal(err)
-	}
-	bc := busTracer.Counts()
-	fmt.Printf("established %d connections; %d deliveries, %d drops, %d retries, %d lost for good\n",
-		out.Established, session.Bus.Delivered(),
-		bc.IncidentCount(see.IncidentMessageDrop),
-		bc.IncidentCount(see.IncidentMessageRetry), session.Bus.Lost())
 }
 
 // runSEE runs the fixed slot schedule and returns total established

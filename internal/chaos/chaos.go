@@ -1,8 +1,8 @@
 // Package chaos is the deterministic fault-injection substrate of the
 // simulator. A FaultPlan describes, from a single seed, every failure the
 // run will experience — node crash/recover windows, link down windows,
-// controller↔node message loss and quantum-memory decoherence — and an
-// Injector evaluates the plan slot by slot for one engine.
+// correlated cuts, brownouts and flaps, and quantum-memory decoherence —
+// and an Injector evaluates the plan slot by slot for one engine.
 //
 // Determinism contract: every fault decision is a pure function of
 // (plan, slot, event sequence number), computed by hashing rather than by
@@ -15,10 +15,10 @@
 //     with no injector attached at all.
 //
 // Engines consult the injector through the qnet.FaultModel hooks
-// (CandidateBlocked / SegmentDecohered) plus PathBlocked and NodeDown; the
-// protocol bus consults DropDelivery. A crashed node takes its incident
-// links down with it (its optical switch and detectors are offline), which
-// the injector precomputes per slot from the network adjacency.
+// (CandidateBlocked / SegmentDecohered) plus PathBlocked and NodeDown. A
+// crashed node takes its incident links down with it (its optical switch
+// and detectors are offline), which the injector precomputes per slot from
+// the network adjacency.
 package chaos
 
 import (
@@ -133,7 +133,7 @@ func (f Flap) DownAt(slot int) bool {
 // FaultPlan is a complete, seeded failure schedule. The zero value injects
 // nothing.
 type FaultPlan struct {
-	// Seed drives the message-loss and decoherence hash streams.
+	// Seed drives the decoherence hash stream.
 	Seed int64
 	// NodeOutages lists node crash windows (a crashed node also takes its
 	// incident links down).
@@ -146,9 +146,6 @@ type FaultPlan struct {
 	Brownouts []Brownout
 	// Flaps lists oscillating link failures.
 	Flaps []Flap
-	// MsgLoss is the per-delivery probability that the protocol bus drops
-	// a message in transit.
-	MsgLoss float64
 	// Decoherence is the per-slot probability that a realized entanglement
 	// segment decoheres before the stitch phase can use it.
 	Decoherence float64
@@ -159,7 +156,7 @@ func (p *FaultPlan) IsZero() bool {
 	return p == nil ||
 		(len(p.NodeOutages) == 0 && len(p.LinkOutages) == 0 &&
 			len(p.DiscCuts) == 0 && len(p.Brownouts) == 0 && len(p.Flaps) == 0 &&
-			p.MsgLoss == 0 && p.Decoherence == 0)
+			p.Decoherence == 0)
 }
 
 // Validate checks the plan against a network's node and link counts.
@@ -192,9 +189,6 @@ func (p *FaultPlan) Validate(numNodes, numLinks int) error {
 		if f.Link < 0 || f.Link >= numLinks {
 			return fmt.Errorf("chaos: flap link id %d outside [0,%d)", f.Link, numLinks)
 		}
-	}
-	if p.MsgLoss < 0 || p.MsgLoss > 1 || math.IsNaN(p.MsgLoss) {
-		return fmt.Errorf("chaos: message loss probability %v outside [0,1]", p.MsgLoss)
 	}
 	if p.Decoherence < 0 || p.Decoherence > 1 || math.IsNaN(p.Decoherence) {
 		return fmt.Errorf("chaos: decoherence probability %v outside [0,1]", p.Decoherence)
@@ -291,9 +285,6 @@ func (p *FaultPlan) String() string {
 		parts = append(parts, "flap:"+surpriseMark(f.Surprise)+
 			fmt.Sprintf("%d,%d,%g", f.Link, f.Period, f.Duty)+winSuffix(f.From, f.To))
 	}
-	if p.MsgLoss > 0 {
-		parts = append(parts, fmt.Sprintf("loss=%g", p.MsgLoss))
-	}
 	if p.Decoherence > 0 {
 		parts = append(parts, fmt.Sprintf("decohere=%g", p.Decoherence))
 	}
@@ -326,7 +317,7 @@ func (w Window) spec() string {
 
 // ParseSpec parses the compact fault-spec grammar used by the -faults flag:
 //
-//	seed=7;node=3@2-5;node=4;link=10@1-;cut:50,75,20@3-;brown:2,0.5@1-9;flap:4,6,0.5;loss=0.05;decohere=0.02
+//	seed=7;node=3@2-5;node=4;link=10@1-;cut:50,75,20@3-;brown:2,0.5@1-9;flap:4,6,0.5;decohere=0.02
 //
 // key=value items are separated by ';' or ','; the correlated items
 // (cut:x,y,r — disc cut in km coordinates; brown:link,frac — partial
@@ -336,8 +327,8 @@ func (w Window) spec() string {
 // "down for the whole run", omitting "to" means "down from <from> onward".
 // A '!' immediately before an outage item's value marks it as a surprise —
 // the fault still fires, but it is excluded from the announced Forecast
-// (e.g. "node=!3@2-5", "cut:!50,75,20"). loss and decohere are
-// probabilities in [0,1]. An empty string is the zero plan.
+// (e.g. "node=!3@2-5", "cut:!50,75,20"). decohere is a probability in
+// [0,1]. An empty string is the zero plan.
 func ParseSpec(s string) (*FaultPlan, error) {
 	p := &FaultPlan{}
 	for _, chunk := range strings.Split(s, ";") {
@@ -404,20 +395,16 @@ func (p *FaultPlan) parseKeyValue(item string) error {
 		} else {
 			p.LinkOutages = append(p.LinkOutages, w)
 		}
-	case "loss", "decohere":
+	case "decohere":
 		v, err := strconv.ParseFloat(val, 64)
 		// NaN slips through a plain range check (every comparison is
 		// false), so reject it via the negated form.
 		if err != nil || !(v >= 0 && v <= 1) {
 			return fmt.Errorf("chaos: bad %s probability %q (want [0,1])", key, val)
 		}
-		if key == "loss" {
-			p.MsgLoss = v
-		} else {
-			p.Decoherence = v
-		}
+		p.Decoherence = v
 	default:
-		return fmt.Errorf("chaos: unknown spec key %q (want seed, node, link, loss or decohere)", key)
+		return fmt.Errorf("chaos: unknown spec key %q (want seed, node, link or decohere)", key)
 	}
 	return nil
 }
@@ -559,8 +546,6 @@ type Counts struct {
 	// SegmentsDecohered counts realized segments destroyed by memory
 	// decoherence before the stitch phase.
 	SegmentsDecohered int
-	// MessagesDropped counts bus deliveries dropped in transit.
-	MessagesDropped int
 	// CutLinkSlotsDown accumulates (link, slot) outage pairs injected by
 	// geographic disc cuts (links already down for another reason are not
 	// re-counted).
@@ -576,7 +561,7 @@ type Counts struct {
 // Total sums every injected-fault counter.
 func (c Counts) Total() int {
 	return c.NodeSlotsDown + c.LinkSlotsDown + c.PathsBlocked +
-		c.RoutesBlocked + c.SegmentsDecohered + c.MessagesDropped +
+		c.RoutesBlocked + c.SegmentsDecohered +
 		c.CutLinkSlotsDown + c.FlapSlotsDown + c.BrownoutAttemptsLost
 }
 
@@ -590,7 +575,6 @@ func (c Counts) Sub(b Counts) Counts {
 		PathsBlocked:         c.PathsBlocked - b.PathsBlocked,
 		RoutesBlocked:        c.RoutesBlocked - b.RoutesBlocked,
 		SegmentsDecohered:    c.SegmentsDecohered - b.SegmentsDecohered,
-		MessagesDropped:      c.MessagesDropped - b.MessagesDropped,
 		CutLinkSlotsDown:     c.CutLinkSlotsDown - b.CutLinkSlotsDown,
 		FlapSlotsDown:        c.FlapSlotsDown - b.FlapSlotsDown,
 		BrownoutAttemptsLost: c.BrownoutAttemptsLost - b.BrownoutAttemptsLost,
@@ -882,20 +866,6 @@ func (in *Injector) SegmentDecohered() bool {
 	return false
 }
 
-// DropDelivery reports whether the protocol bus drops delivery attempt
-// `attempt` of message `seq` in the current slot. Deterministic in
-// (plan seed, slot, seq, attempt); drops are counted.
-func (in *Injector) DropDelivery(seq, attempt int) bool {
-	if !in.Active() || in.plan.MsgLoss <= 0 {
-		return false
-	}
-	if Hash01(in.plan.Seed, 0x10e5, in.slot, seq<<8|attempt&0xff) < in.plan.MsgLoss {
-		in.counts.MessagesDropped++
-		return true
-	}
-	return false
-}
-
 // Counts returns the injected-fault tallies so far.
 func (in *Injector) Counts() Counts {
 	if in == nil {
@@ -922,10 +892,10 @@ func (in *Injector) DownNodes() []int {
 // Hash01 maps (seed, kind, slot, seq) to a uniform-ish value in [0, 1)
 // with a SplitMix64-style finalizer. The kind argument namespaces
 // independent decision streams (the injector uses 0xdec0 for segment
-// decoherence and 0x10e5 for message loss); other deterministic subsystems
-// — e.g. the cross-slot state bank in internal/state — share the scheme
-// under their own kinds so every stochastic decision outside the engines'
-// rng streams is reproducible from (seed, kind, slot, seq) alone.
+// decoherence); other deterministic subsystems — e.g. the cross-slot state
+// bank in internal/state — share the scheme under their own kinds so every
+// stochastic decision outside the engines' rng streams is reproducible
+// from (seed, kind, slot, seq) alone.
 func Hash01(seed int64, kind, slot, seq int) float64 {
 	z := uint64(seed) ^ uint64(kind)<<48 ^ uint64(uint32(slot))<<16 ^ uint64(uint32(seq))
 	z += 0x9e3779b97f4a7c15

@@ -9,9 +9,8 @@ import (
 
 func TestParseSpecRoundTrip(t *testing.T) {
 	specs := []string{
-		"seed=7;node=3@2-5;link=10@1-;loss=0.05;decohere=0.02",
+		"seed=7;node=3@2-5;link=10@1-;decohere=0.02",
 		"node=0@0-1",
-		"loss=0.5",
 		"seed=42;decohere=1",
 	}
 	for _, s := range specs {
@@ -32,9 +31,10 @@ func TestParseSpecRoundTrip(t *testing.T) {
 func TestParseSpecErrors(t *testing.T) {
 	bad := []string{
 		"frob=1",         // unknown key
+		"loss=0.5",       // unknown key: message loss is not modelled
 		"node=x@1-2",     // non-numeric id
-		"loss=1.5",       // probability out of range
-		"loss=abc",       // non-numeric probability
+		"decohere=1.5",   // probability out of range
+		"decohere=abc",   // non-numeric probability
 		"decohere=-0.1",  // negative probability
 		"node=1@5-2",     // empty window
 		"seed=notanint",  // bad seed
@@ -64,14 +64,14 @@ func TestWindowCovers(t *testing.T) {
 
 func TestValidateAgainstNetwork(t *testing.T) {
 	net, _ := topo.Motivation()
-	ok := &FaultPlan{NodeOutages: []Window{{ID: 0, From: 0}}, MsgLoss: 0.1}
+	ok := &FaultPlan{NodeOutages: []Window{{ID: 0, From: 0}}, Decoherence: 0.1}
 	if err := ok.Validate(net.NumNodes(), net.NumLinks()); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
 	}
 	for _, p := range []*FaultPlan{
 		{NodeOutages: []Window{{ID: net.NumNodes(), From: 0}}},
 		{LinkOutages: []Window{{ID: -1, From: 0}}},
-		{MsgLoss: 2},
+		{Decoherence: 2},
 		{Decoherence: -1},
 	} {
 		if err := p.Validate(net.NumNodes(), net.NumLinks()); err == nil {
@@ -94,7 +94,7 @@ func TestZeroPlanIsInert(t *testing.T) {
 			t.Fatal("zero plan active")
 		}
 		in.BeginSlot()
-		if in.NodeDown(0) || in.LinkDown(0) || in.SegmentDecohered() || in.DropDelivery(1, 1) {
+		if in.NodeDown(0) || in.LinkDown(0) || in.SegmentDecohered() {
 			t.Error("zero plan injected a fault")
 		}
 		if in.Counts().Total() != 0 {
@@ -103,7 +103,7 @@ func TestZeroPlanIsInert(t *testing.T) {
 	}
 	// A nil *Injector is safe everywhere (engines call it unconditionally).
 	var nilIn *Injector
-	if nilIn.Active() || nilIn.SegmentDecohered() || nilIn.DropDelivery(1, 1) {
+	if nilIn.Active() || nilIn.SegmentDecohered() {
 		t.Error("nil injector injected a fault")
 	}
 }
@@ -148,21 +148,20 @@ func TestNodeCrashTakesIncidentLinksDown(t *testing.T) {
 
 func TestHashStreamsDeterministicAndSeedSensitive(t *testing.T) {
 	net, _ := topo.Motivation()
-	run := func(seed int64) (drops, deco []bool) {
-		in, err := NewInjector(&FaultPlan{Seed: seed, MsgLoss: 0.3, Decoherence: 0.3}, net)
+	run := func(seed int64) (deco []bool) {
+		in, err := NewInjector(&FaultPlan{Seed: seed, Decoherence: 0.3}, net)
 		if err != nil {
 			t.Fatalf("NewInjector: %v", err)
 		}
 		in.BeginSlot()
 		for i := 0; i < 200; i++ {
-			drops = append(drops, in.DropDelivery(i, 1))
 			deco = append(deco, in.SegmentDecohered())
 		}
-		return drops, deco
+		return deco
 	}
-	d1, c1 := run(7)
-	d2, c2 := run(7)
-	d3, c3 := run(8)
+	c1 := run(7)
+	c2 := run(7)
+	c3 := run(8)
 	same := func(a, b []bool) bool {
 		for i := range a {
 			if a[i] != b[i] {
@@ -171,10 +170,10 @@ func TestHashStreamsDeterministicAndSeedSensitive(t *testing.T) {
 		}
 		return true
 	}
-	if !same(d1, d2) || !same(c1, c2) {
+	if !same(c1, c2) {
 		t.Fatal("same seed produced different fault streams")
 	}
-	if same(d1, d3) && same(c1, c3) {
+	if same(c1, c3) {
 		t.Fatal("different seeds produced identical fault streams (200 draws at p=0.3)")
 	}
 	count := func(a []bool) (n int) {
@@ -186,8 +185,8 @@ func TestHashStreamsDeterministicAndSeedSensitive(t *testing.T) {
 		return
 	}
 	// 200 draws at p=0.3: expect roughly 60, allow a wide deterministic band.
-	if n := count(d1); n < 30 || n > 90 {
-		t.Errorf("drop rate off: %d/200 at p=0.3", n)
+	if n := count(c1); n < 30 || n > 90 {
+		t.Errorf("decoherence rate off: %d/200 at p=0.3", n)
 	}
 }
 
@@ -199,8 +198,8 @@ func TestStringZeroPlan(t *testing.T) {
 	if !p.IsZero() || !(&FaultPlan{Seed: 5}).IsZero() {
 		t.Error("IsZero wrong")
 	}
-	got := (&FaultPlan{Seed: 3, MsgLoss: 0.25}).String()
-	if !strings.Contains(got, "seed=3") || !strings.Contains(got, "loss=0.25") {
+	got := (&FaultPlan{Seed: 3, Decoherence: 0.25}).String()
+	if !strings.Contains(got, "seed=3") || !strings.Contains(got, "decohere=0.25") {
 		t.Errorf("String() = %q", got)
 	}
 }

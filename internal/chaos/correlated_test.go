@@ -30,7 +30,7 @@ func TestCorrelatedSpecRoundTrip(t *testing.T) {
 		"brown:!2,0.25",
 		"flap:1,4,0.5@0-8",
 		"flap:!0,3,0.75@2-",
-		"seed=9;node=1@1-2;cut:10,20,5@1-3;brown:0,0.5@4-6;flap:2,2,0.5@1-;loss=0.1",
+		"seed=9;node=1@1-2;cut:10,20,5@1-3;brown:0,0.5@4-6;flap:2,2,0.5@1-;decohere=0.1",
 	}
 	for _, s := range specs {
 		p, err := ParseSpec(s)

@@ -9,7 +9,7 @@ import (
 // ExampleParseSpec shows the compact fault-spec grammar round-tripping
 // through its parser: the String form is itself a valid spec.
 func ExampleParseSpec() {
-	plan, err := chaos.ParseSpec("seed=7;node=3@2-5;link=10@1-;loss=0.05;decohere=0.02")
+	plan, err := chaos.ParseSpec("seed=7;node=3@2-5;link=10@1-;decohere=0.02")
 	if err != nil {
 		panic(err)
 	}
@@ -22,7 +22,7 @@ func ExampleParseSpec() {
 	}
 	fmt.Println("round-trips:", again.String() == plan.String())
 	// Output:
-	// seed=7;node=3@2-5;link=10@1-;loss=0.05;decohere=0.02
+	// seed=7;node=3@2-5;link=10@1-;decohere=0.02
 	// zero plan: false
 	// round-trips: true
 }

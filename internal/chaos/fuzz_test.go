@@ -13,10 +13,10 @@ import (
 func FuzzParseSpec(f *testing.F) {
 	for _, seed := range []string{
 		"",
-		"seed=7;node=3@2-5;link=10@1-;loss=0.05;decohere=0.02",
+		"seed=7;node=3@2-5;link=10@1-;decohere=0.02",
 		"node=0",
 		"node=3@2-5,link=1@4-4",
-		"loss=1",
+		"decohere=1",
 		"decohere=0",
 		"seed=-1;node=2@0-",
 		"seed=9223372036854775807",
@@ -24,7 +24,7 @@ func FuzzParseSpec(f *testing.F) {
 		"bogus=1",
 		"node=",
 		";;;",
-		"loss=1.5",
+		"decohere=1.5",
 		"decohere=NaN",
 		"cut:100,200,50@2-5",
 		"cut:!0,0,1000",
@@ -41,7 +41,7 @@ func FuzzParseSpec(f *testing.F) {
 		"flap:1,0,0.5",
 		"flap:1,4,-1",
 		"flap:2,4,0.5@0-;flap:2,2,0.5@9-",
-		"seed=9;node=1@1-2;cut:10,20,5@1-3;brown:0,0.5@4-6;flap:2,2,0.5@1-;loss=0.1",
+		"seed=9;node=1@1-2;cut:10,20,5@1-3;brown:0,0.5@4-6;flap:2,2,0.5@1-;decohere=0.1",
 		"node=1@1-2,cut:1,2,3",
 		"cut:",
 		"brown:;flap:",

@@ -9,7 +9,7 @@ import (
 )
 
 // snapshotPlan exercises every fault stream: outages, correlated cuts,
-// brownouts, flaps, loss, decoherence.
+// brownouts, flaps, decoherence.
 func snapshotPlan() *FaultPlan {
 	return &FaultPlan{
 		Seed:        99,
@@ -18,7 +18,6 @@ func snapshotPlan() *FaultPlan {
 		DiscCuts:    []DiscCut{{X: 1000, Y: 500, R: 600, From: 4, To: 7}},
 		Brownouts:   []Brownout{{Link: 0, Frac: 0.5, From: 2, To: 9}},
 		Flaps:       []Flap{{Link: 5, Period: 2, Duty: 0.5, From: 1, To: 10}},
-		MsgLoss:     0.2,
 		Decoherence: 0.3,
 	}
 }
@@ -48,9 +47,6 @@ func drive(in *Injector) []int {
 	}
 	for k := 0; k < 5; k++ {
 		out = append(out, b(in.SegmentDecohered()))
-	}
-	for m := 0; m < 5; m++ {
-		out = append(out, b(in.DropDelivery(m, 0)))
 	}
 	return out
 }

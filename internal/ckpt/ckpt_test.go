@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -165,19 +166,26 @@ func TestContainerRejectsFutureVersion(t *testing.T) {
 	}
 }
 
-// TestContainerRejectsVersion1 pins that checkpoints written before the
-// correlated-fault counters widened the chaos Counts codec (container
-// version 1) are rejected cleanly instead of misdecoded: a hand-encoded
-// version-1 container with a valid checksum must fail with a version
-// message, not a codec panic or silent garbage.
-func TestContainerRejectsVersion1(t *testing.T) {
-	e := &Encoder{}
-	e.buf = append(e.buf, Magic...)
-	e.Uvarint(1) // the pre-brownout format version
-	e.Uvarint(0) // no sections
-	raw := binary.LittleEndian.AppendUint32(e.Bytes(), crc32.ChecksumIEEE(e.Bytes()))
-	if _, err := Decode(raw); err == nil || !IsCorrupt(err) || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("version-1 container: %v", err)
+// TestContainerRejectsOldVersions pins that checkpoints written by an
+// older codec are rejected cleanly instead of misdecoded: a hand-encoded
+// container with a valid checksum must fail with a message naming its
+// version, not a codec panic or silent garbage. Version 1 predates the
+// correlated-fault counters in the chaos Counts codec; version 3 still
+// carries the two message-loss incident slots and the dropped-message
+// counter.
+func TestContainerRejectsOldVersions(t *testing.T) {
+	for _, v := range []uint64{1, 3} {
+		t.Run(fmt.Sprintf("version%d", v), func(t *testing.T) {
+			e := &Encoder{}
+			e.buf = append(e.buf, Magic...)
+			e.Uvarint(v)
+			e.Uvarint(0) // no sections
+			raw := binary.LittleEndian.AppendUint32(e.Bytes(), crc32.ChecksumIEEE(e.Bytes()))
+			want := fmt.Sprintf("version %d", v)
+			if _, err := Decode(raw); err == nil || !IsCorrupt(err) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("version-%d container: %v", v, err)
+			}
+		})
 	}
 }
 
@@ -196,10 +204,10 @@ func TestWriteRejectsDuplicateSections(t *testing.T) {
 	}
 }
 
-// TestEngineStateRoundTrip round-trips a fully loaded engine-state tree —
-// chaos, bank, ladder and a nested inner state.
-func TestEngineStateRoundTrip(t *testing.T) {
-	st := &sched.EngineState{
+// fullEngineState is an engine-state tree with every optional component
+// present: chaos, bank, ladder and a nested inner state.
+func fullEngineState() *sched.EngineState {
+	return &sched.EngineState{
 		Algorithm: sched.SEE,
 		Ladder:    &sched.LadderState{Failures: 2, PrimaryBuilt: true, FallbackBuilt: true},
 		Inner: &sched.EngineState{
@@ -207,7 +215,7 @@ func TestEngineStateRoundTrip(t *testing.T) {
 			Chaos: &chaos.InjectorState{
 				Slot: 41,
 				Counts: chaos.Counts{
-					NodeSlotsDown: 3, SegmentsDecohered: 9, MessagesDropped: 1,
+					NodeSlotsDown: 3, SegmentsDecohered: 9,
 					CutLinkSlotsDown: 4, FlapSlotsDown: 2, BrownoutAttemptsLost: 7,
 				},
 			},
@@ -222,6 +230,11 @@ func TestEngineStateRoundTrip(t *testing.T) {
 			},
 		},
 	}
+}
+
+// TestEngineStateRoundTrip round-trips a fully loaded engine-state tree.
+func TestEngineStateRoundTrip(t *testing.T) {
+	st := fullEngineState()
 	got, err := DecodeEngineState(EncodeEngineState(st))
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,9 @@ const Magic = "SEECKPT\n"
 // counters (CutLinkSlotsDown, FlapSlotsDown, BrownoutAttemptsLost).
 // 3 widened the tracer incident array with floor_reject and appended the
 // floor-rejected counter to the service-state section (fidelity floors).
-const Version = 3
+// 4 dropped the two message-loss slots from the tracer incident array and
+// the dropped-message counter from the chaos Counts codec.
+const Version = 4
 
 // Section is one named, length-prefixed payload of a snapshot. Names keep
 // payloads self-describing: a reader takes the sections it knows and can

@@ -77,7 +77,6 @@ func AppendEngineState(e *Encoder, st *sched.EngineState) {
 		e.Int(c.PathsBlocked)
 		e.Int(c.RoutesBlocked)
 		e.Int(c.SegmentsDecohered)
-		e.Int(c.MessagesDropped)
 		e.Int(c.CutLinkSlotsDown)
 		e.Int(c.FlapSlotsDown)
 		e.Int(c.BrownoutAttemptsLost)
@@ -125,7 +124,6 @@ func ReadEngineState(d *Decoder) *sched.EngineState {
 		cs.Counts.PathsBlocked = d.Int()
 		cs.Counts.RoutesBlocked = d.Int()
 		cs.Counts.SegmentsDecohered = d.Int()
-		cs.Counts.MessagesDropped = d.Int()
 		cs.Counts.CutLinkSlotsDown = d.Int()
 		cs.Counts.FlapSlotsDown = d.Int()
 		cs.Counts.BrownoutAttemptsLost = d.Int()

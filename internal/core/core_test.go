@@ -294,8 +294,8 @@ func TestESCLedgerNeverOverdraws(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 60; seed++ {
-		planned := e.identifyPaths(xrand.New(seed))
-		plan, provisioned, err := e.createSegmentsPlan(planned)
+		planned := e.identifyPathsLP(e.LP, xrand.New(seed))
+		plan, provisioned, err := e.createSegmentsPlanScratch(planned, e.scratch())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -348,7 +348,7 @@ func TestEstablishConnectionsUsesLeftovers(t *testing.T) {
 	e := motivationEngine(t, DefaultOptions())
 	s2d2 := e.Set.Best(topo.MotivS2, topo.MotivD2)
 	segs := []*qnet.Segment{{A: s2d2.U(), B: s2d2.V(), Cand: s2d2}}
-	conns, attempts := e.establishConnections(nil, segs, xrand.New(1))
+	conns, attempts, _ := e.establishFromPoolScratch(nil, qnet.NewPool(segs), xrand.New(1), e.scratch())
 	if len(conns) != 1 || attempts != 1 {
 		t.Fatalf("assembled %d connections from leftovers, want 1", len(conns))
 	}
@@ -387,7 +387,7 @@ func TestEstablishConnectionsPrefersHighSwapJunctions(t *testing.T) {
 		return &qnet.Segment{A: c.U(), B: c.V(), Cand: c}
 	}
 	segs := []*qnet.Segment{mk(0, 1), mk(1, 3), mk(0, 2), mk(2, 3)}
-	conns, attempts := e.establishConnections(nil, segs, xrand.New(5))
+	conns, attempts, _ := e.establishFromPoolScratch(nil, qnet.NewPool(segs), xrand.New(5), e.scratch())
 	// ConnCap is 4, so ECE keeps going: first the high-q route, then the
 	// low-q leftovers.
 	if len(conns) != 2 || attempts != 2 {
@@ -426,7 +426,7 @@ func TestEPIPlannedExpectationMatchesLP(t *testing.T) {
 	counts := make([]float64, len(e.Pairs))
 	rng := xrand.New(99)
 	for r := 0; r < rounds; r++ {
-		for _, p := range e.identifyPaths(rng) {
+		for _, p := range e.identifyPathsLP(e.LP, rng) {
 			counts[p.Commodity]++
 		}
 	}
@@ -446,7 +446,7 @@ func TestEPISamplesAllPositiveFlowPaths(t *testing.T) {
 	seen := make(map[string]bool)
 	rng := xrand.New(5)
 	for r := 0; r < 5000; r++ {
-		for _, p := range e.identifyPaths(rng) {
+		for _, p := range e.identifyPathsLP(e.LP, rng) {
 			seen[fmt.Sprintf("%d:%v", p.Commodity, p.Nodes)] = true
 		}
 	}
@@ -480,8 +480,8 @@ func TestESCCoverageInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		for seed := int64(0); seed < 20; seed++ {
-			planned := e.identifyPaths(xrand.New(seed))
-			plan, provisioned, err := e.createSegmentsPlan(planned)
+			planned := e.identifyPathsLP(e.LP, xrand.New(seed))
+			plan, provisioned, err := e.createSegmentsPlanScratch(planned, e.scratch())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -564,8 +564,8 @@ func TestECEAgainstMaxFlowBound(t *testing.T) {
 	achievedTotal, boundTotal := 0, 0
 	for seed := int64(0); seed < 25; seed++ {
 		rng := xrand.New(seed)
-		planned := e.identifyPaths(rng)
-		plan, provisioned, err := e.createSegmentsPlan(planned)
+		planned := e.identifyPathsLP(e.LP, rng)
+		plan, provisioned, err := e.createSegmentsPlanScratch(planned, e.scratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -583,7 +583,7 @@ func TestECEAgainstMaxFlowBound(t *testing.T) {
 		if bound > e.ConnCap[0] {
 			bound = e.ConnCap[0]
 		}
-		conns, attempts := e.establishConnections(provisioned, created, rng)
+		conns, attempts, _ := e.establishFromPoolScratch(provisioned, qnet.NewPool(created), rng, e.scratch())
 		if attempts > 0 && len(conns) != attempts {
 			t.Fatalf("seed %d: q=1 but %d of %d assemblies failed", seed, attempts-len(conns), attempts)
 		}

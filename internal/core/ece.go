@@ -20,7 +20,7 @@ const (
 	eceRejectThreshold = 1e8
 )
 
-// establishConnections implements Algorithm 3 (ECE) with in-slot swap
+// establishFromPoolScratch implements Algorithm 3 (ECE) with in-slot swap
 // sampling. First it satisfies provisioned paths whose segments all
 // realized; then it greedily builds extra connections for under-served SD
 // pairs from leftover segments via repeated shortest path on the auxiliary
@@ -35,28 +35,19 @@ const (
 // is the only reading under which the paper's Fig. 5 scaling and the
 // SEE→E2E convergence at low q are reproducible).
 //
-// It returns the established connections and the number of assembly
-// attempts (established + swap-failed).
-func (e *Engine) establishConnections(provisioned []PlannedPath, created []*qnet.Segment, rng *rand.Rand) (established []*qnet.Connection, attempts int) {
-	established, attempts, _ = e.establishFromPoolScratch(provisioned, qnet.NewPool(created), rng, nil)
-	return established, attempts
-}
-
-// establishFromPoolScratch is establishConnections over a caller-built
-// pool (withdrawn carried segments mixed with the slot's fresh ones, so the
-// runner can bank the leftovers afterwards) and an optional slot scratch: the per-pair counters, the auxiliary stitch graph and the
-// Dijkstra buffers are recycled across slots, and the per-pair queries run
-// the early-stop targeted Dijkstra (identical result, less work). The
-// established connections are always freshly allocated — they outlive the
-// slot.
+// The pool is caller-built (withdrawn carried segments mixed with the
+// slot's fresh ones, so the runner can bank the leftovers afterwards). The
+// per-pair counters, the auxiliary stitch graph and the Dijkstra buffers
+// are recycled from the slot scratch, and the per-pair queries run the
+// early-stop targeted Dijkstra. The established connections are always
+// freshly allocated — they outlive the slot.
+//
+// It returns the established connections, the number of assembly attempts
+// (established + swap-failed) and the assemblies rolled back for missing
+// their fidelity floor.
 func (e *Engine) establishFromPoolScratch(provisioned []PlannedPath, pool *qnet.Pool, rng *rand.Rand, sc *slotScratch) (established []*qnet.Connection, attempts, floorRejected int) {
-	var perPair []int
-	if sc != nil {
-		perPair = sc.perPair
-		clear(perPair)
-	} else {
-		perPair = make([]int, len(e.Pairs))
-	}
+	perPair := sc.perPair
+	clear(perPair)
 	var out []*qnet.Connection
 	tr := e.Tracer()
 	swapObs := qnet.SwapObserver(tr.SwapResolved)
@@ -132,10 +123,7 @@ func (e *Engine) establishFromPoolScratch(provisioned []PlannedPath, pool *qnet.
 		}
 		return eceMissingWeight
 	}
-	var dij *graph.DijkstraScratch
-	if sc != nil {
-		dij = &sc.dij
-	}
+	dij := &sc.dij
 
 	var floorDeadPair []bool // pairs whose best aux route missed the floor
 	for {
@@ -198,29 +186,17 @@ func (e *Engine) establishFromPoolScratch(provisioned []PlannedPath, pool *qnet.
 }
 
 // buildAuxGraph returns a graph with one edge per endpoint pair that has at
-// least one realized segment, plus the pair keyed by edge ID. With a
-// non-nil scratch the graph and the pair table are rebuilt in place over
-// the previous slot's backing arrays.
+// least one realized segment, plus the pair keyed by edge ID. The graph
+// and the pair table are rebuilt in place over the previous slot's backing
+// arrays.
 func (e *Engine) buildAuxGraph(pool *qnet.Pool, sc *slotScratch) (*graph.Graph, []segment.PairKey) {
-	var g *graph.Graph
-	var auxPairs []segment.PairKey
-	if sc != nil {
-		g = sc.aux
-		g.Reset()
-		auxPairs = sc.auxPairs[:0]
-	} else {
-		g = graph.New(e.Net.NumNodes())
-	}
-	pairs := pool.Pairs()
-	if auxPairs == nil {
-		auxPairs = make([]segment.PairKey, 0, len(pairs))
-	}
-	for _, pk := range pairs {
+	g := sc.aux
+	g.Reset()
+	auxPairs := sc.auxPairs[:0]
+	for _, pk := range pool.Pairs() {
 		g.AddEdge(pk.U, pk.V, eceAvailableWeight)
 		auxPairs = append(auxPairs, pk)
 	}
-	if sc != nil {
-		sc.auxPairs = auxPairs
-	}
+	sc.auxPairs = auxPairs
 	return g, auxPairs
 }

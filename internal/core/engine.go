@@ -196,29 +196,6 @@ func NewEngineCtx(ctx context.Context, net *topo.Network, pairs []topo.SDPair, o
 	}, nil
 }
 
-// SlotPlan is the controller's decision for one time slot (steps i–ii of
-// §II-F): which entanglement paths to pursue and how many creation attempts
-// to reserve on each physical segment.
-type SlotPlan struct {
-	// Planned are the entanglement paths identified by EPI.
-	Planned []PlannedPath
-	// Provisioned is the subset D for which ESC reserved full resources.
-	Provisioned []PlannedPath
-	// Attempts is the creation plan {x^k_uv}.
-	Attempts qnet.AttemptPlan
-}
-
-// PlanSlot runs EPI + ESC and returns the slot plan. The protocol layer
-// uses it to drive the distributed execution; RunSlot uses it directly.
-func (e *Engine) PlanSlot(rng *rand.Rand) (*SlotPlan, error) {
-	planned := e.identifyPaths(rng)
-	plan, provisioned, err := e.createSegmentsPlan(planned)
-	if err != nil {
-		return nil, err
-	}
-	return &SlotPlan{Planned: planned, Provisioned: provisioned, Attempts: plan}, nil
-}
-
 // RunSlot simulates one time slot. The rng drives EPI rounding, the
 // physical phase and swapping; a fixed rng state reproduces the slot
 // exactly (tracers observe outcomes but never consume randomness).
@@ -252,8 +229,7 @@ func (e *Engine) PlanPhase(s *sched.Slot) bool {
 }
 
 // ReservePhase implements sched.SlotPhases with step ii, ESC, over the
-// engine's slot scratch (ledger, coverage tables, attempt plan); PlanSlot
-// allocates fresh because its plan escapes to the caller.
+// engine's slot scratch (ledger, coverage tables, attempt plan).
 func (e *Engine) ReservePhase(s *sched.Slot) (plan, held qnet.AttemptPlan, err error) {
 	sc := e.scratch()
 	plan, sc.provisioned, err = e.createSegmentsPlanScratch(sc.planned, sc)

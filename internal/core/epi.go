@@ -20,7 +20,7 @@ type PlannedPath struct {
 	PhysHops int
 }
 
-// identifyPaths implements Algorithm 1 (EPI) on the aggregated LP solution.
+// identifyPathsLP implements Algorithm 1 (EPI) on an aggregated LP solution.
 //
 // The paper rounds each t^n_i to 1 with probability t̃^n_i and then samples
 // the connection's path proportionally to the flow split. Summed over n,
@@ -29,13 +29,10 @@ type PlannedPath struct {
 // same expectation, so Theorem 2's Chernoff argument carries over — and
 // sample each connection's path with probability flow(P)/T_i, exactly
 // Algorithm 1's second rounding.
-func (e *Engine) identifyPaths(rng *rand.Rand) []PlannedPath {
-	return e.identifyPathsLP(e.LP, rng)
-}
-
-// identifyPathsLP is identifyPaths over an explicit LP solution. Rounding
-// over the engine's fixed LP uses the cached EPI tables; a slot-local
-// solution (the carry-aware re-solve) derives its own tables for the slot.
+//
+// Rounding over the engine's fixed LP uses the cached EPI tables; a
+// slot-local solution (the carry-aware re-solve) derives its own tables
+// for the slot.
 func (e *Engine) identifyPathsLP(sol *flow.Solution, rng *rand.Rand) []PlannedPath {
 	// The per-commodity grouping and sampling weights are pure functions of
 	// the LP solution, derived once per solution instead of per slot.

@@ -14,53 +14,32 @@ import (
 // scan work.
 const escParallelThreshold = 16
 
-// createSegmentsPlan implements Algorithm 2 (ESC): it orders the planned
-// entanglement paths, then reserves the minimum quantum resources so that
-// for every segment ⟨u,v⟩ the expected number of created segments
+// createSegmentsPlanScratch implements Algorithm 2 (ESC): it orders the
+// planned entanglement paths, then reserves the minimum quantum resources
+// so that for every segment ⟨u,v⟩ the expected number of created segments
 // Σ_k p^k_uv·x^k_uv covers the number of provisioned paths using it.
 // High-probability physical realizations are reserved first; a path whose
 // demand cannot be covered releases everything reserved on its behalf.
 //
-// It returns the attempt plan {x^k_uv} and the provisioned path set D.
-// Everything it returns is freshly allocated — PlanSlot hands the plan to
-// the protocol layer, where it outlives the slot.
-func (e *Engine) createSegmentsPlan(planned []PlannedPath) (qnet.AttemptPlan, []PlannedPath, error) {
-	return e.createSegmentsPlanScratch(planned, nil)
-}
-
-// createSegmentsPlanScratch is createSegmentsPlan over an optional slot
-// scratch. With a non-nil scratch the ledger, the attempt plan and the
-// coverage tables are recycled from the previous slot (the returned plan
-// aliases sc.plan, so it is only valid until the next slot — RunSlot
-// consumes it in-slot); with nil everything is allocated fresh. Both paths
-// run the identical reservation sequence.
+// It returns the attempt plan {x^k_uv} and the provisioned path set D. The
+// ledger, the attempt plan and the coverage tables are recycled from the
+// slot scratch: the returned plan aliases sc.plan, so it is only valid
+// until the next slot (RunSlot consumes it in-slot).
 func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratch) (qnet.AttemptPlan, []PlannedPath, error) {
 	ordered := orderPaths(planned)
 
-	// Fault-aware planning reserves against the forecast-shrunk capacities
-	// (nil overrides keep the network tables).
-	var ledger *qnet.Ledger
-	var plan qnet.AttemptPlan
-	// expected[pk] = Σ_k p^k·x^k currently reserved for the pair;
-	// demand[pk] = paths in D using the pair;
-	// attempts[pk] = Σ_k x^k currently reserved for the pair.
-	var expected map[segment.PairKey]float64
-	var demand, attempts map[segment.PairKey]int
-	if sc != nil {
-		ledger = sc.ledger
-		ledger.Reset()
-		plan, expected, demand, attempts = sc.plan, sc.expected, sc.demand, sc.attempts
-		clear(plan)
-		clear(expected)
-		clear(demand)
-		clear(attempts)
-	} else {
-		ledger = qnet.NewLedgerWithCapacities(e.Net, e.opts.PlanChannels, e.opts.PlanMemory)
-		plan = make(qnet.AttemptPlan)
-		expected = make(map[segment.PairKey]float64)
-		demand = make(map[segment.PairKey]int)
-		attempts = make(map[segment.PairKey]int)
-	}
+	// The ledger reserves against the planning capacities (fault-aware
+	// planning shrinks them to the forecast; nil overrides keep the
+	// network tables). expected[pk] = Σ_k p^k·x^k currently reserved for
+	// the pair; demand[pk] = paths in D using the pair; attempts[pk] =
+	// Σ_k x^k currently reserved for the pair.
+	ledger := sc.ledger
+	ledger.Reset()
+	plan, expected, demand, attempts := sc.plan, sc.expected, sc.demand, sc.attempts
+	clear(plan)
+	clear(expected)
+	clear(demand)
+	clear(attempts)
 
 	var provisioned []PlannedPath
 	for _, p := range ordered {
@@ -128,18 +107,13 @@ func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratc
 	// segments the provisioned paths demand, topping up the least-covered
 	// segments first so availability is equalized.
 	if len(provisioned) > 0 {
-		var keys []segment.PairKey
-		if sc != nil {
-			keys = sc.keys[:0]
-		}
+		keys := sc.keys[:0]
 		for pk, d := range demand {
 			if d > 0 {
 				keys = append(keys, pk)
 			}
 		}
-		if sc != nil {
-			sc.keys = keys
-		}
+		sc.keys = keys
 		for {
 			sort.Slice(keys, func(i, j int) bool {
 				ci := expected[keys[i]] / float64(demand[keys[i]])
@@ -185,7 +159,7 @@ func (e *Engine) backupRound(keys []segment.PairKey, ledger *qnet.Ledger,
 	plan qnet.AttemptPlan, expected map[segment.PairKey]float64,
 	attempts map[segment.PairKey]int, sc *slotScratch) (int, error) {
 
-	parallel := sc != nil && e.opts.Flow.Workers != 1 && len(keys) >= escParallelThreshold
+	parallel := e.opts.Flow.Workers != 1 && len(keys) >= escParallelThreshold
 	var pre []escCandidate
 	if parallel {
 		if cap(sc.escPre) < len(keys) {

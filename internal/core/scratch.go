@@ -12,8 +12,7 @@ import (
 // steady-state slot loop performs no ledger/map/graph re-allocation. The
 // arena lifetime rule (DESIGN.md §9): scratch may only hold state that is
 // dead by slot end — anything that can outlive the slot (realized
-// segments, connections, the attempt plan handed out by PlanSlot) is
-// allocated fresh. PlanSlot therefore runs with a nil scratch.
+// segments, connections) is allocated fresh.
 type slotScratch struct {
 	// ESC: reservation ledger (Reset per slot) and coverage tables.
 	ledger   *qnet.Ledger

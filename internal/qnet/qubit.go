@@ -6,8 +6,8 @@ import (
 	"math/rand"
 )
 
-// Qubit is a single-qubit pure state α|0⟩ + β|1⟩. It is the payload of
-// teleportation in the protocol layer; the simulator does not track full
+// Qubit is a single-qubit pure state α|0⟩ + β|1⟩, the payload Teleport
+// moves over an established connection. The simulator does not track full
 // multi-qubit density matrices — entanglement bookkeeping lives in Segment
 // and Connection — but carrying real amplitudes lets tests verify that
 // teleportation moves the state rather than copying it (no-cloning).

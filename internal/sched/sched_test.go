@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -84,6 +86,27 @@ func TestPhaseString(t *testing.T) {
 		if ph.String() != s {
 			t.Errorf("%d.String() = %q, want %q", int(ph), ph.String(), s)
 		}
+	}
+}
+
+// TestIncidentNames pins the incident table: every kind below NumIncidents
+// has its own name, and the first kind past the end falls back to the
+// numeric form. A renumbering that misses NumIncidents or the String
+// switch fails here rather than only in the CLI goldens.
+func TestIncidentNames(t *testing.T) {
+	seen := make(map[string]Incident, NumIncidents)
+	for k := Incident(0); k < NumIncidents; k++ {
+		name := k.String()
+		if strings.HasPrefix(name, "Incident(") {
+			t.Errorf("kind %d has no name (String() = %q)", int(k), name)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d share the name %q", int(prev), int(k), name)
+		}
+		seen[name] = k
+	}
+	if got, want := Incident(NumIncidents).String(), fmt.Sprintf("Incident(%d)", NumIncidents); got != want {
+		t.Errorf("Incident(NumIncidents).String() = %q, want %q", got, want)
 	}
 }
 

@@ -63,11 +63,6 @@ const (
 	IncidentDegraded
 	// IncidentRetry counts retries of a previously failed LP construction.
 	IncidentRetry
-	// IncidentMessageDrop counts controller↔node messages dropped by the
-	// protocol bus.
-	IncidentMessageDrop
-	// IncidentMessageRetry counts bus redeliveries of dropped messages.
-	IncidentMessageRetry
 	// IncidentBankWithdraw counts carried segments withdrawn from the
 	// cross-slot state bank at slot start (see internal/state).
 	IncidentBankWithdraw
@@ -101,7 +96,7 @@ const (
 )
 
 // NumIncidents is the number of incident kinds.
-const NumIncidents = 13
+const NumIncidents = 11
 
 // String implements fmt.Stringer.
 func (i Incident) String() string {
@@ -112,10 +107,6 @@ func (i Incident) String() string {
 		return "degraded"
 	case IncidentRetry:
 		return "retry"
-	case IncidentMessageDrop:
-		return "msg_drop"
-	case IncidentMessageRetry:
-		return "msg_retry"
 	case IncidentBankWithdraw:
 		return "bank_withdraw"
 	case IncidentBankDeposit:

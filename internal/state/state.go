@@ -50,8 +50,7 @@ import (
 )
 
 // hashKindBank namespaces the bank's decoherence hash stream away from the
-// chaos injector's streams (0xdec0 segment decoherence, 0x10e5 message
-// loss).
+// chaos injector's stream (0xdec0 segment decoherence).
 const hashKindBank = 0xca44
 
 // Policy tunes cross-slot carry-over.

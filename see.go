@@ -347,17 +347,15 @@ func NewJSONLTracer(w io.Writer) *JSONLTracer { return sched.NewJSONLTracer(w) }
 func MultiTracer(ts ...Tracer) Tracer { return sched.Multi(ts...) }
 
 // Incident classifies the robustness events a Tracer observes: injected
-// faults, degraded slots, LP construction retries and control-plane
-// message drops/retries.
+// faults, degraded slots, LP construction retries, carry-over bank events,
+// recovery attempts, correlated faults and fidelity-floor rejections.
 type Incident = sched.Incident
 
 // The incident kinds reported through Tracer.Incident.
 const (
-	IncidentFault        = sched.IncidentFault
-	IncidentDegraded     = sched.IncidentDegraded
-	IncidentRetry        = sched.IncidentRetry
-	IncidentMessageDrop  = sched.IncidentMessageDrop
-	IncidentMessageRetry = sched.IncidentMessageRetry
+	IncidentFault    = sched.IncidentFault
+	IncidentDegraded = sched.IncidentDegraded
+	IncidentRetry    = sched.IncidentRetry
 	// Carry-over bank events (fire only with CarryOver enabled): segments
 	// withdrawn at slot start, deposited at slot end, and lost at a slot
 	// boundary to the age window or stochastic decoherence.
@@ -382,7 +380,7 @@ const (
 )
 
 // FaultPlan is a deterministic fault schedule for a scheduler: node crash
-// windows, link outage windows, control-message loss and memory
+// windows, link outage windows, correlated link faults and memory
 // decoherence, all derived from the plan's seed. It is the canonical
 // chaos.FaultPlan; build one directly or via ParseFaultSpec.
 type FaultPlan = chaos.FaultPlan
@@ -390,12 +388,11 @@ type FaultPlan = chaos.FaultPlan
 // ParseFaultSpec parses the compact fault-spec grammar shared with the
 // seesim -faults flag, e.g.
 //
-//	seed=7;node=3@2-5;link=10@1-;loss=0.05;decohere=0.02
+//	seed=7;node=3@2-5;link=10@1-;decohere=0.02
 //
 // Fields: node=<id>@<from>-<to> crashes a node for a slot window (open
-// ends allowed), link=<id>@... takes a link down, loss=<p> drops control
-// messages with probability p, decohere=<p> destroys created segments
-// with probability p. Correlated items use ':' and are ';'-separated:
+// ends allowed), link=<id>@... takes a link down, decohere=<p> destroys
+// created segments with probability p. Any other key is an error. Correlated items use ':' and are ';'-separated:
 // cut:x,y,r@<from>-<to> fails every link whose midpoint lies in the disc,
 // brown:link,frac@... keeps frac of a link's channels, and
 // flap:link,period,duty@... oscillates a link with the given duty cycle.

@@ -2,6 +2,7 @@ package see
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,15 +81,23 @@ func TestSlotBudgetDegrades(t *testing.T) {
 // TestFaultSpecParsingAndValidation exercises ParseFaultSpec and the
 // network-bound validation inside NewScheduler.
 func TestFaultSpecParsingAndValidation(t *testing.T) {
-	plan, err := ParseFaultSpec("seed=7;node=3@2-5;loss=0.05")
+	plan, err := ParseFaultSpec("seed=7;node=3@2-5;decohere=0.05")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Seed != 7 || plan.MsgLoss != 0.05 || len(plan.NodeOutages) != 1 {
+	if plan.Seed != 7 || plan.Decoherence != 0.05 || len(plan.NodeOutages) != 1 {
 		t.Fatalf("parsed plan wrong: %+v", plan)
 	}
-	if _, err := ParseFaultSpec("loss=nope"); err == nil {
+	if _, err := ParseFaultSpec("decohere=nope"); err == nil {
 		t.Error("bad spec accepted")
+	}
+	// Message loss is not a fault the engines model, so its key is
+	// rejected rather than silently ignored, and the error names the
+	// keys that remain.
+	_, err = ParseFaultSpec("seed=7;loss=0.05")
+	if err == nil || !strings.Contains(err.Error(), `"loss"`) ||
+		!strings.Contains(err.Error(), "seed, node, link or decohere") {
+		t.Errorf("loss= spec: err = %v, want an unknown-key error listing the remaining keys", err)
 	}
 	// A plan referencing a node the network does not have must be rejected
 	// at scheduler construction.
