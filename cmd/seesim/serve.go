@@ -94,7 +94,6 @@ func (p serveParams) serveOne(a see.Algorithm, net *see.Network, sdPairs []see.S
 	}
 	scfg.Seed = p.seed
 	scfg.Tracer = tracer
-	scfg.Warm = p.opts.Warm
 	srv, err := see.NewTrafficServer(sc, len(sdPairs), scfg)
 	if err != nil {
 		fmt.Fprintf(stderr, "%v: %v\n", a, err)

@@ -1,10 +1,6 @@
 package see
 
-import (
-	"fmt"
-
-	"see/internal/experiment"
-)
+import "see/internal/experiment"
 
 // ExperimentParams configures one evaluation data point (paper §IV-A
 // defaults via DefaultExperimentParams). The embedded SchedulerOptions
@@ -117,61 +113,4 @@ func RunExperiment(p ExperimentParams) (map[Algorithm]PointResult, error) {
 func MotivationExample() (conventional, seeValue float64) {
 	r := experiment.Motivation()
 	return r.Conventional, r.SEE
-}
-
-// SweepPoint is one x-value of a figure sweep.
-type SweepPoint struct {
-	X       float64
-	Results map[Algorithm]PointResult
-}
-
-// FigureData is a regenerated evaluation figure.
-type FigureData struct {
-	// Name identifies the figure (e.g. "fig5-swap-prob").
-	Name string
-	// XLabel names the sweep variable.
-	XLabel string
-	Points []SweepPoint
-}
-
-// Figure regenerates the data behind one of the paper's evaluation figures
-// (3: link capacity, 4: α, 5: swap probability, 6: network scale, 7: SD
-// pairs). The base parameters configure everything except the swept
-// variable.
-func Figure(id int, base ExperimentParams) (*FigureData, error) {
-	in := base.toInternal()
-	var sw *experiment.Sweep
-	var err error
-	switch id {
-	case 3:
-		sw, err = experiment.Fig3LinkCapacity(in)
-	case 4:
-		sw, err = experiment.Fig4Alpha(in)
-	case 5:
-		sw, err = experiment.Fig5SwapProb(in)
-	case 6:
-		sw, err = experiment.Fig6Nodes(in)
-	case 7:
-		sw, err = experiment.Fig7SDPairs(in)
-	default:
-		return nil, fmt.Errorf("see: no figure %d (want 3..7)", id)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := &FigureData{Name: sw.Name, XLabel: sw.XLabel}
-	for _, pt := range sw.Points {
-		rp := make(map[Algorithm]PointResult, len(pt.Results))
-		for alg, pr := range pt.Results {
-			rp[alg] = PointResult{
-				MeanThroughput: pr.Throughput.Mean,
-				CI95:           pr.Throughput.CI95,
-				Jain:           pr.Jain,
-				CDFXs:          pr.PerPairCDF.Xs,
-				CDFPs:          pr.PerPairCDF.Ps,
-			}
-		}
-		out.Points = append(out.Points, SweepPoint{X: pt.X, Results: rp})
-	}
-	return out, nil
 }

@@ -15,10 +15,10 @@
 //     with no injector attached at all.
 //
 // Engines consult the injector through the qnet.FaultModel hooks
-// (CandidateBlocked / SegmentDecohered) plus PathBlocked and NodeDown. A
-// crashed node takes its incident links down with it (its optical switch
-// and detectors are offline), which the injector precomputes per slot from
-// the network adjacency.
+// (CandidateBlocked / SegmentDecohered) and its CapAttempts brownout
+// budget. A crashed node takes its incident links down with it (its
+// optical switch and detectors are offline), which the injector
+// precomputes per slot from the network adjacency.
 package chaos
 
 import (
@@ -28,7 +28,6 @@ import (
 	"strconv"
 	"strings"
 
-	"see/internal/graph"
 	"see/internal/segment"
 	"see/internal/topo"
 )
@@ -537,9 +536,6 @@ type Counts struct {
 	// pairs over the slots begun so far.
 	NodeSlotsDown int
 	LinkSlotsDown int
-	// PathsBlocked counts planned entanglement paths discarded because a
-	// node on them was down.
-	PathsBlocked int
 	// RoutesBlocked counts candidate routes whose reserved creation
 	// attempts all failed because a node or link on the route was down.
 	RoutesBlocked int
@@ -560,7 +556,7 @@ type Counts struct {
 
 // Total sums every injected-fault counter.
 func (c Counts) Total() int {
-	return c.NodeSlotsDown + c.LinkSlotsDown + c.PathsBlocked +
+	return c.NodeSlotsDown + c.LinkSlotsDown +
 		c.RoutesBlocked + c.SegmentsDecohered +
 		c.CutLinkSlotsDown + c.FlapSlotsDown + c.BrownoutAttemptsLost
 }
@@ -572,7 +568,6 @@ func (c Counts) Sub(b Counts) Counts {
 	return Counts{
 		NodeSlotsDown:        c.NodeSlotsDown - b.NodeSlotsDown,
 		LinkSlotsDown:        c.LinkSlotsDown - b.LinkSlotsDown,
-		PathsBlocked:         c.PathsBlocked - b.PathsBlocked,
 		RoutesBlocked:        c.RoutesBlocked - b.RoutesBlocked,
 		SegmentsDecohered:    c.SegmentsDecohered - b.SegmentsDecohered,
 		CutLinkSlotsDown:     c.CutLinkSlotsDown - b.CutLinkSlotsDown,
@@ -811,21 +806,6 @@ func (in *Injector) CapAttempts(c *segment.Candidate, want int) int {
 		in.counts.BrownoutAttemptsLost += want - grant
 	}
 	return grant
-}
-
-// PathBlocked reports whether any node of an entanglement path is down, and
-// counts the blocked path.
-func (in *Injector) PathBlocked(nodes graph.Path) bool {
-	if !in.Active() {
-		return false
-	}
-	for _, v := range nodes {
-		if in.downNode[v] {
-			in.counts.PathsBlocked++
-			return true
-		}
-	}
-	return false
 }
 
 // CandidateBlocked implements qnet.FaultModel: a creation attempt over the

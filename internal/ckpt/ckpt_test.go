@@ -172,9 +172,9 @@ func TestContainerRejectsFutureVersion(t *testing.T) {
 // version, not a codec panic or silent garbage. Version 1 predates the
 // correlated-fault counters in the chaos Counts codec; version 3 still
 // carries the two message-loss incident slots and the dropped-message
-// counter.
+// counter; version 4 still carries the blocked-path chaos counter.
 func TestContainerRejectsOldVersions(t *testing.T) {
-	for _, v := range []uint64{1, 3} {
+	for _, v := range []uint64{1, 3, 4} {
 		t.Run(fmt.Sprintf("version%d", v), func(t *testing.T) {
 			e := &Encoder{}
 			e.buf = append(e.buf, Magic...)

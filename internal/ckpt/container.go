@@ -25,7 +25,9 @@ const Magic = "SEECKPT\n"
 // floor-rejected counter to the service-state section (fidelity floors).
 // 4 dropped the two message-loss slots from the tracer incident array and
 // the dropped-message counter from the chaos Counts codec.
-const Version = 4
+// 5 dropped the always-zero blocked-path counter from the chaos Counts
+// codec.
+const Version = 5
 
 // Section is one named, length-prefixed payload of a snapshot. Names keep
 // payloads self-describing: a reader takes the sections it knows and can

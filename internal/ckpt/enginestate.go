@@ -74,7 +74,6 @@ func AppendEngineState(e *Encoder, st *sched.EngineState) {
 		c := st.Chaos.Counts
 		e.Int(c.NodeSlotsDown)
 		e.Int(c.LinkSlotsDown)
-		e.Int(c.PathsBlocked)
 		e.Int(c.RoutesBlocked)
 		e.Int(c.SegmentsDecohered)
 		e.Int(c.CutLinkSlotsDown)
@@ -121,7 +120,6 @@ func ReadEngineState(d *Decoder) *sched.EngineState {
 		cs := &chaos.InjectorState{Slot: d.Int()}
 		cs.Counts.NodeSlotsDown = d.Int()
 		cs.Counts.LinkSlotsDown = d.Int()
-		cs.Counts.PathsBlocked = d.Int()
 		cs.Counts.RoutesBlocked = d.Int()
 		cs.Counts.SegmentsDecohered = d.Int()
 		cs.Counts.CutLinkSlotsDown = d.Int()

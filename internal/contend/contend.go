@@ -598,7 +598,7 @@ func (e *Engine) PhysicalHook(s *sched.Slot) {
 				continue
 			}
 			recoveryFired += h.recAttempts
-			recCreated := qnet.AttemptAllFaulty(qnet.AttemptPlan{h.recovery: h.recAttempts}, s.Rng, s.Faults, s.ObserveAttempt)
+			recCreated := qnet.AttemptAll(qnet.AttemptPlan{h.recovery: h.recAttempts}, s.Rng, s.Faults, s.ObserveAttempt, nil)
 			s.Result.SegmentsCreated += len(recCreated)
 			recCreated, _ = qnet.ApplyDecoherence(recCreated, s.Faults)
 			for _, seg := range recCreated {

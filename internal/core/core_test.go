@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"see/internal/flow"
 	"see/internal/graph"
 	"see/internal/qnet"
+	"see/internal/sched"
 	"see/internal/segment"
 	"see/internal/topo"
 	"see/internal/xrand"
@@ -342,13 +344,49 @@ func TestFullPathOnlyEngineActsAsE2E(t *testing.T) {
 	}
 }
 
+// stitchOnly drives the engine's ECE through sched.Runner over hand-built
+// segments: no plan phase, an empty creation plan, and a physical phase
+// that realizes exactly segs for the given provisioned paths.
+type stitchOnly struct {
+	e           *Engine
+	provisioned []PlannedPath
+	segs        []*qnet.Segment
+}
+
+func (p *stitchOnly) PlanPhase(*sched.Slot) bool { return false }
+
+func (p *stitchOnly) ReservePhase(*sched.Slot) (plan, held qnet.AttemptPlan, err error) {
+	return nil, nil, nil
+}
+
+func (p *stitchOnly) PhysicalHook(s *sched.Slot) {
+	s.Created = p.segs
+	p.e.scratch().provisioned = p.provisioned
+}
+
+func (p *stitchOnly) StitchPhase(s *sched.Slot) ([]*qnet.Connection, int, int) {
+	return p.e.StitchPhase(s)
+}
+
+// runECE runs one stitch-only slot and returns the established connections
+// and the assembly attempts (established + swap-failed).
+func runECE(t *testing.T, e *Engine, provisioned []PlannedPath, segs []*qnet.Segment, rng *rand.Rand) ([]*qnet.Connection, int) {
+	t.Helper()
+	res, err := e.Run(&stitchOnly{e: e, provisioned: provisioned, segs: segs}, rng,
+		&sched.SlotResult{PerPair: make([]int, len(e.Pairs))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Connections, res.Assembled
+}
+
 func TestEstablishConnectionsUsesLeftovers(t *testing.T) {
 	// No provisioned paths, but realized segments exist: phase B must
 	// still build connections.
 	e := motivationEngine(t, DefaultOptions())
 	s2d2 := e.Set.Best(topo.MotivS2, topo.MotivD2)
 	segs := []*qnet.Segment{{A: s2d2.U(), B: s2d2.V(), Cand: s2d2}}
-	conns, attempts, _ := e.establishFromPoolScratch(nil, qnet.NewPool(segs), xrand.New(1), e.scratch())
+	conns, attempts := runECE(t, e, nil, segs, xrand.New(1))
 	if len(conns) != 1 || attempts != 1 {
 		t.Fatalf("assembled %d connections from leftovers, want 1", len(conns))
 	}
@@ -387,7 +425,7 @@ func TestEstablishConnectionsPrefersHighSwapJunctions(t *testing.T) {
 		return &qnet.Segment{A: c.U(), B: c.V(), Cand: c}
 	}
 	segs := []*qnet.Segment{mk(0, 1), mk(1, 3), mk(0, 2), mk(2, 3)}
-	conns, attempts, _ := e.establishFromPoolScratch(nil, qnet.NewPool(segs), xrand.New(5), e.scratch())
+	conns, attempts := runECE(t, e, nil, segs, xrand.New(5))
 	// ConnCap is 4, so ECE keeps going: first the high-q route, then the
 	// low-q leftovers.
 	if len(conns) != 2 || attempts != 2 {
@@ -569,7 +607,7 @@ func TestECEAgainstMaxFlowBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		created := qnet.AttemptAll(plan, rng)
+		created := qnet.AttemptAll(plan, rng, nil, nil, nil)
 		// Max-flow bound over realized segment multiplicities.
 		counts := map[segment.PairKey]int{}
 		for _, s := range created {
@@ -583,7 +621,7 @@ func TestECEAgainstMaxFlowBound(t *testing.T) {
 		if bound > e.ConnCap[0] {
 			bound = e.ConnCap[0]
 		}
-		conns, attempts, _ := e.establishFromPoolScratch(provisioned, qnet.NewPool(created), rng, e.scratch())
+		conns, attempts := runECE(t, e, provisioned, created, rng)
 		if attempts > 0 && len(conns) != attempts {
 			t.Fatalf("seed %d: q=1 but %d of %d assemblies failed", seed, attempts-len(conns), attempts)
 		}

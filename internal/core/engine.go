@@ -249,13 +249,35 @@ func (e *Engine) ReservePhase(s *sched.Slot) (plan, held qnet.AttemptPlan, err e
 // physical phase.
 func (e *Engine) PhysicalHook(*sched.Slot) {}
 
-// StitchPhase implements sched.SlotPhases with steps iii–iv, ECE: it
-// assembles connections from the realized segments, sampling swaps as it
-// goes; failed swaps consume segments but spare (redundant) segments allow
-// further attempts.
+// StitchPhase implements sched.SlotPhases with steps iii–iv, ECE
+// (Algorithm 3): lines 2–6 satisfy the provisioned paths whose segments
+// all realized (sched.Slot.StitchFixed), then lines 7–15 build extra
+// connections for under-served SD pairs from the leftovers by repeated
+// shortest path on the auxiliary graph (sched.Slot.StitchRoutes).
+//
+// Swapping is sampled as each connection is assembled: a failed swap
+// consumes the connection's segments but leaves the SD pair eligible, so
+// redundant segments — which the provisioning LP paid for through the
+// √(q_u·q_v) apportioning of constraint (1d) — back up swap failures. This
+// is what makes redundant provisioning compensate swapping losses (and it
+// is the only reading under which the paper's Fig. 5 scaling and the
+// SEE→E2E convergence at low q are reproducible).
 func (e *Engine) StitchPhase(s *sched.Slot) ([]*qnet.Connection, int, int) {
 	sc := e.scratch()
-	return e.establishFromPoolScratch(sc.provisioned, s.Pool, s.Rng, sc)
+	// The provisioned paths as the Runner's fixed paths, over buffers
+	// recycled from the slot scratch.
+	fixed, keys := sc.fixed[:0], sc.hopKeys[:0]
+	for _, p := range sc.provisioned {
+		from := len(keys)
+		for _, hop := range p.Hops {
+			keys = append(keys, hop.Pair)
+		}
+		fixed = append(fixed, sched.FixedPath{Commodity: p.Commodity, Nodes: p.Nodes, Hops: keys[from:]})
+	}
+	sc.fixed, sc.hopKeys = fixed, keys
+	conns, assembled, floorRejected := s.StitchFixed(fixed, e.ConnCap)
+	more, a, f := s.StitchRoutes(e.Pairs, e.ConnCap)
+	return append(conns, more...), assembled + a, floorRejected + f
 }
 
 // carryAwareSolve re-prices the LP with the slot's banked inventory folded

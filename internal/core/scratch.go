@@ -2,8 +2,8 @@ package core
 
 import (
 	"see/internal/flow"
-	"see/internal/graph"
 	"see/internal/qnet"
+	"see/internal/sched"
 	"see/internal/segment"
 )
 
@@ -27,12 +27,10 @@ type slotScratch struct {
 	// to phase within the slot.
 	planned, provisioned []PlannedPath
 
-	// ECE: per-pair counters, auxiliary stitch graph and the
-	// targeted-Dijkstra buffers.
-	perPair  []int
-	aux      *graph.Graph
-	auxPairs []segment.PairKey
-	dij      graph.DijkstraScratch
+	// ECE: the provisioned paths as sched.FixedPaths, and the flat
+	// backing array of their hop keys.
+	fixed   []sched.FixedPath
+	hopKeys []segment.PairKey
 }
 
 // escCandidate is one precomputed backup-provisioning choice: the best
@@ -52,8 +50,6 @@ func (e *Engine) scratch() *slotScratch {
 			expected: make(map[segment.PairKey]float64),
 			demand:   make(map[segment.PairKey]int),
 			attempts: make(map[segment.PairKey]int),
-			perPair:  make([]int, len(e.Pairs)),
-			aux:      graph.New(e.Net.NumNodes()),
 		}
 	}
 	return e.slot

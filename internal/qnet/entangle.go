@@ -122,29 +122,6 @@ type CapacityModel interface {
 	CapAttempts(c *segment.Candidate, want int) int
 }
 
-// AttemptAll performs the physical phase: every reserved attempt succeeds
-// independently with its candidate's probability. The result is sorted
-// deterministically (by endpoint pair, then candidate path) so a fixed rng
-// yields a fixed outcome regardless of map iteration order.
-func AttemptAll(plan AttemptPlan, rng *rand.Rand) []*Segment {
-	return AttemptAllObserved(plan, rng, nil)
-}
-
-// AttemptAllObserved is AttemptAll with a per-attempt observer (may be
-// nil). The observer sees attempts in the same deterministic order and
-// does not affect the rng stream.
-func AttemptAllObserved(plan AttemptPlan, rng *rand.Rand, obs AttemptObserver) []*Segment {
-	return AttemptAllFaulty(plan, rng, nil, obs)
-}
-
-// AttemptAllFaulty is AttemptAllObserved under a fault model (may be nil):
-// attempts whose candidate is blocked fail deterministically, consuming no
-// randomness, so the rng stream of the surviving attempts — and with it the
-// whole slot — is a pure function of (engine seed, fault plan).
-func AttemptAllFaulty(plan AttemptPlan, rng *rand.Rand, fm FaultModel, obs AttemptObserver) []*Segment {
-	return AttemptAllFaultyScratch(plan, rng, fm, obs, nil)
-}
-
 // AttemptScratch holds the reusable per-slot buffers of the physical
 // phase. Only the candidate ordering buffer lives here: realized segments
 // themselves are slab-allocated fresh each call, because banked segments
@@ -154,9 +131,18 @@ type AttemptScratch struct {
 	cands []*segment.Candidate
 }
 
-// AttemptAllFaultyScratch is AttemptAllFaulty reusing sc's buffers (nil
-// behaves like AttemptAllFaulty). Identical rng consumption and results.
-func AttemptAllFaultyScratch(plan AttemptPlan, rng *rand.Rand, fm FaultModel, obs AttemptObserver, sc *AttemptScratch) []*Segment {
+// AttemptAll performs the physical phase: every reserved attempt succeeds
+// independently with its candidate's probability. The result is sorted
+// deterministically (by endpoint pair, then candidate path) so a fixed rng
+// yields a fixed outcome regardless of map iteration order.
+//
+// Every argument after rng may be nil. Under a fault model, attempts whose
+// candidate is blocked fail deterministically, consuming no randomness, so
+// the rng stream of the surviving attempts — and with it the whole slot —
+// is a pure function of (engine seed, fault plan). The observer sees every
+// attempt in the same deterministic order and does not affect the rng
+// stream. A scratch recycles the candidate-ordering buffer across calls.
+func AttemptAll(plan AttemptPlan, rng *rand.Rand, fm FaultModel, obs AttemptObserver, sc *AttemptScratch) []*Segment {
 	cm, _ := fm.(CapacityModel)
 	var sorted []*segment.Candidate
 	if sc != nil {
@@ -356,7 +342,7 @@ type Connection struct {
 	// nodes.
 	Segments []*Segment
 	// Spares are extra segments consumed by junction-level swap retries
-	// (see EstablishWithRetries).
+	// (see EstablishOrderedObserved).
 	Spares []*Segment
 	// Fidelity is the delivered end-to-end fidelity under the default
 	// Werner model, recorded when the connection is established (0 until
@@ -392,17 +378,6 @@ func (c *Connection) Validate() error {
 	return nil
 }
 
-// Swap performs the quantum swapping at every junction; the connection is
-// established only if all swaps succeed (paper step iv).
-func (c *Connection) Swap(net *topo.Network, rng *rand.Rand) bool {
-	for _, u := range c.Junctions() {
-		if !xrand.Bernoulli(rng, net.SwapProb[u]) {
-			return false
-		}
-	}
-	return true
-}
-
 // SuccessProb returns the analytic probability that all junction swaps
 // succeed in a single pass (no retries).
 func (c *Connection) SuccessProb(net *topo.Network) float64 {
@@ -413,7 +388,10 @@ func (c *Connection) SuccessProb(net *topo.Network) float64 {
 	return p
 }
 
-// EstablishWithRetries performs the connection's junction swaps with
+// SwapObserver is notified of each sampled quantum swap's outcome.
+type SwapObserver func(junction int, ok bool)
+
+// EstablishOrderedObserved performs the connection's junction swaps with
 // segment-level retries: when the swap at a junction fails, the two photons
 // it measured are lost, but if the pool still holds a spare segment for
 // each of the junction's incident hops, the junction re-creates its local
@@ -424,27 +402,14 @@ func (c *Connection) SuccessProb(net *topo.Network) float64 {
 //
 // Consumed spares are recorded in c.Spares. The return value reports
 // whether every junction eventually succeeded; on failure all consumed
-// segments stay consumed (the photons are gone either way).
-func (c *Connection) EstablishWithRetries(net *topo.Network, pool *Pool, rng *rand.Rand) bool {
-	return c.EstablishWithRetriesObserved(net, pool, rng, nil)
-}
-
-// SwapObserver is notified of each sampled quantum swap's outcome.
-type SwapObserver func(junction int, ok bool)
-
-// EstablishWithRetriesObserved is EstablishWithRetries with a per-swap
-// observer (may be nil); the observer does not affect the rng stream.
-func (c *Connection) EstablishWithRetriesObserved(net *topo.Network, pool *Pool, rng *rand.Rand, obs SwapObserver) bool {
-	return c.EstablishOrderedObserved(net, pool, rng, obs, SwapOrderPath)
-}
-
-// EstablishOrderedObserved is EstablishWithRetriesObserved under an
-// explicit swap-order policy. SwapOrderPath consumes the rng stream
-// byte-identically to the historical source-to-destination loop;
-// SwapOrderGreedy visits junctions in ascending swap probability (ties by
-// path position), so connections doomed by an unreliable junction fail
-// before reliable junctions burn rng draws and spare segments. On success
-// the delivered Fidelity is recorded from the connection's segments —
+// segments stay consumed (the photons are gone either way). The observer
+// (may be nil) sees every sampled swap and does not affect the rng stream.
+//
+// SwapOrderPath visits the junctions from source to destination;
+// SwapOrderGreedy visits them in ascending swap probability (ties by path
+// position), so connections doomed by an unreliable junction fail before
+// reliable junctions burn rng draws and spare segments. On success the
+// delivered Fidelity is recorded from the connection's segments —
 // swap-order-independent by the Werner algebra's commutativity.
 func (c *Connection) EstablishOrderedObserved(net *topo.Network, pool *Pool, rng *rand.Rand, obs SwapObserver, order SwapOrder) bool {
 	established := true

@@ -1,7 +1,8 @@
 // Package qnet models the quantum-network runtime state inside one time
 // slot: channel/memory ledgers with overdraft protection, entanglement
 // segments and connections, the stochastic physical phase (segment creation
-// attempts, quantum swapping) and qubit teleportation.
+// attempts, quantum swapping) and the Werner-state fidelity model behind
+// the fidelity floors.
 package qnet
 
 import (

@@ -98,8 +98,8 @@ func TestAttemptAllDeterministicAndDistributed(t *testing.T) {
 	set, _ := motivationSet(t)
 	c := set.Best(topo.MotivS1, topo.MotivR1) // p = 0.9
 	plan := AttemptPlan{c: 1000}
-	a := AttemptAll(plan, xrand.New(5))
-	b := AttemptAll(plan, xrand.New(5))
+	a := AttemptAll(plan, xrand.New(5), nil, nil, nil)
+	b := AttemptAll(plan, xrand.New(5), nil, nil, nil)
 	if len(a) != len(b) {
 		t.Fatal("AttemptAll not deterministic for a fixed seed")
 	}
@@ -177,12 +177,12 @@ func TestConnectionJunctionsAndSwap(t *testing.T) {
 	if math.Abs(conn.SuccessProb(net)-0.9) > 1e-12 {
 		t.Fatalf("SuccessProb = %v, want 0.9", conn.SuccessProb(net))
 	}
-	// Monte-Carlo swap matches the analytic probability.
+	// Monte-Carlo swap without spares matches the analytic probability.
 	rng := xrand.New(12)
 	ok := 0
 	const n = 20000
 	for i := 0; i < n; i++ {
-		if conn.Swap(net, rng) {
+		if conn.EstablishOrderedObserved(net, NewPool(nil), rng, nil, SwapOrderPath) {
 			ok++
 		}
 	}
@@ -222,69 +222,6 @@ func TestConnectionValidate(t *testing.T) {
 	}
 }
 
-func TestQubitNormalizationAndFidelity(t *testing.T) {
-	q := NewQubit(complex(3, 0), complex(4, 0))
-	norm := real(q.Alpha)*real(q.Alpha) + real(q.Beta)*real(q.Beta)
-	if math.Abs(norm-1) > 1e-12 {
-		t.Fatalf("norm = %v, want 1", norm)
-	}
-	if NewQubit(0, 0).Alpha != 1 {
-		t.Fatal("zero vector must normalize to |0>")
-	}
-	a := NewQubit(1, 0)
-	b := NewQubit(0, 1)
-	if Fidelity(a, a) < 1-1e-12 || Fidelity(a, b) > 1e-12 {
-		t.Fatal("fidelity of identical/orthogonal states wrong")
-	}
-	if Fidelity(nil, a) != 0 {
-		t.Fatal("nil fidelity must be 0")
-	}
-}
-
-func TestRandomQubitNormalized(t *testing.T) {
-	rng := xrand.New(3)
-	for i := 0; i < 100; i++ {
-		q := RandomQubit(rng)
-		n := Fidelity(q, q)
-		if math.Abs(n-1) > 1e-9 {
-			t.Fatalf("random qubit not normalized: %v", n)
-		}
-	}
-}
-
-func TestTeleportMovesState(t *testing.T) {
-	set, _ := motivationSet(t)
-	conn := buildConnection(t, set)
-	rng := xrand.New(9)
-	data := RandomQubit(rng)
-	ref := NewQubit(data.Alpha, data.Beta)
-	out := Teleport(conn, data)
-	if out == nil {
-		t.Fatal("teleport returned nil")
-	}
-	if Fidelity(out, ref) < 1-1e-12 {
-		t.Fatal("state not transferred faithfully")
-	}
-	if !data.Collapsed() {
-		t.Fatal("source qubit must collapse (no-cloning)")
-	}
-	if Fidelity(data, ref) != 0 {
-		t.Fatal("collapsed qubit must have zero fidelity")
-	}
-	for _, s := range conn.Segments {
-		if !s.Consumed() {
-			t.Fatal("teleport must consume the connection's segments")
-		}
-	}
-	// A collapsed qubit cannot be teleported again.
-	if Teleport(conn, data) != nil {
-		t.Fatal("teleporting a collapsed qubit must fail")
-	}
-	if Teleport(conn, nil) != nil {
-		t.Fatal("teleporting nil must fail")
-	}
-}
-
 func TestEstablishWithRetriesNoJunctions(t *testing.T) {
 	set, net := motivationSet(t)
 	c := set.Best(topo.MotivS2, topo.MotivD2)
@@ -294,7 +231,7 @@ func TestEstablishWithRetriesNoJunctions(t *testing.T) {
 		Segments: []*Segment{{A: c.U(), B: c.V(), Cand: c}},
 	}
 	pool := NewPool(nil)
-	if !conn.EstablishWithRetries(net, pool, xrand.New(1)) {
+	if !conn.EstablishOrderedObserved(net, pool, xrand.New(1), nil, SwapOrderPath) {
 		t.Fatal("junction-free connection must always establish")
 	}
 	if len(conn.Spares) != 0 {
@@ -322,7 +259,7 @@ func TestEstablishWithRetriesConsumesSpares(t *testing.T) {
 		Segments: []*Segment{mk(cl), mk(cs)},
 	}
 	rng := xrand.New(7)
-	if !conn.EstablishWithRetries(net, pool, rng) {
+	if !conn.EstablishOrderedObserved(net, pool, rng, nil, SwapOrderPath) {
 		t.Fatal("establishment with 200 spares at q=0.2 should succeed")
 	}
 	if len(conn.Spares) == 0 {
@@ -350,7 +287,7 @@ func TestEstablishWithRetriesFailsWithoutSpares(t *testing.T) {
 		Nodes:    graph.Path{topo.MotivS1, topo.MotivR1, topo.MotivD1},
 		Segments: []*Segment{mk(cl), mk(cs)},
 	}
-	if conn.EstablishWithRetries(net, pool, xrand.New(3)) {
+	if conn.EstablishOrderedObserved(net, pool, xrand.New(3), nil, SwapOrderPath) {
 		t.Fatal("q=0 with empty pool must fail")
 	}
 }
@@ -377,7 +314,7 @@ func TestEstablishWithRetriesGeometric(t *testing.T) {
 			Nodes:    graph.Path{topo.MotivS1, topo.MotivR1, topo.MotivD1},
 			Segments: []*Segment{mk(cl), mk(cs)},
 		}
-		if !conn.EstablishWithRetries(net, pool, rng) {
+		if !conn.EstablishOrderedObserved(net, pool, rng, nil, SwapOrderPath) {
 			t.Fatal("establishment with 100 spares at q=0.5 failed")
 		}
 		totalSpares += len(conn.Spares)

@@ -21,7 +21,6 @@ import (
 	"sort"
 
 	"see/internal/flow"
-	"see/internal/graph"
 	"see/internal/qnet"
 	"see/internal/sched"
 	"see/internal/segment"
@@ -78,12 +77,6 @@ type Engine struct {
 	sched.Runner
 
 	opts Options
-	// EPS's reusable per-slot buffers; the same lifetime rule as
-	// core.slotScratch applies — nothing in them may outlive the slot.
-	perPair  []int
-	aux      *graph.Graph
-	auxPairs []segment.PairKey
-	dij      graph.DijkstraScratch
 }
 
 var (
@@ -137,8 +130,6 @@ func NewEngineCtx(ctx context.Context, net *topo.Network, pairs []topo.SDPair, o
 		ConnCap: connCap,
 		Runner:  sched.NewRunner(opts.Slot, net, set.CandidateFor),
 		opts:    opts,
-		perPair: make([]int, len(pairs)),
-		aux:     graph.New(net.NumNodes()),
 	}
 	if err := e.provision(ctx); err != nil {
 		return nil, err
@@ -330,99 +321,12 @@ func (e *Engine) PhysicalHook(*sched.Slot) {}
 
 // StitchPhase implements sched.SlotPhases with EPS: round-robin over SD
 // pairs, repeatedly routing each on the realized entanglement links via
-// shortest path with junction weight −ln q, until no pair can be served.
-// Swapping is sampled per assembled connection; a failure consumes the
-// links but the pair stays eligible, so redundant links back up failed
-// swaps (see the matching note on ECE in internal/core).
+// shortest path with junction weight −ln q, until no pair can be served
+// (sched.Slot.StitchRoutes, the routed stage SEE's ECE shares). Swapping
+// is sampled per assembled connection; a failure consumes the links but
+// the pair stays eligible, so redundant links back up failed swaps.
 func (e *Engine) StitchPhase(s *sched.Slot) ([]*qnet.Connection, int, int) {
-	pool := s.Pool
-	attempts := 0
-	floorRejected := 0
-	fp := qnet.NewFloorPolicy(e.SlotConfig().FidelityFloors, e.Net)
-	var floorDead []bool // pairs whose best route missed the floor
-	aux := e.aux
-	aux.Reset()
-	auxPairs := e.auxPairs[:0]
-	pairsWith := pool.Pairs()
-	if auxPairs == nil {
-		auxPairs = make([]segment.PairKey, 0, len(pairsWith))
-	}
-	for _, pk := range pairsWith {
-		aux.AddEdge(pk.U, pk.V, 1)
-		auxPairs = append(auxPairs, pk)
-	}
-	e.auxPairs = auxPairs
-	nodeWeight := func(u int) float64 {
-		q := e.Net.SwapProb[u]
-		if q <= 0 {
-			return 1e9
-		}
-		return -math.Log(q)
-	}
-	edgeWeight := func(id int, _ float64) float64 {
-		if pool.Available(auxPairs[id]) >= 1 {
-			return 1e-5
-		}
-		return 1e9
-	}
-	perPair := e.perPair
-	clear(perPair)
-	var out []*qnet.Connection
-	for {
-		progress := false
-		for i, sd := range e.Pairs {
-			if perPair[i] >= e.ConnCap[i] {
-				continue
-			}
-			if floorDead != nil && floorDead[i] {
-				continue
-			}
-			path, dist := graph.ShortestPathTarget(aux, sd.S, sd.D, graph.DijkstraOptions{
-				NodeWeight: nodeWeight,
-				EdgeWeight: edgeWeight,
-			}, &e.dij)
-			if path == nil || dist >= 1e8 {
-				continue
-			}
-			conn := &qnet.Connection{Pair: i, Nodes: path}
-			ok := true
-			for h := 0; h+1 < len(path); h++ {
-				seg := fp.Take(pool, i, segment.MakePairKey(path[h], path[h+1]))
-				if seg == nil {
-					ok = false
-					break
-				}
-				conn.Segments = append(conn.Segments, seg)
-			}
-			if !ok {
-				for _, s := range conn.Segments {
-					pool.Return(s)
-				}
-				continue
-			}
-			if fp.Rejects(i, conn.Segments) {
-				for _, s := range conn.Segments {
-					pool.Return(s)
-				}
-				if floorDead == nil {
-					floorDead = make([]bool, len(e.Pairs))
-				}
-				floorDead[i] = true
-				floorRejected++
-				e.Tracer().Incident(sched.IncidentFloorReject, 1)
-				continue
-			}
-			progress = true
-			attempts++
-			if s.Establish(conn) {
-				out = append(out, conn)
-				perPair[i]++
-			}
-		}
-		if !progress {
-			return out, attempts, floorRejected
-		}
-	}
+	return s.StitchRoutes(e.Pairs, e.ConnCap)
 }
 
 // UpperBound returns the provisioning LP optimum.

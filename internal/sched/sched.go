@@ -14,7 +14,9 @@
 // a Tracer hook with per-phase callbacks so callers can observe where
 // throughput is lost (attempts reserved vs. segments created vs. swaps
 // survived) without reaching into engine internals, and one slot skeleton
-// (Runner, slot.go) that owns everything between the phases. Engines live
+// (Runner, slot.go) that owns everything between the phases, plus the two
+// stitch loops every engine's stitch phase is built from (StitchFixed over
+// fixed paths, StitchRoutes by shortest path over the pool). Engines live
 // in internal/core (SEE, SEE-Aware, E2E), internal/reps, internal/greedy,
 // internal/contend (Contend, Contend-Aware, QPass) and internal/oracle;
 // the factory that builds one by Algorithm is internal/engines.

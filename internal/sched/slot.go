@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -103,11 +104,17 @@ type Runner struct {
 	bank    *state.Bank
 
 	// Reused per-slot state: the slot context, the attempt-ordering
-	// scratch, the segment pool and Slot.StitchFixed's per-pair counters.
-	slot    Slot
-	att     qnet.AttemptScratch
-	pool    *qnet.Pool
-	perPair []int
+	// scratch, the segment pool, the stitch loops' shared per-pair
+	// connection counters and StitchRoutes' auxiliary graph, its edge
+	// table and the targeted-Dijkstra buffers. None of it outlives the
+	// slot.
+	slot     Slot
+	att      qnet.AttemptScratch
+	pool     *qnet.Pool
+	perPair  []int
+	aux      *graph.Graph
+	auxPairs []segment.PairKey
+	dij      graph.DijkstraScratch
 	// Tracer adapters, bound once so slots allocate no method values.
 	observe qnet.AttemptObserver
 	swapObs qnet.SwapObserver
@@ -150,8 +157,10 @@ func (r *Runner) Bank() *state.Bank { return r.bank }
 //     the creation plan then the held plan; PhaseReserve.
 //  4. The planned attempts and memory decoherence; PhysicalHook; fault,
 //     flap and brownout incidents; PhasePhysical.
-//  5. StitchPhase over Withdrawn ++ Created; every connection validated
-//     and counted; the leftovers deposited; PhaseStitch; SlotEnd.
+//  5. StitchPhase over Withdrawn ++ Created, with the per-pair
+//     connection counters of StitchFixed and StitchRoutes zeroed; every
+//     connection validated and counted; the leftovers deposited;
+//     PhaseStitch; SlotEnd.
 //
 // res carries the engine's fixed fields (LPObjective, PerPair sized to the
 // demand set, and any per-slot constants). The rng is consumed only by
@@ -212,7 +221,7 @@ func (r *Runner) Run(ph SlotPhases, rng *rand.Rand, res *SlotResult) (*SlotResul
 	tr.PhaseDone(PhaseReserve, time.Since(t0))
 
 	t0 = time.Now()
-	created := qnet.AttemptAllFaultyScratch(plan, rng, s.Faults, s.ObserveAttempt, &r.att)
+	created := qnet.AttemptAll(plan, rng, s.Faults, s.ObserveAttempt, &r.att)
 	res.SegmentsCreated = len(created)
 	// Memory decoherence loses realized segments before the stitch phase;
 	// SegmentsCreated still reconciles with the created=true events.
@@ -245,6 +254,10 @@ func (r *Runner) Run(ph SlotPhases, rng *rand.Rand, res *SlotResult) (*SlotResul
 		r.pool.Reset(segs)
 	}
 	s.Pool = r.pool
+	if len(r.perPair) != len(res.PerPair) {
+		r.perPair = make([]int, len(res.PerPair))
+	}
+	clear(r.perPair)
 	conns, assembled, floorRejected := ph.StitchPhase(s)
 	res.Assembled = assembled
 	res.FloorRejected = floorRejected
@@ -323,14 +336,16 @@ func (f *FixedPlan) StitchPhase(s *Slot) ([]*qnet.Connection, int, int) {
 // (the highest-fidelity one for floored pairs), until a sweep makes no
 // progress, so redundant segments retry failed swaps. A path whose best
 // composition misses its floor is floor-dead for the rest of the slot.
+//
+// Swapping is sampled as each connection is assembled: a failed swap
+// consumes the connection's segments but leaves its pair eligible, so
+// redundant segments back up swap failures. A pair is served until its
+// count of connections established this slot, shared with StitchRoutes,
+// reaches connCap.
 func (s *Slot) StitchFixed(paths []FixedPath, connCap []int) (conns []*qnet.Connection, assembled, floorRejected int) {
 	r := s.r
 	pool := s.Pool
-	if len(r.perPair) != len(connCap) {
-		r.perPair = make([]int, len(connCap))
-	}
 	perPair := r.perPair
-	clear(perPair)
 	fp := qnet.NewFloorPolicy(r.cfg.FidelityFloors, r.net)
 	var floorDead []bool // paths proven unable to meet their floor
 	for {
@@ -370,7 +385,7 @@ func (s *Slot) StitchFixed(paths []FixedPath, connCap []int) (conns []*qnet.Conn
 			}
 			assembled++
 			progress = true
-			if s.Establish(conn) {
+			if s.establish(conn) {
 				conns = append(conns, conn)
 				perPair[p.Commodity]++
 			}
@@ -381,9 +396,117 @@ func (s *Slot) StitchFixed(paths []FixedPath, connCap []int) (conns []*qnet.Conn
 	}
 }
 
-// Establish samples an assembled connection's swaps from the slot's pool
+// Auxiliary-graph weights of StitchRoutes (the paper's Algorithm 3).
+const (
+	routeAvailableWeight = 1e-5
+	routeMissingWeight   = 1e9
+	// routeRejectThreshold rejects any route that traverses a missing
+	// segment: a usable route costs at most hops·1e-5 + Σ(−ln q), far
+	// below 1e8 for any q the simulator produces.
+	routeRejectThreshold = 1e8
+)
+
+// StitchRoutes is the floor-checked routed stitch loop: round-robin over
+// the SD pairs, routing each on the auxiliary graph of the pool's
+// remaining segments by shortest path (node weight −ln q, edge weight
+// 1e-5 while the endpoint pair has a segment left, 1e9 once it has none),
+// until a round makes no progress. It is ECE's second stage (Algorithm 3,
+// lines 7–15) after StitchFixed, and all of REPS's path selection. A pair
+// whose best route misses its floor is floor-dead for the rest of the
+// slot. Swaps are sampled and pairs capped as in StitchFixed, against the
+// same per-pair counters.
+func (s *Slot) StitchRoutes(pairs []topo.SDPair, connCap []int) (conns []*qnet.Connection, assembled, floorRejected int) {
+	r := s.r
+	pool := s.Pool
+	perPair := r.perPair
+	fp := qnet.NewFloorPolicy(r.cfg.FidelityFloors, r.net)
+	// One aux edge per endpoint pair with a segment left, rebuilt in place
+	// over the previous slot's backing arrays.
+	if r.aux == nil {
+		r.aux = graph.New(r.net.NumNodes())
+	}
+	aux := r.aux
+	aux.Reset()
+	auxPairs := r.auxPairs[:0]
+	for _, pk := range pool.Pairs() {
+		aux.AddEdge(pk.U, pk.V, routeAvailableWeight)
+		auxPairs = append(auxPairs, pk)
+	}
+	r.auxPairs = auxPairs
+	opts := graph.DijkstraOptions{
+		NodeWeight: func(u int) float64 {
+			q := r.net.SwapProb[u]
+			if q <= 0 {
+				return routeMissingWeight
+			}
+			return -math.Log(q)
+		},
+		EdgeWeight: func(id int, _ float64) float64 {
+			if pool.Available(auxPairs[id]) >= 1 {
+				return routeAvailableWeight
+			}
+			return routeMissingWeight
+		},
+	}
+	var floorDead []bool // pairs whose best route missed the floor
+	for {
+		progress := false
+		for i, sd := range pairs {
+			if perPair[i] >= connCap[i] {
+				continue
+			}
+			if floorDead != nil && floorDead[i] {
+				continue
+			}
+			path, dist := graph.ShortestPathTarget(aux, sd.S, sd.D, opts, &r.dij)
+			if path == nil || dist >= routeRejectThreshold {
+				continue
+			}
+			conn := &qnet.Connection{Pair: i, Nodes: path}
+			ok := true
+			for h := 0; h+1 < len(path); h++ {
+				seg := fp.Take(pool, i, segment.MakePairKey(path[h], path[h+1]))
+				if seg == nil {
+					// Unreachable while the weights are consistent.
+					ok = false
+					break
+				}
+				conn.Segments = append(conn.Segments, seg)
+			}
+			if !ok {
+				for _, seg := range conn.Segments {
+					pool.Return(seg)
+				}
+				continue
+			}
+			if fp.Rejects(i, conn.Segments) {
+				for _, seg := range conn.Segments {
+					pool.Return(seg)
+				}
+				if floorDead == nil {
+					floorDead = make([]bool, len(pairs))
+				}
+				floorDead[i] = true
+				floorRejected++
+				r.tracer.Incident(IncidentFloorReject, 1)
+				continue
+			}
+			assembled++
+			progress = true
+			if s.establish(conn) {
+				conns = append(conns, conn)
+				perPair[i]++
+			}
+		}
+		if !progress {
+			return conns, assembled, floorRejected
+		}
+	}
+}
+
+// establish samples an assembled connection's swaps from the slot's pool
 // in the configured swap order and reports the assembly to the tracer.
-func (s *Slot) Establish(conn *qnet.Connection) bool {
+func (s *Slot) establish(conn *qnet.Connection) bool {
 	r := s.r
 	ok := conn.EstablishOrderedObserved(r.net, s.Pool, s.Rng, r.swapObs, r.cfg.SwapOrder)
 	r.tracer.ConnectionAssembled(conn.Pair, ok)

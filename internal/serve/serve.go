@@ -23,7 +23,6 @@ import (
 
 	"see/internal/metrics"
 	"see/internal/sched"
-	"see/internal/warm"
 	"see/internal/xrand"
 )
 
@@ -94,13 +93,6 @@ type Config struct {
 	// included in checkpoints and restored on resume. It must be the same
 	// tracer wired into the engine's construction.
 	Tracer *sched.CountingTracer
-	// Warm, when non-nil, is the warm-start cache used to build the
-	// server's engine. Its hit/miss counters ride along in checkpoints (an
-	// optional section — older checkpoints restore fine without it) so a
-	// resumed service reports cache effectiveness across restarts. The
-	// cached artifacts themselves are never serialized: a restart rebuilds
-	// them from the topology, byte-identically.
-	Warm *warm.Cache
 }
 
 // ClassCounts accumulates one QoS tier's lifecycle counters.

@@ -5,7 +5,6 @@ import (
 
 	"see/internal/ckpt"
 	"see/internal/sched"
-	"see/internal/warm"
 	"see/internal/xrand"
 )
 
@@ -17,7 +16,6 @@ const (
 	secServe  = "serve"  // queues, counters, arrival phase
 	secEngine = "engine" // sched.EngineState tree
 	secTracer = "tracer" // CountingTracer offsets (optional)
-	secWarm   = "warm"   // warm-cache hit/miss counters (optional)
 )
 
 // Snapshot captures the full server state at the current slot boundary:
@@ -82,19 +80,6 @@ func (s *Server) Snapshot() (*ckpt.Snapshot, error) {
 		snap.Add(secTracer, t.Bytes())
 	}
 
-	// Warm-cache counters are observability state, not replay state: the
-	// cached LP solutions and candidate sets rebuild byte-identically from
-	// the topology, so only the lifetime hit/miss tallies are carried.
-	if s.cfg.Warm != nil {
-		w := &ckpt.Encoder{}
-		ws := s.cfg.Warm.Stats()
-		w.Uvarint(ws.SetHits)
-		w.Uvarint(ws.SetMisses)
-		w.Uvarint(ws.SolveHits)
-		w.Uvarint(ws.SolveMisses)
-		w.Uvarint(ws.Invalidations)
-		snap.Add(secWarm, w.Bytes())
-	}
 	return snap, nil
 }
 
@@ -210,24 +195,6 @@ func (s *Server) Restore(snap *ckpt.Snapshot) error {
 		}
 	}
 
-	// Warm counters are optional both ways: a checkpoint from a cold
-	// server restores into a warm one (counters start fresh) and vice
-	// versa — unlike the tracer, the cache changes no observable output,
-	// so presence is not part of the replay contract.
-	var warmStats warm.Stats
-	warmRaw, hasWarm := snap.Section(secWarm)
-	if hasWarm && s.cfg.Warm != nil {
-		wd := ckpt.NewDecoder(warmRaw)
-		warmStats.SetHits = wd.Uvarint()
-		warmStats.SetMisses = wd.Uvarint()
-		warmStats.SolveHits = wd.Uvarint()
-		warmStats.SolveMisses = wd.Uvarint()
-		warmStats.Invalidations = wd.Uvarint()
-		if err := wd.Finish(); err != nil {
-			return fmt.Errorf("serve: warm section: %w", err)
-		}
-	}
-
 	// All sections parsed and validated — apply. The arrival phase goes
 	// first, before anything touches the engine: the process validates it
 	// and is reverted if the engine restore (the only other step that can
@@ -251,9 +218,6 @@ func (s *Server) Restore(snap *ckpt.Snapshot) error {
 	s.stream = xrand.Restore(cursor)
 	if s.cfg.Tracer != nil {
 		s.cfg.Tracer.RestoreCounts(tracerCounts)
-	}
-	if hasWarm && s.cfg.Warm != nil {
-		s.cfg.Warm.RestoreStats(warmStats)
 	}
 	return nil
 }

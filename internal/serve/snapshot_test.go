@@ -13,7 +13,6 @@ import (
 	"see/internal/sched"
 	"see/internal/sched/schedtest"
 	"see/internal/topo"
-	"see/internal/warm"
 )
 
 // serveFixture is everything needed to build identically configured
@@ -308,68 +307,5 @@ func TestRestoreTracerPresenceMismatch(t *testing.T) {
 	bare.cfg.Tracer = nil
 	if err := bare.Restore(snap); err == nil {
 		t.Fatal("tracer-carrying checkpoint restored into a tracer-less server")
-	}
-}
-
-// TestWarmStatsRoundTrip checks the optional "warm" checkpoint section:
-// a warm-configured server's cache counters survive snapshot/restore, and
-// — because the cache changes no observable output — presence is lenient
-// in both directions, unlike the tracer.
-func TestWarmStatsRoundTrip(t *testing.T) {
-	f := newServeFixture(t, sched.Greedy)
-
-	cache := warm.New()
-	want := warm.Stats{SetHits: 3, SetMisses: 2, SolveHits: 5, SolveMisses: 1, Invalidations: 4}
-	cache.RestoreStats(want)
-
-	srv := f.build(t)
-	srv.cfg.Warm = cache
-	if err := srv.Run(2, nil); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := srv.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := snap.Section("warm"); !ok {
-		t.Fatal("warm-configured server wrote no warm section")
-	}
-
-	fresh := f.build(t)
-	fresh.cfg.Warm = warm.New()
-	if err := fresh.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if got := fresh.cfg.Warm.Stats(); got != want {
-		t.Errorf("restored warm stats = %+v, want %+v", got, want)
-	}
-
-	// Lenient direction 1: a warm checkpoint restores into a cold server.
-	cold := f.build(t)
-	if err := cold.Restore(snap); err != nil {
-		t.Errorf("warm checkpoint refused by a cold server: %v", err)
-	}
-
-	// Lenient direction 2: a cold checkpoint restores into a warm server,
-	// whose counters then start fresh instead of being overwritten.
-	coldSrc := f.build(t)
-	if err := coldSrc.Run(2, nil); err != nil {
-		t.Fatal(err)
-	}
-	coldSnap, err := coldSrc.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := coldSnap.Section("warm"); ok {
-		t.Fatal("cold server wrote a warm section")
-	}
-	warmDst := f.build(t)
-	warmDst.cfg.Warm = warm.New()
-	warmDst.cfg.Warm.RestoreStats(warm.Stats{SetMisses: 9})
-	if err := warmDst.Restore(coldSnap); err != nil {
-		t.Errorf("cold checkpoint refused by a warm server: %v", err)
-	}
-	if got := warmDst.cfg.Warm.Stats(); got != (warm.Stats{SetMisses: 9}) {
-		t.Errorf("cold checkpoint clobbered warm counters: %+v", got)
 	}
 }

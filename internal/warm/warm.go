@@ -287,10 +287,3 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	return c.stats
 }
-
-// RestoreStats overwrites the counters (checkpoint resume).
-func (c *Cache) RestoreStats(s Stats) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats = s
-}

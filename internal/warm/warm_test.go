@@ -142,12 +142,3 @@ func TestSolveMemoized(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 hits 3 misses", st)
 	}
 }
-
-func TestStatsRestore(t *testing.T) {
-	c := New()
-	want := Stats{SetHits: 5, SetMisses: 2, SolveHits: 7, SolveMisses: 3, Invalidations: 1}
-	c.RestoreStats(want)
-	if got := c.Stats(); got != want {
-		t.Fatalf("restored stats = %+v, want %+v", got, want)
-	}
-}

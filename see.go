@@ -14,11 +14,11 @@
 // switching only) — plus the repo-grown baselines Greedy (non-LP),
 // Contend (Q-CAST-style contention-aware routing), QPass (its offline
 // contrast), the fault-aware SEE-Aware and Contend-Aware, and the Oracle
-// capacity bound. The
-// experiment harness regenerating the paper's figures is exposed via
-// RunExperiment and the Fig* helpers. SchedulerOptions.Faults injects
-// deterministic faults (see ParseFaultSpec) and SchedulerOptions.SlotBudget
-// bounds the LP solve, degrading gracefully to Greedy when exceeded.
+// capacity bound. The experiment harness is exposed one data point at a
+// time via RunExperiment; cmd/seefig regenerates the paper's figures.
+// SchedulerOptions.Faults injects deterministic faults (see
+// ParseFaultSpec) and SchedulerOptions.SlotBudget bounds the LP solve,
+// degrading gracefully to Greedy when exceeded.
 package see
 
 import (
@@ -279,10 +279,6 @@ type WarmCache = warm.Cache
 
 // NewWarmCache returns an empty warm-start cache.
 func NewWarmCache() *WarmCache { return warm.New() }
-
-// WarmStats is a snapshot of a WarmCache's hit/miss/invalidation counters
-// (see warm.Stats).
-type WarmStats = warm.Stats
 
 // CarryStats tallies the lifetime activity of a scheduler's cross-slot
 // state bank: segments deposited, rejected for lack of memory, withdrawn,

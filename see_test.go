@@ -201,28 +201,6 @@ func TestSchedulerOptionsValidate(t *testing.T) {
 	}
 }
 
-func TestFigureAPI(t *testing.T) {
-	p := DefaultExperimentParams()
-	p.Nodes = 30
-	p.SDPairs = 3
-	p.Trials = 1
-	fd, err := Figure(5, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fd.Name == "" || len(fd.Points) < 2 {
-		t.Fatalf("figure data malformed: %+v", fd)
-	}
-	for _, pt := range fd.Points {
-		if _, ok := pt.Results[SEE]; !ok {
-			t.Fatal("missing SEE result")
-		}
-	}
-	if _, err := Figure(99, p); err == nil {
-		t.Fatal("unknown figure accepted")
-	}
-}
-
 func TestNSFNETNetworkAndLoad(t *testing.T) {
 	net, err := NSFNETNetwork(DefaultNetworkConfig(), 1)
 	if err != nil {
