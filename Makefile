@@ -176,13 +176,18 @@ bench-pr9:
 		-note 'warm-start PR; cold workload variant is the in-file baseline, per-slot ns/op baselines from commit a564a5e' \
 		-baseline BenchmarkSlotSEE=546727 -baseline BenchmarkSlotREPS=4507219
 
-# profile captures CPU and allocation profiles of the warm workload and
+# profile captures CPU and allocation profiles of one root benchmark and
 # prints the top functions of each — the entry point of the workflow in
-# docs/PROFILING.md. Profiles land in /tmp/see-profile for interactive
+# docs/PROFILING.md. PROFILE_BENCH picks the benchmark (a -bench regexp;
+# default the warm slot workload), e.g.
+#   make profile PROFILE_BENCH='ColumnGeneration$'
+# for one LP solve. Profiles land in /tmp/see-profile for interactive
 # follow-up with `go tool pprof`.
+PROFILE_BENCH ?= WorkloadSlotsWarm
+
 profile:
 	@mkdir -p /tmp/see-profile
-	$(GO) test -bench='WorkloadSlotsWarm' -benchtime=$(BENCHTIME) -run='^$$' \
+	$(GO) test -bench='$(PROFILE_BENCH)' -benchtime=$(BENCHTIME) -run='^$$' \
 		-cpuprofile /tmp/see-profile/cpu.pprof -memprofile /tmp/see-profile/mem.pprof \
 		-o /tmp/see-profile/see.test .
 	$(GO) tool pprof -top -nodecount=15 /tmp/see-profile/see.test /tmp/see-profile/cpu.pprof

@@ -279,6 +279,7 @@ func BenchmarkColumnGeneration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sol, err := flow.Solve(set, flow.Options{SwapWeightedObjective: true})
@@ -287,6 +288,63 @@ func BenchmarkColumnGeneration(b *testing.B) {
 		}
 		if sol.Objective <= 0 {
 			b.Fatal("degenerate LP")
+		}
+	}
+}
+
+// repsLinkSet builds REPS's link-only candidate set for the paper-scale
+// instance: one-hop segments, so column generation prices plain shortest
+// paths rather than running the layered swap-weighted DP.
+func repsLinkSet(b *testing.B) *segment.Set {
+	b.Helper()
+	net, pairs := ablationNetwork(b)
+	opts := segment.DefaultOptions()
+	opts.MaxSegmentHops = 1
+	opts.MinProb = 0
+	set, err := segment.Build(net, pairs, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return set
+}
+
+// BenchmarkColumnGenerationPlain measures one plain-pricing solve — the
+// unit-weight objective REPS provisions with — at paper scale.
+func BenchmarkColumnGenerationPlain(b *testing.B) {
+	set := repsLinkSet(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sol, err := flow.Solve(set, flow.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sol.Objective <= 0 {
+			b.Fatal("degenerate LP")
+		}
+	}
+}
+
+// BenchmarkColumnGenerationArena measures REPS's progressive-rounding
+// pattern: six plain-pricing re-solves sharing one flow.Arena while the
+// residual channel capacities shrink.
+func BenchmarkColumnGenerationArena(b *testing.B) {
+	set := repsLinkSet(b)
+	residual := make([][]int, 6)
+	for round := range residual {
+		residual[round] = make([]int, len(set.Net.Channels))
+		for l, c := range set.Net.Channels {
+			residual[round][l] = max(0, c-(round+l%3)/3)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arena := &flow.Arena{}
+		for _, ch := range residual {
+			if _, err := flow.Solve(set, flow.Options{Channels: ch, Arena: arena}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -115,3 +115,71 @@ func TestArenaWorkerGrowth(t *testing.T) {
 		t.Fatal("arena solve at higher worker count differs from cold solve")
 	}
 }
+
+// TestArenaSequenceAcrossWorkers runs one sequence of solves — both pricing
+// oracles, residual capacities, carry weights and two segment sets with
+// different row counts — through a single arena at several worker counts.
+// The arena recycles the master simplex and every worker's pricing
+// scratch, so each solve must still equal a cold, serial solve exactly.
+func TestArenaSequenceAcrossWorkers(t *testing.T) {
+	big := arenaTestSet(t)
+	cfg := topo.DefaultConfig()
+	cfg.Nodes = 16
+	net, err := topo.Generate(cfg, xrand.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := segment.Build(net, topo.ChooseSDPairs(net, 2, xrand.New(6)), segment.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	residual := func(set *segment.Set, cut int) []int {
+		ch := append([]int(nil), set.Net.Channels...)
+		for i := range ch {
+			ch[i] = max(0, ch[i]-(cut+i%3)/3)
+		}
+		return ch
+	}
+	weights := make([]float64, len(big.EdgePairs))
+	for i := range weights {
+		weights[i] = 1 + float64(i%4)*0.5
+	}
+	type step struct {
+		set  *segment.Set
+		opts Options
+	}
+	var steps []step
+	for cut := 0; cut < 3; cut++ {
+		steps = append(steps, step{big, Options{Channels: residual(big, cut)}})
+	}
+	steps = append(steps,
+		step{big, Options{SwapWeightedObjective: true}},
+		step{small, Options{SwapWeightedObjective: true}},
+		step{big, Options{SwapWeightedObjective: true, CarryWeights: weights}},
+		step{small, Options{Channels: residual(small, 2), DropDeadLinks: true}},
+		step{big, Options{}},
+	)
+	cold := make([]*Solution, len(steps))
+	for k, st := range steps {
+		opts := st.opts
+		opts.Workers = 1
+		if cold[k], err = Solve(st.set, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 2, 8} {
+		arena := &Arena{}
+		for k, st := range steps {
+			opts := st.opts
+			opts.Workers = workers
+			opts.Arena = arena
+			sol, err := Solve(st.set, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(sol, cold[k]) {
+				t.Fatalf("workers=%d step %d: arena solve differs from cold serial solve", workers, k)
+			}
+		}
+	}
+}

@@ -6,17 +6,28 @@ import (
 	"see/internal/graph"
 )
 
-// priceScratch holds the reusable buffers of one worker's layered pricing
-// DP. Each parallel pricing worker owns exactly one (see model.price), so
-// the DP never shares state across goroutines; its zero value is ready and
-// grows on first use.
+// priceScratch holds the reusable buffers of one worker's pricing oracle:
+// the layered DP's tables and its two alternating frontiers, and the
+// shortest-path search of plain pricing. Each parallel pricing worker owns
+// exactly one (see model.price), so no state is shared across goroutines;
+// its zero value is ready and grows on first use.
 type priceScratch struct {
 	dist       []float64
 	logq       []float64
 	prevNode   []int32
 	prevEdge   []int32
 	frontier   []int
+	next       []int
 	inFrontier []bool
+	cands      []layerCand
+	dijkstra   graph.DijkstraScratch
+}
+
+// layerCand is one hop-count layer whose best s→d walk qualifies.
+type layerCand struct {
+	h  int
+	rc float64
+	w  float64
 }
 
 func (ps *priceScratch) resize(layers, n int) {
@@ -29,7 +40,6 @@ func (ps *priceScratch) resize(layers, n int) {
 	if len(ps.inFrontier) != n {
 		ps.inFrontier = make([]bool, n)
 	}
-	ps.frontier = ps.frontier[:0]
 }
 
 // layeredPrice is the pricing oracle for the swap-weighted objective: it
@@ -66,39 +76,39 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 	for k := range dist {
 		dist[k] = math.Inf(1)
 	}
-	idx := func(h, v int) int { return h*n + v }
-	dist[idx(0, sd.S)] = 0
+	dist[sd.S] = 0 // layer 0
 
-	// frontier of nodes reachable at the previous layer.
-	frontier := append(ps.frontier, sd.S)
+	// frontier holds the nodes reached at the previous layer, in the order
+	// they were first reached; next collects this layer's. The two buffers
+	// swap roles every layer. inFrontier marks membership of next and is
+	// all false between layers.
+	frontier := append(ps.frontier[:0], sd.S)
+	next := ps.next[:0]
 	inFrontier := ps.inFrontier
+	bestCost, negLogQ := m.bestCost, m.negLogQ
 	for h := 1; h <= maxHops && len(frontier) > 0; h++ {
-		next := frontier[:0:0]
-		for i2 := range inFrontier {
-			inFrontier[i2] = false
-		}
+		next = next[:0]
+		prevDist, prevLogq := dist[(h-1)*n:h*n], logq[(h-1)*n:h*n]
+		hDist, hLogq := dist[h*n:(h+1)*n], logq[h*n:(h+1)*n]
+		hNode, hEdge := prevNode[h*n:(h+1)*n], prevEdge[h*n:(h+1)*n]
 		for _, u := range frontier {
-			du := dist[idx(h-1, u)]
-			base := du
+			base := prevDist[u]
 			var addLogq float64
 			if u != sd.S {
-				addLogq = m.negLogQ[u]
+				addLogq = negLogQ[u]
 				if math.IsInf(addLogq, 1) {
 					continue
 				}
 			}
-			lq := logq[idx(h-1, u)] + addLogq
+			lq := prevLogq[u] + addLogq
 			for _, e := range g.Neighbors(u) {
-				w := m.bestCost[e.ID]
-				if math.IsInf(w, 1) {
-					continue
-				}
-				to := idx(h, e.To)
-				if nd := base + w; nd < dist[to] {
-					dist[to] = nd
-					logq[to] = lq
-					prevNode[to] = int32(u)
-					prevEdge[to] = int32(e.ID)
+				// An arc with no usable realization costs +Inf, and
+				// base + Inf never beats a stored distance.
+				if nd := base + bestCost[e.ID]; nd < hDist[e.To] {
+					hDist[e.To] = nd
+					hLogq[e.To] = lq
+					hNode[e.To] = int32(u)
+					hEdge[e.To] = int32(e.ID)
 					if !inFrontier[e.To] {
 						inFrontier[e.To] = true
 						next = append(next, e.To)
@@ -106,8 +116,12 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 				}
 			}
 		}
-		frontier = next
+		for _, v := range next {
+			inFrontier[v] = false
+		}
+		frontier, next = next, frontier
 	}
+	ps.frontier, ps.next = frontier, next
 
 	// Rank layers by reduced cost; seeding (dualI = −Inf) accepts the best
 	// finite layer unconditionally.
@@ -117,22 +131,18 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 		effDual = 0
 		minRC = math.Inf(-1)
 	}
-	type cand struct {
-		h  int
-		rc float64
-		w  float64
-	}
-	var cands []cand
+	cands := ps.cands[:0]
 	for h := 1; h <= maxHops; h++ {
-		st := idx(h, sd.D)
+		st := h*n + sd.D
 		if math.IsInf(dist[st], 1) {
 			continue
 		}
 		w := math.Exp(-logq[st])
 		if rc := w - effDual - dist[st]; rc > minRC {
-			cands = append(cands, cand{h: h, rc: rc, w: w})
+			cands = append(cands, layerCand{h: h, rc: rc, w: w})
 		}
 	}
+	ps.cands = cands[:0] // keep the grown buffer; the loop below only shrinks it
 	// Try candidates from best reduced cost down, skipping loopy walks.
 	for len(cands) > 0 {
 		best := 0

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestShortestPathTargetMatchesFull: the early-stop targeted query (and
-// ShortestPath, which runs it) must return exactly the full Dijkstra's
-// path and distance, on random graphs, with and without node weights,
-// reusing one scratch across queries.
+// TestShortestPathTargetMatchesFull: the early-stop targeted queries (and
+// ShortestPath, which runs one) must return exactly the full Dijkstra's
+// path, edges and distance, on random multigraphs, with and without node
+// weights and re-weighted edges, reusing one scratch across queries.
 func TestShortestPathTargetMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	sc := &DijkstraScratch{}
@@ -27,6 +27,9 @@ func TestShortestPathTargetMatchesFull(t *testing.T) {
 		if trial%2 == 1 {
 			opts.NodeWeight = func(v int) float64 { return float64(v%3) * 0.01 }
 		}
+		if trial%3 == 2 {
+			opts.EdgeWeight = func(id int, w float64) float64 { return w * float64(1+id%4) }
+		}
 		for q := 0; q < 10; q++ {
 			s, d := rng.Intn(n), rng.Intn(n)
 			full := Dijkstra(g, s, opts)
@@ -39,6 +42,12 @@ func TestShortestPathTargetMatchesFull(t *testing.T) {
 			if p, dist := ShortestPath(g, s, d, opts); dist != wantDist || !reflect.DeepEqual(p, wantPath) {
 				t.Fatalf("trial %d query %d→%d: ShortestPath (%v, %v) != full (%v, %v)",
 					trial, s, d, p, dist, wantPath, wantDist)
+			}
+			wantEdges := full.EdgesTo(d)
+			if p, es, dist := ShortestPathEdgesTarget(g, s, d, opts, sc); dist != wantDist ||
+				!reflect.DeepEqual(p, wantPath) || !reflect.DeepEqual(es, wantEdges) {
+				t.Fatalf("trial %d query %d→%d: ShortestPathEdgesTarget (%v, %v, %v) != full (%v, %v, %v)",
+					trial, s, d, p, es, dist, wantPath, wantEdges, wantDist)
 			}
 		}
 	}
@@ -54,6 +63,13 @@ func TestShortestPathTargetNilScratch(t *testing.T) {
 	}
 	if p, d := ShortestPathTarget(g, 0, 0, DijkstraOptions{}, nil); d != 0 || !reflect.DeepEqual(p, Path{0}) {
 		t.Fatalf("s==t: got (%v, %v)", p, d)
+	}
+	if p, es, d := ShortestPathEdgesTarget(g, 0, 2, DijkstraOptions{}, nil); d != 2 ||
+		!reflect.DeepEqual(p, Path{0, 1, 2}) || !reflect.DeepEqual(es, []int{0, 1}) {
+		t.Fatalf("edges: got (%v, %v, %v)", p, es, d)
+	}
+	if p, es, d := ShortestPathEdgesTarget(New(2), 0, 1, DijkstraOptions{}, nil); p != nil || es != nil || d != Unreachable {
+		t.Fatalf("unreachable: got (%v, %v, %v)", p, es, d)
 	}
 }
 

@@ -274,7 +274,7 @@ func TestPackingIncrementalStateMatchesScratch(t *testing.T) {
 				continue
 			}
 			for j := 0; j < ps.m; j++ {
-				want[j] += cb * ps.binv[i][j]
+				want[j] += cb * binvAt(ps, i, j)
 			}
 		}
 		for j := range want {
@@ -349,5 +349,54 @@ func TestPackingPrimalMatchesPrimals(t *testing.T) {
 		if ps.Primal(-1) != 0 || ps.Primal(ps.NumCols()) != 0 {
 			t.Fatalf("trial %d: out-of-range Primal not 0", trial)
 		}
+	}
+}
+
+// Reset must leave no trace of the previous problem: a solver reset onto
+// a new right-hand side (smaller or larger than before) and given the
+// same columns reproduces a fresh solver's state bit for bit.
+func TestPackingResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	reused, err := NewPacking(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 12; trial++ {
+		m := 2 + rng.Intn(30)
+		b := make([]float64, m)
+		for i := range b {
+			b[i] = float64(rng.Intn(8))
+		}
+		if err := reused.Reset(b); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewPacking(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 4*m; k++ {
+			es := []Entry{{Index: rng.Intn(m), Value: 0.1 + rng.Float64()}, {Index: rng.Intn(m), Value: 0.1 + rng.Float64()}}
+			obj := 0.5 + rng.Float64()
+			for _, s := range []*PackingSolver{reused, fresh} {
+				if _, err := s.AddColumn(obj, es); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if trial%3 == 0 {
+			// Refactorize on the first pivot of both.
+			reused.pivots, fresh.pivots = 1999, 1999
+		}
+		for _, s := range []*PackingSolver{reused, fresh} {
+			if st, err := s.Solve(); err != nil || st != StatusOptimal {
+				t.Fatalf("trial %d: %v %v", trial, st, err)
+			}
+		}
+		if got, want := packingBits(reused), packingBits(fresh); got != want {
+			t.Fatalf("trial %d: reset solver state %016x, fresh %016x", trial, got, want)
+		}
+	}
+	if err := reused.Reset([]float64{1, -1}); err == nil {
+		t.Fatal("negative rhs accepted by Reset")
 	}
 }
