@@ -113,10 +113,11 @@ type Engine struct {
 	slot       *slotScratch
 	epiPaths   [][]flow.PathFlow
 	epiWeights [][]float64
-	// carryArena carries the dual-independent pricing tables across the
-	// carry-aware per-slot LP re-solves (Options.CarryAwareLP); the
-	// re-solve bypasses the warm cache because its inputs change with the
-	// slot's banked inventory.
+	// carryArena carries the dual-independent pricing tables, the master
+	// simplex's buffers and the pricing scratch across the carry-aware
+	// per-slot LP re-solves (Options.CarryAwareLP); the re-solve bypasses
+	// the warm cache because its inputs change with the slot's banked
+	// inventory.
 	carryArena flow.Arena
 }
 

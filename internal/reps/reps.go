@@ -144,8 +144,9 @@ func (e *Engine) provision(ctx context.Context) error {
 	memory := append([]int(nil), e.Net.Memory...)
 	// The rounding rounds re-solve over the same candidate set with only
 	// the residual capacities changing, so one arena carries the solver's
-	// capacity-independent tables across all of them; a warm cache
-	// additionally replays whole solutions across engine rebuilds.
+	// capacity-independent tables, its master simplex buffers and its
+	// pricing scratch across all of them; a warm cache additionally
+	// replays whole solutions across engine rebuilds.
 	useWarm := e.opts.Warm != nil && ctx == nil
 	arena := &flow.Arena{}
 
