@@ -403,6 +403,7 @@ func BenchmarkSlotSEE(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := xrand.New(4)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.RunSlot(rng); err != nil {
@@ -419,6 +420,7 @@ func BenchmarkSlotREPS(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := xrand.New(4)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.RunSlot(rng); err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"see/internal/par"
@@ -110,22 +112,18 @@ func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratc
 		keys := sc.keys[:0]
 		for pk, d := range demand {
 			if d > 0 {
-				keys = append(keys, pk)
+				keys = append(keys, escKey{pk: pk})
 			}
 		}
 		sc.keys = keys
 		for {
-			sort.Slice(keys, func(i, j int) bool {
-				ci := expected[keys[i]] / float64(demand[keys[i]])
-				cj := expected[keys[j]] / float64(demand[keys[j]])
-				if ci != cj {
-					return ci < cj
-				}
-				if keys[i].U != keys[j].U {
-					return keys[i].U < keys[j].U
-				}
-				return keys[i].V < keys[j].V
-			})
+			// Each key's coverage is computed once per round. Ties break
+			// on the unique key, so the order is strict and total: any
+			// correct sort yields the same permutation.
+			for i := range keys {
+				keys[i].cover = expected[keys[i].pk] / float64(demand[keys[i].pk])
+			}
+			slices.SortFunc(keys, compareEscKeys)
 			reserved, err := e.backupRound(keys, ledger, plan, expected, attempts, sc)
 			if err != nil {
 				return nil, nil, err
@@ -142,6 +140,21 @@ func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratc
 	return plan, provisioned, nil
 }
 
+// compareEscKeys orders backup-provisioning keys by coverage, least
+// covered first, then by endpoint pair.
+func compareEscKeys(a, b escKey) int {
+	if a.cover != b.cover {
+		if a.cover < b.cover {
+			return -1
+		}
+		return 1
+	}
+	if c := cmp.Compare(a.pk.U, b.pk.U); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.pk.V, b.pk.V)
+}
+
 // backupRound performs one backup-provisioning pass over the sorted pair
 // keys: for each pair, reserve its best reservable candidate (if any).
 //
@@ -155,7 +168,7 @@ func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratc
 // is exactly the serial choice (all earlier candidates were unreservable
 // at round start and remain so), and a precomputed candidate that is no
 // longer reservable restarts the serial scan at the next index.
-func (e *Engine) backupRound(keys []segment.PairKey, ledger *qnet.Ledger,
+func (e *Engine) backupRound(keys []escKey, ledger *qnet.Ledger,
 	plan qnet.AttemptPlan, expected map[segment.PairKey]float64,
 	attempts map[segment.PairKey]int, sc *slotScratch) (int, error) {
 
@@ -167,13 +180,14 @@ func (e *Engine) backupRound(keys []segment.PairKey, ledger *qnet.Ledger,
 		}
 		pre = sc.escPre[:len(keys)]
 		par.For(e.opts.Flow.Workers, len(keys), func(i int) {
-			cand, idx := e.bestReservableFrom(keys[i], ledger, 0)
+			cand, idx := e.bestReservableFrom(keys[i].pk, ledger, 0)
 			pre[i] = escCandidate{cand: cand, idx: idx}
 		})
 	}
 
 	reserved := 0
-	for i, pk := range keys {
+	for i, k := range keys {
+		pk := k.pk
 		var cand *segment.Candidate
 		if parallel {
 			p := pre[i]

@@ -20,7 +20,7 @@ type slotScratch struct {
 	expected map[segment.PairKey]float64
 	demand   map[segment.PairKey]int
 	attempts map[segment.PairKey]int
-	keys     []segment.PairKey
+	keys     []escKey
 	escPre   []escCandidate
 
 	// EPI's planned paths and ESC's provisioned subset, handed from phase
@@ -31,6 +31,13 @@ type slotScratch struct {
 	// backing array of their hop keys.
 	fixed   []sched.FixedPath
 	hopKeys []segment.PairKey
+}
+
+// escKey is one demanded endpoint pair of a backup-provisioning round
+// with its coverage expected/demand at round start, the round's sort key.
+type escKey struct {
+	pk    segment.PairKey
+	cover float64
 }
 
 // escCandidate is one precomputed backup-provisioning choice: the best

@@ -26,49 +26,6 @@ type DijkstraOptions struct {
 	EdgeWeight func(id int, stored float64) float64
 }
 
-// ShortestResult holds single-source shortest path output.
-type ShortestResult struct {
-	Dist []float64
-	// prev[v] is the predecessor node on a shortest path, prevEdge[v] the
-	// edge ID used to enter v; both are -1 for the source and unreachable
-	// nodes.
-	prev     []int
-	prevEdge []int
-	source   int
-}
-
-// PathTo reconstructs a shortest path from the source to t, or nil if t is
-// unreachable.
-func (r *ShortestResult) PathTo(t int) Path {
-	if t < 0 || t >= len(r.Dist) || r.Dist[t] == Unreachable {
-		return nil
-	}
-	var rev []int
-	for v := t; v != -1; v = r.prev[v] {
-		rev = append(rev, v)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// EdgesTo returns the edge IDs along the shortest path to t, or nil if
-// unreachable.
-func (r *ShortestResult) EdgesTo(t int) []int {
-	if t < 0 || t >= len(r.Dist) || r.Dist[t] == Unreachable || t == r.source {
-		return nil
-	}
-	var rev []int
-	for v := t; r.prev[v] != -1; v = r.prev[v] {
-		rev = append(rev, r.prevEdge[v])
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
 // pqItem is one heap entry: a node and the tentative distance it was
 // pushed with. Stale entries (the node settled since) are skipped at pop.
 type pqItem struct {
@@ -118,25 +75,17 @@ func (h *minHeap) pop() pqItem {
 	return q[n]
 }
 
-// Dijkstra computes single-source shortest paths with non-negative edge
-// weights, optionally adding node weights at intermediate nodes and
+// ShortestPath returns a shortest path from s to t and its length under
+// non-negative edge weights, adding node weights at intermediate nodes and
 // honouring node/edge exclusions. Negative edge weights cause undefined
-// results; use BellmanFord to detect them in tests.
-func Dijkstra(g *Graph, source int, opts DijkstraOptions) *ShortestResult {
-	var sc DijkstraScratch
-	sc.search(g, source, -1, opts, nil)
-	return &ShortestResult{Dist: sc.dist, prev: sc.prev, prevEdge: sc.prevEdge, source: source}
-}
-
-// ShortestPath returns the path from s to t and its length, exactly as
-// Dijkstra(g, s, opts).PathTo(t) and .Dist[t] would. It returns
+// results; use BellmanFord to detect them in tests. It returns
 // (nil, Unreachable) when no path exists.
 func ShortestPath(g *Graph, s, t int, opts DijkstraOptions) (Path, float64) {
 	return ShortestPathTarget(g, s, t, opts, nil)
 }
 
 // PathLength computes the total cost of a path under the same cost model as
-// Dijkstra (edge weights plus node weights at intermediate nodes). The edge
+// ShortestPath (edge weights plus node weights at intermediate nodes). The edge
 // chosen between consecutive nodes is the minimum-weight parallel arc. It
 // returns Unreachable if consecutive nodes are not adjacent.
 func PathLength(g *Graph, p Path, opts DijkstraOptions) float64 {

@@ -8,7 +8,7 @@ import (
 
 // Shortest paths with combined edge and node weights (the ECE auxiliary
 // graph uses node weight −ln q at junctions).
-func ExampleDijkstra() {
+func ExampleShortestPath() {
 	g := graph.New(4)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 3, 1)

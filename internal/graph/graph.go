@@ -1,8 +1,8 @@
 // Package graph provides the graph substrate used throughout the simulator:
 // adjacency structures, shortest-path algorithms (Dijkstra with combined
 // edge and node weights, Bellman-Ford as a test oracle), Yen's K-shortest
-// loopless paths, and connectivity utilities. Dijkstra, the targeted
-// queries and every Yen spur share one search over a typed binary heap
+// loopless paths, and connectivity utilities. The shortest-path queries
+// and every Yen spur share one targeted search over a typed binary heap
 // and reusable scratch buffers.
 //
 // Nodes are dense integers in [0, N). Edges carry a float64 weight and an

@@ -5,8 +5,9 @@ import "slices"
 // DijkstraScratch holds the reusable per-call buffers of a shortest-path
 // search. Engines run thousands of small queries per slot (the ECE stitch
 // loop, REPS's pool selection); keeping one scratch per engine turns the
-// four O(n) allocations per query into zero. Dijkstra, ShortestPath,
-// ShortestPathTarget and every Yen spur run the same search over one.
+// four O(n) allocations per query into zero. ShortestPath,
+// ShortestPathTarget, ShortestPathEdgesTarget and every Yen spur run the
+// same search over one.
 // The zero value is ready and grows on first use. Not safe for
 // concurrent queries.
 type DijkstraScratch struct {
@@ -123,8 +124,8 @@ func (sc *DijkstraScratch) appendPath(dst Path, s, t int) Path {
 
 // ShortestPathTarget is ShortestPath with all working storage taken from
 // sc (nil allocates fresh buffers). The search stops as soon as the target
-// is settled, which returns the full Dijkstra's path and distance (see
-// search). Returns (nil, Unreachable) when no path exists.
+// is settled, which returns the full single-source search's path and
+// distance (see search). Returns (nil, Unreachable) when no path exists.
 func ShortestPathTarget(g *Graph, s, t int, opts DijkstraOptions, sc *DijkstraScratch) (Path, float64) {
 	if sc == nil {
 		sc = &DijkstraScratch{}
@@ -140,9 +141,9 @@ func ShortestPathTarget(g *Graph, s, t int, opts DijkstraOptions, sc *DijkstraSc
 }
 
 // ShortestPathEdgesTarget is ShortestPathTarget that also returns the IDs
-// of the edges along the path, in path order: the pair that
-// Dijkstra(g, s, opts).PathTo(t) and .EdgesTo(t) would return, found by
-// the targeted search on sc's buffers (nil allocates fresh ones). Returns
+// of the edges along the path, in path order: the predecessor edges the
+// full single-source search would record, found by the targeted search on
+// sc's buffers (nil allocates fresh ones). Returns
 // (nil, nil, Unreachable) when no path exists.
 func ShortestPathEdgesTarget(g *Graph, s, t int, opts DijkstraOptions, sc *DijkstraScratch) (Path, []int, float64) {
 	if sc == nil {

@@ -263,6 +263,59 @@ func randomOptions(rng *rand.Rand, g *Graph) DijkstraOptions {
 	return opts
 }
 
+// ShortestResult holds single-source shortest path output.
+type ShortestResult struct {
+	Dist []float64
+	// prev[v] is the predecessor node on a shortest path, prevEdge[v] the
+	// edge ID used to enter v; both are -1 for the source and unreachable
+	// nodes.
+	prev     []int
+	prevEdge []int
+	source   int
+}
+
+// PathTo reconstructs a shortest path from the source to t, or nil if t is
+// unreachable.
+func (r *ShortestResult) PathTo(t int) Path {
+	if t < 0 || t >= len(r.Dist) || r.Dist[t] == Unreachable {
+		return nil
+	}
+	var rev []int
+	for v := t; v != -1; v = r.prev[v] {
+		rev = append(rev, v)
+	}
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	return rev
+}
+
+// EdgesTo returns the edge IDs along the shortest path to t, or nil if
+// unreachable.
+func (r *ShortestResult) EdgesTo(t int) []int {
+	if t < 0 || t >= len(r.Dist) || r.Dist[t] == Unreachable || t == r.source {
+		return nil
+	}
+	var rev []int
+	for v := t; r.prev[v] != -1; v = r.prev[v] {
+		rev = append(rev, r.prevEdge[v])
+	}
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	return rev
+}
+
+// Dijkstra is the full single-source search (t = -1) on the typed heap,
+// kept for tests only: no production path needs every node's distance,
+// and the targeted searches (ShortestPathTarget, Yen's spurs) are pinned
+// to it by TestShortestPathTargetMatchesFull.
+func Dijkstra(g *Graph, source int, opts DijkstraOptions) *ShortestResult {
+	var sc DijkstraScratch
+	sc.search(g, source, -1, opts, nil)
+	return &ShortestResult{Dist: sc.dist, prev: sc.prev, prevEdge: sc.prevEdge, source: source}
+}
+
 // priorityQueue is the container/heap adapter the kernel used before the
 // typed heap; the reference searches below run on it.
 type priorityQueue []pqItem

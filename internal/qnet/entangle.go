@@ -2,7 +2,6 @@ package qnet
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -210,125 +209,6 @@ func ApplyDecoherence(segs []*Segment, fm FaultModel) ([]*Segment, int) {
 		kept = append(kept, s)
 	}
 	return kept, lost
-}
-
-// Pool indexes realized segments by endpoint pair and hands them out to
-// connections.
-type Pool struct {
-	byPair map[segment.PairKey][]*Segment
-}
-
-// NewPool builds a pool over realized segments.
-func NewPool(segs []*Segment) *Pool {
-	p := &Pool{byPair: make(map[segment.PairKey][]*Segment)}
-	p.fill(segs)
-	return p
-}
-
-// Reset repopulates the pool in place with a new slot's segments, reusing
-// the index map (and its per-pair buckets' backing arrays where possible)
-// instead of allocating a fresh pool every slot.
-func (p *Pool) Reset(segs []*Segment) {
-	for pk, bucket := range p.byPair {
-		p.byPair[pk] = bucket[:0]
-	}
-	p.fill(segs)
-	// Drop pairs that received nothing this slot so Pairs/Available see
-	// exactly the same key set a fresh pool would.
-	for pk, bucket := range p.byPair {
-		if len(bucket) == 0 {
-			delete(p.byPair, pk)
-		}
-	}
-}
-
-func (p *Pool) fill(segs []*Segment) {
-	for _, s := range segs {
-		p.byPair[s.Pair()] = append(p.byPair[s.Pair()], s)
-	}
-}
-
-// Available returns how many unconsumed segments remain for a pair.
-func (p *Pool) Available(pk segment.PairKey) int {
-	n := 0
-	for _, s := range p.byPair[pk] {
-		if !s.consumed {
-			n++
-		}
-	}
-	return n
-}
-
-// Take consumes one segment for the pair, or returns nil if none remain.
-func (p *Pool) Take(pk segment.PairKey) *Segment {
-	for _, s := range p.byPair[pk] {
-		if !s.consumed {
-			s.consumed = true
-			return s
-		}
-	}
-	return nil
-}
-
-// Return un-consumes a segment (used when a partially assembled connection
-// is rolled back).
-func (p *Pool) Return(s *Segment) {
-	s.consumed = false
-}
-
-// TakeBest consumes the pair's unconsumed segment maximizing score (first
-// wins on ties, so the choice is deterministic), or returns nil if none
-// remain. Floor-enforcing engines use it so a rejected assembly proves no
-// segment combination for the path could have met the floor.
-func (p *Pool) TakeBest(pk segment.PairKey, score func(s *Segment) float64) *Segment {
-	var best *Segment
-	bestScore := math.Inf(-1)
-	for _, s := range p.byPair[pk] {
-		if s.consumed {
-			continue
-		}
-		if sc := score(s); sc > bestScore {
-			best, bestScore = s, sc
-		}
-	}
-	if best != nil {
-		best.consumed = true
-	}
-	return best
-}
-
-// Pairs returns the endpoint pairs with at least one unconsumed segment,
-// sorted.
-func (p *Pool) Pairs() []segment.PairKey {
-	keys := make([]segment.PairKey, 0, len(p.byPair))
-	for pk := range p.byPair {
-		if p.Available(pk) > 0 {
-			keys = append(keys, pk)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].U != keys[j].U {
-			return keys[i].U < keys[j].U
-		}
-		return keys[i].V < keys[j].V
-	})
-	return keys
-}
-
-// Unconsumed returns every segment no connection consumed, in deterministic
-// order (sorted endpoint pairs, then insertion order within a pair). The
-// cross-slot state bank deposits from this list, so the set of banked
-// segments is a pure function of the slot's outcome.
-func (p *Pool) Unconsumed() []*Segment {
-	var out []*Segment
-	for _, pk := range p.Pairs() {
-		for _, s := range p.byPair[pk] {
-			if !s.consumed {
-				out = append(out, s)
-			}
-		}
-	}
-	return out
 }
 
 // Connection is an end-to-end entanglement connection assembled from

@@ -1,0 +1,202 @@
+package qnet
+
+import (
+	"cmp"
+	"math"
+	"slices"
+
+	"see/internal/segment"
+)
+
+// Pool indexes realized segments by endpoint pair and hands them out to
+// connections.
+//
+// Each endpoint pair gets a dense index the first time a segment of it is
+// filled in, and keeps it across Reset. Per index the pool holds the
+// pair's bucket (insertion order) and its count of unconsumed segments,
+// which Take, TakeBest and Return maintain, so Available and AvailableAt
+// are a counter read. The key set only grows; it is bounded by the
+// endpoint pairs of the segment catalogue, and every accessor filters by
+// availability, so a pair with nothing left is invisible exactly as if it
+// had never been filled. Segments handed to a pool must be distinct, and
+// their consumed state changes only through the pool.
+type Pool struct {
+	index   map[segment.PairKey]int
+	keys    []segment.PairKey // index → endpoint pair
+	buckets [][]*Segment      // index → the pair's segments
+	avail   []int             // index → unconsumed segments in the bucket
+	// order lists the indices sorted by endpoint pair. It is re-sorted
+	// only when the key set has grown since the last sort.
+	order []int
+}
+
+// NewPool builds a pool over realized segments.
+func NewPool(segs []*Segment) *Pool {
+	p := &Pool{index: make(map[segment.PairKey]int)}
+	p.fill(segs)
+	return p
+}
+
+// Reset repopulates the pool in place with a new slot's segments, reusing
+// the pair index and the buckets' backing arrays instead of allocating a
+// fresh pool every slot.
+func (p *Pool) Reset(segs []*Segment) {
+	for i, b := range p.buckets {
+		// AttemptAll slab-allocates a slot's segments, so one stale
+		// pointer past len would pin a whole old slab.
+		clear(b)
+		p.buckets[i] = b[:0]
+		p.avail[i] = 0
+	}
+	p.fill(segs)
+}
+
+func (p *Pool) fill(segs []*Segment) {
+	for _, s := range segs {
+		pk := s.Pair()
+		i, ok := p.index[pk]
+		if !ok {
+			i = len(p.keys)
+			p.index[pk] = i
+			p.keys = append(p.keys, pk)
+			p.buckets = append(p.buckets, nil)
+			p.avail = append(p.avail, 0)
+		}
+		p.buckets[i] = append(p.buckets[i], s)
+		if !s.consumed {
+			p.avail[i]++
+		}
+	}
+}
+
+// Index returns the pair's dense index for AvailableAt, or -1 if the pool
+// has never held a segment of the pair. An index stays valid for the
+// pool's lifetime.
+func (p *Pool) Index(pk segment.PairKey) int {
+	if i, ok := p.index[pk]; ok {
+		return i
+	}
+	return -1
+}
+
+// AvailableAt returns how many unconsumed segments remain for the pair of
+// index i (from Index, i ≥ 0).
+func (p *Pool) AvailableAt(i int) int { return p.avail[i] }
+
+// Available returns how many unconsumed segments remain for a pair.
+func (p *Pool) Available(pk segment.PairKey) int {
+	if i, ok := p.index[pk]; ok {
+		return p.avail[i]
+	}
+	return 0
+}
+
+// Take consumes one segment for the pair, or returns nil if none remain.
+func (p *Pool) Take(pk segment.PairKey) *Segment {
+	i, ok := p.index[pk]
+	if !ok || p.avail[i] == 0 {
+		return nil
+	}
+	for _, s := range p.buckets[i] {
+		if !s.consumed {
+			s.consumed = true
+			p.avail[i]--
+			return s
+		}
+	}
+	return nil
+}
+
+// Return un-consumes a segment of the pool (used when a partially
+// assembled connection is rolled back).
+func (p *Pool) Return(s *Segment) {
+	if !s.consumed {
+		return
+	}
+	s.consumed = false
+	if i, ok := p.index[s.Pair()]; ok {
+		p.avail[i]++
+	}
+}
+
+// TakeBest consumes the pair's unconsumed segment maximizing score (first
+// wins on ties, so the choice is deterministic), or returns nil if none
+// remain. Floor-enforcing engines use it so a rejected assembly proves no
+// segment combination for the path could have met the floor.
+func (p *Pool) TakeBest(pk segment.PairKey, score func(s *Segment) float64) *Segment {
+	i, ok := p.index[pk]
+	if !ok || p.avail[i] == 0 {
+		return nil
+	}
+	var best *Segment
+	bestScore := math.Inf(-1)
+	for _, s := range p.buckets[i] {
+		if s.consumed {
+			continue
+		}
+		if sc := score(s); sc > bestScore {
+			best, bestScore = s, sc
+		}
+	}
+	if best != nil {
+		best.consumed = true
+		p.avail[i]--
+	}
+	return best
+}
+
+// sortedIndices returns the pair indices sorted by endpoint pair, sorting
+// only when pairs were added since the last call.
+func (p *Pool) sortedIndices() []int {
+	if len(p.order) < len(p.keys) {
+		for i := len(p.order); i < len(p.keys); i++ {
+			p.order = append(p.order, i)
+		}
+		slices.SortFunc(p.order, func(a, b int) int {
+			ka, kb := p.keys[a], p.keys[b]
+			if c := cmp.Compare(ka.U, kb.U); c != 0 {
+				return c
+			}
+			return cmp.Compare(ka.V, kb.V)
+		})
+	}
+	return p.order
+}
+
+// Pairs returns the endpoint pairs with at least one unconsumed segment,
+// sorted.
+func (p *Pool) Pairs() []segment.PairKey {
+	order := p.sortedIndices()
+	n := 0
+	for _, i := range order {
+		if p.avail[i] > 0 {
+			n++
+		}
+	}
+	keys := make([]segment.PairKey, 0, n)
+	for _, i := range order {
+		if p.avail[i] > 0 {
+			keys = append(keys, p.keys[i])
+		}
+	}
+	return keys
+}
+
+// Unconsumed returns every segment no connection consumed, in deterministic
+// order (sorted endpoint pairs, then insertion order within a pair). The
+// cross-slot state bank deposits from this list, so the set of banked
+// segments is a pure function of the slot's outcome.
+func (p *Pool) Unconsumed() []*Segment {
+	var out []*Segment
+	for _, i := range p.sortedIndices() {
+		if p.avail[i] == 0 {
+			continue
+		}
+		for _, s := range p.buckets[i] {
+			if !s.consumed {
+				out = append(out, s)
+			}
+		}
+	}
+	return out
+}

@@ -105,16 +105,20 @@ type Runner struct {
 
 	// Reused per-slot state: the slot context, the attempt-ordering
 	// scratch, the segment pool, the stitch loops' shared per-pair
-	// connection counters and StitchRoutes' auxiliary graph, its edge
-	// table and the targeted-Dijkstra buffers. None of it outlives the
-	// slot.
-	slot     Slot
-	att      qnet.AttemptScratch
-	pool     *qnet.Pool
-	perPair  []int
-	aux      *graph.Graph
-	auxPairs []segment.PairKey
-	dij      graph.DijkstraScratch
+	// connection counters and StitchRoutes' auxiliary graph, its aux-edge
+	// → pool-index table, its skipped-pair marks and the targeted-Dijkstra
+	// buffers. None of it outlives the slot.
+	slot    Slot
+	att     qnet.AttemptScratch
+	pool    *qnet.Pool
+	perPair []int
+	aux     *graph.Graph
+	auxIdx  []int
+	dead    []bool
+	dij     graph.DijkstraScratch
+	// nodeWeight is StitchRoutes' junction weight per node (−ln q, or
+	// routeMissingWeight where q ≤ 0), derived once: net never changes.
+	nodeWeight []float64
 	// Tracer adapters, bound once so slots allocate no method values.
 	observe qnet.AttemptObserver
 	swapObs qnet.SwapObserver
@@ -415,51 +419,67 @@ const (
 // whose best route misses its floor is floor-dead for the rest of the
 // slot. Swaps are sampled and pairs capped as in StitchFixed, against the
 // same per-pair counters.
+//
+// A pair whose search finds no usable route is skipped for the rest of
+// the call too, which is exact: within the call no endpoint pair's
+// availability ever rises (takes only shrink it, and Return only undoes
+// takes of the same iteration), the aux graph and node weights are fixed,
+// so edge weights only rise from 1e-5 to 1e9 and a rejected route stays
+// rejected. A search has no side effect (no rng draw, no event), so
+// skipping it changes nothing else.
 func (s *Slot) StitchRoutes(pairs []topo.SDPair, connCap []int) (conns []*qnet.Connection, assembled, floorRejected int) {
 	r := s.r
 	pool := s.Pool
 	perPair := r.perPair
 	fp := qnet.NewFloorPolicy(r.cfg.FidelityFloors, r.net)
-	// One aux edge per endpoint pair with a segment left, rebuilt in place
-	// over the previous slot's backing arrays.
-	if r.aux == nil {
+	if r.nodeWeight == nil {
+		r.nodeWeight = make([]float64, r.net.NumNodes())
+		for u := range r.nodeWeight {
+			if q := r.net.SwapProb[u]; q <= 0 {
+				r.nodeWeight[u] = routeMissingWeight
+			} else {
+				r.nodeWeight[u] = -math.Log(q)
+			}
+		}
 		r.aux = graph.New(r.net.NumNodes())
 	}
+	// One aux edge per endpoint pair with a segment left, rebuilt in place
+	// over the previous slot's backing arrays; auxIdx maps each edge to
+	// its pair's pool index.
 	aux := r.aux
 	aux.Reset()
-	auxPairs := r.auxPairs[:0]
+	auxIdx := r.auxIdx[:0]
 	for _, pk := range pool.Pairs() {
 		aux.AddEdge(pk.U, pk.V, routeAvailableWeight)
-		auxPairs = append(auxPairs, pk)
+		auxIdx = append(auxIdx, pool.Index(pk))
 	}
-	r.auxPairs = auxPairs
+	r.auxIdx = auxIdx
+	nodeWeight := r.nodeWeight
 	opts := graph.DijkstraOptions{
-		NodeWeight: func(u int) float64 {
-			q := r.net.SwapProb[u]
-			if q <= 0 {
-				return routeMissingWeight
-			}
-			return -math.Log(q)
-		},
+		NodeWeight: func(u int) float64 { return nodeWeight[u] },
 		EdgeWeight: func(id int, _ float64) float64 {
-			if pool.Available(auxPairs[id]) >= 1 {
+			if pool.AvailableAt(auxIdx[id]) >= 1 {
 				return routeAvailableWeight
 			}
 			return routeMissingWeight
 		},
 	}
-	var floorDead []bool // pairs whose best route missed the floor
+	// dead marks pairs skipped for the rest of the call: no usable route,
+	// or a best route that missed the floor.
+	if cap(r.dead) < len(pairs) {
+		r.dead = make([]bool, len(pairs))
+	}
+	dead := r.dead[:len(pairs)]
+	clear(dead)
 	for {
 		progress := false
 		for i, sd := range pairs {
-			if perPair[i] >= connCap[i] {
-				continue
-			}
-			if floorDead != nil && floorDead[i] {
+			if perPair[i] >= connCap[i] || dead[i] {
 				continue
 			}
 			path, dist := graph.ShortestPathTarget(aux, sd.S, sd.D, opts, &r.dij)
 			if path == nil || dist >= routeRejectThreshold {
+				dead[i] = true
 				continue
 			}
 			conn := &qnet.Connection{Pair: i, Nodes: path}
@@ -483,10 +503,7 @@ func (s *Slot) StitchRoutes(pairs []topo.SDPair, connCap []int) (conns []*qnet.C
 				for _, seg := range conn.Segments {
 					pool.Return(seg)
 				}
-				if floorDead == nil {
-					floorDead = make([]bool, len(pairs))
-				}
-				floorDead[i] = true
+				dead[i] = true
 				floorRejected++
 				r.tracer.Incident(IncidentFloorReject, 1)
 				continue

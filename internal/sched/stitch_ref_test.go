@@ -1,0 +1,267 @@
+package sched
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"see/internal/graph"
+	"see/internal/qnet"
+	"see/internal/segment"
+	"see/internal/topo"
+	"see/internal/xrand"
+)
+
+// stitchRoutesReference is StitchRoutes as it was before the precomputed
+// node weights and the skipped-pair memo: −ln q recomputed at every heap
+// pop, edge availability read through Pool.Available, and every pair not
+// capped or floor-dead searched again in every round. It builds its own
+// aux graph and search buffers. TestStitchRoutesMatchesReference pins
+// StitchRoutes to it.
+func (s *Slot) stitchRoutesReference(pairs []topo.SDPair, connCap []int) (conns []*qnet.Connection, assembled, floorRejected int) {
+	r := s.r
+	pool := s.Pool
+	perPair := r.perPair
+	fp := qnet.NewFloorPolicy(r.cfg.FidelityFloors, r.net)
+	// One aux edge per endpoint pair with a segment left.
+	aux := graph.New(r.net.NumNodes())
+	var auxPairs []segment.PairKey
+	for _, pk := range pool.Pairs() {
+		aux.AddEdge(pk.U, pk.V, routeAvailableWeight)
+		auxPairs = append(auxPairs, pk)
+	}
+	var dij graph.DijkstraScratch
+	opts := graph.DijkstraOptions{
+		NodeWeight: func(u int) float64 {
+			q := r.net.SwapProb[u]
+			if q <= 0 {
+				return routeMissingWeight
+			}
+			return -math.Log(q)
+		},
+		EdgeWeight: func(id int, _ float64) float64 {
+			if pool.Available(auxPairs[id]) >= 1 {
+				return routeAvailableWeight
+			}
+			return routeMissingWeight
+		},
+	}
+	var floorDead []bool // pairs whose best route missed the floor
+	for {
+		progress := false
+		for i, sd := range pairs {
+			if perPair[i] >= connCap[i] {
+				continue
+			}
+			if floorDead != nil && floorDead[i] {
+				continue
+			}
+			path, dist := graph.ShortestPathTarget(aux, sd.S, sd.D, opts, &dij)
+			if path == nil || dist >= routeRejectThreshold {
+				continue
+			}
+			conn := &qnet.Connection{Pair: i, Nodes: path}
+			ok := true
+			for h := 0; h+1 < len(path); h++ {
+				seg := fp.Take(pool, i, segment.MakePairKey(path[h], path[h+1]))
+				if seg == nil {
+					// Unreachable while the weights are consistent.
+					ok = false
+					break
+				}
+				conn.Segments = append(conn.Segments, seg)
+			}
+			if !ok {
+				for _, seg := range conn.Segments {
+					pool.Return(seg)
+				}
+				continue
+			}
+			if fp.Rejects(i, conn.Segments) {
+				for _, seg := range conn.Segments {
+					pool.Return(seg)
+				}
+				if floorDead == nil {
+					floorDead = make([]bool, len(pairs))
+				}
+				floorDead[i] = true
+				floorRejected++
+				r.tracer.Incident(IncidentFloorReject, 1)
+				continue
+			}
+			assembled++
+			progress = true
+			if s.establish(conn) {
+				conns = append(conns, conn)
+				perPair[i]++
+			}
+		}
+		if !progress {
+			return conns, assembled, floorRejected
+		}
+	}
+}
+
+// stitchOnly is a stitch-only engine for the differential test: the
+// physical phase realizes exactly segs, and the stitch phase is
+// StitchRoutes or, with ref, stitchRoutesReference.
+type stitchOnly struct {
+	segs    []*qnet.Segment
+	pairs   []topo.SDPair
+	connCap []int
+	ref     bool
+}
+
+func (p *stitchOnly) PlanPhase(*Slot) bool { return false }
+
+func (p *stitchOnly) ReservePhase(*Slot) (plan, held qnet.AttemptPlan, err error) {
+	return nil, nil, nil
+}
+
+func (p *stitchOnly) PhysicalHook(s *Slot) { s.Created = p.segs }
+
+func (p *stitchOnly) StitchPhase(s *Slot) ([]*qnet.Connection, int, int) {
+	if p.ref {
+		return s.stitchRoutesReference(p.pairs, p.connCap)
+	}
+	return s.StitchRoutes(p.pairs, p.connCap)
+}
+
+// eventLog records the stitch loop's tracer events in order (timings
+// excluded).
+type eventLog struct {
+	NopTracer
+	events []string
+}
+
+func (l *eventLog) SwapResolved(junction int, ok bool) {
+	l.events = append(l.events, fmt.Sprint("swap ", junction, ok))
+}
+
+func (l *eventLog) ConnectionAssembled(commodity int, ok bool) {
+	l.events = append(l.events, fmt.Sprint("assembled ", commodity, ok))
+}
+
+func (l *eventLog) Incident(kind Incident, n int) {
+	l.events = append(l.events, fmt.Sprint("incident ", kind, n))
+}
+
+// stitchSide is one of the two runs of the differential test, with its own
+// copy of every segment (consumed state lives in the segments).
+type stitchSide struct {
+	r   Runner
+	log *eventLog
+	rng *rand.Rand
+	idx map[*qnet.Segment]int
+}
+
+// TestStitchRoutesMatchesReference runs StitchRoutes and
+// stitchRoutesReference side by side over random small networks (uniform
+// and jittered swap probabilities, q = 0 nodes included), floors on and
+// off, both swap orders and tight and loose connection caps, three slots
+// per runner so the reused scratch carries over. Every slot must give the
+// same connections (nodes, segments, spares, fidelity), assembly and
+// floor-rejection counts, per-pair counters, event stream, leftover pool
+// and next rng draw.
+func TestStitchRoutesMatchesReference(t *testing.T) {
+	for trial := 0; trial < 300; trial++ {
+		rng := xrand.New(int64(trial))
+		n := 3 + rng.Intn(7)
+		net := &topo.Network{G: graph.New(n), SwapProb: make([]float64, n)}
+		uniform := rng.Intn(2) == 0
+		for u := range net.SwapProb {
+			switch {
+			case uniform:
+				net.SwapProb[u] = 0.9
+			case rng.Intn(6) == 0:
+				net.SwapProb[u] = 0
+			default:
+				net.SwapProb[u] = 0.3 + 0.7*rng.Float64()
+			}
+		}
+		cfg := SlotConfig{SwapOrder: qnet.SwapOrder(rng.Intn(2))}
+		if rng.Intn(2) == 0 {
+			cfg.FidelityFloors = &qnet.FloorSpec{Default: 0.5 + 0.4*rng.Float64()}
+		}
+		pairs := make([]topo.SDPair, 1+rng.Intn(5))
+		connCap := make([]int, len(pairs))
+		for i := range pairs {
+			s, d := rng.Intn(n), rng.Intn(n)
+			for d == s {
+				d = rng.Intn(n)
+			}
+			pairs[i] = topo.SDPair{S: s, D: d}
+			connCap[i] = 100
+			if rng.Intn(2) == 0 {
+				connCap[i] = 1 + rng.Intn(2)
+			}
+		}
+		sides := [2]*stitchSide{}
+		for k := range sides {
+			log := &eventLog{}
+			c := cfg
+			c.Tracer = log
+			sides[k] = &stitchSide{r: NewRunner(c, net, nil), log: log, rng: xrand.New(int64(trial)), idx: map[*qnet.Segment]int{}}
+		}
+		for slot := 0; slot < 3; slot++ {
+			m := rng.Intn(4 * n)
+			segs := [2][]*qnet.Segment{}
+			for j := 0; j < m; j++ {
+				u, v := rng.Intn(n), rng.Intn(n)
+				for v == u {
+					v = rng.Intn(n)
+				}
+				scale := []float64{0.3, 0.6, 1}[rng.Intn(3)]
+				for k, side := range sides {
+					sg := &qnet.Segment{A: min(u, v), B: max(u, v)}
+					sg.SetWernerScale(scale)
+					side.idx[sg] = j
+					segs[k] = append(segs[k], sg)
+				}
+			}
+			var res [2]*SlotResult
+			for k, side := range sides {
+				ph := &stitchOnly{segs: segs[k], pairs: pairs, connCap: connCap, ref: k == 1}
+				got, err := side.r.Run(ph, side.rng, &SlotResult{PerPair: make([]int, len(pairs))})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res[k] = got
+			}
+			where := fmt.Sprintf("trial %d slot %d", trial, slot)
+			a, b := res[0], res[1]
+			if a.Assembled != b.Assembled || a.FloorRejected != b.FloorRejected || a.Established != b.Established ||
+				!slices.Equal(a.PerPair, b.PerPair) || !slices.Equal(sides[0].r.perPair, sides[1].r.perPair) {
+				t.Fatalf("%s: assembled/rejected/established %d/%d/%d per pair %v, reference %d/%d/%d per pair %v",
+					where, a.Assembled, a.FloorRejected, a.Established, a.PerPair,
+					b.Assembled, b.FloorRejected, b.Established, b.PerPair)
+			}
+			mapped := func(k int, segs []*qnet.Segment) []int {
+				out := make([]int, len(segs))
+				for i, sg := range segs {
+					out[i] = sides[k].idx[sg]
+				}
+				return out
+			}
+			for c := range a.Connections {
+				ca, cb := a.Connections[c], b.Connections[c]
+				if ca.Pair != cb.Pair || !ca.Nodes.Equal(cb.Nodes) || ca.Fidelity != cb.Fidelity ||
+					!slices.Equal(mapped(0, ca.Segments), mapped(1, cb.Segments)) ||
+					!slices.Equal(mapped(0, ca.Spares), mapped(1, cb.Spares)) {
+					t.Fatalf("%s: connection %d = %+v, reference %+v", where, c, ca, cb)
+				}
+			}
+			if !slices.Equal(mapped(0, sides[0].r.pool.Unconsumed()), mapped(1, sides[1].r.pool.Unconsumed())) {
+				t.Fatalf("%s: leftover pools differ", where)
+			}
+			if !slices.Equal(sides[0].log.events, sides[1].log.events) {
+				t.Fatalf("%s: events %v, reference %v", where, sides[0].log.events, sides[1].log.events)
+			}
+			if x, y := sides[0].rng.Int63(), sides[1].rng.Int63(); x != y {
+				t.Fatalf("%s: next rng draw %d, reference %d", where, x, y)
+			}
+		}
+	}
+}
