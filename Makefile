@@ -59,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLoadEdgeList -fuzztime=$(FUZZTIME) -run='^$$' ./internal/topo
 	$(GO) test -fuzz=FuzzParseFloorSpec -fuzztime=$(FUZZTIME) -run='^$$' ./internal/qnet
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ckpt
+	$(GO) test -fuzz=FuzzParseArrivals -fuzztime=$(FUZZTIME) -run='^$$' ./internal/serve
 
 # docs-check keeps the documentation honest: gofmt-clean tree, a package
 # comment on every internal/* package, and every seesim flag present in

@@ -349,6 +349,54 @@ func BenchmarkColumnGenerationArena(b *testing.B) {
 	}
 }
 
+// BenchmarkColumnGenerationCarry measures the carry-aware SEE engine's
+// per-slot LP re-solve: swap-weighted column generation over one shared
+// flow.Arena, each solve under different carry weights (edges covered by
+// banked segments price cheaper), on a 100-node, 10-pair instance.
+func BenchmarkColumnGenerationCarry(b *testing.B) {
+	cfg := topo.DefaultConfig()
+	cfg.Nodes = 100
+	net, err := topo.Generate(cfg, xrand.New(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs := topo.ChooseSDPairs(net, 10, xrand.New(5))
+	set, err := segment.Build(net, pairs, core.DefaultOptions().Segment)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Eight slots' carry weights: each banks a few segments whose Werner
+	// scale in (0, 1] raises their edge's weight above 1.
+	rng := xrand.New(6)
+	weights := make([][]float64, 8)
+	for s := range weights {
+		w := make([]float64, len(set.EdgePairs))
+		for i := range w {
+			w[i] = 1
+		}
+		for k := 0; k < 12; k++ {
+			w[rng.Intn(len(w))] += 0.5 + 0.5*rng.Float64()
+		}
+		weights[s] = w
+	}
+	arena := &flow.Arena{}
+	solve := func(w []float64) {
+		sol, err := flow.Solve(set, flow.Options{SwapWeightedObjective: true, CarryWeights: w, Arena: arena})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sol.Objective <= 0 {
+			b.Fatal("degenerate LP")
+		}
+	}
+	solve(weights[0]) // the engine's construction primes the arena
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solve(weights[i%len(weights)])
+	}
+}
+
 // BenchmarkColumnGenerationParallel runs the same solve at several pricing
 // worker counts. The results are byte-identical at every count (see
 // internal/par); the sub-benchmarks expose how much of the solve the

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"see/internal/graph"
 	"see/internal/lp"
@@ -154,21 +155,17 @@ type Arena struct {
 	channels []int
 	memory   []int
 
-	factors      [][]float64
-	candLinkRows [][][]int32
-	pairMemRows  [][2]int32
-	negLogQ      []float64
-	hasNegLogQ   bool
-	price        []*priceScratch
+	tables *tables
+	price  []*priceScratch
 	// solver is the master of the previous solve, Reset for the next one
 	// so B⁻¹ and the pivot scratch are allocated once per arena.
 	solver *lp.PackingSolver
 }
 
-// tablesValid reports whether the arena's cached candidate tables were
-// built from exactly the inputs the current solve would use.
+// tablesValid reports whether the arena's cached tables were built from
+// exactly the inputs the current solve would use.
 func (a *Arena) tablesValid(set *segment.Set, opts Options) bool {
-	if a.set != set || a.factors == nil || a.dropDead != opts.DropDeadLinks {
+	if a.set != set || a.tables == nil || a.dropDead != opts.DropDeadLinks {
 		return false
 	}
 	if !a.dropDead {
@@ -208,28 +205,49 @@ func (o Options) withDefaults(set *segment.Set) Options {
 	return o
 }
 
-// model holds the row layout shared by pricing and column construction.
-type model struct {
-	set     *segment.Set
-	opts    Options
-	linkRow map[int]int // physical link ID -> row
-	memRow  map[int]int // node -> row
+// tables are the dual-independent data of one solve's inputs: the master's
+// row layout, the per-candidate attempt factors and rows, and the layered
+// pricing's per-node and per-commodity tables. They are pure functions of
+// (set, DropDeadLinks overrides, MaxJunctions), so an Arena replays them
+// across solves, and pricing rounds touch no maps and recompute no factors.
+type tables struct {
+	// linkRow[id] is the master row of physical link id and memRow[v] the
+	// memory row of node v, −1 when no candidate uses the link or ends at
+	// the node. Rows run commodities, used links, used endpoints.
+	linkRow []int32
+	memRow  []int32
 	numRows int
-	solver  *lp.PackingSolver
 
-	// Dual-independent per-candidate data, computed once at model build
-	// (aligned with set.ByPair[set.EdgePairs[edgeID]]):
-	// factors[edgeID][k] is the attempt factor 1/(p·√(q_u·q_v)) and
-	// candLinkRows[edgeID][k] the master rows of the candidate's physical
-	// links. pairMemRows[edgeID] holds the memory rows of the edge's two
-	// endpoints. Pricing rounds touch no maps and recompute no factors.
+	// Aligned with set.ByPair[set.EdgePairs[edgeID]]: factors[edgeID][k]
+	// is the attempt factor 1/(p·√(q_u·q_v)) (+Inf for a dropped
+	// candidate) and candLinkRows[edgeID][k] the master rows of the
+	// candidate's physical links. pairMemRows[edgeID] holds the memory rows
+	// of the edge's two endpoints.
 	factors      [][]float64
 	candLinkRows [][][]int32
 	pairMemRows  [][2]int32
-	// negLogQ[v] caches −ln(SwapProb[v]) for the layered pricing DP
-	// (+Inf at q ≤ 0); the log was previously recomputed per frontier
-	// node per layer per commodity per round.
-	negLogQ []float64
+
+	// Swap-weighted objective only, built on first use. negLogQ[v] caches
+	// −ln(SwapProb[v]) (+Inf at q ≤ 0). uniformQ: every node has the same
+	// q, with −ln q ≥ 0. reach holds each commodity's unpruned frontier
+	// order for reachHops layers (reachOrder).
+	negLogQ   []float64
+	uniformQ  bool
+	reach     []reachOrder
+	reachHops int
+}
+
+// model is one solve: its options, tables, master and round state.
+type model struct {
+	set    *segment.Set
+	opts   Options
+	solver *lp.PackingSolver
+	*tables
+
+	// pruneDominated is uniformQ and no negative priced arc cost this
+	// round: the two conditions under which layeredPrice prunes dominated
+	// states.
+	pruneDominated bool
 
 	// Per segment edge, recomputed each round: the cheapest realization
 	// under current duals, its cost, its attempt factor and its index in
@@ -243,6 +261,7 @@ type model struct {
 
 	colKeys colKeySet
 	columns []column
+	entries []lp.Entry
 
 	// Per-worker pricing scratch (index = worker id from par.ForWorker, so
 	// no two goroutines share a buffer).
@@ -334,8 +353,7 @@ func newModel(set *segment.Set, opts Options) (*model, error) {
 
 	m := &model{set: set, opts: opts}
 	m.edgeCost = func(id int, _ float64) float64 { return m.bestCost[id] }
-	m.layoutRows()
-	m.buildCandidateTables()
+	m.buildTables()
 	var err error
 	if a := opts.Arena; a != nil && a.solver != nil {
 		m.solver = a.solver
@@ -400,17 +418,66 @@ func (m *model) run(ctx context.Context) (*Solution, error) {
 	return m.extract(lp.StatusIterLimit, rounds), nil
 }
 
+// buildTables resolves the solve's tables: replayed from the arena when it
+// holds tables for the same inputs (bit-identical to rebuilding), built
+// otherwise. The swap-weighted pricing's tables are added on first use.
+func (m *model) buildTables() {
+	n := len(m.set.EdgePairs)
+	m.bestCost = make([]float64, n)
+	m.bestCand = make([]*segment.Candidate, n)
+	m.bestCandIdx = make([]int32, n)
+	m.bestFactor = make([]float64, n)
+	a := m.opts.Arena
+	if a != nil && a.tablesValid(m.set, m.opts) {
+		m.tables = a.tables
+	} else {
+		m.tables = &tables{}
+		m.layoutRows()
+		m.buildCandidateTables()
+		if a != nil {
+			a.set = m.set
+			a.dropDead = m.opts.DropDeadLinks
+			a.channels = append(a.channels[:0], m.opts.Channels...)
+			a.memory = append(a.memory[:0], m.opts.Memory...)
+			if m.opts.Channels == nil {
+				a.channels = nil
+			}
+			if m.opts.Memory == nil {
+				a.memory = nil
+			}
+			a.tables = m.tables
+		}
+	}
+	if m.opts.SwapWeightedObjective {
+		if m.negLogQ == nil {
+			m.buildNegLogQ()
+		}
+		if hops := m.opts.MaxJunctions + 1; m.reach == nil || m.reachHops != hops {
+			m.buildReach(hops)
+		}
+	}
+	if a != nil {
+		m.price = a.price
+	}
+}
+
 // layoutRows assigns row indices: commodities, used links, used endpoints.
 func (m *model) layoutRows() {
-	m.linkRow = make(map[int]int)
-	m.memRow = make(map[int]int)
+	m.linkRow = make([]int32, m.set.Net.NumLinks())
+	m.memRow = make([]int32, m.set.Net.NumNodes())
+	for i := range m.linkRow {
+		m.linkRow[i] = -1
+	}
+	for i := range m.memRow {
+		m.memRow[i] = -1
+	}
 	row := len(m.set.Pairs)
 	for _, id := range m.set.UsedLinks() {
-		m.linkRow[id] = row
+		m.linkRow[id] = int32(row)
 		row++
 	}
 	for _, u := range m.set.UsedEndpoints() {
-		m.memRow[u] = row
+		m.memRow[u] = int32(row)
 		row++
 	}
 	m.numRows = row
@@ -422,25 +489,6 @@ func (m *model) layoutRows() {
 // once here.
 func (m *model) buildCandidateTables() {
 	n := len(m.set.EdgePairs)
-	m.bestCost = make([]float64, n)
-	m.bestCand = make([]*segment.Candidate, n)
-	m.bestCandIdx = make([]int32, n)
-	m.bestFactor = make([]float64, n)
-	if a := m.opts.Arena; a != nil && a.tablesValid(m.set, m.opts) {
-		// The tables are pure functions of (set, DropDeadLinks overrides):
-		// replaying them is bit-identical to rebuilding.
-		m.factors = a.factors
-		m.candLinkRows = a.candLinkRows
-		m.pairMemRows = a.pairMemRows
-		if m.opts.SwapWeightedObjective && a.hasNegLogQ {
-			m.negLogQ = a.negLogQ
-		} else if m.opts.SwapWeightedObjective {
-			m.buildNegLogQ()
-			a.negLogQ, a.hasNegLogQ = m.negLogQ, true
-		}
-		m.price = a.price
-		return
-	}
 	m.factors = make([][]float64, n)
 	m.candLinkRows = make([][][]int32, n)
 	m.pairMemRows = make([][2]int32, n)
@@ -476,33 +524,13 @@ func (m *model) buildCandidateTables() {
 			}
 			lr := make([]int32, len(c.EdgeIDs))
 			for h, e := range c.EdgeIDs {
-				lr[h] = int32(m.linkRow[e])
+				lr[h] = m.linkRow[e]
 			}
 			rows[k] = lr
 		}
 		m.factors[id] = fs
 		m.candLinkRows[id] = rows
-		m.pairMemRows[id] = [2]int32{int32(m.memRow[pk.U]), int32(m.memRow[pk.V])}
-	}
-	if m.opts.SwapWeightedObjective {
-		m.buildNegLogQ()
-	}
-	if a := m.opts.Arena; a != nil {
-		a.set = m.set
-		a.dropDead = m.opts.DropDeadLinks
-		a.channels = append(a.channels[:0], m.opts.Channels...)
-		a.memory = append(a.memory[:0], m.opts.Memory...)
-		if m.opts.Channels == nil {
-			a.channels = nil
-		}
-		if m.opts.Memory == nil {
-			a.memory = nil
-		}
-		a.factors = m.factors
-		a.candLinkRows = m.candLinkRows
-		a.pairMemRows = m.pairMemRows
-		a.negLogQ, a.hasNegLogQ = m.negLogQ, m.opts.SwapWeightedObjective
-		m.price = a.price
+		m.pairMemRows[id] = [2]int32{m.memRow[pk.U], m.memRow[pk.V]}
 	}
 }
 
@@ -514,6 +542,10 @@ func (m *model) buildNegLogQ() {
 		} else {
 			m.negLogQ[v] = -math.Log(q)
 		}
+	}
+	m.uniformQ = len(m.negLogQ) > 0 && m.negLogQ[0] >= 0
+	for _, c := range m.negLogQ {
+		m.uniformQ = m.uniformQ && c == m.negLogQ[0]
 	}
 }
 
@@ -531,10 +563,14 @@ func (m *model) rhs() []float64 {
 		b[i] = float64(cap)
 	}
 	for id, row := range m.linkRow {
-		b[row] = maxf(0, float64(channels[id]))
+		if row >= 0 {
+			b[row] = maxf(0, float64(channels[id]))
+		}
 	}
 	for u, row := range m.memRow {
-		b[row] = maxf(0, float64(memory[u]))
+		if row >= 0 {
+			b[row] = maxf(0, float64(memory[u]))
+		}
 	}
 	return b
 }
@@ -567,13 +603,14 @@ func attemptFactor(set *segment.Set, c *segment.Candidate) float64 {
 }
 
 // priceRealizations computes, per segment edge, the cheapest realization
-// cost under the duals: factor · (Σ link duals + endpoint memory duals).
+// cost under the duals: factor · (Σ link duals + endpoint memory duals),
+// and decides whether this round's layered pricing prunes dominated states.
 // Edges are priced in parallel; each index writes only its own slots, so
 // the result is independent of the worker count. A cancelled ctx aborts
 // the scan and returns ctx.Err(); the partially written slots are
 // discarded by the caller.
 func (m *model) priceRealizations(ctx context.Context, duals []float64) error {
-	return par.ForCtx(ctx, m.opts.Workers, len(m.set.EdgePairs), func(id int) {
+	err := par.ForCtx(ctx, m.opts.Workers, len(m.set.EdgePairs), func(id int) {
 		best := math.Inf(1)
 		bestK := -1
 		mr := m.pairMemRows[id]
@@ -612,6 +649,9 @@ func (m *model) priceRealizations(ctx context.Context, duals []float64) error {
 			m.bestFactor[id] = math.Inf(1)
 		}
 	})
+	// bestCost is never NaN (a NaN cost never beats the +Inf start).
+	m.pruneDominated = m.uniformQ && !slices.ContainsFunc(m.bestCost, func(c float64) bool { return c < 0 })
+	return err
 }
 
 // priceColumns runs the per-commodity pricing oracle for every SD pair into
@@ -695,26 +735,24 @@ func (m *model) insertColumn(i int, pp *pricedPath) bool {
 
 // columnEntries builds the sparse resource footprint of a path column from
 // the cached per-candidate rows and factors of the round's best
-// realizations.
+// realizations: one entry per (row, factor) in edge order, into a buffer
+// reused across columns (AddColumn copies it). A row hit by several hops
+// repeats; AddColumn stable-sorts by row and sums repeats in input order,
+// so each row's value is accumulated in edge order.
 func (m *model) columnEntries(i int, edgeIDs []int) []lp.Entry {
-	acc := make(map[int]float64, 2+3*len(edgeIDs))
-	acc[i] = 1
+	entries := append(m.entries[:0], lp.Entry{Index: i, Value: 1})
 	for _, id := range edgeIDs {
 		f := m.bestFactor[id]
 		if math.IsInf(f, 1) {
 			return nil
 		}
 		for _, r := range m.candLinkRows[id][m.bestCandIdx[id]] {
-			acc[int(r)] += f
+			entries = append(entries, lp.Entry{Index: int(r), Value: f})
 		}
 		mr := m.pairMemRows[id]
-		acc[int(mr[0])] += f
-		acc[int(mr[1])] += f
+		entries = append(entries, lp.Entry{Index: int(mr[0]), Value: f}, lp.Entry{Index: int(mr[1]), Value: f})
 	}
-	entries := make([]lp.Entry, 0, len(acc))
-	for row, v := range acc {
-		entries = append(entries, lp.Entry{Index: row, Value: v})
-	}
+	m.entries = entries
 	return entries
 }
 

@@ -7,20 +7,21 @@ import (
 )
 
 // priceScratch holds the reusable buffers of one worker's pricing oracle:
-// the layered DP's tables and its two alternating frontiers, and the
-// shortest-path search of plain pricing. Each parallel pricing worker owns
-// exactly one (see model.price), so no state is shared across goroutines;
-// its zero value is ready and grows on first use.
+// the layered DP's tables, its per-node dominance bound and its two
+// alternating frontiers, and the shortest-path search of plain pricing.
+// Each parallel pricing worker owns exactly one (see model.price), so no
+// state is shared across goroutines; its zero value is ready and grows on
+// first use.
 type priceScratch struct {
-	dist       []float64
-	logq       []float64
-	prevNode   []int32
-	prevEdge   []int32
-	frontier   []int
-	next       []int
-	inFrontier []bool
-	cands      []layerCand
-	dijkstra   graph.DijkstraScratch
+	dist     []float64
+	logq     []float64
+	prevNode []int32
+	prevEdge []int32
+	best     []float64
+	frontier []int32
+	next     []int32
+	cands    []layerCand
+	dijkstra graph.DijkstraScratch
 }
 
 // layerCand is one hop-count layer whose best s→d walk qualifies.
@@ -37,9 +38,73 @@ func (ps *priceScratch) resize(layers, n int) {
 		ps.prevNode = make([]int32, layers*n)
 		ps.prevEdge = make([]int32, layers*n)
 	}
-	if len(ps.inFrontier) != n {
-		ps.inFrontier = make([]bool, n)
+	if len(ps.best) != n {
+		ps.best = make([]float64, n)
 	}
+}
+
+// reachOrder is one commodity's frontier order: nodes[off[h]:off[h+1]]
+// lists, for layer h, every node some h-hop walk from the source reaches
+// over usable arcs (those with a finite-factor realization) through nodes
+// with q > 0, in the order an unpruned layered DP first reaches them —
+// each frontier scanned in this order, each node's arcs in adjacency order.
+//
+// The order depends only on which arcs are usable, never on the duals:
+// under finite duals priceRealizations gives exactly the usable arcs a
+// finite price, so the first scanned usable arc into a node is the one
+// that first sets its distance. It is therefore computed once per set of
+// tables, and layeredPrice scans each layer in it. That keeps the DP's
+// tie-break — a node's predecessor is the first minimizer in scan order —
+// exactly the unpruned DP's whatever states are pruned.
+type reachOrder struct {
+	nodes []int32
+	off   []int32
+}
+
+func (r reachOrder) layer(h int) []int32 {
+	if h+1 >= len(r.off) {
+		return nil
+	}
+	return r.nodes[r.off[h]:r.off[h+1]]
+}
+
+// buildReach computes every commodity's reachOrder for hops layers.
+func (m *model) buildReach(hops int) {
+	g := m.set.SegGraph
+	usable := make([]bool, len(m.factors))
+	for id, fs := range m.factors {
+		for _, f := range fs {
+			usable[id] = usable[id] || f < math.Inf(1) // not +Inf or NaN
+		}
+	}
+	// seen[v] == h marks v as already listed at layer h.
+	seen := make([]int, g.N())
+	m.reach = make([]reachOrder, len(m.set.Pairs))
+	for i, sd := range m.set.Pairs {
+		for v := range seen {
+			seen[v] = -1
+		}
+		r := reachOrder{nodes: []int32{int32(sd.S)}, off: []int32{0, 1}}
+		for h := 1; h <= hops; h++ {
+			for _, u := range r.layer(h - 1) {
+				if int(u) != sd.S && math.IsInf(m.negLogQ[u], 1) {
+					continue
+				}
+				for _, e := range g.Neighbors(int(u)) {
+					if usable[e.ID] && seen[e.To] != h {
+						seen[e.To] = h
+						r.nodes = append(r.nodes, int32(e.To))
+					}
+				}
+			}
+			if int(r.off[h]) == len(r.nodes) {
+				break
+			}
+			r.off = append(r.off, int32(len(r.nodes)))
+		}
+		m.reach[i] = r
+	}
+	m.reachHops = hops
 }
 
 // layeredPrice is the pricing oracle for the swap-weighted objective: it
@@ -55,6 +120,15 @@ func (ps *priceScratch) resize(layers, n int) {
 // layer fixes w exactly; for heterogeneous q the survival of the stored
 // min-cost path is used, a conservative approximation.
 //
+// Each frontier lists the layer's expanded nodes in the commodity's
+// reachOrder. When the round prunes dominated states (pruneDominated:
+// uniform q and no negative arc cost), a node enters the next frontier only
+// if its distance is below best[v], the least distance to v over the layers
+// already built: a state no cheaper than a shorter walk to its node cannot
+// lie on the winning walk, and the source (best = 0) is never re-expanded.
+// The pruned DP returns exactly the unpruned one's walk and weight
+// (DESIGN.md §5b).
+//
 // Min-cost fixed-hop walks may in principle revisit nodes; such walks are
 // strictly dominated (positive arc costs, weights ≤ 1), so loopy
 // reconstructions are skipped and a dominating simple path at another
@@ -66,58 +140,70 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 	g := m.set.SegGraph
 	n := g.N()
 	maxHops := m.opts.MaxJunctions + 1
+	prune := m.pruneDominated
+	order := m.reach[i]
 
 	ps.resize(maxHops+1, n)
 	dist, logq := ps.dist, ps.logq
 	prevNode, prevEdge := ps.prevNode, ps.prevEdge
-	// Only dist needs resetting: prevNode/prevEdge are read exclusively at
-	// entries whose dist was written this call (reconstruct follows layers
-	// h…1 of a finite-dist path), so stale values are never observed.
-	for k := range dist {
-		dist[k] = math.Inf(1)
+	best := ps.best
+	// Each layer's dist is reset when the layer is reached; layers past the
+	// last one built are never read. prevNode/prevEdge are read exclusively
+	// at entries whose dist was written this call (reconstruct follows
+	// layers h…1 of a finite-dist path), so stale values are never observed.
+	for v := range best {
+		best[v] = math.Inf(1)
+		dist[v] = math.Inf(1)
 	}
 	dist[sd.S] = 0 // layer 0
+	if prune {
+		best[sd.S] = 0
+	}
 
-	// frontier holds the nodes reached at the previous layer, in the order
-	// they were first reached; next collects this layer's. The two buffers
-	// swap roles every layer. inFrontier marks membership of next and is
-	// all false between layers.
-	frontier := append(ps.frontier[:0], sd.S)
-	next := ps.next[:0]
-	inFrontier := ps.inFrontier
+	// frontier holds the previous layer's expanded nodes; next collects
+	// this layer's. The two buffers swap roles every layer.
+	frontier := append(ps.frontier[:0], int32(sd.S))
+	next := ps.next
 	bestCost, negLogQ := m.bestCost, m.negLogQ
+	built := 0
 	for h := 1; h <= maxHops && len(frontier) > 0; h++ {
-		next = next[:0]
 		prevDist, prevLogq := dist[(h-1)*n:h*n], logq[(h-1)*n:h*n]
 		hDist, hLogq := dist[h*n:(h+1)*n], logq[h*n:(h+1)*n]
 		hNode, hEdge := prevNode[h*n:(h+1)*n], prevEdge[h*n:(h+1)*n]
+		for v := range hDist {
+			hDist[v] = math.Inf(1)
+		}
 		for _, u := range frontier {
 			base := prevDist[u]
 			var addLogq float64
-			if u != sd.S {
+			if int(u) != sd.S {
 				addLogq = negLogQ[u]
 				if math.IsInf(addLogq, 1) {
 					continue
 				}
 			}
 			lq := prevLogq[u] + addLogq
-			for _, e := range g.Neighbors(u) {
+			for _, e := range g.Neighbors(int(u)) {
 				// An arc with no usable realization costs +Inf, and
 				// base + Inf never beats a stored distance.
 				if nd := base + bestCost[e.ID]; nd < hDist[e.To] {
 					hDist[e.To] = nd
 					hLogq[e.To] = lq
-					hNode[e.To] = int32(u)
+					hNode[e.To] = u
 					hEdge[e.To] = int32(e.ID)
-					if !inFrontier[e.To] {
-						inFrontier[e.To] = true
-						next = append(next, e.To)
-					}
 				}
 			}
 		}
-		for _, v := range next {
-			inFrontier[v] = false
+		built = h
+		// Without pruning best stays +Inf, so every reached node enters.
+		next = next[:0]
+		for _, v := range order.layer(h) {
+			if d := hDist[v]; d < best[v] {
+				next = append(next, v)
+				if prune {
+					best[v] = d
+				}
+			}
 		}
 		frontier, next = next, frontier
 	}
@@ -132,7 +218,7 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 		minRC = math.Inf(-1)
 	}
 	cands := ps.cands[:0]
-	for h := 1; h <= maxHops; h++ {
+	for h := 1; h <= built; h++ {
 		st := h*n + sd.D
 		if math.IsInf(dist[st], 1) {
 			continue

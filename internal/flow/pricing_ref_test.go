@@ -1,0 +1,421 @@
+package flow
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"see/internal/graph"
+	"see/internal/segment"
+	"see/internal/topo"
+	"see/internal/xrand"
+)
+
+// refPriceScratch is the layered DP's scratch as it was before dominance
+// pruning: first-reach frontiers with an inFrontier membership mark.
+type refPriceScratch struct {
+	dist       []float64
+	logq       []float64
+	prevNode   []int32
+	prevEdge   []int32
+	frontier   []int
+	next       []int
+	inFrontier []bool
+	cands      []layerCand
+}
+
+func (ps *refPriceScratch) resize(layers, n int) {
+	if len(ps.dist) != layers*n {
+		ps.dist = make([]float64, layers*n)
+		ps.logq = make([]float64, layers*n)
+		ps.prevNode = make([]int32, layers*n)
+		ps.prevEdge = make([]int32, layers*n)
+	}
+	if len(ps.inFrontier) != n {
+		ps.inFrontier = make([]bool, n)
+	}
+}
+
+// layeredPriceReference is layeredPrice as it was before dominance pruning,
+// kept verbatim: every reached state is expanded, each frontier in the
+// order its nodes were first reached, and all layers are reset per call.
+// TestLayeredPriceMatchesReference pins the pruned DP to it.
+func (m *model) layeredPriceReference(ps *refPriceScratch, i int, dualI, eps float64) (graph.Path, []int, float64) {
+	sd := m.set.Pairs[i]
+	g := m.set.SegGraph
+	n := g.N()
+	maxHops := m.opts.MaxJunctions + 1
+
+	ps.resize(maxHops+1, n)
+	dist, logq := ps.dist, ps.logq
+	prevNode, prevEdge := ps.prevNode, ps.prevEdge
+	// Only dist needs resetting: prevNode/prevEdge are read exclusively at
+	// entries whose dist was written this call (reconstruct follows layers
+	// h…1 of a finite-dist path), so stale values are never observed.
+	for k := range dist {
+		dist[k] = math.Inf(1)
+	}
+	dist[sd.S] = 0 // layer 0
+
+	// frontier holds the nodes reached at the previous layer, in the order
+	// they were first reached; next collects this layer's. The two buffers
+	// swap roles every layer. inFrontier marks membership of next and is
+	// all false between layers.
+	frontier := append(ps.frontier[:0], sd.S)
+	next := ps.next[:0]
+	inFrontier := ps.inFrontier
+	bestCost, negLogQ := m.bestCost, m.negLogQ
+	for h := 1; h <= maxHops && len(frontier) > 0; h++ {
+		next = next[:0]
+		prevDist, prevLogq := dist[(h-1)*n:h*n], logq[(h-1)*n:h*n]
+		hDist, hLogq := dist[h*n:(h+1)*n], logq[h*n:(h+1)*n]
+		hNode, hEdge := prevNode[h*n:(h+1)*n], prevEdge[h*n:(h+1)*n]
+		for _, u := range frontier {
+			base := prevDist[u]
+			var addLogq float64
+			if u != sd.S {
+				addLogq = negLogQ[u]
+				if math.IsInf(addLogq, 1) {
+					continue
+				}
+			}
+			lq := prevLogq[u] + addLogq
+			for _, e := range g.Neighbors(u) {
+				// An arc with no usable realization costs +Inf, and
+				// base + Inf never beats a stored distance.
+				if nd := base + bestCost[e.ID]; nd < hDist[e.To] {
+					hDist[e.To] = nd
+					hLogq[e.To] = lq
+					hNode[e.To] = int32(u)
+					hEdge[e.To] = int32(e.ID)
+					if !inFrontier[e.To] {
+						inFrontier[e.To] = true
+						next = append(next, e.To)
+					}
+				}
+			}
+		}
+		for _, v := range next {
+			inFrontier[v] = false
+		}
+		frontier, next = next, frontier
+	}
+	ps.frontier, ps.next = frontier, next
+
+	// Rank layers by reduced cost; seeding (dualI = −Inf) accepts the best
+	// finite layer unconditionally.
+	effDual := dualI
+	minRC := eps
+	if math.IsInf(dualI, -1) {
+		effDual = 0
+		minRC = math.Inf(-1)
+	}
+	cands := ps.cands[:0]
+	for h := 1; h <= maxHops; h++ {
+		st := h*n + sd.D
+		if math.IsInf(dist[st], 1) {
+			continue
+		}
+		w := math.Exp(-logq[st])
+		if rc := w - effDual - dist[st]; rc > minRC {
+			cands = append(cands, layerCand{h: h, rc: rc, w: w})
+		}
+	}
+	ps.cands = cands[:0] // keep the grown buffer; the loop below only shrinks it
+	// Try candidates from best reduced cost down, skipping loopy walks.
+	for len(cands) > 0 {
+		best := 0
+		for k := 1; k < len(cands); k++ {
+			if cands[k].rc > cands[best].rc {
+				best = k
+			}
+		}
+		nodes, edges := reconstruct(prevNode, prevEdge, n, cands[best].h, sd.D)
+		if nodes.Loopless() {
+			return nodes, edges, cands[best].w
+		}
+		cands[best] = cands[len(cands)-1]
+		cands = cands[:len(cands)-1]
+	}
+	return nil, nil, 0
+}
+
+// gridSet builds a k×k grid of equal-length links (Delta 0, so every link
+// has the same success probability and cost ties are common) with pairs
+// between opposite corners, opposite edge midpoints and random nodes. With
+// deadQ, every fifth node cannot swap (q = 0).
+func gridSet(t *testing.T, k int, rng *rand.Rand, deadQ bool) *segment.Set {
+	t.Helper()
+	var b strings.Builder
+	for y := 0; y < k; y++ {
+		for x := 0; x < k; x++ {
+			q := 0.9
+			if deadQ && (y*k+x)%5 == 2 {
+				q = 0
+			}
+			fmt.Fprintf(&b, "node %d %d %d 10 %g\n", y*k+x, 50*x, 50*y, q)
+		}
+	}
+	for y := 0; y < k; y++ {
+		for x := 0; x < k; x++ {
+			if x+1 < k {
+				fmt.Fprintf(&b, "link %d %d 50\n", y*k+x, y*k+x+1)
+			}
+			if y+1 < k {
+				fmt.Fprintf(&b, "link %d %d 50\n", y*k+x, (y+1)*k+x)
+			}
+		}
+	}
+	net, err := topo.LoadEdgeList(strings.NewReader(b.String()), topo.ResourceDefaults{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := k*k - 1
+	pairs := []topo.SDPair{{S: 0, D: last}, {S: k - 1, D: last - (k - 1)}, {S: k / 2, D: last - k/2}}
+	for len(pairs) < 6 {
+		s, d := rng.Intn(k*k), rng.Intn(k*k)
+		if s != d {
+			pairs = append(pairs, topo.SDPair{S: s, D: d})
+		}
+	}
+	set, err := segment.Build(net, pairs, segment.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+func waxmanPricingSet(t *testing.T, jitter float64, seed int64) *segment.Set {
+	t.Helper()
+	cfg := topo.DefaultConfig()
+	cfg.Nodes = 60
+	cfg.SwapProbJitter = jitter
+	net, err := topo.Generate(cfg, xrand.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := topo.ChooseSDPairs(net, 8, xrand.New(seed+100))
+	set, err := segment.Build(net, pairs, segment.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// pricingRound is one set of master duals; dualI of −Inf is the seeding
+// round.
+type pricingRound struct {
+	name  string
+	duals []float64
+	dualI []float64
+}
+
+func pricingRounds(m *model, rng *rand.Rand) []pricingRound {
+	numRows, numPairs := m.numRows, len(m.set.Pairs)
+	fill := func(v float64) []float64 {
+		y := make([]float64, numRows)
+		for i := range y {
+			y[i] = v
+		}
+		return y
+	}
+	seed := make([]float64, numPairs)
+	for i := range seed {
+		seed[i] = math.Inf(-1)
+	}
+	rounds := []pricingRound{
+		{"seed", fill(1), seed},
+		{"unit", fill(1), fill(1)[:numPairs]},
+		{"zero", fill(0), fill(0)[:numPairs]},
+	}
+	// Expensive links and free memory: long segments cost more than chains
+	// of short ones, so multi-hop walks win and equal-cost ties reach the
+	// winning walk.
+	links := fill(0)
+	for _, r := range m.linkRow {
+		if r >= 0 {
+			links[r] = 10
+		}
+	}
+	rounds = append(rounds, pricingRound{"links", links, fill(0)[:numPairs]})
+	// Seeding rounds over a few repeated dual values: equal-cost walks to
+	// the same node are common, so they pin the DP's tie-break.
+	for r := 0; r < 6; r++ {
+		y := make([]float64, numRows)
+		level := float64(rng.Intn(20)) / float64(1+rng.Intn(20))
+		for i := range y {
+			switch rng.Intn(3) {
+			case 1:
+				y[i] = level
+			case 2:
+				y[i] = float64(rng.Intn(3))
+			}
+		}
+		rounds = append(rounds, pricingRound{fmt.Sprintf("ties%d", r), y, seed})
+	}
+	for r := 0; r < 4; r++ {
+		y := make([]float64, numRows)
+		for i := range y {
+			// Sparse, like an LP optimum's duals: most rows slack.
+			if rng.Intn(3) == 0 {
+				y[i] = rng.Float64() * 0.3
+			}
+		}
+		di := make([]float64, numPairs)
+		for i := range di {
+			di[i] = rng.Float64()
+		}
+		rounds = append(rounds, pricingRound{fmt.Sprintf("random%d", r), y, di})
+	}
+	return rounds
+}
+
+// comparePricing prices every commodity of every round with layeredPrice
+// and layeredPriceReference and requires identical nodes, edges and weight
+// bits. It returns how many rounds ran pruned.
+func comparePricing(t *testing.T, name string, m *model, rounds []pricingRound) int {
+	t.Helper()
+	ps, rs := &priceScratch{}, &refPriceScratch{}
+	pruned := 0
+	for _, r := range rounds {
+		if err := m.priceRealizations(nil, r.duals); err != nil {
+			t.Fatal(err)
+		}
+		if m.pruneDominated {
+			pruned++
+		}
+		for i := range m.set.Pairs {
+			nodes, edges, w := m.layeredPrice(ps, i, r.dualI[i], m.opts.Epsilon)
+			rNodes, rEdges, rw := m.layeredPriceReference(rs, i, r.dualI[i], m.opts.Epsilon)
+			if fmt.Sprint(nodes, edges) != fmt.Sprint(rNodes, rEdges) || math.Float64bits(w) != math.Float64bits(rw) {
+				t.Fatalf("%s round %s commodity %d: got %v %v w=%v, reference %v %v w=%v",
+					name, r.name, i, nodes, edges, w, rNodes, rEdges, rw)
+			}
+		}
+	}
+	return pruned
+}
+
+// TestLayeredPriceMatchesReference pins the dominance-pruned layered DP to
+// the pre-pruning one, call for call, on Waxman sets with uniform and
+// jittered q and on equal-length grids where cost ties are common, under
+// seeding, unit, zero, link-heavy, tie-heavy and random duals, at the
+// default junction bound and at small ones where the last layer often wins.
+func TestLayeredPriceMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	type instance struct {
+		name         string
+		set          *segment.Set
+		maxJunctions int
+		dropDead     bool
+	}
+	var insts []instance
+	for _, jitter := range []float64{0, 0.05} {
+		for seed := int64(1); seed <= 3; seed++ {
+			insts = append(insts, instance{fmt.Sprintf("waxman jitter=%g seed=%d", jitter, seed), waxmanPricingSet(t, jitter, seed), 0, false})
+		}
+	}
+	for k := 3; k <= 8; k++ {
+		set := gridSet(t, k, rng, false)
+		insts = append(insts, instance{fmt.Sprintf("grid k=%d", k), set, 0, false})
+		for d := 0; k >= 4 && d < 3; d++ {
+			insts = append(insts, instance{fmt.Sprintf("grid k=%d dead-links %d", k, d), set, 0, true})
+		}
+		if k >= 6 {
+			insts = append(insts,
+				instance{fmt.Sprintf("grid k=%d junctions=%d", k, k-4), set, k - 4, false},
+				instance{fmt.Sprintf("grid k=%d dead-q", k), gridSet(t, k, rng, true), 0, false})
+		}
+	}
+	for _, in := range insts {
+		opts := Options{SwapWeightedObjective: true, MaxJunctions: in.maxJunctions}
+		if in.dropDead {
+			// A third of the links are down: segments over them leave the
+			// column space, and so do their arcs when no realization is
+			// left, which changes the frontier order.
+			opts.DropDeadLinks = true
+			opts.Channels = append([]int(nil), in.set.Net.Channels...)
+			for l := range opts.Channels {
+				if rng.Intn(3) == 0 {
+					opts.Channels[l] = 0
+				}
+			}
+		}
+		m, err := newModel(in.set, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uniform := !strings.Contains(in.name, "jitter=0.05") && !strings.Contains(in.name, "dead-q")
+		if m.uniformQ != uniform {
+			t.Fatalf("%s: uniformQ = %v, want %v", in.name, m.uniformQ, uniform)
+		}
+		rounds := pricingRounds(m, rng)
+		pruned := comparePricing(t, in.name, m, rounds)
+		if want := len(rounds); !uniform {
+			if pruned != 0 {
+				t.Fatalf("%s: %d rounds pruned with heterogeneous q", in.name, pruned)
+			}
+		} else if pruned != want {
+			t.Fatalf("%s: %d of %d rounds pruned with uniform q", in.name, pruned, want)
+		}
+	}
+}
+
+// TestLayeredPriceNegativeCostUnpruned: rounds where some rows carry a
+// negative dual, so some arc costs are negative and cycles can pay, take
+// the full expansion and still match the reference. (Pruning such rounds
+// does change results: a dominated state can lead to the only loopless
+// walk once cheaper loopy ones are skipped.)
+func TestLayeredPriceNegativeCostUnpruned(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	sets := []*segment.Set{waxmanPricingSet(t, 0, 4)}
+	for k := 4; k <= 8; k++ {
+		sets = append(sets, gridSet(t, k, rng, false))
+	}
+	negRounds := 0
+	for si, set := range sets {
+		m, err := newModel(set, Options{SwapWeightedObjective: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.uniformQ {
+			t.Fatal("uniform-q instance not detected")
+		}
+		for r := 0; r < 10; r++ {
+			y := make([]float64, m.numRows)
+			frac, scale := 2+rng.Intn(10), 3*rng.Float64()
+			for i := range y {
+				if rng.Intn(frac) == 0 {
+					y[i] = -scale * rng.Float64()
+				} else {
+					y[i] = rng.Float64()
+				}
+			}
+			di := make([]float64, len(set.Pairs))
+			for i := range di {
+				if r%2 == 0 {
+					di[i] = math.Inf(-1)
+				} else {
+					di[i] = 4*rng.Float64() - 2
+				}
+			}
+			name := fmt.Sprintf("negative%d", r)
+			pruned := comparePricing(t, fmt.Sprintf("set %d", si), m, []pricingRound{{name, y, di}}) == 1
+			neg := false
+			for _, c := range m.bestCost {
+				neg = neg || c < 0
+			}
+			if pruned == neg {
+				t.Fatalf("set %d %s: pruned=%v with a negative arc cost=%v", si, name, pruned, neg)
+			}
+			if neg {
+				negRounds++
+			}
+		}
+	}
+	if negRounds < 30 {
+		t.Fatalf("only %d rounds had a negative arc cost", negRounds)
+	}
+}

@@ -31,6 +31,10 @@ type Process interface {
 // meaningful batching unit anyway.
 const maxRate = 500.0
 
+// maxDeadline bounds a class's time-to-live in slots, so a request's
+// expiry slot (arrival + deadline) cannot overflow an int.
+const maxDeadline = 1 << 30
+
 // poissonDraw samples Poisson(λ) by Knuth's product method. The number of
 // rng draws varies with the outcome, which is fine: the server's rng cursor
 // counts draws, not slots.
@@ -166,11 +170,13 @@ func (b *Bursty) SetPhase(v int) error {
 //
 // where kind is poisson, diurnal or bursty. Shared keys: users=N (request
 // population, default 100), mix=g/s/b (class proportions, default
-// 0.2/0.3/0.5, normalized), deadline=g/s/b (per-class time-to-live in
-// slots, default 4/8/16), max-active=K (admission bound on queued
-// requests, default 0 = unbounded). Process keys: rate (all kinds,
-// default 1), amp and period (diurnal, defaults 0.5 and 288), burst-rate
-// and switch (bursty, defaults 5·rate and 0.1).
+// 0.2/0.3/0.5, finite and normalized), deadline=g/s/b (per-class
+// time-to-live in whole slots, 1 to 2^30, default 4/8/16), max-active=K
+// (admission bound on queued requests, default 0 = unbounded). Process
+// keys: rate (all kinds, in (0,500], default 1), amp (diurnal, in [0,1],
+// default 0.5) and period (diurnal, at least 2, default 288), burst-rate
+// (bursty, in [rate,500], default 5·rate) and switch (bursty, in (0,1],
+// default 0.1). NaN and infinite values are rejected.
 //
 // The returned Config has Process set and Spec holding the input verbatim;
 // the caller supplies Seed.
@@ -202,7 +208,7 @@ func ParseSpec(spec string) (Config, error) {
 		case "rate":
 			rate, err = parseRate(key, val)
 		case "amp":
-			if amp, err = strconv.ParseFloat(val, 64); err == nil && (amp < 0 || amp > 1) {
+			if amp, err = strconv.ParseFloat(val, 64); err == nil && !(amp >= 0 && amp <= 1) {
 				err = fmt.Errorf("serve: amp=%v outside [0,1]", amp)
 			}
 		case "period":
@@ -213,7 +219,7 @@ func ParseSpec(spec string) (Config, error) {
 			burstRate, err = parseRate(key, val)
 			burstSet = true
 		case "switch":
-			if sw, err = strconv.ParseFloat(val, 64); err == nil && (sw <= 0 || sw > 1) {
+			if sw, err = strconv.ParseFloat(val, 64); err == nil && !(sw > 0 && sw <= 1) {
 				err = fmt.Errorf("serve: switch=%v outside (0,1]", sw)
 			}
 		case "users":
@@ -230,7 +236,7 @@ func ParseSpec(spec string) (Config, error) {
 			var dl [NumClasses]float64
 			if dl, err = parseTriple(val, "deadline"); err == nil {
 				for c := range dl {
-					if dl[c] < 1 || dl[c] != math.Trunc(dl[c]) {
+					if dl[c] < 1 || dl[c] > maxDeadline || dl[c] != math.Trunc(dl[c]) {
 						err = fmt.Errorf("serve: deadline %v is not a positive slot count", dl[c])
 						break
 					}
@@ -248,6 +254,9 @@ func ParseSpec(spec string) (Config, error) {
 	sum := cfg.Mix[Gold] + cfg.Mix[Silver] + cfg.Mix[Bronze]
 	if sum <= 0 {
 		return cfg, fmt.Errorf("serve: class mix %v sums to zero", cfg.Mix)
+	}
+	if math.IsInf(sum, 1) {
+		return cfg, fmt.Errorf("serve: class mix %v overflows", cfg.Mix)
 	}
 	for c := range cfg.Mix {
 		cfg.Mix[c] /= sum
@@ -287,7 +296,8 @@ func parseRate(key, val string) (float64, error) {
 	return r, nil
 }
 
-// parseTriple parses a gold/silver/bronze triple of non-negative numbers.
+// parseTriple parses a gold/silver/bronze triple of finite non-negative
+// numbers.
 func parseTriple(val, what string) ([NumClasses]float64, error) {
 	var out [NumClasses]float64
 	parts := strings.Split(val, "/")
@@ -299,8 +309,8 @@ func parseTriple(val, what string) ([NumClasses]float64, error) {
 		if err != nil {
 			return out, err
 		}
-		if v < 0 || math.IsNaN(v) {
-			return out, fmt.Errorf("serve: %s value %v is negative", what, v)
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return out, fmt.Errorf("serve: %s value %v is not a finite non-negative number", what, v)
 		}
 		out[i] = v
 	}

@@ -90,6 +90,14 @@ func TestParseSpecErrors(t *testing.T) {
 		"diurnal;period=1",
 		"bursty;switch=0",
 		"bursty;rate=4;burst-rate=2",
+		"diurnal;amp=NaN",
+		"bursty;switch=NaN",
+		"poisson;mix=inf/0/0",
+		"poisson;mix=NaN/1/1",
+		"poisson;mix=1e308/1e308/1e308",
+		"poisson;deadline=1e300/1/1",
+		"poisson;deadline=inf/1/1",
+		"poisson;deadline=2147483648/1/1",
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)
