@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseFloorSpec -fuzztime=$(FUZZTIME) -run='^$$' ./internal/qnet
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ckpt
 	$(GO) test -fuzz=FuzzParseArrivals -fuzztime=$(FUZZTIME) -run='^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzRestore -fuzztime=$(FUZZTIME) -run='^$$' ./internal/serve
 
 # docs-check keeps the documentation honest: gofmt-clean tree, a package
 # comment on every internal/* package, and every seesim flag present in
@@ -152,7 +153,7 @@ bench:
 # drops below 80% of the committed number, the hot path regressed and the
 # target fails (cmd/benchjson -check; docs/PROFILING.md is the follow-up).
 bench-smoke:
-	$(GO) test -bench='ColumnGeneration|LPDenseSolve|YenKShortest' -benchtime=1x -run='^$$' .
+	$(GO) test -bench='ColumnGeneration|YenKShortest' -benchtime=1x -run='^$$' .
 	$(GO) test -bench='WorkloadSlotsWarm' -benchmem -benchtime=3x -run='^$$' . | \
 		$(GO) run ./cmd/benchjson -check BENCH_PR9.json -metric slots/sec -min-ratio 0.8
 

@@ -23,7 +23,6 @@ import (
 	"see/internal/experiment"
 	"see/internal/flow"
 	"see/internal/graph"
-	"see/internal/lp"
 	"see/internal/reps"
 	"see/internal/segment"
 	"see/internal/topo"
@@ -248,29 +247,6 @@ func BenchmarkAblationREPSRounding(b *testing.B) {
 }
 
 // --- Substrate micro-benchmarks ---
-
-// BenchmarkLPDenseSolve measures the two-phase simplex on a mid-size model.
-func BenchmarkLPDenseSolve(b *testing.B) {
-	rng := xrand.New(5)
-	const n, m = 60, 40
-	for i := 0; i < b.N; i++ {
-		p := lp.NewDense(n)
-		for j := 0; j < n; j++ {
-			p.SetObjective(j, rng.Float64())
-		}
-		for r := 0; r < m; r++ {
-			es := make([]lp.Entry, 0, n/2)
-			for j := r % 2; j < n; j += 2 {
-				es = append(es, lp.Entry{Index: j, Value: 0.1 + rng.Float64()})
-			}
-			p.AddConstraint(es, lp.LE, 5+rng.Float64()*5)
-		}
-		sol, err := p.Solve()
-		if err != nil || sol.Status != lp.StatusOptimal {
-			b.Fatalf("solve failed: %v %v", sol.Status, err)
-		}
-	}
-}
 
 // BenchmarkColumnGeneration measures one full SEE LP solve at paper scale.
 func BenchmarkColumnGeneration(b *testing.B) {

@@ -3,10 +3,12 @@ package flow
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"testing"
 
 	"see/internal/graph"
 	"see/internal/lp"
+	"see/internal/lp/lptest"
 	"see/internal/segment"
 	"see/internal/topo"
 	"see/internal/xrand"
@@ -197,9 +199,12 @@ func TestSolveMotivationFeasibleAndPositive(t *testing.T) {
 }
 
 // denseEquivalent builds the arc-form LP of formulation (1) (aggregated
-// over n) with the dense solver, as an oracle for the column-generation
-// stack.
-func denseEquivalent(t *testing.T, set *segment.Set, connCap []int) float64 {
+// over n) as dense ≤ rows and solves it with the exact referee in
+// internal/lp/lptest, as an oracle for the column-generation stack. Each
+// flow-conservation equality becomes two ≤ 0 rows, so every right-hand
+// side stays non-negative. It returns the exact optimum and T_i per
+// commodity.
+func denseEquivalent(t *testing.T, set *segment.Set, connCap []int) (*big.Rat, []*big.Rat) {
 	t.Helper()
 	type arc struct{ from, to, edgeID int }
 	var arcs []arc
@@ -208,10 +213,8 @@ func denseEquivalent(t *testing.T, set *segment.Set, connCap []int) float64 {
 	}
 	numPairs := len(set.Pairs)
 	// Variables: f[i][a] per commodity per arc, x[pair][cand], T[i].
-	fBase := 0
-	numF := numPairs * len(arcs)
+	next := numPairs * len(arcs)
 	xIndex := make(map[*segment.Candidate]int)
-	next := fBase + numF
 	for _, pk := range set.EdgePairs {
 		for _, c := range set.ByPair[pk] {
 			xIndex[c] = next
@@ -220,116 +223,138 @@ func denseEquivalent(t *testing.T, set *segment.Set, connCap []int) float64 {
 	}
 	tBase := next
 	next += numPairs
-	p := lp.NewDense(next)
+	obj := make([]float64, next)
 	for i := 0; i < numPairs; i++ {
-		p.SetObjective(tBase+i, 1)
+		obj[tBase+i] = 1
 	}
-	fVar := func(i, a int) int { return fBase + i*len(arcs) + a }
-	// Flow conservation.
+	fVar := func(i, a int) int { return i*len(arcs) + a }
+	var rows [][]float64
+	var rhs []float64
+	add := func(row []float64, b float64) {
+		rows = append(rows, row)
+		rhs = append(rhs, b)
+	}
+	// Flow conservation, as out − in ≤ 0 and in − out ≤ 0.
 	for i, sd := range set.Pairs {
 		for u := 0; u < set.Net.NumNodes(); u++ {
-			var row []lp.Entry
+			row := make([]float64, next)
+			used := false
 			for a, ar := range arcs {
 				if ar.from == u {
-					row = append(row, lp.Entry{Index: fVar(i, a), Value: 1})
+					row[fVar(i, a)]++
+					used = true
 				}
 				if ar.to == u {
-					row = append(row, lp.Entry{Index: fVar(i, a), Value: -1})
+					row[fVar(i, a)]--
+					used = true
 				}
 			}
 			switch u {
 			case sd.S:
-				row = append(row, lp.Entry{Index: tBase + i, Value: -1})
+				row[tBase+i]--
+				used = true
 			case sd.D:
-				row = append(row, lp.Entry{Index: tBase + i, Value: 1})
+				row[tBase+i]++
+				used = true
 			}
-			if len(row) == 0 {
+			if !used {
 				continue
 			}
-			p.AddConstraint(row, lp.EQ, 0)
+			neg := make([]float64, next)
+			for j, v := range row {
+				neg[j] = -v
+			}
+			add(row, 0)
+			add(neg, 0)
 		}
 	}
 	// (1d): flow across a pair <= sum p x sqrt(qu qv).
 	for id, pk := range set.EdgePairs {
-		var row []lp.Entry
+		row := make([]float64, next)
 		for i := 0; i < numPairs; i++ {
 			for a, ar := range arcs {
 				if ar.edgeID == id {
-					row = append(row, lp.Entry{Index: fVar(i, a), Value: 1})
+					row[fVar(i, a)]++
 				}
 			}
 		}
 		qs := math.Sqrt(set.Net.SwapProb[pk.U] * set.Net.SwapProb[pk.V])
 		for _, c := range set.ByPair[pk] {
-			row = append(row, lp.Entry{Index: xIndex[c], Value: -c.Prob * qs})
+			row[xIndex[c]] -= c.Prob * qs
 		}
-		p.AddConstraint(row, lp.LE, 0)
+		add(row, 0)
 	}
 	// (1e): channel capacity.
 	for _, linkID := range set.UsedLinks() {
-		var row []lp.Entry
+		row := make([]float64, next)
 		for _, pk := range set.EdgePairs {
 			for _, c := range set.ByPair[pk] {
 				for _, e := range c.EdgeIDs {
 					if e == linkID {
-						row = append(row, lp.Entry{Index: xIndex[c], Value: 1})
+						row[xIndex[c]]++
 					}
 				}
 			}
 		}
-		p.AddConstraint(row, lp.LE, float64(set.Net.Channels[linkID]))
+		add(row, float64(set.Net.Channels[linkID]))
 	}
 	// (1f): memory.
 	for _, u := range set.UsedEndpoints() {
-		var row []lp.Entry
+		row := make([]float64, next)
 		for _, pk := range set.EdgePairs {
 			if pk.U != u && pk.V != u {
 				continue
 			}
 			for _, c := range set.ByPair[pk] {
-				row = append(row, lp.Entry{Index: xIndex[c], Value: 1})
+				row[xIndex[c]]++
 			}
 		}
-		p.AddConstraint(row, lp.LE, float64(set.Net.Memory[u]))
+		add(row, float64(set.Net.Memory[u]))
 	}
 	// T_i caps.
 	for i := range set.Pairs {
-		cap := connCap[i]
-		p.AddConstraint([]lp.Entry{{Index: tBase + i, Value: 1}}, lp.LE, float64(cap))
+		row := make([]float64, next)
+		row[tBase+i] = 1
+		add(row, float64(connCap[i]))
 	}
-	sol, err := p.Solve()
+	sol, err := lptest.Solve(obj, rows, rhs)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("exact oracle: %v", err)
 	}
-	if sol.Status != lp.StatusOptimal {
-		t.Fatalf("dense oracle status = %v", sol.Status)
-	}
-	return sol.Objective
+	return sol.Objective, sol.X[tBase:]
 }
 
-// Property: column generation matches the dense arc-form LP on the
-// motivation fixture and small random networks.
+// Property: column generation matches the exact arc-form LP on the
+// motivation fixture, small random networks and a corpus of degenerate
+// instances, to 1e-9 relative.
 func TestSolveMatchesDenseOracle(t *testing.T) {
-	check := func(name string, set *segment.Set) {
-		connCap := make([]int, len(set.Pairs))
-		for i, sd := range set.Pairs {
-			connCap[i] = min(set.Net.Memory[sd.S], set.Net.Memory[sd.D])
+	// check solves set under per-pair caps connCap (nil derives
+	// min(mem_s, mem_d)) by column generation and exactly, compares the
+	// optima and returns T per commodity from each.
+	check := func(name string, set *segment.Set, connCap []int) ([]float64, []*big.Rat) {
+		t.Helper()
+		if connCap == nil {
+			connCap = make([]int, len(set.Pairs))
+			for i, sd := range set.Pairs {
+				connCap[i] = min(set.Net.Memory[sd.S], set.Net.Memory[sd.D])
+			}
 		}
 		sol, err := Solve(set, Options{ConnCap: connCap})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want := denseEquivalent(t, set, connCap)
-		if math.Abs(sol.Objective-want) > 1e-5*(1+want) {
-			t.Fatalf("%s: colgen %v != dense %v", name, sol.Objective, want)
+		if sol.Status != lp.StatusOptimal {
+			t.Fatalf("%s: status %v", name, sol.Status)
+		}
+		exact, perT := denseEquivalent(t, set, connCap)
+		want, _ := exact.Float64()
+		if math.Abs(sol.Objective-want) > 1e-9*(1+want) {
+			t.Fatalf("%s: colgen %v != exact %v", name, sol.Objective, exact.FloatString(15))
 		}
 		verifyFeasibility(t, set, sol, connCap)
+		return sol.PerCommodity, perT
 	}
-
-	net, pairs := topo.Motivation()
-	check("motivation", buildSet(t, net, pairs, segment.DefaultOptions()))
-
-	for seed := int64(0); seed < 4; seed++ {
+	waxman := func(seed int64) (*topo.Network, []topo.SDPair, segment.Options) {
 		cfg := topo.DefaultConfig()
 		cfg.Nodes = 14
 		rnet, err := topo.Generate(cfg, xrand.New(seed))
@@ -340,7 +365,64 @@ func TestSolveMatchesDenseOracle(t *testing.T) {
 		opts := segment.DefaultOptions()
 		opts.KPaths = 3
 		opts.MaxSegmentHops = 3
-		check("random", buildSet(t, rnet, rpairs, opts))
+		return rnet, rpairs, opts
+	}
+
+	net, pairs := topo.Motivation()
+	check("motivation", buildSet(t, net, pairs, segment.DefaultOptions()), nil)
+	for seed := int64(0); seed < 4; seed++ {
+		rnet, rpairs, opts := waxman(seed)
+		check(fmt.Sprintf("waxman %d", seed), buildSet(t, rnet, rpairs, opts), nil)
+	}
+
+	// The degenerate corpus.
+	rnet, rpairs, opts := waxman(1)
+	for e := range rnet.Channels {
+		if e%3 == 0 {
+			rnet.Channels[e] = 0
+		}
+	}
+	check("zero-channel links", buildSet(t, rnet, rpairs, opts), nil)
+
+	rnet, rpairs, opts = waxman(2)
+	for u := range rnet.SwapProb {
+		rnet.SwapProb[u] = 1
+	}
+	check("q = 1", buildSet(t, rnet, rpairs, opts), nil)
+
+	// e^{−αl} vanishes at 1e3 km, so p is the noise term δ alone: tiny
+	// probabilities and huge 1/p factors, or no candidate at all.
+	rnet, rpairs, opts = waxman(3)
+	rnet.SetProber(topo.ExpProber{Alpha: 0.05, Delta: 0.05, Seed: 3})
+	opts.MinProb = 0
+	check("p ≈ δ", buildSet(t, rnet, rpairs, opts), nil)
+
+	// Two components, 0-1-2 and 3-4: pair (1,4) has no route, so its T
+	// must be exactly 0 while the others carry flow.
+	split := lineNetwork(5, 100, 3, 10, 0.9, 0)
+	split.G = graph.New(5)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {3, 4}} {
+		split.G.AddEdge(e[0], e[1], 100)
+	}
+	split.LinkLen, split.Channels = split.LinkLen[:3], split.Channels[:3]
+	per, perT := check("separate component", buildSet(t, split,
+		[]topo.SDPair{{S: 0, D: 2}, {S: 1, D: 4}, {S: 3, D: 4}}, segment.DefaultOptions()), nil)
+	if per[1] != 0 || perT[1].Sign() != 0 || perT[0].Sign() <= 0 || perT[2].Sign() <= 0 {
+		t.Fatalf("separate component: colgen T = %v, exact T = %v, want T_1 = 0 < T_0, T_2", per, perT)
+	}
+
+	per, perT = check("q = 0", buildSet(t, lineNetwork(3, 100, 3, 10, 0, 0),
+		[]topo.SDPair{{S: 0, D: 2}}, segment.DefaultOptions()), nil)
+	if per[0] != 0 || perT[0].Sign() != 0 {
+		t.Fatalf("q = 0: colgen T = %v, exact T = %v, want 0", per[0], perT[0])
+	}
+
+	// A perfect chain with 3 channels per link, capped at T ≤ 2: the cap
+	// row is the one that binds.
+	per, perT = check("binding cap", buildSet(t, lineNetwork(4, 100, 3, 10, 1, 0),
+		[]topo.SDPair{{S: 0, D: 3}}, segment.DefaultOptions()), []int{2})
+	if per[0] != 2 || perT[0].Cmp(big.NewRat(2, 1)) != 0 {
+		t.Fatalf("binding cap: colgen T = %v, exact T = %v, want 2", per[0], perT[0])
 	}
 }
 

@@ -7,22 +7,6 @@ import (
 	"see/internal/lp"
 )
 
-// A small general LP with the dense two-phase simplex.
-func ExampleDenseProblem() {
-	// max 3x + 2y  s.t.  x + y <= 4,  x + 3y <= 6
-	p := lp.NewDense(2)
-	p.SetObjective(0, 3)
-	p.SetObjective(1, 2)
-	p.AddConstraint([]lp.Entry{{Index: 0, Value: 1}, {Index: 1, Value: 1}}, lp.LE, 4)
-	p.AddConstraint([]lp.Entry{{Index: 0, Value: 1}, {Index: 1, Value: 3}}, lp.LE, 6)
-	sol, err := p.Solve()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%v objective=%.0f x=%.0f y=%.0f\n", sol.Status, sol.Objective, sol.X[0], sol.X[1])
-	// Output: optimal objective=12 x=4 y=0
-}
-
 // The packing solver accepts columns incrementally — the shape column
 // generation needs.
 func ExamplePackingSolver() {

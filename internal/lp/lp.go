@@ -1,11 +1,13 @@
-// Package lp implements the linear-programming substrate: a dense two-phase
-// primal simplex for small general models (any mix of ≤/=/≥ rows) and a
-// revised simplex for packing LPs (max cᵀx, Ax ≤ b, x ≥ 0) that supports
-// incremental column addition, which makes it the natural master problem for
-// column generation.
+// Package lp implements the linear-programming substrate: a revised primal
+// simplex for packing LPs (max cᵀx, Ax ≤ b, x ≥ 0, b ≥ 0) that accepts
+// columns between solves and warm-starts from the current basis, which
+// makes it the master problem of the column-generation loop in
+// internal/flow. It is the only LP solver the schedulers run.
 //
-// The paper's evaluation used PuLP/CBC; this package replaces it with
-// stdlib-only solvers (see DESIGN.md §2 for the substitution argument).
+// The paper's evaluation used PuLP/CBC; this package replaces it with a
+// stdlib-only solver (see DESIGN.md §2 for the substitution argument).
+// Tests judge it, and the column-generation stack built on it, against
+// the exact big.Rat simplex in internal/lp/lptest.
 package lp
 
 import "fmt"
@@ -16,8 +18,6 @@ type Status int
 const (
 	// StatusOptimal means an optimal basic feasible solution was found.
 	StatusOptimal Status = iota + 1
-	// StatusInfeasible means no feasible point exists.
-	StatusInfeasible
 	// StatusUnbounded means the objective is unbounded above.
 	StatusUnbounded
 	// StatusIterLimit means the iteration cap was hit before convergence.
@@ -29,8 +29,6 @@ func (s Status) String() string {
 	switch s {
 	case StatusOptimal:
 		return "optimal"
-	case StatusInfeasible:
-		return "infeasible"
 	case StatusUnbounded:
 		return "unbounded"
 	case StatusIterLimit:
@@ -40,35 +38,9 @@ func (s Status) String() string {
 	}
 }
 
-// Sense is a constraint direction.
-type Sense int
-
-const (
-	// LE is ≤.
-	LE Sense = iota + 1
-	// GE is ≥.
-	GE
-	// EQ is =.
-	EQ
-)
-
-// String implements fmt.Stringer.
-func (s Sense) String() string {
-	switch s {
-	case LE:
-		return "<="
-	case GE:
-		return ">="
-	case EQ:
-		return "="
-	default:
-		return fmt.Sprintf("sense(%d)", int(s))
-	}
-}
-
-// Entry is one nonzero coefficient of a sparse column or row.
+// Entry is one nonzero coefficient of a sparse column.
 type Entry struct {
-	Index int // row index in a column, or variable index in a row
+	Index int // row index
 	Value float64
 }
 

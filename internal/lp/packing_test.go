@@ -1,9 +1,13 @@
 package lp
 
 import (
+	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
+
+	"see/internal/lp/lptest"
 )
 
 func TestPackingSimple(t *testing.T) {
@@ -135,21 +139,22 @@ func TestReducedCost(t *testing.T) {
 	}
 }
 
-// randomPacking builds identical random packing LPs in both solvers.
-func randomPacking(rng *rand.Rand, m, n int) (*PackingSolver, *DenseProblem, []float64, [][]float64) {
-	b := make([]float64, m)
+// randomPacking builds a random packing LP in the packing solver and
+// returns it in dense form too: objective c, right-hand side b and rows
+// (rows[i][j] is the coefficient of column j in row i).
+func randomPacking(rng *rand.Rand, m, n int) (ps *PackingSolver, c, b []float64, rows [][]float64) {
+	b = make([]float64, m)
 	for i := range b {
 		b[i] = 1 + rng.Float64()*9
 	}
-	ps, _ := NewPacking(b)
-	dp := NewDense(n)
-	rows := make([][]float64, m)
+	ps, _ = NewPacking(b)
+	c = make([]float64, n)
+	rows = make([][]float64, m)
 	for i := range rows {
 		rows[i] = make([]float64, n)
 	}
 	for j := 0; j < n; j++ {
-		obj := rng.Float64() * 4
-		dp.SetObjective(j, obj)
+		c[j] = rng.Float64() * 4
 		var entries []Entry
 		nnz := 1 + rng.Intn(m)
 		for k := 0; k < nnz; k++ {
@@ -158,67 +163,142 @@ func randomPacking(rng *rand.Rand, m, n int) (*PackingSolver, *DenseProblem, []f
 			entries = append(entries, Entry{r, v})
 			rows[r][j] += v
 		}
-		ps.AddColumn(obj, entries)
+		ps.AddColumn(c[j], entries)
 	}
-	for i := 0; i < m; i++ {
-		es := make([]Entry, 0, n)
-		for j := 0; j < n; j++ {
-			if rows[i][j] != 0 {
-				es = append(es, Entry{j, rows[i][j]})
-			}
-		}
-		dp.AddConstraint(es, LE, b[i])
-	}
-	return ps, dp, b, rows
+	return ps, c, b, rows
 }
 
-// Property: the packing solver and the dense two-phase solver agree on
-// random packing LPs, the solution is feasible, and strong duality holds.
+// exactDot returns a·x in exact rational arithmetic, so a feasibility
+// check on a float point cannot itself round.
+func exactDot(a, x []float64) *big.Rat {
+	var sum, ai, xi big.Rat
+	for j := range a {
+		sum.Add(&sum, ai.Mul(ai.SetFloat64(a[j]), xi.SetFloat64(x[j])))
+	}
+	return &sum
+}
+
+// checkAgainstExact solves the packing LP (c, rows, b) exactly and checks
+// the solver's optimum against it: objectives within 1e-9·(1+|opt|), each
+// row's activity at the float primal computed exactly and within
+// 1e-9·(1+bᵢ) of its bound, x ≥ 0, y ≥ −1e-9 and strong duality.
+func checkAgainstExact(t *testing.T, name string, ps *PackingSolver, c, b []float64, rows [][]float64) {
+	t.Helper()
+	st, err := ps.Solve()
+	if err != nil || st != StatusOptimal {
+		t.Fatalf("%s: packing solve %v %v", name, st, err)
+	}
+	exact, err := lptest.Solve(c, rows, b)
+	if err != nil {
+		t.Fatalf("%s: exact solve: %v", name, err)
+	}
+	opt, _ := exact.Objective.Float64()
+	if math.Abs(ps.Objective()-opt) > 1e-9*(1+math.Abs(opt)) {
+		t.Fatalf("%s: packing %v != exact %v", name, ps.Objective(), exact.Objective.FloatString(15))
+	}
+	x := ps.Primals()
+	for j, v := range x {
+		if v < 0 {
+			t.Fatalf("%s: x[%d] = %v < 0", name, j, v)
+		}
+	}
+	for i, row := range rows {
+		slack := new(big.Rat).SetFloat64(b[i] + 1e-9*(1+b[i]))
+		if lhs := exactDot(row, x); lhs.Cmp(slack) > 0 {
+			t.Fatalf("%s: row %d violated: %v > %v", name, i, lhs.FloatString(15), b[i])
+		}
+	}
+	y := ps.Duals()
+	var yb float64
+	for i := range y {
+		if y[i] < -1e-9 {
+			t.Fatalf("%s: dual %d negative: %v", name, i, y[i])
+		}
+		yb += y[i] * b[i]
+	}
+	if math.Abs(yb-opt) > 1e-9*(1+math.Abs(opt)) {
+		t.Fatalf("%s: strong duality gap: yb=%v opt=%v", name, yb, opt)
+	}
+}
+
+// packingFrom loads the dense packing LP (c, b, rows) into a new solver.
+func packingFrom(t *testing.T, c, b []float64, rows [][]float64) *PackingSolver {
+	t.Helper()
+	ps, err := NewPacking(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, cj := range c {
+		var entries []Entry
+		for i, row := range rows {
+			if row[j] != 0 {
+				entries = append(entries, Entry{i, row[j]})
+			}
+		}
+		if _, err := ps.AddColumn(cj, entries); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ps
+}
+
+// Property: the packing solver matches the exact dense referee
+// (internal/lp/lptest) on random packing LPs, its primal is feasible
+// and strong duality holds. Each LP is solved a second time with B⁻¹ and
+// the duals refactorized on the final pivot: the refactorization must
+// reproduce the incremental duals, so the optimality test stops the solve
+// on the same pivot and the optimum still matches.
 func TestPackingMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 40; trial++ {
 		m := 1 + rng.Intn(8)
 		n := 1 + rng.Intn(12)
-		ps, dp, b, rows := randomPacking(rng, m, n)
-		st, err := ps.Solve()
-		if err != nil || st != StatusOptimal {
-			t.Fatalf("trial %d: packing solve %v %v", trial, st, err)
+		ps, c, b, rows := randomPacking(rng, m, n)
+		name := fmt.Sprintf("trial %d", trial)
+		checkAgainstExact(t, name, ps, c, b, rows)
+		again := packingFrom(t, c, b, rows)
+		again.pivots = 2000 - ps.Pivots()
+		checkAgainstExact(t, name+" refactorized", again, c, b, rows)
+		if got := again.Pivots() - 2000; got != 0 {
+			t.Fatalf("%s: refactorizing on the final pivot cost %d more pivots", name, got)
 		}
-		dsol, err := dp.Solve()
-		if err != nil || dsol.Status != StatusOptimal {
-			t.Fatalf("trial %d: dense solve failed", trial)
+	}
+}
+
+// Degenerate packing LPs against the exact referee: duplicate columns, a
+// zero-objective column, and rows that are tight at the optimum.
+func TestPackingDegenerateMatchesDense(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c, b []float64
+		rows [][]float64
+	}{
+		{"duplicate columns", []float64{2, 2, 1}, []float64{3, 4},
+			[][]float64{{1, 1, 0.5}, {0.5, 0.5, 1}}},
+		{"zero-objective column", []float64{0, 1, 3}, []float64{2, 5},
+			[][]float64{{1, 1, 1}, {0.25, 2, 3}}},
+		// x = y = 1 makes all three rows tight, one more than the basis
+		// needs: a primal-degenerate vertex.
+		{"tight rows", []float64{1, 1}, []float64{2, 3, 3},
+			[][]float64{{1, 1}, {2, 1}, {1, 2}}},
+		{"tight rows, zero rhs", []float64{1, 2, 0.5}, []float64{0, 1, 1},
+			[][]float64{{1, 0, 0}, {0, 1, 1}, {0, 1, 1}}},
+		{"duplicate columns, tight rows", []float64{0.3, 0.3, 0.7, 0.7},
+			[]float64{1.5, 1.5, 2.1},
+			[][]float64{{1, 1, 0.5, 0.5}, {0.5, 0.5, 1, 1}, {0.7, 0.7, 0.7, 0.7}}},
+	} {
+		checkAgainstExact(t, tc.name, packingFrom(t, tc.c, tc.b, tc.rows), tc.c, tc.b, tc.rows)
+	}
+	// Random LPs where every column appears twice.
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 10; trial++ {
+		m, n := 2+rng.Intn(5), 2+rng.Intn(6)
+		_, c, b, rows := randomPacking(rng, m, n)
+		c = append(c, c...)
+		for i := range rows {
+			rows[i] = append(rows[i], rows[i]...)
 		}
-		if math.Abs(ps.Objective()-dsol.Objective) > 1e-6*(1+math.Abs(dsol.Objective)) {
-			t.Fatalf("trial %d: packing %v != dense %v", trial, ps.Objective(), dsol.Objective)
-		}
-		// Primal feasibility.
-		x := ps.Primals()
-		for i := 0; i < m; i++ {
-			var lhs float64
-			for j := 0; j < n; j++ {
-				lhs += rows[i][j] * x[j]
-			}
-			if lhs > b[i]+1e-6 {
-				t.Fatalf("trial %d: row %d violated: %v > %v", trial, i, lhs, b[i])
-			}
-		}
-		for j, v := range x {
-			if v < -1e-8 {
-				t.Fatalf("trial %d: x[%d] = %v < 0", trial, j, v)
-			}
-		}
-		// Strong duality and dual feasibility.
-		y := ps.Duals()
-		var yb float64
-		for i := range y {
-			if y[i] < -1e-7 {
-				t.Fatalf("trial %d: dual %d negative: %v", trial, i, y[i])
-			}
-			yb += y[i] * b[i]
-		}
-		if math.Abs(yb-ps.Objective()) > 1e-5*(1+math.Abs(yb)) {
-			t.Fatalf("trial %d: strong duality gap: yb=%v obj=%v", trial, yb, ps.Objective())
-		}
+		checkAgainstExact(t, fmt.Sprintf("doubled trial %d", trial), packingFrom(t, c, b, rows), c, b, rows)
 	}
 }
 
@@ -246,18 +326,12 @@ func TestPackingOptimalityCondition(t *testing.T) {
 }
 
 func TestPackingRefactorizeStability(t *testing.T) {
-	// Force many pivots by solving a sequence of growing problems and
-	// verify the solution stays consistent with a fresh dense solve.
+	// Refactorize B⁻¹ mid-solve and verify the optimum still matches the
+	// exact referee.
 	rng := rand.New(rand.NewSource(13))
-	ps, dp, _, _ := randomPacking(rng, 6, 40)
+	ps, c, b, rows := randomPacking(rng, 6, 40)
 	ps.pivots = 1999 // trigger refactorization on the first pivot
-	if st, _ := ps.Solve(); st != StatusOptimal {
-		t.Fatal("not optimal")
-	}
-	dsol, _ := dp.Solve()
-	if math.Abs(ps.Objective()-dsol.Objective) > 1e-6*(1+math.Abs(dsol.Objective)) {
-		t.Fatalf("after refactorization: %v != %v", ps.Objective(), dsol.Objective)
-	}
+	checkAgainstExact(t, "after refactorization", ps, c, b, rows)
 }
 
 // Property: the incrementally maintained duals (updated in O(m) per pivot)

@@ -26,9 +26,10 @@ type Process interface {
 	SetPhase(p int) error
 }
 
-// maxRate bounds every configured arrival rate: beyond it the Knuth
-// sampler's exp(-λ) term loses precision and a "slot" stops being a
-// meaningful batching unit anyway.
+// maxRate bounds every configured arrival rate, a diurnal process's peak
+// rate·(1+amp) included: beyond it the Knuth sampler's exp(-λ) term loses
+// precision (it underflows to 0 near λ ≈ 745, biasing draws low) and a
+// "slot" stops being a meaningful batching unit anyway.
 const maxRate = 500.0
 
 // maxDeadline bounds a class's time-to-live in slots, so a request's
@@ -174,9 +175,10 @@ func (b *Bursty) SetPhase(v int) error {
 // time-to-live in whole slots, 1 to 2^30, default 4/8/16), max-active=K
 // (admission bound on queued requests, default 0 = unbounded). Process
 // keys: rate (all kinds, in (0,500], default 1), amp (diurnal, in [0,1],
-// default 0.5) and period (diurnal, at least 2, default 288), burst-rate
-// (bursty, in [rate,500], default 5·rate) and switch (bursty, in (0,1],
-// default 0.1). NaN and infinite values are rejected.
+// default 0.5, with the peak rate·(1+amp) at most 500) and period
+// (diurnal, at least 2, default 288), burst-rate (bursty, in [rate,500],
+// default 5·rate) and switch (bursty, in (0,1], default 0.1). NaN and
+// infinite values are rejected.
 //
 // The returned Config has Process set and Spec holding the input verbatim;
 // the caller supplies Seed.
@@ -266,6 +268,9 @@ func ParseSpec(spec string) (Config, error) {
 	case "poisson":
 		cfg.Process = &Poisson{Rate: rate}
 	case "diurnal":
+		if peak := rate * (1 + amp); peak > maxRate {
+			return cfg, fmt.Errorf("serve: diurnal peak rate=%v·(1+amp=%v) = %v exceeds %v", rate, amp, peak, maxRate)
+		}
 		cfg.Process = &Diurnal{Base: rate, Amp: amp, Period: period}
 	case "bursty":
 		if !burstSet {

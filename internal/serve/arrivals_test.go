@@ -88,6 +88,9 @@ func TestParseSpecErrors(t *testing.T) {
 		"poisson;frobnicate=1",
 		"diurnal;amp=1.5",
 		"diurnal;period=1",
+		"diurnal;rate=500;amp=1;period=4",
+		"diurnal;rate=251;amp=1",
+		"diurnal;rate=400;amp=0.5",
 		"bursty;switch=0",
 		"bursty;rate=4;burst-rate=2",
 		"diurnal;amp=NaN",
@@ -102,6 +105,10 @@ func TestParseSpecErrors(t *testing.T) {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)
 		}
+	}
+	// A diurnal peak rate·(1+amp) may reach maxRate but not pass it.
+	if _, err := ParseSpec("diurnal;rate=250;amp=1;period=4"); err != nil {
+		t.Errorf("diurnal peak of exactly %v rejected: %v", maxRate, err)
 	}
 }
 

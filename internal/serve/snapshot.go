@@ -148,6 +148,9 @@ func (s *Server) Restore(snap *ckpt.Snapshot) error {
 			if d.Err() == nil && (r.Class < 0 || r.Class >= NumClasses) {
 				return fmt.Errorf("serve: queued request %d has class %d", r.ID, r.Class)
 			}
+			if d.Err() == nil && (r.User < 0 || r.User >= s.cfg.Users) {
+				return fmt.Errorf("serve: queued request %d has user %d, server has %d users", r.ID, r.User, s.cfg.Users)
+			}
 			queues[i] = append(queues[i], r)
 		}
 	}

@@ -25,7 +25,7 @@ type serveFixture struct {
 	seed  int64
 }
 
-func newServeFixture(t *testing.T, alg sched.Algorithm) *serveFixture {
+func newServeFixture(t testing.TB, alg sched.Algorithm) *serveFixture {
 	t.Helper()
 	net, pairs, err := schedtest.Instance(12, 3, 91)
 	if err != nil {
@@ -43,7 +43,7 @@ func newServeFixture(t *testing.T, alg sched.Algorithm) *serveFixture {
 // build constructs a fresh server exactly as a restarted process would:
 // new engine (with chaos + bank + tracer), new tracer, new arrival
 // process.
-func (f *serveFixture) build(t *testing.T) *Server {
+func (f *serveFixture) build(t testing.TB) *Server {
 	t.Helper()
 	tracer := sched.NewCountingTracer()
 	eng, err := engines.New(f.alg, f.net, f.pairs, engines.Config{
