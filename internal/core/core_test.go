@@ -169,7 +169,7 @@ func TestOrderPaths(t *testing.T) {
 	in := []PlannedPath{
 		mk(1, 2, 4), mk(0, 1, 3), mk(1, 1, 2), mk(0, 1, 2), mk(0, 1, 2),
 	}
-	got := orderPaths(in)
+	got := (&slotScratch{}).orderPaths(in)
 	// Class (1 seg, 2 hops): round robin over commodities 0,1 ->
 	// c0, c1, c0. Then (1,3): c0. Then (2,4): c1.
 	wantSegs := []int{1, 1, 1, 1, 2}

@@ -1,0 +1,272 @@
+package core
+
+import (
+	"cmp"
+	"maps"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"see/internal/flow"
+	"see/internal/graph"
+	"see/internal/qnet"
+	"see/internal/segment"
+	"see/internal/topo"
+	"see/internal/xrand"
+)
+
+// escReference is ESC as it ran before its tables moved to dense edge
+// IDs: coverage tables in maps keyed by segment.PairKey, Set.ByPair
+// lookups, rollback re-hashing each candidate's endpoint pair, and
+// orderPaths' per-class commodity map. It scans serially (the removed
+// parallel scan was exact by construction). It runs on its own ledger
+// and tables. TestESCMatchesReference pins createSegmentsPlanScratch to it.
+func (e *Engine) escReference(planned []PlannedPath) (qnet.AttemptPlan, []PlannedPath, error) {
+	ordered := orderPathsReference(planned)
+
+	ledger := qnet.NewLedgerWithCapacities(e.Net, e.opts.PlanChannels, e.opts.PlanMemory)
+	plan := make(qnet.AttemptPlan)
+	expected := make(map[segment.PairKey]float64)
+	demand := make(map[segment.PairKey]int)
+	attempts := make(map[segment.PairKey]int)
+	bestReservable := func(pk segment.PairKey) *segment.Candidate {
+		for _, c := range e.Set.ByPair[pk] {
+			if ledger.CanReserve(c) {
+				return c
+			}
+		}
+		return nil
+	}
+
+	var provisioned []PlannedPath
+	for _, p := range ordered {
+		var added []*segment.Candidate
+		counted := 0
+		ok := true
+		for _, hop := range p.Hops {
+			demand[hop.Pair]++
+			counted++
+			for expected[hop.Pair] < float64(demand[hop.Pair]) {
+				cand := bestReservable(hop.Pair)
+				if cand == nil {
+					if e.opts.StrictProvisioning || attempts[hop.Pair] < demand[hop.Pair] {
+						ok = false
+					}
+					break
+				}
+				if err := ledger.Reserve(cand); err != nil {
+					return nil, nil, err
+				}
+				plan[cand]++
+				expected[hop.Pair] += cand.Prob
+				attempts[hop.Pair]++
+				added = append(added, cand)
+			}
+			if !ok {
+				break
+			}
+		}
+		if ok {
+			provisioned = append(provisioned, p)
+			continue
+		}
+		for _, cand := range added {
+			if err := ledger.Release(cand); err != nil {
+				return nil, nil, err
+			}
+			plan[cand]--
+			if plan[cand] == 0 {
+				delete(plan, cand)
+			}
+			pk := segment.MakePairKey(cand.Path[0], cand.Path[len(cand.Path)-1])
+			expected[pk] -= cand.Prob
+			attempts[pk]--
+		}
+		for _, hop := range p.Hops[:counted] {
+			demand[hop.Pair]--
+		}
+	}
+
+	if len(provisioned) > 0 {
+		type key struct {
+			pk    segment.PairKey
+			cover float64
+		}
+		var keys []key
+		for pk, d := range demand {
+			if d > 0 {
+				keys = append(keys, key{pk: pk})
+			}
+		}
+		for {
+			for i := range keys {
+				keys[i].cover = expected[keys[i].pk] / float64(demand[keys[i].pk])
+			}
+			slices.SortFunc(keys, func(a, b key) int {
+				if a.cover != b.cover {
+					if a.cover < b.cover {
+						return -1
+					}
+					return 1
+				}
+				if c := cmp.Compare(a.pk.U, b.pk.U); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.pk.V, b.pk.V)
+			})
+			reserved := 0
+			for _, k := range keys {
+				cand := bestReservable(k.pk)
+				if cand == nil {
+					continue
+				}
+				if err := ledger.Reserve(cand); err != nil {
+					return nil, nil, err
+				}
+				plan[cand]++
+				expected[k.pk] += cand.Prob
+				attempts[k.pk]++
+				reserved++
+			}
+			if reserved == 0 {
+				break
+			}
+		}
+	}
+
+	if err := ledger.Validate(); err != nil {
+		return nil, nil, err
+	}
+	return plan, provisioned, nil
+}
+
+// orderPathsReference is ESC's path order as it was computed with a
+// per-class commodity map.
+func orderPathsReference(planned []PlannedPath) []PlannedPath {
+	idx := make([]int, len(planned))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		pa, pb := planned[idx[a]], planned[idx[b]]
+		if len(pa.Hops) != len(pb.Hops) {
+			return len(pa.Hops) < len(pb.Hops)
+		}
+		return pa.PhysHops < pb.PhysHops
+	})
+	ordered := make([]PlannedPath, 0, len(planned))
+	for start := 0; start < len(idx); {
+		end := start
+		key := func(i int) [2]int {
+			return [2]int{len(planned[idx[i]].Hops), planned[idx[i]].PhysHops}
+		}
+		for end < len(idx) && key(end) == key(start) {
+			end++
+		}
+		byCommodity := make(map[int][]PlannedPath)
+		var commodities []int
+		for _, i := range idx[start:end] {
+			c := planned[i].Commodity
+			if _, seen := byCommodity[c]; !seen {
+				commodities = append(commodities, c)
+			}
+			byCommodity[c] = append(byCommodity[c], planned[i])
+		}
+		sort.Ints(commodities)
+		for round := 0; len(ordered) < end; round++ {
+			for _, c := range commodities {
+				if round < len(byCommodity[c]) {
+					ordered = append(ordered, byCommodity[c][round])
+				}
+			}
+		}
+		start = end
+	}
+	return ordered
+}
+
+// TestESCMatchesReference runs createSegmentsPlanScratch and escReference
+// on the same planned paths over random networks with scarce and ample
+// channels and memory, lossy and lossless links, SEE and E2E candidates,
+// strict and best-effort
+// provisioning and forecast-shrunk planning capacities, over one reused
+// slot scratch. Planned paths are EPI's, sometimes shuffled and
+// duplicated. The attempt plans and provisioned paths must be equal.
+func TestESCMatchesReference(t *testing.T) {
+	for trial := 0; trial < 24; trial++ {
+		rng := xrand.New(int64(100 + trial))
+		cfg := topo.DefaultConfig()
+		cfg.Nodes = 20 + rng.Intn(30)
+		cfg.Channels = 1 + rng.Intn(4)
+		cfg.Memory = 1 + rng.Intn(6)
+		if trial%5 == 4 {
+			// Lossless links: every candidate has p = 1, so coverage
+			// ratios tie across pairs and the backup order's tie-break
+			// decides which pair gets a contested channel.
+			cfg.Alpha, cfg.Delta = 0, 0
+		}
+		net, err := topo.Generate(cfg, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := topo.ChooseSDPairs(net, 2+rng.Intn(6), rng)
+		opts := DefaultOptions()
+		opts.StrictProvisioning = trial%2 == 1
+		opts.Segment.FullPathOnly = trial%3 == 2
+		if trial%4 == 3 {
+			opts.PlanChannels = slices.Clone(net.Channels)
+			for i := range opts.PlanChannels {
+				opts.PlanChannels[i] = max(0, opts.PlanChannels[i]-rng.Intn(2))
+			}
+		}
+		e, err := NewEngine(net, pairs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := e.scratch()
+		for slot := 0; slot < 15; slot++ {
+			planned := e.identifyPathsLP(e.LP, rng)
+			if slot%3 == 2 {
+				rng.Shuffle(len(planned), func(i, j int) { planned[i], planned[j] = planned[j], planned[i] })
+				planned = append(planned, planned[:len(planned)/2]...)
+			}
+			wantPlan, wantProv, err := e.escReference(planned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotPlan, gotProv, err := e.createSegmentsPlanScratch(planned, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !maps.Equal(gotPlan, wantPlan) {
+				t.Fatalf("trial %d slot %d: plan %v, reference %v", trial, slot, gotPlan, wantPlan)
+			}
+			if len(gotProv)+len(wantProv) > 0 && !reflect.DeepEqual(gotProv, wantProv) {
+				t.Fatalf("trial %d slot %d: provisioned %d paths, reference %d (or different ones)", trial, slot, len(gotProv), len(wantProv))
+			}
+		}
+	}
+}
+
+// TestOrderPathsMatchesReference compares the two-sort path order with
+// the per-class commodity map it replaced on random planned lists with
+// few classes and many ties.
+func TestOrderPathsMatchesReference(t *testing.T) {
+	rng := xrand.New(5)
+	var sc slotScratch
+	for trial := 0; trial < 500; trial++ {
+		planned := make([]PlannedPath, rng.Intn(30))
+		for i := range planned {
+			planned[i] = PlannedPath{
+				Commodity: rng.Intn(5),
+				Hops:      make([]flow.SegHop, 1+rng.Intn(3)),
+				PhysHops:  rng.Intn(3),
+				Nodes:     graph.Path{i}, // identifies the path
+			}
+		}
+		if got, want := sc.orderPaths(planned), orderPathsReference(planned); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: order %v, reference %v", trial, got, want)
+		}
+	}
+}

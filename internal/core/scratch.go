@@ -14,14 +14,18 @@ import (
 // dead by slot end — anything that can outlive the slot (realized
 // segments, connections) is allocated fresh.
 type slotScratch struct {
-	// ESC: reservation ledger (Reset per slot) and coverage tables.
+	// ESC: reservation ledger (Reset per slot), the coverage tables by
+	// segment edge ID (zeroed per slot), the backup-round keys, one
+	// path's rollback list, the path order and its index buffer.
 	ledger   *qnet.Ledger
 	plan     qnet.AttemptPlan
-	expected map[segment.PairKey]float64
-	demand   map[segment.PairKey]int
-	attempts map[segment.PairKey]int
+	expected []float64
+	demand   []int
+	attempts []int
 	keys     []escKey
-	escPre   []escCandidate
+	added    []escAdded
+	order    []pathRank
+	ordered  []PlannedPath
 
 	// EPI's planned paths and ESC's provisioned subset, handed from phase
 	// to phase within the slot.
@@ -33,30 +37,33 @@ type slotScratch struct {
 	hopKeys []segment.PairKey
 }
 
-// escKey is one demanded endpoint pair of a backup-provisioning round
-// with its coverage expected/demand at round start, the round's sort key.
+// escKey is one demanded segment edge of a backup-provisioning round with
+// its coverage expected/demand at round start, the round's sort key.
 type escKey struct {
-	pk    segment.PairKey
+	edge  int
 	cover float64
 }
 
-// escCandidate is one precomputed backup-provisioning choice: the best
-// reservable candidate for a pair at round start and its index in the
-// ByPair list (the optimistic parallel scan's serial-fallback start).
-type escCandidate struct {
+// escAdded is one attempt ESC reserved for the path in hand, with its
+// segment edge, for rollback.
+type escAdded struct {
 	cand *segment.Candidate
-	idx  int
+	edge int
+}
+
+// pathRank is one planned path in orderPaths' sorts: its class (segment
+// and physical hop counts), commodity and planned index, and its rank
+// among its SD pair's paths of the same class.
+type pathRank struct {
+	segs, phys, commodity, i, rank int
 }
 
 // scratch returns the engine's slot scratch, creating it on first use.
 func (e *Engine) scratch() *slotScratch {
 	if e.slot == nil {
 		e.slot = &slotScratch{
-			ledger:   qnet.NewLedgerWithCapacities(e.Net, e.opts.PlanChannels, e.opts.PlanMemory),
-			plan:     make(qnet.AttemptPlan),
-			expected: make(map[segment.PairKey]float64),
-			demand:   make(map[segment.PairKey]int),
-			attempts: make(map[segment.PairKey]int),
+			ledger: qnet.NewLedgerWithCapacities(e.Net, e.opts.PlanChannels, e.opts.PlanMemory),
+			plan:   make(qnet.AttemptPlan),
 		}
 	}
 	return e.slot

@@ -45,10 +45,12 @@ import (
 	"see/internal/segment"
 )
 
-// SegHop is one segment of an entanglement path: the endpoint pair plus the
-// physical realization chosen when the column was priced.
+// SegHop is one segment of an entanglement path: the endpoint pair, its
+// segment edge ID (Set.EdgeOf) and the physical realization chosen when
+// the column was priced.
 type SegHop struct {
 	Pair segment.PairKey
+	Edge int
 	Cand *segment.Candidate
 }
 
@@ -218,11 +220,11 @@ type tables struct {
 	memRow  []int32
 	numRows int
 
-	// Aligned with set.ByPair[set.EdgePairs[edgeID]]: factors[edgeID][k]
-	// is the attempt factor 1/(p·√(q_u·q_v)) (+Inf for a dropped
-	// candidate) and candLinkRows[edgeID][k] the master rows of the
-	// candidate's physical links. pairMemRows[edgeID] holds the memory rows
-	// of the edge's two endpoints.
+	// Aligned with set.ByEdge[edgeID]: factors[edgeID][k] is the attempt
+	// factor 1/(p·√(q_u·q_v)) (+Inf for a dropped candidate) and
+	// candLinkRows[edgeID][k] the master rows of the candidate's physical
+	// links. pairMemRows[edgeID] holds the memory rows of the edge's two
+	// endpoints.
 	factors      [][]float64
 	candLinkRows [][][]int32
 	pairMemRows  [][2]int32
@@ -251,7 +253,7 @@ type model struct {
 
 	// Per segment edge, recomputed each round: the cheapest realization
 	// under current duals, its cost, its attempt factor and its index in
-	// the ByPair list (the compact column-key component).
+	// the ByEdge list (the compact column-key component).
 	bestCost    []float64
 	bestCand    []*segment.Candidate
 	bestCandIdx []int32
@@ -512,7 +514,7 @@ func (m *model) buildCandidateTables() {
 		}
 	}
 	for id, pk := range m.set.EdgePairs {
-		list := m.set.ByPair[pk]
+		list := m.set.ByEdge[id]
 		fs := make([]float64, len(list))
 		rows := make([][]int32, len(list))
 		for k, c := range list {
@@ -642,7 +644,7 @@ func (m *model) priceRealizations(ctx context.Context, duals []float64) error {
 		m.bestCost[id] = best
 		m.bestCandIdx[id] = int32(bestK)
 		if bestK >= 0 {
-			m.bestCand[id] = m.set.ByPair[m.set.EdgePairs[id]][bestK]
+			m.bestCand[id] = m.set.ByEdge[id][bestK]
 			m.bestFactor[id] = fs[bestK]
 		} else {
 			m.bestCand[id] = nil
@@ -715,7 +717,7 @@ func (m *model) insertColumn(i int, pp *pricedPath) bool {
 		if cand == nil {
 			return false
 		}
-		hops[h] = SegHop{Pair: m.set.EdgePairs[id], Cand: cand}
+		hops[h] = SegHop{Pair: m.set.EdgePairs[id], Edge: id, Cand: cand}
 		key = append(key, int32(id), m.bestCandIdx[id])
 	}
 	if !m.colKeys.add(key) {

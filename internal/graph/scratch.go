@@ -4,10 +4,11 @@ import "slices"
 
 // DijkstraScratch holds the reusable per-call buffers of a shortest-path
 // search. Engines run thousands of small queries per slot (the ECE stitch
-// loop, REPS's pool selection); keeping one scratch per engine turns the
-// four O(n) allocations per query into zero. ShortestPath,
-// ShortestPathTarget, ShortestPathEdgesTarget and every Yen spur run the
-// same search over one.
+// loop, REPS's pool selection); one scratch per engine makes a query
+// allocate nothing and reset only the entries the previous search wrote
+// (the touched list), not all n. ShortestPath, ShortestPathTarget,
+// ShortestPathEdgesTarget and every Yen spur run the same search over one,
+// on graphs of any size.
 // The zero value is ready and grows on first use. Not safe for
 // concurrent queries.
 type DijkstraScratch struct {
@@ -15,23 +16,39 @@ type DijkstraScratch struct {
 	prev     []int
 	prevEdge []int
 	done     []bool
-	pq       minHeap
+	// touched lists the nodes whose entries the last search wrote; every
+	// other entry below len(dist) is in its reset state.
+	touched []int
+	pq      minHeap
 }
 
+// reset restores the touched entries, or all n after a change of graph
+// size, so every node is unreached and unsettled.
 func (sc *DijkstraScratch) reset(n int) {
-	if len(sc.dist) != n {
+	for _, v := range sc.touched {
+		sc.dist[v] = Unreachable
+		sc.prev[v] = -1
+		sc.prevEdge[v] = -1
+		sc.done[v] = false
+	}
+	sc.touched = sc.touched[:0]
+	sc.pq = sc.pq[:0]
+	if len(sc.dist) == n {
+		return
+	}
+	if cap(sc.dist) < n {
 		sc.dist = make([]float64, n)
 		sc.prev = make([]int, n)
 		sc.prevEdge = make([]int, n)
 		sc.done = make([]bool, n)
 	}
-	for i := 0; i < n; i++ {
+	sc.dist, sc.prev, sc.prevEdge, sc.done = sc.dist[:n], sc.prev[:n], sc.prevEdge[:n], sc.done[:n]
+	for i := range n {
 		sc.dist[i] = Unreachable
 		sc.prev[i] = -1
 		sc.prevEdge[i] = -1
 		sc.done[i] = false
 	}
-	sc.pq = sc.pq[:0]
 }
 
 // spurBan is what a Yen spur search must avoid besides opts' exclusions:
@@ -44,31 +61,41 @@ type spurBan struct {
 	epoch   uint32
 }
 
-// search runs Dijkstra from s into sc. With t a node, it stops once t is
-// settled: under non-negative weights t's distance and predecessor chain
-// are final at pop time and every node on the chain is already settled,
-// so the path to t is exactly the full run's. t = -1 settles every
-// reachable node. ban, when non-nil, hides a Yen spur's banned arcs and
-// root nodes as if they were not in g, keeping the adjacency order of the
-// rest, so the search relaxes the same arcs in the same order as one over
-// a copy of g with them removed.
-func (sc *DijkstraScratch) search(g *Graph, s, t int, opts DijkstraOptions, ban *spurBan) {
+// search runs Dijkstra from s into sc and reports whether t was settled.
+// With t a node, it stops once t is settled: under non-negative weights
+// t's distance and predecessor chain are final at pop time and every node
+// on the chain is already settled, so the path to t is exactly the full
+// run's. t = -1 settles every reachable node. ban, when non-nil, hides a
+// Yen spur's banned arcs and root nodes as if they were not in g, keeping
+// the adjacency order of the rest, so the search relaxes the same arcs in
+// the same order as one over a copy of g with them removed.
+//
+// A positive bound ends the search at the first pop whose distance is at
+// least bound, leaving t unsettled. That is exact: popped distances never
+// decrease, so t settles below bound iff the unbounded search settles it
+// below bound, and every push and pop before the stop is the unbounded
+// search's, so ties break the same way.
+func (sc *DijkstraScratch) search(g *Graph, s, t int, bound float64, opts DijkstraOptions, ban *spurBan) bool {
 	n := g.N()
 	sc.reset(n)
 	if s < 0 || s >= n {
-		return
+		return false
 	}
 	sc.dist[s] = 0
+	sc.touched = append(sc.touched, s)
 	sc.pq.push(pqItem{node: s, dist: 0})
 	for len(sc.pq) > 0 {
 		it := sc.pq.pop()
+		if bound > 0 && it.dist >= bound {
+			return false
+		}
 		u := it.node
 		if sc.done[u] {
 			continue
 		}
 		sc.done[u] = true
 		if u == t {
-			return
+			return true
 		}
 		// Departing u costs its node weight, unless u is the source.
 		depart := it.dist
@@ -98,6 +125,9 @@ func (sc *DijkstraScratch) search(g *Graph, s, t int, opts DijkstraOptions, ban 
 			}
 			nd := depart + w
 			if nd < sc.dist[e.To] {
+				if sc.dist[e.To] == Unreachable {
+					sc.touched = append(sc.touched, e.To)
+				}
 				sc.dist[e.To] = nd
 				sc.prev[e.To] = u
 				sc.prevEdge[e.To] = e.ID
@@ -105,6 +135,7 @@ func (sc *DijkstraScratch) search(g *Graph, s, t int, opts DijkstraOptions, ban 
 			}
 		}
 	}
+	return false
 }
 
 // appendPath appends the s→t predecessor chain of the last search to dst.
@@ -123,22 +154,27 @@ func (sc *DijkstraScratch) appendPath(dst Path, s, t int) Path {
 }
 
 // ShortestPathTarget is ShortestPath with all working storage taken from
-// sc (nil allocates fresh buffers). The search stops as soon as the target
-// is settled, which returns the full single-source search's path and
-// distance (see search). Returns (nil, Unreachable) when no path exists.
-func ShortestPathTarget(g *Graph, s, t int, opts DijkstraOptions, sc *DijkstraScratch) (Path, float64) {
+// sc (nil allocates fresh buffers) and an optional distance bound. The
+// search stops as soon as the target is settled, which returns the full
+// single-source search's path and distance (see search). A positive bound
+// makes it give up at that distance: it returns the same path and
+// distance when the distance is below bound, and (nil, Unreachable)
+// otherwise. Returns (nil, Unreachable) when no path exists. Afterwards
+// PrevEdge reads the edge IDs along the path.
+func ShortestPathTarget(g *Graph, s, t int, bound float64, opts DijkstraOptions, sc *DijkstraScratch) (Path, float64) {
 	if sc == nil {
 		sc = &DijkstraScratch{}
 	}
-	if t < 0 || t >= g.N() {
-		return nil, Unreachable
-	}
-	sc.search(g, s, t, opts, nil)
-	if sc.dist[t] == Unreachable {
+	if t < 0 || t >= g.N() || !sc.search(g, s, t, bound, opts, nil) {
 		return nil, Unreachable
 	}
 	return sc.appendPath(nil, s, t), sc.dist[t]
 }
+
+// PrevEdge returns the ID of the edge the last search reached v by: for
+// consecutive nodes u, v of the path it returned, the u–v edge it took
+// (-1 for the source and for unreached nodes).
+func (sc *DijkstraScratch) PrevEdge(v int) int { return sc.prevEdge[v] }
 
 // ShortestPathEdgesTarget is ShortestPathTarget that also returns the IDs
 // of the edges along the path, in path order: the predecessor edges the
@@ -149,7 +185,7 @@ func ShortestPathEdgesTarget(g *Graph, s, t int, opts DijkstraOptions, sc *Dijks
 	if sc == nil {
 		sc = &DijkstraScratch{}
 	}
-	path, dist := ShortestPathTarget(g, s, t, opts, sc)
+	path, dist := ShortestPathTarget(g, s, t, 0, opts, sc)
 	if path == nil {
 		return nil, nil, Unreachable
 	}
@@ -157,7 +193,7 @@ func ShortestPathEdgesTarget(g *Graph, s, t int, opts DijkstraOptions, sc *Dijks
 	if len(path) > 1 {
 		edges = make([]int, len(path)-1)
 		for i := len(path) - 1; i > 0; i-- {
-			edges[i-1] = sc.prevEdge[path[i]]
+			edges[i-1] = sc.PrevEdge(path[i])
 		}
 	}
 	return path, edges, dist

@@ -19,8 +19,7 @@ func YenKShortest(g *Graph, s, t, k int, opts DijkstraOptions) []Path {
 		return []Path{{s}}
 	}
 	var sc DijkstraScratch
-	sc.search(g, s, t, opts, nil)
-	if sc.dist[t] == Unreachable {
+	if !sc.search(g, s, t, 0, opts, nil) {
 		return nil
 	}
 	accepted := []Path{sc.appendPath(nil, s, t)}
@@ -72,8 +71,7 @@ func YenKShortest(g *Graph, s, t, k int, opts DijkstraOptions) []Path {
 			for _, v := range prev[:i] {
 				ban.root[v] = ban.epoch
 			}
-			sc.search(g, spurNode, t, opts, &ban)
-			if sc.dist[t] == Unreachable {
+			if !sc.search(g, spurNode, t, 0, opts, &ban) {
 				continue
 			}
 			total = sc.appendPath(append(total[:0], prev[:i]...), spurNode, t)

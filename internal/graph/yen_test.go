@@ -312,7 +312,7 @@ func (r *ShortestResult) EdgesTo(t int) []int {
 // to it by TestShortestPathTargetMatchesFull.
 func Dijkstra(g *Graph, source int, opts DijkstraOptions) *ShortestResult {
 	var sc DijkstraScratch
-	sc.search(g, source, -1, opts, nil)
+	sc.search(g, source, -1, 0, opts, nil)
 	return &ShortestResult{Dist: sc.dist, prev: sc.prev, prevEdge: sc.prevEdge, source: source}
 }
 

@@ -91,9 +91,34 @@ func (p AttemptPlan) SortedCandidatesInto(buf []*segment.Candidate) []*segment.C
 		if a.V() != b.V() {
 			return a.V() < b.V()
 		}
-		return topo.Key(a.Path) < topo.Key(b.Path)
+		return keyLess(a.Path, b.Path)
 	})
 	return cands
+}
+
+// keyLess reports whether topo.Key(a) < topo.Key(b) without building the
+// keys. A key orients the path from its smaller endpoint and writes each
+// node as its low three bytes, least significant first, then '.', so keys
+// compare node by node on those bytes in that order, and a proper prefix
+// sorts first.
+func keyLess(a, b graph.Path) bool {
+	ra := len(a) > 1 && a[0] > a[len(a)-1]
+	rb := len(b) > 1 && b[0] > b[len(b)-1]
+	for i := 0; i < len(a) && i < len(b); i++ {
+		u, v := a[i], b[i]
+		if ra {
+			u = a[len(a)-1-i]
+		}
+		if rb {
+			v = b[len(b)-1-i]
+		}
+		for shift := 0; shift < 24; shift += 8 {
+			if x, y := byte(u>>shift), byte(v>>shift); x != y {
+				return x < y
+			}
+		}
+	}
+	return len(a) < len(b)
 }
 
 // AttemptObserver is notified of each physical creation attempt's outcome.

@@ -265,6 +265,14 @@ func (f FloorPolicy) Take(pool *Pool, commodity int, pk segment.PairKey) *Segmen
 	return pool.Take(pk)
 }
 
+// TakeAt is Take for the pair of pool index i.
+func (f FloorPolicy) TakeAt(pool *Pool, commodity, i int) *Segment {
+	if f.floors.Floor(commodity) > 0 {
+		return pool.TakeBestAt(i, f.Score)
+	}
+	return pool.TakeAt(i)
+}
+
 // Rejects reports whether the assembled segments' predicted fidelity
 // misses the commodity's floor.
 func (f FloorPolicy) Rejects(commodity int, segs []*Segment) bool {

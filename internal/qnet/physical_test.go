@@ -89,7 +89,7 @@ func TestPoolResetTakeBestUnconsumed(t *testing.T) {
 	}
 
 	pool.Reset([]*Segment{{A: 2, B: 3}})
-	if got := pool.Pairs(); len(got) != 1 || got[0] != cd {
+	if got := availablePairs(pool); len(got) != 1 || got[0] != cd {
 		t.Fatalf("after Reset Pairs = %v, want only %v", got, cd)
 	}
 	if pool.Available(ab) != 0 || pool.Available(cd) != 1 {

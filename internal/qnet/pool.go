@@ -14,11 +14,11 @@ import (
 // Each endpoint pair gets a dense index the first time a segment of it is
 // filled in, and keeps it across Reset. Per index the pool holds the
 // pair's bucket (insertion order) and its count of unconsumed segments,
-// which Take, TakeBest and Return maintain, so Available and AvailableAt
-// are a counter read. The key set only grows; it is bounded by the
-// endpoint pairs of the segment catalogue, and every accessor filters by
-// availability, so a pair with nothing left is invisible exactly as if it
-// had never been filled. Segments handed to a pool must be distinct, and
+// which Take, TakeBest, their by-index forms and Return maintain, so
+// Available and AvailableAt are a counter read. The key set only grows;
+// it is bounded by the endpoint pairs of the segment catalogue, and every
+// accessor filters by availability, so a pair with nothing left is
+// invisible exactly as if it had never been filled. Segments handed to a pool must be distinct, and
 // their consumed state changes only through the pool.
 type Pool struct {
 	index   map[segment.PairKey]int
@@ -69,18 +69,8 @@ func (p *Pool) fill(segs []*Segment) {
 	}
 }
 
-// Index returns the pair's dense index for AvailableAt, or -1 if the pool
-// has never held a segment of the pair. An index stays valid for the
-// pool's lifetime.
-func (p *Pool) Index(pk segment.PairKey) int {
-	if i, ok := p.index[pk]; ok {
-		return i
-	}
-	return -1
-}
-
 // AvailableAt returns how many unconsumed segments remain for the pair of
-// index i (from Index, i ≥ 0).
+// index i (from SortedIndices).
 func (p *Pool) AvailableAt(i int) int { return p.avail[i] }
 
 // Available returns how many unconsumed segments remain for a pair.
@@ -94,7 +84,15 @@ func (p *Pool) Available(pk segment.PairKey) int {
 // Take consumes one segment for the pair, or returns nil if none remain.
 func (p *Pool) Take(pk segment.PairKey) *Segment {
 	i, ok := p.index[pk]
-	if !ok || p.avail[i] == 0 {
+	if !ok {
+		return nil
+	}
+	return p.TakeAt(i)
+}
+
+// TakeAt is Take for the pair of index i.
+func (p *Pool) TakeAt(i int) *Segment {
+	if p.avail[i] == 0 {
 		return nil
 	}
 	for _, s := range p.buckets[i] {
@@ -125,7 +123,15 @@ func (p *Pool) Return(s *Segment) {
 // segment combination for the path could have met the floor.
 func (p *Pool) TakeBest(pk segment.PairKey, score func(s *Segment) float64) *Segment {
 	i, ok := p.index[pk]
-	if !ok || p.avail[i] == 0 {
+	if !ok {
+		return nil
+	}
+	return p.TakeBestAt(i, score)
+}
+
+// TakeBestAt is TakeBest for the pair of index i.
+func (p *Pool) TakeBestAt(i int, score func(s *Segment) float64) *Segment {
+	if p.avail[i] == 0 {
 		return nil
 	}
 	var best *Segment
@@ -145,9 +151,11 @@ func (p *Pool) TakeBest(pk segment.PairKey, score func(s *Segment) float64) *Seg
 	return best
 }
 
-// sortedIndices returns the pair indices sorted by endpoint pair, sorting
-// only when pairs were added since the last call.
-func (p *Pool) sortedIndices() []int {
+// SortedIndices returns every pair index the pool has assigned, sorted by
+// endpoint pair, sorting only when pairs were added since the last call.
+// The slice is the pool's own: callers must not modify it, and it is valid
+// until the next fill.
+func (p *Pool) SortedIndices() []int {
 	if len(p.order) < len(p.keys) {
 		for i := len(p.order); i < len(p.keys); i++ {
 			p.order = append(p.order, i)
@@ -163,24 +171,8 @@ func (p *Pool) sortedIndices() []int {
 	return p.order
 }
 
-// Pairs returns the endpoint pairs with at least one unconsumed segment,
-// sorted.
-func (p *Pool) Pairs() []segment.PairKey {
-	order := p.sortedIndices()
-	n := 0
-	for _, i := range order {
-		if p.avail[i] > 0 {
-			n++
-		}
-	}
-	keys := make([]segment.PairKey, 0, n)
-	for _, i := range order {
-		if p.avail[i] > 0 {
-			keys = append(keys, p.keys[i])
-		}
-	}
-	return keys
-}
+// KeyAt returns the endpoint pair of index i.
+func (p *Pool) KeyAt(i int) segment.PairKey { return p.keys[i] }
 
 // Unconsumed returns every segment no connection consumed, in deterministic
 // order (sorted endpoint pairs, then insertion order within a pair). The
@@ -188,7 +180,7 @@ func (p *Pool) Pairs() []segment.PairKey {
 // segments is a pure function of the slot's outcome.
 func (p *Pool) Unconsumed() []*Segment {
 	var out []*Segment
-	for _, i := range p.sortedIndices() {
+	for _, i := range p.SortedIndices() {
 		if p.avail[i] == 0 {
 			continue
 		}

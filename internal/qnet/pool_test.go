@@ -150,9 +150,10 @@ func (tw *twinSegments) add(rng *rand.Rand, u, v int) int {
 
 // TestPoolMatchesReference drives the indexed Pool and poolReference
 // through random sequences of NewPool, Reset (to overlapping and disjoint
-// key sets, with carried leftovers), Take, TakeBest and Return, and after
-// every step requires the same returned segment, Available for every
-// pair, Pairs and Unconsumed.
+// key sets, with carried leftovers), Take, TakeBest, their by-index forms
+// and Return, and after every step requires the same returned segment,
+// Available for every pair, AvailableAt in SortedIndices order, Pairs and
+// Unconsumed.
 func TestPoolMatchesReference(t *testing.T) {
 	score := func(s *Segment) float64 { return s.WernerScale() }
 	for trial := 0; trial < 200; trial++ {
@@ -223,12 +224,20 @@ func TestPoolMatchesReference(t *testing.T) {
 				what = "reset"
 			case op <= 4:
 				pk := segment.MakePairKey(randPair(base))
-				want, got = ref.Take(pk), pool.Take(pk)
-				what = "Take"
+				want = ref.Take(pk)
+				if i := indexOf(pool, pk); i >= 0 && rng.Intn(2) == 0 {
+					got, what = pool.TakeAt(i), "TakeAt"
+				} else {
+					got, what = pool.Take(pk), "Take"
+				}
 			case op <= 7:
 				pk := segment.MakePairKey(randPair(base))
-				want, got = ref.TakeBest(pk, score), pool.TakeBest(pk, score)
-				what = "TakeBest"
+				want = ref.TakeBest(pk, score)
+				if i := indexOf(pool, pk); i >= 0 && rng.Intn(2) == 0 {
+					got, what = pool.TakeBestAt(i, score), "TakeBestAt"
+				} else {
+					got, what = pool.TakeBest(pk, score), "TakeBest"
+				}
 			default:
 				if len(inPool) == 0 {
 					continue
@@ -247,12 +256,18 @@ func TestPoolMatchesReference(t *testing.T) {
 					if a, b := ref.Available(pk), pool.Available(pk); a != b {
 						t.Fatalf("trial %d step %d (%s): Available(%v) = %d, reference %d", trial, step, what, pk, b, a)
 					}
-					if i := pool.Index(pk); i >= 0 && pool.AvailableAt(i) != pool.Available(pk) {
-						t.Fatalf("trial %d step %d: AvailableAt(Index(%v)) disagrees with Available", trial, step, pk)
-					}
 				}
 			}
-			if a, b := ref.Pairs(), pool.Pairs(); !slices.Equal(a, b) {
+			order := pool.SortedIndices()
+			for k, i := range order {
+				if pool.AvailableAt(i) != pool.Available(pool.KeyAt(i)) {
+					t.Fatalf("trial %d step %d: AvailableAt(%d) disagrees with Available(%v)", trial, step, i, pool.KeyAt(i))
+				}
+				if k > 0 && !pairLess(pool.KeyAt(order[k-1]), pool.KeyAt(i)) {
+					t.Fatalf("trial %d step %d: SortedIndices out of order at %d", trial, step, k)
+				}
+			}
+			if a, b := ref.Pairs(), availablePairs(pool); !slices.Equal(a, b) {
 				t.Fatalf("trial %d step %d (%s): Pairs = %v, reference %v", trial, step, what, b, a)
 			}
 			if a, b := mapped(ref.Unconsumed()), mapped(pool.Unconsumed()); !slices.Equal(a, b) {
@@ -280,7 +295,31 @@ func TestPoolResetRetainsNoSegments(t *testing.T) {
 			}
 		}
 	}
-	if pool.Available(segment.MakePairKey(0, 1)) != 0 || pool.Index(segment.MakePairKey(5, 6)) != -1 {
-		t.Fatal("Reset kept a previous slot's segment, or Index invented a pair")
+	if pool.Available(segment.MakePairKey(0, 1)) != 0 || indexOf(pool, segment.MakePairKey(5, 6)) != -1 {
+		t.Fatal("Reset kept a previous slot's segment, or invented a pair")
 	}
 }
+
+// availablePairs lists the endpoint pairs with at least one unconsumed
+// segment, sorted: the pairs StitchRoutes puts on its aux graph.
+func availablePairs(pool *Pool) []segment.PairKey {
+	var keys []segment.PairKey
+	for _, i := range pool.SortedIndices() {
+		if pool.AvailableAt(i) > 0 {
+			keys = append(keys, pool.KeyAt(i))
+		}
+	}
+	return keys
+}
+
+// indexOf returns the pool index of pk, or -1 if the pool never held it.
+func indexOf(pool *Pool, pk segment.PairKey) int {
+	for _, i := range pool.SortedIndices() {
+		if pool.KeyAt(i) == pk {
+			return i
+		}
+	}
+	return -1
+}
+
+func pairLess(a, b segment.PairKey) bool { return a.U < b.U || a.U == b.U && a.V < b.V }

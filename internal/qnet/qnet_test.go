@@ -140,11 +140,11 @@ func TestPoolTakeReturn(t *testing.T) {
 	if pool.Available(pk) != 1 {
 		t.Fatal("Return did not restore availability")
 	}
-	if got := pool.Pairs(); len(got) != 1 || got[0] != pk {
+	if got := availablePairs(pool); len(got) != 1 || got[0] != pk {
 		t.Fatalf("Pairs = %v", got)
 	}
 	pool.Take(pk)
-	if got := pool.Pairs(); len(got) != 0 {
+	if got := availablePairs(pool); len(got) != 0 {
 		t.Fatalf("exhausted pool Pairs = %v", got)
 	}
 }
@@ -323,5 +323,54 @@ func TestEstablishWithRetriesGeometric(t *testing.T) {
 	mean := float64(totalSpares) / trials
 	if math.Abs(mean-2) > 0.15 {
 		t.Fatalf("mean spares consumed = %.3f, want ~2", mean)
+	}
+}
+
+// TestKeyLessMatchesKey pins the allocation-free candidate tie-break to
+// the string comparison it replaced, topo.Key(a) < topo.Key(b), over
+// random paths: node IDs up to 2^20 (Key's bytes are little-endian, so
+// the order is not numeric past 255), either orientation, shared
+// prefixes and equal paths.
+func TestKeyLessMatchesKey(t *testing.T) {
+	rng := xrand.New(3)
+	randPath := func() graph.Path {
+		p := make(graph.Path, 2+rng.Intn(4))
+		for i := range p {
+			switch rng.Intn(3) {
+			case 0:
+				p[i] = rng.Intn(4)
+			case 1:
+				p[i] = rng.Intn(1 << 10)
+			default:
+				p[i] = rng.Intn(1 << 20)
+			}
+		}
+		return p
+	}
+	for trial := 0; trial < 20000; trial++ {
+		a := randPath()
+		var b graph.Path
+		switch rng.Intn(4) {
+		case 0:
+			b = randPath()
+		case 1: // a reversed
+			for i := len(a) - 1; i >= 0; i-- {
+				b = append(b, a[i])
+			}
+		case 2: // a prefix of a (or all of it), possibly extended
+			b = append(b, a[:1+rng.Intn(len(a))]...)
+			for rng.Intn(2) == 0 {
+				b = append(b, rng.Intn(1<<20))
+			}
+		default: // one node changed
+			b = append(b, a...)
+			b[rng.Intn(len(b))] ^= 1 << (rng.Intn(3) * 8)
+		}
+		for _, pq := range [][2]graph.Path{{a, b}, {b, a}} {
+			want := topo.Key(pq[0]) < topo.Key(pq[1])
+			if got := keyLess(pq[0], pq[1]); got != want {
+				t.Fatalf("keyLess(%v, %v) = %v, string keys say %v", pq[0], pq[1], got, want)
+			}
+		}
 	}
 }

@@ -427,6 +427,16 @@ const (
 // so edge weights only rise from 1e-5 to 1e9 and a rejected route stays
 // rejected. A search has no side effect (no rng draw, no event), so
 // skipping it changes nothing else.
+//
+// Each search is bounded at routeRejectThreshold: it gives up at the
+// first heap pop at or above the threshold instead of settling the rest
+// of the graph. That is exact. Popped distances never decrease, so a
+// target the unbounded search would settle at or above the threshold (a
+// route this loop rejects, marking the pair dead) stays unsettled, and a
+// target below it settles after exactly the unbounded search's pushes and
+// pops, so ties break the same way. Every aux edge is its own endpoint
+// pair, so each hop is taken by the pool index of the edge the search
+// took.
 func (s *Slot) StitchRoutes(pairs []topo.SDPair, connCap []int) (conns []*qnet.Connection, assembled, floorRejected int) {
 	r := s.r
 	pool := s.Pool
@@ -449,9 +459,12 @@ func (s *Slot) StitchRoutes(pairs []topo.SDPair, connCap []int) (conns []*qnet.C
 	aux := r.aux
 	aux.Reset()
 	auxIdx := r.auxIdx[:0]
-	for _, pk := range pool.Pairs() {
-		aux.AddEdge(pk.U, pk.V, routeAvailableWeight)
-		auxIdx = append(auxIdx, pool.Index(pk))
+	for _, pi := range pool.SortedIndices() {
+		if pool.AvailableAt(pi) > 0 {
+			pk := pool.KeyAt(pi)
+			aux.AddEdge(pk.U, pk.V, routeAvailableWeight)
+			auxIdx = append(auxIdx, pi)
+		}
 	}
 	r.auxIdx = auxIdx
 	nodeWeight := r.nodeWeight
@@ -477,15 +490,15 @@ func (s *Slot) StitchRoutes(pairs []topo.SDPair, connCap []int) (conns []*qnet.C
 			if perPair[i] >= connCap[i] || dead[i] {
 				continue
 			}
-			path, dist := graph.ShortestPathTarget(aux, sd.S, sd.D, opts, &r.dij)
-			if path == nil || dist >= routeRejectThreshold {
+			path, _ := graph.ShortestPathTarget(aux, sd.S, sd.D, routeRejectThreshold, opts, &r.dij)
+			if path == nil {
 				dead[i] = true
 				continue
 			}
 			conn := &qnet.Connection{Pair: i, Nodes: path}
 			ok := true
-			for h := 0; h+1 < len(path); h++ {
-				seg := fp.Take(pool, i, segment.MakePairKey(path[h], path[h+1]))
+			for h := 1; h < len(path); h++ {
+				seg := fp.TakeAt(pool, i, auxIdx[r.dij.PrevEdge(path[h])])
 				if seg == nil {
 					// Unreachable while the weights are consistent.
 					ok = false

@@ -25,12 +25,15 @@ func (s *Slot) stitchRoutesReference(pairs []topo.SDPair, connCap []int) (conns 
 	pool := s.Pool
 	perPair := r.perPair
 	fp := qnet.NewFloorPolicy(r.cfg.FidelityFloors, r.net)
-	// One aux edge per endpoint pair with a segment left.
+	// One aux edge per endpoint pair with a segment left, in sorted
+	// order.
 	aux := graph.New(r.net.NumNodes())
 	var auxPairs []segment.PairKey
-	for _, pk := range pool.Pairs() {
-		aux.AddEdge(pk.U, pk.V, routeAvailableWeight)
-		auxPairs = append(auxPairs, pk)
+	for _, i := range pool.SortedIndices() {
+		if pk := pool.KeyAt(i); pool.Available(pk) > 0 {
+			aux.AddEdge(pk.U, pk.V, routeAvailableWeight)
+			auxPairs = append(auxPairs, pk)
+		}
 	}
 	var dij graph.DijkstraScratch
 	opts := graph.DijkstraOptions{
@@ -58,7 +61,7 @@ func (s *Slot) stitchRoutesReference(pairs []topo.SDPair, connCap []int) (conns 
 			if floorDead != nil && floorDead[i] {
 				continue
 			}
-			path, dist := graph.ShortestPathTarget(aux, sd.S, sd.D, opts, &dij)
+			path, dist := graph.ShortestPathTarget(aux, sd.S, sd.D, 0, opts, &dij)
 			if path == nil || dist >= routeRejectThreshold {
 				continue
 			}
@@ -165,10 +168,22 @@ type stitchSide struct {
 // same connections (nodes, segments, spares, fidelity), assembly and
 // floor-rejection counts, per-pair counters, event stream, leftover pool
 // and next rng draw.
+//
+// The last 150 trials split the nodes into two halves with every SD pair
+// across the split and segments only inside a half, plus a bridge: one
+// segment straight across, or spares across from a q = 0 junction. Once
+// the bridge is used up, or through the junction from the start, a pair
+// is reachable only over routes at or above the reject threshold, which
+// is where StitchRoutes' bounded search gives up early.
 func TestStitchRoutesMatchesReference(t *testing.T) {
-	for trial := 0; trial < 300; trial++ {
+	for trial := 0; trial < 450; trial++ {
 		rng := xrand.New(int64(trial))
 		n := 3 + rng.Intn(7)
+		split := 0 // first node of the second half; 0 for no split
+		if trial >= 300 {
+			n = 4 + rng.Intn(7)
+			split = n / 2
+		}
 		net := &topo.Network{G: graph.New(n), SwapProb: make([]float64, n)}
 		uniform := rng.Intn(2) == 0
 		for u := range net.SwapProb {
@@ -181,6 +196,24 @@ func TestStitchRoutesMatchesReference(t *testing.T) {
 				net.SwapProb[u] = 0.3 + 0.7*rng.Float64()
 			}
 		}
+		// junction is the q = 0 bridge end in the first half, or -1 for a
+		// single straight bridge segment.
+		junction := -1
+		if split > 0 && rng.Intn(2) == 0 {
+			junction = rng.Intn(split)
+			net.SwapProb[junction] = 0
+		}
+		// half returns a random node of the first (0) or second (1) half,
+		// or of the whole network without a split.
+		half := func(h int) int {
+			if split == 0 {
+				return rng.Intn(n)
+			}
+			if h == 0 {
+				return rng.Intn(split)
+			}
+			return split + rng.Intn(n-split)
+		}
 		cfg := SlotConfig{SwapOrder: qnet.SwapOrder(rng.Intn(2))}
 		if rng.Intn(2) == 0 {
 			cfg.FidelityFloors = &qnet.FloorSpec{Default: 0.5 + 0.4*rng.Float64()}
@@ -188,9 +221,9 @@ func TestStitchRoutesMatchesReference(t *testing.T) {
 		pairs := make([]topo.SDPair, 1+rng.Intn(5))
 		connCap := make([]int, len(pairs))
 		for i := range pairs {
-			s, d := rng.Intn(n), rng.Intn(n)
+			s, d := half(0), half(1)
 			for d == s {
-				d = rng.Intn(n)
+				d = half(1)
 			}
 			pairs[i] = topo.SDPair{S: s, D: d}
 			connCap[i] = 100
@@ -208,10 +241,25 @@ func TestStitchRoutesMatchesReference(t *testing.T) {
 		for slot := 0; slot < 3; slot++ {
 			m := rng.Intn(4 * n)
 			segs := [2][]*qnet.Segment{}
-			for j := 0; j < m; j++ {
-				u, v := rng.Intn(n), rng.Intn(n)
-				for v == u {
-					v = rng.Intn(n)
+			for j := 0; j < m+3; j++ {
+				var u, v int
+				switch {
+				case j < m:
+					// Each half has at least two nodes.
+					h := 0
+					if split > 0 {
+						h = rng.Intn(2)
+					}
+					u, v = half(h), half(h)
+					for v == u {
+						v = half(h)
+					}
+				case split == 0 || junction < 0 && j > m:
+					continue
+				case junction < 0:
+					u, v = half(0), half(1)
+				default:
+					u, v = junction, half(1)
 				}
 				scale := []float64{0.3, 0.6, 1}[rng.Intn(3)]
 				for k, side := range sides {

@@ -128,9 +128,11 @@ type Set struct {
 	SDPaths [][]graph.Path
 
 	// SegGraph has one undirected edge per endpoint pair with at least one
-	// candidate; edge IDs index EdgePairs.
+	// candidate; edge IDs index EdgePairs and ByEdge, whose lists are
+	// ByPair's.
 	SegGraph  *graph.Graph
 	EdgePairs []PairKey
+	ByEdge    [][]*Candidate
 	EdgeOf    map[PairKey]int
 
 	opts Options
@@ -231,9 +233,11 @@ func (s *Set) buildSegGraph() {
 		return keys[i].V < keys[j].V
 	})
 	s.EdgePairs = make([]PairKey, 0, len(keys))
+	s.ByEdge = make([][]*Candidate, 0, len(keys))
 	for _, pk := range keys {
 		id := s.SegGraph.AddEdge(pk.U, pk.V, 1)
 		s.EdgePairs = append(s.EdgePairs, pk)
+		s.ByEdge = append(s.ByEdge, s.ByPair[pk])
 		s.EdgeOf[pk] = id
 	}
 }

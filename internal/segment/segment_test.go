@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"slices"
 	"testing"
 
 	"see/internal/graph"
@@ -117,6 +118,12 @@ func TestSegGraphConsistent(t *testing.T) {
 		if s.EdgePairs[id] != pk {
 			t.Fatalf("EdgeOf/EdgePairs inconsistent for %+v", pk)
 		}
+		if !slices.Equal(s.ByEdge[id], s.ByPair[pk]) {
+			t.Fatalf("ByEdge[%d] differs from ByPair[%+v]", id, pk)
+		}
+	}
+	if len(s.ByEdge) != len(s.EdgePairs) {
+		t.Fatalf("ByEdge has %d lists for %d edges", len(s.ByEdge), len(s.EdgePairs))
 	}
 }
 
