@@ -19,11 +19,14 @@ import (
 	"testing"
 
 	"see"
+	"see/internal/contend"
 	"see/internal/core"
 	"see/internal/experiment"
 	"see/internal/flow"
 	"see/internal/graph"
+	"see/internal/greedy"
 	"see/internal/reps"
+	"see/internal/sched"
 	"see/internal/segment"
 	"see/internal/topo"
 	"see/internal/xrand"
@@ -426,14 +429,7 @@ func BenchmarkSlotSEE(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := xrand.New(4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.RunSlot(rng); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSlots(b, eng)
 }
 
 // BenchmarkSlotREPS measures one REPS slot.
@@ -443,6 +439,33 @@ func BenchmarkSlotREPS(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchSlots(b, eng)
+}
+
+// BenchmarkSlotGreedy measures one Greedy slot: a plan fixed at
+// construction, the physical phase and StitchFixed.
+func BenchmarkSlotGreedy(b *testing.B) {
+	net, pairs := ablationNetwork(b)
+	eng, err := greedy.NewEngine(net, pairs, greedy.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSlots(b, eng)
+}
+
+// BenchmarkSlotContend measures one Contend slot: Greedy's phases plus the
+// recovery pass over the held plan.
+func BenchmarkSlotContend(b *testing.B) {
+	net, pairs := ablationNetwork(b)
+	eng, err := contend.NewEngine(net, pairs, contend.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSlots(b, eng)
+}
+
+// benchSlots times RunSlot on a constructed engine.
+func benchSlots(b *testing.B, eng sched.Engine) {
 	rng := xrand.New(4)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -193,13 +193,19 @@ func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, e
 	}
 	e.buildPlan()
 	e.fixed.ConnCap = connCap
+	var primary, recovery qnet.PlanBuilder
 	for _, pp := range e.paths {
 		fp := sched.FixedPath{Commodity: pp.commodity, Nodes: pp.nodes}
 		for _, h := range pp.hops {
 			fp.Hops = append(fp.Hops, h.pair)
+			primary.Add(h.cand, h.attempts)
+			if h.recovery != nil {
+				recovery.Add(h.recovery, h.recAttempts)
+			}
 		}
 		e.fixed.Paths = append(e.fixed.Paths, fp)
 	}
+	e.fixed.Plan, e.recovery = primary.Plan(), recovery.Plan()
 	return e, nil
 }
 
@@ -355,8 +361,6 @@ func (e *Engine) scorePath(r *residual, nodes graph.Path) (float64, []hop) {
 // candidate has positive score. Ties break deterministically on (pair
 // index, candidate index).
 func (e *Engine) buildPlan() {
-	e.fixed.Plan = make(qnet.AttemptPlan)
-	e.recovery = make(qnet.AttemptPlan)
 	if e.opts.Offline {
 		e.buildPlanOffline()
 		return
@@ -403,12 +407,10 @@ func (e *Engine) buildPlan() {
 						r.memory[h.pair.U] -= n
 						r.memory[h.pair.V] -= n
 						h.recovery, h.recAttempts = rec, n
-						e.recovery[rec] += n
 					}
 				}
 			}
 			pp.hops = append(pp.hops, h)
-			e.fixed.Plan[h.cand] += h.attempts
 		}
 		e.paths = append(e.paths, pp)
 		planned[bestPair]++
@@ -534,12 +536,10 @@ func (e *Engine) buildPlanOffline() {
 							r.memory[h.pair.U] -= n
 							r.memory[h.pair.V] -= n
 							h.recovery, h.recAttempts = rec, n
-							e.recovery[rec] += n
 						}
 					}
 				}
 				pp.hops = append(pp.hops, h)
-				e.fixed.Plan[h.cand] += h.attempts
 			}
 			e.paths = append(e.paths, pp)
 			planned[i]++
@@ -598,7 +598,7 @@ func (e *Engine) PhysicalHook(s *sched.Slot) {
 				continue
 			}
 			recoveryFired += h.recAttempts
-			recCreated := qnet.AttemptAll(qnet.AttemptPlan{h.recovery: h.recAttempts}, s.Rng, s.Faults, s.ObserveAttempt, nil)
+			recCreated := qnet.AttemptAll(qnet.AttemptPlan{{Cand: h.recovery, N: h.recAttempts}}, s.Rng, s.Faults, s.ObserveAttempt)
 			s.Result.SegmentsCreated += len(recCreated)
 			recCreated, _ = qnet.ApplyDecoherence(recCreated, s.Faults)
 			for _, seg := range recCreated {

@@ -115,14 +115,16 @@ func TestPlanRespectsResources(t *testing.T) {
 	}
 	channels := make([]int, net.NumLinks())
 	memory := make([]int, net.NumNodes())
-	for c, n := range eng.fixed.Plan {
+	for _, en := range eng.fixed.Plan {
+		c, n := en.Cand, en.N
 		for _, id := range c.EdgeIDs {
 			channels[id] += n
 		}
 		memory[c.U()] += n
 		memory[c.V()] += n
 	}
-	for c, n := range eng.recovery {
+	for _, en := range eng.recovery {
+		c, n := en.Cand, en.N
 		for _, id := range c.EdgeIDs {
 			channels[id] += n
 		}
@@ -248,12 +250,14 @@ func TestCarryOverConservation(t *testing.T) {
 // recovery plan.
 func planLinks(e *Engine) map[int]bool {
 	used := make(map[int]bool)
-	for c := range e.fixed.Plan {
+	for _, en := range e.fixed.Plan {
+		c := en.Cand
 		for _, id := range c.EdgeIDs {
 			used[id] = true
 		}
 	}
-	for c := range e.recovery {
+	for _, en := range e.recovery {
+		c := en.Cand
 		for _, id := range c.EdgeIDs {
 			used[id] = true
 		}
@@ -306,8 +310,8 @@ func TestPlanCapacityOverrides(t *testing.T) {
 // pointers) can be compared.
 func planSig(plan qnet.AttemptPlan) string {
 	var sb strings.Builder
-	for _, c := range plan.SortedCandidates() {
-		fmt.Fprintf(&sb, "%v=%d;", c.Path, plan[c])
+	for _, en := range plan {
+		fmt.Fprintf(&sb, "%v=%d;", en.Cand.Path, en.N)
 	}
 	return sb.String()
 }
@@ -338,7 +342,8 @@ func TestOfflinePlan(t *testing.T) {
 	channels := make([]int, net.NumLinks())
 	memory := make([]int, net.NumNodes())
 	charge := func(plan qnet.AttemptPlan) {
-		for c, n := range plan {
+		for _, en := range plan {
+			c, n := en.Cand, en.N
 			for _, id := range c.EdgeIDs {
 				channels[id] += n
 			}

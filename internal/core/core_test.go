@@ -304,7 +304,8 @@ func TestESCLedgerNeverOverdraws(t *testing.T) {
 		// Recompute usage from the plan and check against raw capacity.
 		chanUse := make(map[int]int)
 		memUse := make(map[int]int)
-		for cand, n := range plan {
+		for _, en := range plan {
+			cand, n := en.Cand, en.N
 			for _, eid := range cand.EdgeIDs {
 				chanUse[eid] += n
 			}
@@ -531,7 +532,8 @@ func TestESCCoverageInvariant(t *testing.T) {
 			}
 			attempts := map[segment.PairKey]int{}
 			expected := map[segment.PairKey]float64{}
-			for cand, n := range plan {
+			for _, en := range plan {
+				cand, n := en.Cand, en.N
 				pk := segment.MakePairKey(cand.Path[0], cand.Path[len(cand.Path)-1])
 				attempts[pk] += n
 				expected[pk] += float64(n) * cand.Prob
@@ -607,7 +609,7 @@ func TestECEAgainstMaxFlowBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		created := qnet.AttemptAll(plan, rng, nil, nil, nil)
+		created := qnet.AttemptAll(plan, rng, nil, nil)
 		// Max-flow bound over realized segment multiplicities.
 		counts := map[segment.PairKey]int{}
 		for _, s := range created {

@@ -31,8 +31,8 @@ func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratc
 	// currently reserved for the pair.
 	ledger := sc.ledger
 	ledger.Reset()
-	plan := sc.plan
-	clear(plan)
+	plan := &sc.plan
+	plan.Reset()
 	if n := len(e.Set.EdgePairs); len(sc.demand) != n {
 		sc.expected, sc.demand, sc.attempts = make([]float64, n), make([]int, n), make([]int, n)
 	}
@@ -71,7 +71,7 @@ func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratc
 				if err := ledger.Reserve(cand); err != nil {
 					return nil, nil, err
 				}
-				plan[cand]++
+				plan.Add(cand, 1)
 				expected[id] += cand.Prob
 				attempts[id]++
 				added = append(added, escAdded{cand: cand, edge: id})
@@ -90,10 +90,7 @@ func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratc
 			if err := ledger.Release(a.cand); err != nil {
 				return nil, nil, err
 			}
-			plan[a.cand]--
-			if plan[a.cand] == 0 {
-				delete(plan, a.cand)
-			}
+			plan.Add(a.cand, -1)
 			expected[a.edge] -= a.cand.Prob
 			attempts[a.edge]--
 		}
@@ -137,7 +134,7 @@ func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratc
 	if err := ledger.Validate(); err != nil {
 		return nil, nil, err
 	}
-	return plan, provisioned, nil
+	return plan.Plan(), provisioned, nil
 }
 
 // compareEscKeys orders backup-provisioning keys by coverage, least
@@ -156,7 +153,7 @@ func compareEscKeys(a, b escKey) int {
 // backupRound performs one backup-provisioning pass over the sorted edge
 // keys: for each pair, reserve its best reservable candidate (if any).
 func (e *Engine) backupRound(keys []escKey, ledger *qnet.Ledger,
-	plan qnet.AttemptPlan, expected []float64, attempts []int) (int, error) {
+	plan *qnet.PlanBuilder, expected []float64, attempts []int) (int, error) {
 	reserved := 0
 	for _, k := range keys {
 		cand := e.bestReservable(k.edge, ledger)
@@ -166,7 +163,7 @@ func (e *Engine) backupRound(keys []escKey, ledger *qnet.Ledger,
 		if err := ledger.Reserve(cand); err != nil {
 			return 0, err
 		}
-		plan[cand]++
+		plan.Add(cand, 1)
 		expected[k.edge] += cand.Prob
 		attempts[k.edge]++
 		reserved++

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"maps"
 	"reflect"
 	"slices"
 	"sort"
@@ -21,12 +20,14 @@ import (
 // lookups, rollback re-hashing each candidate's endpoint pair, and
 // orderPaths' per-class commodity map. It scans serially (the removed
 // parallel scan was exact by construction). It runs on its own ledger
-// and tables. TestESCMatchesReference pins createSegmentsPlanScratch to it.
+// and tables, accumulates its plan in a candidate-keyed map and returns it
+// in the physical phase's order (orderedPlanReference).
+// TestESCMatchesReference pins createSegmentsPlanScratch to it.
 func (e *Engine) escReference(planned []PlannedPath) (qnet.AttemptPlan, []PlannedPath, error) {
 	ordered := orderPathsReference(planned)
 
 	ledger := qnet.NewLedgerWithCapacities(e.Net, e.opts.PlanChannels, e.opts.PlanMemory)
-	plan := make(qnet.AttemptPlan)
+	plan := make(map[*segment.Candidate]int)
 	expected := make(map[segment.PairKey]float64)
 	demand := make(map[segment.PairKey]int)
 	attempts := make(map[segment.PairKey]int)
@@ -138,7 +139,22 @@ func (e *Engine) escReference(planned []PlannedPath) (qnet.AttemptPlan, []Planne
 	if err := ledger.Validate(); err != nil {
 		return nil, nil, err
 	}
-	return plan, provisioned, nil
+	return orderedPlanReference(plan), provisioned, nil
+}
+
+// orderedPlanReference lists a candidate-keyed plan in the order the
+// physical phase fired a map plan before plans were ordered slices: by
+// endpoint pair, then by topo.Key of the path.
+func orderedPlanReference(m map[*segment.Candidate]int) qnet.AttemptPlan {
+	var plan qnet.AttemptPlan
+	for c, n := range m {
+		plan = append(plan, qnet.PlanEntry{Cand: c, N: n})
+	}
+	slices.SortFunc(plan, func(a, b qnet.PlanEntry) int {
+		return cmp.Or(cmp.Compare(a.Cand.U(), b.Cand.U()), cmp.Compare(a.Cand.V(), b.Cand.V()),
+			cmp.Compare(topo.Key(a.Cand.Path), topo.Key(b.Cand.Path)))
+	})
+	return plan
 }
 
 // orderPathsReference is ESC's path order as it was computed with a
@@ -239,7 +255,7 @@ func TestESCMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !maps.Equal(gotPlan, wantPlan) {
+			if !slices.Equal(gotPlan, wantPlan) {
 				t.Fatalf("trial %d slot %d: plan %v, reference %v", trial, slot, gotPlan, wantPlan)
 			}
 			if len(gotProv)+len(wantProv) > 0 && !reflect.DeepEqual(gotProv, wantProv) {

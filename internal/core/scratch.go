@@ -14,11 +14,12 @@ import (
 // dead by slot end — anything that can outlive the slot (realized
 // segments, connections) is allocated fresh.
 type slotScratch struct {
-	// ESC: reservation ledger (Reset per slot), the coverage tables by
-	// segment edge ID (zeroed per slot), the backup-round keys, one
-	// path's rollback list, the path order and its index buffer.
+	// ESC: reservation ledger and attempt counts (Reset per slot), the
+	// coverage tables by segment edge ID (zeroed per slot), the
+	// backup-round keys, one path's rollback list, the path order and its
+	// index buffer.
 	ledger   *qnet.Ledger
-	plan     qnet.AttemptPlan
+	plan     qnet.PlanBuilder
 	expected []float64
 	demand   []int
 	attempts []int
@@ -63,7 +64,6 @@ func (e *Engine) scratch() *slotScratch {
 	if e.slot == nil {
 		e.slot = &slotScratch{
 			ledger: qnet.NewLedgerWithCapacities(e.Net, e.opts.PlanChannels, e.opts.PlanMemory),
-			plan:   make(qnet.AttemptPlan),
 		}
 	}
 	return e.slot

@@ -132,7 +132,8 @@ func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, e
 func (e *Engine) buildPlan() {
 	channels := append([]int(nil), e.Net.Channels...)
 	memory := append([]int(nil), e.Net.Memory...)
-	e.fixed = sched.FixedPlan{Plan: make(qnet.AttemptPlan), ConnCap: e.ConnCap}
+	e.fixed = sched.FixedPlan{ConnCap: e.ConnCap}
+	var plan qnet.PlanBuilder
 
 	// cheapestFeasible returns the lowest-cost realization of the edge's
 	// pair that fits at least one attempt in the residual resources.
@@ -236,7 +237,7 @@ func (e *Engine) buildPlan() {
 			}
 			fp := sched.FixedPath{Commodity: i, Nodes: path}
 			for _, h := range hops {
-				e.fixed.Plan[h.cand] += h.attempts
+				plan.Add(h.cand, h.attempts)
 				fp.Hops = append(fp.Hops, h.pair)
 			}
 			e.fixed.Paths = append(e.fixed.Paths, fp)
@@ -248,6 +249,7 @@ func (e *Engine) buildPlan() {
 			break
 		}
 	}
+	e.fixed.Plan = plan.Plan()
 }
 
 // attemptCost is the expected number of attempts a unit of flow costs on

@@ -3,6 +3,7 @@ package qnet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"see/internal/graph"
@@ -46,15 +47,24 @@ func (s *Segment) WernerScale() float64 {
 // at withdrawal; values are clamped to [0,1] by construction there).
 func (s *Segment) SetWernerScale(w float64) { s.wernerScale = w }
 
-// AttemptPlan maps each candidate realization to the number of creation
-// attempts reserved for it (the x^k_uv of the paper).
-type AttemptPlan map[*segment.Candidate]int
+// PlanEntry is one candidate realization with the number of creation
+// attempts reserved for it (an x^k_uv of the paper).
+type PlanEntry struct {
+	Cand *segment.Candidate
+	N    int
+}
+
+// AttemptPlan lists the reserved creation attempts in the order the
+// physical phase fires them: ascending candidate ID, which is by endpoint
+// pair, then candidate path (segment.Candidate.ID). Every entry has N > 0
+// and a distinct candidate. A PlanBuilder emits plans in that order.
+type AttemptPlan []PlanEntry
 
 // TotalAttempts sums the attempts in the plan.
 func (p AttemptPlan) TotalAttempts() int {
 	total := 0
-	for _, n := range p {
-		total += n
+	for _, e := range p {
+		total += e.N
 	}
 	return total
 }
@@ -62,63 +72,71 @@ func (p AttemptPlan) TotalAttempts() int {
 // ExpectedSegments returns Σ x^k_uv · p^k_uv over the plan.
 func (p AttemptPlan) ExpectedSegments() float64 {
 	var total float64
-	for c, n := range p {
-		total += float64(n) * c.Prob
+	for _, e := range p {
+		total += float64(e.N) * e.Cand.Prob
 	}
 	return total
 }
 
-// SortedCandidates returns the plan's candidates in the deterministic
-// order the physical phase resolves them: by endpoint pair, then candidate
-// path.
-func (p AttemptPlan) SortedCandidates() []*segment.Candidate {
-	return p.SortedCandidatesInto(nil)
+// PlanBuilder accumulates attempt counts for the candidates of one
+// segment.Set and emits them as an AttemptPlan. Counts live in dense
+// tables by candidate ID, so adding is an index, and only the IDs touched
+// since the last Reset are visited. The zero value is ready to use.
+type PlanBuilder struct {
+	counts  []int                // candidate ID → attempts
+	cands   []*segment.Candidate // candidate ID → candidate, nil if untouched
+	touched []int                // IDs with a non-nil cands entry
+	plan    AttemptPlan
 }
 
-// SortedCandidatesInto is SortedCandidates writing into buf's backing
-// array (grown as needed) so per-slot callers can reuse one scratch slice
-// across slots instead of allocating per call.
-func (p AttemptPlan) SortedCandidatesInto(buf []*segment.Candidate) []*segment.Candidate {
-	cands := buf[:0]
-	for c := range p {
-		cands = append(cands, c)
+// Add adds n (possibly negative, to roll back) attempts on c.
+func (b *PlanBuilder) Add(c *segment.Candidate, n int) {
+	id := c.ID
+	if id >= len(b.counts) {
+		grow := id + 1 - len(b.counts)
+		b.counts = append(b.counts, make([]int, grow)...)
+		b.cands = append(b.cands, make([]*segment.Candidate, grow)...)
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.U() != b.U() {
-			return a.U() < b.U()
-		}
-		if a.V() != b.V() {
-			return a.V() < b.V()
-		}
-		return keyLess(a.Path, b.Path)
-	})
-	return cands
+	switch b.cands[id] {
+	case c:
+	case nil:
+		b.cands[id] = c
+		b.touched = append(b.touched, id)
+	default:
+		panic("qnet: PlanBuilder given two candidates with one ID")
+	}
+	b.counts[id] += n
 }
 
-// keyLess reports whether topo.Key(a) < topo.Key(b) without building the
-// keys. A key orients the path from its smaller endpoint and writes each
-// node as its low three bytes, least significant first, then '.', so keys
-// compare node by node on those bytes in that order, and a proper prefix
-// sorts first.
-func keyLess(a, b graph.Path) bool {
-	ra := len(a) > 1 && a[0] > a[len(a)-1]
-	rb := len(b) > 1 && b[0] > b[len(b)-1]
-	for i := 0; i < len(a) && i < len(b); i++ {
-		u, v := a[i], b[i]
-		if ra {
-			u = a[len(a)-1-i]
-		}
-		if rb {
-			v = b[len(b)-1-i]
-		}
-		for shift := 0; shift < 24; shift += 8 {
-			if x, y := byte(u>>shift), byte(v>>shift); x != y {
-				return x < y
-			}
+// Count returns the attempts accumulated on c.
+func (b *PlanBuilder) Count(c *segment.Candidate) int {
+	if c.ID < len(b.counts) && b.cands[c.ID] == c {
+		return b.counts[c.ID]
+	}
+	return 0
+}
+
+// Plan returns the accumulated positive counts in candidate ID order. The
+// slice is the builder's own, valid until the next Plan or Reset.
+func (b *PlanBuilder) Plan() AttemptPlan {
+	slices.Sort(b.touched)
+	out := b.plan[:0]
+	for _, id := range b.touched {
+		if n := b.counts[id]; n > 0 {
+			out = append(out, PlanEntry{Cand: b.cands[id], N: n})
 		}
 	}
-	return len(a) < len(b)
+	b.plan = out
+	return out
+}
+
+// Reset zeroes every count, visiting only the touched IDs.
+func (b *PlanBuilder) Reset() {
+	for _, id := range b.touched {
+		b.counts[id] = 0
+		b.cands[id] = nil
+	}
+	b.touched = b.touched[:0]
 }
 
 // AttemptObserver is notified of each physical creation attempt's outcome.
@@ -146,44 +164,30 @@ type CapacityModel interface {
 	CapAttempts(c *segment.Candidate, want int) int
 }
 
-// AttemptScratch holds the reusable per-slot buffers of the physical
-// phase. Only the candidate ordering buffer lives here: realized segments
-// themselves are slab-allocated fresh each call, because banked segments
-// outlive the slot that created them (see the state bank) and must never
-// be overwritten by a later slot's attempts.
-type AttemptScratch struct {
-	cands []*segment.Candidate
-}
-
 // AttemptAll performs the physical phase: every reserved attempt succeeds
-// independently with its candidate's probability. The result is sorted
-// deterministically (by endpoint pair, then candidate path) so a fixed rng
-// yields a fixed outcome regardless of map iteration order.
+// independently with its candidate's probability, in plan order, so a
+// fixed rng yields a fixed outcome.
 //
 // Every argument after rng may be nil. Under a fault model, attempts whose
 // candidate is blocked fail deterministically, consuming no randomness, so
 // the rng stream of the surviving attempts — and with it the whole slot —
 // is a pure function of (engine seed, fault plan). The observer sees every
 // attempt in the same deterministic order and does not affect the rng
-// stream. A scratch recycles the candidate-ordering buffer across calls.
-func AttemptAll(plan AttemptPlan, rng *rand.Rand, fm FaultModel, obs AttemptObserver, sc *AttemptScratch) []*Segment {
+// stream.
+func AttemptAll(plan AttemptPlan, rng *rand.Rand, fm FaultModel, obs AttemptObserver) []*Segment {
 	cm, _ := fm.(CapacityModel)
-	var sorted []*segment.Candidate
-	if sc != nil {
-		sorted = plan.SortedCandidatesInto(sc.cands)
-		sc.cands = sorted
-	} else {
-		sorted = plan.SortedCandidates()
-	}
 	// One slab allocation for every possible success this slot: successes
 	// never exceed attempts, so append never regrows and pointers into the
-	// slab stay valid for as long as any segment is referenced.
-	slab := make([]Segment, 0, plan.TotalAttempts())
-	out := make([]*Segment, 0, plan.TotalAttempts())
-	for _, c := range sorted {
+	// slab stay valid for as long as any segment is referenced. Realized
+	// segments are never recycled: banked segments outlive their slot.
+	total := plan.TotalAttempts()
+	slab := make([]Segment, 0, total)
+	out := make([]*Segment, 0, total)
+	for _, e := range plan {
+		c := e.Cand
 		if fm != nil && fm.CandidateBlocked(c) {
 			if obs != nil {
-				for k := 0; k < plan[c]; k++ {
+				for k := 0; k < e.N; k++ {
 					obs(c, false)
 				}
 			}
@@ -191,7 +195,7 @@ func AttemptAll(plan AttemptPlan, rng *rand.Rand, fm FaultModel, obs AttemptObse
 		}
 		// Brownouts cap the attempts the route's channels can carry this
 		// slot; the remainder fails deterministically, rng untouched.
-		granted := plan[c]
+		granted := e.N
 		if cm != nil {
 			granted = cm.CapAttempts(c, granted)
 		}
@@ -206,7 +210,7 @@ func AttemptAll(plan AttemptPlan, rng *rand.Rand, fm FaultModel, obs AttemptObse
 			}
 		}
 		if obs != nil {
-			for k := granted; k < plan[c]; k++ {
+			for k := granted; k < e.N; k++ {
 				obs(c, false)
 			}
 		}
@@ -309,6 +313,10 @@ type SwapObserver func(junction int, ok bool)
 // whether every junction eventually succeeded; on failure all consumed
 // segments stay consumed (the photons are gone either way). The observer
 // (may be nil) sees every sampled swap and does not affect the rng stream.
+// hops, when not nil, holds the pool index of each hop's endpoint pair
+// (−1 for a pair the pool never held), as a stitch loop already knows
+// them; nil looks a junction's two pairs up in the pool when its swap
+// fails.
 //
 // SwapOrderPath visits the junctions from source to destination;
 // SwapOrderGreedy visits them in ascending swap probability (ties by path
@@ -316,7 +324,7 @@ type SwapObserver func(junction int, ok bool)
 // reliable junctions burn rng draws and spare segments. On success the
 // delivered Fidelity is recorded from the connection's segments —
 // swap-order-independent by the Werner algebra's commutativity.
-func (c *Connection) EstablishOrderedObserved(net *topo.Network, pool *Pool, rng *rand.Rand, obs SwapObserver, order SwapOrder) bool {
+func (c *Connection) EstablishOrderedObserved(net *topo.Network, pool *Pool, hops []int, rng *rand.Rand, obs SwapObserver, order SwapOrder) bool {
 	established := true
 	if order == SwapOrderGreedy && len(c.Nodes) > 3 {
 		idx := make([]int, 0, len(c.Nodes)-2)
@@ -327,14 +335,14 @@ func (c *Connection) EstablishOrderedObserved(net *topo.Network, pool *Pool, rng
 			return net.SwapProb[c.Nodes[idx[a]]] < net.SwapProb[c.Nodes[idx[b]]]
 		})
 		for _, i := range idx {
-			if !c.swapAtJunction(net, pool, rng, obs, i) {
+			if !c.swapAtJunction(net, pool, hops, rng, obs, i) {
 				established = false
 				break
 			}
 		}
 	} else {
 		for i := 1; i+1 < len(c.Nodes); i++ {
-			if !c.swapAtJunction(net, pool, rng, obs, i) {
+			if !c.swapAtJunction(net, pool, hops, rng, obs, i) {
 				established = false
 				break
 			}
@@ -354,10 +362,8 @@ func (c *Connection) EstablishOrderedObserved(net *topo.Network, pool *Pool, rng
 // swapAtJunction samples the swap at junction index i of the path,
 // retrying on spare segments of the junction's two incident hops while the
 // pool holds a spare on each side.
-func (c *Connection) swapAtJunction(net *topo.Network, pool *Pool, rng *rand.Rand, obs SwapObserver, i int) bool {
+func (c *Connection) swapAtJunction(net *topo.Network, pool *Pool, hops []int, rng *rand.Rand, obs SwapObserver, i int) bool {
 	junction := c.Nodes[i]
-	left := segment.MakePairKey(c.Nodes[i-1], c.Nodes[i])
-	right := segment.MakePairKey(c.Nodes[i], c.Nodes[i+1])
 	for {
 		ok := xrand.Bernoulli(rng, net.SwapProb[junction])
 		if obs != nil {
@@ -368,9 +374,19 @@ func (c *Connection) swapAtJunction(net *topo.Network, pool *Pool, rng *rand.Ran
 		}
 		// Swap failed: the segments on both sides of the junction are
 		// destroyed. Retry only if spares exist on both sides.
-		if pool.Available(left) < 1 || pool.Available(right) < 1 {
+		left, right := c.hopIndex(pool, hops, i-1), c.hopIndex(pool, hops, i)
+		if left < 0 || right < 0 || pool.AvailableAt(left) < 1 || pool.AvailableAt(right) < 1 {
 			return false
 		}
-		c.Spares = append(c.Spares, pool.Take(left), pool.Take(right))
+		c.Spares = append(c.Spares, pool.TakeAt(left), pool.TakeAt(right))
 	}
+}
+
+// hopIndex returns the pool index of hop h's endpoint pair: hops[h], or a
+// lookup when hops is nil.
+func (c *Connection) hopIndex(pool *Pool, hops []int, h int) int {
+	if hops != nil {
+		return hops[h]
+	}
+	return pool.IndexOf(segment.MakePairKey(c.Nodes[h], c.Nodes[h+1]))
 }

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"see/internal/segment"
 	"see/internal/topo"
 )
 
@@ -251,21 +250,14 @@ func (f FloorPolicy) LengthOf(s *Segment) float64 {
 
 // Score orders a pair's available segments by their contribution to the
 // composed Werner parameter (decayed by fibre length and banked age), so
-// TakeBest maximizes the predicted end-to-end fidelity.
+// TakeBestAt maximizes the predicted end-to-end fidelity.
 func (f FloorPolicy) Score(s *Segment) float64 {
 	return s.WernerScale() * math.Exp(-f.LengthOf(s)/f.model.DecayKM)
 }
 
-// Take draws a segment for the given commodity: best-first for floored
-// pairs, historical FIFO order otherwise.
-func (f FloorPolicy) Take(pool *Pool, commodity int, pk segment.PairKey) *Segment {
-	if f.floors.Floor(commodity) > 0 {
-		return pool.TakeBest(pk, f.Score)
-	}
-	return pool.Take(pk)
-}
-
-// TakeAt is Take for the pair of pool index i.
+// TakeAt draws a segment of the pair of pool index i for the given
+// commodity: best-first for floored pairs, historical FIFO order
+// otherwise.
 func (f FloorPolicy) TakeAt(pool *Pool, commodity, i int) *Segment {
 	if f.floors.Floor(commodity) > 0 {
 		return pool.TakeBestAt(i, f.Score)

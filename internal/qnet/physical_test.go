@@ -36,12 +36,12 @@ func TestAttemptAllBlockedAndBrownout(t *testing.T) {
 	set, _ := motivationSet(t)
 	blocked := set.Best(topo.MotivS1, topo.MotivR1)
 	capped := set.Best(topo.MotivS2, topo.MotivD2)
-	plan := AttemptPlan{blocked: 3, capped: 4}
+	plan := planOf(PlanEntry{Cand: blocked, N: 3}, PlanEntry{Cand: capped, N: 4})
 
 	observed := map[*segment.Candidate][]bool{}
 	obs := func(c *segment.Candidate, ok bool) { observed[c] = append(observed[c], ok) }
-	got := AttemptAll(plan, xrand.New(5), &stubFaults{blocked: blocked, grant: 2}, obs, &AttemptScratch{})
-	want := AttemptAll(AttemptPlan{capped: 2}, xrand.New(5), nil, nil, nil)
+	got := AttemptAll(plan, xrand.New(5), &stubFaults{blocked: blocked, grant: 2}, obs)
+	want := AttemptAll(AttemptPlan{{Cand: capped, N: 2}}, xrand.New(5), nil, nil)
 	if len(got) != len(want) {
 		t.Fatalf("faulty phase created %d segments, fault-free over the fired attempts %d", len(got), len(want))
 	}
@@ -78,11 +78,11 @@ func TestPoolResetTakeBestUnconsumed(t *testing.T) {
 	pool := NewPool([]*Segment{other, old, fresh, twin})
 
 	score := func(s *Segment) float64 { return s.WernerScale() }
-	if s := pool.TakeBest(ab, score); s != fresh {
-		t.Fatal("TakeBest must pick the highest score, first on ties")
+	if s := pool.TakeBestAt(pool.IndexOf(ab), score); s != fresh {
+		t.Fatal("TakeBestAt must pick the highest score, first on ties")
 	}
-	if s := pool.TakeBest(segment.MakePairKey(5, 6), score); s != nil {
-		t.Fatal("TakeBest on an empty pair must return nil")
+	if pool.IndexOf(segment.MakePairKey(5, 6)) != -1 {
+		t.Fatal("IndexOf invented a pair the pool never held")
 	}
 	if got := pool.Unconsumed(); !reflect.DeepEqual(got, []*Segment{old, twin, other}) {
 		t.Fatalf("Unconsumed = %v, want sorted pairs then insertion order", got)
@@ -92,7 +92,7 @@ func TestPoolResetTakeBestUnconsumed(t *testing.T) {
 	if got := availablePairs(pool); len(got) != 1 || got[0] != cd {
 		t.Fatalf("after Reset Pairs = %v, want only %v", got, cd)
 	}
-	if pool.Available(ab) != 0 || pool.Available(cd) != 1 {
+	if available(pool, ab) != 0 || available(pool, cd) != 1 {
 		t.Fatal("Reset kept the previous slot's segments")
 	}
 }
@@ -108,7 +108,7 @@ func TestFloorPolicy(t *testing.T) {
 
 	off := NewFloorPolicy(nil, net)
 	aged, _, pool := mk()
-	if off.Active() || off.Take(pool, 0, pk) != aged || off.Rejects(0, []*Segment{aged}) {
+	if off.Active() || off.TakeAt(pool, 0, pool.IndexOf(pk)) != aged || off.Rejects(0, []*Segment{aged}) {
 		t.Fatal("an unfloored policy must take FIFO and reject nothing")
 	}
 	if NewFloorPolicy(&FloorSpec{PerPair: map[int]float64{2: 0}}, net).Active() {
@@ -119,10 +119,10 @@ func TestFloorPolicy(t *testing.T) {
 	spec := &FloorSpec{Default: 0, PerPair: map[int]float64{0: f - 1e-9}}
 	on := NewFloorPolicy(spec, net)
 	aged, fresh, pool := mk()
-	if !on.Active() || on.Take(pool, 0, pk) != fresh {
+	if !on.Active() || on.TakeAt(pool, 0, pool.IndexOf(pk)) != fresh {
 		t.Fatal("a floored pair must take its best-scored segment first")
 	}
-	if on.Take(pool, 1, pk) != aged {
+	if on.TakeAt(pool, 1, pool.IndexOf(pk)) != aged {
 		t.Fatal("an unfloored pair must keep FIFO order under an active policy")
 	}
 	if on.Rejects(0, []*Segment{fresh}) {
@@ -170,7 +170,7 @@ func TestGreedySwapOrder(t *testing.T) {
 	} {
 		var visited []int
 		obs := func(junction int, _ bool) { visited = append(visited, junction) }
-		if conn().EstablishOrderedObserved(net, NewPool(nil), xrand.New(1), obs, tc.order) {
+		if conn().EstablishOrderedObserved(net, NewPool(nil), nil, xrand.New(1), obs, tc.order) {
 			t.Fatalf("%v: a q=0 junction established", tc.order)
 		}
 		if !reflect.DeepEqual(visited, tc.want) {
@@ -180,7 +180,7 @@ func TestGreedySwapOrder(t *testing.T) {
 
 	net.SwapProb[2] = 1
 	c := conn()
-	if !c.EstablishOrderedObserved(net, NewPool(nil), xrand.New(1), nil, SwapOrderGreedy) || c.Fidelity <= 0 {
+	if !c.EstablishOrderedObserved(net, NewPool(nil), nil, xrand.New(1), nil, SwapOrderGreedy) || c.Fidelity <= 0 {
 		t.Fatalf("greedy order over reliable junctions: fidelity %v", c.Fidelity)
 	}
 }

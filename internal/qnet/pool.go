@@ -14,11 +14,11 @@ import (
 // Each endpoint pair gets a dense index the first time a segment of it is
 // filled in, and keeps it across Reset. Per index the pool holds the
 // pair's bucket (insertion order) and its count of unconsumed segments,
-// which Take, TakeBest, their by-index forms and Return maintain, so
-// Available and AvailableAt are a counter read. The key set only grows;
-// it is bounded by the endpoint pairs of the segment catalogue, and every
-// accessor filters by availability, so a pair with nothing left is
-// invisible exactly as if it had never been filled. Segments handed to a pool must be distinct, and
+// which TakeAt, TakeBestAt and Return maintain, so AvailableAt is a
+// counter read. The key set only grows; it is bounded by the endpoint
+// pairs of the segment catalogue, and every accessor filters by
+// availability, so a pair with nothing left is invisible exactly as if it
+// had never been filled. Segments handed to a pool must be distinct, and
 // their consumed state changes only through the pool.
 type Pool struct {
 	index   map[segment.PairKey]int
@@ -73,24 +73,22 @@ func (p *Pool) fill(segs []*Segment) {
 // index i (from SortedIndices).
 func (p *Pool) AvailableAt(i int) int { return p.avail[i] }
 
-// Available returns how many unconsumed segments remain for a pair.
-func (p *Pool) Available(pk segment.PairKey) int {
+// NumPairs returns how many endpoint pairs the pool has assigned an
+// index. It only grows, and indices 0..NumPairs()−1 are assigned.
+func (p *Pool) NumPairs() int { return len(p.keys) }
+
+// IndexOf returns the pool index of a pair, or -1 if the pool has never
+// held one of its segments. An index never changes once assigned, and a
+// pair without one has nothing available until the next fill.
+func (p *Pool) IndexOf(pk segment.PairKey) int {
 	if i, ok := p.index[pk]; ok {
-		return p.avail[i]
+		return i
 	}
-	return 0
+	return -1
 }
 
-// Take consumes one segment for the pair, or returns nil if none remain.
-func (p *Pool) Take(pk segment.PairKey) *Segment {
-	i, ok := p.index[pk]
-	if !ok {
-		return nil
-	}
-	return p.TakeAt(i)
-}
-
-// TakeAt is Take for the pair of index i.
+// TakeAt consumes one segment of the pair of index i, in insertion order,
+// or returns nil if none remain.
 func (p *Pool) TakeAt(i int) *Segment {
 	if p.avail[i] == 0 {
 		return nil
@@ -117,19 +115,11 @@ func (p *Pool) Return(s *Segment) {
 	}
 }
 
-// TakeBest consumes the pair's unconsumed segment maximizing score (first
-// wins on ties, so the choice is deterministic), or returns nil if none
-// remain. Floor-enforcing engines use it so a rejected assembly proves no
-// segment combination for the path could have met the floor.
-func (p *Pool) TakeBest(pk segment.PairKey, score func(s *Segment) float64) *Segment {
-	i, ok := p.index[pk]
-	if !ok {
-		return nil
-	}
-	return p.TakeBestAt(i, score)
-}
-
-// TakeBestAt is TakeBest for the pair of index i.
+// TakeBestAt consumes the unconsumed segment of the pair of index i that
+// maximizes score (first wins on ties, so the choice is deterministic), or
+// returns nil if none remain. Floor-enforcing engines use it so a rejected
+// assembly proves no segment combination for the path could have met the
+// floor.
 func (p *Pool) TakeBestAt(i int, score func(s *Segment) float64) *Segment {
 	if p.avail[i] == 0 {
 		return nil

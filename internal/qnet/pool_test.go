@@ -150,10 +150,11 @@ func (tw *twinSegments) add(rng *rand.Rand, u, v int) int {
 
 // TestPoolMatchesReference drives the indexed Pool and poolReference
 // through random sequences of NewPool, Reset (to overlapping and disjoint
-// key sets, with carried leftovers), Take, TakeBest, their by-index forms
-// and Return, and after every step requires the same returned segment,
-// Available for every pair, AvailableAt in SortedIndices order, Pairs and
-// Unconsumed.
+// key sets, with carried leftovers), TakeAt and TakeBestAt (against the
+// reference's Take and TakeBest) and Return, and after every step
+// requires the same returned segment, the same available count for every
+// pair, IndexOf equal to a scan of the keys, SortedIndices in pair order,
+// Pairs and Unconsumed.
 func TestPoolMatchesReference(t *testing.T) {
 	score := func(s *Segment) float64 { return s.WernerScale() }
 	for trial := 0; trial < 200; trial++ {
@@ -228,16 +229,15 @@ func TestPoolMatchesReference(t *testing.T) {
 				if i := indexOf(pool, pk); i >= 0 && rng.Intn(2) == 0 {
 					got, what = pool.TakeAt(i), "TakeAt"
 				} else {
-					got, what = pool.Take(pk), "Take"
+					got, what = take(pool, pk), "IndexOf+TakeAt"
 				}
 			case op <= 7:
 				pk := segment.MakePairKey(randPair(base))
 				want = ref.TakeBest(pk, score)
-				if i := indexOf(pool, pk); i >= 0 && rng.Intn(2) == 0 {
-					got, what = pool.TakeBestAt(i, score), "TakeBestAt"
-				} else {
-					got, what = pool.TakeBest(pk, score), "TakeBest"
+				if i := pool.IndexOf(pk); i >= 0 {
+					got = pool.TakeBestAt(i, score)
 				}
+				what = "TakeBestAt"
 			default:
 				if len(inPool) == 0 {
 					continue
@@ -253,16 +253,16 @@ func TestPoolMatchesReference(t *testing.T) {
 			for u := 0; u < 3*span; u++ {
 				for v := u + 1; v < 3*span; v++ {
 					pk := segment.MakePairKey(u, v)
-					if a, b := ref.Available(pk), pool.Available(pk); a != b {
+					if a, b := ref.Available(pk), available(pool, pk); a != b {
 						t.Fatalf("trial %d step %d (%s): Available(%v) = %d, reference %d", trial, step, what, pk, b, a)
+					}
+					if a, b := indexOf(pool, pk), pool.IndexOf(pk); a != b {
+						t.Fatalf("trial %d step %d (%s): IndexOf(%v) = %d, scan says %d", trial, step, what, pk, b, a)
 					}
 				}
 			}
 			order := pool.SortedIndices()
 			for k, i := range order {
-				if pool.AvailableAt(i) != pool.Available(pool.KeyAt(i)) {
-					t.Fatalf("trial %d step %d: AvailableAt(%d) disagrees with Available(%v)", trial, step, i, pool.KeyAt(i))
-				}
 				if k > 0 && !pairLess(pool.KeyAt(order[k-1]), pool.KeyAt(i)) {
 					t.Fatalf("trial %d step %d: SortedIndices out of order at %d", trial, step, k)
 				}
@@ -295,7 +295,7 @@ func TestPoolResetRetainsNoSegments(t *testing.T) {
 			}
 		}
 	}
-	if pool.Available(segment.MakePairKey(0, 1)) != 0 || indexOf(pool, segment.MakePairKey(5, 6)) != -1 {
+	if available(pool, segment.MakePairKey(0, 1)) != 0 || indexOf(pool, segment.MakePairKey(5, 6)) != -1 {
 		t.Fatal("Reset kept a previous slot's segment, or invented a pair")
 	}
 }
@@ -310,6 +310,23 @@ func availablePairs(pool *Pool) []segment.PairKey {
 		}
 	}
 	return keys
+}
+
+// available is the pair's unconsumed count, 0 for a pair the pool never
+// held.
+func available(pool *Pool, pk segment.PairKey) int {
+	if i := pool.IndexOf(pk); i >= 0 {
+		return pool.AvailableAt(i)
+	}
+	return 0
+}
+
+// take consumes one segment of the pair, or returns nil if none remain.
+func take(pool *Pool, pk segment.PairKey) *Segment {
+	if i := pool.IndexOf(pk); i >= 0 {
+		return pool.TakeAt(i)
+	}
+	return nil
 }
 
 // indexOf returns the pool index of pk, or -1 if the pool never held it.

@@ -84,7 +84,7 @@ func TestAttemptPlanAccounting(t *testing.T) {
 	set, _ := motivationSet(t)
 	c1 := set.Best(topo.MotivS1, topo.MotivR1)
 	c2 := set.Best(topo.MotivS2, topo.MotivD2)
-	plan := AttemptPlan{c1: 2, c2: 3}
+	plan := planOf(PlanEntry{Cand: c1, N: 2}, PlanEntry{Cand: c2, N: 3})
 	if plan.TotalAttempts() != 5 {
 		t.Fatalf("TotalAttempts = %d, want 5", plan.TotalAttempts())
 	}
@@ -97,9 +97,9 @@ func TestAttemptPlanAccounting(t *testing.T) {
 func TestAttemptAllDeterministicAndDistributed(t *testing.T) {
 	set, _ := motivationSet(t)
 	c := set.Best(topo.MotivS1, topo.MotivR1) // p = 0.9
-	plan := AttemptPlan{c: 1000}
-	a := AttemptAll(plan, xrand.New(5), nil, nil, nil)
-	b := AttemptAll(plan, xrand.New(5), nil, nil, nil)
+	plan := AttemptPlan{{Cand: c, N: 1000}}
+	a := AttemptAll(plan, xrand.New(5), nil, nil)
+	b := AttemptAll(plan, xrand.New(5), nil, nil)
 	if len(a) != len(b) {
 		t.Fatal("AttemptAll not deterministic for a fixed seed")
 	}
@@ -125,25 +125,25 @@ func TestPoolTakeReturn(t *testing.T) {
 		{A: pk.U, B: pk.V, Cand: c},
 		{A: pk.U, B: pk.V, Cand: c},
 	})
-	if pool.Available(pk) != 2 {
-		t.Fatalf("Available = %d, want 2", pool.Available(pk))
+	if available(pool, pk) != 2 {
+		t.Fatalf("Available = %d, want 2", available(pool, pk))
 	}
-	s1 := pool.Take(pk)
-	if s1 == nil || pool.Available(pk) != 1 {
+	s1 := take(pool, pk)
+	if s1 == nil || available(pool, pk) != 1 {
 		t.Fatal("Take failed")
 	}
-	s2 := pool.Take(pk)
-	if s2 == nil || pool.Take(pk) != nil {
+	s2 := take(pool, pk)
+	if s2 == nil || take(pool, pk) != nil {
 		t.Fatal("pool must exhaust after two takes")
 	}
 	pool.Return(s1)
-	if pool.Available(pk) != 1 {
+	if available(pool, pk) != 1 {
 		t.Fatal("Return did not restore availability")
 	}
 	if got := availablePairs(pool); len(got) != 1 || got[0] != pk {
 		t.Fatalf("Pairs = %v", got)
 	}
-	pool.Take(pk)
+	take(pool, pk)
 	if got := availablePairs(pool); len(got) != 0 {
 		t.Fatalf("exhausted pool Pairs = %v", got)
 	}
@@ -182,7 +182,7 @@ func TestConnectionJunctionsAndSwap(t *testing.T) {
 	ok := 0
 	const n = 20000
 	for i := 0; i < n; i++ {
-		if conn.EstablishOrderedObserved(net, NewPool(nil), rng, nil, SwapOrderPath) {
+		if conn.EstablishOrderedObserved(net, NewPool(nil), nil, rng, nil, SwapOrderPath) {
 			ok++
 		}
 	}
@@ -231,7 +231,7 @@ func TestEstablishWithRetriesNoJunctions(t *testing.T) {
 		Segments: []*Segment{{A: c.U(), B: c.V(), Cand: c}},
 	}
 	pool := NewPool(nil)
-	if !conn.EstablishOrderedObserved(net, pool, xrand.New(1), nil, SwapOrderPath) {
+	if !conn.EstablishOrderedObserved(net, pool, nil, xrand.New(1), nil, SwapOrderPath) {
 		t.Fatal("junction-free connection must always establish")
 	}
 	if len(conn.Spares) != 0 {
@@ -259,7 +259,7 @@ func TestEstablishWithRetriesConsumesSpares(t *testing.T) {
 		Segments: []*Segment{mk(cl), mk(cs)},
 	}
 	rng := xrand.New(7)
-	if !conn.EstablishOrderedObserved(net, pool, rng, nil, SwapOrderPath) {
+	if !conn.EstablishOrderedObserved(net, pool, nil, rng, nil, SwapOrderPath) {
 		t.Fatal("establishment with 200 spares at q=0.2 should succeed")
 	}
 	if len(conn.Spares) == 0 {
@@ -267,6 +267,11 @@ func TestEstablishWithRetriesConsumesSpares(t *testing.T) {
 	}
 	if len(conn.Spares)%2 != 0 {
 		t.Fatal("spares must be consumed in left/right pairs")
+	}
+	for k, s := range conn.Spares {
+		if want := conn.Segments[k%2].Pair(); s.Pair() != want {
+			t.Fatalf("spare %d spans %v, want %v", k, s.Pair(), want)
+		}
 	}
 	for _, s := range conn.Spares {
 		if !s.Consumed() {
@@ -287,7 +292,7 @@ func TestEstablishWithRetriesFailsWithoutSpares(t *testing.T) {
 		Nodes:    graph.Path{topo.MotivS1, topo.MotivR1, topo.MotivD1},
 		Segments: []*Segment{mk(cl), mk(cs)},
 	}
-	if conn.EstablishOrderedObserved(net, pool, xrand.New(3), nil, SwapOrderPath) {
+	if conn.EstablishOrderedObserved(net, pool, nil, xrand.New(3), nil, SwapOrderPath) {
 		t.Fatal("q=0 with empty pool must fail")
 	}
 }
@@ -314,7 +319,7 @@ func TestEstablishWithRetriesGeometric(t *testing.T) {
 			Nodes:    graph.Path{topo.MotivS1, topo.MotivR1, topo.MotivD1},
 			Segments: []*Segment{mk(cl), mk(cs)},
 		}
-		if !conn.EstablishOrderedObserved(net, pool, rng, nil, SwapOrderPath) {
+		if !conn.EstablishOrderedObserved(net, pool, nil, rng, nil, SwapOrderPath) {
 			t.Fatal("establishment with 100 spares at q=0.5 failed")
 		}
 		totalSpares += len(conn.Spares)
@@ -323,54 +328,5 @@ func TestEstablishWithRetriesGeometric(t *testing.T) {
 	mean := float64(totalSpares) / trials
 	if math.Abs(mean-2) > 0.15 {
 		t.Fatalf("mean spares consumed = %.3f, want ~2", mean)
-	}
-}
-
-// TestKeyLessMatchesKey pins the allocation-free candidate tie-break to
-// the string comparison it replaced, topo.Key(a) < topo.Key(b), over
-// random paths: node IDs up to 2^20 (Key's bytes are little-endian, so
-// the order is not numeric past 255), either orientation, shared
-// prefixes and equal paths.
-func TestKeyLessMatchesKey(t *testing.T) {
-	rng := xrand.New(3)
-	randPath := func() graph.Path {
-		p := make(graph.Path, 2+rng.Intn(4))
-		for i := range p {
-			switch rng.Intn(3) {
-			case 0:
-				p[i] = rng.Intn(4)
-			case 1:
-				p[i] = rng.Intn(1 << 10)
-			default:
-				p[i] = rng.Intn(1 << 20)
-			}
-		}
-		return p
-	}
-	for trial := 0; trial < 20000; trial++ {
-		a := randPath()
-		var b graph.Path
-		switch rng.Intn(4) {
-		case 0:
-			b = randPath()
-		case 1: // a reversed
-			for i := len(a) - 1; i >= 0; i-- {
-				b = append(b, a[i])
-			}
-		case 2: // a prefix of a (or all of it), possibly extended
-			b = append(b, a[:1+rng.Intn(len(a))]...)
-			for rng.Intn(2) == 0 {
-				b = append(b, rng.Intn(1<<20))
-			}
-		default: // one node changed
-			b = append(b, a...)
-			b[rng.Intn(len(b))] ^= 1 << (rng.Intn(3) * 8)
-		}
-		for _, pq := range [][2]graph.Path{{a, b}, {b, a}} {
-			want := topo.Key(pq[0]) < topo.Key(pq[1])
-			if got := keyLess(pq[0], pq[1]); got != want {
-				t.Fatalf("keyLess(%v, %v) = %v, string keys say %v", pq[0], pq[1], got, want)
-			}
-		}
 	}
 }

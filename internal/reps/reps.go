@@ -139,7 +139,7 @@ func NewEngineCtx(ctx context.Context, net *topo.Network, pairs []topo.SDPair, o
 
 // provision runs the ELP + progressive rounding to fix the attempt plan.
 func (e *Engine) provision(ctx context.Context) error {
-	plan := make(qnet.AttemptPlan)
+	var plan qnet.PlanBuilder
 	channels := append([]int(nil), e.Net.Channels...)
 	memory := append([]int(nil), e.Net.Memory...)
 	// The rounding rounds re-solve over the same candidate set with only
@@ -176,7 +176,7 @@ func (e *Engine) provision(ctx context.Context) error {
 		}
 		memory[u] -= n
 		memory[v] -= n
-		plan[c] += n
+		plan.Add(c, n)
 		return n
 	}
 
@@ -230,17 +230,17 @@ func (e *Engine) provision(ctx context.Context) error {
 	// with the fewest attempts are topped up first: availability
 	// 1−(1−p)^x has strongly diminishing returns in x, so equalizing x
 	// maximizes the probability that whole paths survive.
-	if len(plan) > 0 {
-		used := make([]*segment.Candidate, 0, len(plan))
-		for c := range plan {
-			used = append(used, c)
+	if planned := plan.Plan(); len(planned) > 0 {
+		used := make([]*segment.Candidate, 0, len(planned))
+		for _, en := range planned {
+			used = append(used, en.Cand)
 		}
 		for {
 			sort.Slice(used, func(i, j int) bool {
-				if plan[used[i]] != plan[used[j]] {
-					return plan[used[i]] < plan[used[j]]
+				if ni, nj := plan.Count(used[i]), plan.Count(used[j]); ni != nj {
+					return ni < nj
 				}
-				return topo.Key(used[i].Path) < topo.Key(used[j].Path)
+				return segment.KeyLess(used[i].Path, used[j].Path)
 			})
 			committed := 0
 			for _, c := range used {
@@ -251,7 +251,7 @@ func (e *Engine) provision(ctx context.Context) error {
 			}
 		}
 	}
-	e.Plan = plan
+	e.Plan = plan.Plan()
 	return nil
 }
 
@@ -290,7 +290,7 @@ func fractionalAttempts(net *topo.Network, sol *flow.Solution) []fracAttempt {
 		if out[i].x != out[j].x {
 			return out[i].x > out[j].x
 		}
-		return topo.Key(out[i].cand.Path) < topo.Key(out[j].cand.Path)
+		return segment.KeyLess(out[i].cand.Path, out[j].cand.Path)
 	})
 	return out
 }

@@ -27,7 +27,8 @@ func TestProvisionUsesOnlyLinks(t *testing.T) {
 	if len(e.Plan) == 0 {
 		t.Fatal("REPS provisioned nothing on the motivation fixture")
 	}
-	for c := range e.Plan {
+	for _, en := range e.Plan {
+		c := en.Cand
 		if c.Hops() != 1 {
 			t.Fatalf("REPS provisioned a multi-hop segment: %v", c.Path)
 		}
@@ -50,7 +51,8 @@ func TestProvisionRespectsCapacities(t *testing.T) {
 	}
 	chanUse := make(map[int]int)
 	memUse := make(map[int]int)
-	for c, n := range e.Plan {
+	for _, en := range e.Plan {
+		c, n := en.Cand, en.N
 		if n <= 0 {
 			t.Fatal("non-positive attempt count in plan")
 		}

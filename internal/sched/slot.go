@@ -103,19 +103,22 @@ type Runner struct {
 	resolve state.CandidateResolver
 	bank    *state.Bank
 
-	// Reused per-slot state: the slot context, the attempt-ordering
-	// scratch, the segment pool, the stitch loops' shared per-pair
-	// connection counters and StitchRoutes' auxiliary graph, its aux-edge
-	// → pool-index table, its skipped-pair marks and the targeted-Dijkstra
-	// buffers. None of it outlives the slot.
+	// Reused per-slot state: the slot context, the segment pool, the
+	// stitch loops' shared per-pair connection counters, StitchFixed's
+	// hop → pool-index table and StitchRoutes' auxiliary graph, its
+	// aux-edge → pool-index table, its route's hop indices, its
+	// skipped-pair marks and the targeted-Dijkstra buffers. None of it
+	// outlives the slot.
 	slot    Slot
-	att     qnet.AttemptScratch
 	pool    *qnet.Pool
 	perPair []int
+	hops    hopIndex
 	aux     *graph.Graph
 	auxIdx  []int
-	dead    []bool
-	dij     graph.DijkstraScratch
+	// routeHops holds the pool index of each hop of the route in hand.
+	routeHops []int
+	dead      []bool
+	dij       graph.DijkstraScratch
 	// nodeWeight is StitchRoutes' junction weight per node (−ln q, or
 	// routeMissingWeight where q ≤ 0), derived once: net never changes.
 	nodeWeight []float64
@@ -200,12 +203,12 @@ func (r *Runner) Run(ph SlotPhases, rng *rand.Rand, res *SlotResult) (*SlotResul
 		}
 	}
 
-	t0 := time.Now()
+	t0 := s.clock()
 	if ph.PlanPhase(s) {
-		tr.PhaseDone(PhasePlan, time.Since(t0))
+		s.phaseDone(PhasePlan, t0)
 	}
 
-	t0 = time.Now()
+	t0 = s.clock()
 	plan, held, err := ph.ReservePhase(s)
 	if err != nil {
 		return nil, err
@@ -215,17 +218,17 @@ func (r *Runner) Run(ph SlotPhases, rng *rand.Rand, res *SlotResult) (*SlotResul
 	plan, _ = r.bank.TrimPlan(plan, s.Withdrawn)
 	res.Attempts = plan.TotalAttempts() + held.TotalAttempts()
 	if s.Traced {
-		for _, c := range plan.SortedCandidates() {
-			tr.AttemptReserved(c.U(), c.V(), plan[c])
+		for _, e := range plan {
+			tr.AttemptReserved(e.Cand.U(), e.Cand.V(), e.N)
 		}
-		for _, c := range held.SortedCandidates() {
-			tr.AttemptReserved(c.U(), c.V(), held[c])
+		for _, e := range held {
+			tr.AttemptReserved(e.Cand.U(), e.Cand.V(), e.N)
 		}
 	}
-	tr.PhaseDone(PhaseReserve, time.Since(t0))
+	s.phaseDone(PhaseReserve, t0)
 
-	t0 = time.Now()
-	created := qnet.AttemptAll(plan, rng, s.Faults, s.ObserveAttempt, &r.att)
+	t0 = s.clock()
+	created := qnet.AttemptAll(plan, rng, s.Faults, s.ObserveAttempt)
 	res.SegmentsCreated = len(created)
 	// Memory decoherence loses realized segments before the stitch phase;
 	// SegmentsCreated still reconciles with the created=true events.
@@ -246,11 +249,11 @@ func (r *Runner) Run(ph SlotPhases, rng *rand.Rand, res *SlotResult) (*SlotResul
 			tr.Incident(IncidentBrownout, da.BrownoutAttemptsLost)
 		}
 	}
-	tr.PhaseDone(PhasePhysical, time.Since(t0))
+	s.phaseDone(PhasePhysical, t0)
 
 	// Withdrawn carried segments join the pool ahead of the fresh ones so
 	// the oldest photons are consumed preferentially.
-	t0 = time.Now()
+	t0 = s.clock()
 	segs := append(s.Withdrawn, s.Created...)
 	if r.pool == nil {
 		r.pool = qnet.NewPool(segs)
@@ -280,9 +283,26 @@ func (r *Runner) Run(ph SlotPhases, rng *rand.Rand, res *SlotResult) (*SlotResul
 			tr.Incident(IncidentBankDeposit, accepted)
 		}
 	}
-	tr.PhaseDone(PhaseStitch, time.Since(t0))
+	s.phaseDone(PhaseStitch, t0)
 	tr.SlotEnd(res)
 	return res, nil
+}
+
+// clock reads the time for a PhaseDone duration; an untraced slot reads
+// no clock, since the no-op tracer discards every duration.
+func (s *Slot) clock() time.Time {
+	if !s.Traced {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// phaseDone reports a phase's duration since t0 (from clock) to a real
+// tracer.
+func (s *Slot) phaseDone(p Phase, t0 time.Time) {
+	if s.Traced {
+		s.r.tracer.PhaseDone(p, time.Since(t0))
+	}
 }
 
 // FixedPath is one entanglement path of an engine whose plan is fixed at
@@ -299,10 +319,14 @@ type FixedPath struct {
 // reserve phase hands over the cached plan (every path counts as
 // provisioned), and the stitch phase is StitchFixed.
 type FixedPlan struct {
+	// Paths must not change once the first slot has run: their hops'
+	// pool indices are kept across slots.
 	Paths []FixedPath
 	Plan  qnet.AttemptPlan
 	// ConnCap is the per-pair connection cap.
 	ConnCap []int
+
+	hops hopIndex
 }
 
 // PlanPhase implements SlotPhases: one PathPlanned per fixed path.
@@ -330,9 +354,39 @@ func (f *FixedPlan) ReservePhase(s *Slot) (plan, held qnet.AttemptPlan, err erro
 // work of its own.
 func (f *FixedPlan) PhysicalHook(*Slot) {}
 
-// StitchPhase implements SlotPhases.
+// StitchPhase implements SlotPhases: StitchFixed, with the paths' hop
+// indices resolved only when the pool has learned a pair since the last
+// slot.
 func (f *FixedPlan) StitchPhase(s *Slot) ([]*qnet.Connection, int, int) {
-	return s.StitchFixed(f.Paths, f.ConnCap)
+	return s.stitchFixed(f.Paths, f.ConnCap, f.hops.resolve(s.Pool, f.Paths))
+}
+
+// hopIndex holds the pool index of every hop of a path list, back to
+// back in path order (−1 for a pair the pool has never held). A pool
+// index never changes once assigned, and Reset keeps every pair, so a
+// resolution stays exact for the same pool and paths until the pool
+// assigns a new pair. The pool pointer it keeps also keeps that pool
+// alive, so no other pool can take its address.
+type hopIndex struct {
+	pool  *qnet.Pool
+	pairs int // pool.NumPairs() at the last resolution
+	idx   []int
+}
+
+// resolve returns the hop indices of paths in pool, looking them up again
+// only if the pool or its pair count changed since the last call.
+func (h *hopIndex) resolve(pool *qnet.Pool, paths []FixedPath) []int {
+	if h.pool == pool && h.pairs == pool.NumPairs() {
+		return h.idx
+	}
+	h.idx = h.idx[:0]
+	for _, p := range paths {
+		for _, pk := range p.Hops {
+			h.idx = append(h.idx, pool.IndexOf(pk))
+		}
+	}
+	h.pool, h.pairs = pool, pool.NumPairs()
+	return h.idx
 }
 
 // StitchFixed is the floor-checked stitch loop over fixed paths: sweep the
@@ -346,7 +400,18 @@ func (f *FixedPlan) StitchPhase(s *Slot) ([]*qnet.Connection, int, int) {
 // redundant segments back up swap failures. A pair is served until its
 // count of connections established this slot, shared with StitchRoutes,
 // reaches connCap.
+//
+// Every hop is resolved to its pool index once per call, which is exact:
+// the pool's pairs are fixed within the call, and a pair the pool has
+// never held (index −1) has nothing available for the whole call.
 func (s *Slot) StitchFixed(paths []FixedPath, connCap []int) (conns []*qnet.Connection, assembled, floorRejected int) {
+	s.r.hops.pool = nil // the paths may differ from the last call's
+	return s.stitchFixed(paths, connCap, s.r.hops.resolve(s.Pool, paths))
+}
+
+// stitchFixed is StitchFixed over hopIdx, the hops' pool indices back to
+// back in path order.
+func (s *Slot) stitchFixed(paths []FixedPath, connCap []int, hopIdx []int) (conns []*qnet.Connection, assembled, floorRejected int) {
 	r := s.r
 	pool := s.Pool
 	perPair := r.perPair
@@ -354,7 +419,10 @@ func (s *Slot) StitchFixed(paths []FixedPath, connCap []int) (conns []*qnet.Conn
 	var floorDead []bool // paths proven unable to meet their floor
 	for {
 		progress := false
+		next := 0
 		for pi, p := range paths {
+			hops := hopIdx[next : next+len(p.Hops)]
+			next += len(p.Hops)
 			if perPair[p.Commodity] >= connCap[p.Commodity] {
 				continue
 			}
@@ -362,8 +430,8 @@ func (s *Slot) StitchFixed(paths []FixedPath, connCap []int) (conns []*qnet.Conn
 				continue
 			}
 			ok := true
-			for _, pk := range p.Hops {
-				if pool.Available(pk) < 1 {
+			for _, i := range hops {
+				if i < 0 || pool.AvailableAt(i) < 1 {
 					ok = false
 					break
 				}
@@ -372,8 +440,8 @@ func (s *Slot) StitchFixed(paths []FixedPath, connCap []int) (conns []*qnet.Conn
 				continue
 			}
 			conn := &qnet.Connection{Pair: p.Commodity, Nodes: p.Nodes}
-			for _, pk := range p.Hops {
-				conn.Segments = append(conn.Segments, fp.Take(pool, p.Commodity, pk))
+			for _, i := range hops {
+				conn.Segments = append(conn.Segments, fp.TakeAt(pool, p.Commodity, i))
 			}
 			if fp.Rejects(p.Commodity, conn.Segments) {
 				for _, seg := range conn.Segments {
@@ -389,7 +457,7 @@ func (s *Slot) StitchFixed(paths []FixedPath, connCap []int) (conns []*qnet.Conn
 			}
 			assembled++
 			progress = true
-			if s.establish(conn) {
+			if s.establish(conn, hops) {
 				conns = append(conns, conn)
 				perPair[p.Commodity]++
 			}
@@ -496,9 +564,12 @@ func (s *Slot) StitchRoutes(pairs []topo.SDPair, connCap []int) (conns []*qnet.C
 				continue
 			}
 			conn := &qnet.Connection{Pair: i, Nodes: path}
+			hops := r.routeHops[:0]
 			ok := true
 			for h := 1; h < len(path); h++ {
-				seg := fp.TakeAt(pool, i, auxIdx[r.dij.PrevEdge(path[h])])
+				pi := auxIdx[r.dij.PrevEdge(path[h])]
+				hops = append(hops, pi)
+				seg := fp.TakeAt(pool, i, pi)
 				if seg == nil {
 					// Unreachable while the weights are consistent.
 					ok = false
@@ -506,6 +577,7 @@ func (s *Slot) StitchRoutes(pairs []topo.SDPair, connCap []int) (conns []*qnet.C
 				}
 				conn.Segments = append(conn.Segments, seg)
 			}
+			r.routeHops = hops
 			if !ok {
 				for _, seg := range conn.Segments {
 					pool.Return(seg)
@@ -523,7 +595,7 @@ func (s *Slot) StitchRoutes(pairs []topo.SDPair, connCap []int) (conns []*qnet.C
 			}
 			assembled++
 			progress = true
-			if s.establish(conn) {
+			if s.establish(conn, hops) {
 				conns = append(conns, conn)
 				perPair[i]++
 			}
@@ -534,11 +606,12 @@ func (s *Slot) StitchRoutes(pairs []topo.SDPair, connCap []int) (conns []*qnet.C
 	}
 }
 
-// establish samples an assembled connection's swaps from the slot's pool
-// in the configured swap order and reports the assembly to the tracer.
-func (s *Slot) establish(conn *qnet.Connection) bool {
+// establish samples an assembled connection's swaps from the slot's pool,
+// whose index of each hop's pair is in hops, in the configured swap order
+// and reports the assembly to the tracer.
+func (s *Slot) establish(conn *qnet.Connection, hops []int) bool {
 	r := s.r
-	ok := conn.EstablishOrderedObserved(r.net, s.Pool, s.Rng, r.swapObs, r.cfg.SwapOrder)
+	ok := conn.EstablishOrderedObserved(r.net, s.Pool, hops, s.Rng, r.swapObs, r.cfg.SwapOrder)
 	r.tracer.ConnectionAssembled(conn.Pair, ok)
 	return ok
 }

@@ -30,7 +30,7 @@ func (s *Slot) stitchRoutesReference(pairs []topo.SDPair, connCap []int) (conns 
 	aux := graph.New(r.net.NumNodes())
 	var auxPairs []segment.PairKey
 	for _, i := range pool.SortedIndices() {
-		if pk := pool.KeyAt(i); pool.Available(pk) > 0 {
+		if pk := pool.KeyAt(i); available(pool, pk) > 0 {
 			aux.AddEdge(pk.U, pk.V, routeAvailableWeight)
 			auxPairs = append(auxPairs, pk)
 		}
@@ -45,7 +45,7 @@ func (s *Slot) stitchRoutesReference(pairs []topo.SDPair, connCap []int) (conns 
 			return -math.Log(q)
 		},
 		EdgeWeight: func(id int, _ float64) float64 {
-			if pool.Available(auxPairs[id]) >= 1 {
+			if available(pool, auxPairs[id]) >= 1 {
 				return routeAvailableWeight
 			}
 			return routeMissingWeight
@@ -68,7 +68,7 @@ func (s *Slot) stitchRoutesReference(pairs []topo.SDPair, connCap []int) (conns 
 			conn := &qnet.Connection{Pair: i, Nodes: path}
 			ok := true
 			for h := 0; h+1 < len(path); h++ {
-				seg := fp.Take(pool, i, segment.MakePairKey(path[h], path[h+1]))
+				seg := floorTake(fp, pool, i, segment.MakePairKey(path[h], path[h+1]))
 				if seg == nil {
 					// Unreachable while the weights are consistent.
 					ok = false
@@ -96,7 +96,7 @@ func (s *Slot) stitchRoutesReference(pairs []topo.SDPair, connCap []int) (conns 
 			}
 			assembled++
 			progress = true
-			if s.establish(conn) {
+			if s.establish(conn, nil) {
 				conns = append(conns, conn)
 				perPair[i]++
 			}
@@ -107,14 +107,96 @@ func (s *Slot) stitchRoutesReference(pairs []topo.SDPair, connCap []int) (conns 
 	}
 }
 
+// stitchFixedReference is StitchFixed as it was before hops were resolved
+// to pool indices: every availability check and take looks its endpoint
+// pair up in the pool again. The differential test pins StitchFixed to it.
+func (s *Slot) stitchFixedReference(paths []FixedPath, connCap []int) (conns []*qnet.Connection, assembled, floorRejected int) {
+	r := s.r
+	pool := s.Pool
+	perPair := r.perPair
+	fp := qnet.NewFloorPolicy(r.cfg.FidelityFloors, r.net)
+	var floorDead []bool // paths proven unable to meet their floor
+	for {
+		progress := false
+		for pi, p := range paths {
+			if perPair[p.Commodity] >= connCap[p.Commodity] {
+				continue
+			}
+			if floorDead != nil && floorDead[pi] {
+				continue
+			}
+			ok := true
+			for _, pk := range p.Hops {
+				if available(pool, pk) < 1 {
+					ok = false
+					break
+				}
+			}
+			if !ok {
+				continue
+			}
+			conn := &qnet.Connection{Pair: p.Commodity, Nodes: p.Nodes}
+			for _, pk := range p.Hops {
+				conn.Segments = append(conn.Segments, floorTake(fp, pool, p.Commodity, pk))
+			}
+			if fp.Rejects(p.Commodity, conn.Segments) {
+				for _, seg := range conn.Segments {
+					pool.Return(seg)
+				}
+				if floorDead == nil {
+					floorDead = make([]bool, len(paths))
+				}
+				floorDead[pi] = true
+				floorRejected++
+				r.tracer.Incident(IncidentFloorReject, 1)
+				continue
+			}
+			assembled++
+			progress = true
+			if s.establish(conn, nil) {
+				conns = append(conns, conn)
+				perPair[p.Commodity]++
+			}
+		}
+		if !progress {
+			return conns, assembled, floorRejected
+		}
+	}
+}
+
+// available is the pair's unconsumed count, 0 for a pair the pool never
+// held.
+func available(pool *qnet.Pool, pk segment.PairKey) int {
+	if i := pool.IndexOf(pk); i >= 0 {
+		return pool.AvailableAt(i)
+	}
+	return 0
+}
+
+// floorTake is the by-pair take the reference loops use: the floor
+// policy's draw from the pair's pool bucket, nil for a pair the pool never
+// held.
+func floorTake(fp qnet.FloorPolicy, pool *qnet.Pool, commodity int, pk segment.PairKey) *qnet.Segment {
+	i := pool.IndexOf(pk)
+	if i < 0 {
+		return nil
+	}
+	return fp.TakeAt(pool, commodity, i)
+}
+
 // stitchOnly is a stitch-only engine for the differential test: the
-// physical phase realizes exactly segs, and the stitch phase is
-// StitchRoutes or, with ref, stitchRoutesReference.
+// physical phase realizes exactly segs, and the stitch phase stitches the
+// fixed plan's paths (if any) then routes, as SEE's ECE does. The fixed
+// stage is FixedPlan.StitchPhase with cached, StitchFixed without, and
+// stitchFixedReference with ref; the routed stage is StitchRoutes, or
+// stitchRoutesReference with ref.
 type stitchOnly struct {
 	segs    []*qnet.Segment
+	fixed   *FixedPlan
 	pairs   []topo.SDPair
 	connCap []int
 	ref     bool
+	cached  bool
 }
 
 func (p *stitchOnly) PlanPhase(*Slot) bool { return false }
@@ -126,10 +208,23 @@ func (p *stitchOnly) ReservePhase(*Slot) (plan, held qnet.AttemptPlan, err error
 func (p *stitchOnly) PhysicalHook(s *Slot) { s.Created = p.segs }
 
 func (p *stitchOnly) StitchPhase(s *Slot) ([]*qnet.Connection, int, int) {
-	if p.ref {
-		return s.stitchRoutesReference(p.pairs, p.connCap)
+	var conns []*qnet.Connection
+	assembled, floorRejected := 0, 0
+	switch {
+	case p.fixed == nil:
+	case p.ref:
+		conns, assembled, floorRejected = s.stitchFixedReference(p.fixed.Paths, p.connCap)
+	case p.cached:
+		conns, assembled, floorRejected = p.fixed.StitchPhase(s)
+	default:
+		conns, assembled, floorRejected = s.StitchFixed(p.fixed.Paths, p.connCap)
 	}
-	return s.StitchRoutes(p.pairs, p.connCap)
+	routes := s.StitchRoutes
+	if p.ref {
+		routes = s.stitchRoutesReference
+	}
+	more, a, f := routes(p.pairs, p.connCap)
+	return append(conns, more...), assembled + a, floorRejected + f
 }
 
 // eventLog records the stitch loop's tracer events in order (timings
@@ -164,7 +259,12 @@ type stitchSide struct {
 // stitchRoutesReference side by side over random small networks (uniform
 // and jittered swap probabilities, q = 0 nodes included), floors on and
 // off, both swap orders and tight and loose connection caps, three slots
-// per runner so the reused scratch carries over. Every slot must give the
+// per runner so the reused scratch carries over. In half the trials a few
+// random fixed paths, some over pairs the pool never held, are stitched
+// first by stitchFixedReference and, for all three slots, either by
+// StitchFixed or by one FixedPlan's StitchPhase, whose hop indices are
+// kept across slots while the pool learns new pairs. Every slot must give
+// the
 // same connections (nodes, segments, spares, fidelity), assembly and
 // floor-rejection counts, per-pair counters, event stream, leftover pool
 // and next rng draw.
@@ -238,6 +338,29 @@ func TestStitchRoutesMatchesReference(t *testing.T) {
 			c.Tracer = log
 			sides[k] = &stitchSide{r: NewRunner(c, net, nil), log: log, rng: xrand.New(int64(trial)), idx: map[*qnet.Segment]int{}}
 		}
+		// Fixed paths come from their own stream, so the routed half of
+		// the test draws the same instances with or without them.
+		frng := xrand.New(int64(trial) + 1<<32)
+		var fixed []FixedPath
+		for k := frng.Intn(8) - 3; k > 0; k-- {
+			i := frng.Intn(len(pairs))
+			fp := FixedPath{Commodity: i, Nodes: graph.Path{pairs[i].S}}
+			for _, u := range frng.Perm(n)[:frng.Intn(3)] {
+				if u != pairs[i].S && u != pairs[i].D {
+					fp.Nodes = append(fp.Nodes, u)
+				}
+			}
+			fp.Nodes = append(fp.Nodes, pairs[i].D)
+			for h := 1; h < len(fp.Nodes); h++ {
+				fp.Hops = append(fp.Hops, segment.MakePairKey(fp.Nodes[h-1], fp.Nodes[h]))
+			}
+			fixed = append(fixed, fp)
+		}
+		var plans [2]*FixedPlan
+		if fixed != nil {
+			plans = [2]*FixedPlan{{Paths: fixed, ConnCap: connCap}, {Paths: fixed, ConnCap: connCap}}
+		}
+		cached := frng.Intn(2) == 0
 		for slot := 0; slot < 3; slot++ {
 			m := rng.Intn(4 * n)
 			segs := [2][]*qnet.Segment{}
@@ -271,7 +394,7 @@ func TestStitchRoutesMatchesReference(t *testing.T) {
 			}
 			var res [2]*SlotResult
 			for k, side := range sides {
-				ph := &stitchOnly{segs: segs[k], pairs: pairs, connCap: connCap, ref: k == 1}
+				ph := &stitchOnly{segs: segs[k], fixed: plans[k], pairs: pairs, connCap: connCap, ref: k == 1, cached: cached}
 				got, err := side.r.Run(ph, side.rng, &SlotResult{PerPair: make([]int, len(pairs))})
 				if err != nil {
 					t.Fatal(err)

@@ -12,6 +12,7 @@ package segment
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"see/internal/graph"
@@ -30,6 +31,10 @@ type Candidate struct {
 	// Prob is the one-slot success probability of creating the segment
 	// over this route (p^k_uv in the paper).
 	Prob float64
+	// ID numbers the set's candidates densely from 0 in the physical
+	// phase's order: by endpoint pair (U, V), then by topo.Key(Path)
+	// (KeyLess). Attempt plans are ordered by it.
+	ID int
 }
 
 // U returns the smaller endpoint of the candidate.
@@ -234,12 +239,56 @@ func (s *Set) buildSegGraph() {
 	})
 	s.EdgePairs = make([]PairKey, 0, len(keys))
 	s.ByEdge = make([][]*Candidate, 0, len(keys))
+	// Edge IDs follow (U, V) order, so numbering each edge's candidates
+	// in KeyLess order, edge by edge, gives IDs in (U, V, Key) order.
+	// Paths are deduplicated by key, so that order is strict.
+	var byKey []*Candidate
+	next := 0
 	for _, pk := range keys {
 		id := s.SegGraph.AddEdge(pk.U, pk.V, 1)
 		s.EdgePairs = append(s.EdgePairs, pk)
 		s.ByEdge = append(s.ByEdge, s.ByPair[pk])
 		s.EdgeOf[pk] = id
+		byKey = append(byKey[:0], s.ByPair[pk]...)
+		slices.SortFunc(byKey, func(a, b *Candidate) int {
+			if KeyLess(a.Path, b.Path) {
+				return -1
+			}
+			if KeyLess(b.Path, a.Path) {
+				return 1
+			}
+			return 0
+		})
+		for _, c := range byKey {
+			c.ID = next
+			next++
+		}
 	}
+}
+
+// KeyLess reports whether topo.Key(a) < topo.Key(b) without building the
+// keys. A key orients the path from its smaller endpoint and writes each
+// node as its low three bytes, least significant first, then '.', so keys
+// compare node by node on those bytes in that order, and a proper prefix
+// sorts first.
+func KeyLess(a, b graph.Path) bool {
+	ra := len(a) > 1 && a[0] > a[len(a)-1]
+	rb := len(b) > 1 && b[0] > b[len(b)-1]
+	for i := 0; i < len(a) && i < len(b); i++ {
+		u, v := a[i], b[i]
+		if ra {
+			u = a[len(a)-1-i]
+		}
+		if rb {
+			v = b[len(b)-1-i]
+		}
+		for shift := 0; shift < 24; shift += 8 {
+			if x, y := byte(u>>shift), byte(v>>shift); x != y {
+				return x < y
+			}
+		}
+	}
+	return len(a) < len(b)
 }
 
 // For returns the candidates for an endpoint pair, best first.

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"see/internal/graph"
@@ -220,5 +221,120 @@ func TestPairKey(t *testing.T) {
 	}
 	if _, ok := pk.Other(5); ok {
 		t.Fatal("Other(non-endpoint) must be false")
+	}
+}
+
+// TestKeyLessMatchesKey pins the allocation-free candidate tie-break to
+// the string comparison it replaced, topo.Key(a) < topo.Key(b), over
+// random paths: node IDs up to 2^20 (Key's bytes are little-endian, so
+// the order is not numeric past 255), either orientation, shared
+// prefixes and equal paths.
+func TestKeyLessMatchesKey(t *testing.T) {
+	rng := xrand.New(3)
+	randPath := func() graph.Path {
+		p := make(graph.Path, 2+rng.Intn(4))
+		for i := range p {
+			switch rng.Intn(3) {
+			case 0:
+				p[i] = rng.Intn(4)
+			case 1:
+				p[i] = rng.Intn(1 << 10)
+			default:
+				p[i] = rng.Intn(1 << 20)
+			}
+		}
+		return p
+	}
+	for trial := 0; trial < 20000; trial++ {
+		a := randPath()
+		var b graph.Path
+		switch rng.Intn(4) {
+		case 0:
+			b = randPath()
+		case 1: // a reversed
+			for i := len(a) - 1; i >= 0; i-- {
+				b = append(b, a[i])
+			}
+		case 2: // a prefix of a (or all of it), possibly extended
+			b = append(b, a[:1+rng.Intn(len(a))]...)
+			for rng.Intn(2) == 0 {
+				b = append(b, rng.Intn(1<<20))
+			}
+		default: // one node changed
+			b = append(b, a...)
+			b[rng.Intn(len(b))] ^= 1 << (rng.Intn(3) * 8)
+		}
+		for _, pq := range [][2]graph.Path{{a, b}, {b, a}} {
+			want := topo.Key(pq[0]) < topo.Key(pq[1])
+			if got := KeyLess(pq[0], pq[1]); got != want {
+				t.Fatalf("KeyLess(%v, %v) = %v, string keys say %v", pq[0], pq[1], got, want)
+			}
+		}
+	}
+}
+
+// TestCandidateIDOrder pins the candidate numbering to the physical
+// phase's order: on random networks of up to 700 nodes (so keys span
+// three bytes of node ID and their order is not numeric), with SD pairs
+// among the high node IDs given in either orientation, and under the
+// SEE, link-only and whole-path options, the IDs are 0..n−1 and sorting
+// the candidates by (U, V, topo.Key(Path)) lists them in ID order.
+func TestCandidateIDOrder(t *testing.T) {
+	high, reversed := 0, 0
+	for trial := 0; trial < 6; trial++ {
+		rng := xrand.New(int64(40 + trial))
+		cfg := topo.DefaultConfig()
+		cfg.Nodes = 300 + rng.Intn(400)
+		net, err := topo.Generate(cfg, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pairs []topo.SDPair
+		for len(pairs) < 6 {
+			s, d := 200+rng.Intn(cfg.Nodes-200), 200+rng.Intn(cfg.Nodes-200)
+			if s != d {
+				pairs = append(pairs, topo.SDPair{S: s, D: d})
+			}
+		}
+		links := DefaultOptions()
+		links.MaxSegmentHops = 1
+		whole := DefaultOptions()
+		whole.FullPathOnly = true
+		for _, opts := range []Options{DefaultOptions(), links, whole} {
+			s, err := Build(net, pairs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cands []*Candidate
+			for _, list := range s.ByEdge {
+				cands = append(cands, list...)
+			}
+			if len(cands) != s.NumCandidates() {
+				t.Fatalf("ByEdge lists %d candidates, the set has %d", len(cands), s.NumCandidates())
+			}
+			slices.SortFunc(cands, func(a, b *Candidate) int {
+				if a.U() != b.U() {
+					return a.U() - b.U()
+				}
+				if a.V() != b.V() {
+					return a.V() - b.V()
+				}
+				return strings.Compare(topo.Key(a.Path), topo.Key(b.Path))
+			})
+			for i, c := range cands {
+				if c.ID != i {
+					t.Fatalf("trial %d: candidate %v has ID %d, position %d in (U, V, Key) order", trial, c.Path, c.ID, i)
+				}
+				if c.V() >= 256 {
+					high++
+				}
+				if c.Path[0] > c.Path[len(c.Path)-1] {
+					reversed++
+				}
+			}
+		}
+	}
+	if high == 0 || reversed == 0 {
+		t.Fatalf("no candidate reached node 256 (%d) or ran high to low (%d)", high, reversed)
 	}
 }

@@ -41,6 +41,7 @@ package state
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"see/internal/chaos"
@@ -338,10 +339,10 @@ func checkConservation(net *topo.Network, entries []entry, used []int) error {
 // each carried segment on endpoint pair ⟨u,v⟩ substitutes for one planned
 // creation attempt on that pair (a certain segment strictly dominates a
 // Bernoulli(p) attempt), so the reserve phase demands fewer channels and
-// memory units. Candidates are trimmed in the plan's deterministic sorted
-// order. The input plan is never mutated — engines cache their plans across
-// slots — and is returned unchanged (same map) when nothing trims; the
-// second result is the number of attempts removed.
+// memory units. Candidates are trimmed in plan order. The input plan is
+// never mutated — engines cache their plans across slots — and is returned
+// unchanged (same slice) when nothing trims; the second result is the
+// number of attempts removed.
 func TrimPlan(plan qnet.AttemptPlan, withdrawn []*qnet.Segment) (qnet.AttemptPlan, int) {
 	return TrimPlanMinScale(plan, withdrawn, 0)
 }
@@ -365,33 +366,27 @@ func TrimPlanMinScale(plan qnet.AttemptPlan, withdrawn []*qnet.Segment, minScale
 	}
 	var out qnet.AttemptPlan
 	trimmed := 0
-	for _, c := range plan.SortedCandidates() {
-		pk := segment.MakePairKey(c.U(), c.V())
+	for i, e := range plan {
+		pk := segment.MakePairKey(e.Cand.U(), e.Cand.V())
 		w := avail[pk]
 		if w == 0 {
 			continue
 		}
-		cut := min(w, plan[c])
+		cut := min(w, e.N)
 		if cut == 0 {
 			continue
 		}
 		if out == nil {
-			out = make(qnet.AttemptPlan, len(plan))
-			for k, v := range plan {
-				out[k] = v
-			}
+			out = slices.Clone(plan)
 		}
-		out[c] -= cut
-		if out[c] == 0 {
-			delete(out, c)
-		}
+		out[i].N -= cut
 		avail[pk] -= cut
 		trimmed += cut
 	}
 	if out == nil {
 		return plan, 0
 	}
-	return out, trimmed
+	return slices.DeleteFunc(out, func(e qnet.PlanEntry) bool { return e.N == 0 }), trimmed
 }
 
 // TrimPlan is the policy-aware trim engines call per slot: it applies

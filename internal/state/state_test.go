@@ -1,6 +1,7 @@
 package state
 
 import (
+	"slices"
 	"testing"
 
 	"see/internal/graph"
@@ -61,7 +62,7 @@ func TestDepositSkipsConsumed(t *testing.T) {
 	b.BeginSlot()
 	s := seg(0, 1)
 	pool := qnet.NewPool([]*qnet.Segment{s})
-	pool.Take(s.Pair())
+	pool.TakeAt(pool.IndexOf(s.Pair()))
 	if got := b.Deposit([]*qnet.Segment{s}); got != 0 {
 		t.Fatalf("banked a consumed segment (accepted %d)", got)
 	}
@@ -146,35 +147,31 @@ func TestWithdrawPreservesAgeOnRedeposit(t *testing.T) {
 }
 
 func TestTrimPlan(t *testing.T) {
-	c01 := &segment.Candidate{Path: graph.Path{0, 1}, Prob: 0.5}
-	c01b := &segment.Candidate{Path: graph.Path{0, 2, 1}, Prob: 0.4}
-	c23 := &segment.Candidate{Path: graph.Path{2, 3}, Prob: 0.9}
-	plan := qnet.AttemptPlan{c01: 2, c01b: 3, c23: 1}
+	c01 := &segment.Candidate{Path: graph.Path{0, 1}, Prob: 0.5, ID: 0}
+	c01b := &segment.Candidate{Path: graph.Path{0, 2, 1}, Prob: 0.4, ID: 1}
+	c23 := &segment.Candidate{Path: graph.Path{2, 3}, Prob: 0.9, ID: 2}
+	plan := qnet.AttemptPlan{{Cand: c01, N: 2}, {Cand: c01b, N: 3}, {Cand: c23, N: 1}}
+	before := slices.Clone(plan)
 
-	// No withdrawals: the same map comes back, untrimmed.
+	// No withdrawals: the same plan comes back, untrimmed.
 	if got, n := TrimPlan(plan, nil); n != 0 || len(got) != 3 {
 		t.Fatalf("empty trim changed the plan (n=%d)", n)
 	}
 
-	// Three carried ⟨0,1⟩ segments: candidates trim in sorted order —
-	// c01 (path 0-1) before c01b (path 0-2-1) — and the original plan is
+	// Three carried ⟨0,1⟩ segments: candidates trim in plan order — c01
+	// (path 0-1) before c01b (path 0-2-1) — and the original plan is
 	// untouched.
 	withdrawn := []*qnet.Segment{seg(0, 1), seg(0, 1), seg(0, 1)}
 	got, n := TrimPlan(plan, withdrawn)
 	if n != 3 {
 		t.Fatalf("trimmed %d attempts, want 3", n)
 	}
-	if plan[c01] != 2 || plan[c01b] != 3 || plan[c23] != 1 {
+	if !slices.Equal(plan, before) {
 		t.Fatal("TrimPlan mutated the input plan")
 	}
-	if _, ok := got[c01]; ok {
-		t.Error("c01 should be fully trimmed away")
-	}
-	if got[c01b] != 2 {
-		t.Errorf("c01b = %d attempts, want 2", got[c01b])
-	}
-	if got[c23] != 1 {
-		t.Errorf("c23 = %d attempts, want 1 (untouched)", got[c23])
+	// c01 is trimmed away, c01b loses one attempt, c23 is untouched.
+	if want := (qnet.AttemptPlan{{Cand: c01b, N: 2}, {Cand: c23, N: 1}}); !slices.Equal(got, want) {
+		t.Errorf("trimmed plan = %v, want %v", got, want)
 	}
 
 	// A carried segment on a pair the plan does not cover trims nothing.
