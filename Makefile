@@ -148,14 +148,15 @@ bench:
 		-note 'column-generation kernel optimization PR; baseline from commit 51e778b' \
 		-baseline BenchmarkColumnGeneration=663402285
 
-# bench-smoke executes each substrate benchmark and the SEE, REPS, Greedy
-# and Contend slot kernels exactly once — a fast compile-and-run check, not a measurement —
+# bench-smoke executes each substrate benchmark, the SEE, REPS, Greedy
+# and Contend slot kernels and the Greedy, Contend and QPass construction
+# kernels exactly once — a fast compile-and-run check, not a measurement —
 # then guards the warm-start workload against the committed BENCH_PR9.json
 # record: if warm slots/sec drops below 80% of the committed number, the
 # hot path regressed and the target fails (cmd/benchjson -check;
 # docs/PROFILING.md is the follow-up).
 bench-smoke:
-	$(GO) test -bench='ColumnGeneration|YenKShortest|Slot(SEE|REPS|Greedy|Contend)$$' -benchtime=1x -run='^$$' .
+	$(GO) test -bench='ColumnGeneration|YenKShortest|Slot(SEE|REPS|Greedy|Contend)$$|Build(Greedy|Contend|QPass)$$' -benchtime=1x -run='^$$' .
 	$(GO) test -bench='WorkloadSlotsWarm' -benchmem -benchtime=3x -run='^$$' . | \
 		$(GO) run ./cmd/benchjson -check BENCH_PR9.json -metric slots/sec -min-ratio 0.8
 

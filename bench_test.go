@@ -29,6 +29,7 @@ import (
 	"see/internal/sched"
 	"see/internal/segment"
 	"see/internal/topo"
+	"see/internal/warm"
 	"see/internal/xrand"
 )
 
@@ -471,6 +472,60 @@ func benchSlots(b *testing.B, eng sched.Engine) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.RunSlot(rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildGreedy measures Greedy's construction-time planning: the
+// segment set comes from a primed warm cache, so the timed work is the
+// round-robin Dijkstra selection reserving on its ledger.
+func BenchmarkBuildGreedy(b *testing.B) {
+	opts := greedy.DefaultOptions()
+	opts.Warm = warm.New()
+	benchBuild(b, func(net *topo.Network, pairs []topo.SDPair) error {
+		_, err := greedy.NewEngine(net, pairs, opts)
+		return err
+	})
+}
+
+// BenchmarkBuildContend measures Contend's online planning over a warm
+// segment set: Yen candidate paths, then best-first selection re-scoring
+// every candidate on the ledger.
+func BenchmarkBuildContend(b *testing.B) {
+	opts := contend.DefaultOptions()
+	opts.Warm = warm.New()
+	benchBuild(b, func(net *topo.Network, pairs []topo.SDPair) error {
+		_, err := contend.NewEngine(net, pairs, opts)
+		return err
+	})
+}
+
+// BenchmarkBuildQPass measures Contend's offline (Q-PASS-style) planning
+// over a warm segment set: one static scoring pass, then all-or-nothing
+// round-robin acceptance.
+func BenchmarkBuildQPass(b *testing.B) {
+	opts := contend.DefaultOptions()
+	opts.Offline = true
+	opts.Slot.Algorithm = sched.QPass
+	opts.Warm = warm.New()
+	benchBuild(b, func(net *topo.Network, pairs []topo.SDPair) error {
+		_, err := contend.NewEngine(net, pairs, opts)
+		return err
+	})
+}
+
+// benchBuild times an engine constructor on the ablation instance after
+// one untimed call that primes its warm cache.
+func benchBuild(b *testing.B, build func(*topo.Network, []topo.SDPair) error) {
+	net, pairs := ablationNetwork(b)
+	if err := build(net, pairs); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := build(net, pairs); err != nil {
 			b.Fatal(err)
 		}
 	}

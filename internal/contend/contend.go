@@ -39,13 +39,9 @@ import (
 	"see/internal/warm"
 )
 
-// Weights for the candidate-path enumeration on the segment graph, shared
-// with the greedy engine's pricing: infeasible elements get a prohibitive
-// weight and any path crossing one is rejected.
-const (
-	infeasibleWeight = 1e12
-	rejectThreshold  = 1e11
-)
+// infeasibleWeight prices an infeasible element in the candidate-path
+// enumeration on the segment graph, as in the greedy engine's pricing.
+const infeasibleWeight = 1e12
 
 // Options tunes the contention-aware engine.
 type Options struct {
@@ -191,7 +187,9 @@ func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, e
 		opts:    opts,
 		avail:   make(map[segment.PairKey]int),
 	}
-	e.buildPlan()
+	if err := e.buildPlan(); err != nil {
+		return nil, fmt.Errorf("contend: planning: %w", err)
+	}
 	e.fixed.ConnCap = connCap
 	var primary, recovery qnet.PlanBuilder
 	for _, pp := range e.paths {
@@ -207,19 +205,6 @@ func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, e
 	}
 	e.fixed.Plan, e.recovery = primary.Plan(), recovery.Plan()
 	return e, nil
-}
-
-// attemptCost is the expected number of attempts a unit of flow costs on
-// the candidate: 1/(p·√(q_u·q_v)), the metric the LP prices columns with
-// (+Inf when the realization cannot support flow).
-func attemptCost(net *topo.Network, c *segment.Candidate) float64 {
-	qu := net.SwapProb[c.Path[0]]
-	qv := net.SwapProb[c.Path[len(c.Path)-1]]
-	den := c.Prob * math.Sqrt(qu*qv)
-	if den <= 1e-12 {
-		return math.Inf(1)
-	}
-	return 1 / den
 }
 
 // candidatePaths enumerates the per-pair candidate entanglement paths on
@@ -239,7 +224,7 @@ func (e *Engine) candidatePaths() [][]graph.Path {
 	for id, pk := range e.Set.EdgePairs {
 		best := math.Inf(1)
 		for _, c := range e.Set.ByPair[pk] {
-			if cost := attemptCost(e.Net, c); cost < best {
+			if cost := segment.AttemptFactor(e.Net, c); cost < best {
 				best = cost
 			}
 		}
@@ -259,113 +244,99 @@ func (e *Engine) candidatePaths() [][]graph.Path {
 	return out
 }
 
-// residual tracks the contention state during plan construction.
-type residual struct {
-	channels []int
-	memory   []int
-}
-
-// cheapestFeasible returns the lowest-attempt-cost realization of the pair
-// that fits at least one attempt in the residual resources, skipping the
-// realization `not` (used to pick a disjoint recovery realization).
-func (e *Engine) cheapestFeasible(r *residual, pk segment.PairKey, not *segment.Candidate) (*segment.Candidate, float64) {
-	var best *segment.Candidate
-	bestCost := math.Inf(1)
-	for _, c := range e.Set.ByPair[pk] {
-		if c == not {
-			continue
-		}
-		fits := r.memory[pk.U] >= 1 && r.memory[pk.V] >= 1
-		for _, id := range c.EdgeIDs {
-			if r.channels[id] < 1 {
-				fits = false
-				break
-			}
-		}
-		if !fits {
-			continue
-		}
-		if cost := attemptCost(e.Net, c); cost < bestCost {
-			best, bestCost = c, cost
-		}
-	}
-	return best, bestCost
-}
-
-// widthFor bounds the attempt count of a realization by the residual
-// channels along its route and the residual memories of its endpoints,
-// starting from the requested width.
-func widthFor(r *residual, c *segment.Candidate, pk segment.PairKey, want int) int {
-	n := want
-	for _, id := range c.EdgeIDs {
-		if r.channels[id] < n {
-			n = r.channels[id]
-		}
-	}
-	if r.memory[pk.U] < n {
-		n = r.memory[pk.U]
-	}
-	if r.memory[pk.V] < n {
-		n = r.memory[pk.V]
-	}
-	return n
-}
-
 // scorePath evaluates the expected-throughput metric of a candidate path
-// under the residual resources:
+// under the ledger's residual resources:
 //
 //	E(ℓ) = Π_hops (1 − (1 − p^k_uv)^{n_h}) · Π_junctions q_u
 //
 // where n_h = min(⌈1/p⌉, residual width) is the attempt budget hop h would
 // get, with each hop priced on its cheapest still-feasible realization. It
 // returns the score and the concrete hop plan (nil when any hop has no
-// feasible realization).
-func (e *Engine) scorePath(r *residual, nodes graph.Path) (float64, []hop) {
+// feasible realization). Hop reservations within one path compound (a
+// path may revisit a node's memory), so each hop is reserved as it is
+// scored and all are released before returning: the ledger ends as it
+// began.
+func (e *Engine) scorePath(l *qnet.Ledger, nodes graph.Path) (float64, []hop, error) {
 	score := 1.0
 	hops := make([]hop, 0, len(nodes)-1)
-	// Hop reservations within one path compound, so simulate them on a
-	// scratch copy of the residual state (paths share endpoints with
-	// themselves when they revisit a node's memory).
-	scratch := &residual{
-		channels: append([]int(nil), r.channels...),
-		memory:   append([]int(nil), r.memory...),
-	}
 	for i := 0; i+1 < len(nodes); i++ {
 		pk := segment.MakePairKey(nodes[i], nodes[i+1])
-		cand, cost := e.cheapestFeasible(scratch, pk, nil)
-		if cand == nil || math.IsInf(cost, 1) {
-			return 0, nil
+		cand, _ := l.Cheapest(e.Net, e.Set.ByPair[pk], nil)
+		if cand == nil {
+			return 0, nil, releaseHops(l, hops)
 		}
-		n := widthFor(scratch, cand, pk, int(math.Ceil(1/cand.Prob)))
-		if n < 1 {
-			return 0, nil
+		n := l.Width(cand, int(math.Ceil(1/cand.Prob)))
+		if err := l.Reserve(cand, n); err != nil {
+			return 0, nil, err
 		}
-		for _, id := range cand.EdgeIDs {
-			scratch.channels[id] -= n
-		}
-		scratch.memory[pk.U] -= n
-		scratch.memory[pk.V] -= n
 		score *= 1 - math.Pow(1-cand.Prob, float64(n))
 		hops = append(hops, hop{pair: pk, cand: cand, attempts: n})
+	}
+	if err := releaseHops(l, hops); err != nil {
+		return 0, nil, err
 	}
 	for j := 1; j+1 < len(nodes); j++ {
 		score *= e.Net.SwapProb[nodes[j]]
 	}
-	return score, hops
+	return score, hops, nil
+}
+
+// reserveHops charges every hop at its full width or, when some hop no
+// longer fits, releases what it charged and reports false.
+func reserveHops(l *qnet.Ledger, hops []hop) (bool, error) {
+	for k, h := range hops {
+		if l.Width(h.cand, h.attempts) < h.attempts {
+			return false, releaseHops(l, hops[:k])
+		}
+		if err := l.Reserve(h.cand, h.attempts); err != nil {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// releaseHops returns the hops' primary attempts to the ledger.
+func releaseHops(l *qnet.Ledger, hops []hop) error {
+	for _, h := range hops {
+		if err := l.Release(h.cand, h.attempts); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// reserveRecovery accepts a path whose primary hops the ledger already
+// holds: each hop reserves its recovery attempts on the cheapest other
+// realization of its pair that still fits, within whatever remains.
+func (e *Engine) reserveRecovery(l *qnet.Ledger, pp plannedPath, hops []hop) error {
+	for _, h := range hops {
+		if e.opts.RecoveryAttempts > 0 {
+			if rec, _ := l.Cheapest(e.Net, e.Set.ByPair[h.pair], h.cand); rec != nil {
+				n := l.Width(rec, e.opts.RecoveryAttempts)
+				if err := l.Reserve(rec, n); err != nil {
+					return err
+				}
+				h.recovery, h.recAttempts = rec, n
+			}
+		}
+		pp.hops = append(pp.hops, h)
+	}
+	e.paths = append(e.paths, pp)
+	return nil
 }
 
 // buildPlan is the contention-aware selection loop: every unsaturated
-// pair's candidate paths are re-scored against the residual resources, the
-// globally best-scoring path is accepted, its hops (primary + recovery)
-// are charged against the residuals, and the loop repeats until no
-// candidate has positive score. Ties break deterministically on (pair
-// index, candidate index).
-func (e *Engine) buildPlan() {
+// pair's candidate paths are re-scored against the residual resources of a
+// ledger over the planning capacities (the forecast-shrunk overrides when
+// set), the globally best-scoring path is accepted, its hops (primary +
+// recovery) are reserved, and the loop repeats until no candidate has
+// positive score. Ties break deterministically on (pair index, candidate
+// index). A ledger error is a bug and is returned.
+func (e *Engine) buildPlan() error {
 	if e.opts.Offline {
-		e.buildPlanOffline()
-		return
+		return e.buildPlanOffline()
 	}
-	r := e.startingResidual()
+	l := qnet.NewLedgerWithCapacities(e.Net, e.opts.PlanChannels, e.opts.PlanMemory)
 	cands := e.candidatePaths()
 	planned := make([]int, len(e.Pairs))
 	for {
@@ -377,7 +348,10 @@ func (e *Engine) buildPlan() {
 				continue
 			}
 			for j, nodes := range cands[i] {
-				score, hops := e.scorePath(r, nodes)
+				score, hops, err := e.scorePath(l, nodes)
+				if err != nil {
+					return err
+				}
 				if score > bestScore {
 					bestScore, bestPair, bestIdx, bestHops = score, i, j, hops
 				}
@@ -386,56 +360,25 @@ func (e *Engine) buildPlan() {
 		if bestPair < 0 || bestScore <= 0 {
 			break
 		}
-		// Charge the accepted path's primary reservations.
-		for _, h := range bestHops {
-			for _, id := range h.cand.EdgeIDs {
-				r.channels[id] -= h.attempts
-			}
-			r.memory[h.pair.U] -= h.attempts
-			r.memory[h.pair.V] -= h.attempts
+		if ok, err := reserveHops(l, bestHops); !ok || err != nil {
+			return errors.Join(errors.New("the best-scored path no longer fits"), err)
 		}
-		// Reserve recovery attempts on the next-best disjoint realization
-		// of each hop, within whatever resources remain.
 		pp := plannedPath{commodity: bestPair, nodes: cands[bestPair][bestIdx], score: bestScore}
-		for _, h := range bestHops {
-			if e.opts.RecoveryAttempts > 0 {
-				if rec, cost := e.cheapestFeasible(r, h.pair, h.cand); rec != nil && !math.IsInf(cost, 1) {
-					if n := widthFor(r, rec, h.pair, e.opts.RecoveryAttempts); n >= 1 {
-						for _, id := range rec.EdgeIDs {
-							r.channels[id] -= n
-						}
-						r.memory[h.pair.U] -= n
-						r.memory[h.pair.V] -= n
-						h.recovery, h.recAttempts = rec, n
-					}
-				}
-			}
-			pp.hops = append(pp.hops, h)
+		if err := e.reserveRecovery(l, pp, bestHops); err != nil {
+			return err
 		}
-		e.paths = append(e.paths, pp)
 		planned[bestPair]++
 	}
+	return e.finishPlan(l)
+}
+
+// finishPlan sums the accepted paths' scores into the plan's expected
+// value and checks the ledger's invariants.
+func (e *Engine) finishPlan(l *qnet.Ledger) error {
 	for _, pp := range e.paths {
 		e.expected += pp.score
 	}
-}
-
-// startingResidual seeds the contention state from the planning capacity
-// tables: the forecast-shrunk overrides when set, the network tables
-// otherwise.
-func (e *Engine) startingResidual() *residual {
-	channels := e.Net.Channels
-	if e.opts.PlanChannels != nil {
-		channels = e.opts.PlanChannels
-	}
-	memory := e.Net.Memory
-	if e.opts.PlanMemory != nil {
-		memory = e.opts.PlanMemory
-	}
-	return &residual{
-		channels: append([]int(nil), channels...),
-		memory:   append([]int(nil), memory...),
-	}
+	return l.Validate()
 }
 
 // buildPlanOffline fixes the Q-PASS-style offline plan. Candidate paths
@@ -448,11 +391,8 @@ func (e *Engine) startingResidual() *residual {
 // front like the online planner's. The fault forecast is deliberately
 // ignored: this is the contrast baseline the fault-aware variants are
 // measured against.
-func (e *Engine) buildPlanOffline() {
-	full := &residual{
-		channels: append([]int(nil), e.Net.Channels...),
-		memory:   append([]int(nil), e.Net.Memory...),
-	}
+func (e *Engine) buildPlanOffline() error {
+	l := qnet.NewLedger(e.Net)
 	cands := e.candidatePaths()
 	type offlinePath struct {
 		nodes graph.Path
@@ -462,7 +402,10 @@ func (e *Engine) buildPlanOffline() {
 	scored := make([][]offlinePath, len(e.Pairs))
 	for i := range e.Pairs {
 		for _, nodes := range cands[i] {
-			score, hops := e.scorePath(full, nodes)
+			score, hops, err := e.scorePath(l, nodes)
+			if err != nil {
+				return err
+			}
 			if score <= 0 {
 				continue
 			}
@@ -472,33 +415,6 @@ func (e *Engine) buildPlanOffline() {
 		sort.SliceStable(list, func(a, b int) bool { return list[a].score > list[b].score })
 	}
 
-	r := &residual{
-		channels: append([]int(nil), e.Net.Channels...),
-		memory:   append([]int(nil), e.Net.Memory...),
-	}
-	// fits reports whether the residual covers every hop at its full
-	// pre-computed width (hops of one path may share links and endpoints,
-	// so charge a scratch copy).
-	fits := func(hops []hop) bool {
-		scratch := &residual{
-			channels: append([]int(nil), r.channels...),
-			memory:   append([]int(nil), r.memory...),
-		}
-		for _, h := range hops {
-			for _, id := range h.cand.EdgeIDs {
-				scratch.channels[id] -= h.attempts
-				if scratch.channels[id] < 0 {
-					return false
-				}
-			}
-			scratch.memory[h.pair.U] -= h.attempts
-			scratch.memory[h.pair.V] -= h.attempts
-			if scratch.memory[h.pair.U] < 0 || scratch.memory[h.pair.V] < 0 {
-				return false
-			}
-		}
-		return true
-	}
 	planned := make([]int, len(e.Pairs))
 	for {
 		progress := false
@@ -506,52 +422,28 @@ func (e *Engine) buildPlanOffline() {
 			if planned[i] >= e.ConnCap[i] {
 				continue
 			}
-			accepted := -1
-			for j, op := range scored[i] {
-				if !fits(op.hops) {
+			for _, op := range scored[i] {
+				ok, err := reserveHops(l, op.hops)
+				if err != nil {
+					return err
+				}
+				if !ok {
 					continue
 				}
-				accepted = j
+				pp := plannedPath{commodity: i, nodes: op.nodes, score: op.score}
+				if err := e.reserveRecovery(l, pp, op.hops); err != nil {
+					return err
+				}
+				planned[i]++
+				progress = true
 				break
 			}
-			if accepted < 0 {
-				continue
-			}
-			op := scored[i][accepted]
-			pp := plannedPath{commodity: i, nodes: op.nodes, score: op.score}
-			for _, h := range op.hops {
-				for _, id := range h.cand.EdgeIDs {
-					r.channels[id] -= h.attempts
-				}
-				r.memory[h.pair.U] -= h.attempts
-				r.memory[h.pair.V] -= h.attempts
-			}
-			for _, h := range op.hops {
-				if e.opts.RecoveryAttempts > 0 {
-					if rec, cost := e.cheapestFeasible(r, h.pair, h.cand); rec != nil && !math.IsInf(cost, 1) {
-						if n := widthFor(r, rec, h.pair, e.opts.RecoveryAttempts); n >= 1 {
-							for _, id := range rec.EdgeIDs {
-								r.channels[id] -= n
-							}
-							r.memory[h.pair.U] -= n
-							r.memory[h.pair.V] -= n
-							h.recovery, h.recAttempts = rec, n
-						}
-					}
-				}
-				pp.hops = append(pp.hops, h)
-			}
-			e.paths = append(e.paths, pp)
-			planned[i]++
-			progress = true
 		}
 		if !progress {
 			break
 		}
 	}
-	for _, pp := range e.paths {
-		e.expected += pp.score
-	}
+	return e.finishPlan(l)
 }
 
 // RunSlot simulates one time slot: attempt the fixed primary plan, fire

@@ -68,7 +68,7 @@ func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratc
 					}
 					break
 				}
-				if err := ledger.Reserve(cand); err != nil {
+				if err := ledger.Reserve(cand, 1); err != nil {
 					return nil, nil, err
 				}
 				plan.Add(cand, 1)
@@ -87,7 +87,7 @@ func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratc
 		}
 		// Rollback: release the attempts added for p and drop its demand.
 		for _, a := range added {
-			if err := ledger.Release(a.cand); err != nil {
+			if err := ledger.Release(a.cand, 1); err != nil {
 				return nil, nil, err
 			}
 			plan.Add(a.cand, -1)
@@ -160,7 +160,7 @@ func (e *Engine) backupRound(keys []escKey, ledger *qnet.Ledger,
 		if cand == nil {
 			continue
 		}
-		if err := ledger.Reserve(cand); err != nil {
+		if err := ledger.Reserve(cand, 1); err != nil {
 			return 0, err
 		}
 		plan.Add(cand, 1)

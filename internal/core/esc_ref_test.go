@@ -56,7 +56,7 @@ func (e *Engine) escReference(planned []PlannedPath) (qnet.AttemptPlan, []Planne
 					}
 					break
 				}
-				if err := ledger.Reserve(cand); err != nil {
+				if err := ledger.Reserve(cand, 1); err != nil {
 					return nil, nil, err
 				}
 				plan[cand]++
@@ -73,7 +73,7 @@ func (e *Engine) escReference(planned []PlannedPath) (qnet.AttemptPlan, []Planne
 			continue
 		}
 		for _, cand := range added {
-			if err := ledger.Release(cand); err != nil {
+			if err := ledger.Release(cand, 1); err != nil {
 				return nil, nil, err
 			}
 			plan[cand]--
@@ -122,7 +122,7 @@ func (e *Engine) escReference(planned []PlannedPath) (qnet.AttemptPlan, []Planne
 				if cand == nil {
 					continue
 				}
-				if err := ledger.Reserve(cand); err != nil {
+				if err := ledger.Reserve(cand, 1); err != nil {
 					return nil, nil, err
 				}
 				plan[cand]++

@@ -522,7 +522,7 @@ func (m *model) buildCandidateTables() {
 				// Forecast-dead realization: excluded from the column space.
 				fs[k] = math.Inf(1)
 			} else {
-				fs[k] = attemptFactor(m.set, c)
+				fs[k] = segment.AttemptFactor(m.set.Net, c)
 			}
 			lr := make([]int32, len(c.EdgeIDs))
 			for h, e := range c.EdgeIDs {
@@ -590,18 +590,6 @@ func unitDuals(n int) []float64 {
 		y[i] = 1
 	}
 	return y
-}
-
-// attemptFactor is 1/(p·√(q_u q_v)); +Inf when the realization cannot
-// support flow.
-func attemptFactor(set *segment.Set, c *segment.Candidate) float64 {
-	qu := set.Net.SwapProb[c.Path[0]]
-	qv := set.Net.SwapProb[c.Path[len(c.Path)-1]]
-	den := c.Prob * math.Sqrt(qu*qv)
-	if den <= 1e-12 {
-		return math.Inf(1)
-	}
-	return 1 / den
 }
 
 // priceRealizations computes, per segment edge, the cheapest realization

@@ -107,3 +107,54 @@ func TestComponentsMatchUnionFind(t *testing.T) {
 		}
 	}
 }
+
+// UnionFind is a disjoint-set structure with path compression and union by
+// size: the reference Components is checked against.
+type UnionFind struct {
+	parent []int
+	size   []int
+}
+
+// NewUnionFind returns a UnionFind over n singleton sets.
+func NewUnionFind(n int) *UnionFind {
+	uf := &UnionFind{parent: make([]int, n), size: make([]int, n)}
+	for i := range uf.parent {
+		uf.parent[i] = i
+		uf.size[i] = 1
+	}
+	return uf
+}
+
+// Find returns the representative of x's set.
+func (uf *UnionFind) Find(x int) int {
+	for uf.parent[x] != x {
+		uf.parent[x] = uf.parent[uf.parent[x]]
+		x = uf.parent[x]
+	}
+	return x
+}
+
+// Union merges the sets of a and b, returning false if already joined.
+func (uf *UnionFind) Union(a, b int) bool {
+	ra, rb := uf.Find(a), uf.Find(b)
+	if ra == rb {
+		return false
+	}
+	if uf.size[ra] < uf.size[rb] {
+		ra, rb = rb, ra
+	}
+	uf.parent[rb] = ra
+	uf.size[ra] += uf.size[rb]
+	return true
+}
+
+// SetCount returns the number of disjoint sets remaining.
+func (uf *UnionFind) SetCount() int {
+	count := 0
+	for i, p := range uf.parent {
+		if i == p {
+			count++
+		}
+	}
+	return count
+}

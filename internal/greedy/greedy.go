@@ -117,47 +117,25 @@ func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, e
 		ConnCap: connCap,
 		Runner:  sched.NewRunner(opts.Slot, net, set.CandidateFor),
 	}
-	e.buildPlan()
+	if err := e.buildPlan(); err != nil {
+		return nil, fmt.Errorf("greedy: planning: %w", err)
+	}
 	return e, nil
 }
 
 // buildPlan selects paths round-robin over SD pairs and reserves resources
-// first-come-first-served. Each round routes every unsaturated pair on the
-// segment graph, pricing each segment edge at the expected-attempt cost
-// 1/(p·√(q_u·q_v)) of its cheapest still-feasible realization, with node
-// weight −ln q (junctions must survive their swap). A selected path
-// reserves up to ⌈1/p⌉ attempts per hop — enough for one expected created
-// segment — bounded by the residual channels and memory. Rounds repeat
-// until no pair can be routed.
-func (e *Engine) buildPlan() {
-	channels := append([]int(nil), e.Net.Channels...)
-	memory := append([]int(nil), e.Net.Memory...)
+// first-come-first-served on a qnet.Ledger. Each round routes every
+// unsaturated pair on the segment graph, pricing each segment edge at the
+// expected-attempt cost 1/(p·√(q_u·q_v)) of its cheapest still-feasible
+// realization (Ledger.Cheapest), with node weight −ln q (junctions must
+// survive their swap). A selected path reserves up to ⌈1/p⌉ attempts per
+// hop — enough for one expected created segment — bounded by the residual
+// channels and memory. Rounds repeat until no pair can be routed. A ledger
+// error is a bug and is returned.
+func (e *Engine) buildPlan() error {
+	ledger := qnet.NewLedger(e.Net)
 	e.fixed = sched.FixedPlan{ConnCap: e.ConnCap}
 	var plan qnet.PlanBuilder
-
-	// cheapestFeasible returns the lowest-cost realization of the edge's
-	// pair that fits at least one attempt in the residual resources.
-	cheapestFeasible := func(pk segment.PairKey) (*segment.Candidate, float64) {
-		var best *segment.Candidate
-		bestCost := math.Inf(1)
-		for _, c := range e.Set.ByPair[pk] {
-			fits := memory[pk.U] >= 1 && memory[pk.V] >= 1
-			for _, id := range c.EdgeIDs {
-				if channels[id] < 1 {
-					fits = false
-					break
-				}
-			}
-			if !fits {
-				continue
-			}
-			cost := attemptCost(e.Net, c)
-			if cost < bestCost {
-				best, bestCost = c, cost
-			}
-		}
-		return best, bestCost
-	}
 
 	nodeWeight := func(u int) float64 {
 		q := e.Net.SwapProb[u]
@@ -167,7 +145,7 @@ func (e *Engine) buildPlan() {
 		return -math.Log(q)
 	}
 	edgeWeight := func(id int, _ float64) float64 {
-		if _, cost := cheapestFeasible(e.Set.EdgePairs[id]); !math.IsInf(cost, 1) {
+		if _, cost := ledger.Cheapest(e.Net, e.Set.ByEdge[id], nil); !math.IsInf(cost, 1) {
 			return cost
 		}
 		return infeasibleWeight
@@ -191,47 +169,25 @@ func (e *Engine) buildPlan() {
 			ok := true
 			for h := 0; h+1 < len(path); h++ {
 				pk := segment.MakePairKey(path[h], path[h+1])
-				cand, cost := cheapestFeasible(pk)
-				if cand == nil || math.IsInf(cost, 1) {
+				cand, _ := ledger.Cheapest(e.Net, e.Set.ByPair[pk], nil)
+				if cand == nil {
 					ok = false
 					break
 				}
 				// One expected created segment per hop: n ≈ 1/p attempts,
 				// bounded by what the residual resources actually fit.
-				n := int(math.Ceil(1 / cand.Prob))
-				if n < 1 {
-					n = 1
+				n := ledger.Width(cand, max(1, int(math.Ceil(1/cand.Prob))))
+				if err := ledger.Reserve(cand, n); err != nil {
+					return err
 				}
-				for _, id := range cand.EdgeIDs {
-					if channels[id] < n {
-						n = channels[id]
-					}
-				}
-				if memory[pk.U] < n {
-					n = memory[pk.U]
-				}
-				if memory[pk.V] < n {
-					n = memory[pk.V]
-				}
-				if n < 1 {
-					ok = false
-					break
-				}
-				for _, id := range cand.EdgeIDs {
-					channels[id] -= n
-				}
-				memory[pk.U] -= n
-				memory[pk.V] -= n
 				hops = append(hops, hop{pair: pk, cand: cand, attempts: n})
 			}
 			if !ok {
 				// Roll back this path's partial reservations.
 				for _, h := range hops {
-					for _, id := range h.cand.EdgeIDs {
-						channels[id] += h.attempts
+					if err := ledger.Release(h.cand, h.attempts); err != nil {
+						return err
 					}
-					memory[h.pair.U] += h.attempts
-					memory[h.pair.V] += h.attempts
 				}
 				continue
 			}
@@ -250,19 +206,7 @@ func (e *Engine) buildPlan() {
 		}
 	}
 	e.fixed.Plan = plan.Plan()
-}
-
-// attemptCost is the expected number of attempts a unit of flow costs on
-// the candidate: 1/(p·√(q_u·q_v)), the same metric the LP prices columns
-// with (+Inf when the realization cannot support flow).
-func attemptCost(net *topo.Network, c *segment.Candidate) float64 {
-	qu := net.SwapProb[c.Path[0]]
-	qv := net.SwapProb[c.Path[len(c.Path)-1]]
-	den := c.Prob * math.Sqrt(qu*qv)
-	if den <= 1e-12 {
-		return math.Inf(1)
-	}
-	return 1 / den
+	return ledger.Validate()
 }
 
 // hop is one planned segment: the endpoint pair, the physical realization

@@ -158,9 +158,6 @@ func resize[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// NumRows returns the number of rows.
-func (s *PackingSolver) NumRows() int { return s.m }
-
 // Pivots returns the total simplex pivots performed across all Solve calls
 // — the direct measure of how much work a warm-started re-solve skipped.
 func (s *PackingSolver) Pivots() int { return s.pivots }

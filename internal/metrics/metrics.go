@@ -144,11 +144,3 @@ func JainIndex(xs []float64) float64 {
 	}
 	return sum * sum / (float64(len(xs)) * sumSq)
 }
-
-// RatioImprovement returns (a−b)/b as a percentage, or 0 when b is 0.
-func RatioImprovement(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return 100 * (a - b) / b
-}

@@ -129,15 +129,3 @@ func TestJainIndexRange(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRatioImprovement(t *testing.T) {
-	if got := RatioImprovement(2, 1); got != 100 {
-		t.Fatalf("RatioImprovement(2,1) = %v", got)
-	}
-	if got := RatioImprovement(1, 2); got != -50 {
-		t.Fatalf("RatioImprovement(1,2) = %v", got)
-	}
-	if RatioImprovement(5, 0) != 0 {
-		t.Fatal("division by zero not guarded")
-	}
-}

@@ -7,6 +7,7 @@ package qnet
 
 import (
 	"fmt"
+	"math"
 
 	"see/internal/segment"
 	"see/internal/topo"
@@ -60,59 +61,92 @@ func (l *Ledger) Reset() {
 	copy(l.memFree, l.memCap)
 }
 
-// FreeChannels returns the free channel count of a link.
-func (l *Ledger) FreeChannels(link int) int { return l.chanFree[link] }
-
-// FreeMemory returns the free memory of a node.
-func (l *Ledger) FreeMemory(u int) int { return l.memFree[u] }
+// Free returns the free channels per link and the free memory per node.
+// The slices are the ledger's own: callers read them (REPS re-solves its LP
+// over them) and never write.
+func (l *Ledger) Free() (channels, memory []int) { return l.chanFree, l.memFree }
 
 // CanReserve reports whether one attempt over the candidate fits: one
 // channel on each link of the route and one memory unit at each endpoint.
 // Interior nodes of the route use all-optical switching and consume no
-// memory (the paper's core observation).
+// memory (the paper's core observation). It is Width(c, 1) == 1 with early
+// exits, because Dijkstra edge weights call it on every relaxation.
 func (l *Ledger) CanReserve(c *segment.Candidate) bool {
+	if l.memFree[c.Path[0]] < 1 || l.memFree[c.Path[len(c.Path)-1]] < 1 {
+		return false
+	}
 	for _, e := range c.EdgeIDs {
 		if l.chanFree[e] < 1 {
 			return false
 		}
 	}
-	u, v := c.Path[0], c.Path[len(c.Path)-1]
-	if u == v {
-		return l.memFree[u] >= 2
-	}
-	return l.memFree[u] >= 1 && l.memFree[v] >= 1
+	return true
 }
 
-// Reserve commits one attempt over the candidate.
-func (l *Ledger) Reserve(c *segment.Candidate) error {
-	if !l.CanReserve(c) {
-		return fmt.Errorf("qnet: insufficient resources for segment %v", c.Path)
+// Width returns how many attempts over the candidate fit, up to want: the
+// least of want, the free channels on each link of its route and the free
+// memory at its endpoints.
+func (l *Ledger) Width(c *segment.Candidate, want int) int {
+	n := want
+	for _, e := range c.EdgeIDs {
+		n = min(n, l.chanFree[e])
+	}
+	return min(n, l.memFree[c.Path[0]], l.memFree[c.Path[len(c.Path)-1]])
+}
+
+// Reserve commits n attempts over the candidate. It fails, changing
+// nothing, when n is negative or more than Width(c, n).
+func (l *Ledger) Reserve(c *segment.Candidate, n int) error {
+	if n < 0 || l.Width(c, n) < n {
+		return fmt.Errorf("qnet: insufficient resources for %d attempts over segment %v", n, c.Path)
 	}
 	for _, e := range c.EdgeIDs {
-		l.chanFree[e]--
+		l.chanFree[e] -= n
 	}
-	l.memFree[c.Path[0]]--
-	l.memFree[c.Path[len(c.Path)-1]]--
+	l.memFree[c.Path[0]] -= n
+	l.memFree[c.Path[len(c.Path)-1]] -= n
 	return nil
 }
 
-// Release returns one attempt's resources to the ledger.
-func (l *Ledger) Release(c *segment.Candidate) error {
+// Release returns n attempts' resources to the ledger. It fails, changing
+// nothing, when n is negative or the release would exceed a capacity.
+func (l *Ledger) Release(c *segment.Candidate, n int) error {
+	if n < 0 {
+		return fmt.Errorf("qnet: negative release of %d attempts over segment %v", n, c.Path)
+	}
 	for _, e := range c.EdgeIDs {
-		if l.chanFree[e]+1 > l.chanCap[e] {
+		if l.chanFree[e]+n > l.chanCap[e] {
 			return fmt.Errorf("qnet: channel over-release on link %d", e)
 		}
 	}
 	u, v := c.Path[0], c.Path[len(c.Path)-1]
-	if l.memFree[u]+1 > l.memCap[u] || l.memFree[v]+1 > l.memCap[v] {
+	if l.memFree[u]+n > l.memCap[u] || l.memFree[v]+n > l.memCap[v] {
 		return fmt.Errorf("qnet: memory over-release at segment %v", c.Path)
 	}
 	for _, e := range c.EdgeIDs {
-		l.chanFree[e]++
+		l.chanFree[e] += n
 	}
-	l.memFree[u]++
-	l.memFree[v]++
+	l.memFree[u] += n
+	l.memFree[v] += n
 	return nil
+}
+
+// Cheapest returns the realization among cands, other than not, with the
+// least segment.AttemptFactor that still fits one attempt, and that
+// factor. Ties keep the earlier candidate. It returns nil and +Inf when no
+// realization fits and can carry flow.
+func (l *Ledger) Cheapest(net *topo.Network, cands []*segment.Candidate, not *segment.Candidate) (*segment.Candidate, float64) {
+	var best *segment.Candidate
+	bestCost := math.Inf(1)
+	for _, c := range cands {
+		if c == not || !l.CanReserve(c) {
+			continue
+		}
+		if cost := segment.AttemptFactor(net, c); cost < bestCost {
+			best, bestCost = c, cost
+		}
+	}
+	return best, bestCost
 }
 
 // Validate checks the ledger invariants 0 ≤ free ≤ capacity.
@@ -128,22 +162,4 @@ func (l *Ledger) Validate() error {
 		}
 	}
 	return nil
-}
-
-// UsedChannels returns total channels currently reserved.
-func (l *Ledger) UsedChannels() int {
-	total := 0
-	for e, f := range l.chanFree {
-		total += l.chanCap[e] - f
-	}
-	return total
-}
-
-// UsedMemory returns total memory currently reserved.
-func (l *Ledger) UsedMemory() int {
-	total := 0
-	for u, f := range l.memFree {
-		total += l.memCap[u] - f
-	}
-	return total
 }

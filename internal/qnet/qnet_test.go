@@ -30,40 +30,54 @@ func TestLedgerReserveRelease(t *testing.T) {
 	if !l.CanReserve(c) {
 		t.Fatal("fresh ledger must allow reservation")
 	}
-	if err := l.Reserve(c); err != nil {
+	if err := l.Reserve(c, 1); err != nil {
 		t.Fatal(err)
 	}
-	if l.FreeMemory(topo.MotivS2) != 0 || l.FreeMemory(topo.MotivD2) != 0 {
+	channels, memory := l.Free()
+	if memory[topo.MotivS2] != 0 || memory[topo.MotivD2] != 0 {
 		t.Fatal("endpoint memory not consumed")
 	}
-	if l.FreeMemory(topo.MotivR1) != 2 {
+	if memory[topo.MotivR1] != 2 {
 		t.Fatal("interior node memory must not be consumed (all-optical switching)")
 	}
 	for _, e := range c.EdgeIDs {
-		if l.FreeChannels(e) != 0 {
+		if channels[e] != 0 {
 			t.Fatal("channel not consumed")
 		}
 	}
-	if l.UsedChannels() != 2 || l.UsedMemory() != 2 {
-		t.Fatalf("used = %d channels, %d memory; want 2, 2", l.UsedChannels(), l.UsedMemory())
+	if ch, mem := ledgerUsed(l, net); ch != 2 || mem != 2 {
+		t.Fatalf("used = %d channels, %d memory; want 2, 2", ch, mem)
 	}
 	// Channel exhausted: same candidate cannot be reserved again.
 	if l.CanReserve(c) {
 		t.Fatal("reservation must fail once channels are gone")
 	}
-	if err := l.Reserve(c); err == nil {
+	if err := l.Reserve(c, 1); err == nil {
 		t.Fatal("Reserve must error when resources are missing")
 	}
-	if err := l.Release(c); err != nil {
+	if err := l.Release(c, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Double release overflows capacity.
-	if err := l.Release(c); err == nil {
+	if err := l.Release(c, 1); err == nil {
 		t.Fatal("over-release must error")
 	}
+}
+
+// ledgerUsed returns the channels and memory currently reserved on the
+// ledger over the network's capacities.
+func ledgerUsed(l *Ledger, net *topo.Network) (channels, memory int) {
+	freeCh, freeMem := l.Free()
+	for e, f := range freeCh {
+		channels += net.Channels[e] - f
+	}
+	for u, f := range freeMem {
+		memory += net.Memory[u] - f
+	}
+	return channels, memory
 }
 
 func TestLedgerValidateDetectsCorruption(t *testing.T) {

@@ -140,8 +140,7 @@ func NewEngineCtx(ctx context.Context, net *topo.Network, pairs []topo.SDPair, o
 // provision runs the ELP + progressive rounding to fix the attempt plan.
 func (e *Engine) provision(ctx context.Context) error {
 	var plan qnet.PlanBuilder
-	channels := append([]int(nil), e.Net.Channels...)
-	memory := append([]int(nil), e.Net.Memory...)
+	ledger := qnet.NewLedger(e.Net)
 	// The rounding rounds re-solve over the same candidate set with only
 	// the residual capacities changing, so one arena carries the solver's
 	// capacity-independent tables, its master simplex buffers and its
@@ -152,39 +151,22 @@ func (e *Engine) provision(ctx context.Context) error {
 
 	// commit reserves up to n attempts over c (as many as the residual
 	// capacities fit) and returns how many were committed.
-	commit := func(c *segment.Candidate, n int) int {
+	commit := func(c *segment.Candidate, n int) (int, error) {
+		n = ledger.Width(c, n)
 		if n <= 0 {
-			return 0
+			return 0, nil
 		}
-		for _, eid := range c.EdgeIDs {
-			if channels[eid] < n {
-				n = channels[eid]
-			}
+		if err := ledger.Reserve(c, n); err != nil {
+			return 0, fmt.Errorf("reps: provisioning: %w", err)
 		}
-		u, v := c.Path[0], c.Path[len(c.Path)-1]
-		if memory[u] < n {
-			n = memory[u]
-		}
-		if memory[v] < n {
-			n = memory[v]
-		}
-		if n <= 0 {
-			return 0
-		}
-		for _, eid := range c.EdgeIDs {
-			channels[eid] -= n
-		}
-		memory[u] -= n
-		memory[v] -= n
 		plan.Add(c, n)
-		return n
+		return n, nil
 	}
 
 	for round := 0; round < e.opts.RoundingSolves; round++ {
 		fopts := e.opts.Flow
 		fopts.ConnCap = e.ConnCap
-		fopts.Channels = channels
-		fopts.Memory = memory
+		fopts.Channels, fopts.Memory = ledger.Free()
 		fopts.Arena = arena
 		var sol *flow.Solution
 		var err error
@@ -206,14 +188,25 @@ func (e *Engine) provision(ctx context.Context) error {
 		committed := 0
 		// Commit the integral parts of every variable first.
 		for _, fa := range frac {
-			committed += commit(fa.cand, int(math.Floor(fa.x+1e-9)))
+			n, err := commit(fa.cand, int(math.Floor(fa.x+1e-9)))
+			if err != nil {
+				return err
+			}
+			committed += n
 		}
 		if committed == 0 {
 			// Nothing integral left: round the largest fractional up,
 			// one variable per LP solve, as in REPS.
 			rounded := false
 			for _, fa := range frac {
-				if fa.x > 1e-6 && commit(fa.cand, 1) == 1 {
+				if fa.x <= 1e-6 {
+					continue
+				}
+				n, err := commit(fa.cand, 1)
+				if err != nil {
+					return err
+				}
+				if n == 1 {
 					rounded = true
 					break
 				}
@@ -244,7 +237,11 @@ func (e *Engine) provision(ctx context.Context) error {
 			})
 			committed := 0
 			for _, c := range used {
-				committed += commit(c, 1)
+				n, err := commit(c, 1)
+				if err != nil {
+					return err
+				}
+				committed += n
 			}
 			if committed == 0 {
 				break
@@ -252,6 +249,9 @@ func (e *Engine) provision(ctx context.Context) error {
 		}
 	}
 	e.Plan = plan.Plan()
+	if err := ledger.Validate(); err != nil {
+		return fmt.Errorf("reps: provisioning: %w", err)
+	}
 	return nil
 }
 

@@ -12,6 +12,7 @@ package segment
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -45,6 +46,20 @@ func (c *Candidate) V() int { return max(c.Path[0], c.Path[len(c.Path)-1]) }
 
 // Hops returns the number of physical links the candidate spans.
 func (c *Candidate) Hops() int { return c.Path.Hops() }
+
+// AttemptFactor is the expected number of creation attempts one unit of
+// flow costs on the realization, 1/(p·√(q_u·q_v)), the metric the LP
+// prices columns with. It is +Inf when p·√(q_u·q_v) ≤ 1e-12: such a
+// realization cannot carry flow.
+func AttemptFactor(net *topo.Network, c *Candidate) float64 {
+	qu := net.SwapProb[c.Path[0]]
+	qv := net.SwapProb[c.Path[len(c.Path)-1]]
+	den := c.Prob * math.Sqrt(qu*qv)
+	if den <= 1e-12 {
+		return math.Inf(1)
+	}
+	return 1 / den
+}
 
 // PairKey identifies an unordered segment endpoint pair (U < V).
 type PairKey struct {

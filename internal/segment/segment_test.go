@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -336,5 +337,18 @@ func TestCandidateIDOrder(t *testing.T) {
 	}
 	if high == 0 || reversed == 0 {
 		t.Fatalf("no candidate reached node 256 (%d) or ran high to low (%d)", high, reversed)
+	}
+}
+
+func TestAttemptFactorMatchesDefinition(t *testing.T) {
+	p, qu, qv := 0.5, 0.81, 0.64
+	net := &topo.Network{SwapProb: []float64{qu, 1, qv}}
+	c := &Candidate{Path: graph.Path{0, 1, 2}, Prob: p}
+	if got, want := AttemptFactor(net, c), 1/(p*math.Sqrt(qu*qv)); got != want {
+		t.Errorf("AttemptFactor = %v, want %v", got, want)
+	}
+	c.Prob = 1e-13
+	if got := AttemptFactor(net, c); !math.IsInf(got, 1) {
+		t.Errorf("AttemptFactor of a dead realization = %v, want +Inf", got)
 	}
 }
