@@ -1,10 +1,9 @@
 GO ?= go
 
-.PHONY: all build test vet race verify bench bench-check bench-smoke bench-pr4 bench-pr9 profile chaos-smoke serve-smoke fidelity-smoke docs-check cover cover-update fuzz-smoke figures
+.PHONY: all build test vet race verify bench-check bench-smoke profile chaos-smoke serve-smoke fidelity-smoke docs-check cover cover-update fuzz-smoke figures
 
-# bench narrows the benchmark pattern / iteration budget, e.g.
-#   make bench BENCH=ColumnGeneration BENCHTIME=5s
-BENCH ?= .
+# BENCHTIME is the per-benchmark budget of `make profile`, e.g.
+#   make profile BENCHTIME=5s
 BENCHTIME ?= 1s
 
 all: build
@@ -24,14 +23,15 @@ race:
 # verify is the repo's full gate: vet, the docs gate, build, the test
 # suite under the race detector (the experiment harness runs trials
 # concurrently), the per-package coverage floor, a short fuzz pass over
-# every committed fuzz target, a single-iteration pass over the substrate
-# benchmarks so perf-path regressions that only bench code exercises are
-# caught early, a chaos smoke that drives fault injection and the
-# degradation ladder end-to-end through the CLI, a serve smoke that
-# kills and resumes a checkpointing service-mode run, and a fidelity
-# smoke that pins the floor layer's disabled path to the committed
-# golden and drives floors + swap order + carry-aware pricing end-to-end.
-# bench-check compiles and tests the benchmark harness in bench/.
+# every committed fuzz target, a bench smoke (one iteration of the kernel
+# benchmarks, then a one-second run of every bench/ workload that must
+# reproduce the seed-1 digests recorded in bench/digests.json), a chaos
+# smoke that drives fault injection and the degradation ladder end-to-end
+# through the CLI, a serve smoke that kills and resumes a checkpointing
+# service-mode run, and a fidelity smoke that pins the floor layer's
+# disabled path to the committed golden and drives floors + swap order +
+# carry-aware pricing end-to-end. bench-check compiles and tests the
+# benchmark harness in bench/.
 verify: vet docs-check build bench-check race cover fuzz-smoke bench-smoke chaos-smoke serve-smoke fidelity-smoke
 
 # bench-check vets and runs the benchmark harness's own tests (about 4 s).
@@ -139,56 +139,29 @@ fidelity-smoke:
 		-carry -carry-retention 0.9 -carry-min-scale 0.5 -carry-aware-lp > /dev/null
 	@echo "fidelity-smoke: floor-disabled output byte-identical to committed golden"
 
-# bench records the run in BENCH_PR2.json next to the committed pre-change
-# baseline (BenchmarkColumnGeneration at commit 51e778b, serial kernel:
-# 663402285 ns/op) so the speedup claim is reproducible from the repo.
-bench:
-	$(GO) test -bench='$(BENCH)' -benchmem -benchtime=$(BENCHTIME) -timeout 30m -run='^$$' . | \
-		$(GO) run ./cmd/benchjson -out BENCH_PR2.json \
-		-note 'column-generation kernel optimization PR; baseline from commit 51e778b' \
-		-baseline BenchmarkColumnGeneration=663402285
-
 # bench-smoke executes each substrate benchmark, the SEE, REPS, Greedy
 # and Contend slot kernels and the Greedy, Contend and QPass construction
 # kernels exactly once — a fast compile-and-run check, not a measurement —
-# then guards the warm-start workload against the committed BENCH_PR9.json
-# record: if warm slots/sec drops below 80% of the committed number, the
-# hot path regressed and the target fails (cmd/benchjson -check;
-# docs/PROFILING.md is the follow-up).
+# then runs the repo benchmark (bench/run.sh, BENCHMARK.json) for one
+# second per workload at seed 1, each workload in its own process. It
+# fails unless every workload reports `correct: true` with no failed op:
+# the per-slot throughput digest of the first rotation matches
+# bench/digests.json, the oracle bound and the fidelity floors hold, and
+# no op errors. Every run finishes at least one rotation, so the verdict
+# depends on the code's bits, never on the host's speed; speed is judged
+# by alternated parent/change runs against BENCHMARK.json's bounds.
 bench-smoke:
 	$(GO) test -bench='ColumnGeneration|YenKShortest|Slot(SEE|REPS|Greedy|Contend)$$|Build(Greedy|Contend|QPass)$$' -benchtime=1x -run='^$$' .
-	$(GO) test -bench='WorkloadSlotsWarm' -benchmem -benchtime=3x -run='^$$' . | \
-		$(GO) run ./cmd/benchjson -check BENCH_PR9.json -metric slots/sec -min-ratio 0.8
-
-# bench-pr4 records the cross-slot carry-over workload benchmarks in
-# BENCH_PR4.json; the baseline is BenchmarkWorkloadMemoryless measured on
-# the same host, so the delivered/slot gain of the state bank is readable
-# from the file alone.
-bench-pr4:
-	$(GO) test -bench='WorkloadCarryOver|WorkloadMemoryless' -benchmem -benchtime=$(BENCHTIME) -count=3 -timeout 30m -run='^$$' . | \
-		$(GO) run ./cmd/benchjson -out BENCH_PR4.json \
-		-note 'cross-slot entanglement carry-over PR; memoryless workload is the in-file baseline'
-
-# bench-pr9 records the warm-start workload benchmarks in BENCH_PR9.json:
-# the cold variant rebuilds all planning per iteration (the pre-PR-9 cost
-# of every scheduler restart), the warm variant replays the memoized
-# artifacts, and the per-slot benches carry pre-PR ns/op baselines so the
-# scratch-arena gains are readable from the file alone. DESIGN.md §9
-# explains how to read and regenerate the record.
-bench-pr9:
-	$(GO) test -bench='WorkloadSlotsCold|WorkloadSlotsWarm|SlotSEE$$|SlotREPS' -benchmem -benchtime=$(BENCHTIME) -timeout 30m -run='^$$' . | \
-		$(GO) run ./cmd/benchjson -out BENCH_PR9.json \
-		-note 'warm-start PR; cold workload variant is the in-file baseline, per-slot ns/op baselines from commit a564a5e' \
-		-baseline BenchmarkSlotSEE=546727 -baseline BenchmarkSlotREPS=4507219
+	bash bench/run.sh --seconds 1
 
 # profile captures CPU and allocation profiles of one root benchmark and
 # prints the top functions of each — the entry point of the workflow in
 # docs/PROFILING.md. PROFILE_BENCH picks the benchmark (a -bench regexp;
-# default the warm slot workload), e.g.
+# default one SEE slot), e.g.
 #   make profile PROFILE_BENCH='ColumnGeneration$'
 # for one LP solve. Profiles land in /tmp/see-profile for interactive
 # follow-up with `go tool pprof`.
-PROFILE_BENCH ?= WorkloadSlotsWarm
+PROFILE_BENCH ?= SlotSEE$$
 
 profile:
 	@mkdir -p /tmp/see-profile

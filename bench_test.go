@@ -18,7 +18,6 @@ import (
 	"runtime"
 	"testing"
 
-	"see"
 	"see/internal/contend"
 	"see/internal/core"
 	"see/internal/experiment"
@@ -530,116 +529,3 @@ func benchBuild(b *testing.B, build func(*topo.Network, []topo.SDPair) error) {
 		}
 	}
 }
-
-// BenchmarkSchedulerConstruction measures end-to-end engine setup
-// (Yen + candidate enumeration + LP) through the public API.
-func BenchmarkSchedulerConstruction(b *testing.B) {
-	cfg := see.DefaultNetworkConfig()
-	cfg.Nodes = 100
-	net, pairs, err := see.GenerateNetwork(cfg, 10, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := see.NewScheduler(see.SEE, net, pairs, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchCarryWorkload drives a 20-slot qubit workload through a fresh SEE
-// scheduler each iteration, with or without the cross-slot state bank
-// (DESIGN.md §6), and reports delivered qubits per slot.
-func benchCarryWorkload(b *testing.B, carry bool) {
-	b.Helper()
-	net, pairs, err := see.GenerateNetwork(see.NetworkConfig{Nodes: 50}, 8, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const slots = 20
-	var delivered int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opts := &see.SchedulerOptions{}
-		if carry {
-			opts.CarryOver = true
-			opts.DecoherenceSlots = 2
-		}
-		sc, err := see.NewScheduler(see.SEE, net, pairs, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := see.RunWorkload(sc, len(pairs), see.WorkloadConfig{
-			Slots:           slots,
-			ArrivalsPerPair: 1,
-			QueueCap:        20,
-			Seed:            7,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		delivered = res.Delivered
-	}
-	b.ReportMetric(float64(delivered)/slots, "delivered/slot")
-}
-
-// BenchmarkWorkloadCarryOver measures the carry-over path (segments banked
-// in node memories across slots).
-func BenchmarkWorkloadCarryOver(b *testing.B) { benchCarryWorkload(b, true) }
-
-// BenchmarkWorkloadMemoryless measures the paper's memoryless slot for
-// comparison against BenchmarkWorkloadCarryOver.
-func BenchmarkWorkloadMemoryless(b *testing.B) { benchCarryWorkload(b, false) }
-
-// benchWarmWorkload drives the PR-9 warm-start workload: each iteration
-// rebuilds a SEE scheduler over the same paper-scale instance (200 nodes,
-// 20 SD pairs — the restart/rebuild pattern of service mode and the
-// resilience harness) and runs benchWarmSlots slots. With a warm cache the
-// rebuild replays the memoized segment set and LP solution instead of
-// re-deriving them, so the cold/warm ratio is the headline slots/sec claim
-// in BENCH_PR9.json. Results are byte-identical either way (the schedtest
-// warm≡cold suite pins this); only the time to reach them changes.
-const benchWarmSlots = 10
-
-func benchWarmWorkload(b *testing.B, cache *see.WarmCache) {
-	b.Helper()
-	cfg := see.DefaultNetworkConfig()
-	cfg.Nodes = 200
-	net, pairs, err := see.GenerateNetwork(cfg, 20, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := &see.SchedulerOptions{Warm: cache}
-	if cache != nil {
-		// Prime outside the timed region: the steady state being measured
-		// is "every rebuild after the first".
-		if _, err := see.NewScheduler(see.SEE, net, pairs, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc, err := see.NewScheduler(see.SEE, net, pairs, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := xrand.New(4)
-		for s := 0; s < benchWarmSlots; s++ {
-			if _, err := sc.RunSlot(rng); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(b.N*benchWarmSlots)/b.Elapsed().Seconds(), "slots/sec")
-}
-
-// BenchmarkWorkloadSlotsCold measures the rebuild-and-run workload with the
-// warm cache disabled: every iteration pays full segment enumeration and
-// column generation — the pre-PR-9 cost of a scheduler restart.
-func BenchmarkWorkloadSlotsCold(b *testing.B) { benchWarmWorkload(b, nil) }
-
-// BenchmarkWorkloadSlotsWarm measures the same workload with a shared warm
-// cache: rebuilds replay memoized planning artifacts and slots run on the
-// reusable scratch arenas.
-func BenchmarkWorkloadSlotsWarm(b *testing.B) { benchWarmWorkload(b, see.NewWarmCache()) }

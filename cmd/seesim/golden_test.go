@@ -84,18 +84,20 @@ func TestGolden(t *testing.T) {
 
 // TestRunBadFlags locks the CLI's error behavior: bad values exit
 // non-zero (2 for usage errors caught at parse time, 1 for errors caught
-// once trials start, like an unknown topology) and report through stderr,
-// not stdout.
+// once trials start, like an unknown topology or a scheduler option
+// engines.Config.Validate rejects) and report through stderr, not stdout.
 func TestRunBadFlags(t *testing.T) {
 	for _, tc := range []struct {
-		args []string
-		code int
+		args   []string
+		code   int
+		stderr string // substring the report must contain, if set
 	}{
-		{[]string{"-alg", "nope"}, 2},
-		{[]string{"-topo", "torus"}, 1},
-		{[]string{"-traffic", "bursty"}, 2},
-		{[]string{"-faults", "node=abc"}, 2},
-		{[]string{"-not-a-flag"}, 2},
+		{[]string{"-alg", "nope"}, 2, ""},
+		{[]string{"-topo", "torus"}, 1, ""},
+		{[]string{"-traffic", "bursty"}, 2, ""},
+		{[]string{"-faults", "node=abc"}, 2, ""},
+		{[]string{"-not-a-flag"}, 2, ""},
+		{[]string{"-carry", "-carry-retention", "NaN"}, 1, "engines: CarryWernerRetention NaN"},
 	} {
 		args := tc.args
 		var stdout, stderr bytes.Buffer
@@ -107,6 +109,9 @@ func TestRunBadFlags(t *testing.T) {
 		}
 		if stderr.Len() == 0 {
 			t.Errorf("run(%q) reported nothing on stderr", args)
+		}
+		if !strings.Contains(stderr.String(), tc.stderr) {
+			t.Errorf("run(%q) stderr %q does not contain %q", args, stderr.String(), tc.stderr)
 		}
 	}
 }

@@ -160,13 +160,7 @@ func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, e
 	if opts.Slot.Algorithm == 0 {
 		opts.Slot.Algorithm = sched.Contend
 	}
-	var set *segment.Set
-	var err error
-	if opts.Warm != nil {
-		set, err = opts.Warm.SegmentSet(net, pairs, opts.Segment)
-	} else {
-		set, err = segment.Build(net, pairs, opts.Segment)
-	}
+	set, err := opts.Warm.SegmentSet(nil, net, pairs, opts.Segment)
 	if err != nil {
 		return nil, fmt.Errorf("contend: building candidates: %w", err)
 	}

@@ -145,14 +145,7 @@ func NewEngineCtx(ctx context.Context, net *topo.Network, pairs []topo.SDPair, o
 	}
 	// Budgeted construction (non-nil ctx) bypasses the warm cache so
 	// timeout behavior never depends on what some earlier build memoized.
-	useWarm := opts.Warm != nil && ctx == nil
-	var set *segment.Set
-	var err error
-	if useWarm {
-		set, err = opts.Warm.SegmentSet(net, pairs, opts.Segment)
-	} else {
-		set, err = segment.Build(net, pairs, opts.Segment)
-	}
+	set, err := opts.Warm.SegmentSet(ctx, net, pairs, opts.Segment)
 	if err != nil {
 		return nil, fmt.Errorf("core: building candidates: %w", err)
 	}
@@ -177,12 +170,7 @@ func NewEngineCtx(ctx context.Context, net *topo.Network, pairs []topo.SDPair, o
 		}
 		opts.Flow.ConnCap = connCap
 	}
-	var sol *flow.Solution
-	if useWarm {
-		sol, err = opts.Warm.Solve(set, opts.Flow)
-	} else {
-		sol, err = flow.SolveCtx(ctx, set, opts.Flow)
-	}
+	sol, err := opts.Warm.Solve(ctx, set, opts.Flow)
 	if err != nil {
 		return nil, fmt.Errorf("core: solving LP relaxation: %w", err)
 	}

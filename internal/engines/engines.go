@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -106,8 +107,10 @@ type Config struct {
 }
 
 // Validate rejects a Config no scheduler can honour: negative counts and
-// budgets, floors outside [0,1] and unknown swap orders. New and
-// NewResilient call it, so every construction path checks the same rules.
+// budgets, a segment probability or floors outside [0,1], a NaN, infinite
+// or negative carry retention or substitution threshold, and unknown swap
+// orders. New and NewResilient call it, so every construction path checks
+// the same rules.
 func (c Config) Validate() error {
 	switch {
 	case c.KPaths < 0:
@@ -120,6 +123,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engines: negative SlotBudget %v", c.SlotBudget)
 	case c.DecoherenceSlots < 0:
 		return fmt.Errorf("engines: negative DecoherenceSlots %d", c.DecoherenceSlots)
+	case !(c.MinSegmentProb >= 0 && c.MinSegmentProb <= 1):
+		return fmt.Errorf("engines: MinSegmentProb %v outside [0,1]", c.MinSegmentProb)
+	case !finiteNonNegative(c.CarryWernerRetention):
+		return fmt.Errorf("engines: CarryWernerRetention %v is not a finite non-negative number", c.CarryWernerRetention)
+	case !finiteNonNegative(c.CarryMinWernerScale):
+		return fmt.Errorf("engines: CarryMinWernerScale %v is not a finite non-negative number", c.CarryMinWernerScale)
 	}
 	if f := c.FidelityFloors; f != nil {
 		if f.Default < 0 || f.Default > 1 {
@@ -138,6 +147,10 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// finiteNonNegative reports whether v is a real number ≥ 0 (NaN fails
+// every comparison, so it is rejected with the infinities).
+func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // Builder constructs one scheme's engine around the scheduler's injector
 // (nil without faults); ctx (nil = never cancelled) bounds any LP solves

@@ -1,6 +1,8 @@
 package engines
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"see/internal/sched"
@@ -134,5 +136,52 @@ func TestUnknownAlgorithm(t *testing.T) {
 	}
 	if _, err := New(sched.SEE, nil, pairs, Config{}); err == nil {
 		t.Fatal("nil network accepted")
+	}
+}
+
+// TestValidateRejectsBadFloats pins Validate's float rules: MinSegmentProb
+// must lie in [0,1], and the carry retention and substitution threshold
+// must be finite and non-negative. Retention 0 or ≥ 1 stays valid: both
+// disable decay (state.Policy.WernerRetention).
+func TestValidateRejectsBadFloats(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		field string
+	}{
+		{"prob NaN", Config{MinSegmentProb: nan}, "MinSegmentProb"},
+		{"prob negative", Config{MinSegmentProb: -0.1}, "MinSegmentProb"},
+		{"prob above one", Config{MinSegmentProb: 1.5}, "MinSegmentProb"},
+		{"prob +Inf", Config{MinSegmentProb: inf}, "MinSegmentProb"},
+		{"retention NaN", Config{CarryWernerRetention: nan}, "CarryWernerRetention"},
+		{"retention +Inf", Config{CarryWernerRetention: inf}, "CarryWernerRetention"},
+		{"retention -Inf", Config{CarryWernerRetention: -inf}, "CarryWernerRetention"},
+		{"retention negative", Config{CarryWernerRetention: -0.5}, "CarryWernerRetention"},
+		{"min scale NaN", Config{CarryMinWernerScale: nan}, "CarryMinWernerScale"},
+		{"min scale +Inf", Config{CarryMinWernerScale: inf}, "CarryMinWernerScale"},
+		{"min scale -Inf", Config{CarryMinWernerScale: -inf}, "CarryMinWernerScale"},
+		{"min scale negative", Config{CarryMinWernerScale: -3}, "CarryMinWernerScale"},
+	} {
+		err := tc.cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Validate() = %v, want an error naming %s", tc.name, err, tc.field)
+		}
+	}
+	for _, cfg := range []Config{
+		{},
+		{MinSegmentProb: 0.05},
+		{MinSegmentProb: 1},
+		{CarryOver: true, CarryWernerRetention: 0.9, CarryMinWernerScale: 0.5},
+		{CarryOver: true, CarryWernerRetention: 1},
+		{CarryOver: true, CarryWernerRetention: 2, CarryMinWernerScale: 1},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)
+		}
+	}
+	net, pairs := topo.Motivation()
+	if _, err := New(sched.SEE, net, pairs, Config{CarryOver: true, CarryWernerRetention: nan}); err == nil {
+		t.Error("New accepted a NaN carry retention")
 	}
 }

@@ -173,19 +173,9 @@ func (a *Arena) tablesValid(set *segment.Set, opts Options) bool {
 	if !a.dropDead {
 		return true
 	}
-	return intSlicesEqual(a.channels, opts.Channels) && intSlicesEqual(a.memory, opts.Memory)
-}
-
-func intSlicesEqual(a, b []int) bool {
-	if (a == nil) != (b == nil) || len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	// nil (the network's tables) never matches an explicit override.
+	return (a.channels == nil) == (opts.Channels == nil) && slices.Equal(a.channels, opts.Channels) &&
+		(a.memory == nil) == (opts.Memory == nil) && slices.Equal(a.memory, opts.Memory)
 }
 
 func (o Options) withDefaults(set *segment.Set) Options {

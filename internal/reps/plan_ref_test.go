@@ -73,7 +73,7 @@ func (e *Engine) provisionReference(ctx context.Context) error {
 		var sol *flow.Solution
 		var err error
 		if useWarm {
-			sol, err = e.opts.Warm.Solve(e.Set, fopts)
+			sol, err = e.opts.Warm.Solve(nil, e.Set, fopts)
 		} else {
 			sol, err = flow.SolveCtx(ctx, e.Set, fopts)
 		}

@@ -104,14 +104,7 @@ func NewEngineCtx(ctx context.Context, net *topo.Network, pairs []topo.SDPair, o
 	segOpts.MaxSegmentHops = 1 // entanglement links only
 	segOpts.MinProb = 0
 	// Budgeted construction bypasses the warm cache (see core.NewEngineCtx).
-	useWarm := opts.Warm != nil && ctx == nil
-	var set *segment.Set
-	var err error
-	if useWarm {
-		set, err = opts.Warm.SegmentSet(net, pairs, segOpts)
-	} else {
-		set, err = segment.Build(net, pairs, segOpts)
-	}
+	set, err := opts.Warm.SegmentSet(ctx, net, pairs, segOpts)
 	if err != nil {
 		return nil, fmt.Errorf("reps: building link candidates: %w", err)
 	}
@@ -146,7 +139,6 @@ func (e *Engine) provision(ctx context.Context) error {
 	// capacity-independent tables, its master simplex buffers and its
 	// pricing scratch across all of them; a warm cache additionally
 	// replays whole solutions across engine rebuilds.
-	useWarm := e.opts.Warm != nil && ctx == nil
 	arena := &flow.Arena{}
 
 	// commit reserves up to n attempts over c (as many as the residual
@@ -168,13 +160,7 @@ func (e *Engine) provision(ctx context.Context) error {
 		fopts.ConnCap = e.ConnCap
 		fopts.Channels, fopts.Memory = ledger.Free()
 		fopts.Arena = arena
-		var sol *flow.Solution
-		var err error
-		if useWarm {
-			sol, err = e.opts.Warm.Solve(e.Set, fopts)
-		} else {
-			sol, err = flow.SolveCtx(ctx, e.Set, fopts)
-		}
+		sol, err := e.opts.Warm.Solve(ctx, e.Set, fopts)
 		if err != nil {
 			return fmt.Errorf("reps: provisioning LP: %w", err)
 		}

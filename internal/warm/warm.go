@@ -35,15 +35,18 @@
 // # What is NOT cached
 //
 // Budgeted construction (a non-nil context) bypasses the cache entirely —
-// no lookup, no insert — so degradation behavior under -slot-budget is
-// exactly what it would be without a cache. Callers enforce this by only
-// consulting the cache when their context is nil.
+// no lookup, no insert, no stats — so degradation behavior under
+// -slot-budget is exactly what it would be without a cache. SegmentSet and
+// Solve make that decision themselves, and a nil *Cache builds cold the
+// same way, so engine constructors call them unconditionally.
 //
 // All returned artifacts are shared and must be treated as immutable,
 // which they already are everywhere in the engine layer.
 package warm
 
 import (
+	"context"
+	"slices"
 	"sync"
 
 	"see/internal/flow"
@@ -52,8 +55,8 @@ import (
 )
 
 // Stats counts cache traffic. Hits replay a memoized artifact; misses fall
-// through to a cold build. The counters are plumbed into service-mode
-// checkpoints (internal/serve) so a resumed run continues its totals.
+// through to a cold build. The benchmark reports them as warm.hits and
+// warm.misses.
 type Stats struct {
 	// SetHits / SetMisses count segment.Build memoization traffic.
 	SetHits, SetMisses uint64
@@ -116,10 +119,10 @@ func makeSolveKey(o flow.Options) solveKey {
 		dropDeadLinks:         o.DropDeadLinks,
 		swapWeightedObjective: o.SwapWeightedObjective,
 		maxJunctions:          o.MaxJunctions,
-		connCap:               cloneInts(o.ConnCap),
-		channels:              cloneInts(o.Channels),
-		memory:                cloneInts(o.Memory),
-		carryWeights:          cloneFloats(o.CarryWeights),
+		connCap:               slices.Clone(o.ConnCap),
+		channels:              slices.Clone(o.Channels),
+		memory:                slices.Clone(o.Memory),
+		carryWeights:          slices.Clone(o.CarryWeights),
 	}
 }
 
@@ -129,81 +132,35 @@ func (k solveKey) equal(o solveKey) bool {
 		k.dropDeadLinks == o.dropDeadLinks &&
 		k.swapWeightedObjective == o.swapWeightedObjective &&
 		k.maxJunctions == o.maxJunctions &&
-		intsEqual(k.connCap, o.connCap) &&
-		intsEqual(k.channels, o.channels) &&
-		intsEqual(k.memory, o.memory) &&
-		floatsEqual(k.carryWeights, o.carryWeights)
+		sameSlice(k.connCap, o.connCap) &&
+		sameSlice(k.channels, o.channels) &&
+		sameSlice(k.memory, o.memory) &&
+		sameSlice(k.carryWeights, o.carryWeights)
 }
 
-// cloneInts copies a capacity slice, preserving nilness: nil means "derive
-// defaults" to the solver and must not collide with an explicit empty
-// override.
-func cloneInts(s []int) []int {
-	if s == nil {
-		return nil
-	}
-	out := make([]int, len(s))
-	copy(out, s)
-	return out
-}
-
-func intsEqual(a, b []int) bool {
-	if (a == nil) != (b == nil) || len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// cloneFloats copies a weight slice, preserving nilness (nil disables the
-// carry-aware pricing bias and must not collide with explicit weights).
-func cloneFloats(s []float64) []float64 {
-	if s == nil {
-		return nil
-	}
-	out := make([]float64, len(s))
-	copy(out, s)
-	return out
-}
-
-func floatsEqual(a, b []float64) bool {
-	if (a == nil) != (b == nil) || len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func pairsEqual(a, b []topo.SDPair) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// sameSlice is slices.Equal that also tells nil from empty: a nil override
+// means "derive defaults" (or, for carry weights, "no bias") to the solver
+// and must not collide with an explicit empty one. slices.Clone keeps the
+// distinction, so keys built from the same options compare equal.
+func sameSlice[T comparable](a, b []T) bool {
+	return (a == nil) == (b == nil) && slices.Equal(a, b)
 }
 
 // SegmentSet returns the memoized segment set for (net, pairs, opts),
-// building it cold on a miss. The returned set is shared: callers must
-// treat it as immutable (segment.Set already is after Build).
-func (c *Cache) SegmentSet(net *topo.Network, pairs []topo.SDPair, opts segment.Options) (*segment.Set, error) {
+// building it cold on a miss. A nil cache or a non-nil ctx (budgeted
+// construction) builds cold through segment.Build and touches no stats.
+// The returned set is shared: callers must treat it as immutable
+// (segment.Set already is after Build).
+func (c *Cache) SegmentSet(ctx context.Context, net *topo.Network, pairs []topo.SDPair, opts segment.Options) (*segment.Set, error) {
+	if c == nil || ctx != nil {
+		return segment.Build(net, pairs, opts)
+	}
 	fp := topo.Fingerprint(net)
 
 	c.mu.Lock()
 	for i := range c.sets {
 		e := &c.sets[i]
-		if e.net != net || e.opts != opts || !pairsEqual(e.pairs, pairs) {
+		if e.net != net || e.opts != opts || !slices.Equal(e.pairs, pairs) {
 			continue
 		}
 		if e.fp != fp {
@@ -233,22 +190,23 @@ func (c *Cache) SegmentSet(net *topo.Network, pairs []topo.SDPair, opts segment.
 	// LP-solution cache keys on it).
 	for i := range c.sets {
 		e := &c.sets[i]
-		if e.net == net && e.fp == fp && e.opts == opts && pairsEqual(e.pairs, pairs) {
+		if e.net == net && e.fp == fp && e.opts == opts && slices.Equal(e.pairs, pairs) {
 			return e.set, nil
 		}
 	}
-	pcopy := make([]topo.SDPair, len(pairs))
-	copy(pcopy, pairs)
-	c.sets = append(c.sets, setEntry{net: net, fp: fp, pairs: pcopy, opts: opts, set: set})
+	c.sets = append(c.sets, setEntry{net: net, fp: fp, pairs: slices.Clone(pairs), opts: opts, set: set})
 	return set, nil
 }
 
 // Solve returns the memoized LP solution for (set, opts), solving cold on
-// a miss. Callers must only use it with an unbudgeted (nil-context)
-// construction — budgeted solves go straight to flow.SolveCtx so timeout
+// a miss. A nil cache or a non-nil ctx (budgeted construction) solves cold
+// through flow.SolveCtx(ctx, ...) and touches no stats, so timeout
 // behavior is cache-independent. The returned solution is shared and
 // immutable.
-func (c *Cache) Solve(set *segment.Set, opts flow.Options) (*flow.Solution, error) {
+func (c *Cache) Solve(ctx context.Context, set *segment.Set, opts flow.Options) (*flow.Solution, error) {
+	if c == nil || ctx != nil {
+		return flow.SolveCtx(ctx, set, opts)
+	}
 	key := makeSolveKey(opts)
 
 	c.mu.Lock()

@@ -1,6 +1,8 @@
 package warm
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"see/internal/flow"
@@ -26,11 +28,11 @@ func TestSegmentSetMemoized(t *testing.T) {
 	c := New()
 	opts := segment.DefaultOptions()
 
-	a, err := c.SegmentSet(net, pairs, opts)
+	a, err := c.SegmentSet(nil, net, pairs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.SegmentSet(net, pairs, opts)
+	b, err := c.SegmentSet(nil, net, pairs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func TestSegmentSetMemoized(t *testing.T) {
 	// Different options are a different entry.
 	opts2 := opts
 	opts2.KPaths = 2
-	s2, err := c.SegmentSet(net, pairs, opts2)
+	s2, err := c.SegmentSet(nil, net, pairs, opts2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,13 +61,13 @@ func TestSegmentSetInvalidatesOnMutation(t *testing.T) {
 	c := New()
 	opts := segment.DefaultOptions()
 
-	a, err := c.SegmentSet(net, pairs, opts)
+	a, err := c.SegmentSet(nil, net, pairs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Mutate the network in place: same pointer, new content fingerprint.
 	net.Channels[0]++
-	b, err := c.SegmentSet(net, pairs, opts)
+	b, err := c.SegmentSet(nil, net, pairs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,17 +86,17 @@ func TestSegmentSetInvalidatesOnMutation(t *testing.T) {
 func TestSolveMemoized(t *testing.T) {
 	net, pairs := testInstance(t)
 	c := New()
-	set, err := c.SegmentSet(net, pairs, segment.DefaultOptions())
+	set, err := c.SegmentSet(nil, net, pairs, segment.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var fo flow.Options
-	a, err := c.Solve(set, fo)
+	a, err := c.Solve(nil, set, fo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Solve(set, fo)
+	b, err := c.Solve(nil, set, fo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestSolveMemoized(t *testing.T) {
 	// Workers must not affect the key: the solver is deterministic at any
 	// worker count, so a worker-count change is still a hit.
 	fo.Workers = 4
-	w, err := c.Solve(set, fo)
+	w, err := c.Solve(nil, set, fo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestSolveMemoized(t *testing.T) {
 	for i := range fo2.Channels {
 		fo2.Channels[i] = 1
 	}
-	s2, err := c.Solve(set, fo2)
+	s2, err := c.Solve(nil, set, fo2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,7 @@ func TestSolveMemoized(t *testing.T) {
 	// The key copies the slices: mutating the caller's slice afterwards
 	// must not corrupt the stored entry.
 	fo2.Channels[0] = 99
-	s3, err := c.Solve(set, flow.Options{Channels: fo2.Channels})
+	s3, err := c.Solve(nil, set, flow.Options{Channels: fo2.Channels})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,5 +142,92 @@ func TestSolveMemoized(t *testing.T) {
 	st := c.Stats()
 	if st.SolveHits != 2 || st.SolveMisses != 3 {
 		t.Fatalf("stats = %+v, want 2 hits 3 misses", st)
+	}
+}
+
+// TestColdPaths pins the one warm-or-cold decision: a nil cache builds and
+// solves exactly like segment.Build and flow.SolveCtx, and a non-nil ctx
+// (budgeted construction) builds cold without looking up, inserting or
+// counting anything.
+func TestColdPaths(t *testing.T) {
+	net, pairs := testInstance(t)
+	opts := segment.DefaultOptions()
+	coldSet, err := segment.Build(net, pairs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldSol, err := flow.SolveCtx(nil, coldSet, flow.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var nilCache *Cache
+	set, err := nilCache.SegmentSet(nil, net, pairs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(set, coldSet) {
+		t.Fatal("nil cache built a different segment set than segment.Build")
+	}
+	sol, err := nilCache.Solve(nil, coldSet, flow.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sol, coldSol) {
+		t.Fatal("nil cache solved differently than flow.SolveCtx")
+	}
+
+	c := New()
+	memo, err := c.SegmentSet(nil, net, pairs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Solve(nil, memo, flow.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats()
+	ctx := context.Background()
+	set, err = c.SegmentSet(ctx, net, pairs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set == memo {
+		t.Fatal("budgeted build replayed the memoized set")
+	}
+	if !reflect.DeepEqual(set, coldSet) {
+		t.Fatal("budgeted build differs from segment.Build")
+	}
+	sol, err = c.Solve(ctx, memo, flow.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sol.PerCommodity, coldSol.PerCommodity) || sol.Objective != coldSol.Objective {
+		t.Fatal("budgeted solve differs from flow.SolveCtx")
+	}
+	if st := c.Stats(); st != before {
+		t.Fatalf("budgeted build moved stats from %+v to %+v", before, st)
+	}
+	if len(c.sets) != 1 || len(c.solves) != 1 {
+		t.Fatalf("budgeted build inserted entries: %d sets, %d solves", len(c.sets), len(c.solves))
+	}
+}
+
+// TestSolveKeyNilVersusEmpty pins that a nil override ("derive from the
+// network" / "no carry bias") and an explicit empty one are different
+// solves, for every slice field of the key.
+func TestSolveKeyNilVersusEmpty(t *testing.T) {
+	for name, pair := range map[string][2]flow.Options{
+		"ConnCap":      {{}, {ConnCap: []int{}}},
+		"Channels":     {{}, {Channels: []int{}}},
+		"Memory":       {{}, {Memory: []int{}}},
+		"CarryWeights": {{}, {CarryWeights: []float64{}}},
+	} {
+		nilKey, emptyKey := makeSolveKey(pair[0]), makeSolveKey(pair[1])
+		if nilKey.equal(emptyKey) || emptyKey.equal(nilKey) {
+			t.Errorf("%s: nil and empty overrides share a key", name)
+		}
+		if !nilKey.equal(makeSolveKey(pair[0])) || !emptyKey.equal(makeSolveKey(pair[1])) {
+			t.Errorf("%s: a key does not equal its own rebuild", name)
+		}
 	}
 }
