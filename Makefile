@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race verify bench-check bench-smoke profile chaos-smoke serve-smoke fidelity-smoke docs-check cover cover-update fuzz-smoke figures
+.PHONY: all build test vet race verify examples-smoke bench-check bench-smoke profile chaos-smoke serve-smoke fidelity-smoke docs-check cover cover-update fuzz-smoke figures
 
 # BENCHTIME is the per-benchmark budget of `make profile`, e.g.
 #   make profile BENCHTIME=5s
@@ -20,8 +20,8 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# verify is the repo's full gate: vet, the docs gate, build, the test
-# suite under the race detector (the experiment harness runs trials
+# verify is the repo's full gate: vet, the docs gate, build, a run of
+# every example program, the test suite under the race detector (the experiment harness runs trials
 # concurrently), the per-package coverage floor, a short fuzz pass over
 # every committed fuzz target, a bench smoke (one iteration of the kernel
 # benchmarks, then a one-second run of every bench/ workload that must
@@ -32,7 +32,14 @@ race:
 # disabled path to the committed golden and drives floors + swap order +
 # carry-aware pricing end-to-end. bench-check compiles and tests the
 # benchmark harness in bench/.
-verify: vet docs-check build bench-check race cover fuzz-smoke bench-smoke chaos-smoke serve-smoke fidelity-smoke
+verify: vet docs-check build examples-smoke bench-check race cover fuzz-smoke bench-smoke chaos-smoke serve-smoke fidelity-smoke
+
+# examples-smoke runs every program under examples/ and fails on the first
+# non-zero exit (each takes well under a second with a warm build cache):
+# `build` only compiles them, so a runtime break would otherwise go unseen.
+examples-smoke:
+	@set -e; for d in examples/*/; do \
+		echo "$(GO) run ./$${d%/}"; $(GO) run ./$${d%/} > /dev/null; done
 
 # bench-check vets and runs the benchmark harness's own tests (about 4 s).
 # bench/ is its own module, so the root `go build ./...` never compiles it,

@@ -35,6 +35,10 @@ var goldenCases = []struct {
 	{"correlated", []string{"-alg", "see,contend,qpass", "-fault-aware", "-nodes", "30", "-pairs", "5", "-trials", "2", "-slots", "6", "-seed", "7", "-workers", "1",
 		"-faults", "seed=7;cut:5000,5000,2500@1-2;brown:1,0.5@0-;flap:2,3,0.67@0-;node=!4@3-4"}},
 	{"nsfnet", []string{"-alg", "see", "-topo", "nsfnet", "-pairs", "4", "-trials", "2", "-seed", "7", "-workers", "1"}},
+	// nsfnet-q0 must differ from nsfnet: explicit zeros reach the loaded
+	// topology too.
+	{"nsfnet-q0", []string{"-alg", "see", "-topo", "nsfnet", "-pairs", "4", "-trials", "2", "-seed", "7", "-workers", "1",
+		"-swap", "0", "-alpha", "0"}},
 	{"oracle", []string{"-alg", "see,oracle", "-nodes", "30", "-pairs", "5", "-trials", "2", "-seed", "7", "-workers", "1",
 		"-fidelity-floor", "0.6;0=0.7"}},
 	// knobs and serve pin every scheduler option seesim forwards (carry
@@ -98,6 +102,14 @@ func TestRunBadFlags(t *testing.T) {
 		{[]string{"-faults", "node=abc"}, 2, ""},
 		{[]string{"-not-a-flag"}, 2, ""},
 		{[]string{"-carry", "-carry-retention", "NaN"}, 1, "engines: CarryWernerRetention NaN"},
+		// Network values the config would resolve to something else are
+		// usage errors, so the header never reports a value the run did
+		// not use.
+		{[]string{"-nodes", "0"}, 2, "-nodes"},
+		{[]string{"-channels", "0"}, 2, "-channels"},
+		{[]string{"-memory", "-2"}, 2, "-memory"},
+		{[]string{"-swap", "-0.5"}, 2, "-swap"},
+		{[]string{"-alpha", "-1"}, 2, "-alpha"},
 	} {
 		args := tc.args
 		var stdout, stderr bytes.Buffer

@@ -83,6 +83,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		algs = faultAwareAlgs(algs)
 	}
 
+	if err := checkNetworkFlags(*nodes, *channels, *memory, *swap, *alpha); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 	cfg := see.DefaultNetworkConfig()
 	cfg.Nodes = *nodes
 	cfg.Channels = *channels
@@ -346,6 +350,26 @@ func isBankIncident(k see.Incident) bool {
 // configured (suppressed in floor-less runs, like the bank kinds).
 func isFloorIncident(k see.Incident) bool {
 	return k == see.IncidentFloorReject
+}
+
+// checkNetworkFlags rejects the network flag values NetworkConfig would
+// silently resolve to something else — a count below 1 to the paper
+// default, a negative (or NaN) probability or attenuation to zero or the
+// default — so the report header always shows the values the run used.
+func checkNetworkFlags(nodes, channels, memory int, swap, alpha float64) error {
+	switch {
+	case nodes < 1:
+		return fmt.Errorf("seesim: -nodes %d must be at least 1", nodes)
+	case channels < 1:
+		return fmt.Errorf("seesim: -channels %d must be at least 1", channels)
+	case memory < 1:
+		return fmt.Errorf("seesim: -memory %d must be at least 1", memory)
+	case !(swap >= 0):
+		return fmt.Errorf("seesim: -swap %v must be at least 0", swap)
+	case !(alpha >= 0):
+		return fmt.Errorf("seesim: -alpha %v must be at least 0", alpha)
+	}
+	return nil
 }
 
 // explicitFloat maps a flag value of 0 to see.ExplicitZero so that

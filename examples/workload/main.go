@@ -11,11 +11,6 @@ import (
 	"math/rand"
 
 	"see"
-	"see/internal/core"
-	"see/internal/qnet"
-	"see/internal/reps"
-	"see/internal/topo"
-	"see/internal/xrand"
 )
 
 func main() {
@@ -45,56 +40,28 @@ func main() {
 	}
 
 	// Fidelity comparison (Werner-state extension): SEE's connections use
-	// fewer swaps but longer optical segments than REPS's link chains.
+	// fewer swaps but longer optical segments than REPS's link chains. Every
+	// established connection carries its delivered fidelity under the
+	// default Werner model.
 	fmt.Println("\nmean delivered-entanglement fidelity (Werner model, 30 slots):")
-	model := qnet.DefaultFidelityModel()
-	rawNet, err := topo.Generate(topoConfig(cfg), xrand.New(21^0x5ee))
-	if err != nil {
-		log.Fatal(err)
-	}
-	rawPairs := topo.ChooseSDPairs(rawNet, 10, xrand.New(22))
-	lengthOf := func(s *qnet.Segment) float64 { return rawNet.PathLengthKM(s.Cand.Path) }
-
-	seeEng, err := core.NewEngine(rawNet, rawPairs, core.DefaultOptions())
-	if err != nil {
-		log.Fatal(err)
-	}
-	repsEng, err := reps.NewEngine(rawNet, rawPairs, reps.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	var fSEE, fREPS float64
-	var nSEE, nREPS int
-	for slot := 0; slot < 30; slot++ {
-		sres, err := seeEng.RunSlot(rng)
+	for _, alg := range []see.Algorithm{see.SEE, see.REPS} {
+		sched, err := see.NewScheduler(alg, net, pairs, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, c := range sres.Connections {
-			fSEE += model.ConnectionFidelity(c, lengthOf)
-			nSEE++
+		rng := rand.New(rand.NewSource(9))
+		var sum float64
+		var n int
+		for slot := 0; slot < 30; slot++ {
+			res, err := sched.RunSlot(rng)
+			if err != nil {
+				log.Fatal(err)
+			}
+			for _, c := range res.Connections {
+				sum += c.Fidelity
+				n++
+			}
 		}
-		rres, err := repsEng.RunSlot(rng)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, c := range rres.Connections {
-			fREPS += model.ConnectionFidelity(c, lengthOf)
-			nREPS++
-		}
+		fmt.Printf("  %-4v: %.4f over %d connections\n", alg, sum/float64(n), n)
 	}
-	fmt.Printf("  SEE : %.4f over %d connections\n", fSEE/float64(nSEE), nSEE)
-	fmt.Printf("  REPS: %.4f over %d connections\n", fREPS/float64(nREPS), nREPS)
-}
-
-func topoConfig(cfg see.NetworkConfig) topo.Config {
-	t := topo.DefaultConfig()
-	t.Nodes = cfg.Nodes
-	t.Channels = cfg.Channels
-	t.Memory = cfg.Memory
-	t.SwapProb = cfg.SwapProb
-	t.Alpha = cfg.Alpha
-	t.Delta = cfg.Delta
-	return t
 }

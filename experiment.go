@@ -3,22 +3,18 @@ package see
 import "see/internal/experiment"
 
 // ExperimentParams configures one evaluation data point (paper §IV-A
-// defaults via DefaultExperimentParams). The embedded SchedulerOptions
-// configure every engine of every trial; each engine gets its own fault
-// injector and bank, and its Workers also bounds the goroutines running
-// trials concurrently (results are identical at any value). Its Tracer
-// observes all trials concurrently, so it must be safe for concurrent use
-// (CountingTracer is).
+// defaults via DefaultExperimentParams). The embedded NetworkConfig is
+// every trial's topology, resolved like GenerateNetwork's (zero means
+// "paper default", ExplicitZero an actual zero). The embedded
+// SchedulerOptions configure every engine of every trial; each engine gets
+// its own fault injector and bank, and its Workers also bounds the
+// goroutines running trials concurrently (results are identical at any
+// value). Its Tracer observes all trials concurrently, so it must be safe
+// for concurrent use (CountingTracer is).
 type ExperimentParams struct {
-	Nodes    int
-	SDPairs  int
-	Channels int
-	Memory   int
-	// SwapProb, Alpha and Delta follow the NetworkConfig convention: zero
-	// means "paper default", ExplicitZero means an actual zero.
-	SwapProb float64
-	Alpha    float64
-	Delta    float64
+	NetworkConfig
+	// SDPairs drawn per trial (default 20).
+	SDPairs int
 	// Trials per data point (paper: 100).
 	Trials int
 	// Seed drives everything; same seed, same numbers.
@@ -36,35 +32,19 @@ type ExperimentParams struct {
 func DefaultExperimentParams() ExperimentParams {
 	p := experiment.DefaultParams()
 	return ExperimentParams{
-		Nodes:    p.Nodes,
-		SDPairs:  p.SDPairs,
-		Channels: p.Channels,
-		Memory:   p.Memory,
-		SwapProb: p.SwapProb,
-		Alpha:    p.Alpha,
-		Delta:    p.Delta,
-		Trials:   p.Trials,
-		Seed:     p.BaseSeed,
+		NetworkConfig: DefaultNetworkConfig(),
+		SDPairs:       p.SDPairs,
+		Trials:        p.Trials,
+		Seed:          p.BaseSeed,
 	}
 }
 
 func (p ExperimentParams) toInternal() experiment.Params {
 	in := experiment.DefaultParams()
-	if p.Nodes > 0 {
-		in.Nodes = p.Nodes
-	}
+	in.Network = p.NetworkConfig.toTopo()
 	if p.SDPairs > 0 {
 		in.SDPairs = p.SDPairs
 	}
-	if p.Channels > 0 {
-		in.Channels = p.Channels
-	}
-	if p.Memory > 0 {
-		in.Memory = p.Memory
-	}
-	in.SwapProb = overrideFloat(p.SwapProb, in.SwapProb)
-	in.Alpha = overrideFloat(p.Alpha, in.Alpha)
-	in.Delta = overrideFloat(p.Delta, in.Delta)
 	if p.Trials > 0 {
 		in.Trials = p.Trials
 	}

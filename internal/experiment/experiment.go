@@ -37,16 +37,14 @@ const (
 var Algorithms = sched.Algorithms
 
 // Params describes one simulation configuration (defaults follow §IV-A).
-// The scheduler options are the embedded engines.Config, which every
-// engine of every trial is built with.
+// Every trial draws its topology from Network; the scheduler options are
+// the embedded engines.Config, which every engine of every trial is built
+// with.
 type Params struct {
-	Nodes    int
-	SDPairs  int
-	Channels int
-	Memory   int
-	SwapProb float64
-	Alpha    float64
-	Delta    float64
+	// Network is the topology every trial generates (topo.Generate).
+	Network topo.Config
+	// SDPairs is the demand drawn per trial.
+	SDPairs int
 
 	// Trials per data point (paper: 100).
 	Trials int
@@ -76,13 +74,8 @@ type Params struct {
 // DefaultParams returns the paper's default setting.
 func DefaultParams() Params {
 	return Params{
-		Nodes:    200,
+		Network:  topo.DefaultConfig(),
 		SDPairs:  20,
-		Channels: 3,
-		Memory:   10,
-		SwapProb: 0.9,
-		Alpha:    2e-4,
-		Delta:    0.05,
 		Trials:   100,
 		BaseSeed: 20220101,
 	}
@@ -92,29 +85,21 @@ func DefaultParams() Params {
 // called by RunPoint (and therefore by every figure sweep), so a typo'd
 // configuration — a negative slot count, an unregistered algorithm — fails
 // fast with a named field instead of panicking mid-sweep or silently
-// producing a degenerate run. The scheduler options are checked by
-// engines.Config.Validate, the same rules every engine construction
-// applies.
+// producing a degenerate run. The network is checked by
+// topo.Config.Validate and the scheduler options by
+// engines.Config.Validate, the same rules topology generation and every
+// engine construction apply.
 func (p Params) Validate() error {
 	switch {
 	case p.Trials <= 0:
 		return fmt.Errorf("experiment: Trials must be positive, got %d", p.Trials)
 	case p.Slots < 0:
 		return fmt.Errorf("experiment: negative Slots %d", p.Slots)
-	case p.Nodes <= 0:
-		return fmt.Errorf("experiment: Nodes must be positive, got %d", p.Nodes)
 	case p.SDPairs < 0:
 		return fmt.Errorf("experiment: negative SDPairs %d", p.SDPairs)
-	case p.Channels <= 0:
-		return fmt.Errorf("experiment: Channels must be positive, got %d", p.Channels)
-	case p.Memory <= 0:
-		return fmt.Errorf("experiment: Memory must be positive, got %d", p.Memory)
-	case p.SwapProb < 0 || p.SwapProb > 1:
-		return fmt.Errorf("experiment: SwapProb %v outside [0,1]", p.SwapProb)
-	case p.Alpha < 0:
-		return fmt.Errorf("experiment: negative Alpha %v", p.Alpha)
-	case p.Delta < 0:
-		return fmt.Errorf("experiment: negative Delta %v", p.Delta)
+	}
+	if err := p.Network.Validate(); err != nil {
+		return fmt.Errorf("experiment: %w", err)
 	}
 	for _, alg := range p.Algorithms {
 		if !engines.Registered(alg) {
@@ -131,17 +116,6 @@ func (p Params) algorithms() []Algorithm {
 		return p.Algorithms
 	}
 	return Algorithms
-}
-
-func (p Params) topoConfig() topo.Config {
-	cfg := topo.DefaultConfig()
-	cfg.Nodes = p.Nodes
-	cfg.Channels = p.Channels
-	cfg.Memory = p.Memory
-	cfg.SwapProb = p.SwapProb
-	cfg.Alpha = p.Alpha
-	cfg.Delta = p.Delta
-	return cfg
 }
 
 // PointResult aggregates one (configuration, algorithm) data point.
@@ -235,7 +209,7 @@ func (p Params) runTrial(trial int) trialOutcome {
 	rng := xrand.ForTrial(p.BaseSeed, trial)
 	topoRng := xrand.Split(rng)
 	pairRng := xrand.Split(rng)
-	net, err := topo.Generate(p.topoConfig(), topoRng)
+	net, err := topo.Generate(p.Network, topoRng)
 	if err != nil {
 		oc.err = err
 		return oc

@@ -12,7 +12,7 @@ import (
 // smallParams keeps tests fast while exercising the full pipeline.
 func smallParams() Params {
 	p := DefaultParams()
-	p.Nodes = 40
+	p.Network.Nodes = 40
 	p.SDPairs = 4
 	p.Trials = 3
 	return p
@@ -67,7 +67,7 @@ func TestRunPointRejectsZeroTrials(t *testing.T) {
 func TestSweepRunnerAndTable(t *testing.T) {
 	base := smallParams()
 	sw, err := runSweep("test-sweep", "x", base, []float64{2, 3},
-		func(p *Params, x float64) { p.Channels = int(x) })
+		func(p *Params, x float64) { p.Network.Channels = int(x) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestAlgorithmString(t *testing.T) {
 // (SEE >= both baselines) when averaged over a few trials.
 func TestOrderingHoldsOnAverage(t *testing.T) {
 	p := DefaultParams()
-	p.Nodes = 60
+	p.Network.Nodes = 60
 	p.SDPairs = 8
 	p.Trials = 6
 	res, err := RunPoint(p)
@@ -255,14 +255,14 @@ func TestParamsValidate(t *testing.T) {
 		{"negative trials", func(p *Params) { p.Trials = -3 }},
 		{"negative slots", func(p *Params) { p.Slots = -1 }},
 		{"negative workers", func(p *Params) { p.Workers = -2 }},
-		{"zero nodes", func(p *Params) { p.Nodes = 0 }},
+		{"zero nodes", func(p *Params) { p.Network.Nodes = 0 }},
 		{"negative pairs", func(p *Params) { p.SDPairs = -1 }},
-		{"zero channels", func(p *Params) { p.Channels = 0 }},
-		{"zero memory", func(p *Params) { p.Memory = 0 }},
-		{"swap above one", func(p *Params) { p.SwapProb = 1.5 }},
-		{"negative swap", func(p *Params) { p.SwapProb = -0.1 }},
-		{"negative alpha", func(p *Params) { p.Alpha = -1e-4 }},
-		{"negative delta", func(p *Params) { p.Delta = -0.05 }},
+		{"zero channels", func(p *Params) { p.Network.Channels = 0 }},
+		{"zero memory", func(p *Params) { p.Network.Memory = 0 }},
+		{"swap above one", func(p *Params) { p.Network.SwapProb = 1.5 }},
+		{"negative swap", func(p *Params) { p.Network.SwapProb = -0.1 }},
+		{"negative alpha", func(p *Params) { p.Network.Alpha = -1e-4 }},
+		{"negative delta", func(p *Params) { p.Network.Delta = -0.05 }},
 		{"negative kpaths", func(p *Params) { p.KPaths = -1 }},
 		{"negative hops", func(p *Params) { p.MaxSegmentHops = -1 }},
 		{"negative budget", func(p *Params) { p.SlotBudget = -time.Second }},

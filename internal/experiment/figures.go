@@ -43,7 +43,7 @@ func runSweep(name, xlabel string, base Params, xs []float64, apply func(*Params
 func Fig3LinkCapacity(base Params) (*Sweep, error) {
 	return runSweep("fig3-link-capacity", "link capacity", base,
 		[]float64{2, 3, 4, 5, 6, 7},
-		func(p *Params, x float64) { p.Channels = int(x) })
+		func(p *Params, x float64) { p.Network.Channels = int(x) })
 }
 
 // Fig4Alpha sweeps the attenuation parameter α over {1..5}×10⁻⁴
@@ -51,7 +51,7 @@ func Fig3LinkCapacity(base Params) (*Sweep, error) {
 func Fig4Alpha(base Params) (*Sweep, error) {
 	return runSweep("fig4-alpha", "alpha (1e-4)", base,
 		[]float64{1, 2, 3, 4, 5},
-		func(p *Params, x float64) { p.Alpha = x * 1e-4 })
+		func(p *Params, x float64) { p.Network.Alpha = x * 1e-4 })
 }
 
 // Fig5SwapProb sweeps the quantum-swapping success probability over
@@ -59,7 +59,7 @@ func Fig4Alpha(base Params) (*Sweep, error) {
 func Fig5SwapProb(base Params) (*Sweep, error) {
 	return runSweep("fig5-swap-prob", "swap success probability", base,
 		[]float64{0.5, 0.6, 0.7, 0.8, 0.9, 1.0},
-		func(p *Params, x float64) { p.SwapProb = x })
+		func(p *Params, x float64) { p.Network.SwapProb = x })
 }
 
 // Fig6Nodes sweeps the network scale over 100..500 nodes (Fig. 6(a));
@@ -67,7 +67,7 @@ func Fig5SwapProb(base Params) (*Sweep, error) {
 func Fig6Nodes(base Params) (*Sweep, error) {
 	return runSweep("fig6-nodes", "# of nodes", base,
 		[]float64{100, 200, 300, 400, 500},
-		func(p *Params, x float64) { p.Nodes = int(x) })
+		func(p *Params, x float64) { p.Network.Nodes = int(x) })
 }
 
 // Fig7SDPairs sweeps the workload over 10..50 SD pairs (Fig. 7(a)); CDFs

@@ -33,7 +33,7 @@ func TestRunPointGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := DefaultParams()
-	p.Nodes = 100
+	p.Network.Nodes = 100
 	p.SDPairs = 8
 	p.Trials = 2
 	p.Slots = 3

@@ -168,7 +168,9 @@ func gridSet(t *testing.T, k int, rng *rand.Rand, deadQ bool) *segment.Set {
 			}
 		}
 	}
-	net, err := topo.LoadEdgeList(strings.NewReader(b.String()), topo.ResourceDefaults{})
+	cfg := topo.DefaultConfig()
+	cfg.Delta = 0
+	net, err := topo.LoadEdgeList(strings.NewReader(b.String()), cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

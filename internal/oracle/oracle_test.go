@@ -11,13 +11,14 @@ import (
 )
 
 // load parses a hand-written edge list with deterministic link
-// probabilities (Delta 0, so success probability is exactly e^{-αl}).
-func load(t *testing.T, text string, res topo.ResourceDefaults) *topo.Network {
+// probabilities (Delta 0, so success probability is exactly e^{-αl}) and
+// the given memory for nodes that declare none.
+func load(t *testing.T, text string, memory int) *topo.Network {
 	t.Helper()
-	if res.Alpha == 0 {
-		res.Alpha = 0.0002
-	}
-	net, err := topo.LoadEdgeList(strings.NewReader(text), res)
+	cfg := topo.DefaultConfig()
+	cfg.Delta = 0
+	cfg.Memory = memory
+	net, err := topo.LoadEdgeList(strings.NewReader(text), cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestBoundsLine(t *testing.T) {
 node 0 0 0
 node 1 100 0
 link 0 1 100 3
-`, topo.ResourceDefaults{Memory: 5})
+`, 5)
 	pairs := []topo.SDPair{{S: 0, D: 1}}
 	bounds := oracle.ComputeBounds(net, pairs)
 	if bounds[0].Hard != 3 {
@@ -52,7 +53,7 @@ func TestBoundsMemoryClamp(t *testing.T) {
 node 0 0 0 2
 node 1 100 0 5
 link 0 1 100 3
-`, topo.ResourceDefaults{Memory: 5})
+`, 5)
 	bounds := oracle.ComputeBounds(net, []topo.SDPair{{S: 0, D: 1}})
 	if bounds[0].Hard != 2 {
 		t.Fatalf("Hard = %d, want 2 (endpoint memory clamp)", bounds[0].Hard)
@@ -75,7 +76,7 @@ link 0 1 100 2
 link 0 2 100 2
 link 1 3 100 2
 link 2 3 100 2
-`, topo.ResourceDefaults{})
+`, topo.DefaultConfig().Memory)
 	bounds := oracle.ComputeBounds(net, []topo.SDPair{{S: 0, D: 3}})
 	if bounds[0].Hard != 4 {
 		t.Fatalf("Hard = %d, want 4 (two disjoint 2-channel routes)", bounds[0].Hard)
@@ -94,7 +95,7 @@ node 2 500 0
 node 3 600 0
 link 0 1 100 3
 link 2 3 100 3
-`, topo.ResourceDefaults{Memory: 5})
+`, 5)
 	bounds := oracle.ComputeBounds(net, []topo.SDPair{{S: 0, D: 3}, {S: 2, D: 3}})
 	if bounds[0].Hard != 0 || bounds[0].Expected != 0 {
 		t.Fatalf("disconnected pair bound = %+v, want zero", bounds[0])
@@ -108,7 +109,7 @@ func TestNewEngineErrors(t *testing.T) {
 	if _, err := oracle.NewEngine(nil, nil, nil); err == nil {
 		t.Error("nil network accepted")
 	}
-	net := load(t, "node 0 0 0\nnode 1 100 0\nlink 0 1 100 1\n", topo.ResourceDefaults{})
+	net := load(t, "node 0 0 0\nnode 1 100 0\nlink 0 1 100 1\n", topo.DefaultConfig().Memory)
 	if _, err := oracle.NewEngine(net, []topo.SDPair{{S: 0, D: 9}}, nil); err == nil {
 		t.Error("out-of-range pair accepted")
 	}
@@ -124,7 +125,7 @@ node 1 100 0
 node 2 200 0
 link 0 1 100 2
 link 1 2 100 2
-`, topo.ResourceDefaults{Memory: 4})
+`, 4)
 	pairs := []topo.SDPair{{S: 0, D: 2}, {S: 0, D: 1}}
 	eng, err := oracle.NewEngine(net, pairs, nil)
 	if err != nil {

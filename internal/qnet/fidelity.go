@@ -55,19 +55,6 @@ func (m FidelityModel) SwapFidelity(f1, f2 float64) float64 {
 	return fidelityOf(w)
 }
 
-// ConnectionFidelity folds a connection's segments left to right through
-// the swap composition. Segments use their realization's physical length.
-func (m FidelityModel) ConnectionFidelity(c *Connection, lengthOf func(s *Segment) float64) float64 {
-	if len(c.Segments) == 0 {
-		return 0
-	}
-	f := m.SegmentFidelity(lengthOf(c.Segments[0]))
-	for _, s := range c.Segments[1:] {
-		f = m.SwapFidelity(f, m.SegmentFidelity(lengthOf(s)))
-	}
-	return f
-}
-
 // PredictFidelity is the end-to-end fidelity of a connection assembled from
 // segs, including each segment's age-decay Werner scale (see
 // Segment.WernerScale). The Werner composition is associative and

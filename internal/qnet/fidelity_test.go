@@ -64,6 +64,8 @@ func TestSwapFidelityRange(t *testing.T) {
 	}
 }
 
+// TestConnectionFidelity checks the delivered fidelity an established
+// Connection records (PredictFidelity over its segments).
 func TestConnectionFidelity(t *testing.T) {
 	set, net := motivationSet(t)
 	m := DefaultFidelityModel()
@@ -77,7 +79,7 @@ func TestConnectionFidelity(t *testing.T) {
 		Segments: []*Segment{{A: cSeg.U(), B: cSeg.V(), Cand: cSeg}},
 	}
 	wantDirect := m.SegmentFidelity(net.PathLengthKM(cSeg.Path))
-	if got := m.ConnectionFidelity(direct, lengthOf); math.Abs(got-wantDirect) > 1e-12 {
+	if got := m.PredictFidelity(direct.Segments, lengthOf); math.Abs(got-wantDirect) > 1e-12 {
 		t.Fatalf("direct fidelity = %v, want %v", got, wantDirect)
 	}
 
@@ -93,7 +95,7 @@ func TestConnectionFidelity(t *testing.T) {
 			{A: cs.U(), B: cs.V(), Cand: cs},
 		},
 	}
-	got := m.ConnectionFidelity(twoSeg, lengthOf)
+	got := m.PredictFidelity(twoSeg.Segments, lengthOf)
 	f1 := m.SegmentFidelity(net.PathLengthKM(cl.Path))
 	f2 := m.SegmentFidelity(net.PathLengthKM(cs.Path))
 	if got >= math.Min(f1, f2) {
@@ -102,7 +104,7 @@ func TestConnectionFidelity(t *testing.T) {
 	if got < 0.25 {
 		t.Fatalf("fidelity below maximally mixed: %v", got)
 	}
-	if m.ConnectionFidelity(&Connection{}, lengthOf) != 0 {
+	if m.PredictFidelity(nil, lengthOf) != 0 {
 		t.Fatal("empty connection must have zero fidelity")
 	}
 }

@@ -28,7 +28,7 @@ func FuzzLoadEdgeList(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data string) {
-		net, err := LoadEdgeList(strings.NewReader(data), ResourceDefaults{})
+		net, err := LoadEdgeList(strings.NewReader(data), noiseless(), 0)
 		if err != nil {
 			return
 		}

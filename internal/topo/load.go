@@ -17,10 +17,15 @@ import (
 //
 // Node IDs must be dense integers starting at 0 and declared before use.
 // Omitted link lengths default to the Euclidean node distance; omitted
-// memory/channels/swap default to the res parameters. The prober is the
-// paper's e^{−αl}+δ model with the given alpha/delta (delta noise is
-// seeded by seed).
-func LoadEdgeList(r io.Reader, res ResourceDefaults) (*Network, error) {
+// memory, channels and swap probability come from cfg's Memory, Channels
+// and SwapProb. The prober is the paper's e^{−αl}+δ model with cfg's
+// Alpha and Delta, its δ noise seeded by seed. The file fixes the node
+// count and placement, so cfg's Nodes, AreaKM, Waxman, connectivity and
+// jitter fields are not read, though cfg must still pass Validate.
+func LoadEdgeList(r io.Reader, cfg Config, seed int64) (*Network, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	type nodeDecl struct {
 		x, y float64
 		mem  int
@@ -34,7 +39,6 @@ func LoadEdgeList(r io.Reader, res ResourceDefaults) (*Network, error) {
 	}
 	var links []linkDecl
 
-	res = res.withDefaults()
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	for sc.Scan() {
@@ -63,7 +67,7 @@ func LoadEdgeList(r io.Reader, res ResourceDefaults) (*Network, error) {
 			if errX != nil || errY != nil {
 				return nil, fmt.Errorf("topo: line %d: bad coordinates", lineNo)
 			}
-			nd := nodeDecl{x: x, y: y, mem: res.Memory, swap: res.SwapProb}
+			nd := nodeDecl{x: x, y: y, mem: cfg.Memory, swap: cfg.SwapProb}
 			if len(fields) > 4 {
 				if nd.mem, err = strconv.Atoi(fields[4]); err != nil || nd.mem < 0 {
 					return nil, fmt.Errorf("topo: line %d: bad memory %q", lineNo, fields[4])
@@ -84,7 +88,7 @@ func LoadEdgeList(r io.Reader, res ResourceDefaults) (*Network, error) {
 			if errU != nil || errV != nil || u < 0 || v < 0 || u >= len(nodes) || v >= len(nodes) || u == v {
 				return nil, fmt.Errorf("topo: line %d: bad link endpoints", lineNo)
 			}
-			ld := linkDecl{u: u, v: v, channels: res.Channels}
+			ld := linkDecl{u: u, v: v, channels: cfg.Channels}
 			var err error
 			if len(fields) > 3 {
 				if ld.length, err = strconv.ParseFloat(fields[3], 64); err != nil || ld.length <= 0 {
@@ -109,7 +113,7 @@ func LoadEdgeList(r io.Reader, res ResourceDefaults) (*Network, error) {
 	}
 
 	net := &Network{
-		G:        NewTopologyGraph(len(nodes)),
+		G:        newGraph(len(nodes)),
 		Pos:      make([][2]float64, len(nodes)),
 		Memory:   make([]int, len(nodes)),
 		SwapProb: make([]float64, len(nodes)),
@@ -131,47 +135,18 @@ func LoadEdgeList(r io.Reader, res ResourceDefaults) (*Network, error) {
 		net.LinkLen = append(net.LinkLen, length)
 		net.Channels = append(net.Channels, ld.channels)
 	}
-	net.prober = ExpProber{Alpha: res.Alpha, Delta: res.Delta, Seed: res.Seed}
+	net.prober = ExpProber{Alpha: cfg.Alpha, Delta: cfg.Delta, Seed: seed}
 	if err := net.Validate(); err != nil {
 		return nil, fmt.Errorf("topo: loaded network invalid: %w", err)
 	}
 	return net, nil
 }
 
-// ResourceDefaults supplies the quantum resources for loaded topologies.
-type ResourceDefaults struct {
-	Memory   int
-	Channels int
-	SwapProb float64
-	Alpha    float64
-	Delta    float64
-	Seed     int64
-}
-
-func (r ResourceDefaults) withDefaults() ResourceDefaults {
-	d := DefaultConfig()
-	if r.Memory <= 0 {
-		r.Memory = d.Memory
-	}
-	if r.Channels <= 0 {
-		r.Channels = d.Channels
-	}
-	if r.SwapProb <= 0 {
-		r.SwapProb = d.SwapProb
-	}
-	if r.Alpha <= 0 {
-		r.Alpha = d.Alpha
-	}
-	if r.Delta < 0 {
-		r.Delta = 0
-	}
-	return r
-}
-
 // NSFNet returns the classic 14-node NSFNET backbone, a standard reference
 // topology in quantum-network evaluations, with approximate continental-US
-// coordinates scaled to kilometres and the given resource defaults.
-func NSFNet(res ResourceDefaults) (*Network, error) {
+// coordinates scaled to kilometres, and the resources of cfg and the δ
+// noise seed as in LoadEdgeList.
+func NSFNet(cfg Config, seed int64) (*Network, error) {
 	const spec = `
 # NSFNET T1 backbone (14 nodes, 21 links); coordinates approximate, km.
 node 0  600 1500   # Seattle
@@ -210,11 +185,5 @@ link 10 13
 link 11 12
 link 12 13
 `
-	return LoadEdgeList(strings.NewReader(spec), res)
-}
-
-// NewTopologyGraph is a small indirection so load.go does not import the
-// graph package twice under different names.
-func NewTopologyGraph(n int) *Topology {
-	return newGraph(n)
+	return LoadEdgeList(strings.NewReader(spec), cfg, seed)
 }

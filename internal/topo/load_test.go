@@ -7,6 +7,14 @@ import (
 	"see/internal/graph"
 )
 
+// noiseless is the paper-default resource config with δ = 0, so loaded
+// link probabilities are exactly e^{−αl}.
+func noiseless() Config {
+	cfg := DefaultConfig()
+	cfg.Delta = 0
+	return cfg
+}
+
 func TestLoadEdgeListBasic(t *testing.T) {
 	spec := `
 # tiny triangle
@@ -17,7 +25,7 @@ link 0 1
 link 1 2 2500
 link 0 2 1400 5
 `
-	net, err := LoadEdgeList(strings.NewReader(spec), ResourceDefaults{})
+	net, err := LoadEdgeList(strings.NewReader(spec), noiseless(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +73,7 @@ func TestLoadEdgeListErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := LoadEdgeList(strings.NewReader(tc.spec), ResourceDefaults{}); err == nil {
+			if _, err := LoadEdgeList(strings.NewReader(tc.spec), noiseless(), 0); err == nil {
 				t.Fatalf("spec accepted:\n%s", tc.spec)
 			}
 		})
@@ -73,7 +81,7 @@ func TestLoadEdgeListErrors(t *testing.T) {
 }
 
 func TestNSFNet(t *testing.T) {
-	net, err := NSFNet(ResourceDefaults{})
+	net, err := NSFNet(noiseless(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +111,13 @@ func TestNSFNet(t *testing.T) {
 		}
 	}
 	// Custom resources flow through.
-	net2, err := NSFNet(ResourceDefaults{Memory: 4, Channels: 2, SwapProb: 0.7})
+	custom := noiseless()
+	custom.Memory, custom.Channels, custom.SwapProb = 4, 2, 0.7
+	net2, err := NSFNet(custom, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if net2.Memory[0] != 4 || net2.Channels[0] != 2 || net2.SwapProb[0] != 0.7 {
-		t.Fatal("resource defaults ignored")
+		t.Fatal("config resources ignored")
 	}
 }

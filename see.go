@@ -24,6 +24,7 @@ package see
 import (
 	"errors"
 	"io"
+	"slices"
 
 	"see/internal/chaos"
 	"see/internal/engines"
@@ -135,6 +136,11 @@ func overrideFloat(v, def float64) float64 {
 	}
 }
 
+// toTopo is the one place the NetworkConfig convention is resolved: a
+// zero (or negative) Nodes, AreaKM, Channels or Memory and a zero
+// SwapProb, Alpha or Delta keep the paper default; ExplicitZero is an
+// actual zero. GenerateNetwork, NSFNETNetwork, LoadNetwork and
+// RunExperiment all build from its result.
 func (c NetworkConfig) toTopo() topo.Config {
 	t := topo.DefaultConfig()
 	if c.Nodes > 0 {
@@ -155,10 +161,9 @@ func (c NetworkConfig) toTopo() topo.Config {
 	return t
 }
 
-// SDPair is a source-destination demand.
-type SDPair struct {
-	S, D int
-}
+// SDPair is a source-destination demand. It is the canonical
+// topo.SDPair every layer shares.
+type SDPair = topo.SDPair
 
 // Network is a generated quantum data network plus its demand set.
 type Network struct {
@@ -199,22 +204,13 @@ func GenerateNetwork(cfg NetworkConfig, sdPairs int, seed int64) (*Network, []SD
 	if err != nil {
 		return nil, nil, err
 	}
-	raw := topo.ChooseSDPairs(net, sdPairs, xrand.Split(rng))
-	pairs := make([]SDPair, len(raw))
-	for i, p := range raw {
-		pairs[i] = SDPair{S: p.S, D: p.D}
-	}
-	return &Network{inner: net}, pairs, nil
+	return &Network{inner: net}, topo.ChooseSDPairs(net, sdPairs, xrand.Split(rng)), nil
 }
 
 // MotivationNetwork returns the paper's Fig. 2 fixture with its two SD
 // pairs.
 func MotivationNetwork() (*Network, []SDPair) {
-	net, raw := topo.Motivation()
-	pairs := make([]SDPair, len(raw))
-	for i, p := range raw {
-		pairs[i] = SDPair{S: p.S, D: p.D}
-	}
+	net, pairs := topo.Motivation()
 	return &Network{inner: net}, pairs
 }
 
@@ -413,15 +409,12 @@ func NewScheduler(alg Algorithm, net *Network, pairs []SDPair, opts *SchedulerOp
 	if net == nil {
 		return nil, errors.New("see: nil network")
 	}
-	raw := make([]topo.SDPair, len(pairs))
-	for i, p := range pairs {
-		raw[i] = topo.SDPair{S: p.S, D: p.D}
-	}
 	var o SchedulerOptions
 	if opts != nil {
 		o = *opts
 	}
-	return engines.New(alg, net.inner, raw, o)
+	// The engine keeps its own copy, so the caller may reuse pairs.
+	return engines.New(alg, net.inner, slices.Clone(pairs), o)
 }
 
 // LoadNetwork reads a topology from the edge-list text format of
@@ -430,10 +423,13 @@ func NewScheduler(alg Algorithm, net *Network, pairs []SDPair, opts *SchedulerOp
 //	node <id> <x-km> <y-km> [memory] [swap-prob]
 //	link <u> <v> [length-km] [channels]
 //
-// Omitted per-element resources fall back to cfg; the segment success
-// model is p = e^(−αl) + δ with δ noise seeded by seed.
+// Omitted per-element resources fall back to cfg, resolved like every
+// NetworkConfig (zero means the paper default, ExplicitZero an actual
+// zero); the segment success model is p = e^(−αl) + δ with δ noise seeded
+// by seed. The file fixes the nodes, so cfg.Nodes and cfg.AreaKM are not
+// read.
 func LoadNetwork(r io.Reader, cfg NetworkConfig, seed int64) (*Network, error) {
-	net, err := topo.LoadEdgeList(r, resourceDefaults(cfg, seed))
+	net, err := topo.LoadEdgeList(r, cfg.toTopo(), seed)
 	if err != nil {
 		return nil, err
 	}
@@ -441,10 +437,10 @@ func LoadNetwork(r io.Reader, cfg NetworkConfig, seed int64) (*Network, error) {
 }
 
 // NSFNETNetwork returns the classic 14-node NSFNET backbone with the given
-// resource configuration — a standard reference topology for quantum
-// network evaluations.
+// resource configuration (resolved as in LoadNetwork) — a standard
+// reference topology for quantum network evaluations.
 func NSFNETNetwork(cfg NetworkConfig, seed int64) (*Network, error) {
-	net, err := topo.NSFNet(resourceDefaults(cfg, seed))
+	net, err := topo.NSFNet(cfg.toTopo(), seed)
 	if err != nil {
 		return nil, err
 	}
@@ -454,34 +450,19 @@ func NSFNETNetwork(cfg NetworkConfig, seed int64) (*Network, error) {
 // ChoosePairs samples SD pairs from an existing network (loaded or
 // generated), deterministically from the seed.
 func ChoosePairs(net *Network, count int, seed int64) []SDPair {
-	raw := topo.ChooseSDPairs(net.inner, count, xrand.New(seed))
-	pairs := make([]SDPair, len(raw))
-	for i, p := range raw {
-		pairs[i] = SDPair{S: p.S, D: p.D}
-	}
-	return pairs
+	return topo.ChooseSDPairs(net.inner, count, xrand.New(seed))
 }
 
-func resourceDefaults(cfg NetworkConfig, seed int64) topo.ResourceDefaults {
-	return topo.ResourceDefaults{
-		Memory:   cfg.Memory,
-		Channels: cfg.Channels,
-		SwapProb: cfg.SwapProb,
-		Alpha:    cfg.Alpha,
-		Delta:    cfg.Delta,
-		Seed:     seed,
-	}
-}
-
-// Traffic selects how SD pairs are drawn (see ChoosePairsWithTraffic).
-type Traffic int
+// Traffic selects how SD pairs are drawn (see ChoosePairsWithTraffic). It
+// is the canonical topo.TrafficPattern.
+type Traffic = topo.TrafficPattern
 
 // Traffic patterns: the paper's uniform sampling, a data-centre hotspot,
 // and gravity-style geographic clustering.
 const (
-	TrafficUniform Traffic = iota
-	TrafficHotspot
-	TrafficGravity
+	TrafficUniform = topo.TrafficUniform
+	TrafficHotspot = topo.TrafficHotspot
+	TrafficGravity = topo.TrafficGravity
 )
 
 // ChoosePairsWithTraffic samples SD pairs under a traffic pattern,
@@ -489,21 +470,8 @@ const (
 // at the highest-degree node; TrafficGravity prefers geographically close
 // pairs.
 func ChoosePairsWithTraffic(net *Network, count int, pattern Traffic, seed int64) []SDPair {
-	cfg := topo.TrafficConfig{Hub: -1}
-	switch pattern {
-	case TrafficHotspot:
-		cfg.Pattern = topo.TrafficHotspot
-	case TrafficGravity:
-		cfg.Pattern = topo.TrafficGravity
-	default:
-		cfg.Pattern = topo.TrafficUniform
-	}
-	raw := topo.ChooseSDPairsWithTraffic(net.inner, count, cfg, xrand.New(seed))
-	pairs := make([]SDPair, len(raw))
-	for i, p := range raw {
-		pairs[i] = SDPair{S: p.S, D: p.D}
-	}
-	return pairs
+	cfg := topo.TrafficConfig{Pattern: pattern, Hub: -1}
+	return topo.ChooseSDPairsWithTraffic(net.inner, count, cfg, xrand.New(seed))
 }
 
 // TrafficServer drives a Scheduler as a long-lived entanglement traffic

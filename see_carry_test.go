@@ -261,7 +261,7 @@ func TestCarryResilientBankSurvivesDegradation(t *testing.T) {
 // bit-identical to the pre-Slots harness default, and a multi-slot
 // carry-over experiment is deterministic across worker counts.
 func TestExperimentMultiSlotCarry(t *testing.T) {
-	base := ExperimentParams{Nodes: 30, SDPairs: 4, Trials: 3, Seed: 11}
+	base := ExperimentParams{NetworkConfig: NetworkConfig{Nodes: 30}, SDPairs: 4, Trials: 3, Seed: 11}
 
 	oneSlot := base
 	oneSlot.Slots = 1

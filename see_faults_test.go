@@ -120,7 +120,7 @@ func TestExperimentWithFaultsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := ExperimentParams{Nodes: 30, SDPairs: 4, Trials: 3, Seed: 11,
+	base := ExperimentParams{NetworkConfig: NetworkConfig{Nodes: 30}, SDPairs: 4, Trials: 3, Seed: 11,
 		SchedulerOptions: SchedulerOptions{Faults: plan, Workers: 1}}
 	r1, err := RunExperiment(base)
 	if err != nil {

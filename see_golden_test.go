@@ -23,7 +23,7 @@ func TestRunExperimentGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := ExperimentParams{Nodes: 100, SDPairs: 8, Trials: 2, Seed: 7, Slots: 3}
+	p := ExperimentParams{NetworkConfig: NetworkConfig{Nodes: 100}, SDPairs: 8, Trials: 2, Seed: 7, Slots: 3}
 	p.Workers = 1
 	p.Faults = plan
 	p.CarryOver = true

@@ -3,12 +3,12 @@ package see
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"see/internal/engines"
-	"see/internal/topo"
 )
 
 func TestGenerateNetworkAndStats(t *testing.T) {
@@ -171,10 +171,6 @@ func TestSchedulerOptionsAblation(t *testing.T) {
 // same values experiment.Params.Validate rejects.
 func TestSchedulerOptionsValidate(t *testing.T) {
 	net, pairs := MotivationNetwork()
-	raw := make([]topo.SDPair, len(pairs))
-	for i, p := range pairs {
-		raw[i] = topo.SDPair{S: p.S, D: p.D}
-	}
 	for _, tc := range []struct {
 		name string
 		opts SchedulerOptions
@@ -189,7 +185,7 @@ func TestSchedulerOptionsValidate(t *testing.T) {
 		{"floor above one", SchedulerOptions{FidelityFloors: &FloorSpec{Default: 1.5}}},
 		{"negative pair floor", SchedulerOptions{FidelityFloors: &FloorSpec{PerPair: map[int]float64{0: -0.1}}}},
 	} {
-		if _, err := engines.New(SEE, net.inner, raw, tc.opts); err == nil {
+		if _, err := engines.New(SEE, net.inner, pairs, tc.opts); err == nil {
 			t.Errorf("%s: engines.New accepted", tc.name)
 		}
 		if _, err := NewScheduler(SEE, net, pairs, &tc.opts); err == nil {
@@ -300,6 +296,48 @@ func TestNetworkConfigExplicitZero(t *testing.T) {
 	}
 	if c := tr.Counts(); c.SwapsSucceeded != 0 {
 		t.Fatalf("q=0 network succeeded %d swaps", c.SwapsSucceeded)
+	}
+
+	// Every network constructor resolves the config the same way: explicit zeros reach
+	// the loaded topologies too, and a sparse config is the default one.
+	constructors := []struct {
+		name  string
+		build func(NetworkConfig) (*Network, error)
+	}{
+		{"waxman", func(c NetworkConfig) (*Network, error) {
+			net, _, err := GenerateNetwork(c, 0, 7)
+			return net, err
+		}},
+		{"nsfnet", func(c NetworkConfig) (*Network, error) { return NSFNETNetwork(c, 7) }},
+		{"load", func(c NetworkConfig) (*Network, error) {
+			spec := "node 0 0 0\nnode 1 800 0\nnode 2 800 900\nlink 0 1\nlink 1 2\nlink 0 2\n"
+			return LoadNetwork(strings.NewReader(spec), c, 7)
+		}},
+	}
+	for _, b := range constructors {
+		zero, err := b.build(NetworkConfig{Nodes: 30, SwapProb: ExplicitZero, Alpha: ExplicitZero, Delta: ExplicitZero})
+		if err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		for u, q := range zero.inner.SwapProb {
+			if q != 0 {
+				t.Fatalf("%s: ExplicitZero swap gave node %d q = %v", b.name, u, q)
+			}
+		}
+		if p := zero.Stats().MeanLinkProb; p != 1 {
+			t.Fatalf("%s: ExplicitZero alpha and delta gave mean link probability %v, want 1", b.name, p)
+		}
+		sparse, err := b.build(NetworkConfig{})
+		if err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		full, err := b.build(DefaultNetworkConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		if !slices.Equal(sparse.inner.SwapProb, full.inner.SwapProb) || sparse.Stats() != full.Stats() {
+			t.Fatalf("%s: sparse config built %+v, default config %+v", b.name, sparse.Stats(), full.Stats())
+		}
 	}
 }
 
