@@ -14,7 +14,9 @@
 //     least one godoc Example, so `go doc` never loses the worked code,
 //     and
 //  4. README.md's architecture tree lists exactly the packages under
-//     internal/, so a package added or deleted cannot leave it stale.
+//     internal/, so a package added or deleted cannot leave it stale, and
+//  5. no program under examples/ imports a see/internal/... package, so
+//     every example runs on the public API alone.
 //
 // It exits non-zero with one line per violation.
 package main
@@ -66,6 +68,12 @@ func main() {
 	}
 	problems = append(problems, checkFlagTable(string(readme), flags)...)
 	problems = append(problems, checkArchitectureTree(string(readme), root, pkgDirs)...)
+	exampleProblems, err := checkExampleImports(root)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "docscheck:", err)
+		os.Exit(1)
+	}
+	problems = append(problems, exampleProblems...)
 
 	// The packages whose contracts are taught by worked godoc Examples
 	// (DESIGN.md §9 links to both).
@@ -190,6 +198,29 @@ func checkArchitectureTree(readme, root string, pkgDirs []string) []string {
 		problems = append(problems, fmt.Sprintf("README.md: architecture tree lists %s, which is not a package", name))
 	}
 	return problems
+}
+
+// checkExampleImports reports every import of a see/internal/... package
+// by a Go file under examples/.
+func checkExampleImports(root string) ([]string, error) {
+	var problems []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(filepath.Join(root, "examples"), func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); strings.HasPrefix(p, "see/internal/") {
+				problems = append(problems, fmt.Sprintf("%s: example imports %s; examples use the public API only", path, p))
+			}
+		}
+		return nil
+	})
+	return problems, err
 }
 
 // defaultDocumented reports whether a table row documents the registered

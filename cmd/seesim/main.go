@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		topoName   = fs.String("topo", "waxman", "topology: waxman or nsfnet")
 		traffic    = fs.String("traffic", "uniform", "SD pair pattern: uniform, hotspot or gravity")
 		trace      = fs.Bool("trace", false, "print per-scheduler pipeline phase counters after the run")
-		workers    = fs.Int("workers", 0, "goroutines for LP pricing rounds (0 = GOMAXPROCS, 1 = serial; results are identical at any value)")
+		workers    = fs.Int("workers", 0, "goroutines for LP pricing rounds and per-pair candidate-path enumeration (0 = GOMAXPROCS, 1 = serial; results are identical at any value)")
 		faults     = fs.String("faults", "", "deterministic fault spec, e.g. \"seed=7;node=3@2-5;cut:100,200,50@2-5;brown:4,0.5@1-;flap:2,4,0.5@0-8;decohere=0.05\" (! marks an item as unannounced)")
 		faultAware = fs.Bool("fault-aware", false, "plan around announced faults: schemes with a fault-aware variant (see, contend) are swapped for it")
 		budget     = fs.Duration("slot-budget", 0, "LP solve budget per scheduler; on timeout the slot degrades to the greedy fallback (0 = unbounded)")

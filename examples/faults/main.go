@@ -7,12 +7,12 @@ import (
 	"bufio"
 	"fmt"
 	"log"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"time"
 
 	"see"
-	"see/internal/xrand"
 )
 
 const slots = 5
@@ -87,7 +87,7 @@ func runSEE(net *see.Network, pairs []see.SDPair, opts *see.SchedulerOptions) in
 	if err != nil {
 		log.Fatal(err)
 	}
-	rng := xrand.New(7)
+	rng := rand.New(rand.NewSource(7))
 	total := 0
 	for s := 0; s < slots; s++ {
 		res, err := sched.RunSlot(rng)

@@ -32,6 +32,7 @@ import (
 	"sort"
 
 	"see/internal/graph"
+	"see/internal/par"
 	"see/internal/qnet"
 	"see/internal/sched"
 	"see/internal/segment"
@@ -205,7 +206,9 @@ func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, e
 // the segment graph (Yen K shortest under the static attempt-cost metric
 // with −ln q node weights, the same weights the greedy planner routes
 // with). The metric is static, so each segment-graph edge's cost is
-// computed once per build and looked up by edge ID.
+// computed once per build and looked up by edge ID. The pairs are
+// enumerated on up to opts.Segment.Workers goroutines, each writing only
+// its own slot, so the result is the serial one.
 func (e *Engine) candidatePaths() [][]graph.Path {
 	nodeWeight := func(u int) float64 {
 		q := e.Net.SwapProb[u]
@@ -229,12 +232,12 @@ func (e *Engine) candidatePaths() [][]graph.Path {
 	}
 	edgeWeight := func(id int, _ float64) float64 { return edgeCost[id] }
 	out := make([][]graph.Path, len(e.Pairs))
-	for i, sd := range e.Pairs {
-		out[i] = graph.YenKShortest(e.Set.SegGraph, sd.S, sd.D, e.opts.PathsPerPair, graph.DijkstraOptions{
+	par.For(e.opts.Segment.Workers, len(e.Pairs), func(i int) {
+		out[i] = graph.YenKShortest(e.Set.SegGraph, e.Pairs[i].S, e.Pairs[i].D, e.opts.PathsPerPair, graph.DijkstraOptions{
 			NodeWeight: nodeWeight,
 			EdgeWeight: edgeWeight,
 		})
-	}
+	})
 	return out
 }
 

@@ -408,3 +408,32 @@ func TestForecastAvoidedIncident(t *testing.T) {
 		t.Errorf("IncidentForecastAvoid total = %d over 4 slots, want 12", got)
 	}
 }
+
+// TestPlanWorkersIdentical: enumerating the segment set and the candidate
+// paths on four workers fixes the serial plan, online and offline (run
+// under -race by make verify).
+func TestPlanWorkersIdentical(t *testing.T) {
+	net, pairs := buildInstance(t, 80, 10, 31)
+	for _, offline := range []bool{false, true} {
+		build := func(workers int) *Engine {
+			opts := DefaultOptions()
+			opts.Offline = offline
+			opts.Segment.Workers = workers
+			eng, err := NewEngine(net, pairs, opts)
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			return eng
+		}
+		serial, parallel := build(1), build(4)
+		if !reflect.DeepEqual(serial.candidatePaths(), parallel.candidatePaths()) {
+			t.Fatalf("offline=%v: candidate paths differ between 1 and 4 workers", offline)
+		}
+		if !reflect.DeepEqual(serial.paths, parallel.paths) ||
+			!reflect.DeepEqual(serial.fixed, parallel.fixed) ||
+			!reflect.DeepEqual(serial.recovery, parallel.recovery) ||
+			serial.expected != parallel.expected {
+			t.Fatalf("offline=%v: plan differs between 1 and 4 workers", offline)
+		}
+	}
+}

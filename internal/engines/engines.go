@@ -33,6 +33,7 @@ import (
 	"see/internal/qnet"
 	"see/internal/reps"
 	"see/internal/sched"
+	"see/internal/segment"
 	"see/internal/state"
 	"see/internal/topo"
 	"see/internal/warm"
@@ -57,8 +58,8 @@ type Config struct {
 	// PlainObjective disables the swap-survival weighting of the LP
 	// objective (ablation; see flow.Options.SwapWeightedObjective).
 	PlainObjective bool
-	// Workers bounds the goroutines used by the LP pricing rounds of every
-	// scheme (0 = GOMAXPROCS, 1 = serial; see flow.Options.Workers).
+	// Workers bounds the goroutines of every scheme's LP pricing rounds
+	// and per-SD-pair path enumeration (0 = GOMAXPROCS, 1 = serial).
 	// Results are byte-identical at any worker count.
 	Workers int
 	// Tracer observes the slot pipeline; nil means no instrumentation.
@@ -261,19 +262,28 @@ func slotConfig(alg sched.Algorithm, cfg Config, inj *chaos.Injector) sched.Slot
 	}
 }
 
+// segmentOptions is the candidate enumeration of SEE, Contend and Greedy:
+// SEE's defaults with the Config's overrides, on cfg.Workers goroutines.
+func segmentOptions(cfg Config) segment.Options {
+	o := core.DefaultOptions().Segment
+	if cfg.KPaths > 0 {
+		o.KPaths = cfg.KPaths
+	}
+	if cfg.MaxSegmentHops > 0 {
+		o.MaxSegmentHops = cfg.MaxSegmentHops
+	}
+	if cfg.MinSegmentProb > 0 {
+		o.MinProb = cfg.MinSegmentProb
+	}
+	o.Workers = cfg.Workers
+	return o
+}
+
 // seeOptions translates the shared Config into SEE options; the SEE and
 // SEE-Aware builders start from it.
 func seeOptions(alg sched.Algorithm, cfg Config, inj *chaos.Injector) core.Options {
 	co := core.DefaultOptions()
-	if cfg.KPaths > 0 {
-		co.Segment.KPaths = cfg.KPaths
-	}
-	if cfg.MaxSegmentHops > 0 {
-		co.Segment.MaxSegmentHops = cfg.MaxSegmentHops
-	}
-	if cfg.MinSegmentProb > 0 {
-		co.Segment.MinProb = cfg.MinSegmentProb
-	}
+	co.Segment = segmentOptions(cfg)
 	co.StrictProvisioning = cfg.StrictProvisioning
 	co.Flow.SwapWeightedObjective = !cfg.PlainObjective
 	co.Flow.Workers = cfg.Workers
@@ -310,6 +320,7 @@ func newE2E(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Con
 	if cfg.KPaths > 0 {
 		co.Segment.KPaths = cfg.KPaths
 	}
+	co.Segment.Workers = cfg.Workers
 	co.Flow.Workers = cfg.Workers
 	co.Warm = cfg.Warm
 	co.Slot = slotConfig(sched.E2E, cfg, inj)
@@ -324,15 +335,9 @@ func newContend(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg C
 // Contend, ContendAware and QPass builders all start from it.
 func contendOptions(alg sched.Algorithm, cfg Config, inj *chaos.Injector) contend.Options {
 	o := contend.DefaultOptions()
+	o.Segment = segmentOptions(cfg)
 	if cfg.KPaths > 0 {
-		o.Segment.KPaths = cfg.KPaths
 		o.PathsPerPair = cfg.KPaths
-	}
-	if cfg.MaxSegmentHops > 0 {
-		o.Segment.MaxSegmentHops = cfg.MaxSegmentHops
-	}
-	if cfg.MinSegmentProb > 0 {
-		o.Segment.MinProb = cfg.MinSegmentProb
 	}
 	o.Warm = cfg.Warm
 	o.Slot = slotConfig(alg, cfg, inj)
@@ -389,15 +394,7 @@ func newQPass(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Con
 
 func newGreedy(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Engine, error) {
 	o := greedy.DefaultOptions()
-	if cfg.KPaths > 0 {
-		o.Segment.KPaths = cfg.KPaths
-	}
-	if cfg.MaxSegmentHops > 0 {
-		o.Segment.MaxSegmentHops = cfg.MaxSegmentHops
-	}
-	if cfg.MinSegmentProb > 0 {
-		o.Segment.MinProb = cfg.MinSegmentProb
-	}
+	o.Segment = segmentOptions(cfg)
 	o.Warm = cfg.Warm
 	o.Slot = slotConfig(sched.Greedy, cfg, inj)
 	return greedy.NewEngine(net, pairs, o)

@@ -97,26 +97,33 @@ func PathLength(g *Graph, p Path, opts DijkstraOptions) float64 {
 		if i > 0 && opts.NodeWeight != nil {
 			total += opts.NodeWeight(p[i])
 		}
-		best := Unreachable
-		for _, e := range g.Neighbors(p[i]) {
-			if e.To != p[i+1] {
-				continue
-			}
-			if opts.ForbiddenEdge != nil && opts.ForbiddenEdge(e.ID) {
-				continue
-			}
-			w := e.Weight
-			if opts.EdgeWeight != nil {
-				w = opts.EdgeWeight(e.ID, e.Weight)
-			}
-			if w < best {
-				best = w
-			}
-		}
+		best := arcWeight(g, p[i], p[i+1], opts)
 		if best == Unreachable {
 			return Unreachable
 		}
 		total += best
 	}
 	return total
+}
+
+// arcWeight is the weight of the cheapest allowed u→v arc, or Unreachable
+// when there is none.
+func arcWeight(g *Graph, u, v int, opts DijkstraOptions) float64 {
+	best := Unreachable
+	for _, e := range g.Neighbors(u) {
+		if e.To != v {
+			continue
+		}
+		if opts.ForbiddenEdge != nil && opts.ForbiddenEdge(e.ID) {
+			continue
+		}
+		w := e.Weight
+		if opts.EdgeWeight != nil {
+			w = opts.EdgeWeight(e.ID, e.Weight)
+		}
+		if w < best {
+			best = w
+		}
+	}
+	return best
 }

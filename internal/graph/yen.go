@@ -1,6 +1,9 @@
 package graph
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // YenKShortest returns up to k loopless shortest paths from s to t in
 // non-decreasing order of length, using Yen's algorithm over Dijkstra.
@@ -11,6 +14,29 @@ import "slices"
 // for the whole call and stops once t is settled. A spur's bans never
 // copy the graph: the spur search skips the banned arcs out of the spur
 // node and the root-path nodes in place (see spurBan).
+//
+// Two rules cut the spur searches of textbook Yen without changing its
+// output, ties included:
+//
+//   - Lawler's rule. Each path remembers the spur index it deviated at,
+//     and the spurs of a newly accepted path start there, not at 0. A
+//     spur search is a pure function of its root (which fixes the
+//     forbidden root nodes) and its set of banned arcs. Below the
+//     deviation index the new path shares its root with the path it
+//     deviated from, and its arc out of the spur node is that path's,
+//     already banned; so neither input has changed since that root was
+//     last searched, and the skipped search could only return a path the
+//     call already knows, which Yen discards.
+//   - The bound. Once the candidate list holds need = k − len(accepted)
+//     paths, let limit be the need-th candidate length. A path longer
+//     than limit can never be accepted: need known candidates come first,
+//     and limit only decreases as candidates are added. So each spur
+//     search is bounded at limit − rootCost plus a 1e-9 relative slack
+//     for the different summation order, and a spur whose bound is ≤ 0
+//     is skipped. A bounded search does the same pushes and pops as the
+//     unbounded search up to the point where it stops (see search), so a
+//     path it does return is the unbounded one, and one it gives up on
+//     was never acceptable.
 func YenKShortest(g *Graph, s, t, k int, opts DijkstraOptions) []Path {
 	if k <= 0 || s < 0 || t < 0 || s >= g.N() || t >= g.N() {
 		return nil
@@ -22,36 +48,58 @@ func YenKShortest(g *Graph, s, t, k int, opts DijkstraOptions) []Path {
 	if !sc.search(g, s, t, 0, opts, nil) {
 		return nil
 	}
-	accepted := []Path{sc.appendPath(nil, s, t)}
 
 	type candidate struct {
 		path Path
 		len  float64
+		// dev is the spur index the path deviated from its parent at.
+		dev int
 	}
+	// cmp orders candidates shorter first, then lexicographically
+	// smaller; distinct paths never tie.
+	cmp := func(a, b candidate) int {
+		switch {
+		case a.len < b.len || a.len == b.len && lessPath(a.path, b.path):
+			return -1
+		case a.len == b.len && slices.Equal(a.path, b.path):
+			return 0
+		}
+		return 1
+	}
+	accepted := []candidate{{path: sc.appendPath(nil, s, t)}}
+	// candidates stays sorted by cmp, so the next accepted path is its
+	// head and the need-th length is an index away.
 	var candidates []candidate
-	// known reports whether p was ever a candidate; candidates leave the
-	// list only by being accepted.
-	known := func(p Path) bool {
-		for _, a := range accepted {
-			if a.Equal(p) {
-				return true
-			}
-		}
-		for _, c := range candidates {
-			if c.path.Equal(p) {
-				return true
-			}
-		}
-		return false
-	}
 	ban := spurBan{root: make([]uint32, g.N())}
 	var total Path
 
 	for len(accepted) < k {
-		prev := accepted[len(accepted)-1]
+		last := accepted[len(accepted)-1]
+		prev := last.path
+		need := k - len(accepted)
+		// rootCost is PathLength(prev[:i+1]) plus, for i > 0, the node
+		// weight of the spur node prev[i]: the cost of the path up to the
+		// spur search's source, summed in PathLength's order.
+		rootCost := 0.0
 		// For each node in the previous accepted path except the last,
 		// branch on a deviation ("spur") from that node.
 		for i := 0; i+1 < len(prev); i++ {
+			if i > 0 {
+				rootCost += arcWeight(g, prev[i-1], prev[i], opts)
+				if opts.NodeWeight != nil {
+					rootCost += opts.NodeWeight(prev[i])
+				}
+			}
+			if i < last.dev {
+				continue
+			}
+			bound := 0.0
+			if len(candidates) >= need {
+				limit := candidates[need-1].len
+				if bound = limit - rootCost + 1e-9*max(1, math.Abs(limit)); bound <= 0 {
+					continue
+				}
+			}
 			spurNode := prev[i]
 			rootPath := prev[:i+1]
 
@@ -60,8 +108,8 @@ func YenKShortest(g *Graph, s, t, k int, opts DijkstraOptions) []Path {
 			// pairs, so every parallel arc between the two is banned, the
 			// standard Yen treatment for multigraphs.
 			ban.targets = ban.targets[:0]
-			for _, p := range accepted {
-				if len(p) > i+1 && p[:i+1].Equal(rootPath) {
+			for _, a := range accepted {
+				if p := a.path; len(p) > i+1 && p[:i+1].Equal(rootPath) {
 					ban.targets = append(ban.targets, p[i+1])
 				}
 			}
@@ -71,31 +119,32 @@ func YenKShortest(g *Graph, s, t, k int, opts DijkstraOptions) []Path {
 			for _, v := range prev[:i] {
 				ban.root[v] = ban.epoch
 			}
-			if !sc.search(g, spurNode, t, 0, opts, &ban) {
+			if !sc.search(g, spurNode, t, bound, opts, &ban) {
 				continue
 			}
 			total = sc.appendPath(append(total[:0], prev[:i]...), spurNode, t)
-			if !total.Loopless() || known(total) {
+			if !total.Loopless() || slices.ContainsFunc(accepted, func(a candidate) bool { return a.path.Equal(total) }) {
 				continue
 			}
-			p := slices.Clone(total)
-			candidates = append(candidates, candidate{path: p, len: PathLength(g, p, opts)})
+			c := candidate{path: total, len: PathLength(g, total, opts), dev: i}
+			at, known := slices.BinarySearchFunc(candidates, c, cmp)
+			if known {
+				continue
+			}
+			c.path = slices.Clone(total)
+			candidates = slices.Insert(candidates, at, c)
 		}
 		if len(candidates) == 0 {
 			break
 		}
-		// A stable sort only asks whether cmp(a, b) < 0, so this is the
-		// less "shorter, then lexicographically smaller" and nothing else.
-		slices.SortStableFunc(candidates, func(a, b candidate) int {
-			if a.len < b.len || a.len == b.len && lessPath(a.path, b.path) {
-				return -1
-			}
-			return 1
-		})
-		accepted = append(accepted, candidates[0].path)
+		accepted = append(accepted, candidates[0])
 		candidates = candidates[1:]
 	}
-	return accepted
+	out := make([]Path, len(accepted))
+	for i, a := range accepted {
+		out[i] = a.path
+	}
+	return out
 }
 
 func lessPath(a, b Path) bool {

@@ -175,6 +175,46 @@ func TestYenMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	// Tie-heavy block for Lawler's rule and the spur bound: weights 0 and
+	// 1 only, denser graphs and larger k, so many candidates tie with the
+	// need-th length and many spurs share their root with an earlier one.
+	for trial := 0; trial < 250; trial++ {
+		n := 2 + rng.Intn(29)
+		g := tieMultigraph(rng, n)
+		var opts DijkstraOptions
+		if rng.Intn(2) == 0 {
+			opts = randomOptions(rng, g)
+		}
+		for q := 0; q < 8; q++ {
+			s, d := rng.Intn(n), rng.Intn(n)
+			k := 1 + rng.Intn(14)
+			want := yenReference(g, s, d, k, opts)
+			got := YenKShortest(g, s, d, k, opts)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("tie trial %d: Yen(%d→%d, k=%d) = %v, reference %v", trial, s, d, k, got, want)
+			}
+		}
+	}
+}
+
+// tieMultigraph is randomMultigraph with weights 0 and 1 only and about
+// four arcs per node: undirected edges, one-way arcs and parallel pairs.
+func tieMultigraph(rng *rand.Rand, n int) *Graph {
+	g := New(n)
+	for i := 0; i < 4*n; i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		w := float64(rng.Intn(2))
+		switch rng.Intn(4) {
+		case 0:
+			g.AddArc(u, v, w)
+		case 1:
+			g.AddEdge(u, v, w)
+			g.AddEdge(u, v, float64(rng.Intn(2)))
+		default:
+			g.AddEdge(u, v, w)
+		}
+	}
+	return g
 }
 
 // TestDijkstraMatchesReference: the typed-heap search settles the same
@@ -389,6 +429,10 @@ func dijkstraReference(g *Graph, source int, opts DijkstraOptions) *ShortestResu
 	}
 	return res
 }
+
+// YenReference exposes yenReference to the external-package tests, which
+// can build networks through packages that import this one.
+var YenReference = yenReference
 
 // yenReference is Yen's algorithm as the kernel ran it before the in-place
 // spur search: each spur deep-copies the adjacency without its banned

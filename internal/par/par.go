@@ -1,5 +1,6 @@
 // Package par provides a bounded, deterministic parallel-for used by the
-// planning hot paths (column-generation pricing in internal/flow).
+// planning hot paths (column-generation pricing in internal/flow, per-pair
+// Yen enumeration in internal/segment and internal/contend).
 //
 // The determinism contract: For and ForWorker run f(i) exactly once for
 // every index i in [0, n), and callers arrange for f(i) to write only to

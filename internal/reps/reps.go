@@ -103,6 +103,7 @@ func NewEngineCtx(ctx context.Context, net *topo.Network, pairs []topo.SDPair, o
 	segOpts.KPaths = opts.KPaths
 	segOpts.MaxSegmentHops = 1 // entanglement links only
 	segOpts.MinProb = 0
+	segOpts.Workers = opts.Flow.Workers
 	// Budgeted construction bypasses the warm cache (see core.NewEngineCtx).
 	set, err := opts.Warm.SegmentSet(ctx, net, pairs, segOpts)
 	if err != nil {

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"see/internal/graph"
+	"see/internal/par"
 	"see/internal/topo"
 )
 
@@ -108,6 +109,9 @@ type Options struct {
 	// that E2E still attempts low-probability long segments, as the
 	// paper's E2E curve does.
 	FullPathOnly bool
+	// Workers bounds the goroutines enumerating the SD pairs' Yen paths
+	// (0 = GOMAXPROCS, 1 = serial). The set is identical at any value.
+	Workers int
 }
 
 // DefaultOptions returns the defaults described above.
@@ -172,13 +176,18 @@ func Build(net *topo.Network, pairs []topo.SDPair, opts Options) (*Set, error) {
 		EdgeOf:  make(map[PairKey]int),
 		opts:    opts,
 	}
-	seen := make(map[string]struct{})
 	for i, sd := range pairs {
 		if sd.S == sd.D || sd.S < 0 || sd.D < 0 || sd.S >= net.NumNodes() || sd.D >= net.NumNodes() {
 			return nil, fmt.Errorf("segment: invalid SD pair %d: %+v", i, sd)
 		}
-		paths := graph.YenKShortest(net.G, sd.S, sd.D, opts.KPaths, graph.DijkstraOptions{})
-		s.SDPaths[i] = paths
+	}
+	// Each pair's Yen call writes only its own slot; candidates are then
+	// added serially in pair order, so the set is the serial one.
+	par.For(opts.Workers, len(pairs), func(i int) {
+		s.SDPaths[i] = graph.YenKShortest(net.G, pairs[i].S, pairs[i].D, opts.KPaths, graph.DijkstraOptions{})
+	})
+	seen := make(map[string]struct{})
+	for _, paths := range s.SDPaths {
 		for _, p := range paths {
 			if opts.FullPathOnly {
 				s.addCandidate(p, seen, true)

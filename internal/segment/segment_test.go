@@ -2,6 +2,7 @@ package segment
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -350,5 +351,38 @@ func TestAttemptFactorMatchesDefinition(t *testing.T) {
 	c.Prob = 1e-13
 	if got := AttemptFactor(net, c); !math.IsInf(got, 1) {
 		t.Errorf("AttemptFactor of a dead realization = %v, want +Inf", got)
+	}
+}
+
+// TestBuildWorkersIdentical: per-pair Yen enumeration on four workers
+// builds the serial set, candidate for candidate (run under -race by make
+// verify).
+func TestBuildWorkersIdentical(t *testing.T) {
+	cfg := topo.DefaultConfig()
+	cfg.Nodes = 100
+	net, err := topo.Generate(cfg, xrand.New(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := topo.ChooseSDPairs(net, 12, xrand.New(22))
+	links := DefaultOptions()
+	links.MaxSegmentHops = 1
+	whole := DefaultOptions()
+	whole.FullPathOnly = true
+	for _, opts := range []Options{DefaultOptions(), links, whole} {
+		opts.Workers = 1
+		serial, err := Build(net, pairs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Workers = 4
+		parallel, err := Build(net, pairs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parallel.opts.Workers = 1 // the one field allowed to differ
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Fatalf("options %+v: the 4-worker set differs from the serial one", opts)
+		}
 	}
 }

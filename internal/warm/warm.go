@@ -19,7 +19,8 @@
 // # Keying and invalidation
 //
 // Entries are keyed by the *topo.Network pointer plus the full content of
-// the pairs and options, and each entry records the network's content
+// the pairs and options (less Workers: enumeration is deterministic at any
+// worker count), and each entry records the network's content
 // fingerprint (topo.Fingerprint) at build time. Lookups re-verify the
 // fingerprint, so mutating a network in place between builds forces a cold
 // rebuild — the cache can go stale in time but never in content. Lookup is
@@ -156,11 +157,13 @@ func (c *Cache) SegmentSet(ctx context.Context, net *topo.Network, pairs []topo.
 		return segment.Build(net, pairs, opts)
 	}
 	fp := topo.Fingerprint(net)
+	key := opts
+	key.Workers = 0
 
 	c.mu.Lock()
 	for i := range c.sets {
 		e := &c.sets[i]
-		if e.net != net || e.opts != opts || !slices.Equal(e.pairs, pairs) {
+		if e.net != net || e.opts != key || !slices.Equal(e.pairs, pairs) {
 			continue
 		}
 		if e.fp != fp {
@@ -190,11 +193,11 @@ func (c *Cache) SegmentSet(ctx context.Context, net *topo.Network, pairs []topo.
 	// LP-solution cache keys on it).
 	for i := range c.sets {
 		e := &c.sets[i]
-		if e.net == net && e.fp == fp && e.opts == opts && slices.Equal(e.pairs, pairs) {
+		if e.net == net && e.fp == fp && e.opts == key && slices.Equal(e.pairs, pairs) {
 			return e.set, nil
 		}
 	}
-	c.sets = append(c.sets, setEntry{net: net, fp: fp, pairs: slices.Clone(pairs), opts: opts, set: set})
+	c.sets = append(c.sets, setEntry{net: net, fp: fp, pairs: slices.Clone(pairs), opts: key, set: set})
 	return set, nil
 }
 

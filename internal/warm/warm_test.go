@@ -39,9 +39,20 @@ func TestSegmentSetMemoized(t *testing.T) {
 	if a != b {
 		t.Fatal("second lookup did not return the memoized set")
 	}
+	// Workers must not affect the key: enumeration is deterministic at
+	// any worker count, so a worker-count change is still a hit.
+	workers := opts
+	workers.Workers = 4
+	w, err := c.SegmentSet(nil, net, pairs, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w != a {
+		t.Fatal("worker-count change missed the cache")
+	}
 	st := c.Stats()
-	if st.SetMisses != 1 || st.SetHits != 1 {
-		t.Fatalf("stats = %+v, want 1 miss 1 hit", st)
+	if st.SetMisses != 1 || st.SetHits != 2 {
+		t.Fatalf("stats = %+v, want 1 miss 2 hits", st)
 	}
 
 	// Different options are a different entry.

@@ -220,7 +220,8 @@ func MotivationNetwork() (*Network, []SDPair) {
 //
 //   - KPaths, MaxSegmentHops, MinSegmentProb, StrictProvisioning,
 //     PlainObjective and Workers tune construction (Workers bounds the LP
-//     pricing goroutines; any count gives a byte-identical scheduler).
+//     pricing and per-pair path-enumeration goroutines; any count gives a
+//     byte-identical scheduler).
 //   - Tracer observes the slot pipeline phases and incidents; attach a
 //     *CountingTracer to collect counts and latencies.
 //   - Faults injects a deterministic fault schedule (see ParseFaultSpec)
