@@ -110,6 +110,10 @@ func TestRunBadFlags(t *testing.T) {
 		{[]string{"-memory", "-2"}, 2, "-memory"},
 		{[]string{"-swap", "-0.5"}, 2, "-swap"},
 		{[]string{"-alpha", "-1"}, 2, "-alpha"},
+		// A population beyond the server's bound is a usage error, not a
+		// panic in the per-user counter allocation.
+		{[]string{"-serve", "-nodes", "30", "-pairs", "2", "-alg", "greedy", "-slots", "2",
+			"-arrivals", "poisson;users=4611686018427387904"}, 2, "users"},
 	} {
 		args := tc.args
 		var stdout, stderr bytes.Buffer

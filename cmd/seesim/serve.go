@@ -48,6 +48,13 @@ func runServe(p serveParams, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "seesim: -ckpt-every must be positive, got %d\n", p.ckptEvery)
 		return 2
 	}
+	// serveOne parses the spec again for each scheduler (every server needs
+	// its own arrival process); checking it here rejects a bad spec before
+	// any output.
+	if _, err := see.ParseArrivalSpec(p.arrivals); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 	if p.ckptDir != "" {
 		if err := os.MkdirAll(p.ckptDir, 0o755); err != nil {
 			fmt.Fprintln(stderr, err)

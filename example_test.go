@@ -45,21 +45,27 @@ func ExampleNSFNETNetwork() {
 	// Output: 14 21
 }
 
-// A queued-qubit workload over many slots.
-func ExampleRunWorkload() {
+// A queued request workload over many slots: every request that arrives
+// is served, rejected at admission, expired or still queued.
+func ExampleNewTrafficServer() {
 	net, pairs := see.MotivationNetwork()
 	sched, err := see.NewScheduler(see.SEE, net, pairs, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := see.RunWorkload(sched, len(pairs), see.WorkloadConfig{
-		Slots:           20,
-		ArrivalsPerPair: 0.5,
-		Seed:            3,
-	})
+	cfg, err := see.ParseArrivalSpec("poisson;rate=1;users=4;max-active=8")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(res.Arrived == res.Delivered+res.Dropped+res.Backlog)
+	cfg.Seed = 3
+	srv, err := see.NewTrafficServer(sched, len(pairs), cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := srv.Run(20, nil); err != nil {
+		log.Fatal(err)
+	}
+	rep := srv.Report()
+	fmt.Println(rep.Arrived == rep.Served+rep.Rejected+rep.Expired+rep.Backlog)
 	// Output: true
 }

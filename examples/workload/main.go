@@ -1,8 +1,9 @@
-// Workload drives the three schedulers against the same multi-slot qubit
-// workload (the scenario the paper's introduction motivates: networking
-// quantum computers that continuously produce qubits to teleport) and
-// compares delivery rate, queueing latency and — using the Werner-state
-// extension — the fidelity of the delivered entanglement.
+// Workload drives the three schedulers against the same multi-slot
+// request workload (the scenario the paper's introduction motivates:
+// networking quantum computers that continuously produce qubits to
+// teleport) through the traffic server, and compares delivery rate,
+// queueing latency and — using the Werner-state extension — the fidelity
+// of the delivered entanglement.
 package main
 
 import (
@@ -13,6 +14,12 @@ import (
 	"see"
 )
 
+// spec offers 6 requests per slot from 10 users, user u bound to SD pair
+// u mod 10, so each pair sees Poisson(0.6) arrivals. One class with a
+// 50-slot deadline means nothing expires over the 50-slot run; max-active
+// bounds the total backlog.
+const spec = "poisson;rate=6;users=10;mix=0/0/1;deadline=50/50/50;max-active=200"
+
 func main() {
 	cfg := see.DefaultNetworkConfig()
 	cfg.Nodes = 100
@@ -20,23 +27,32 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	w := see.WorkloadConfig{Slots: 50, ArrivalsPerPair: 0.6, QueueCap: 20, Seed: 5}
+	const slots = 50
 
-	fmt.Printf("workload: %d slots, %.1f qubits/pair/slot offered, queue cap %d\n\n",
-		w.Slots, w.ArrivalsPerPair, w.QueueCap)
-	fmt.Printf("%-5s %-10s %-10s %-10s %-12s %-10s\n",
-		"alg", "arrived", "delivered", "dropped", "latency", "backlog")
+	fmt.Printf("workload: %d slots, arrivals %q\n\n", slots, spec)
+	fmt.Printf("%-5s %-10s %-10s %-10s %-10s %-10s %-12s\n",
+		"alg", "arrived", "served", "rejected", "latency", "backlog", "established")
 	for _, alg := range []see.Algorithm{see.SEE, see.REPS, see.E2E} {
 		sched, err := see.NewScheduler(alg, net, pairs, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := see.RunWorkload(sched, len(pairs), w)
+		scfg, err := see.ParseArrivalSpec(spec)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-5s %-10d %-10d %-10d %-12.2f %-10d\n",
-			alg, res.Arrived, res.Delivered, res.Dropped, res.MeanLatencySlots, res.Backlog)
+		scfg.Seed = 5
+		srv, err := see.NewTrafficServer(sched, len(pairs), scfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := srv.Run(slots, nil); err != nil {
+			log.Fatal(err)
+		}
+		// mix=0/0/1 makes every request bronze, the last class.
+		rep := srv.Report()
+		fmt.Printf("%-5s %-10d %-10d %-10d %-10.2f %-10d %-12d\n", alg, rep.Arrived, rep.Served,
+			rep.Rejected, rep.PerClass[len(rep.PerClass)-1].MeanLatency, rep.Backlog, rep.Established)
 	}
 
 	// Fidelity comparison (Werner-state extension): SEE's connections use

@@ -36,6 +36,11 @@ const maxRate = 500.0
 // expiry slot (arrival + deadline) cannot overflow an int.
 const maxDeadline = 1 << 30
 
+// maxUsers bounds the request population: New allocates two per-user
+// service counters, so an unbounded users= would let a spec ask for an
+// arbitrarily large (or, past the address space, panicking) allocation.
+const maxUsers = 1 << 20
+
 // poissonDraw samples Poisson(λ) by Knuth's product method. The number of
 // rng draws varies with the outcome, which is fine: the server's rng cursor
 // counts draws, not slots.
@@ -170,7 +175,7 @@ func (b *Bursty) SetPhase(v int) error {
 //	kind;key=value;key=value;...
 //
 // where kind is poisson, diurnal or bursty. Shared keys: users=N (request
-// population, default 100), mix=g/s/b (class proportions, default
+// population, 1 to 2^20, default 100), mix=g/s/b (class proportions, default
 // 0.2/0.3/0.5, finite and normalized), deadline=g/s/b (per-class
 // time-to-live in whole slots, 1 to 2^30, default 4/8/16), max-active=K
 // (admission bound on queued requests, default 0 = unbounded). Process
@@ -225,8 +230,8 @@ func ParseSpec(spec string) (Config, error) {
 				err = fmt.Errorf("serve: switch=%v outside (0,1]", sw)
 			}
 		case "users":
-			if cfg.Users, err = strconv.Atoi(val); err == nil && cfg.Users < 1 {
-				err = fmt.Errorf("serve: users=%d must be positive", cfg.Users)
+			if cfg.Users, err = strconv.Atoi(val); err == nil && (cfg.Users < 1 || cfg.Users > maxUsers) {
+				err = fmt.Errorf("serve: users=%d outside [1,%d]", cfg.Users, maxUsers)
 			}
 		case "max-active":
 			if cfg.MaxActive, err = strconv.Atoi(val); err == nil && cfg.MaxActive < 0 {

@@ -79,6 +79,8 @@ func TestParseSpecErrors(t *testing.T) {
 		"poisson;rate=9999",
 		"poisson;rate",
 		"poisson;users=0",
+		"poisson;users=1048577",
+		"poisson;users=4611686018427387904",
 		"poisson;max-active=-1",
 		"poisson;mix=1/2",
 		"poisson;mix=0/0/0",

@@ -15,9 +15,10 @@ import (
 
 // FuzzParseArrivals checks the arrival-spec parser on arbitrary input: it
 // must never panic, and any spec it accepts must have a finite class mix
-// summing to 1, deadlines of at least one slot, and finite process
-// parameters within the ranges ParseSpec documents, every process's peak
-// rate included.
+// summing to 1, deadlines of at least one slot, a population within
+// maxUsers, and finite process parameters within the ranges ParseSpec
+// documents, every process's peak rate included. Every accepted spec must
+// also build a server that runs a slot.
 func FuzzParseArrivals(f *testing.F) {
 	for _, seed := range []string{
 		"poisson",
@@ -37,6 +38,7 @@ func FuzzParseArrivals(f *testing.F) {
 		"bursty;burst-rate=NaN",
 		";;",
 		"poisson;rate",
+		"poisson;users=4611686018427387904",
 	} {
 		f.Add(seed)
 	}
@@ -60,7 +62,7 @@ func FuzzParseArrivals(f *testing.F) {
 				t.Fatalf("%q: deadline[%d] = %d", spec, c, d)
 			}
 		}
-		if cfg.Users < 1 || cfg.MaxActive < 0 {
+		if cfg.Users < 1 || cfg.Users > maxUsers || cfg.MaxActive < 0 {
 			t.Fatalf("%q: users=%d max-active=%d", spec, cfg.Users, cfg.MaxActive)
 		}
 		rate := func(name string, r float64) {
@@ -85,6 +87,13 @@ func FuzzParseArrivals(f *testing.F) {
 			}
 		default:
 			t.Fatalf("%q: accepted with process %v", spec, cfg.Process)
+		}
+		srv, err := New(&fixedEngine{perPair: []int{1, 2}}, 2, cfg)
+		if err != nil {
+			t.Fatalf("%q: accepted by ParseSpec, rejected by New: %v", spec, err)
+		}
+		if _, err := srv.RunSlot(); err != nil {
+			t.Fatalf("%q: first slot: %v", spec, err)
 		}
 	})
 }

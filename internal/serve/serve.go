@@ -73,8 +73,9 @@ type Request struct {
 type Config struct {
 	// Process generates per-slot arrival counts.
 	Process Process
-	// Users is the population size. Each user is statically bound to the
-	// SD pair user mod pairs, so per-user service totals are comparable.
+	// Users is the population size, 1 to 2^20. Each user is statically
+	// bound to the SD pair user mod pairs, so per-user service totals are
+	// comparable.
 	Users int
 	// Mix is the class distribution of arrivals (normalized by New).
 	Mix [NumClasses]float64
@@ -162,8 +163,8 @@ func New(eng sched.Engine, pairs int, cfg Config) (*Server, error) {
 	if cfg.Process == nil {
 		return nil, errors.New("serve: nil arrival process")
 	}
-	if cfg.Users <= 0 {
-		return nil, fmt.Errorf("serve: Users must be positive, got %d", cfg.Users)
+	if cfg.Users <= 0 || cfg.Users > maxUsers {
+		return nil, fmt.Errorf("serve: Users %d outside [1,%d]", cfg.Users, maxUsers)
 	}
 	if cfg.MaxActive < 0 {
 		return nil, fmt.Errorf("serve: negative MaxActive %d", cfg.MaxActive)
@@ -316,35 +317,37 @@ func (s *Server) drawClass() Class {
 }
 
 // servePair delivers up to `conns` requests from pair i's queue, highest
-// class first and FIFO within a class, and returns the number served.
+// class first and FIFO within a class, and returns the number served. The
+// first pass sizes each class's share of the connections in priority
+// order; the second serves the first take[c] class-c requests in queue
+// (ID) order, so latencies accumulate in arrival order.
 func (s *Server) servePair(i, conns, slot int) int {
 	q := s.queues[i]
 	if conns <= 0 || len(q) == 0 {
 		return 0
 	}
-	serve := make(map[int]bool, conns)
-	for c := Class(0); c < NumClasses && len(serve) < conns; c++ {
-		for j, r := range q {
-			if len(serve) >= conns {
-				break
-			}
-			if r.Class == c && !serve[j] {
-				serve[j] = true
-			}
-		}
+	var take [NumClasses]int
+	for _, r := range q {
+		take[r.Class]++
+	}
+	left := conns
+	for c := range take {
+		take[c] = min(take[c], left)
+		left -= take[c]
 	}
 	kept := q[:0]
-	for j, r := range q {
-		if !serve[j] {
+	for _, r := range q {
+		if take[r.Class] == 0 {
 			kept = append(kept, r)
 			continue
 		}
+		take[r.Class]--
 		s.class[r.Class].Served++
 		s.class[r.Class].LatencySum += float64(slot - r.Arrived)
 		s.userServed[r.User]++
 	}
 	s.queues[i] = kept
-	return len(serve)
+	return conns - left
 }
 
 // backlog counts queued requests across all pairs.

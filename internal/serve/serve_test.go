@@ -134,6 +134,42 @@ func TestServerDeterminism(t *testing.T) {
 	}
 }
 
+// TestServerLightLoadLatency checks the light-load end of the queueing
+// curve: at a trickle arrival rate against SEE on a 50-node instance most
+// requests are served, and served ones wait only a few slots.
+func TestServerLightLoadLatency(t *testing.T) {
+	net, pairs, err := schedtest.Instance(50, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engines.New(sched.SEE, net, pairs, engines.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := ParseSpec("poisson;rate=1;users=5;mix=0/0/1;deadline=50/50/50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Seed = 17
+	srv, err := New(eng, len(pairs), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Run(50, nil); err != nil {
+		t.Fatal(err)
+	}
+	rep := srv.Report()
+	if rep.Arrived == 0 {
+		t.Fatal("no arrivals at rate 1 over 50 slots")
+	}
+	if frac := float64(rep.Served) / float64(rep.Arrived); frac < 0.5 {
+		t.Errorf("light load served only %.0f%% of %d arrivals", frac*100, rep.Arrived)
+	}
+	if lat := rep.PerClass[Bronze].MeanLatency; lat > 5 {
+		t.Errorf("light load mean latency %.2f slots", lat)
+	}
+}
+
 // TestClassPriority seeds a queue with mixed classes and checks service
 // order: gold first, FIFO within a class.
 func TestClassPriority(t *testing.T) {
@@ -257,6 +293,7 @@ func TestNewValidation(t *testing.T) {
 		{"no pairs", eng, 0, nil},
 		{"nil process", eng, 1, func(c *Config) { c.Process = nil }},
 		{"no users", eng, 1, func(c *Config) { c.Users = 0 }},
+		{"huge users", eng, 1, func(c *Config) { c.Users = 1 << 62 }},
 		{"negative max-active", eng, 1, func(c *Config) { c.MaxActive = -1 }},
 		{"zero mix", eng, 1, func(c *Config) { c.Mix = [NumClasses]float64{} }},
 		{"negative mix", eng, 1, func(c *Config) { c.Mix[Gold] = -1 }},
