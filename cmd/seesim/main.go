@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 		serveMode = fs.Bool("serve", false, "service mode: run one long-lived instance where an arrival process generates per-user requests with QoS classes and deadlines (-trials is ignored)")
 		arrivals  = fs.String("arrivals", "poisson;rate=2", "service-mode arrival spec, e.g. \"poisson;rate=3;users=200;mix=0.2/0.3/0.5;deadline=4/8/16;max-active=64\"")
-		ckptDir   = fs.String("ckpt-dir", "", "service mode: write per-scheduler checkpoints (plus JSON debug dumps) to this directory")
+		ckptDir   = fs.String("ckpt-dir", "", "service mode: write per-scheduler checkpoints (a header line plus the JSON state) to this directory")
 		ckptEvery = fs.Int("ckpt-every", 100, "service mode: with -ckpt-dir, checkpoint every N slots (a final checkpoint is always written)")
 		resume    = fs.Bool("resume", false, "service mode: resume from the checkpoints in -ckpt-dir and run to -slots")
 		dieAt     = fs.Int("die-at", -1, "service mode: exit abruptly (code 3) after this slot, skipping the final checkpoint — crash simulation for resume tests (-1 = never)")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -51,11 +52,17 @@ func TestServeKillResume(t *testing.T) {
 	if code != 3 {
 		t.Fatalf("crashed run exited %d, want 3:\n%s", code, crash.String())
 	}
-	if _, err := os.Stat(filepath.Join(dir, "greedy.ckpt")); err != nil {
+	// The checkpoint body after its header line is the readable state.
+	raw, err := os.ReadFile(filepath.Join(dir, "greedy.ckpt"))
+	if err != nil {
 		t.Fatalf("no checkpoint after crash: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "greedy.ckpt.json")); err != nil {
-		t.Fatalf("no debug dump after crash: %v", err)
+	_, body, _ := bytes.Cut(raw, []byte{'\n'})
+	var dump struct {
+		Slot int `json:"slot"`
+	}
+	if err := json.Unmarshal(body, &dump); err != nil || dump.Slot != 7 {
+		t.Fatalf("checkpoint body is not JSON at slot 7: %v, %+v", err, dump)
 	}
 
 	var resumed bytes.Buffer
@@ -93,6 +100,35 @@ func TestServeKillResume(t *testing.T) {
 	}
 	if !strings.HasSuffix(again.String(), wantSummary) {
 		t.Errorf("second resume summary diverged:\n%s", again.String())
+	}
+}
+
+// TestServeResumeRejectsCorruptCheckpoint checks a checkpoint damaged on
+// disk stops the resume with a corruption error before any slot runs.
+func TestServeResumeRejectsCorruptCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if code := run(serveArgs("-ckpt-dir", dir, "-slots", "5"), &out, &out); code != 0 {
+		t.Fatalf("run exited %d:\n%s", code, out.String())
+	}
+	path := filepath.Join(dir, "greedy.ckpt")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[bytes.IndexByte(raw, '\n')+len(raw)/2] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(serveArgs("-ckpt-dir", dir, "-resume"), &stdout, &stderr); code != 1 {
+		t.Fatalf("resume from a corrupt checkpoint exited %d, want 1:\n%s%s", code, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "corrupt checkpoint") {
+		t.Errorf("stderr does not name the corruption:\n%s", stderr.String())
+	}
+	if n := len(slotLines(stdout.String())); n != 0 {
+		t.Errorf("resume from a corrupt checkpoint printed %d slot lines", n)
 	}
 }
 

@@ -105,8 +105,8 @@ func runServer(net *see.Network, pairs []see.SDPair, spec string, horizon int, c
 		if err := srv.WriteCheckpoint(ckpt); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("checkpointed %s at slot %d (+ %s.json debug dump)\n\n",
-			filepath.Base(ckpt), srv.Slot(), filepath.Base(ckpt))
+		fmt.Printf("checkpointed %s at slot %d (its JSON body after the header line is the readable state)\n\n",
+			filepath.Base(ckpt), srv.Slot())
 	}
 
 	if srv.Slot() == slots {

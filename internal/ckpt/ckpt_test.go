@@ -1,7 +1,9 @@
 package ckpt
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -17,104 +19,44 @@ import (
 	"see/internal/xrand"
 )
 
-// TestCodecRoundTrip drives every primitive through an encode/decode cycle.
-func TestCodecRoundTrip(t *testing.T) {
-	e := &Encoder{}
-	e.Uvarint(0)
-	e.Uvarint(1<<63 + 17)
-	e.Varint(-1234567891011)
-	e.Int(42)
-	e.Bool(true)
-	e.Bool(false)
-	e.Float64(math.Pi)
-	e.Float64(math.Inf(-1))
-	e.String("hello, 世界")
-	e.String("")
-	e.Blob([]byte{0, 1, 2, 255})
-	e.Ints([]int{-3, 0, 7})
-	e.Ints(nil)
-
-	d := NewDecoder(e.Bytes())
-	if got := d.Uvarint(); got != 0 {
-		t.Errorf("uvarint 0: got %d", got)
-	}
-	if got := d.Uvarint(); got != 1<<63+17 {
-		t.Errorf("uvarint big: got %d", got)
-	}
-	if got := d.Varint(); got != -1234567891011 {
-		t.Errorf("varint: got %d", got)
-	}
-	if got := d.Int(); got != 42 {
-		t.Errorf("int: got %d", got)
-	}
-	if !d.Bool() || d.Bool() {
-		t.Error("bools did not round trip")
-	}
-	if got := d.Float64(); got != math.Pi {
-		t.Errorf("float64: got %v", got)
-	}
-	if got := d.Float64(); !math.IsInf(got, -1) {
-		t.Errorf("float64 -inf: got %v", got)
-	}
-	if got := d.String(); got != "hello, 世界" {
-		t.Errorf("string: got %q", got)
-	}
-	if got := d.String(); got != "" {
-		t.Errorf("empty string: got %q", got)
-	}
-	if got := d.Blob(); !reflect.DeepEqual(got, []byte{0, 1, 2, 255}) {
-		t.Errorf("blob: got %v", got)
-	}
-	if got := d.Ints(); !reflect.DeepEqual(got, []int{-3, 0, 7}) {
-		t.Errorf("ints: got %v", got)
-	}
-	if got := d.Ints(); got != nil {
-		t.Errorf("nil ints: got %v", got)
-	}
-	if err := d.Finish(); err != nil {
-		t.Fatal(err)
-	}
+// withBody renders a checkpoint with a correct header around an arbitrary
+// body, so a test reaches the body checks behind the CRC.
+func withBody(body string) []byte {
+	return fmt.Appendf(nil, "%s %d %08x\n%s", magic, Version, crc32.ChecksumIEEE([]byte(body)), body)
 }
 
-// TestDecoderLatchesErrors checks truncated input fails once and stays
-// failed.
-func TestDecoderLatchesErrors(t *testing.T) {
-	d := NewDecoder([]byte{0x80}) // unterminated varint
-	d.Uvarint()
-	if d.Err() == nil {
-		t.Fatal("truncated uvarint accepted")
-	}
-	if got := d.Int(); got != 0 {
-		t.Errorf("post-error read returned %d", got)
-	}
-	if d.Finish() == nil {
-		t.Error("Finish cleared the latched error")
-	}
-}
-
-// TestContainerRoundTrip writes and reloads a multi-section snapshot.
+// TestContainerRoundTrip writes and reloads a value through a file and
+// checks the body after the header line is the value's plain JSON.
 func TestContainerRoundTrip(t *testing.T) {
+	type value struct {
+		Name  string `json:"name"`
+		Slot  int    `json:"slot"`
+		Items []int  `json:"items"`
+	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
-	s := &Snapshot{}
-	s.Add("alpha", []byte("payload-a"))
-	s.Add("beta", nil)
-	s.Add("gamma", []byte{1, 2, 3})
-	if err := Write(path, s); err != nil {
+	want := value{Name: "alpha", Slot: 7, Items: []int{1, -2, 3}}
+	if err := Write(path, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(path)
+	var got value
+	if err := Read(path, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip: got %+v, want %+v", got, want)
+	}
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Names(), []string{"alpha", "beta", "gamma"}) {
-		t.Fatalf("sections: %v", got.Names())
+	header, body, _ := bytes.Cut(raw, []byte{'\n'})
+	if !strings.HasPrefix(string(header), fmt.Sprintf("%s %d ", magic, Version)) {
+		t.Fatalf("header %q", header)
 	}
-	if data, ok := got.Section("alpha"); !ok || string(data) != "payload-a" {
-		t.Fatalf("alpha = %q, %v", data, ok)
-	}
-	if _, ok := got.Section("missing"); ok {
-		t.Fatal("found a section that was never written")
+	var plain value
+	if err := json.Unmarshal(body, &plain); err != nil || !reflect.DeepEqual(plain, want) {
+		t.Fatalf("body is not the value's JSON: %v, %+v", err, plain)
 	}
 	// No stray temp files left behind.
 	entries, err := os.ReadDir(dir)
@@ -126,81 +68,133 @@ func TestContainerRoundTrip(t *testing.T) {
 	}
 }
 
-// TestContainerRejectsCorruption flips bytes across the file and asserts
-// every corruption is caught (magic, body, trailer).
+// TestFloatBitsRoundTrip checks a float64 comes back bit for bit through
+// Write and Read, including a sum with no short decimal form, the
+// smallest subnormal and negative zero, as do the int64 seed and uint64
+// position of an rng cursor at their extremes.
+func TestFloatBitsRoundTrip(t *testing.T) {
+	type value struct {
+		LatencySum float64      `json:"latency_sum"`
+		Cursor     xrand.Cursor `json:"cursor"`
+	}
+	path := filepath.Join(t.TempDir(), "f.ckpt")
+	cases := []value{
+		{LatencySum: 0.1 + 0.2, Cursor: xrand.Cursor{Seed: math.MinInt64, Pos: math.MaxUint64}},
+		{LatencySum: 5e-324, Cursor: xrand.Cursor{Seed: math.MaxInt64, Pos: 1 << 63}},
+		{LatencySum: math.Copysign(0, -1)},
+		{LatencySum: math.MaxFloat64},
+	}
+	for _, want := range cases {
+		if err := Write(path, want); err != nil {
+			t.Fatal(err)
+		}
+		var got value
+		if err := Read(path, &got); err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.LatencySum) != math.Float64bits(want.LatencySum) {
+			t.Errorf("float %v came back as %v (bits %#x, want %#x)", want.LatencySum, got.LatencySum,
+				math.Float64bits(got.LatencySum), math.Float64bits(want.LatencySum))
+		}
+		if got.Cursor != want.Cursor {
+			t.Errorf("cursor %+v came back as %+v", want.Cursor, got.Cursor)
+		}
+	}
+}
+
+// TestContainerRejectsCorruption checks every damaged or malformed file
+// is rejected as corrupt: flipped bytes across the header and body, a
+// truncation, and well-checksummed bodies that do not decode exactly.
 func TestContainerRejectsCorruption(t *testing.T) {
-	s := &Snapshot{}
-	s.Add("only", []byte("data"))
-	raw, err := s.encode()
+	type value struct {
+		Slot int   `json:"slot"`
+		Path []int `json:"path"`
+	}
+	raw, err := Encode(value{Slot: 3, Path: []int{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pos := range []int{0, len(Magic) + 1, len(raw) / 2, len(raw) - 1} {
+	cases := map[string][]byte{
+		"unknown field":  withBody(`{"slot": 3, "path": [1, 2], "extra": 1}`),
+		"trailing data":  withBody(`{"slot": 3, "path": [1, 2]} {}`),
+		"wrong type":     withBody(`{"slot": "3", "path": [1, 2]}`),
+		"missing header": raw[bytes.IndexByte(raw, '\n')+1:],
+		"bad crc":        bytes.Replace(raw, raw[len(magic)+3:len(magic)+11], []byte("00000000"), 1),
+		"truncated":      raw[:len(raw)-5],
+		"empty":          nil,
+	}
+	for _, pos := range []int{0, len(magic) + 1, len(magic) + 4, len(raw) / 2, len(raw) - 2} {
 		bad := append([]byte(nil), raw...)
-		bad[pos] ^= 0x40
-		if _, err := Decode(bad); err == nil {
-			t.Errorf("corruption at byte %d accepted", pos)
-		} else if !IsCorrupt(err) {
-			t.Errorf("corruption at byte %d: error %v is not IsCorrupt", pos, err)
+		bad[pos] ^= 0x20
+		cases[fmt.Sprintf("flip at %d", pos)] = bad
+	}
+	for name, bad := range cases {
+		var v value
+		if err := Decode(bad, &v); err == nil || !IsCorrupt(err) {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
-	if _, err := Decode(raw[:len(raw)-6]); err == nil {
-		t.Error("truncated container accepted")
+	var v value
+	if err := Decode(raw, &v); err != nil || v.Slot != 3 {
+		t.Fatalf("intact file: %v, %+v", err, v)
 	}
 }
 
 // TestContainerRejectsFutureVersion pins the refuse-don't-guess rule for
 // version skew.
 func TestContainerRejectsFutureVersion(t *testing.T) {
-	s := &Snapshot{}
-	raw, err := s.encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the version varint (Version encodes as one byte right
-	// after the magic) and fix up the checksum.
-	raw[len(Magic)] = Version + 1
-	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
-	if _, err := Decode(raw); err == nil || !IsCorrupt(err) || !strings.Contains(err.Error(), "version") {
+	body := "{}\n"
+	raw := fmt.Appendf(nil, "%s %d %08x\n%s", magic, Version+1, crc32.ChecksumIEEE([]byte(body)), body)
+	var v struct{}
+	want := fmt.Sprintf("version %d", Version+1)
+	if err := Decode(raw, &v); err == nil || !IsCorrupt(err) || !strings.Contains(err.Error(), want) {
 		t.Fatalf("future version: %v", err)
 	}
 }
 
-// TestContainerRejectsOldVersions pins that checkpoints written by an
-// older codec are rejected cleanly instead of misdecoded: a hand-encoded
-// container with a valid checksum must fail with a message naming its
-// version, not a codec panic or silent garbage. Version 1 predates the
-// correlated-fault counters in the chaos Counts codec; version 3 still
-// carries the two message-loss incident slots and the dropped-message
-// counter; version 4 still carries the blocked-path chaos counter.
+// TestContainerRejectsOldVersions pins that checkpoints in the binary
+// container of versions 1–5 ("SEECKPT\n", uvarint version, sections, CRC32
+// trailer) are rejected cleanly with a message naming their version, not
+// misread as a version-6 file.
 func TestContainerRejectsOldVersions(t *testing.T) {
-	for _, v := range []uint64{1, 3, 4} {
+	for _, v := range []uint64{1, 3, 4, 5} {
 		t.Run(fmt.Sprintf("version%d", v), func(t *testing.T) {
-			e := &Encoder{}
-			e.buf = append(e.buf, Magic...)
-			e.Uvarint(v)
-			e.Uvarint(0) // no sections
-			raw := binary.LittleEndian.AppendUint32(e.Bytes(), crc32.ChecksumIEEE(e.Bytes()))
+			raw := append([]byte(magic+"\n"), binary.AppendUvarint(nil, v)...)
+			raw = binary.AppendUvarint(raw, 0) // no sections
+			raw = binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(raw))
 			want := fmt.Sprintf("version %d", v)
-			if _, err := Decode(raw); err == nil || !IsCorrupt(err) || !strings.Contains(err.Error(), want) {
+			var st sched.EngineState
+			if err := Decode(raw, &st); err == nil || !IsCorrupt(err) || !strings.Contains(err.Error(), want) {
 				t.Fatalf("version-%d container: %v", v, err)
 			}
 		})
 	}
 }
 
-// TestWriteRejectsDuplicateSections checks container-level validation.
-func TestWriteRejectsDuplicateSections(t *testing.T) {
-	s := &Snapshot{}
-	s.Add("dup", nil)
-	s.Add("dup", nil)
-	if err := Write(filepath.Join(t.TempDir(), "x.ckpt"), s); err == nil {
-		t.Fatal("duplicate section accepted")
+// TestWriteRejectsUnencodable checks a value JSON cannot represent (a NaN)
+// fails Write without touching the target or leaving a temp file, and
+// that I/O failures are reported but not as corruption.
+func TestWriteRejectsUnencodable(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "x.ckpt")
+	if err := Write(path, struct{ LatencySum float64 }{math.NaN()}); err == nil || IsCorrupt(err) {
+		t.Fatalf("NaN value: %v", err)
 	}
-	s2 := &Snapshot{}
-	s2.Add("", nil)
-	if err := Write(filepath.Join(t.TempDir(), "x.ckpt"), s2); err == nil {
-		t.Fatal("empty section name accepted")
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("failed write left %d entries", len(entries))
+	}
+	if err := Write(filepath.Join(dir, "missing", "x.ckpt"), 1); err == nil || IsCorrupt(err) {
+		t.Fatalf("write into a missing directory: %v", err)
+	}
+	var v int
+	if err := Read(path, &v); err == nil || IsCorrupt(err) {
+		t.Fatalf("read of a missing file: %v", err)
+	}
+	if err := os.WriteFile(path, []byte("SEECKPT"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Read(path, &v); !IsCorrupt(err) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("read of a corrupt file: %v", err)
 	}
 }
 
@@ -235,56 +229,48 @@ func fullEngineState() *sched.EngineState {
 // TestEngineStateRoundTrip round-trips a fully loaded engine-state tree.
 func TestEngineStateRoundTrip(t *testing.T) {
 	st := fullEngineState()
-	got, err := DecodeEngineState(EncodeEngineState(st))
+	raw, err := Encode(st)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var got *sched.EngineState
+	if err := Decode(raw, &got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, st) {
 		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", got, st)
 	}
 	// The nil tree round-trips too.
-	if got, err := DecodeEngineState(EncodeEngineState(nil)); err != nil || got != nil {
+	if raw, err = Encode((*sched.EngineState)(nil)); err != nil {
+		t.Fatal(err)
+	}
+	got = fullEngineState()
+	if err := Decode(raw, &got); err != nil || got != nil {
 		t.Fatalf("nil round trip: %v, %v", got, err)
 	}
 }
 
-// TestCursorAndTracerCountsRoundTrip round-trips the remaining shared
-// codecs.
+// TestCursorAndTracerCountsRoundTrip round-trips the other state types a
+// checkpoint carries.
 func TestCursorAndTracerCountsRoundTrip(t *testing.T) {
-	e := &Encoder{}
-	cur := xrand.Cursor{Seed: -987654321, Pos: 1 << 40}
-	AppendCursor(e, cur)
-	var counts sched.TracerCounts
-	counts.Slots = 100
-	counts.Established = 250
-	counts.Incidents[sched.IncidentFault] = 7
-	counts.Incidents[sched.IncidentBankDeposit] = 31
-	AppendTracerCounts(e, counts)
-
-	d := NewDecoder(e.Bytes())
-	if got := ReadCursor(d); got != cur {
-		t.Errorf("cursor: got %+v", got)
+	type value struct {
+		Cursor xrand.Cursor
+		Counts sched.TracerCounts
 	}
-	if got := ReadTracerCounts(d); got != counts {
-		t.Errorf("tracer counts: got %+v", got)
-	}
-	if err := d.Finish(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWriteDebugJSON checks the debug dump is valid JSON-ish output written
-// atomically.
-func TestWriteDebugJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "dump.json")
-	if err := WriteDebugJSON(path, map[string]int{"slot": 7}); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
+	want := value{Cursor: xrand.Cursor{Seed: -987654321, Pos: 1 << 40}}
+	want.Counts.Slots = 100
+	want.Counts.Established = 250
+	want.Counts.Incidents[sched.IncidentFault] = 7
+	want.Counts.Incidents[sched.IncidentBankDeposit] = 31
+	raw, err := Encode(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), `"slot": 7`) {
-		t.Fatalf("dump = %q", raw)
+	var got value
+	if err := Decode(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("round trip: got %+v, want %+v", got, want)
 	}
 }

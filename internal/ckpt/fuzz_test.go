@@ -3,51 +3,39 @@ package ckpt
 import (
 	"reflect"
 	"testing"
+
+	"see/internal/sched"
 )
 
-// FuzzDecode checks the checkpoint readers on arbitrary bytes: Decode and
-// then DecodeEngineState on every section it yields must return an error
-// or a value, never panic. Random bytes rarely pass the container
-// checksum, so the input is also decoded directly as an engine-state
-// payload. A payload that decodes must re-encode to bytes that decode to
-// the same tree.
+// FuzzDecode checks Decode on arbitrary bytes into an engine-state tree:
+// it must return an error or a value, never panic, and a value it accepts
+// must re-encode to a checkpoint that decodes to the same tree. Random
+// bytes rarely pass the header checksum; the seeds are real checkpoints,
+// so mutations of their headers and bodies both reach the checks.
 func FuzzDecode(f *testing.F) {
-	payload := EncodeEngineState(fullEngineState())
-	s := &Snapshot{}
-	s.Add("engine", payload)
-	raw, err := s.encode()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(raw)
-	f.Add(payload)
-	f.Add(EncodeEngineState(nil))
-	f.Add([]byte(Magic))
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		decodeEngine(t, raw)
-		snap, err := Decode(raw)
+	for _, st := range []*sched.EngineState{fullEngineState(), nil, {Algorithm: sched.Greedy}} {
+		raw, err := Encode(st)
 		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte(magic))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var st sched.EngineState
+		if err := Decode(raw, &st); err != nil {
 			return
 		}
-		for _, name := range snap.Names() {
-			data, _ := snap.Section(name)
-			decodeEngine(t, data)
+		again, err := Encode(&st)
+		if err != nil {
+			t.Fatalf("re-encode of an accepted checkpoint: %v", err)
+		}
+		var back sched.EngineState
+		if err := Decode(again, &back); err != nil {
+			t.Fatalf("re-decode of an accepted checkpoint: %v", err)
+		}
+		if !reflect.DeepEqual(back, st) {
+			t.Fatalf("round trip diverged:\n got %+v\nwant %+v", back, st)
 		}
 	})
-}
-
-// decodeEngine decodes one engine-state payload and, when it decodes,
-// checks that the tree survives an encode/decode round trip.
-func decodeEngine(t *testing.T, data []byte) {
-	st, err := DecodeEngineState(data)
-	if err != nil {
-		return
-	}
-	again, err := DecodeEngineState(EncodeEngineState(st))
-	if err != nil {
-		t.Fatalf("re-decode of an accepted payload: %v", err)
-	}
-	if !reflect.DeepEqual(again, st) {
-		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", again, st)
-	}
 }

@@ -1,12 +1,12 @@
 package serve
 
 import (
-	"encoding/binary"
+	"bytes"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"see/internal/ckpt"
@@ -98,15 +98,15 @@ func FuzzParseArrivals(f *testing.F) {
 	})
 }
 
-// FuzzRestore feeds arbitrary checkpoint containers through ckpt.Decode
-// into Server.Restore. Neither may panic, and Restore validates before it
-// commits: when it returns an error, a Snapshot taken after the call holds
-// the same sections with the same bytes as one taken before it. A
-// checkpoint it accepts must leave a server that runs its next slot. The
-// seed is the container of a real checkpoint from a small Greedy server.
-// A mutated container would almost never match its CRC trailer, so the
-// body rewrites the trailer first: the mutations then reach the section
-// parsers behind it (FuzzDecode in internal/ckpt covers the CRC check).
+// FuzzRestore feeds arbitrary checkpoint files through ckpt.Decode into
+// Server.restore. Neither may panic, and restore validates before it
+// commits: when it returns an error, the server's checkpoint after the
+// call is byte-identical to the one before it. A checkpoint it accepts
+// must leave a server that runs its next slot. The seed is the file of a
+// real checkpoint from a small Greedy server. A mutated file would almost
+// never match the CRC in its header, so the body rewrites that CRC first:
+// the mutations then reach the JSON decoder and restore's checks behind it
+// (FuzzDecode in internal/ckpt covers the CRC check).
 func FuzzRestore(f *testing.F) {
 	fx := newServeFixture(f, sched.Greedy)
 	src := fx.build(f)
@@ -124,21 +124,23 @@ func FuzzRestore(f *testing.F) {
 	f.Add(raw)
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		if n := len(raw) - 4; n >= len(ckpt.Magic) {
-			raw = binary.LittleEndian.AppendUint32(raw[:n:n], crc32.ChecksumIEEE(raw[:n]))
+		if header, body, ok := bytes.Cut(raw, []byte{'\n'}); ok {
+			if i := bytes.LastIndexByte(header, ' '); i >= 0 {
+				raw = fmt.Appendf(header[:i+1:i+1], "%08x\n%s", crc32.ChecksumIEEE(body), body)
+			}
 		}
-		snap, err := ckpt.Decode(raw)
-		if err != nil {
+		var c checkpoint
+		if err := ckpt.Decode(raw, &c); err != nil {
 			return
 		}
 		dst := fx.build(t)
 		if err := dst.Run(2, nil); err != nil {
 			t.Fatal(err)
 		}
-		before := snapshotSections(t, dst)
-		if err := dst.Restore(snap); err != nil {
-			if after := snapshotSections(t, dst); !reflect.DeepEqual(before, after) {
-				t.Fatalf("rejected restore (%v) changed the server:\nbefore %q\n after %q", err, before, after)
+		before := encodedCheckpoint(t, dst)
+		if err := dst.restore(&c); err != nil {
+			if after := encodedCheckpoint(t, dst); !bytes.Equal(before, after) {
+				t.Fatalf("rejected restore (%v) changed the server:\nbefore %s\n after %s", err, before, after)
 			}
 			return
 		}
@@ -146,20 +148,4 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("slot after an accepted restore: %v", err)
 		}
 	})
-}
-
-// snapshotSections returns a server's checkpoint as name/bytes pairs in
-// section order.
-func snapshotSections(t *testing.T, s *Server) [][2]string {
-	t.Helper()
-	snap, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out [][2]string
-	for _, name := range snap.Names() {
-		data, _ := snap.Section(name)
-		out = append(out, [2]string{name, string(data)})
-	}
-	return out
 }

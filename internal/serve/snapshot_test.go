@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -100,8 +102,16 @@ func TestServeCheckpointResume(t *testing.T) {
 	if err := first.WriteCheckpoint(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path + ".json"); err != nil {
-		t.Errorf("debug dump missing: %v", err)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, _ := bytes.Cut(raw, []byte{'\n'})
+	var dump struct {
+		Slot int `json:"slot"`
+	}
+	if err := json.Unmarshal(body, &dump); err != nil || dump.Slot != first.Slot() {
+		t.Errorf("checkpoint body is not JSON at slot %d: %v, %+v", first.Slot(), err, dump)
 	}
 
 	resumed := f.build(t)
@@ -180,24 +190,8 @@ func TestRestoreBadPhaseLeavesEngineUntouched(t *testing.T) {
 	if err := src.Run(5, nil); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := src.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	crafted := &ckpt.Snapshot{}
-	for _, name := range snap.Names() {
-		data, _ := snap.Section(name)
-		if name == secServe {
-			d := ckpt.NewDecoder(data)
-			nextID := d.Int()
-			d.Int() // the phase being replaced
-			e := &ckpt.Encoder{}
-			e.Int(nextID)
-			e.Int(7)
-			data = append(e.Bytes(), data[len(data)-d.Remaining():]...)
-		}
-		crafted.Add(name, data)
-	}
+	crafted := decodedCheckpoint(t, src)
+	crafted.Phase = 7
 
 	dst := f.build(t)
 	if err := dst.Run(2, nil); err != nil {
@@ -208,7 +202,7 @@ func TestRestoreBadPhaseLeavesEngineUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.Restore(crafted); err == nil {
+	if err := dst.restore(crafted); err == nil {
 		t.Fatal("checkpoint with arrival phase 7 restored")
 	}
 	after, err := ck.EngineState()
@@ -231,13 +225,10 @@ func TestRestoreFingerprintMismatch(t *testing.T) {
 	if err := srv.Run(3, nil); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := srv.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := decodedCheckpoint(t, srv)
 	other := newServeFixture(t, sched.Greedy)
 	other.seed = 99
-	if err := other.build(t).Restore(snap); err == nil {
+	if err := other.build(t).restore(snap); err == nil {
 		t.Fatal("checkpoint restored across a seed change")
 	} else if !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("unexpected error: %v", err)
@@ -283,10 +274,10 @@ func TestSnapshotRequiresCheckpointableEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Snapshot(); err == nil {
+	if _, err := srv.snapshot(); err == nil {
 		t.Fatal("snapshot of a non-checkpointable engine succeeded")
 	}
-	if err := srv.Restore(&ckpt.Snapshot{}); err == nil {
+	if err := srv.restore(&checkpoint{}); err == nil {
 		t.Fatal("restore into a non-checkpointable engine succeeded")
 	}
 }
@@ -299,13 +290,100 @@ func TestRestoreTracerPresenceMismatch(t *testing.T) {
 	if err := srv.Run(2, nil); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := srv.Snapshot()
+	snap := decodedCheckpoint(t, srv)
+	bare := f.build(t)
+	bare.cfg.Tracer = nil
+	if err := bare.restore(snap); err == nil {
+		t.Fatal("tracer-carrying checkpoint restored into a tracer-less server")
+	}
+}
+
+// TestRestoreRejectsImpossibleState crafts checkpoints that pass the
+// fingerprint but describe a state no server can be in. Each must be
+// rejected, and the rejected restore must leave the server's checkpoint
+// byte-identical.
+func TestRestoreRejectsImpossibleState(t *testing.T) {
+	f := newServeFixture(t, sched.Greedy)
+	src := f.build(t)
+	if err := src.Run(6, nil); err != nil {
+		t.Fatal(err)
+	}
+	// queued returns the first pair with a queued request.
+	queued := func(c *checkpoint) int {
+		for i, q := range c.Queues {
+			if len(q) > 0 {
+				return i
+			}
+		}
+		t.Fatal("fixture checkpoint has no queued request")
+		return -1
+	}
+	cases := []struct {
+		name  string
+		craft func(c *checkpoint)
+	}{
+		{"negative slot", func(c *checkpoint) { c.Slot = -3 }},
+		{"negative next ID", func(c *checkpoint) { c.NextID = -1 }},
+		{"foreign rng seed", func(c *checkpoint) { c.RNG.Seed++ }},
+		{"no engine state", func(c *checkpoint) { c.Engine = nil }},
+		{"request in the wrong queue", func(c *checkpoint) {
+			i := queued(c)
+			c.Queues[i][0].Pair = (i + 1) % len(c.Queues)
+		}},
+		{"request ID not yet issued", func(c *checkpoint) { c.Queues[queued(c)][0].ID = c.NextID }},
+		{"request arrived in the future", func(c *checkpoint) { c.Queues[queued(c)][0].Arrived = c.Slot }},
+		{"request class out of range", func(c *checkpoint) { c.Queues[queued(c)][0].Class = NumClasses }},
+		{"request user out of range", func(c *checkpoint) { c.Queues[queued(c)][0].User = -1 }},
+		{"missing queue", func(c *checkpoint) { c.Queues = c.Queues[1:] }},
+		{"missing class", func(c *checkpoint) { c.Classes = c.Classes[:NumClasses-1] }},
+		{"short user array", func(c *checkpoint) { c.UserServed = c.UserServed[1:] }},
+		{"tracer counts dropped", func(c *checkpoint) { c.Tracer = nil }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			crafted := decodedCheckpoint(t, src)
+			tc.craft(crafted)
+			dst := f.build(t)
+			if err := dst.Run(2, nil); err != nil {
+				t.Fatal(err)
+			}
+			before := encodedCheckpoint(t, dst)
+			if err := dst.restore(crafted); err == nil {
+				t.Fatal("impossible checkpoint restored")
+			}
+			if after := encodedCheckpoint(t, dst); !bytes.Equal(before, after) {
+				t.Errorf("rejected restore changed the server:\nbefore %s\n after %s", before, after)
+			}
+		})
+	}
+	// The untouched checkpoint restores: the crafts above are what fail.
+	if err := f.build(t).restore(decodedCheckpoint(t, src)); err != nil {
+		t.Fatalf("intact checkpoint: %v", err)
+	}
+}
+
+// encodedCheckpoint returns the server's checkpoint as a file holds it.
+func encodedCheckpoint(t testing.TB, s *Server) []byte {
+	t.Helper()
+	c, err := s.snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare := f.build(t)
-	bare.cfg.Tracer = nil
-	if err := bare.Restore(snap); err == nil {
-		t.Fatal("tracer-carrying checkpoint restored into a tracer-less server")
+	raw, err := ckpt.Encode(c)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return raw
+}
+
+// decodedCheckpoint returns the server's checkpoint as ResumeFrom reads it
+// back: decoded from its file bytes, so it shares no slice with the
+// server.
+func decodedCheckpoint(t testing.TB, s *Server) *checkpoint {
+	t.Helper()
+	var c checkpoint
+	if err := ckpt.Decode(encodedCheckpoint(t, s), &c); err != nil {
+		t.Fatal(err)
+	}
+	return &c
 }

@@ -20,7 +20,7 @@ type BankedSegment struct {
 	B int `json:"b"`
 	// Path is the candidate's physical node sequence, in its original
 	// orientation; empty when the segment carries no candidate.
-	Path []int `json:"path,omitempty"`
+	Path []int `json:"path"`
 	// Birth is the slot the segment was realized in.
 	Birth int `json:"birth"`
 	// Seq is the bank-global deposit sequence number (drives the stochastic
@@ -38,7 +38,7 @@ type BankState struct {
 	Slot    int             `json:"slot"`
 	Seq     int             `json:"seq"`
 	Stats   Stats           `json:"stats"`
-	Entries []BankedSegment `json:"entries,omitempty"`
+	Entries []BankedSegment `json:"entries"`
 }
 
 // CandidateResolver maps a banked segment's endpoints and physical route
