@@ -60,8 +60,9 @@ cover-update:
 # fuzz-smoke runs each committed fuzz target for a few seconds beyond its
 # seed corpus — a quick shake, not a soak (go test accepts one -fuzz
 # pattern per package invocation, hence the separate lines). FuzzRestore
-# caps input minimization at 1s: its inputs are whole checkpoints, and
-# minimizing each new one would otherwise take most of the fuzz time.
+# and FuzzShortestPathBound cap input minimization at 1s: minimizing each
+# new interesting input (a whole checkpoint, a graph) would otherwise take
+# most of the fuzz time.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) -run='^$$' ./internal/chaos
@@ -70,7 +71,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) -run='^$$' ./internal/ckpt
 	$(GO) test -fuzz=FuzzParseArrivals -fuzztime=$(FUZZTIME) -run='^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzRestore -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/serve
-	$(GO) test -fuzz=FuzzShortestPathBound -fuzztime=$(FUZZTIME) -run='^$$' ./internal/graph
+	$(GO) test -fuzz=FuzzShortestPathBound -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/graph
 
 # docs-check keeps the documentation honest: gofmt-clean tree, a package
 # comment on every internal/* package, and every seesim flag present in

@@ -56,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		jsonl      = fs.String("trace-jsonl", "", "stream every pipeline event as JSON lines to this file")
 		carry      = fs.Bool("carry", false, "carry unconsumed entanglement segments across slots in node memories (cross-slot state bank)")
 		decohere   = fs.Int("decohere-slots", 1, "with -carry: slot boundaries a banked segment survives before decohering")
-		warmStart  = fs.Bool("warm-start", true, "reuse memoized candidate sets and LP solutions across scheduler rebuilds over the same topology (results are byte-identical either way)")
 		floorSpec  = fs.String("fidelity-floor", "", "per-request minimum delivered fidelity, e.g. \"0.8;3=0.95\" (default floor plus pair=floor overrides; empty = no floors, also enables the fidelity report)")
 		swapOrder  = fs.String("swap-order", "path", "junction swap sampling order: path (source to destination) or greedy (least reliable junction first)")
 		carryLP    = fs.Bool("carry-aware-lp", false, "with -carry: re-price the provisioning LP on slots that withdrew banked segments, so edges covered by carried inventory price cheaper")
@@ -161,14 +160,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		CarryWernerRetention: *retention,
 		CarryMinWernerScale:  *minScale,
 	}
-	// One cache for the whole run: trials redraw topologies so sim mode
-	// only pays the (cheap) fingerprint lookups, but service mode and any
-	// same-topology rebuild replay their candidate sets and LP solutions.
-	if *warmStart {
-		opts.Warm = see.NewWarmCache()
-	}
-
 	if *serveMode {
+		// Service mode has one topology, so one cache serves the run: the
+		// schedulers share their candidate sets and LP solutions.
+		opts.Warm = see.NewWarmCache()
 		return runServe(serveParams{
 			algs: algs, cfg: cfg, pairs: *pairs, topoName: *topoName,
 			pattern: pattern, traffic: *traffic, slots: *slots, seed: *seed,
@@ -193,8 +188,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintf(stderr, "trial %d: %v\n", trial, err)
 			return 1
 		}
+		// Each trial draws a new topology, so it gets its own warm cache:
+		// its schedulers share what they build, and nothing outlives the
+		// trial (a finished trial's entries could never hit again).
+		warm := see.NewWarmCache()
 		for _, a := range algs {
 			o := opts
+			o.Warm = warm
 			var ts []see.Tracer
 			if *trace || countInjected {
 				ts = append(ts, tracers[a])

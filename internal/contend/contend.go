@@ -40,6 +40,10 @@ import (
 	"see/internal/warm"
 )
 
+// pathsPerPair is the number of candidate entanglement paths scored per
+// SD pair (Yen on the segment graph).
+const pathsPerPair = 5
+
 // infeasibleWeight prices an infeasible element in the candidate-path
 // enumeration on the segment graph, as in the greedy engine's pricing.
 const infeasibleWeight = 1e12
@@ -50,9 +54,6 @@ type Options struct {
 	// defaults (hop cap 10) so the engine plans over the same segment
 	// catalogue as the LP engines it is compared against.
 	Segment segment.Options
-	// PathsPerPair is the number of candidate entanglement paths scored
-	// per SD pair (Yen on the segment graph; default 5).
-	PathsPerPair int
 	// RecoveryAttempts is the number of creation attempts reserved on the
 	// recovery realization of each planned hop (default 1; 0 disables
 	// recovery paths entirely).
@@ -86,7 +87,7 @@ type Options struct {
 func DefaultOptions() Options {
 	seg := segment.DefaultOptions()
 	seg.MaxSegmentHops = 10
-	return Options{Segment: seg, PathsPerPair: 5, RecoveryAttempts: 1}
+	return Options{Segment: seg, RecoveryAttempts: 1}
 }
 
 // hop is one planned segment of a selected path: the endpoint pair, the
@@ -134,10 +135,7 @@ type Engine struct {
 	avail map[segment.PairKey]int
 }
 
-var (
-	_ sched.Stateful       = (*Engine)(nil)
-	_ sched.Checkpointable = (*Engine)(nil)
-)
+var _ sched.Stateful = (*Engine)(nil)
 
 // NewEngine enumerates candidate paths and fixes the contention-aware
 // plan. Like the greedy engine it solves no LP, so construction needs no
@@ -151,9 +149,6 @@ func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, e
 	}
 	if opts.Segment.KPaths == 0 && opts.Segment.MaxSegmentHops == 0 {
 		opts.Segment = DefaultOptions().Segment
-	}
-	if opts.PathsPerPair <= 0 {
-		opts.PathsPerPair = 5
 	}
 	if opts.RecoveryAttempts < 0 {
 		opts.RecoveryAttempts = 0
@@ -233,7 +228,7 @@ func (e *Engine) candidatePaths() [][]graph.Path {
 	edgeWeight := func(id int, _ float64) float64 { return edgeCost[id] }
 	out := make([][]graph.Path, len(e.Pairs))
 	par.For(e.opts.Segment.Workers, len(e.Pairs), func(i int) {
-		out[i] = graph.YenKShortest(e.Set.SegGraph, e.Pairs[i].S, e.Pairs[i].D, e.opts.PathsPerPair, graph.DijkstraOptions{
+		out[i] = graph.YenKShortest(e.Set.SegGraph, e.Pairs[i].S, e.Pairs[i].D, pathsPerPair, graph.DijkstraOptions{
 			NodeWeight: nodeWeight,
 			EdgeWeight: edgeWeight,
 		})

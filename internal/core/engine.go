@@ -121,10 +121,7 @@ type Engine struct {
 	carryArena flow.Arena
 }
 
-var (
-	_ sched.Stateful       = (*Engine)(nil)
-	_ sched.Checkpointable = (*Engine)(nil)
-)
+var _ sched.Stateful = (*Engine)(nil)
 
 // NewEngine builds the candidate set and solves the LP relaxation.
 func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, error) {

@@ -88,7 +88,7 @@ func TestE2ESuffersOnLongPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := topo.ChooseSDPairs(net, 5, xrand.New(9))
-	e, err := New(sched.E2E, net, pairs, Config{KPaths: 3})
+	e, err := New(sched.E2E, net, pairs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,23 +41,11 @@ import (
 
 // Config tunes a scheduler; the zero value selects paper defaults for
 // every scheme. It is the one scheduler-options struct: see.SchedulerOptions
-// is an alias and the experiment harness embeds it.
+// is an alias and the experiment harness embeds it. The paper's
+// construction parameters (K shortest paths, the segment hop cap, §III-D
+// probability pruning) are fixed in each engine's DefaultOptions; the
+// ablations that vary them set those options directly.
 type Config struct {
-	// KPaths is the Yen candidate-path budget per SD pair (0 = default:
-	// 5 for SEE/REPS/Greedy, 1 for E2E).
-	KPaths int
-	// MaxSegmentHops caps physical hops per entanglement segment for SEE
-	// (0 = default 10).
-	MaxSegmentHops int
-	// MinSegmentProb prunes low-probability candidate segments for SEE
-	// (0 = default 0.05).
-	MinSegmentProb float64
-	// StrictProvisioning switches SEE's ESC to the paper-literal
-	// Algorithm 2 (see core.Options).
-	StrictProvisioning bool
-	// PlainObjective disables the swap-survival weighting of the LP
-	// objective (ablation; see flow.Options.SwapWeightedObjective).
-	PlainObjective bool
 	// Workers bounds the goroutines of every scheme's LP pricing rounds
 	// and per-SD-pair path enumeration (0 = GOMAXPROCS, 1 = serial).
 	// Results are byte-identical at any worker count.
@@ -108,24 +96,17 @@ type Config struct {
 }
 
 // Validate rejects a Config no scheduler can honour: negative counts and
-// budgets, a segment probability or floors outside [0,1], a NaN, infinite
-// or negative carry retention or substitution threshold, and unknown swap
-// orders. New and NewResilient call it, so every construction path checks
-// the same rules.
+// budgets, floors outside [0,1], a NaN, infinite or negative carry
+// retention or substitution threshold, and unknown swap orders. New and
+// NewResilient call it, so every construction path checks the same rules.
 func (c Config) Validate() error {
 	switch {
-	case c.KPaths < 0:
-		return fmt.Errorf("engines: negative KPaths %d", c.KPaths)
-	case c.MaxSegmentHops < 0:
-		return fmt.Errorf("engines: negative MaxSegmentHops %d", c.MaxSegmentHops)
 	case c.Workers < 0:
 		return fmt.Errorf("engines: negative Workers %d (0 selects GOMAXPROCS)", c.Workers)
 	case c.SlotBudget < 0:
 		return fmt.Errorf("engines: negative SlotBudget %v", c.SlotBudget)
 	case c.DecoherenceSlots < 0:
 		return fmt.Errorf("engines: negative DecoherenceSlots %d", c.DecoherenceSlots)
-	case !(c.MinSegmentProb >= 0 && c.MinSegmentProb <= 1):
-		return fmt.Errorf("engines: MinSegmentProb %v outside [0,1]", c.MinSegmentProb)
 	case !finiteNonNegative(c.CarryWernerRetention):
 		return fmt.Errorf("engines: CarryWernerRetention %v is not a finite non-negative number", c.CarryWernerRetention)
 	case !finiteNonNegative(c.CarryMinWernerScale):
@@ -156,7 +137,7 @@ func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 // Builder constructs one scheme's engine around the scheduler's injector
 // (nil without faults); ctx (nil = never cancelled) bounds any LP solves
 // the construction performs.
-type Builder func(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Engine, error)
+type Builder func(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Stateful, error)
 
 // builders is the algorithm registry.
 var builders = map[sched.Algorithm]Builder{
@@ -188,7 +169,7 @@ func List() []sched.Algorithm {
 // fault injector built from cfg.Faults, wrapped in the degradation ladder
 // when cfg.SlotBudget > 0, with a cross-slot bank attached when
 // cfg.CarryOver is set.
-func New(alg sched.Algorithm, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Engine, error) {
+func New(alg sched.Algorithm, net *topo.Network, pairs []topo.SDPair, cfg Config) (sched.Stateful, error) {
 	if cfg.SlotBudget > 0 {
 		return NewResilient(alg, net, pairs, cfg)
 	}
@@ -200,9 +181,7 @@ func New(alg sched.Algorithm, net *topo.Network, pairs []topo.SDPair, cfg Config
 	if err != nil {
 		return nil, err
 	}
-	if err := attachCarry(eng, net, cfg); err != nil {
-		return nil, err
-	}
+	attachCarry(eng, net, cfg)
 	return eng, nil
 }
 
@@ -228,13 +207,9 @@ func prepare(alg sched.Algorithm, net *topo.Network, cfg Config) (*chaos.Injecto
 // The bank's stochastic boundary hazard reuses the fault plan's
 // decoherence probability and seed; without a plan the hazard is zero and
 // only the age window drains the bank.
-func attachCarry(eng sched.Engine, net *topo.Network, cfg Config) error {
+func attachCarry(eng sched.Stateful, net *topo.Network, cfg Config) {
 	if !cfg.CarryOver {
-		return nil
-	}
-	st, ok := eng.(sched.Stateful)
-	if !ok {
-		return fmt.Errorf("engines: %v does not support carry-over", eng.Algorithm())
+		return
 	}
 	pol := state.Policy{
 		CarrySlots:      cfg.DecoherenceSlots,
@@ -245,8 +220,7 @@ func attachCarry(eng sched.Engine, net *topo.Network, cfg Config) error {
 		pol.Decoherence = cfg.Faults.Decoherence
 		pol.Seed = cfg.Faults.Seed
 	}
-	st.AttachBank(state.NewBank(net, pol))
-	return nil
+	eng.AttachBank(state.NewBank(net, pol))
 }
 
 // slotConfig is the slot-level part of every engine's options: the scheme
@@ -263,18 +237,9 @@ func slotConfig(alg sched.Algorithm, cfg Config, inj *chaos.Injector) sched.Slot
 }
 
 // segmentOptions is the candidate enumeration of SEE, Contend and Greedy:
-// SEE's defaults with the Config's overrides, on cfg.Workers goroutines.
+// SEE's defaults on cfg.Workers goroutines.
 func segmentOptions(cfg Config) segment.Options {
 	o := core.DefaultOptions().Segment
-	if cfg.KPaths > 0 {
-		o.KPaths = cfg.KPaths
-	}
-	if cfg.MaxSegmentHops > 0 {
-		o.MaxSegmentHops = cfg.MaxSegmentHops
-	}
-	if cfg.MinSegmentProb > 0 {
-		o.MinProb = cfg.MinSegmentProb
-	}
 	o.Workers = cfg.Workers
 	return o
 }
@@ -284,8 +249,6 @@ func segmentOptions(cfg Config) segment.Options {
 func seeOptions(alg sched.Algorithm, cfg Config, inj *chaos.Injector) core.Options {
 	co := core.DefaultOptions()
 	co.Segment = segmentOptions(cfg)
-	co.StrictProvisioning = cfg.StrictProvisioning
-	co.Flow.SwapWeightedObjective = !cfg.PlainObjective
 	co.Flow.Workers = cfg.Workers
 	co.Warm = cfg.Warm
 	co.CarryAwareLP = cfg.CarryAwareLP
@@ -293,12 +256,12 @@ func seeOptions(alg sched.Algorithm, cfg Config, inj *chaos.Injector) core.Optio
 	return co
 }
 
-func newSEE(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Engine, error) {
+func newSEE(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Stateful, error) {
 	return core.NewEngineCtx(ctx, net, pairs, seeOptions(sched.SEE, cfg, inj))
 }
 
-func newREPS(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Engine, error) {
-	o := reps.Options{KPaths: cfg.KPaths, Warm: cfg.Warm, Slot: slotConfig(sched.REPS, cfg, inj)}
+func newREPS(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Stateful, error) {
+	o := reps.Options{Warm: cfg.Warm, Slot: slotConfig(sched.REPS, cfg, inj)}
 	o.Flow.Workers = cfg.Workers
 	return reps.NewEngineCtx(ctx, net, pairs, o)
 }
@@ -307,19 +270,16 @@ func newREPS(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Co
 // evaluation: every connection is one entanglement segment spanning a full
 // physical SD route, with no swapping. It is the "only all-optical
 // switching" extreme of SEE (§IV-A), so it is the SEE engine restricted to
-// full-path candidates. The default is one route per pair (the paper's
-// strawman; larger KPaths make E2E noticeably stronger), and it keeps
+// full-path candidates. It takes one route per pair (the paper's
+// strawman; more routes make E2E noticeably stronger), and it keeps
 // attempting even hopeless routes (no probability pruning). Only the
 // worker count, the warm cache and the slot-level fields carry over from
 // Config.
-func newE2E(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Engine, error) {
+func newE2E(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Stateful, error) {
 	co := core.DefaultOptions()
 	co.Segment.FullPathOnly = true
 	co.Segment.MinProb = 0
 	co.Segment.KPaths = 1
-	if cfg.KPaths > 0 {
-		co.Segment.KPaths = cfg.KPaths
-	}
 	co.Segment.Workers = cfg.Workers
 	co.Flow.Workers = cfg.Workers
 	co.Warm = cfg.Warm
@@ -327,7 +287,7 @@ func newE2E(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Con
 	return core.NewEngineCtx(ctx, net, pairs, co)
 }
 
-func newContend(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Engine, error) {
+func newContend(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Stateful, error) {
 	return contend.NewEngine(net, pairs, contendOptions(sched.Contend, cfg, inj))
 }
 
@@ -336,9 +296,6 @@ func newContend(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg C
 func contendOptions(alg sched.Algorithm, cfg Config, inj *chaos.Injector) contend.Options {
 	o := contend.DefaultOptions()
 	o.Segment = segmentOptions(cfg)
-	if cfg.KPaths > 0 {
-		o.PathsPerPair = cfg.KPaths
-	}
 	o.Warm = cfg.Warm
 	o.Slot = slotConfig(alg, cfg, inj)
 	return o
@@ -366,7 +323,7 @@ func forecastTables(in *chaos.Injector, net *topo.Network) (channels, memory []i
 	return channels, memory, fc.Avoided()
 }
 
-func newSEEAware(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Engine, error) {
+func newSEEAware(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Stateful, error) {
 	co := seeOptions(sched.SEEAware, cfg, inj)
 	co.PlanChannels, co.PlanMemory, co.Slot.ForecastAvoided = forecastTables(inj, net)
 	// Always on (not gated on a non-zero forecast) so planning on a full
@@ -377,7 +334,7 @@ func newSEEAware(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cf
 	return core.NewEngineCtx(ctx, net, pairs, co)
 }
 
-func newContendAware(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Engine, error) {
+func newContendAware(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Stateful, error) {
 	o := contendOptions(sched.ContendAware, cfg, inj)
 	o.PlanChannels, o.PlanMemory, o.Slot.ForecastAvoided = forecastTables(inj, net)
 	return contend.NewEngine(net, pairs, o)
@@ -386,13 +343,13 @@ func newContendAware(_ context.Context, net *topo.Network, pairs []topo.SDPair, 
 // newQPass builds the Q-PASS-style offline contrast baseline: paths are
 // fixed from the fault-free topology with per-hop recovery reserved up
 // front, and the forecast is deliberately ignored.
-func newQPass(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Engine, error) {
+func newQPass(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Stateful, error) {
 	o := contendOptions(sched.QPass, cfg, inj)
 	o.Offline = true
 	return contend.NewEngine(net, pairs, o)
 }
 
-func newGreedy(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Engine, error) {
+func newGreedy(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Stateful, error) {
 	o := greedy.DefaultOptions()
 	o.Segment = segmentOptions(cfg)
 	o.Warm = cfg.Warm
@@ -403,7 +360,7 @@ func newGreedy(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Co
 // newOracle builds the capacity-bound pseudo-engine. It takes only the
 // tracer from the shared Config, on purpose: capacity bounds depend on the
 // topology and the demand set alone, not on any scheme tuning or fault.
-func newOracle(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, _ *chaos.Injector) (sched.Engine, error) {
+func newOracle(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, _ *chaos.Injector) (sched.Stateful, error) {
 	return oracle.NewEngine(net, pairs, cfg.Tracer)
 }
 
@@ -429,8 +386,8 @@ type Resilient struct {
 	// so a failover keeps the slot clock and the fault stream.
 	inj *chaos.Injector
 
-	primary  sched.Engine
-	fallback sched.Engine
+	primary  sched.Stateful
+	fallback sched.Stateful
 	failures int
 	lastErr  error
 	// bank is the cross-slot segment bank to attach to whichever engine
@@ -461,16 +418,14 @@ func NewResilient(alg sched.Algorithm, net *topo.Network, pairs []topo.SDPair, c
 		tracer: sched.OrNop(cfg.Tracer),
 		inj:    inj,
 	}
-	if err := attachCarry(r, net, cfg); err != nil {
-		return nil, err
-	}
+	attachCarry(r, net, cfg)
 	return r, nil
 }
 
 // buildPrimary attempts the budgeted LP construction, converting panics
 // (e.g. a par.WorkerPanic escaping a pricing worker) into errors so one
 // broken solve degrades the slot instead of killing the process.
-func (r *Resilient) buildPrimary() (eng sched.Engine, err error) {
+func (r *Resilient) buildPrimary() (eng sched.Stateful, err error) {
 	ctx := context.Context(nil)
 	cancel := func() {}
 	if r.cfg.SlotBudget > 0 {
@@ -551,11 +506,9 @@ func (r *Resilient) Bank() *state.Bank { return r.bank }
 
 // attachBank forwards the stored bank to a newly built engine (no-op for
 // a nil engine or a nil bank).
-func (r *Resilient) attachBank(eng sched.Engine) {
+func (r *Resilient) attachBank(eng sched.Stateful) {
 	if eng == nil || r.bank == nil {
 		return
 	}
-	if s, ok := eng.(sched.Stateful); ok {
-		s.AttachBank(r.bank)
-	}
+	eng.AttachBank(r.bank)
 }

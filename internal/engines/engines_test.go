@@ -139,10 +139,10 @@ func TestUnknownAlgorithm(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsBadFloats pins Validate's float rules: MinSegmentProb
-// must lie in [0,1], and the carry retention and substitution threshold
-// must be finite and non-negative. Retention 0 or ≥ 1 stays valid: both
-// disable decay (state.Policy.WernerRetention).
+// TestValidateRejectsBadFloats pins Validate's float rules: the carry
+// retention and substitution threshold must be finite and non-negative.
+// Retention 0 or ≥ 1 stays valid: both disable decay
+// (state.Policy.WernerRetention).
 func TestValidateRejectsBadFloats(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
@@ -150,10 +150,6 @@ func TestValidateRejectsBadFloats(t *testing.T) {
 		cfg   Config
 		field string
 	}{
-		{"prob NaN", Config{MinSegmentProb: nan}, "MinSegmentProb"},
-		{"prob negative", Config{MinSegmentProb: -0.1}, "MinSegmentProb"},
-		{"prob above one", Config{MinSegmentProb: 1.5}, "MinSegmentProb"},
-		{"prob +Inf", Config{MinSegmentProb: inf}, "MinSegmentProb"},
 		{"retention NaN", Config{CarryWernerRetention: nan}, "CarryWernerRetention"},
 		{"retention +Inf", Config{CarryWernerRetention: inf}, "CarryWernerRetention"},
 		{"retention -Inf", Config{CarryWernerRetention: -inf}, "CarryWernerRetention"},
@@ -170,8 +166,6 @@ func TestValidateRejectsBadFloats(t *testing.T) {
 	}
 	for _, cfg := range []Config{
 		{},
-		{MinSegmentProb: 0.05},
-		{MinSegmentProb: 1},
 		{CarryOver: true, CarryWernerRetention: 0.9, CarryMinWernerScale: 0.5},
 		{CarryOver: true, CarryWernerRetention: 1},
 		{CarryOver: true, CarryWernerRetention: 2, CarryMinWernerScale: 1},

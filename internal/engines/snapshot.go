@@ -15,18 +15,16 @@ func Registered(alg sched.Algorithm) bool {
 	return ok
 }
 
-var _ sched.Checkpointable = (*Resilient)(nil)
-
 // activeEngine returns the engine currently serving slots (primary wins),
 // or nil before the first slot.
-func (r *Resilient) activeEngine() sched.Engine {
+func (r *Resilient) activeEngine() sched.Stateful {
 	if r.primary != nil {
 		return r.primary
 	}
 	return r.fallback
 }
 
-// EngineState implements sched.Checkpointable: the ladder's position plus
+// EngineState implements sched.Stateful: the ladder's position plus
 // the active engine's state. Chaos phase and bank contents live in the
 // inner state — primary and fallback share the one injector and the one
 // bank, so capturing them through whichever engine is active captures them
@@ -41,11 +39,7 @@ func (r *Resilient) EngineState() (*sched.EngineState, error) {
 		},
 	}
 	if active := r.activeEngine(); active != nil {
-		ck, ok := active.(sched.Checkpointable)
-		if !ok {
-			return nil, fmt.Errorf("engines: %v engine is not checkpointable", active.Algorithm())
-		}
-		inner, err := ck.EngineState()
+		inner, err := active.EngineState()
 		if err != nil {
 			return nil, err
 		}
@@ -54,7 +48,7 @@ func (r *Resilient) EngineState() (*sched.EngineState, error) {
 	return st, nil
 }
 
-// RestoreEngineState implements sched.Checkpointable: it rebuilds the
+// RestoreEngineState implements sched.Stateful: it rebuilds the
 // engines the snapshot says existed and restores the shared chaos/bank
 // phase through the active one. The primary is rebuilt without the
 // wall-clock budget — its deterministic LP construction already succeeded
@@ -76,7 +70,7 @@ func (r *Resilient) RestoreEngineState(st *sched.EngineState) error {
 		}
 		ld, inner = st.Ladder, st.Inner
 	}
-	var primary, fallback sched.Engine
+	var primary, fallback sched.Stateful
 	if ld.PrimaryBuilt {
 		eng, err := builders[r.alg](nil, r.net, r.pairs, r.cfg, r.inj)
 		if err != nil {
@@ -106,14 +100,8 @@ func (r *Resilient) RestoreEngineState(st *sched.EngineState) error {
 		if err := r.inj.Restore(nil); err != nil {
 			return err
 		}
-	} else {
-		ck, ok := active.(sched.Checkpointable)
-		if !ok {
-			return fmt.Errorf("engines: %v engine is not checkpointable", active.Algorithm())
-		}
-		if err := ck.RestoreEngineState(inner); err != nil {
-			return err
-		}
+	} else if err := active.RestoreEngineState(inner); err != nil {
+		return err
 	}
 	r.failures = ld.Failures
 	r.lastErr = nil

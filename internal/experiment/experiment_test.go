@@ -263,8 +263,6 @@ func TestParamsValidate(t *testing.T) {
 		{"negative swap", func(p *Params) { p.Network.SwapProb = -0.1 }},
 		{"negative alpha", func(p *Params) { p.Network.Alpha = -1e-4 }},
 		{"negative delta", func(p *Params) { p.Network.Delta = -0.05 }},
-		{"negative kpaths", func(p *Params) { p.KPaths = -1 }},
-		{"negative hops", func(p *Params) { p.MaxSegmentHops = -1 }},
 		{"negative budget", func(p *Params) { p.SlotBudget = -time.Second }},
 		{"negative decoherence", func(p *Params) { p.DecoherenceSlots = -1 }},
 		{"unknown algorithm", func(p *Params) { p.Algorithms = []Algorithm{Algorithm(99)} }},

@@ -73,10 +73,7 @@ type Engine struct {
 	expected float64
 }
 
-var (
-	_ sched.Stateful       = (*Engine)(nil)
-	_ sched.Checkpointable = (*Engine)(nil)
-)
+var _ sched.Stateful = (*Engine)(nil)
 
 // NewEngine enumerates candidates and fixes the greedy plan. It never
 // solves an LP, so unlike the other engines it needs no context/budget

@@ -117,10 +117,7 @@ type Engine struct {
 	total  float64
 }
 
-var (
-	_ sched.Stateful       = (*Engine)(nil)
-	_ sched.Checkpointable = (*Engine)(nil)
-)
+var _ sched.Stateful = (*Engine)(nil)
 
 // NewEngine validates the network and computes the bounds eagerly; there is
 // no per-slot work left afterwards. The tracer (nil = none) observes only

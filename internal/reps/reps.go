@@ -30,8 +30,6 @@ import (
 
 // Options tunes REPS.
 type Options struct {
-	// KPaths is the Yen path budget per SD pair (default 5).
-	KPaths int
 	// RoundingSolves caps the LP re-solves of progressive rounding
 	// (default 6).
 	RoundingSolves int
@@ -48,9 +46,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.KPaths <= 0 {
-		o.KPaths = 5
-	}
 	if o.RoundingSolves <= 0 {
 		o.RoundingSolves = 6
 	}
@@ -79,10 +74,7 @@ type Engine struct {
 	opts Options
 }
 
-var (
-	_ sched.Stateful       = (*Engine)(nil)
-	_ sched.Checkpointable = (*Engine)(nil)
-)
+var _ sched.Stateful = (*Engine)(nil)
 
 // NewEngine provisions entanglement links for the workload.
 func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, error) {
@@ -99,9 +91,8 @@ func NewEngineCtx(ctx context.Context, net *topo.Network, pairs []topo.SDPair, o
 		return nil, errors.New("reps: no SD pairs")
 	}
 	opts = opts.withDefaults()
-	segOpts := segment.DefaultOptions()
-	segOpts.KPaths = opts.KPaths
-	segOpts.MaxSegmentHops = 1 // entanglement links only
+	segOpts := segment.DefaultOptions() // K = 5 Yen paths per SD pair
+	segOpts.MaxSegmentHops = 1          // entanglement links only
 	segOpts.MinProb = 0
 	segOpts.Workers = opts.Flow.Workers
 	// Budgeted construction bypasses the warm cache (see core.NewEngineCtx).

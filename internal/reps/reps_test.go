@@ -45,7 +45,7 @@ func TestProvisionRespectsCapacities(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := topo.ChooseSDPairs(net, 6, xrand.New(5))
-	e, err := NewEngine(net, pairs, Options{KPaths: 3})
+	e, err := NewEngine(net, pairs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,25 +45,6 @@ type LadderState struct {
 	FallbackBuilt bool `json:"fallback_built"`
 }
 
-// Checkpointable is the optional snapshot/restore capability, the
-// checkpoint sibling of Stateful. An engine implementing it can export its
-// cross-slot state between slots and later have an identically configured
-// fresh engine resume from it, producing byte-identical remaining slots
-// (the engine rng is checkpointed separately, as an xrand cursor, by the
-// layer that owns it).
-//
-// Both methods are valid only at slot boundaries — never mid-RunSlot. All
-// registered engines plus the resilient wrapper implement the interface.
-type Checkpointable interface {
-	Engine
-	// EngineState snapshots the engine's cross-slot state.
-	EngineState() (*EngineState, error)
-	// RestoreEngineState rewinds the engine to a snapshot taken from an
-	// identically configured engine. Restoring nil resets to the
-	// pre-first-slot state.
-	RestoreEngineState(*EngineState) error
-}
-
 // CheckRestoreAlgorithm is the shared guard engines call first in
 // RestoreEngineState: a snapshot from a different scheme is a configuration
 // mismatch, never a silent reinterpretation.

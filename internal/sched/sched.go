@@ -200,23 +200,34 @@ type Engine interface {
 	UpperBound() float64
 }
 
-// Stateful is the optional cross-slot state capability (see internal/state
-// and DESIGN.md §6). An engine implementing it can carry
-// realized-but-unconsumed entanglement segments across slot boundaries
-// through an attached state.Bank: it withdraws surviving segments before
-// planning each slot (reducing that slot's reservation demand) and
-// deposits the slot's surplus at the end.
+// Stateful is an engine with cross-slot state: the contract every
+// registered engine (through the shared Runner) and the resilient wrapper
+// in internal/engines implement, and the type engines.New returns.
 //
-// The capability is strictly opt-in: with no bank attached (Bank() == nil)
-// a Stateful engine must be byte-identical to one without the capability,
-// the same contract zero fault plans honor. Attach a bank before the first
-// RunSlot and never swap it mid-run; every registered engine (through the
-// shared Runner) plus the resilient wrapper in internal/engines implements
-// the interface.
+// AttachBank and Bank carry realized-but-unconsumed entanglement segments
+// across slot boundaries through a state.Bank (see internal/state and
+// DESIGN.md §6): the engine withdraws surviving segments before planning
+// each slot (reducing that slot's reservation demand) and deposits the
+// slot's surplus at the end. Carry-over is strictly opt-in: with no bank
+// attached (Bank() == nil) the engine is byte-identical to one that never
+// heard of banks, the same contract zero fault plans honor. Attach a bank
+// before the first RunSlot and never swap it mid-run.
+//
+// EngineState and RestoreEngineState checkpoint that state: an engine
+// exports it between slots, and an identically configured fresh engine
+// resumes from it with byte-identical remaining slots (the engine rng is
+// checkpointed separately, as an xrand cursor, by the layer that owns
+// it). Both are valid only at slot boundaries, never mid-RunSlot.
 type Stateful interface {
 	Engine
 	// AttachBank installs the cross-slot segment bank (nil detaches).
 	AttachBank(b *state.Bank)
 	// Bank returns the attached bank, or nil when carry-over is disabled.
 	Bank() *state.Bank
+	// EngineState snapshots the engine's cross-slot state.
+	EngineState() (*EngineState, error)
+	// RestoreEngineState rewinds the engine to a snapshot taken from an
+	// identically configured engine. Restoring nil resets to the
+	// pre-first-slot state.
+	RestoreEngineState(*EngineState) error
 }

@@ -43,7 +43,7 @@ func jsonRoundTrip(t *testing.T, st *sched.EngineState) *sched.EngineState {
 // builder: run `slots` slots; at `split`, snapshot the engine state and the
 // rng cursor; then restore both into a freshly built engine and assert the
 // remaining slots are byte-identical to the uninterrupted run.
-func runCheckpointProtocol(t *testing.T, build func(t *testing.T) sched.Checkpointable, seed int64, slots, split int) {
+func runCheckpointProtocol(t *testing.T, build func(t *testing.T) sched.Stateful, seed int64, slots, split int) {
 	t.Helper()
 	ref := build(t)
 	stream := xrand.NewStream(seed)
@@ -98,7 +98,7 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	forEachEngine(t, func(t *testing.T, alg sched.Algorithm) {
-		build := func(t *testing.T) sched.Checkpointable {
+		build := func(t *testing.T) sched.Stateful {
 			t.Helper()
 			eng, err := engines.New(alg, net, pairs, engines.Config{
 				Faults:           checkpointPlan(),
@@ -108,11 +108,7 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ck, ok := eng.(sched.Checkpointable)
-			if !ok {
-				t.Fatalf("%v does not implement sched.Checkpointable", alg)
-			}
-			return ck
+			return eng
 		}
 		for _, split := range []int{0, 3} {
 			t.Run(fmt.Sprintf("split=%d", split), func(t *testing.T) {
@@ -131,7 +127,7 @@ func TestResilientCheckpointRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(t *testing.T) sched.Checkpointable {
+	build := func(t *testing.T) sched.Stateful {
 		t.Helper()
 		r, err := engines.NewResilient(sched.SEE, net, pairs, engines.Config{Faults: checkpointPlan()})
 		if err != nil {
@@ -157,7 +153,7 @@ func TestFailedRestoreLeavesEngineUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(t *testing.T, build func(t *testing.T) sched.Checkpointable) {
+	check := func(t *testing.T, build func(t *testing.T) sched.Stateful) {
 		eng, twin := build(t), build(t)
 		rng, twinRng := NewRng(71), NewRng(71)
 		// The rejected snapshot is an older one (after the first slot), so
@@ -216,17 +212,17 @@ func TestFailedRestoreLeavesEngineUntouched(t *testing.T) {
 		return state.NewBank(net, state.Policy{CarrySlots: 2, Seed: checkpointPlan().Seed})
 	}
 	forEachEngine(t, func(t *testing.T, alg sched.Algorithm) {
-		check(t, func(t *testing.T) sched.Checkpointable {
+		check(t, func(t *testing.T) sched.Stateful {
 			eng, err := engines.New(alg, net, pairs, engines.Config{Faults: checkpointPlan()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng.(sched.Stateful).AttachBank(bank())
-			return eng.(sched.Checkpointable)
+			eng.AttachBank(bank())
+			return eng
 		})
 	})
 	t.Run("Resilient", func(t *testing.T) {
-		check(t, func(t *testing.T) sched.Checkpointable {
+		check(t, func(t *testing.T) sched.Stateful {
 			r, err := engines.NewResilient(sched.SEE, net, pairs, engines.Config{Faults: checkpointPlan()})
 			if err != nil {
 				t.Fatal(err)
@@ -248,7 +244,7 @@ func TestCheckpointAlgorithmMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := see.(sched.Checkpointable).EngineState()
+	st, err := see.EngineState()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +252,7 @@ func TestCheckpointAlgorithmMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := greedy.(sched.Checkpointable).RestoreEngineState(st); err == nil {
+	if err := greedy.RestoreEngineState(st); err == nil {
 		t.Fatal("Greedy engine accepted SEE state")
 	}
 }

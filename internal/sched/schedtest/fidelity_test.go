@@ -45,11 +45,7 @@ func TestOracleBoundsDeliveries(t *testing.T) {
 					t.Fatal(err)
 				}
 				if carry {
-					st, ok := eng.(sched.Stateful)
-					if !ok {
-						t.Fatalf("%v does not implement sched.Stateful", alg)
-					}
-					st.AttachBank(state.NewBank(net, state.Policy{CarrySlots: 2}))
+					eng.AttachBank(state.NewBank(net, state.Policy{CarrySlots: 2}))
 				}
 				rng := NewRng(41)
 				total := make([]int, len(pairs))

@@ -319,8 +319,8 @@ func TestAwareTwinsMatchBlindWithoutChaos(t *testing.T) {
 }
 
 // TestNilBankIsByteIdentical checks the carry-over layer's disabled path:
-// every engine implements sched.Stateful, and attaching a nil bank must
-// leave it byte-identical to never touching the capability.
+// attaching a nil bank must leave every engine byte-identical to never
+// touching the capability.
 func TestNilBankIsByteIdentical(t *testing.T) {
 	net, pairs, err := Instance(testNodes, testPairs, testSeed+4)
 	if err != nil {
@@ -335,12 +335,8 @@ func TestNilBankIsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, ok := banked.(sched.Stateful)
-		if !ok {
-			t.Fatalf("%v does not implement sched.Stateful", alg)
-		}
-		st.AttachBank(nil)
-		if st.Bank() != nil {
+		banked.AttachBank(nil)
+		if banked.Bank() != nil {
 			t.Fatal("Bank() non-nil after attaching nil")
 		}
 		a, err := Run(plain, 19, testSlots)
@@ -371,12 +367,8 @@ func TestCarryOverContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, ok := eng.(sched.Stateful)
-		if !ok {
-			t.Fatalf("%v does not implement sched.Stateful", alg)
-		}
 		bank := state.NewBank(net, state.Policy{CarrySlots: 2})
-		st.AttachBank(bank)
+		eng.AttachBank(bank)
 		rng := NewRng(23)
 		for s := 0; s < 8; s++ {
 			res, err := eng.RunSlot(rng)

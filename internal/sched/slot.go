@@ -95,7 +95,7 @@ type Slot struct {
 // fault attribution, the cross-slot bank, the physical phase, connection
 // validation, tracing and checkpointing. Engines embed one, supply their
 // phases through SlotPhases and call Run from RunSlot. The embedded
-// methods implement Stateful and Checkpointable.
+// methods implement Stateful.
 type Runner struct {
 	cfg     SlotConfig
 	net     *topo.Network
@@ -616,7 +616,7 @@ func (s *Slot) establish(conn *qnet.Connection, hops []int) bool {
 	return ok
 }
 
-// EngineState implements Checkpointable: an engine's only cross-slot state
+// EngineState implements Stateful: an engine's only cross-slot state
 // is the chaos injector's phase and the bank's contents (candidates, LPs
 // and plans rebuild deterministically from construction).
 func (r *Runner) EngineState() (*EngineState, error) {
@@ -627,7 +627,7 @@ func (r *Runner) EngineState() (*EngineState, error) {
 	}, nil
 }
 
-// RestoreEngineState implements Checkpointable. It validates before it
+// RestoreEngineState implements Stateful. It validates before it
 // commits: a snapshot the injector or the bank would reject (a fault-plan
 // mismatch, a banked route missing from the catalogue) returns an error
 // and leaves the engine exactly as it was.

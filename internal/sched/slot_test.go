@@ -16,7 +16,7 @@ import (
 // runnerFixture builds an engine whose slots exercise every part of the
 // shared Runner: chaos (outage, brownout, flap, decoherence), a bank, a
 // fidelity floor, greedy swap order and a counting tracer.
-func runnerFixture(t *testing.T, alg sched.Algorithm) (sched.Checkpointable, *sched.CountingTracer, *topo.Network) {
+func runnerFixture(t *testing.T, alg sched.Algorithm) (sched.Stateful, *sched.CountingTracer, *topo.Network) {
 	t.Helper()
 	cfg := topo.DefaultConfig()
 	cfg.Nodes = 30
@@ -44,8 +44,8 @@ func runnerFixture(t *testing.T, alg sched.Algorithm) (sched.Checkpointable, *sc
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.(sched.Stateful).AttachBank(state.NewBank(net, state.Policy{CarrySlots: 2, Seed: 9}))
-	return eng.(sched.Checkpointable), tr, net
+	eng.AttachBank(state.NewBank(net, state.Policy{CarrySlots: 2, Seed: 9}))
+	return eng, tr, net
 }
 
 // TestRunnerReconciles drives SEE (own plan phase), REPS (none) and Contend
@@ -63,7 +63,7 @@ func TestRunnerReconciles(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := eng.(sched.Stateful).Bank().CheckConservation(); err != nil {
+				if err := eng.Bank().CheckConservation(); err != nil {
 					t.Fatalf("slot %d: %v", s, err)
 				}
 				sum.Attempts += res.Attempts
@@ -151,10 +151,10 @@ func TestRunnerRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inert.(sched.Checkpointable).RestoreEngineState(&sched.EngineState{Algorithm: sched.Greedy, Chaos: st.Chaos}); err == nil {
+	if err := inert.RestoreEngineState(&sched.EngineState{Algorithm: sched.Greedy, Chaos: st.Chaos}); err == nil {
 		t.Error("inert engine accepted a chaos phase")
 	}
-	if err := inert.(sched.Checkpointable).RestoreEngineState(nil); err != nil {
+	if err := inert.RestoreEngineState(nil); err != nil {
 		t.Errorf("reset to the pre-first-slot state failed: %v", err)
 	}
 }

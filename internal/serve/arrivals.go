@@ -185,15 +185,13 @@ func (b *Bursty) SetPhase(v int) error {
 // default 5·rate) and switch (bursty, in (0,1], default 0.1). NaN and
 // infinite values are rejected.
 //
-// The returned Config has Process set and Spec holding the input verbatim;
-// the caller supplies Seed.
+// The returned Config has Process set; the caller supplies Seed.
 func ParseSpec(spec string) (Config, error) {
 	cfg := Config{
 		Users:     100,
 		Mix:       [NumClasses]float64{0.2, 0.3, 0.5},
 		Deadline:  [NumClasses]int{4, 8, 16},
 		MaxActive: 0,
-		Spec:      spec,
 	}
 	fields := strings.Split(spec, ";")
 	kind := strings.TrimSpace(fields[0])

@@ -26,9 +26,6 @@ func TestParseSpecDefaults(t *testing.T) {
 	if math.Abs(cfg.Mix[Gold]-0.2) > 1e-12 || math.Abs(cfg.Mix[Bronze]-0.5) > 1e-12 {
 		t.Errorf("mix = %v", cfg.Mix)
 	}
-	if cfg.Spec != "poisson" {
-		t.Errorf("spec = %q", cfg.Spec)
-	}
 }
 
 func TestParseSpecFull(t *testing.T) {

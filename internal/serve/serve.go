@@ -87,9 +87,6 @@ type Config struct {
 	MaxActive int
 	// Seed initializes the server's rng stream.
 	Seed int64
-	// Spec is the arrival spec the config was parsed from, if any; it is
-	// informational (the resume fingerprint is built from the fields).
-	Spec string
 	// Tracer, when non-nil, is the pipeline tracer whose counters are
 	// included in checkpoints and restored on resume. It must be the same
 	// tracer wired into the engine's construction.

@@ -29,10 +29,12 @@ type checkpoint struct {
 }
 
 // snapshot captures the server state. The engine must implement
-// sched.Checkpointable. The result shares the server's queues and
-// counters, so encode it before the server runs on.
+// sched.Stateful: New takes a plain sched.Engine, so a delegating wrapper
+// that hides the capability serves slots but cannot checkpoint. The
+// result shares the server's queues and counters, so encode it before the
+// server runs on.
 func (s *Server) snapshot() (*checkpoint, error) {
-	ck, ok := s.eng.(sched.Checkpointable)
+	ck, ok := s.eng.(sched.Stateful)
 	if !ok {
 		return nil, fmt.Errorf("serve: engine %v does not support checkpointing", s.eng.Algorithm())
 	}
@@ -68,7 +70,7 @@ func (s *Server) snapshot() (*checkpoint, error) {
 // was. After restore the server produces byte-identical SlotStats to the
 // uninterrupted original.
 func (s *Server) restore(c *checkpoint) error {
-	ck, ok := s.eng.(sched.Checkpointable)
+	ck, ok := s.eng.(sched.Stateful)
 	if !ok {
 		return fmt.Errorf("serve: engine %v does not support checkpointing", s.eng.Algorithm())
 	}

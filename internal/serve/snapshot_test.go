@@ -25,6 +25,9 @@ type serveFixture struct {
 	spec  string
 	alg   sched.Algorithm
 	seed  int64
+	// wrap, when non-nil, hands the server a wrapper of the engine
+	// instead of the engine itself.
+	wrap func(sched.Engine) sched.Engine
 }
 
 func newServeFixture(t testing.TB, alg sched.Algorithm) *serveFixture {
@@ -67,7 +70,11 @@ func (f *serveFixture) build(t testing.TB) *Server {
 	}
 	cfg.Seed = f.seed
 	cfg.Tracer = tracer
-	srv, err := New(eng, len(f.pairs), cfg)
+	var served sched.Engine = eng
+	if f.wrap != nil {
+		served = f.wrap(eng)
+	}
+	srv, err := New(served, len(f.pairs), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +204,7 @@ func TestRestoreBadPhaseLeavesEngineUntouched(t *testing.T) {
 	if err := dst.Run(2, nil); err != nil {
 		t.Fatal(err)
 	}
-	ck := dst.eng.(sched.Checkpointable)
+	ck := dst.eng.(sched.Stateful)
 	before, err := ck.EngineState()
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +271,15 @@ func TestResumeRejectsCorruptFile(t *testing.T) {
 	}
 }
 
-// TestSnapshotRequiresCheckpointableEngine checks the capability gate.
+// slotOnly is a delegating engine that exposes only sched.Engine, the
+// shape of a timing wrapper handed to New: its methods hide the wrapped
+// engine's sched.Stateful capability.
+type slotOnly struct{ sched.Engine }
+
+// TestSnapshotRequiresCheckpointableEngine checks the capability gate, on
+// a bare engine and on a wrapper over a stateful one: checkpointing
+// fails with an error, never a panic, and a refused resume leaves the
+// server running exactly like a twin that never tried.
 func TestSnapshotRequiresCheckpointableEngine(t *testing.T) {
 	cfg, err := ParseSpec("poisson")
 	if err != nil {
@@ -279,6 +294,43 @@ func TestSnapshotRequiresCheckpointableEngine(t *testing.T) {
 	}
 	if err := srv.restore(&checkpoint{}); err == nil {
 		t.Fatal("restore into a non-checkpointable engine succeeded")
+	}
+
+	f := newServeFixture(t, sched.Greedy)
+	src := f.build(t)
+	if err := src.Run(3, nil); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.ckpt")
+	if err := src.WriteCheckpoint(good); err != nil {
+		t.Fatal(err)
+	}
+	f.wrap = func(e sched.Engine) sched.Engine { return slotOnly{e} }
+	wrapped, twin := f.build(t), f.build(t)
+	const refused = "does not support checkpointing"
+	if err := wrapped.ResumeFrom(good); err == nil || !strings.Contains(err.Error(), refused) {
+		t.Fatalf("ResumeFrom through a wrapper = %v, want %q", err, refused)
+	}
+	bad := filepath.Join(dir, "bad.ckpt")
+	if err := wrapped.WriteCheckpoint(bad); err == nil || !strings.Contains(err.Error(), refused) {
+		t.Fatalf("WriteCheckpoint through a wrapper = %v, want %q", err, refused)
+	}
+	if _, err := os.Stat(bad); !os.IsNotExist(err) {
+		t.Errorf("refused checkpoint left a file: %v", err)
+	}
+	for slot := 0; slot < 3; slot++ {
+		got, err := wrapped.RunSlot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.RunSlot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("slot %d after a refused resume:\n got %+v\nwant %+v", slot, got, want)
+		}
 	}
 }
 

@@ -339,21 +339,25 @@ func checkConservation(net *topo.Network, entries []entry, used []int) error {
 // each carried segment on endpoint pair ⟨u,v⟩ substitutes for one planned
 // creation attempt on that pair (a certain segment strictly dominates a
 // Bernoulli(p) attempt), so the reserve phase demands fewer channels and
-// memory units. Candidates are trimmed in plan order. The input plan is
-// never mutated — engines cache their plans across slots — and is returned
-// unchanged (same slice) when nothing trims; the second result is the
-// number of attempts removed.
-func TrimPlan(plan qnet.AttemptPlan, withdrawn []*qnet.Segment) (qnet.AttemptPlan, int) {
-	return TrimPlanMinScale(plan, withdrawn, 0)
+// memory units. Candidates are trimmed in plan order. Withdrawn segments
+// whose decayed Werner scale (qnet.Segment.WernerScale) is below
+// Policy.MinWernerScale do not substitute: a photon that degraded past the
+// threshold is worth less than a fresh attempt once delivered fidelity
+// matters. A nil bank (carry-over disabled) or a zero threshold keeps
+// every withdrawn segment substituting. The input plan is never mutated —
+// engines cache their plans across slots — and is returned unchanged
+// (same slice) when nothing trims; the second result is the number of
+// attempts removed.
+func (b *Bank) TrimPlan(plan qnet.AttemptPlan, withdrawn []*qnet.Segment) (qnet.AttemptPlan, int) {
+	if b == nil {
+		return trimPlan(plan, withdrawn, 0)
+	}
+	return trimPlan(plan, withdrawn, b.policy.MinWernerScale)
 }
 
-// TrimPlanMinScale is TrimPlan with a substitution quality threshold:
-// withdrawn segments whose decayed Werner scale (qnet.Segment.WernerScale)
-// is below minScale do not substitute for planned attempts — a photon that
-// degraded past the threshold is worth less than a fresh Bernoulli(p)
-// attempt once delivered fidelity matters. minScale <= 0 keeps every
-// withdrawn segment substituting (exactly TrimPlan).
-func TrimPlanMinScale(plan qnet.AttemptPlan, withdrawn []*qnet.Segment, minScale float64) (qnet.AttemptPlan, int) {
+// trimPlan is TrimPlan with the substitution threshold minScale (<= 0
+// keeps every withdrawn segment substituting).
+func trimPlan(plan qnet.AttemptPlan, withdrawn []*qnet.Segment, minScale float64) (qnet.AttemptPlan, int) {
 	if len(withdrawn) == 0 || len(plan) == 0 {
 		return plan, 0
 	}
@@ -387,16 +391,4 @@ func TrimPlanMinScale(plan qnet.AttemptPlan, withdrawn []*qnet.Segment, minScale
 		return plan, 0
 	}
 	return slices.DeleteFunc(out, func(e qnet.PlanEntry) bool { return e.N == 0 }), trimmed
-}
-
-// TrimPlan is the policy-aware trim engines call per slot: it applies
-// Policy.MinWernerScale as the substitution threshold, so decayed carried
-// segments stop displacing fresh creation attempts once the policy says
-// they are too degraded. A nil bank (carry-over disabled) or a zero
-// threshold behaves exactly like the free TrimPlan.
-func (b *Bank) TrimPlan(plan qnet.AttemptPlan, withdrawn []*qnet.Segment) (qnet.AttemptPlan, int) {
-	if b == nil {
-		return TrimPlan(plan, withdrawn)
-	}
-	return TrimPlanMinScale(plan, withdrawn, b.policy.MinWernerScale)
 }

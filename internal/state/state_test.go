@@ -152,9 +152,11 @@ func TestTrimPlan(t *testing.T) {
 	c23 := &segment.Candidate{Path: graph.Path{2, 3}, Prob: 0.9, ID: 2}
 	plan := qnet.AttemptPlan{{Cand: c01, N: 2}, {Cand: c01b, N: 3}, {Cand: c23, N: 1}}
 	before := slices.Clone(plan)
+	// A nil bank (carry-over off) trims with no substitution threshold.
+	var b *Bank
 
 	// No withdrawals: the same plan comes back, untrimmed.
-	if got, n := TrimPlan(plan, nil); n != 0 || len(got) != 3 {
+	if got, n := b.TrimPlan(plan, nil); n != 0 || len(got) != 3 {
 		t.Fatalf("empty trim changed the plan (n=%d)", n)
 	}
 
@@ -162,7 +164,7 @@ func TestTrimPlan(t *testing.T) {
 	// (path 0-1) before c01b (path 0-2-1) — and the original plan is
 	// untouched.
 	withdrawn := []*qnet.Segment{seg(0, 1), seg(0, 1), seg(0, 1)}
-	got, n := TrimPlan(plan, withdrawn)
+	got, n := b.TrimPlan(plan, withdrawn)
 	if n != 3 {
 		t.Fatalf("trimmed %d attempts, want 3", n)
 	}
@@ -175,7 +177,7 @@ func TestTrimPlan(t *testing.T) {
 	}
 
 	// A carried segment on a pair the plan does not cover trims nothing.
-	if same, n := TrimPlan(plan, []*qnet.Segment{seg(5, 6)}); n != 0 || len(same) != 3 {
+	if same, n := b.TrimPlan(plan, []*qnet.Segment{seg(5, 6)}); n != 0 || len(same) != 3 {
 		t.Errorf("foreign-pair trim removed %d attempts", n)
 	}
 }

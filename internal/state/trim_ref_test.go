@@ -12,10 +12,10 @@ import (
 	"see/internal/xrand"
 )
 
-// trimPlanReference is TrimPlanMinScale as it ran over map-keyed plans:
+// trimPlanReference is the bank's trim as it ran over map-keyed plans:
 // candidates sorted by endpoint pair, then topo.Key of the path, each
 // trimmed by its pair's remaining substitutes, on a copy made at the first
-// cut. TestTrimPlanMatchesReference pins TrimPlanMinScale to it.
+// cut. TestTrimPlanMatchesReference pins (*Bank).TrimPlan to it.
 func trimPlanReference(plan map[*segment.Candidate]int, withdrawn []*qnet.Segment, minScale float64) (map[*segment.Candidate]int, int) {
 	if len(withdrawn) == 0 || len(plan) == 0 {
 		return plan, 0
@@ -89,7 +89,7 @@ func orderedPlanReference(m map[*segment.Candidate]int) qnet.AttemptPlan {
 // TestTrimPlanMatchesReference trims random plans over random candidate
 // sets by random withdrawals (several segments per pair, pairs outside
 // the plan, decayed Werner scales against random thresholds) with
-// TrimPlanMinScale and trimPlanReference. The trimmed plans and counts
+// (*Bank).TrimPlan and trimPlanReference. The trimmed plans and counts
 // must be equal, the input plan unmodified, and an untrimmed plan
 // returned as the same slice.
 func TestTrimPlanMatchesReference(t *testing.T) {
@@ -125,17 +125,21 @@ func TestTrimPlanMatchesReference(t *testing.T) {
 		rng.Shuffle(len(withdrawn), func(i, j int) { withdrawn[i], withdrawn[j] = withdrawn[j], withdrawn[i] })
 		plan := b.Plan()
 		before := slices.Clone(plan)
+		// Half the trials trim through a nil bank (no threshold), half
+		// through a bank whose policy sets a random threshold.
+		var bank *Bank
 		minScale := 0.0
 		if rng.Intn(2) == 0 {
 			minScale = rng.Float64()
+			bank = &Bank{policy: Policy{MinWernerScale: minScale}}
 		}
-		got, n := TrimPlanMinScale(plan, withdrawn, minScale)
+		got, n := bank.TrimPlan(plan, withdrawn)
 		wantMap, wantN := trimPlanReference(ref, withdrawn, minScale)
 		if want := orderedPlanReference(wantMap); n != wantN || !slices.Equal(got, want) {
 			t.Fatalf("trial %d: trimmed %d to %v, reference %d to %v", trial, n, got, wantN, want)
 		}
 		if !slices.Equal(plan, before) {
-			t.Fatalf("trial %d: TrimPlanMinScale mutated its input", trial)
+			t.Fatalf("trial %d: TrimPlan mutated its input", trial)
 		}
 		if n == 0 && len(plan) > 0 && &got[0] != &plan[0] {
 			t.Fatalf("trial %d: an untrimmed plan came back as a copy", trial)

@@ -41,7 +41,10 @@ import (
 // canonical sched.Algorithm shared by every layer of the simulator.
 type Algorithm = sched.Algorithm
 
-// The schemes compared in the paper's evaluation.
+// The schemes compared in the paper's evaluation, plus the Greedy
+// fallback and the Oracle bound. The other repo-grown schemes (Contend,
+// QPass, SEE-Aware, Contend-Aware) are selected by name through
+// ParseAlgorithm.
 const (
 	// SEE integrates all-optical switching with quantum swapping
 	// (the paper's contribution).
@@ -54,23 +57,6 @@ const (
 	// planning with first-come-first-served reservation. It doubles as the
 	// degradation target when an LP scheduler blows its SlotBudget.
 	Greedy = sched.Greedy
-	// Contend is the repo-grown contention-aware baseline in the Q-CAST
-	// spirit: candidate paths scored by expected throughput, selected
-	// best-first under residual channel/memory accounting, with
-	// recovery-path fallback in the physical phase (internal/contend).
-	Contend = sched.Contend
-	// QPass is the offline-routing contrast baseline in the Q-PASS spirit:
-	// candidate paths are fixed from the fault-free topology with per-hop
-	// recovery reserved up front, and announced faults are ignored.
-	QPass = sched.QPass
-	// ContendAware is Contend with fault-forecast subtraction: announced
-	// outages and brownouts are removed from the residual capacities
-	// before any candidate is scored.
-	ContendAware = sched.ContendAware
-	// SEEAware is SEE with fault-forecast subtraction: forecast-dead links
-	// leave the LP's column pricing and announced capacity reductions
-	// shrink the planning tables.
-	SEEAware = sched.SEEAware
 	// Oracle is the capacity-bound pseudo-scheduler: it establishes
 	// nothing and consumes no randomness, but its UpperBound is the
 	// network's summed expected entanglement capacity (per-pair min-cut
@@ -218,10 +204,10 @@ func MotivationNetwork() (*Network, []SDPair) {
 // selects paper defaults. It is the canonical engines.Config, the one
 // scheduler-options struct every layer shares:
 //
-//   - KPaths, MaxSegmentHops, MinSegmentProb, StrictProvisioning,
-//     PlainObjective and Workers tune construction (Workers bounds the LP
-//     pricing and per-pair path-enumeration goroutines; any count gives a
-//     byte-identical scheduler).
+//   - Workers bounds the LP pricing and per-pair path-enumeration
+//     goroutines; any count gives a byte-identical scheduler. The paper's
+//     construction parameters (K = 5 shortest paths, the segment hop cap,
+//     §III-D probability pruning) are fixed.
 //   - Tracer observes the slot pipeline phases and incidents; attach a
 //     *CountingTracer to collect counts and latencies.
 //   - Faults injects a deterministic fault schedule (see ParseFaultSpec)
@@ -258,13 +244,9 @@ func ParseFloorSpec(s string) (*FloorSpec, error) { return qnet.ParseFloorSpec(s
 // see SchedulerOptions.SwapOrder.
 type SwapOrder = qnet.SwapOrder
 
-// The swap-order policies.
-const (
-	// SwapOrderPath samples swaps in path order (the default).
-	SwapOrderPath = qnet.SwapOrderPath
-	// SwapOrderGreedy samples the least reliable junction first.
-	SwapOrderGreedy = qnet.SwapOrderGreedy
-)
+// SwapOrderGreedy samples the least reliable junction first; the zero
+// SwapOrder samples swaps in path order (the default).
+const SwapOrderGreedy = qnet.SwapOrderGreedy
 
 // ParseSwapOrder parses a swap-order name ("path" or "greedy").
 func ParseSwapOrder(s string) (SwapOrder, error) { return qnet.ParseSwapOrder(s) }
@@ -284,12 +266,7 @@ type CarryStats = state.Stats
 
 // SchedulerCarryStats returns the carry-over bank tallies of a scheduler
 // built with CarryOver enabled (zero stats otherwise).
-func SchedulerCarryStats(s Scheduler) CarryStats {
-	if st, ok := s.(sched.Stateful); ok {
-		return st.Bank().Stats()
-	}
-	return CarryStats{}
-}
+func SchedulerCarryStats(s Scheduler) CarryStats { return s.Bank().Stats() }
 
 // SlotResult reports one simulated time slot. It is the canonical
 // sched.SlotResult every engine returns — see that type for the full
@@ -298,26 +275,20 @@ func SchedulerCarryStats(s Scheduler) CarryStats {
 type SlotResult = sched.SlotResult
 
 // Scheduler runs time slots of one entanglement-establishment scheme over
-// a fixed network and demand set. It is the canonical sched.Engine
-// interface every registered scheme implements.
-type Scheduler = sched.Engine
+// a fixed network and demand set, and exposes its cross-slot state (the
+// carry-over bank and checkpoint snapshots). It is the canonical
+// sched.Stateful interface every registered scheme implements.
+type Scheduler = sched.Stateful
 
 // Tracer observes the slot pipeline with per-phase callbacks; see
 // sched.Tracer for the full contract. Implementations must not mutate
 // engine state and never consume randomness.
 type Tracer = sched.Tracer
 
-// Phase identifies one stage of the slot pipeline observed by a Tracer.
+// Phase identifies one stage of the slot pipeline observed by a Tracer:
+// EPI planning, ESC reservation, the stochastic physical phase and ECE
+// stitching, in execution order (see Phase.String).
 type Phase = sched.Phase
-
-// The pipeline phases in execution order: EPI planning, ESC reservation,
-// the stochastic physical phase, and ECE stitching.
-const (
-	PhasePlan     = sched.PhasePlan
-	PhaseReserve  = sched.PhaseReserve
-	PhasePhysical = sched.PhasePhysical
-	PhaseStitch   = sched.PhaseStitch
-)
 
 // CountingTracer is a concurrency-safe Tracer that tallies phase events
 // and records per-phase latencies; its zero value is ready to use.
@@ -344,7 +315,9 @@ func MultiTracer(ts ...Tracer) Tracer { return sched.Multi(ts...) }
 // recovery attempts, correlated faults and fidelity-floor rejections.
 type Incident = sched.Incident
 
-// The incident kinds reported through Tracer.Incident.
+// Incident kinds reported through Tracer.Incident. Every kind, these and
+// the contention engine's recovery and correlated-fault kinds alike, is
+// named by Incident.String.
 const (
 	IncidentFault    = sched.IncidentFault
 	IncidentDegraded = sched.IncidentDegraded
@@ -355,16 +328,6 @@ const (
 	IncidentBankWithdraw  = sched.IncidentBankWithdraw
 	IncidentBankDeposit   = sched.IncidentBankDeposit
 	IncidentBankDecohered = sched.IncidentBankDecohered
-	// IncidentRecovery counts recovery-path creation attempts the
-	// contention-aware engine fired after a hop's primary segment attempts
-	// all failed (see internal/contend).
-	IncidentRecovery = sched.IncidentRecovery
-	// Correlated-fault events: segment-creation attempts denied by a
-	// brownout's channel budget, link-slots lost to flapping, and the
-	// announced elements a fault-aware planner routed around.
-	IncidentBrownout      = sched.IncidentBrownout
-	IncidentFlap          = sched.IncidentFlap
-	IncidentForecastAvoid = sched.IncidentForecastAvoid
 	// IncidentFloorReject counts candidate connection assemblies the
 	// stitch phase rolled back because their predicted end-to-end
 	// fidelity missed the request's floor (fires only with

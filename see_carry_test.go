@@ -6,8 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"see/internal/sched"
-	"see/internal/state"
 	"see/internal/xrand"
 )
 
@@ -130,21 +128,15 @@ func TestCarryOverImprovesThroughput(t *testing.T) {
 // memory-accounting invariants after every slot.
 type conservationScheduler struct {
 	Scheduler
-	bank *state.Bank
-	t    *testing.T
+	t *testing.T
 	// checked counts the slots whose invariants were verified.
 	checked int
 }
 
-// Forward the Stateful capability so SchedulerCarryStats still sees the
-// bank through the wrapper.
-func (c *conservationScheduler) AttachBank(b *state.Bank) { c.Scheduler.(sched.Stateful).AttachBank(b) }
-func (c *conservationScheduler) Bank() *state.Bank        { return c.bank }
-
 func (c *conservationScheduler) RunSlot(rng *rand.Rand) (*SlotResult, error) {
 	res, err := c.Scheduler.RunSlot(rng)
 	if err == nil {
-		if cerr := c.bank.CheckConservation(); cerr != nil {
+		if cerr := c.Bank().CheckConservation(); cerr != nil {
 			c.t.Fatalf("slot %d: %v", c.checked, cerr)
 		}
 		c.checked++
@@ -173,11 +165,7 @@ func TestCarryConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, ok := sc.(sched.Stateful)
-	if !ok {
-		t.Fatal("SEE scheduler is not Stateful")
-	}
-	wrapped := &conservationScheduler{Scheduler: sc, bank: st.Bank(), t: t}
+	wrapped := &conservationScheduler{Scheduler: sc, t: t}
 	cfg, err := ParseArrivalSpec("poisson;rate=12;users=8;mix=0/0/1;deadline=50/50/50;max-active=160")
 	if err != nil {
 		t.Fatal(err)

@@ -145,26 +145,6 @@ func TestRunExperimentSmall(t *testing.T) {
 	}
 }
 
-func TestSchedulerOptionsAblation(t *testing.T) {
-	net, pairs := MotivationNetwork()
-	strict, err := NewScheduler(SEE, net, pairs, &SchedulerOptions{StrictProvisioning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := strict.RunSlot(rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With 1 channel per link, the paper-literal ESC cannot reach expected
-	// coverage, so nothing is attempted.
-	if res.Attempts != 0 {
-		t.Fatalf("strict mode attempted %d", res.Attempts)
-	}
-	if _, err := NewScheduler(SEE, net, pairs, &SchedulerOptions{PlainObjective: true, KPaths: 2, MaxSegmentHops: 2, MinSegmentProb: 0.01}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSchedulerOptionsValidate checks that every construction path
 // applies the one options validation: out-of-range values are rejected by
 // engines.New (plain and under a slot budget) and by NewScheduler, the
@@ -177,8 +157,6 @@ func TestSchedulerOptionsValidate(t *testing.T) {
 	}{
 		{"unknown swap order", SchedulerOptions{SwapOrder: SwapOrder(7)}},
 		{"unknown swap order under budget", SchedulerOptions{SwapOrder: SwapOrder(7), SlotBudget: time.Hour}},
-		{"negative kpaths", SchedulerOptions{KPaths: -1}},
-		{"negative hops", SchedulerOptions{MaxSegmentHops: -1}},
 		{"negative workers", SchedulerOptions{Workers: -1}},
 		{"negative decoherence", SchedulerOptions{CarryOver: true, DecoherenceSlots: -3}},
 		{"negative budget", SchedulerOptions{SlotBudget: -1}},
