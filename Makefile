@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race verify examples-smoke bench-check bench-smoke profile chaos-smoke serve-smoke fidelity-smoke docs-check cover cover-update fuzz-smoke figures
+.PHONY: all build test vet race verify portable-check examples-smoke bench-check bench-smoke profile chaos-smoke serve-smoke fidelity-smoke docs-check cover cover-update fuzz-smoke figures
 
 # BENCHTIME is the per-benchmark budget of `make profile`, e.g.
 #   make profile BENCHTIME=5s
@@ -20,8 +20,9 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# verify is the repo's full gate: vet, the docs gate, build, a run of
-# every example program, the test suite under the race detector (the experiment harness runs trials
+# verify is the repo's full gate: vet, the docs gate, build, an arm64
+# compile of the portable kernels, a run of every example program, the
+# test suite under the race detector (the experiment harness runs trials
 # concurrently), the per-package coverage floor, a short fuzz pass over
 # every committed fuzz target, a bench smoke (one iteration of the kernel
 # benchmarks, then a one-second run of every bench/ workload that must
@@ -32,7 +33,14 @@ race:
 # disabled path to the committed golden and drives floors + swap order +
 # carry-aware pricing end-to-end. bench-check compiles and tests the
 # benchmark harness in bench/.
-verify: vet docs-check build examples-smoke bench-check race cover fuzz-smoke bench-smoke chaos-smoke serve-smoke fidelity-smoke
+verify: vet docs-check build portable-check examples-smoke bench-check race cover fuzz-smoke bench-smoke chaos-smoke serve-smoke fidelity-smoke
+
+# portable-check compiles the tree for arm64, where internal/lp has no
+# assembly and runs its portable loops: an amd64 build never compiles
+# that path, and vet's asmdecl check covers the amd64 frames already.
+portable-check:
+	GOARCH=arm64 $(GO) vet ./internal/lp
+	GOARCH=arm64 $(GO) build ./...
 
 # examples-smoke runs every program under examples/ and fails on the first
 # non-zero exit (each takes well under a second with a warm build cache):

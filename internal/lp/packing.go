@@ -295,8 +295,8 @@ func (s *PackingSolver) objOf(basisID int) float64 {
 
 // columnInto writes B⁻¹·A_j for basis entry id into out: the sum of the
 // B⁻¹ columns of A_j's entries, each streamed whole, in entry order. Two
-// entries share each pass over out; out[i] still adds the first entry's
-// term before the second's, so every sum keeps its order.
+// entries share each pass over out (addMul2); out[i] still adds the first
+// entry's term before the second's, so every sum keeps its order.
 func (s *PackingSolver) columnInto(basisID int, out []float64) {
 	m := s.m
 	if basisID < 0 {
@@ -309,12 +309,7 @@ func (s *PackingSolver) columnInto(basisID int, out []float64) {
 	es := s.col[basisID].entries
 	k := 0
 	for ; k+1 < len(es); k += 2 {
-		c0 := s.binv[es[k].Index*m:][:len(out)]
-		c1 := s.binv[es[k+1].Index*m:][:len(out)]
-		v0, v1 := es[k].Value, es[k+1].Value
-		for i := range out {
-			out[i] = (out[i] + c0[i]*v0) + c1[i]*v1
-		}
+		addMul2(out, s.binv[es[k].Index*m:], s.binv[es[k+1].Index*m:], es[k].Value, es[k+1].Value)
 	}
 	if k < len(es) {
 		col := s.binv[es[k].Index*m:][:len(out)]
@@ -489,31 +484,19 @@ func (s *PackingSolver) pivot(leave, entering int, dir []float64, theta, rc floa
 	}
 	s.supBuf = sup
 	s.supVal = val
-	// Sweep each support column over all of dir, four columns per pass.
+	// Sweep each support column over all of dir, four columns per pass
+	// (kernels.go).
 	// A row where dir is zero gets x -= 0·v, which leaves x as it was up
 	// to the sign of a zero; zeroing dir[leave] does the same for the
 	// pivot row, which keeps its scaled value.
 	dir[leave] = 0
 	k := 0
 	for ; k+3 < len(sup); k += 4 {
-		c0 := binv[int(sup[k])*m:][:len(dir)]
-		c1 := binv[int(sup[k+1])*m:][:len(dir)]
-		c2 := binv[int(sup[k+2])*m:][:len(dir)]
-		c3 := binv[int(sup[k+3])*m:][:len(dir)]
-		v0, v1, v2, v3 := val[k], val[k+1], val[k+2], val[k+3]
-		for i, f := range dir {
-			c0[i] -= f * v0
-			c1[i] -= f * v1
-			c2[i] -= f * v2
-			c3[i] -= f * v3
-		}
+		sweep4(dir, binv[int(sup[k])*m:], binv[int(sup[k+1])*m:], binv[int(sup[k+2])*m:], binv[int(sup[k+3])*m:],
+			val[k], val[k+1], val[k+2], val[k+3])
 	}
 	for ; k < len(sup); k++ {
-		col := binv[int(sup[k])*m:][:len(dir)]
-		v := val[k]
-		for i, f := range dir {
-			col[i] -= f * v
-		}
+		sweep1(dir, binv[int(sup[k])*m:], val[k])
 	}
 	// Dual update: with entering reduced cost rc and pivot element d_r,
 	// y' = y + (rc/d_r)·(B⁻¹)_r = y + rc·(B'⁻¹)_r — val already holds the

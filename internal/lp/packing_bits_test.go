@@ -56,8 +56,13 @@ func packingBits(ps *PackingSolver) uint64 {
 // warm re-solve is forced through a refactorization a few pivots in, and
 // the full solver state after every solve is digested. A change to the
 // storage or loop structure of pivot, columnInto or refactorize must leave
-// this file untouched.
+// this file untouched. It runs once on the portable loops, which -update
+// writes from, and once on the AVX2 kernels.
 func TestPackingBitsGolden(t *testing.T) {
+	eachKernelPath(t, testPackingBitsGolden)
+}
+
+func testPackingBitsGolden(t *testing.T) {
 	var lines []string
 	rng := rand.New(rand.NewSource(2022))
 	for trial := 0; trial < 6; trial++ {
@@ -100,7 +105,7 @@ func TestPackingBitsGolden(t *testing.T) {
 	}
 	got := strings.Join(lines, "\n") + "\n"
 	path := filepath.Join("testdata", "packing_bits.golden")
-	if *updateBits {
+	if *updateBits && !useAVX2 {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -287,7 +287,12 @@ func randomPivotLP(t *testing.T, rng *rand.Rand, m, maxNNZ int) *PackingSolver {
 // after a refactorization forced a few pivots in, which leaves −0 entries
 // in B⁻¹ for the kernels to read. A third solver runs the real SolveCtx,
 // whose objective, primals and duals must equal the reference's exactly.
+// It runs once on the portable loops and once on the AVX2 kernels.
 func TestPivotMatchesReference(t *testing.T) {
+	eachKernelPath(t, testPivotMatchesReference)
+}
+
+func testPivotMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	sizes := []int{5, 8, 13, 21, 40, 75, 130, 220, 400}
 	var full, withZeros, negZeros int
