@@ -13,9 +13,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"see/internal/experiment"
+	"see/internal/sched"
 )
 
 type figure struct {
@@ -35,69 +37,79 @@ var figures = []figure{
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its environment injected: it parses args, writes the
+// figure data to stdout and diagnostics to stderr, and returns the process
+// exit code (2 for a usage error, 1 for a failed sweep).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("seefig", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig    = flag.String("fig", "all", "figure to regenerate: 2..7 or all")
-		trials = flag.Int("trials", 20, "trials per data point (paper: 100)")
-		seed   = flag.Int64("seed", 20220101, "base random seed")
-		cdfs   = flag.Bool("cdfs", true, "also print the (b)/(c) per-pair CDFs")
+		fig    = fs.String("fig", "all", "figure to regenerate: 2..7 or all")
+		trials = fs.Int("trials", 20, "trials per data point (paper: 100)")
+		seed   = fs.Int64("seed", 20220101, "base random seed")
+		cdfs   = fs.Bool("cdfs", true, "also print the (b)/(c) per-pair CDFs")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	known := *fig == "all" || *fig == "2"
+	for _, f := range figures {
+		known = known || *fig == f.id
+	}
+	if !known {
+		fmt.Fprintf(stderr, "seefig: unknown -fig %q\n", *fig)
+		return 2
+	}
 
 	if *fig == "2" || *fig == "all" {
-		printMotivation()
-		if *fig == "2" {
-			return
-		}
+		printMotivation(stdout)
 	}
 
 	base := experiment.DefaultParams()
 	base.Trials = *trials
 	base.BaseSeed = *seed
-
-	ran := false
 	for _, f := range figures {
 		if *fig != "all" && *fig != f.id {
 			continue
 		}
-		ran = true
 		sw, err := f.run(base)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "seefig: figure %s: %v\n", f.id, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "seefig: figure %s: %v\n", f.id, err)
+			return 1
 		}
-		fmt.Printf("### Figure %s(a)\n%s\n", f.id, sw.Table())
+		fmt.Fprintf(stdout, "### Figure %s(a)\n%s\n", f.id, sw.Table())
 		if *cdfs {
-			printCDFs(f, sw)
+			printCDFs(stdout, f, sw)
 		}
 	}
-	if !ran && *fig != "all" && *fig != "2" {
-		fmt.Fprintf(os.Stderr, "seefig: unknown -fig %q\n", *fig)
-		os.Exit(2)
-	}
+	return 0
 }
 
-func printMotivation() {
+func printMotivation(w io.Writer) {
 	r := experiment.Motivation()
-	fmt.Println("### Figure 2 (motivation example, expected connections)")
-	fmt.Printf("conventional (Fig. 2c)\t%.3f\n", r.Conventional)
-	fmt.Printf("SEE (Fig. 2d)\t%.3f\n", r.SEE)
-	fmt.Printf("improvement\t%.2fx\n\n", r.SEE/r.Conventional)
+	fmt.Fprintln(w, "### Figure 2 (motivation example, expected connections)")
+	fmt.Fprintf(w, "conventional (Fig. 2c)\t%.3f\n", r.Conventional)
+	fmt.Fprintf(w, "SEE (Fig. 2d)\t%.3f\n", r.SEE)
+	fmt.Fprintf(w, "improvement\t%.2fx\n\n", r.SEE/r.Conventional)
 }
 
-func printCDFs(f figure, sw *experiment.Sweep) {
+func printCDFs(w io.Writer, f figure, sw *experiment.Sweep) {
 	for sub, x := range f.cdfAt {
 		for _, pt := range sw.Points {
 			if pt.X != x {
 				continue
 			}
-			fmt.Printf("### Figure %s(%c): per-SD-pair throughput CDF at %s = %g\n",
+			fmt.Fprintf(w, "### Figure %s(%c): per-SD-pair throughput CDF at %s = %g\n",
 				f.id, 'b'+sub, sw.XLabel, x)
-			for _, alg := range experiment.Algorithms {
+			for _, alg := range sched.Algorithms {
 				cdf := pt.Results[alg].PerPairCDF
-				fmt.Printf("# %s\n", alg)
-				fmt.Print(cdf.Table())
+				fmt.Fprintf(w, "# %s\n", alg)
+				fmt.Fprint(w, cdf.Table())
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
 }

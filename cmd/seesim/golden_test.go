@@ -87,9 +87,10 @@ func TestGolden(t *testing.T) {
 }
 
 // TestRunBadFlags locks the CLI's error behavior: bad values exit
-// non-zero (2 for usage errors caught at parse time, 1 for errors caught
-// once trials start, like an unknown topology or a scheduler option
-// engines.Config.Validate rejects) and report through stderr, not stdout.
+// non-zero (2 for usage errors caught at parse time, like an unknown
+// topology or a count below 1; 1 for errors the harness or the engines
+// report, like a scheduler option engines.Config.Validate rejects) and
+// report through stderr, not stdout.
 func TestRunBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args   []string
@@ -97,7 +98,7 @@ func TestRunBadFlags(t *testing.T) {
 		stderr string // substring the report must contain, if set
 	}{
 		{[]string{"-alg", "nope"}, 2, ""},
-		{[]string{"-topo", "torus"}, 1, ""},
+		{[]string{"-topo", "torus"}, 2, "-topo"},
 		{[]string{"-traffic", "bursty"}, 2, ""},
 		{[]string{"-faults", "node=abc"}, 2, ""},
 		{[]string{"-not-a-flag"}, 2, ""},
@@ -110,6 +111,17 @@ func TestRunBadFlags(t *testing.T) {
 		{[]string{"-memory", "-2"}, 2, "-memory"},
 		{[]string{"-swap", "-0.5"}, 2, "-swap"},
 		{[]string{"-alpha", "-1"}, 2, "-alpha"},
+		// A run needs at least one pair, trial and slot: a negative pair
+		// count must not reach the pair samplers, and no trials or slots
+		// must not print NaN.
+		{[]string{"-pairs", "-1"}, 2, "-pairs"},
+		{[]string{"-pairs", "-1", "-traffic", "hotspot"}, 2, "-pairs"},
+		{[]string{"-pairs", "-1", "-traffic", "gravity"}, 2, "-pairs"},
+		{[]string{"-serve", "-pairs", "-1"}, 2, "-pairs"},
+		{[]string{"-trials", "0"}, 2, "-trials"},
+		{[]string{"-trials", "-2"}, 2, "-trials"},
+		{[]string{"-slots", "0"}, 2, "-slots"},
+		{[]string{"-serve", "-slots", "-3"}, 2, "-slots"},
 		// A population beyond the server's bound is a usage error, not a
 		// panic in the per-user counter allocation.
 		{[]string{"-serve", "-nodes", "30", "-pairs", "2", "-alg", "greedy", "-slots", "2",

@@ -5,8 +5,9 @@
 //
 //	seesim -nodes 200 -pairs 20 -slots 1 -trials 20 -alg all
 //
-// Each trial draws a fresh topology and SD pairs from the seed; all
-// schedulers see identical instances.
+// Trials run through the experiment harness (experiment.RunPoint): each
+// draws a fresh topology and SD pairs from the seed, and all schedulers
+// see identical instances.
 package main
 
 import (
@@ -15,11 +16,10 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"see"
-	"see/internal/metrics"
-	"see/internal/xrand"
+	"see/internal/experiment"
+	"see/internal/topo"
 )
 
 func main() {
@@ -49,11 +49,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		topoName   = fs.String("topo", "waxman", "topology: waxman or nsfnet")
 		traffic    = fs.String("traffic", "uniform", "SD pair pattern: uniform, hotspot or gravity")
 		trace      = fs.Bool("trace", false, "print per-scheduler pipeline phase counters after the run")
-		workers    = fs.Int("workers", 0, "goroutines for LP pricing rounds and per-pair candidate-path enumeration (0 = GOMAXPROCS, 1 = serial; results are identical at any value)")
+		workers    = fs.Int("workers", 0, "goroutines for trials, LP pricing rounds and per-pair candidate-path enumeration (0 = GOMAXPROCS, 1 = serial; results are identical at any value)")
 		faults     = fs.String("faults", "", "deterministic fault spec, e.g. \"seed=7;node=3@2-5;cut:100,200,50@2-5;brown:4,0.5@1-;flap:2,4,0.5@0-8;decohere=0.05\" (! marks an item as unannounced)")
 		faultAware = fs.Bool("fault-aware", false, "plan around announced faults: schemes with a fault-aware variant (see, contend) are swapped for it")
 		budget     = fs.Duration("slot-budget", 0, "LP solve budget per scheduler; on timeout the slot degrades to the greedy fallback (0 = unbounded)")
-		jsonl      = fs.String("trace-jsonl", "", "stream every pipeline event as JSON lines to this file")
+		jsonl      = fs.String("trace-jsonl", "", "stream every pipeline event as JSON lines to this file (trials then run one at a time, in order; results are identical at any -workers)")
 		carry      = fs.Bool("carry", false, "carry unconsumed entanglement segments across slots in node memories (cross-slot state bank)")
 		decohere   = fs.Int("decohere-slots", 1, "with -carry: slot boundaries a banked segment survives before decohering")
 		floorSpec  = fs.String("fidelity-floor", "", "per-request minimum delivered fidelity, e.g. \"0.8;3=0.95\" (default floor plus pair=floor overrides; empty = no floors, also enables the fidelity report)")
@@ -72,55 +72,62 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// usage reports a bad flag value: exit 2, before any work.
+	usage := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 
 	algs, err := parseAlgs(*alg)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+		return usage(err)
 	}
 	if *faultAware {
 		algs = faultAwareAlgs(algs)
 	}
 
-	if err := checkNetworkFlags(*nodes, *channels, *memory, *swap, *alpha); err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+	// Counts below 1 and a negative (or NaN) probability or attenuation
+	// are usage errors, caught before any instance is drawn.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"nodes", *nodes}, {"pairs", *pairs}, {"channels", *channels}, {"memory", *memory}, {"trials", *trials}, {"slots", *slots}} {
+		if f.v < 1 {
+			return usage(fmt.Errorf("seesim: -%s %d must be at least 1", f.name, f.v))
+		}
 	}
-	cfg := see.DefaultNetworkConfig()
-	cfg.Nodes = *nodes
-	cfg.Channels = *channels
-	cfg.Memory = *memory
-	// Flag value 0 is an explicit request (the config's zero value would
-	// silently fall back to the paper default).
-	cfg.SwapProb = explicitFloat(*swap)
-	cfg.Alpha = explicitFloat(*alpha)
-
+	if !(*swap >= 0) {
+		return usage(fmt.Errorf("seesim: -swap %v must be at least 0", *swap))
+	}
+	if !(*alpha >= 0) {
+		return usage(fmt.Errorf("seesim: -alpha %v must be at least 0", *alpha))
+	}
+	nsfnet, err := parseTopo(*topoName)
+	if err != nil {
+		return usage(err)
+	}
 	pattern, err := parseTraffic(*traffic)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+		return usage(err)
 	}
 
 	var plan *see.FaultPlan
 	if *faults != "" {
 		plan, err = see.ParseFaultSpec(*faults)
 		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
+			return usage(err)
 		}
 	}
 	var floors *see.FloorSpec
 	if *floorSpec != "" {
 		floors, err = see.ParseFloorSpec(*floorSpec)
 		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
+			return usage(err)
 		}
 	}
 	order, err := see.ParseSwapOrder(*swapOrder)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
+		return usage(err)
 	}
 	// Fault injection, slot budgets, carry-over and fidelity floors report
 	// through the tracer, so any of those flags implies counters even
@@ -146,122 +153,78 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}()
 	}
 
-	// The scheduler options every scheduler of the run is built with; each
-	// one only gets its own Tracer.
-	opts := see.SchedulerOptions{
-		Workers:              *workers,
-		Faults:               plan,
-		SlotBudget:           *budget,
-		CarryOver:            *carry,
-		DecoherenceSlots:     *decohere,
-		FidelityFloors:       floors,
-		SwapOrder:            order,
-		CarryAwareLP:         *carryLP,
-		CarryWernerRetention: *retention,
-		CarryMinWernerScale:  *minScale,
+	network := topo.DefaultConfig()
+	network.Nodes, network.Channels, network.Memory = *nodes, *channels, *memory
+	network.SwapProb, network.Alpha = *swap, *alpha
+	p := experiment.Params{
+		Network: network, NSFNET: nsfnet, Traffic: pattern, SDPairs: *pairs,
+		Trials: *trials, BaseSeed: *seed, Slots: *slots, Algorithms: algs,
+		Config: see.SchedulerOptions{
+			Workers:              *workers,
+			Faults:               plan,
+			SlotBudget:           *budget,
+			CarryOver:            *carry,
+			DecoherenceSlots:     *decohere,
+			FidelityFloors:       floors,
+			SwapOrder:            order,
+			CarryAwareLP:         *carryLP,
+			CarryWernerRetention: *retention,
+			CarryMinWernerScale:  *minScale,
+		},
 	}
 	if *serveMode {
-		// Service mode has one topology, so one cache serves the run: the
-		// schedulers share their candidate sets and LP solutions.
-		opts.Warm = see.NewWarmCache()
 		return runServe(serveParams{
-			algs: algs, cfg: cfg, pairs: *pairs, topoName: *topoName,
-			pattern: pattern, traffic: *traffic, slots: *slots, seed: *seed,
-			opts: opts, trace: *trace, jsonl: jsonlTracer,
+			Params: p, topoName: *topoName, traffic: *traffic,
+			trace: *trace, jsonl: jsonlTracer,
 			arrivals: *arrivals, ckptDir: *ckptDir, ckptEvery: *ckptEvery,
 			resume: *resume, dieAt: *dieAt,
 		}, stdout, stderr)
 	}
 
-	totals := make(map[see.Algorithm]float64, len(algs))
-	bounds := make(map[see.Algorithm]float64, len(algs))
 	tracers := make(map[see.Algorithm]*see.CountingTracer, len(algs))
-	fids := make(map[see.Algorithm][]float64, len(algs))
+	p.Tracers = make(map[see.Algorithm]see.Tracer, len(algs))
 	for _, a := range algs {
 		tracers[a] = see.NewCountingTracer()
+		var ts []see.Tracer
+		if *trace || countInjected {
+			ts = append(ts, tracers[a])
+		}
+		if jsonlTracer != nil {
+			ts = append(ts, jsonlTracer)
+		}
+		p.Tracers[a] = see.MultiTracer(ts...)
 	}
-	slotCount := 0
-	for trial := 0; trial < *trials; trial++ {
-		trialSeed := *seed + int64(trial)
-		net, sdPairs, err := buildInstance(*topoName, cfg, *pairs, pattern, trialSeed)
-		if err != nil {
-			fmt.Fprintf(stderr, "trial %d: %v\n", trial, err)
-			return 1
-		}
-		// Each trial draws a new topology, so it gets its own warm cache:
-		// its schedulers share what they build, and nothing outlives the
-		// trial (a finished trial's entries could never hit again).
-		warm := see.NewWarmCache()
-		for _, a := range algs {
-			o := opts
-			o.Warm = warm
-			var ts []see.Tracer
-			if *trace || countInjected {
-				ts = append(ts, tracers[a])
-			}
-			if jsonlTracer != nil {
-				ts = append(ts, jsonlTracer)
-			}
-			if len(ts) > 0 {
-				o.Tracer = see.MultiTracer(ts...)
-			}
-			sc, err := see.NewScheduler(a, net, sdPairs, &o)
-			if err != nil {
-				fmt.Fprintf(stderr, "trial %d (%v): %v\n", trial, a, err)
-				return 1
-			}
-			rng := xrand.ForTrial(trialSeed, 1000)
-			for s := 0; s < *slots; s++ {
-				res, err := sc.RunSlot(rng)
-				if err != nil {
-					fmt.Fprintf(stderr, "trial %d (%v): %v\n", trial, a, err)
-					return 1
-				}
-				totals[a] += float64(res.Established)
-				if floors != nil {
-					for _, c := range res.Connections {
-						fids[a] = append(fids[a], c.Fidelity)
-					}
-				}
-			}
-			// Read the bound after the slots: under -slot-budget the LP is
-			// built lazily inside the first slot, so the bound is 0 before.
-			bounds[a] += sc.UpperBound()
-		}
-		slotCount += *slots
+	if jsonlTracer != nil {
+		// One worker runs the trials in order, so the event stream is in
+		// trial order too.
+		p.Workers = 1
+	}
+	res, err := experiment.RunPoint(p)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	report(stdout, reportParams{
-		algs: algs, nodes: *nodes, pairs: *pairs, channels: *channels,
-		memory: *memory, swap: *swap, alpha: *alpha, trials: *trials,
-		slots: *slots, slotCount: slotCount, topoName: *topoName,
-		traffic: *traffic, trace: *trace, countInjected: countInjected,
-		faults: *faults, budget: *budget, carry: *carry, decohere: *decohere,
-		totals: totals, bounds: bounds, tracers: tracers,
-		floorSpec: *floorSpec, swapOrder: order, fids: fids,
+		Params: p, topoName: *topoName, traffic: *traffic,
+		trace: *trace, countInjected: countInjected, faults: *faults,
+		floorSpec: *floorSpec, res: res, tracers: tracers,
 	})
 	return 0
 }
 
 // reportParams carries the run configuration and results into report.
 type reportParams struct {
-	algs                           []see.Algorithm
-	nodes, pairs, channels, memory int
-	swap, alpha                    float64
-	trials, slots, slotCount       int
-	topoName, traffic              string
-	trace, countInjected, carry    bool
-	faults                         string
-	budget                         time.Duration
-	decohere                       int
-	totals, bounds                 map[see.Algorithm]float64
-	tracers                        map[see.Algorithm]*see.CountingTracer
+	experiment.Params    // the run's configuration
+	topoName, traffic    string
+	trace, countInjected bool
+	faults               string
 	// floorSpec is the raw -fidelity-floor flag; non-empty enables the
 	// fidelity section (even for an all-zero spec, which reports delivered
 	// fidelity without enforcing anything).
 	floorSpec string
-	swapOrder see.SwapOrder
-	fids      map[see.Algorithm][]float64
+	res       map[see.Algorithm]experiment.PointResult
+	tracers   map[see.Algorithm]*see.CountingTracer
 }
 
 // report prints the run summary: the configuration header, the throughput
@@ -269,39 +232,38 @@ type reportParams struct {
 // pipeline counters and incident lines.
 func report(w io.Writer, p reportParams) {
 	fmt.Fprintf(w, "# topo=%s traffic=%s, %d SD pairs, %d channels, %d memory, q=%.2f, alpha=%.1e\n",
-		strings.ToLower(p.topoName), strings.ToLower(p.traffic), p.pairs, p.channels, p.memory, p.swap, p.alpha)
-	if strings.EqualFold(p.topoName, "waxman") {
-		fmt.Fprintf(w, "# %d nodes\n", p.nodes)
+		strings.ToLower(p.topoName), strings.ToLower(p.traffic), p.SDPairs, p.Network.Channels, p.Network.Memory,
+		p.Network.SwapProb, p.Network.Alpha)
+	if !p.NSFNET {
+		fmt.Fprintf(w, "# %d nodes\n", p.Network.Nodes)
 	}
-	fmt.Fprintf(w, "# %d trials x %d slots\n", p.trials, p.slots)
+	fmt.Fprintf(w, "# %d trials x %d slots\n", p.Trials, p.Slots)
 	fmt.Fprintf(w, "%-7s %-18s %-14s\n", "alg", "throughput(qbps)", "LP bound/slot")
-	for _, a := range p.algs {
-		fmt.Fprintf(w, "%-7s %-18.3f %-14.3f\n",
-			a, p.totals[a]/float64(p.slotCount), p.bounds[a]/float64(p.trials))
+	for _, a := range p.Algorithms {
+		fmt.Fprintf(w, "%-7s %-18.3f %-14.3f\n", a, p.res[a].Throughput.Mean, p.res[a].UpperBound)
 	}
 	// With the oracle in the selection, quote every real scheme's
 	// throughput as a fraction of the network's expected entanglement
-	// capacity (the oracle's per-trial UpperBound; see internal/oracle).
-	if capacity, ok := p.bounds[see.Oracle]; ok && capacity > 0 && p.slotCount > 0 {
-		perSlot := capacity / float64(p.trials)
-		fmt.Fprintf(w, "\n# capacity (oracle expected bound = %.3f/slot)\n", perSlot)
-		for _, a := range p.algs {
+	// capacity (the oracle's mean UpperBound; see internal/oracle).
+	if oracle, ok := p.res[see.Oracle]; ok && oracle.UpperBound > 0 {
+		fmt.Fprintf(w, "\n# capacity (oracle expected bound = %.3f/slot)\n", oracle.UpperBound)
+		for _, a := range p.Algorithms {
 			if a == see.Oracle {
 				continue
 			}
-			fmt.Fprintf(w, "%-7s %5.1f%% of capacity\n", a, 100*p.totals[a]/float64(p.slotCount)/perSlot)
+			fmt.Fprintf(w, "%-7s %5.1f%% of capacity\n", a, 100*p.res[a].Throughput.Mean/oracle.UpperBound)
 		}
 	}
 	// The fidelity section follows the -fidelity-floor flag, not the
 	// floors' strength: "-fidelity-floor 0" reports delivered fidelity
 	// while enforcing nothing.
 	if p.floorSpec != "" {
-		fmt.Fprintf(w, "\n# fidelity (floor=%q swap-order=%s)\n", p.floorSpec, p.swapOrder)
-		for _, a := range p.algs {
+		fmt.Fprintf(w, "\n# fidelity (floor=%q swap-order=%s)\n", p.floorSpec, p.SwapOrder)
+		for _, a := range p.Algorithms {
 			if a == see.Oracle {
 				continue
 			}
-			s := metrics.Summarize(p.fids[a])
+			s := p.res[a].Fidelity
 			if s.N == 0 {
 				fmt.Fprintf(w, "%-7s delivered=0\n", a)
 				continue
@@ -311,23 +273,23 @@ func report(w io.Writer, p reportParams) {
 		}
 	}
 	if p.trace {
-		for _, a := range p.algs {
+		for _, a := range p.Algorithms {
 			fmt.Fprintf(w, "\n# %v pipeline\n%s\n", a, p.tracers[a])
 		}
 	}
 	if p.countInjected {
 		// The bank incident kinds print only under -carry so fault-only
 		// runs keep bank-free incident lines.
-		if p.carry {
-			fmt.Fprintf(w, "\n# incidents (faults=%q slot-budget=%v carry=%d-slot)\n", p.faults, p.budget, p.decohere)
+		if p.CarryOver {
+			fmt.Fprintf(w, "\n# incidents (faults=%q slot-budget=%v carry=%d-slot)\n", p.faults, p.SlotBudget, p.DecoherenceSlots)
 		} else {
-			fmt.Fprintf(w, "\n# incidents (faults=%q slot-budget=%v)\n", p.faults, p.budget)
+			fmt.Fprintf(w, "\n# incidents (faults=%q slot-budget=%v)\n", p.faults, p.SlotBudget)
 		}
-		for _, a := range p.algs {
+		for _, a := range p.Algorithms {
 			c := p.tracers[a].Counts()
 			fmt.Fprintf(w, "%-7v", a)
 			for k := see.Incident(0); k < see.Incident(len(c.Incidents)); k++ {
-				if !p.carry && isBankIncident(k) {
+				if !p.CarryOver && isBankIncident(k) {
 					continue
 				}
 				if p.floorSpec == "" && isFloorIncident(k) {
@@ -352,56 +314,16 @@ func isFloorIncident(k see.Incident) bool {
 	return k == see.IncidentFloorReject
 }
 
-// checkNetworkFlags rejects the network flag values NetworkConfig would
-// silently resolve to something else — a count below 1 to the paper
-// default, a negative (or NaN) probability or attenuation to zero or the
-// default — so the report header always shows the values the run used.
-func checkNetworkFlags(nodes, channels, memory int, swap, alpha float64) error {
-	switch {
-	case nodes < 1:
-		return fmt.Errorf("seesim: -nodes %d must be at least 1", nodes)
-	case channels < 1:
-		return fmt.Errorf("seesim: -channels %d must be at least 1", channels)
-	case memory < 1:
-		return fmt.Errorf("seesim: -memory %d must be at least 1", memory)
-	case !(swap >= 0):
-		return fmt.Errorf("seesim: -swap %v must be at least 0", swap)
-	case !(alpha >= 0):
-		return fmt.Errorf("seesim: -alpha %v must be at least 0", alpha)
-	}
-	return nil
-}
-
-// explicitFloat maps a flag value of 0 to see.ExplicitZero so that
-// "-swap 0" and "-alpha 0" override the paper default instead of
-// silently re-selecting it.
-func explicitFloat(v float64) float64 {
-	if v == 0 {
-		return see.ExplicitZero
-	}
-	return v
-}
-
-// buildInstance draws one trial's topology and demand set.
-func buildInstance(topoName string, cfg see.NetworkConfig, pairs int, pattern see.Traffic, seed int64) (*see.Network, []see.SDPair, error) {
-	switch strings.ToLower(topoName) {
+// parseTopo reports whether -topo names the NSFNET backbone (true) or a
+// Waxman graph (false).
+func parseTopo(s string) (nsfnet bool, err error) {
+	switch strings.ToLower(s) {
 	case "waxman":
-		if pattern == see.TrafficUniform {
-			return see.GenerateNetwork(cfg, pairs, seed)
-		}
-		net, _, err := see.GenerateNetwork(cfg, 0, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		return net, see.ChoosePairsWithTraffic(net, pairs, pattern, seed+1), nil
+		return false, nil
 	case "nsfnet":
-		net, err := see.NSFNETNetwork(cfg, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		return net, see.ChoosePairsWithTraffic(net, pairs, pattern, seed+1), nil
+		return true, nil
 	default:
-		return nil, nil, fmt.Errorf("seesim: unknown -topo %q (want waxman or nsfnet)", topoName)
+		return false, fmt.Errorf("seesim: unknown -topo %q (want waxman or nsfnet)", s)
 	}
 }
 

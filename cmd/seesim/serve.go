@@ -9,20 +9,20 @@ import (
 	"strings"
 
 	"see"
+	"see/internal/engines"
+	"see/internal/experiment"
+	"see/internal/topo"
+	"see/internal/xrand"
 )
 
 // serveParams carries the parsed service-mode configuration into runServe.
 type serveParams struct {
-	algs     []see.Algorithm
-	cfg      see.NetworkConfig
-	pairs    int
-	topoName string
-	pattern  see.Traffic
-	traffic  string
-	slots    int
-	seed     int64
-	// opts is every scheduler's options; serveOne sets its Tracer.
-	opts      see.SchedulerOptions
+	// Params holds the instance, the schedulers, the slot horizon, the
+	// seed and every scheduler's options (serveOne sets the Tracer);
+	// Trials is unused.
+	experiment.Params
+	topoName  string
+	traffic   string
 	trace     bool
 	jsonl     *see.JSONLTracer
 	arrivals  string
@@ -62,16 +62,20 @@ func runServe(p serveParams, stdout, stderr io.Writer) int {
 		}
 	}
 
-	net, sdPairs, err := buildInstance(p.topoName, p.cfg, p.pairs, p.pattern, p.seed)
+	// One instance, drawn from the seed like see.GenerateNetwork's, serves
+	// the run, so one warm cache does too: the schedulers share their
+	// candidate sets and LP solutions.
+	net, sdPairs, err := p.Instance(xrand.New(p.BaseSeed))
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
+	p.Warm = see.NewWarmCache()
 
 	fmt.Fprintf(stdout, "# serve topo=%s traffic=%s pairs=%d slots=%d seed=%d arrivals=%q\n",
-		strings.ToLower(p.topoName), strings.ToLower(p.traffic), len(sdPairs), p.slots, p.seed, p.arrivals)
+		strings.ToLower(p.topoName), strings.ToLower(p.traffic), len(sdPairs), p.Slots, p.BaseSeed, p.arrivals)
 
-	for _, a := range p.algs {
+	for _, a := range p.Algorithms {
 		if code := p.serveOne(a, net, sdPairs, stdout, stderr); code != 0 {
 			return code
 		}
@@ -81,15 +85,15 @@ func runServe(p serveParams, stdout, stderr io.Writer) int {
 
 // serveOne runs (or resumes) one scheduler's traffic server to the slot
 // horizon.
-func (p serveParams) serveOne(a see.Algorithm, net *see.Network, sdPairs []see.SDPair, stdout, stderr io.Writer) int {
+func (p serveParams) serveOne(a see.Algorithm, net *topo.Network, sdPairs []see.SDPair, stdout, stderr io.Writer) int {
 	tracer := see.NewCountingTracer()
 	ts := []see.Tracer{tracer}
 	if p.jsonl != nil {
 		ts = append(ts, p.jsonl)
 	}
-	opts := p.opts
+	opts := p.Config
 	opts.Tracer = see.MultiTracer(ts...)
-	sc, err := see.NewScheduler(a, net, sdPairs, &opts)
+	sc, err := engines.New(a, net, sdPairs, opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "%v: %v\n", a, err)
 		return 1
@@ -99,7 +103,7 @@ func (p serveParams) serveOne(a see.Algorithm, net *see.Network, sdPairs []see.S
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	scfg.Seed = p.seed
+	scfg.Seed = p.BaseSeed
 	scfg.Tracer = tracer
 	srv, err := see.NewTrafficServer(sc, len(sdPairs), scfg)
 	if err != nil {
@@ -123,16 +127,16 @@ func (p serveParams) serveOne(a see.Algorithm, net *see.Network, sdPairs []see.S
 			fmt.Fprintf(stdout, "# resume %v at slot %d\n", a, srv.Slot())
 		}
 	}
-	if srv.Slot() > p.slots {
-		fmt.Fprintf(stderr, "%v: checkpoint is at slot %d, beyond -slots %d\n", a, srv.Slot(), p.slots)
+	if srv.Slot() > p.Slots {
+		fmt.Fprintf(stderr, "%v: checkpoint is at slot %d, beyond -slots %d\n", a, srv.Slot(), p.Slots)
 		return 1
 	}
 
 	died := false
-	err = srv.Run(p.slots-srv.Slot(), func(st *see.ServeSlotStats) error {
+	err = srv.Run(p.Slots-srv.Slot(), func(st *see.ServeSlotStats) error {
 		fmt.Fprintf(stdout, "slot %v %d arrived=%d admitted=%d rejected=%d expired=%d served=%d established=%d backlog=%d\n",
 			a, st.Slot, st.Arrived, st.Admitted, st.Rejected, st.Expired, st.Served, st.Established, st.Backlog)
-		if ckptPath != "" && (st.Slot+1)%p.ckptEvery == 0 && st.Slot+1 < p.slots {
+		if ckptPath != "" && (st.Slot+1)%p.ckptEvery == 0 && st.Slot+1 < p.Slots {
 			if err := srv.WriteCheckpoint(ckptPath); err != nil {
 				return err
 			}

@@ -1,6 +1,9 @@
 package see
 
-import "see/internal/experiment"
+import (
+	"see/internal/engines"
+	"see/internal/experiment"
+)
 
 // ExperimentParams configures one evaluation data point (paper §IV-A
 // defaults via DefaultExperimentParams). The embedded NetworkConfig is
@@ -9,8 +12,9 @@ import "see/internal/experiment"
 // SchedulerOptions configure every engine of every trial; each engine gets
 // its own fault injector and bank, and its Workers also bounds the
 // goroutines running trials concurrently (results are identical at any
-// value). Its Tracer observes all trials concurrently, so it must be safe
-// for concurrent use (CountingTracer is).
+// value). Its Tracer is handed to every algorithm and observes all trials
+// concurrently, so it must be safe for concurrent use (CountingTracer is).
+// Its Warm is not used: every trial shares a cache of its own.
 type ExperimentParams struct {
 	NetworkConfig
 	// SDPairs drawn per trial (default 20).
@@ -53,6 +57,11 @@ func (p ExperimentParams) toInternal() experiment.Params {
 	}
 	in.Slots = p.Slots
 	in.Config = p.SchedulerOptions
+	in.Config.Tracer, in.Config.Warm = nil, nil
+	in.Tracers = make(map[Algorithm]Tracer)
+	for _, alg := range engines.List() {
+		in.Tracers[alg] = p.Tracer
+	}
 	return in
 }
 

@@ -12,37 +12,37 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
-	"sync"
+	"math/rand"
+	"slices"
 
 	"see/internal/engines"
 	"see/internal/metrics"
+	"see/internal/par"
 	"see/internal/sched"
 	"see/internal/topo"
+	"see/internal/warm"
 	"see/internal/xrand"
 )
 
 // Algorithm selects a scheduler; it is the canonical sched.Algorithm.
 type Algorithm = sched.Algorithm
 
-// The three schemes compared in the paper.
-const (
-	SEE  = sched.SEE
-	REPS = sched.REPS
-	E2E  = sched.E2E
-)
-
-// Algorithms lists all schemes in display order.
-var Algorithms = sched.Algorithms
-
 // Params describes one simulation configuration (defaults follow §IV-A).
-// Every trial draws its topology from Network; the scheduler options are
+// Every trial draws its instance with Instance; the scheduler options are
 // the embedded engines.Config, which every engine of every trial is built
 // with.
 type Params struct {
-	// Network is the topology every trial generates (topo.Generate).
+	// Network is the topology every trial generates (topo.Generate), or
+	// with NSFNET the resources of the fixed backbone.
 	Network topo.Config
+	// NSFNET replaces the Waxman draw with the 14-node NSFNET backbone
+	// (topo.NSFNet) carrying Network's resources.
+	NSFNET bool
+	// Traffic is the pattern SD pairs are drawn under (the paper's
+	// uniform sampling by default).
+	Traffic topo.TrafficPattern
 	// SDPairs is the demand drawn per trial.
 	SDPairs int
 
@@ -60,14 +60,20 @@ type Params struct {
 	// or sched.Contend to sweep the repo-grown baselines on the same
 	// instances.
 	Algorithms []Algorithm
+	// Tracers gives an algorithm's engines a tracer (none for an absent
+	// key). A tracer observes its algorithm in every trial, and trials run
+	// concurrently, so it must be safe for concurrent use
+	// (sched.CountingTracer is); with Workers 1 it sees the trials in
+	// order.
+	Tracers map[Algorithm]sched.Tracer
 
 	// Config is every engine's scheduler options. Its Workers also bounds
 	// the goroutines running trials concurrently; trials are seeded
 	// independently and the pricing parallelism is deterministic, so
-	// results are byte-identical at any worker count. Its Tracer observes
-	// every engine of every trial concurrently, so it must be safe for
-	// concurrent use (sched.CountingTracer is). Each engine gets its own
-	// injector from Faults, so trials stay independently seeded.
+	// results are byte-identical at any worker count. Each engine gets its
+	// own injector from Faults, so trials stay independently seeded. Its
+	// Tracer and Warm must be nil: Tracers carries the tracers, and
+	// RunPoint gives every trial its own warm cache.
 	engines.Config
 }
 
@@ -97,6 +103,10 @@ func (p Params) Validate() error {
 		return fmt.Errorf("experiment: negative Slots %d", p.Slots)
 	case p.SDPairs < 0:
 		return fmt.Errorf("experiment: negative SDPairs %d", p.SDPairs)
+	case p.Config.Tracer != nil:
+		return errors.New("experiment: Config.Tracer is set; give tracers per algorithm in Params.Tracers")
+	case p.Config.Warm != nil:
+		return errors.New("experiment: Config.Warm is set; RunPoint gives every trial its own warm cache")
 	}
 	if err := p.Network.Validate(); err != nil {
 		return fmt.Errorf("experiment: %w", err)
@@ -115,7 +125,7 @@ func (p Params) algorithms() []Algorithm {
 	if len(p.Algorithms) > 0 {
 		return p.Algorithms
 	}
-	return Algorithms
+	return sched.Algorithms
 }
 
 // PointResult aggregates one (configuration, algorithm) data point.
@@ -128,126 +138,140 @@ type PointResult struct {
 	PerPairCDF metrics.CDF
 	// Jain is the mean Jain fairness index over trials.
 	Jain float64
+	// UpperBound is the mean over trials of the engine's UpperBound, read
+	// after its slots (under a slot budget the LP is built lazily inside
+	// the first slot).
+	UpperBound float64
+	// Fidelity summarizes the delivered fidelity of every connection the
+	// algorithm established, over all trials and slots in order.
+	Fidelity metrics.Summary
 }
 
 // trialOutcome is one trial's result for every algorithm.
 type trialOutcome struct {
-	established map[Algorithm]float64
-	perPair     map[Algorithm][]float64
-	err         error
+	algs map[Algorithm]algTrial
+	err  error
+}
+
+// algTrial is one algorithm's result in one trial.
+type algTrial struct {
+	established float64   // connections per slot
+	perPair     []float64 // connections per slot of each SD pair
+	bound       float64   // the engine's UpperBound after its slots
+	fidelities  []float64 // delivered fidelities in slot order
 }
 
 // RunPoint simulates all algorithms on the same instances and returns one
-// PointResult per algorithm. Trials run on a bounded worker pool; every
-// trial derives all of its randomness from its own seed, so the output is
-// byte-identical to a serial run.
+// PointResult per algorithm. Trials run on up to Workers goroutines
+// (par.For); every trial derives all of its randomness from its own seed,
+// so the output is byte-identical to a serial run.
 func RunPoint(p Params) (map[Algorithm]PointResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > p.Trials {
-		workers = p.Trials
-	}
-
 	outcomes := make([]trialOutcome, p.Trials)
-	var wg sync.WaitGroup
-	trialCh := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for trial := range trialCh {
-				outcomes[trial] = p.runTrial(trial)
-			}
-		}()
-	}
-	for trial := 0; trial < p.Trials; trial++ {
-		trialCh <- trial
-	}
-	close(trialCh)
-	wg.Wait()
-
-	algs := p.algorithms()
-	samples := make(map[Algorithm][]float64, len(algs))
-	jains := make(map[Algorithm][]float64, len(algs))
-	firstTrialPerPair := make(map[Algorithm][]float64, len(algs))
+	par.For(p.Workers, p.Trials, func(trial int) { outcomes[trial] = p.runTrial(trial) })
 	for trial, oc := range outcomes {
 		if oc.err != nil {
 			return nil, fmt.Errorf("experiment: trial %d: %w", trial, oc.err)
 		}
-		for _, alg := range algs {
-			samples[alg] = append(samples[alg], oc.established[alg])
-			jains[alg] = append(jains[alg], metrics.JainIndex(oc.perPair[alg]))
-			if trial == 0 {
-				firstTrialPerPair[alg] = oc.perPair[alg]
-			}
-		}
 	}
 
-	out := make(map[Algorithm]PointResult, len(algs))
-	for _, alg := range algs {
+	out := make(map[Algorithm]PointResult)
+	for _, alg := range p.algorithms() {
+		var established, jains, fidelities []float64
+		bound := 0.0
+		for _, oc := range outcomes {
+			at := oc.algs[alg]
+			established = append(established, at.established)
+			jains = append(jains, metrics.JainIndex(at.perPair))
+			bound += at.bound
+			fidelities = append(fidelities, at.fidelities...)
+		}
 		out[alg] = PointResult{
-			Throughput: metrics.Summarize(samples[alg]),
-			PerPairCDF: metrics.NewCDF(firstTrialPerPair[alg]),
-			Jain:       metrics.Summarize(jains[alg]).Mean,
+			Throughput: metrics.Summarize(established),
+			PerPairCDF: metrics.NewCDF(outcomes[0].algs[alg].perPair),
+			Jain:       metrics.Summarize(jains).Mean,
+			UpperBound: bound / float64(p.Trials),
+			Fidelity:   metrics.Summarize(fidelities),
 		}
 	}
 	return out, nil
 }
 
-// runTrial draws one instance and runs every algorithm's slot on it.
-func (p Params) runTrial(trial int) trialOutcome {
-	algs := p.algorithms()
-	oc := trialOutcome{
-		established: make(map[Algorithm]float64, len(algs)),
-		perPair:     make(map[Algorithm][]float64, len(algs)),
-	}
-	rng := xrand.ForTrial(p.BaseSeed, trial)
+// Instance draws one trial's network and SD pairs from rng: the topology
+// from rng's first Split (a Waxman graph from Network, or NSFNET with
+// Network's resources and its δ seed drawn from that stream) and SDPairs
+// pairs under Traffic from its second. For a Waxman graph with uniform
+// traffic this is see.GenerateNetwork's recipe.
+func (p Params) Instance(rng *rand.Rand) (*topo.Network, []topo.SDPair, error) {
 	topoRng := xrand.Split(rng)
 	pairRng := xrand.Split(rng)
-	net, err := topo.Generate(p.Network, topoRng)
+	var net *topo.Network
+	var err error
+	if p.NSFNET {
+		net, err = topo.NSFNet(p.Network, topoRng.Int63())
+	} else {
+		net, err = topo.Generate(p.Network, topoRng)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	traffic := topo.TrafficConfig{Pattern: p.Traffic, Hub: -1}
+	return net, topo.ChooseSDPairsWithTraffic(net, p.SDPairs, traffic, pairRng), nil
+}
+
+// runTrial draws one instance and runs every algorithm's slots on it.
+func (p Params) runTrial(trial int) trialOutcome {
+	algs := p.algorithms()
+	oc := trialOutcome{algs: make(map[Algorithm]algTrial, len(algs))}
+	rng := xrand.ForTrial(p.BaseSeed, trial)
+	net, pairs, err := p.Instance(rng)
 	if err != nil {
 		oc.err = err
 		return oc
 	}
-	pairs := topo.ChooseSDPairs(net, p.SDPairs, pairRng)
+	// The slot streams follow the instance's, one per Algorithm value, so
+	// an algorithm's stream does not depend on the rest of the selection.
+	streams := make([]*rand.Rand, slices.Max(algs)+1)
+	for i := range streams {
+		streams[i] = xrand.Split(rng)
+	}
+	// Every engine of the trial is built over the same instance, so they
+	// share one warm cache; nothing in it could hit in another trial.
+	cfg := p.Config
+	cfg.Warm = warm.New()
+	slots := max(p.Slots, 1)
 	for _, alg := range algs {
-		slotRng := xrand.Split(rng)
-		eng, err := engines.New(alg, net, pairs, p.Config)
+		cfg.Tracer = p.Tracers[alg]
+		eng, err := engines.New(alg, net, pairs, cfg)
 		if err != nil {
 			oc.err = fmt.Errorf("%v: %w", alg, err)
 			return oc
 		}
-		slots := p.Slots
-		if slots <= 0 {
-			slots = 1
-		}
-		total := 0
-		perPairTotals := make([]int, len(pairs))
+		at := algTrial{perPair: make([]float64, len(pairs))}
 		for s := 0; s < slots; s++ {
-			res, err := eng.RunSlot(slotRng)
+			res, err := eng.RunSlot(streams[alg])
 			if err != nil {
 				oc.err = fmt.Errorf("%v: %w", alg, err)
 				return oc
 			}
-			total += res.Established
+			at.established += float64(res.Established)
 			for i, c := range res.PerPair {
-				perPairTotals[i] += c
+				at.perPair[i] += float64(c)
+			}
+			for _, c := range res.Connections {
+				at.fidelities = append(at.fidelities, c.Fidelity)
 			}
 		}
-		// Per-slot averages; with the default Slots=1 the division is by
-		// 1.0, so single-slot points stay bit-identical to the pre-Slots
-		// harness.
-		oc.established[alg] = float64(total) / float64(slots)
-		pp := make([]float64, len(perPairTotals))
-		for i, c := range perPairTotals {
-			pp[i] = float64(c) / float64(slots)
+		// Per-slot averages of exact integer sums: a single-slot point is
+		// its integer count.
+		at.established /= float64(slots)
+		for i := range at.perPair {
+			at.perPair[i] /= float64(slots)
 		}
-		oc.perPair[alg] = pp
+		at.bound = eng.UpperBound()
+		oc.algs[alg] = at
 	}
 	return oc
 }

@@ -2,11 +2,15 @@ package experiment
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"see/internal/sched"
+	"see/internal/topo"
+	"see/internal/warm"
+	"see/internal/xrand"
 )
 
 // smallParams keeps tests fast while exercising the full pipeline.
@@ -23,10 +27,10 @@ func TestRunPointShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != len(Algorithms) {
+	if len(res) != len(sched.Algorithms) {
 		t.Fatalf("got %d algorithms", len(res))
 	}
-	for _, alg := range Algorithms {
+	for _, alg := range sched.Algorithms {
 		pr := res[alg]
 		if pr.Throughput.N != 3 {
 			t.Fatalf("%v: N = %d, want 3", alg, pr.Throughput.N)
@@ -49,7 +53,7 @@ func TestRunPointDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range Algorithms {
+	for _, alg := range sched.Algorithms {
 		if math.Abs(a[alg].Throughput.Mean-b[alg].Throughput.Mean) > 1e-12 {
 			t.Fatalf("%v: non-deterministic mean", alg)
 		}
@@ -97,7 +101,7 @@ func TestMotivationValues(t *testing.T) {
 }
 
 func TestAlgorithmString(t *testing.T) {
-	if SEE.String() != "SEE" || REPS.String() != "REPS" || E2E.String() != "E2E" {
+	if sched.SEE.String() != "SEE" || sched.REPS.String() != "REPS" || sched.E2E.String() != "E2E" {
 		t.Fatal("algorithm names wrong")
 	}
 	if Algorithm(42).String() == "" {
@@ -116,12 +120,12 @@ func TestOrderingHoldsOnAverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeMean := res[SEE].Throughput.Mean
-	if seeMean < res[REPS].Throughput.Mean*0.9 {
-		t.Fatalf("SEE (%v) clearly below REPS (%v)", seeMean, res[REPS].Throughput.Mean)
+	seeMean := res[sched.SEE].Throughput.Mean
+	if seeMean < res[sched.REPS].Throughput.Mean*0.9 {
+		t.Fatalf("SEE (%v) clearly below REPS (%v)", seeMean, res[sched.REPS].Throughput.Mean)
 	}
-	if seeMean < res[E2E].Throughput.Mean*0.9 {
-		t.Fatalf("SEE (%v) clearly below E2E (%v)", seeMean, res[E2E].Throughput.Mean)
+	if seeMean < res[sched.E2E].Throughput.Mean*0.9 {
+		t.Fatalf("SEE (%v) clearly below E2E (%v)", seeMean, res[sched.E2E].Throughput.Mean)
 	}
 }
 
@@ -148,8 +152,9 @@ func TestFigureRunnersSmoke(t *testing.T) {
 	}
 }
 
-// A tracer shared across the harness's trial workers must survive the race
-// detector and see every algorithm's slots, without perturbing results.
+// A tracer shared across the harness's trial workers, given to every
+// algorithm through Params.Tracers, must survive the race detector and see
+// every algorithm's slots, without perturbing results.
 func TestRunPointSharedTracer(t *testing.T) {
 	p := smallParams()
 	p.Trials = 6
@@ -159,19 +164,22 @@ func TestRunPointSharedTracer(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := sched.NewCountingTracer()
-	p.Tracer = tr
+	p.Tracers = map[Algorithm]sched.Tracer{}
+	for _, alg := range sched.Algorithms {
+		p.Tracers[alg] = tr
+	}
 	traced, err := RunPoint(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range Algorithms {
+	for _, alg := range sched.Algorithms {
 		if bare[alg].Throughput.Mean != traced[alg].Throughput.Mean {
 			t.Fatalf("%v: tracer changed results: %v vs %v",
 				alg, bare[alg].Throughput.Mean, traced[alg].Throughput.Mean)
 		}
 	}
 	c := tr.Counts()
-	if want := p.Trials * len(Algorithms); c.Slots != want {
+	if want := p.Trials * len(sched.Algorithms); c.Slots != want {
 		t.Fatalf("Slots = %d, want %d", c.Slots, want)
 	}
 	if c.AttemptsResolved == 0 || c.AttemptsReserved != c.AttemptsResolved {
@@ -193,7 +201,7 @@ func TestRunPointParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range Algorithms {
+	for _, alg := range sched.Algorithms {
 		if serial[alg].Throughput.Mean != parallel[alg].Throughput.Mean ||
 			serial[alg].Jain != parallel[alg].Jain {
 			t.Fatalf("%v: serial %+v != parallel %+v", alg, serial[alg], parallel[alg])
@@ -221,7 +229,7 @@ func TestRunPointDeterministicAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		for _, alg := range Algorithms {
+		for _, alg := range sched.Algorithms {
 			b, g := base[alg], got[alg]
 			if g.Throughput != b.Throughput {
 				t.Fatalf("%v workers=%d: throughput %+v != %+v", alg, workers, g.Throughput, b.Throughput)
@@ -266,6 +274,8 @@ func TestParamsValidate(t *testing.T) {
 		{"negative budget", func(p *Params) { p.SlotBudget = -time.Second }},
 		{"negative decoherence", func(p *Params) { p.DecoherenceSlots = -1 }},
 		{"unknown algorithm", func(p *Params) { p.Algorithms = []Algorithm{Algorithm(99)} }},
+		{"embedded tracer", func(p *Params) { p.Tracer = sched.NewCountingTracer() }},
+		{"caller warm cache", func(p *Params) { p.Warm = warm.New() }},
 	}
 	for _, tc := range cases {
 		p := DefaultParams()
@@ -282,5 +292,65 @@ func TestParamsValidate(t *testing.T) {
 	p.Algorithms = []Algorithm{sched.Greedy, sched.Contend}
 	if err := p.Validate(); err != nil {
 		t.Errorf("registered baselines rejected: %v", err)
+	}
+}
+
+// Instance draws Waxman or NSFNET under every traffic pattern, the same
+// instance for the same stream.
+func TestInstanceTopologies(t *testing.T) {
+	for _, nsfnet := range []bool{false, true} {
+		for _, traffic := range []topo.TrafficPattern{topo.TrafficUniform, topo.TrafficHotspot, topo.TrafficGravity} {
+			p := smallParams()
+			p.NSFNET, p.Traffic = nsfnet, traffic
+			net, pairs, err := p.Instance(xrand.New(4))
+			if err != nil {
+				t.Fatalf("nsfnet=%v %v: %v", nsfnet, traffic, err)
+			}
+			if want := map[bool]int{false: p.Network.Nodes, true: 14}[nsfnet]; net.NumNodes() != want {
+				t.Errorf("nsfnet=%v: %d nodes, want %d", nsfnet, net.NumNodes(), want)
+			}
+			if len(pairs) != p.SDPairs {
+				t.Errorf("nsfnet=%v %v: %d pairs, want %d", nsfnet, traffic, len(pairs), p.SDPairs)
+			}
+			net2, pairs2, _ := p.Instance(xrand.New(4))
+			if topo.Fingerprint(net) != topo.Fingerprint(net2) || !slices.Equal(pairs, pairs2) {
+				t.Errorf("nsfnet=%v %v: same stream drew a different instance", nsfnet, traffic)
+			}
+		}
+	}
+}
+
+// RunPoint reports every algorithm's mean UpperBound and delivered
+// fidelities, and an algorithm's numbers do not depend on which others the
+// selection holds: its slot stream follows its Algorithm value.
+func TestRunPointBoundsFidelityAndSelection(t *testing.T) {
+	p := smallParams()
+	p.Slots = 2
+	p.Algorithms = []Algorithm{sched.SEE, sched.Greedy, sched.Oracle}
+	all, err := RunPoint(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range p.Algorithms {
+		if all[alg].UpperBound <= 0 {
+			t.Errorf("%v: UpperBound %v", alg, all[alg].UpperBound)
+		}
+	}
+	if f := all[sched.SEE].Fidelity; f.N == 0 || f.Min <= 0.5 || f.Max > 1 {
+		t.Errorf("SEE delivered fidelities %+v", f)
+	}
+	if all[sched.Oracle].Fidelity.N != 0 {
+		t.Errorf("the oracle delivered %d connections", all[sched.Oracle].Fidelity.N)
+	}
+	for _, alg := range []Algorithm{sched.Greedy, sched.SEE} {
+		p.Algorithms = []Algorithm{alg}
+		alone, err := RunPoint(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alone[alg].Throughput != all[alg].Throughput || alone[alg].UpperBound != all[alg].UpperBound ||
+			alone[alg].Fidelity != all[alg].Fidelity {
+			t.Errorf("%v alone %+v, in the selection %+v", alg, alone[alg], all[alg])
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"see/internal/graph"
+	"see/internal/sched"
 	"see/internal/topo"
 )
 
@@ -85,7 +86,7 @@ func (s *Sweep) Table() string {
 	fmt.Fprintf(&b, "# %s\n# %s\tSEE\tREPS\tE2E\n", s.Name, s.XLabel)
 	for _, pt := range s.Points {
 		fmt.Fprintf(&b, "%g", pt.X)
-		for _, alg := range Algorithms {
+		for _, alg := range sched.Algorithms {
 			fmt.Fprintf(&b, "\t%.3f", pt.Results[alg].Throughput.Mean)
 		}
 		fmt.Fprintf(&b, "\n")

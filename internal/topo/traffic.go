@@ -52,8 +52,12 @@ type TrafficConfig struct {
 	GravityScaleKM float64
 }
 
-// ChooseSDPairsWithTraffic draws count distinct SD pairs under the pattern.
+// ChooseSDPairsWithTraffic draws count distinct SD pairs under the pattern
+// (none for a count ≤ 0).
 func ChooseSDPairsWithTraffic(net *Network, count int, cfg TrafficConfig, rng *rand.Rand) []SDPair {
+	if count <= 0 {
+		return nil
+	}
 	switch cfg.Pattern {
 	case TrafficHotspot:
 		return chooseHotspot(net, count, cfg, rng)

@@ -124,3 +124,20 @@ func TestTrafficDegenerate(t *testing.T) {
 		t.Fatal("1-node gravity must be nil")
 	}
 }
+
+// A count ≤ 0 draws no pairs under every pattern instead of sizing a
+// buffer by it (a negative capacity would panic).
+func TestTrafficNonPositiveCount(t *testing.T) {
+	net, err := Generate(Config{Nodes: 20, AreaKM: 1000, WaxmanBeta: 0.9, WaxmanGamma: 0.2,
+		Channels: 1, Memory: 1, SwapProb: 0.9, Alpha: 1e-4}, xrand.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pattern := range []TrafficPattern{TrafficUniform, TrafficHotspot, TrafficGravity} {
+		for _, count := range []int{0, -1, -20} {
+			if got := ChooseSDPairsWithTraffic(net, count, TrafficConfig{Pattern: pattern, Hub: -1}, xrand.New(1)); len(got) != 0 {
+				t.Errorf("%v count %d drew %d pairs", pattern, count, len(got))
+			}
+		}
+	}
+}

@@ -196,8 +196,11 @@ func dist(a, b [2]float64) float64 {
 
 // ChooseSDPairs samples count SD pairs with distinct endpoints (s ≠ d) from
 // the network, without repeating an unordered pair. If the network has too
-// few distinct pairs, it returns as many as exist.
+// few distinct pairs, it returns as many as exist; a count ≤ 0 returns none.
 func ChooseSDPairs(net *Network, count int, rng *rand.Rand) []SDPair {
+	if count <= 0 {
+		return nil
+	}
 	n := net.NumNodes()
 	maxPairs := n * (n - 1) / 2
 	if count > maxPairs {

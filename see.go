@@ -23,11 +23,13 @@ package see
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"slices"
 
 	"see/internal/chaos"
 	"see/internal/engines"
+	"see/internal/experiment"
 	"see/internal/qnet"
 	"see/internal/sched"
 	"see/internal/serve"
@@ -183,14 +185,19 @@ type NetworkStats struct {
 }
 
 // GenerateNetwork builds a random Waxman QDN with the given number of SD
-// pairs, deterministically from the seed.
+// pairs, deterministically from the seed. It draws like one experiment
+// trial with uniform traffic: the topology from the seed's first split
+// stream, the pairs from its second. A negative pair count is an error.
 func GenerateNetwork(cfg NetworkConfig, sdPairs int, seed int64) (*Network, []SDPair, error) {
-	rng := xrand.New(seed)
-	net, err := topo.Generate(cfg.toTopo(), xrand.Split(rng))
+	if sdPairs < 0 {
+		return nil, nil, fmt.Errorf("see: negative SD pair count %d", sdPairs)
+	}
+	p := experiment.Params{Network: cfg.toTopo(), SDPairs: sdPairs}
+	net, pairs, err := p.Instance(xrand.New(seed))
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Network{inner: net}, topo.ChooseSDPairs(net, sdPairs, xrand.Split(rng)), nil
+	return &Network{inner: net}, pairs, nil
 }
 
 // MotivationNetwork returns the paper's Fig. 2 fixture with its two SD

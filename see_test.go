@@ -9,6 +9,9 @@ import (
 	"time"
 
 	"see/internal/engines"
+	"see/internal/experiment"
+	"see/internal/topo"
+	"see/internal/xrand"
 )
 
 func TestGenerateNetworkAndStats(t *testing.T) {
@@ -38,6 +41,32 @@ func TestGenerateNetworkAndStats(t *testing.T) {
 	}
 	if net2.NumLinks() != net.NumLinks() || pairs2[0] != pairs[0] {
 		t.Fatal("same seed produced a different network")
+	}
+}
+
+// GenerateNetwork is the experiment harness's instance draw for a Waxman
+// graph under uniform traffic, and a negative pair count is an error, not
+// a panic in the pair sampler.
+func TestGenerateNetworkIsHarnessDraw(t *testing.T) {
+	cfg := DefaultNetworkConfig()
+	cfg.Nodes = 40
+	net, pairs, err := GenerateNetwork(cfg, 6, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := experiment.Params{Network: cfg.toTopo(), SDPairs: 6}
+	inner, want, err := p.Instance(xrand.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if topo.Fingerprint(net.inner) != topo.Fingerprint(inner) || !slices.Equal(pairs, want) {
+		t.Fatal("GenerateNetwork differs from experiment.Params.Instance")
+	}
+	if _, pairs, err := GenerateNetwork(cfg, 0, 9); err != nil || len(pairs) != 0 {
+		t.Fatalf("zero pairs: %v pairs, err %v", len(pairs), err)
+	}
+	if _, _, err := GenerateNetwork(cfg, -1, 9); err == nil {
+		t.Fatal("negative pair count accepted")
 	}
 }
 
