@@ -120,16 +120,12 @@ func (p serveParams) serveOne(a see.Algorithm, net *topo.Network, sdPairs []see.
 		// schedulers ever checkpointed; those start from slot 0.
 		if _, err := os.Stat(ckptPath); os.IsNotExist(err) {
 			fmt.Fprintf(stdout, "# resume %v: no checkpoint, starting at slot 0\n", a)
-		} else if err := srv.ResumeFrom(ckptPath); err != nil {
+		} else if err := srv.ResumeFrom(ckptPath, p.Slots); err != nil {
 			fmt.Fprintf(stderr, "%v: resume: %v\n", a, err)
 			return 1
 		} else {
 			fmt.Fprintf(stdout, "# resume %v at slot %d\n", a, srv.Slot())
 		}
-	}
-	if srv.Slot() > p.Slots {
-		fmt.Fprintf(stderr, "%v: checkpoint is at slot %d, beyond -slots %d\n", a, srv.Slot(), p.Slots)
-		return 1
 	}
 
 	died := false

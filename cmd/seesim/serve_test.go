@@ -8,6 +8,10 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"see/internal/ckpt"
+	"see/internal/xrand"
 )
 
 // serveArgs are a small, fast service-mode configuration shared by the
@@ -158,6 +162,57 @@ func TestServeResumeBeyondHorizon(t *testing.T) {
 	var short bytes.Buffer
 	if code := run(serveArgs("-ckpt-dir", dir, "-resume", "-slots", "10"), &short, &short); code != 1 {
 		t.Errorf("resume past the horizon exited %d, want 1:\n%s", code, short.String())
+	}
+}
+
+// TestServeResumeRejectsForgedCursor checks that a checkpoint whose CRC
+// was fixed up after its rng position was set to 10¹³, hours of replay,
+// fails within 1 s before any slot runs: with its slot left at 5 the
+// per-slot cursor ceiling rejects it, and with its slot raised to 10⁷ to
+// admit the cursor the -slots horizon does.
+func TestServeResumeRejectsForgedCursor(t *testing.T) {
+	for _, tc := range []struct {
+		slot int
+		want string
+	}{
+		{5, "rng position"},
+		{10_000_000, "beyond the run's 20 slots"},
+	} {
+		dir := t.TempDir()
+		var out bytes.Buffer
+		if code := run(serveArgs("-ckpt-dir", dir, "-slots", "5"), &out, &out); code != 0 {
+			t.Fatalf("run exited %d:\n%s", code, out.String())
+		}
+		path := filepath.Join(dir, "greedy.ckpt")
+		var body map[string]json.RawMessage
+		if err := ckpt.Read(path, &body); err != nil {
+			t.Fatal(err)
+		}
+		var cur xrand.Cursor
+		if err := json.Unmarshal(body["rng"], &cur); err != nil {
+			t.Fatal(err)
+		}
+		cur.Pos = 1e13
+		body["rng"], _ = json.Marshal(cur)
+		body["slot"], _ = json.Marshal(tc.slot)
+		if err := ckpt.Write(path, body); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		start := time.Now()
+		code := run(serveArgs("-ckpt-dir", dir, "-resume"), &stdout, &stderr)
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("slot %d: resume from a forged cursor took %v", tc.slot, d)
+		}
+		if code != 1 {
+			t.Fatalf("slot %d: resume from a forged cursor exited %d, want 1:\n%s%s", tc.slot, code, stdout.String(), stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("slot %d: stderr does not say %q:\n%s", tc.slot, tc.want, stderr.String())
+		}
+		if n := len(slotLines(stdout.String())); n != 0 {
+			t.Errorf("slot %d: resume from a forged cursor printed %d slot lines", tc.slot, n)
+		}
 	}
 }
 

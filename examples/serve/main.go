@@ -50,7 +50,7 @@ func main() {
 
 	// Resume: a brand-new server restores the file and serves the rest.
 	rest := runServer(net, pairs, spec, slots, "", func(srv *see.TrafficServer) {
-		if err := srv.ResumeFrom(ckpt); err != nil {
+		if err := srv.ResumeFrom(ckpt, slots); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("resumed from %s at slot %d\n\n", filepath.Base(ckpt), srv.Slot())

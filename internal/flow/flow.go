@@ -222,11 +222,13 @@ type tables struct {
 	// Swap-weighted objective only, built on first use. negLogQ[v] caches
 	// −ln(SwapProb[v]) (+Inf at q ≤ 0). uniformQ: every node has the same
 	// q, with −ln q ≥ 0. reach holds each commodity's unpruned frontier
-	// order for reachHops layers (reachOrder).
+	// order for reachHops layers (reachOrder), and goalW the per-layer
+	// survival bound of layeredPrice's goal bound (uniform q only).
 	negLogQ   []float64
 	uniformQ  bool
 	reach     []reachOrder
 	reachHops int
+	goalW     []float64
 }
 
 // model is one solve: its options, tables, master and round state.
@@ -446,6 +448,7 @@ func (m *model) buildTables() {
 		}
 		if hops := m.opts.MaxJunctions + 1; m.reach == nil || m.reachHops != hops {
 			m.buildReach(hops)
+			m.buildGoalW(hops)
 		}
 	}
 	if a != nil {

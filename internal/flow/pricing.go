@@ -22,6 +22,9 @@ type priceScratch struct {
 	next     []int32
 	cands    []layerCand
 	dijkstra graph.DijkstraScratch
+	// expanded counts the frontier entries the layered DP has expanded
+	// over the scratch's lifetime; tests read it to see the pruning fire.
+	expanded int
 }
 
 // layerCand is one hop-count layer whose best s→d walk qualifies.
@@ -107,6 +110,30 @@ func (m *model) buildReach(hops int) {
 	m.reachHops = hops
 }
 
+// buildGoalW computes goalW for hops layers when q is uniform: goalW[h] is
+// the largest swap survival of any walk ending at layer h or later,
+// max_{k≥h} exp(−L_k), where L_k is the logq the pruned DP stores at layer
+// k (0 at layer 1, then one −ln q added per layer, the same float sums).
+// goalW[hops+1] is −Inf: no walk continues past the last layer. Taking
+// the suffix max keeps the goal bound sound without relying on exp being
+// monotone.
+func (m *model) buildGoalW(hops int) {
+	m.goalW = nil
+	if !m.uniformQ {
+		return
+	}
+	m.goalW = make([]float64, hops+2)
+	var lq float64
+	for h := 1; h <= hops; h++ {
+		m.goalW[h] = math.Exp(-lq)
+		lq += m.negLogQ[0]
+	}
+	m.goalW[hops+1] = math.Inf(-1)
+	for h := hops; h >= 1; h-- {
+		m.goalW[h] = math.Max(m.goalW[h], m.goalW[h+1])
+	}
+}
+
 // layeredPrice is the pricing oracle for the swap-weighted objective: it
 // finds, over all hop counts h ≤ MaxJunctions+1, the s→d path of exactly h
 // segment hops minimizing resource cost, and returns the one maximizing
@@ -126,8 +153,12 @@ func (m *model) buildReach(hops int) {
 // if its distance is below best[v], the least distance to v over the layers
 // already built: a state no cheaper than a shorter walk to its node cannot
 // lie on the winning walk, and the source (best = 0) is never re-expanded.
-// The pruned DP returns exactly the unpruned one's walk and weight
-// (DESIGN.md §5b).
+// Outside seeding rounds a pruned round also applies a goal bound: a state
+// (v, h) enters the next frontier only if (goalW[h+1] − dualI) − dist_h[v]
+// > eps, the reduced cost its walks would have if the rest were free.
+// Costs are non-negative and w never exceeds goalW, so no walk through a
+// rejected state can qualify. The pruned DP returns exactly the unpruned
+// one's walk and weight (DESIGN.md §5b).
 //
 // Min-cost fixed-hop walks may in principle revisit nodes; such walks are
 // strictly dominated (positive arc costs, weights ≤ 1), so loopy
@@ -141,6 +172,7 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 	n := g.N()
 	maxHops := m.opts.MaxJunctions + 1
 	prune := m.pruneDominated
+	goal := prune && !math.IsInf(dualI, -1)
 	order := m.reach[i]
 
 	ps.resize(maxHops+1, n)
@@ -167,6 +199,7 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 	bestCost, negLogQ := m.bestCost, m.negLogQ
 	built := 0
 	for h := 1; h <= maxHops && len(frontier) > 0; h++ {
+		ps.expanded += len(frontier)
 		prevDist, prevLogq := dist[(h-1)*n:h*n], logq[(h-1)*n:h*n]
 		hDist, hLogq := dist[h*n:(h+1)*n], logq[h*n:(h+1)*n]
 		hNode, hEdge := prevNode[h*n:(h+1)*n], prevEdge[h*n:(h+1)*n]
@@ -196,12 +229,21 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 		}
 		built = h
 		// Without pruning best stays +Inf, so every reached node enters.
+		// best[v] records a dominating state even when the goal bound
+		// rejects it, so the expanded states are exactly the
+		// dominance-pruned DP's that pass the bound.
 		next = next[:0]
+		var reach float64
+		if goal {
+			reach = m.goalW[h+1] - dualI
+		}
 		for _, v := range order.layer(h) {
 			if d := hDist[v]; d < best[v] {
-				next = append(next, v)
 				if prune {
 					best[v] = d
+				}
+				if !goal || reach-d > eps {
+					next = append(next, v)
 				}
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"see/internal/graph"
+	"see/internal/lp"
 	"see/internal/segment"
 	"see/internal/topo"
 	"see/internal/xrand"
@@ -274,20 +275,30 @@ func pricingRounds(m *model, rng *rand.Rand) []pricingRound {
 	return rounds
 }
 
+// pricingStats counts what comparePricing saw: rounds that ran pruned,
+// calls that returned a walk, and the frontier entries layeredPrice
+// expanded in the pruned rounds against those the dominance-only DP
+// expands on them.
+type pricingStats struct {
+	pruned    int
+	priced    int
+	expanded  int
+	dominance int
+}
+
 // comparePricing prices every commodity of every round with layeredPrice
 // and layeredPriceReference and requires identical nodes, edges and weight
-// bits. It returns how many rounds ran pruned.
-func comparePricing(t *testing.T, name string, m *model, rounds []pricingRound) int {
+// bits. The dominance-only DP's expansions are counted by calling
+// layeredPrice with eps = −Inf, where every state passes the goal bound.
+func comparePricing(t *testing.T, name string, m *model, rounds []pricingRound) pricingStats {
 	t.Helper()
-	ps, rs := &priceScratch{}, &refPriceScratch{}
-	pruned := 0
+	ps, rs, ds := &priceScratch{}, &refPriceScratch{}, &priceScratch{}
+	var st pricingStats
 	for _, r := range rounds {
 		if err := m.priceRealizations(nil, r.duals); err != nil {
 			t.Fatal(err)
 		}
-		if m.pruneDominated {
-			pruned++
-		}
+		expanded, dominance := ps.expanded, ds.expanded
 		for i := range m.set.Pairs {
 			nodes, edges, w := m.layeredPrice(ps, i, r.dualI[i], m.opts.Epsilon)
 			rNodes, rEdges, rw := m.layeredPriceReference(rs, i, r.dualI[i], m.opts.Epsilon)
@@ -295,16 +306,136 @@ func comparePricing(t *testing.T, name string, m *model, rounds []pricingRound) 
 				t.Fatalf("%s round %s commodity %d: got %v %v w=%v, reference %v %v w=%v",
 					name, r.name, i, nodes, edges, w, rNodes, rEdges, rw)
 			}
+			if nodes != nil {
+				st.priced++
+			}
+			m.layeredPrice(ds, i, r.dualI[i], math.Inf(-1))
+		}
+		if m.pruneDominated {
+			st.pruned++
+			st.expanded += ps.expanded - expanded
+			st.dominance += ds.expanded - dominance
 		}
 	}
-	return pruned
+	return st
 }
 
-// TestLayeredPriceMatchesReference pins the dominance-pruned layered DP to
-// the pre-pruning one, call for call, on Waxman sets with uniform and
-// jittered q and on equal-length grids where cost ties are common, under
-// seeding, unit, zero, link-heavy, tie-heavy and random duals, at the
-// default junction bound and at small ones where the last layer often wins.
+// trajectoryRounds runs column generation on set as run does and returns
+// the duals of every optimal master solve as a pricing round, in order, so
+// the rounds are the ones a real solve prices.
+func trajectoryRounds(t *testing.T, set *segment.Set, opts Options) []pricingRound {
+	t.Helper()
+	m, err := newModel(set, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	priced := make([]pricedPath, len(set.Pairs))
+	if err := m.priceRealizations(nil, unitDuals(m.numRows)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.priceColumns(nil, nil, m.opts.Epsilon, priced); err != nil {
+		t.Fatal(err)
+	}
+	for i := range priced {
+		m.insertColumn(i, &priced[i])
+	}
+	var rounds []pricingRound
+	for r := 0; r < m.opts.MaxRounds; r++ {
+		status, err := m.solver.SolveCtx(nil)
+		if err != nil || status != lp.StatusOptimal {
+			t.Fatalf("master solve %d: status %v, err %v", r, status, err)
+		}
+		duals := m.solver.Duals()
+		rounds = append(rounds, pricingRound{fmt.Sprintf("master%d", r), duals, duals[:len(set.Pairs)]})
+		if err := m.priceRealizations(nil, duals); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.priceColumns(nil, duals, m.opts.Epsilon, priced); err != nil {
+			t.Fatal(err)
+		}
+		added := 0
+		for i := range priced {
+			if m.insertColumn(i, &priced[i]) {
+				added++
+			}
+		}
+		if added == 0 {
+			break
+		}
+	}
+	return rounds
+}
+
+// thresholds returns, per round and commodity, the dual_i at which the
+// reduced cost of the commodity's winning walk (the walk a seeding round
+// returns under the round's link and memory duals) crosses eps:
+// w − cost − eps, NaN when no walk exists.
+func thresholds(t *testing.T, m *model, rounds []pricingRound) [][]float64 {
+	t.Helper()
+	rs := &refPriceScratch{}
+	out := make([][]float64, len(rounds))
+	for k, r := range rounds {
+		if err := m.priceRealizations(nil, r.duals); err != nil {
+			t.Fatal(err)
+		}
+		out[k] = make([]float64, len(m.set.Pairs))
+		for i := range out[k] {
+			out[k][i] = math.NaN()
+			if _, edges, w := m.layeredPriceReference(rs, i, math.Inf(-1), m.opts.Epsilon); edges != nil {
+				var cost float64 // summed in layer order, as the DP's dist
+				for _, id := range edges {
+					cost += m.bestCost[id]
+				}
+				out[k][i] = w - cost - m.opts.Epsilon
+			}
+		}
+	}
+	return out
+}
+
+// boundaryRounds returns a copy of each round whose dual_i is move(θ_i),
+// θ_i its threshold; commodities with no walk keep the round's dual.
+func boundaryRounds(rounds []pricingRound, thresh [][]float64, name string, move func(float64) float64) []pricingRound {
+	out := make([]pricingRound, len(rounds))
+	for k, r := range rounds {
+		di := append([]float64(nil), r.dualI...)
+		for i, v := range thresh[k] {
+			if !math.IsNaN(v) {
+				di[i] = move(v)
+			}
+		}
+		out[k] = pricingRound{r.name + " " + name, r.duals, di}
+	}
+	return out
+}
+
+// paperPricingSet is one paper-default instance: 200 nodes, 20 pairs.
+func paperPricingSet(t *testing.T, seed int64) *segment.Set {
+	t.Helper()
+	net, err := topo.Generate(topo.DefaultConfig(), xrand.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := segment.Build(net, topo.ChooseSDPairs(net, 20, xrand.New(seed+100)), segment.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// TestLayeredPriceMatchesReference pins the pruned layered DP (dominance
+// rule and goal bound) to the pre-pruning one, call for call, on Waxman
+// sets with uniform and jittered q, a paper-default instance and
+// equal-length grids where cost ties are common, under seeding, unit,
+// zero, link-heavy, tie-heavy and random duals, at the default junction
+// bound and at small ones where the last layer often wins. On the Waxman
+// sets and the paper-default instance it also prices the duals of every
+// master solve of a real column generation (trajectory rounds), and, for
+// every third of those, rounds whose dual_i sits on and either side of the
+// winning walk's threshold (±1 ulp, ±10⁻⁹), where the goal bound is
+// tightest. The goal bound must expand at most 60%
+// of the dominance-only DP's frontier entries on the trajectory rounds, so
+// a bound that stops firing fails here.
 func TestLayeredPriceMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type instance struct {
@@ -312,25 +443,28 @@ func TestLayeredPriceMatchesReference(t *testing.T) {
 		set          *segment.Set
 		maxJunctions int
 		dropDead     bool
+		trajectory   bool
 	}
 	var insts []instance
 	for _, jitter := range []float64{0, 0.05} {
 		for seed := int64(1); seed <= 3; seed++ {
-			insts = append(insts, instance{fmt.Sprintf("waxman jitter=%g seed=%d", jitter, seed), waxmanPricingSet(t, jitter, seed), 0, false})
+			insts = append(insts, instance{fmt.Sprintf("waxman jitter=%g seed=%d", jitter, seed), waxmanPricingSet(t, jitter, seed), 0, false, true})
 		}
 	}
+	insts = append(insts, instance{"paper-default seed=1", paperPricingSet(t, 1), 0, false, true})
 	for k := 3; k <= 8; k++ {
 		set := gridSet(t, k, rng, false)
-		insts = append(insts, instance{fmt.Sprintf("grid k=%d", k), set, 0, false})
+		insts = append(insts, instance{fmt.Sprintf("grid k=%d", k), set, 0, false, false})
 		for d := 0; k >= 4 && d < 3; d++ {
-			insts = append(insts, instance{fmt.Sprintf("grid k=%d dead-links %d", k, d), set, 0, true})
+			insts = append(insts, instance{fmt.Sprintf("grid k=%d dead-links %d", k, d), set, 0, true, false})
 		}
 		if k >= 6 {
 			insts = append(insts,
-				instance{fmt.Sprintf("grid k=%d junctions=%d", k, k-4), set, k - 4, false},
-				instance{fmt.Sprintf("grid k=%d dead-q", k), gridSet(t, k, rng, true), 0, false})
+				instance{fmt.Sprintf("grid k=%d junctions=%d", k, k-4), set, k - 4, false, false},
+				instance{fmt.Sprintf("grid k=%d dead-q", k), gridSet(t, k, rng, true), 0, false, false})
 		}
 	}
+	var traj, below, above pricingStats
 	for _, in := range insts {
 		opts := Options{SwapWeightedObjective: true, MaxJunctions: in.maxJunctions}
 		if in.dropDead {
@@ -354,7 +488,7 @@ func TestLayeredPriceMatchesReference(t *testing.T) {
 			t.Fatalf("%s: uniformQ = %v, want %v", in.name, m.uniformQ, uniform)
 		}
 		rounds := pricingRounds(m, rng)
-		pruned := comparePricing(t, in.name, m, rounds)
+		pruned := comparePricing(t, in.name, m, rounds).pruned
 		if want := len(rounds); !uniform {
 			if pruned != 0 {
 				t.Fatalf("%s: %d rounds pruned with heterogeneous q", in.name, pruned)
@@ -362,7 +496,53 @@ func TestLayeredPriceMatchesReference(t *testing.T) {
 		} else if pruned != want {
 			t.Fatalf("%s: %d of %d rounds pruned with uniform q", in.name, pruned, want)
 		}
+		if !in.trajectory {
+			continue
+		}
+		master := trajectoryRounds(t, in.set, opts)
+		st := comparePricing(t, in.name, m, master)
+		t.Logf("%s: %d trajectory rounds, %d pruned, %d of %d dominance-kept frontier entries expanded",
+			in.name, len(master), st.pruned, st.expanded, st.dominance)
+		traj.expanded += st.expanded
+		traj.dominance += st.dominance
+		// Every third master round is enough to straddle the thresholds,
+		// and keeps the race run short.
+		var sample []pricingRound
+		for k := 0; k < len(master); k += 3 {
+			sample = append(sample, master[k])
+		}
+		thresh := thresholds(t, m, sample)
+		for k := -1; k <= 1; k++ {
+			comparePricing(t, in.name, m, boundaryRounds(sample, thresh, fmt.Sprintf("%+d ulps", k),
+				func(v float64) float64 { return ulps(v, k) }))
+		}
+		b := comparePricing(t, in.name, m, boundaryRounds(sample, thresh, "−1e-9", func(v float64) float64 { return v - 1e-9 }))
+		a := comparePricing(t, in.name, m, boundaryRounds(sample, thresh, "+1e-9", func(v float64) float64 { return v + 1e-9 }))
+		below.priced += b.priced
+		above.priced += a.priced
 	}
+	if traj.dominance == 0 || 10*traj.expanded > 6*traj.dominance {
+		t.Fatalf("trajectory rounds: goal bound expanded %d of %d dominance-kept frontier entries, want at most 60%%",
+			traj.expanded, traj.dominance)
+	}
+	t.Logf("trajectory rounds: %d of %d frontier entries expanded; boundary rounds: %d walks below the thresholds, %d above",
+		traj.expanded, traj.dominance, below.priced, above.priced)
+	// Just below its threshold a commodity's winning walk qualifies, just
+	// above it does not: the boundary rounds straddle the bound.
+	if below.priced == 0 || above.priced >= below.priced {
+		t.Fatalf("boundary rounds priced %d walks below the thresholds and %d above", below.priced, above.priced)
+	}
+}
+
+// ulps moves v by k units in the last place.
+func ulps(v float64, k int) float64 {
+	for ; k > 0; k-- {
+		v = math.Nextafter(v, math.Inf(1))
+	}
+	for ; k < 0; k++ {
+		v = math.Nextafter(v, math.Inf(-1))
+	}
+	return v
 }
 
 // TestLayeredPriceNegativeCostUnpruned: rounds where some rows carry a
@@ -404,7 +584,7 @@ func TestLayeredPriceNegativeCostUnpruned(t *testing.T) {
 				}
 			}
 			name := fmt.Sprintf("negative%d", r)
-			pruned := comparePricing(t, fmt.Sprintf("set %d", si), m, []pricingRound{{name, y, di}}) == 1
+			pruned := comparePricing(t, fmt.Sprintf("set %d", si), m, []pricingRound{{name, y, di}}).pruned == 1
 			neg := false
 			for _, c := range m.bestCost {
 				neg = neg || c < 0

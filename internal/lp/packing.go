@@ -1,11 +1,12 @@
 package lp
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // ctxCheckStride is how many simplex pivots run between context polls in
@@ -180,7 +181,7 @@ func (s *PackingSolver) AddColumn(obj float64, entries []Entry) (int, error) {
 	// order as input order, so merged values are bit-identical to the old
 	// map-based merge.
 	buf := append(s.colBuf[:0], entries...)
-	sort.SliceStable(buf, func(i, j int) bool { return buf[i].Index < buf[j].Index })
+	slices.SortStableFunc(buf, func(a, b Entry) int { return cmp.Compare(a.Index, b.Index) })
 	// The merged entries are appended to the slab; a slab that has to
 	// grow moves on to fresh storage, leaving earlier columns' entries
 	// where they are.

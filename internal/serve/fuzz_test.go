@@ -102,8 +102,11 @@ func FuzzParseArrivals(f *testing.F) {
 // Server.restore. Neither may panic, and restore validates before it
 // commits: when it returns an error, the server's checkpoint after the
 // call is byte-identical to the one before it. A checkpoint it accepts
-// must leave a server that runs its next slot. The seed is the file of a
-// real checkpoint from a small Greedy server. A mutated file would almost
+// must leave a server that runs its next slot. The seeds are the file of a
+// real checkpoint from a small Greedy server, and the same checkpoint with
+// its rng position at 10¹³ (hours of replay, were it not rejected).
+// Restore runs with the tests' horizon, so no accepted cursor replays
+// more than about 0.1 s. A mutated file would almost
 // never match the CRC in its header, so the body rewrites that CRC first:
 // the mutations then reach the JSON decoder and restore's checks behind it
 // (FuzzDecode in internal/ckpt covers the CRC check).
@@ -122,6 +125,13 @@ func FuzzRestore(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(raw)
+	c := decodedCheckpoint(f, src)
+	c.RNG.Pos = 1e13
+	forged, err := ckpt.Encode(c)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(forged)
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if header, body, ok := bytes.Cut(raw, []byte{'\n'}); ok {
@@ -138,7 +148,7 @@ func FuzzRestore(f *testing.F) {
 			t.Fatal(err)
 		}
 		before := encodedCheckpoint(t, dst)
-		if err := dst.restore(&c); err != nil {
+		if err := dst.restore(&c, testHorizon); err != nil {
 			if after := encodedCheckpoint(t, dst); !bytes.Equal(before, after) {
 				t.Fatalf("rejected restore (%v) changed the server:\nbefore %s\n after %s", err, before, after)
 			}

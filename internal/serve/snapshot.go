@@ -63,13 +63,38 @@ func (s *Server) snapshot() (*checkpoint, error) {
 	return c, nil
 }
 
+// maxDrawsPerSlot bounds the rng draws a checkpoint may claim per slot it
+// has served: restore rejects a cursor at or beyond (slot+1) ×
+// maxDrawsPerSlot with a *CursorError instead of replaying it. A slot
+// draws once per arrival plus the engine's physical sampling; the densest
+// measured server (seesim -serve, 400 nodes, 50 pairs, rate 500, REPS)
+// drew about 2,600 per slot, so the ceiling leaves a 400× margin. With
+// the slot itself bounded by the run's horizon, a restore's replay costs
+// at most about 2 ms per slot the run covers.
+const maxDrawsPerSlot = 1 << 20
+
+// CursorError reports a checkpoint whose rng position is beyond what its
+// slot count can have drawn (maxDrawsPerSlot): a damaged or forged
+// cursor, whose replay could otherwise run for hours.
+type CursorError struct {
+	Slot int
+	Pos  uint64
+}
+
+func (e *CursorError) Error() string {
+	return fmt.Sprintf("serve: checkpoint rng position %d is beyond %d draws per slot over its %d slots", e.Pos, maxDrawsPerSlot, e.Slot)
+}
+
 // restore rebuilds the server from a checkpoint taken by snapshot on an
 // identically configured server (same topology, algorithm, arrival config
 // and seed — enforced via the fingerprint). It validates everything before
 // it changes anything, so a rejected checkpoint leaves the server as it
-// was. After restore the server produces byte-identical SlotStats to the
-// uninterrupted original.
-func (s *Server) restore(c *checkpoint) error {
+// was. A checkpoint beyond slot horizon, the last slot of the run that
+// resumes it, is rejected, and so is an rng cursor beyond maxDrawsPerSlot
+// per slot: both checks run before the cursor is replayed, so the replay
+// takes at most about 2 ms per slot of the horizon. After restore the
+// server produces byte-identical SlotStats to the uninterrupted original.
+func (s *Server) restore(c *checkpoint, horizon int) error {
 	ck, ok := s.eng.(sched.Stateful)
 	if !ok {
 		return fmt.Errorf("serve: engine %v does not support checkpointing", s.eng.Algorithm())
@@ -80,8 +105,14 @@ func (s *Server) restore(c *checkpoint) error {
 	if c.Slot < 0 || c.NextID < 0 {
 		return fmt.Errorf("serve: checkpoint at slot %d with next request ID %d", c.Slot, c.NextID)
 	}
+	if c.Slot > horizon {
+		return fmt.Errorf("serve: checkpoint is at slot %d, beyond the run's %d slots", c.Slot, horizon)
+	}
 	if c.RNG.Seed != s.cfg.Seed {
 		return fmt.Errorf("serve: checkpoint rng seed %d, server seed %d", c.RNG.Seed, s.cfg.Seed)
+	}
+	if c.RNG.Pos/maxDrawsPerSlot > uint64(c.Slot) {
+		return &CursorError{Slot: c.Slot, Pos: c.RNG.Pos}
 	}
 	if c.Engine == nil {
 		return fmt.Errorf("serve: checkpoint has no engine state")
@@ -155,11 +186,12 @@ func (s *Server) WriteCheckpoint(path string) error {
 }
 
 // ResumeFrom loads the checkpoint file at path and restores the server
-// from it.
-func (s *Server) ResumeFrom(path string) error {
+// from it, for a run that ends at slot horizon: a checkpoint beyond the
+// horizon is an error, raised before its rng cursor is replayed.
+func (s *Server) ResumeFrom(path string, horizon int) error {
 	var c checkpoint
 	if err := ckpt.Read(path, &c); err != nil {
 		return err
 	}
-	return s.restore(&c)
+	return s.restore(&c, horizon)
 }

@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"see/internal/chaos"
 	"see/internal/ckpt"
@@ -16,6 +18,11 @@ import (
 	"see/internal/sched/schedtest"
 	"see/internal/topo"
 )
+
+// testHorizon is the run length the restore tests resume into: longer
+// than any run they checkpoint, and short enough that a cursor at the
+// per-slot ceiling replays in about 0.1 s.
+const testHorizon = 50
 
 // serveFixture is everything needed to build identically configured
 // servers repeatedly — the situation a process restart is in.
@@ -122,7 +129,7 @@ func TestServeCheckpointResume(t *testing.T) {
 	}
 
 	resumed := f.build(t)
-	if err := resumed.ResumeFrom(path); err != nil {
+	if err := resumed.ResumeFrom(path, slots); err != nil {
 		t.Fatal(err)
 	}
 	if resumed.Slot() != split {
@@ -173,7 +180,7 @@ func TestServeCheckpointResumeSEE(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed := f.build(t)
-	if err := resumed.ResumeFrom(path); err != nil {
+	if err := resumed.ResumeFrom(path, slots); err != nil {
 		t.Fatal(err)
 	}
 	var got []SlotStats
@@ -209,7 +216,7 @@ func TestRestoreBadPhaseLeavesEngineUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.restore(crafted); err == nil {
+	if err := dst.restore(crafted, testHorizon); err == nil {
 		t.Fatal("checkpoint with arrival phase 7 restored")
 	}
 	after, err := ck.EngineState()
@@ -235,7 +242,7 @@ func TestRestoreFingerprintMismatch(t *testing.T) {
 	snap := decodedCheckpoint(t, srv)
 	other := newServeFixture(t, sched.Greedy)
 	other.seed = 99
-	if err := other.build(t).restore(snap); err == nil {
+	if err := other.build(t).restore(snap, testHorizon); err == nil {
 		t.Fatal("checkpoint restored across a seed change")
 	} else if !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("unexpected error: %v", err)
@@ -262,7 +269,7 @@ func TestResumeRejectsCorruptFile(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = f.build(t).ResumeFrom(path)
+	err = f.build(t).ResumeFrom(path, testHorizon)
 	if err == nil {
 		t.Fatal("corrupt checkpoint accepted")
 	}
@@ -292,7 +299,7 @@ func TestSnapshotRequiresCheckpointableEngine(t *testing.T) {
 	if _, err := srv.snapshot(); err == nil {
 		t.Fatal("snapshot of a non-checkpointable engine succeeded")
 	}
-	if err := srv.restore(&checkpoint{}); err == nil {
+	if err := srv.restore(&checkpoint{}, testHorizon); err == nil {
 		t.Fatal("restore into a non-checkpointable engine succeeded")
 	}
 
@@ -309,7 +316,7 @@ func TestSnapshotRequiresCheckpointableEngine(t *testing.T) {
 	f.wrap = func(e sched.Engine) sched.Engine { return slotOnly{e} }
 	wrapped, twin := f.build(t), f.build(t)
 	const refused = "does not support checkpointing"
-	if err := wrapped.ResumeFrom(good); err == nil || !strings.Contains(err.Error(), refused) {
+	if err := wrapped.ResumeFrom(good, testHorizon); err == nil || !strings.Contains(err.Error(), refused) {
 		t.Fatalf("ResumeFrom through a wrapper = %v, want %q", err, refused)
 	}
 	bad := filepath.Join(dir, "bad.ckpt")
@@ -345,7 +352,7 @@ func TestRestoreTracerPresenceMismatch(t *testing.T) {
 	snap := decodedCheckpoint(t, srv)
 	bare := f.build(t)
 	bare.cfg.Tracer = nil
-	if err := bare.restore(snap); err == nil {
+	if err := bare.restore(snap, testHorizon); err == nil {
 		t.Fatal("tracer-carrying checkpoint restored into a tracer-less server")
 	}
 }
@@ -376,6 +383,7 @@ func TestRestoreRejectsImpossibleState(t *testing.T) {
 	}{
 		{"negative slot", func(c *checkpoint) { c.Slot = -3 }},
 		{"negative next ID", func(c *checkpoint) { c.NextID = -1 }},
+		{"slot beyond the horizon", func(c *checkpoint) { c.Slot = testHorizon + 1 }},
 		{"foreign rng seed", func(c *checkpoint) { c.RNG.Seed++ }},
 		{"no engine state", func(c *checkpoint) { c.Engine = nil }},
 		{"request in the wrong queue", func(c *checkpoint) {
@@ -400,7 +408,7 @@ func TestRestoreRejectsImpossibleState(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := encodedCheckpoint(t, dst)
-			if err := dst.restore(crafted); err == nil {
+			if err := dst.restore(crafted, testHorizon); err == nil {
 				t.Fatal("impossible checkpoint restored")
 			}
 			if after := encodedCheckpoint(t, dst); !bytes.Equal(before, after) {
@@ -409,7 +417,7 @@ func TestRestoreRejectsImpossibleState(t *testing.T) {
 		})
 	}
 	// The untouched checkpoint restores: the crafts above are what fail.
-	if err := f.build(t).restore(decodedCheckpoint(t, src)); err != nil {
+	if err := f.build(t).restore(decodedCheckpoint(t, src), testHorizon); err != nil {
 		t.Fatalf("intact checkpoint: %v", err)
 	}
 }
@@ -438,4 +446,48 @@ func decodedCheckpoint(t testing.TB, s *Server) *checkpoint {
 		t.Fatal(err)
 	}
 	return &c
+}
+
+// TestResumeBoundsCursorReplay checks that a checkpoint claiming 10¹³ rng
+// draws, hours of replay, fails within 1 s and leaves the server as it
+// was: at slot 5 the per-slot ceiling rejects it with a *CursorError, and
+// at a slot count that would admit the cursor the run's horizon rejects
+// the slot.
+func TestResumeBoundsCursorReplay(t *testing.T) {
+	f := newServeFixture(t, sched.Greedy)
+	src := f.build(t)
+	if err := src.Run(5, nil); err != nil {
+		t.Fatal(err)
+	}
+	c := decodedCheckpoint(t, src)
+	c.RNG.Pos = 1e13
+	path := filepath.Join(t.TempDir(), "serve.ckpt")
+	resume := func(c *checkpoint) error {
+		t.Helper()
+		if err := ckpt.Write(path, c); err != nil {
+			t.Fatal(err)
+		}
+		dst := f.build(t)
+		before := encodedCheckpoint(t, dst)
+		start := time.Now()
+		err := dst.ResumeFrom(path, testHorizon)
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("resume at pos %d, slot %d took %v", c.RNG.Pos, c.Slot, d)
+		}
+		if err == nil {
+			t.Fatalf("resume at pos %d, slot %d accepted", c.RNG.Pos, c.Slot)
+		}
+		if after := encodedCheckpoint(t, dst); !bytes.Equal(before, after) {
+			t.Fatalf("rejected resume (%v) changed the server", err)
+		}
+		return err
+	}
+	var ce *CursorError
+	if err := resume(c); !errors.As(err, &ce) || ce.Pos != 1e13 || ce.Slot != 5 {
+		t.Fatalf("resume at pos 1e13, slot 5 = %v, want a *CursorError", err)
+	}
+	c.Slot = int(c.RNG.Pos / maxDrawsPerSlot)
+	if err := resume(c); err == nil || !strings.Contains(err.Error(), "beyond the run's") {
+		t.Fatalf("resume at pos 1e13, slot %d = %v, want the horizon error", c.Slot, err)
+	}
 }
