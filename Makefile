@@ -94,13 +94,15 @@ docs-check:
 # in two slots, then a correlated-fault run (disc cut + brownout + flap,
 # fault-aware planning) under -race to shake the new capacity paths.
 chaos-smoke:
+	set -e; dir=$$(mktemp -d "$${TMPDIR:-/tmp}/see-chaos-smoke.XXXXXX"); \
 	$(GO) run ./cmd/seesim -nodes 40 -pairs 6 -trials 1 -slots 2 -alg all \
-		-faults 'seed=7;node=3@1-;decohere=0.01' -slot-budget 5s
+		-faults 'seed=7;node=3@1-;decohere=0.01' -slot-budget 5s; \
 	$(GO) run ./cmd/seesim -nodes 40 -pairs 6 -trials 1 -slots 2 -alg see \
-		-slot-budget 1ns -trace-jsonl /tmp/see-chaos-smoke.jsonl
+		-slot-budget 1ns -trace-jsonl $$dir/see-chaos-smoke.jsonl; \
 	$(GO) run -race ./cmd/seesim -nodes 40 -pairs 6 -trials 1 -slots 6 -workers 4 \
 		-alg see,contend,qpass -fault-aware \
-		-faults 'seed=7;cut:2500,2500,1500@0-;brown:1,0.4@0-;flap:2,3,0.67@0-;node=!4@4-5'
+		-faults 'seed=7;cut:2500,2500,1500@0-;brown:1,0.4@0-;flap:2,3,0.67@0-;node=!4@4-5'; \
+	rm -rf "$$dir"
 
 # serve-smoke is the kill/resume invariant end-to-end through real
 # processes: run service mode uninterrupted, run it again with periodic
@@ -109,34 +111,35 @@ chaos-smoke:
 # the final summary to be byte-identical to the uninterrupted run.
 SERVE_SMOKE_ARGS = -serve -alg greedy,contend -nodes 40 -pairs 4 -slots 20 -seed 5 \
 	-arrivals 'bursty;rate=2;burst-rate=8;switch=0.2;users=40;max-active=30'
+# go run would collapse the exit code to 1, so the recipe runs the built
+# binary: the crash must exit with the -die-at code 3, not a generic
+# failure. Checkpoints land after slots 6 and 13; dying after slot 11
+# leaves the slot-7 one, so Greedy resumes at slot 7 and Contend (which
+# the crash run never reached) starts from slot 0. Splicing the crashed
+# prefix onto the resumed lines must reproduce the full run exactly.
 serve-smoke:
-	@rm -rf /tmp/see-serve-smoke && mkdir -p /tmp/see-serve-smoke/ckpt
-	$(GO) build -o /tmp/see-serve-smoke/seesim ./cmd/seesim
-	/tmp/see-serve-smoke/seesim $(SERVE_SMOKE_ARGS) > /tmp/see-serve-smoke/full.out
-	@# go run would collapse the exit code to 1, so run the built binary:
-	@# the crash must exit with the -die-at code 3, not a generic failure.
-	/tmp/see-serve-smoke/seesim $(SERVE_SMOKE_ARGS) \
-		-ckpt-dir /tmp/see-serve-smoke/ckpt -ckpt-every 7 -die-at 11 \
-		> /tmp/see-serve-smoke/crash.out; \
-		code=$$?; if [ $$code -ne 3 ]; then \
-		echo "serve-smoke: crash run exited $$code, want 3"; exit 1; fi
-	/tmp/see-serve-smoke/seesim $(SERVE_SMOKE_ARGS) \
-		-ckpt-dir /tmp/see-serve-smoke/ckpt -ckpt-every 7 -resume \
-		> /tmp/see-serve-smoke/resume.out
-	@grep '^slot' /tmp/see-serve-smoke/full.out > /tmp/see-serve-smoke/full.slots
-	@# Checkpoints land after slots 6 and 13; dying after slot 11 leaves
-	@# the slot-7 one, so Greedy resumes at slot 7 and Contend (which the
-	@# crash run never reached) starts from slot 0. Splicing the crashed
-	@# prefix onto the resumed lines must reproduce the full run exactly.
-	@{ grep '^slot Greedy' /tmp/see-serve-smoke/crash.out | head -n 7; \
-		grep '^slot Greedy' /tmp/see-serve-smoke/resume.out; \
-		grep '^slot Contend' /tmp/see-serve-smoke/resume.out; } \
-		> /tmp/see-serve-smoke/resumed.slots
-	diff /tmp/see-serve-smoke/full.slots /tmp/see-serve-smoke/resumed.slots
-	@grep -A4 'service summary' /tmp/see-serve-smoke/full.out > /tmp/see-serve-smoke/full.sum
-	@grep -A4 'service summary' /tmp/see-serve-smoke/resume.out > /tmp/see-serve-smoke/resume.sum
-	diff /tmp/see-serve-smoke/full.sum /tmp/see-serve-smoke/resume.sum
-	@echo "serve-smoke: kill/resume byte-identical"
+	set -e; dir=$$(mktemp -d "$${TMPDIR:-/tmp}/see-serve-smoke.XXXXXX"); mkdir -p $$dir/ckpt; \
+	$(GO) build -o $$dir/seesim ./cmd/seesim; \
+	$$dir/seesim $(SERVE_SMOKE_ARGS) > $$dir/full.out; \
+	code=0; $$dir/seesim $(SERVE_SMOKE_ARGS) \
+		-ckpt-dir $$dir/ckpt -ckpt-every 7 -die-at 11 \
+		> $$dir/crash.out || code=$$?; \
+		if [ $$code -ne 3 ]; then \
+		echo "serve-smoke: crash run exited $$code, want 3"; exit 1; fi; \
+	$$dir/seesim $(SERVE_SMOKE_ARGS) \
+		-ckpt-dir $$dir/ckpt -ckpt-every 7 -resume \
+		> $$dir/resume.out; \
+	grep '^slot' $$dir/full.out > $$dir/full.slots; \
+	{ grep '^slot Greedy' $$dir/crash.out | head -n 7; \
+		grep '^slot Greedy' $$dir/resume.out; \
+		grep '^slot Contend' $$dir/resume.out; } \
+		> $$dir/resumed.slots; \
+	diff $$dir/full.slots $$dir/resumed.slots; \
+	grep -A4 'service summary' $$dir/full.out > $$dir/full.sum; \
+	grep -A4 'service summary' $$dir/resume.out > $$dir/resume.sum; \
+	diff $$dir/full.sum $$dir/resume.sum; \
+	rm -rf "$$dir"; \
+	echo "serve-smoke: kill/resume byte-identical"
 
 # fidelity-smoke pins the fidelity layer's two promises through the real
 # binary: with no floor flag (and the explicit default swap order) the
@@ -144,18 +147,19 @@ serve-smoke:
 # floored run with greedy swap order, carry-over aging and carry-aware LP
 # pricing completes cleanly end-to-end.
 fidelity-smoke:
-	@rm -rf /tmp/see-fidelity-smoke && mkdir -p /tmp/see-fidelity-smoke
-	$(GO) build -o /tmp/see-fidelity-smoke/seesim ./cmd/seesim
-	/tmp/see-fidelity-smoke/seesim -alg see -nodes 30 -pairs 5 -trials 2 -seed 7 -workers 1 \
-		> /tmp/see-fidelity-smoke/plain.out
-	diff cmd/seesim/testdata/golden/see.txt /tmp/see-fidelity-smoke/plain.out
-	/tmp/see-fidelity-smoke/seesim -alg see -nodes 30 -pairs 5 -trials 2 -seed 7 -workers 1 \
-		-swap-order path > /tmp/see-fidelity-smoke/knobs.out
-	diff /tmp/see-fidelity-smoke/plain.out /tmp/see-fidelity-smoke/knobs.out
-	/tmp/see-fidelity-smoke/seesim -alg see,oracle -nodes 40 -pairs 6 -trials 2 -slots 4 -seed 7 \
+	set -e; dir=$$(mktemp -d "$${TMPDIR:-/tmp}/see-fidelity-smoke.XXXXXX"); \
+	$(GO) build -o $$dir/seesim ./cmd/seesim; \
+	$$dir/seesim -alg see -nodes 30 -pairs 5 -trials 2 -seed 7 -workers 1 \
+		> $$dir/plain.out; \
+	diff cmd/seesim/testdata/golden/see.txt $$dir/plain.out; \
+	$$dir/seesim -alg see -nodes 30 -pairs 5 -trials 2 -seed 7 -workers 1 \
+		-swap-order path > $$dir/knobs.out; \
+	diff $$dir/plain.out $$dir/knobs.out; \
+	$$dir/seesim -alg see,oracle -nodes 40 -pairs 6 -trials 2 -slots 4 -seed 7 \
 		-workers 2 -fidelity-floor '0.65;0=0.7' -swap-order greedy \
-		-carry -carry-retention 0.9 -carry-min-scale 0.5 -carry-aware-lp > /dev/null
-	@echo "fidelity-smoke: floor-disabled output byte-identical to committed golden"
+		-carry -carry-retention 0.9 -carry-min-scale 0.5 -carry-aware-lp > /dev/null; \
+	rm -rf "$$dir"; \
+	echo "fidelity-smoke: floor-disabled output byte-identical to committed golden"
 
 # bench-smoke executes each substrate benchmark, the SEE, REPS, Greedy
 # and Contend slot kernels, the candidate-set build and the Greedy,

@@ -37,7 +37,6 @@ import (
 	"see/internal/sched"
 	"see/internal/segment"
 	"see/internal/topo"
-	"see/internal/warm"
 )
 
 // pathsPerPair is the number of candidate entanglement paths scored per
@@ -48,32 +47,25 @@ const pathsPerPair = 5
 // enumeration on the segment graph, as in the greedy engine's pricing.
 const infeasibleWeight = 1e12
 
-// Options tunes the contention-aware engine.
+// Options tunes the contention-aware engine. The candidate set and the
+// per-pair caps are New's arguments: internal/engines decides both for
+// every scheme.
 type Options struct {
-	// Segment tunes candidate enumeration; the zero value uses the SEE
-	// defaults (hop cap 10) so the engine plans over the same segment
-	// catalogue as the LP engines it is compared against.
-	Segment segment.Options
 	// RecoveryAttempts is the number of creation attempts reserved on the
 	// recovery realization of each planned hop (default 1; 0 disables
 	// recovery paths entirely).
 	RecoveryAttempts int
 	// Slot is the slot-level configuration the shared sched.Runner
-	// applies. A zero (sched.SEE) Algorithm selects sched.Contend; the
-	// fault-aware (sched.ContendAware) and offline (sched.QPass) variants
-	// built in internal/engines override it.
+	// applies: sched.Contend, or the fault-aware (sched.ContendAware) and
+	// offline (sched.QPass) variants built in internal/engines.
 	Slot sched.SlotConfig
 	// PlanChannels / PlanMemory, when non-nil, replace the network's
-	// capacity tables as the starting residuals of the selection loop (and
-	// the per-pair connection caps), so announced outages and brownouts
-	// are subtracted from c_uv and m_u before any candidate is scored. The
-	// physical phase keeps the true topology. See core.Options.
+	// capacity tables as the starting residuals of the selection loop, so
+	// announced outages and brownouts are subtracted from c_uv and m_u
+	// before any candidate is scored. The physical phase keeps the true
+	// topology. See core.Options.
 	PlanChannels []int
 	PlanMemory   []int
-	// Warm, when non-nil, memoizes the segment-candidate set across engine
-	// (re)builds over the same network (see internal/warm). The engine
-	// solves no LP, so the candidate build is the only cacheable stage.
-	Warm *warm.Cache
 	// Offline switches planning to the Q-PASS-style offline mode: every
 	// candidate path is scored once against the full fault-free topology
 	// (no contention re-scoring), paths are provisioned in round-robin
@@ -81,13 +73,15 @@ type Options struct {
 	// charging, and the forecast is never consulted. The contrast baseline
 	// for the fault-aware variants.
 	Offline bool
+	// Workers bounds the goroutines enumerating the per-pair candidate
+	// paths (0 = GOMAXPROCS, 1 = serial). The plan is identical at any
+	// value.
+	Workers int
 }
 
 // DefaultOptions returns the contention-aware defaults.
 func DefaultOptions() Options {
-	seg := segment.DefaultOptions()
-	seg.MaxSegmentHops = 10
-	return Options{Segment: seg, RecoveryAttempts: 1}
+	return Options{RecoveryAttempts: 1, Slot: sched.SlotConfig{Algorithm: sched.Contend}}
 }
 
 // hop is one planned segment of a selected path: the endpoint pair, the
@@ -137,43 +131,16 @@ type Engine struct {
 
 var _ sched.Stateful = (*Engine)(nil)
 
-// NewEngine enumerates candidate paths and fixes the contention-aware
-// plan. Like the greedy engine it solves no LP, so construction needs no
-// context/budget variant.
-func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, error) {
-	if net == nil {
-		return nil, errors.New("contend: nil network")
-	}
-	if len(pairs) == 0 {
-		return nil, errors.New("contend: no SD pairs")
-	}
-	if opts.Segment.KPaths == 0 && opts.Segment.MaxSegmentHops == 0 {
-		opts.Segment = DefaultOptions().Segment
-	}
-	if opts.RecoveryAttempts < 0 {
-		opts.RecoveryAttempts = 0
-	}
-	if opts.Slot.Algorithm == 0 {
-		opts.Slot.Algorithm = sched.Contend
-	}
-	set, err := opts.Warm.SegmentSet(nil, net, pairs, opts.Segment)
-	if err != nil {
-		return nil, fmt.Errorf("contend: building candidates: %w", err)
-	}
-	planMem := net.Memory
-	if opts.PlanMemory != nil {
-		planMem = opts.PlanMemory
-	}
-	connCap := make([]int, len(pairs))
-	for i, sd := range pairs {
-		connCap[i] = min(planMem[sd.S], planMem[sd.D])
-	}
+// New fixes the contention-aware plan over the candidate set, with
+// connCap as the per-pair caps N_i. Like the greedy engine it solves no
+// LP, so construction needs no context/budget variant.
+func New(set *segment.Set, connCap []int, opts Options) (*Engine, error) {
 	e := &Engine{
-		Net:     net,
-		Pairs:   pairs,
+		Net:     set.Net,
+		Pairs:   set.Pairs,
 		Set:     set,
 		ConnCap: connCap,
-		Runner:  sched.NewRunner(opts.Slot, net, set.CandidateFor),
+		Runner:  sched.NewRunner(opts.Slot, set.Net, set.CandidateFor),
 		opts:    opts,
 		avail:   make(map[segment.PairKey]int),
 	}
@@ -202,7 +169,7 @@ func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, e
 // with −ln q node weights, the same weights the greedy planner routes
 // with). The metric is static, so each segment-graph edge's cost is
 // computed once per build and looked up by edge ID. The pairs are
-// enumerated on up to opts.Segment.Workers goroutines, each writing only
+// enumerated on up to opts.Workers goroutines, each writing only
 // its own slot, so the result is the serial one.
 func (e *Engine) candidatePaths() [][]graph.Path {
 	nodeWeight := func(u int) float64 {
@@ -227,7 +194,7 @@ func (e *Engine) candidatePaths() [][]graph.Path {
 	}
 	edgeWeight := func(id int, _ float64) float64 { return edgeCost[id] }
 	out := make([][]graph.Path, len(e.Pairs))
-	par.For(e.opts.Segment.Workers, len(e.Pairs), func(i int) {
+	par.For(e.opts.Workers, len(e.Pairs), func(i int) {
 		out[i] = graph.YenKShortest(e.Set.SegGraph, e.Pairs[i].S, e.Pairs[i].D, pathsPerPair, graph.DijkstraOptions{
 			NodeWeight: nodeWeight,
 			EdgeWeight: edgeWeight,

@@ -9,6 +9,7 @@ import (
 	"see/internal/graph"
 	"see/internal/qnet"
 	"see/internal/sched"
+	"see/internal/segment"
 	"see/internal/state"
 	"see/internal/topo"
 	"see/internal/xrand"
@@ -19,6 +20,18 @@ func buildInstance(t *testing.T, nodes, pairs int, seed int64) (*topo.Network, [
 	cfg := topo.DefaultConfig()
 	cfg.Nodes = nodes
 	return buildWith(t, cfg, pairs, seed)
+}
+
+// newEngine builds the engine the way engines.New does: SEE's row of the
+// enumeration table in internal/engines (which imports this package), N_i
+// from the planning memory.
+func newEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, error) {
+	seg := segment.Options{KPaths: 5, MaxSegmentHops: 10, MinProb: 0.05, MaxCandidatesPerPair: 3, Workers: opts.Workers}
+	set, err := segment.Build(net, pairs, seg)
+	if err != nil {
+		return nil, err
+	}
+	return New(set, set.ConnCap(opts.PlanMemory), opts)
 }
 
 func buildWith(t *testing.T, cfg topo.Config, pairs int, seed int64) (*topo.Network, []topo.SDPair) {
@@ -32,9 +45,9 @@ func buildWith(t *testing.T, cfg topo.Config, pairs int, seed int64) (*topo.Netw
 
 func TestRunSlotInvariants(t *testing.T) {
 	net, pairs := topo.Motivation()
-	eng, err := NewEngine(net, pairs, DefaultOptions())
+	eng, err := newEngine(net, pairs, DefaultOptions())
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("newEngine: %v", err)
 	}
 	if got := eng.Algorithm(); got != sched.Contend {
 		t.Errorf("Algorithm() = %v, want Contend", got)
@@ -82,9 +95,9 @@ func TestRunSlotInvariants(t *testing.T) {
 func TestDeterministicPerSeed(t *testing.T) {
 	net, pairs := buildInstance(t, 40, 8, 11)
 	run := func() []sched.SlotResult {
-		eng, err := NewEngine(net, pairs, DefaultOptions())
+		eng, err := newEngine(net, pairs, DefaultOptions())
 		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
+			t.Fatalf("newEngine: %v", err)
 		}
 		rng := xrand.New(42)
 		var out []sched.SlotResult
@@ -109,9 +122,9 @@ func TestDeterministicPerSeed(t *testing.T) {
 // link or m_u at any node.
 func TestPlanRespectsResources(t *testing.T) {
 	net, pairs := buildInstance(t, 50, 10, 3)
-	eng, err := NewEngine(net, pairs, DefaultOptions())
+	eng, err := newEngine(net, pairs, DefaultOptions())
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("newEngine: %v", err)
 	}
 	channels := make([]int, net.NumLinks())
 	memory := make([]int, net.NumNodes())
@@ -173,9 +186,9 @@ func TestRecoveryFires(t *testing.T) {
 	tr := sched.NewCountingTracer()
 	opts := DefaultOptions()
 	opts.Slot.Tracer = tr
-	eng, err := NewEngine(net, pairs, opts)
+	eng, err := newEngine(net, pairs, opts)
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("newEngine: %v", err)
 	}
 	if eng.RecoveryReserved() == 0 {
 		t.Fatal("no recovery attempts reserved on the diamond fixture")
@@ -196,10 +209,10 @@ func TestRecoveryFires(t *testing.T) {
 func TestRecoveryDisabled(t *testing.T) {
 	net, pairs := buildInstance(t, 40, 8, 6)
 	opts := DefaultOptions()
-	opts.RecoveryAttempts = -1 // normalized to 0
-	eng, err := NewEngine(net, pairs, opts)
+	opts.RecoveryAttempts = 0
+	eng, err := newEngine(net, pairs, opts)
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("newEngine: %v", err)
 	}
 	if eng.RecoveryReserved() != 0 {
 		t.Errorf("RecoveryReserved() = %d with recovery disabled", eng.RecoveryReserved())
@@ -214,9 +227,9 @@ func TestRecoveryDisabled(t *testing.T) {
 // reduce the slot's primary attempt demand.
 func TestCarryOverConservation(t *testing.T) {
 	net, pairs := buildInstance(t, 40, 8, 8)
-	eng, err := NewEngine(net, pairs, DefaultOptions())
+	eng, err := newEngine(net, pairs, DefaultOptions())
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("newEngine: %v", err)
 	}
 	bank := state.NewBank(net, state.Policy{CarrySlots: 2})
 	eng.AttachBank(bank)
@@ -272,9 +285,9 @@ func planLinks(e *Engine) map[int]bool {
 // connection count, while the true topology tables stay untouched.
 func TestPlanCapacityOverrides(t *testing.T) {
 	net, pairs := buildInstance(t, 50, 10, 3)
-	base, err := NewEngine(net, pairs, DefaultOptions())
+	base, err := newEngine(net, pairs, DefaultOptions())
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("newEngine: %v", err)
 	}
 	var dead int
 	for id := range planLinks(base) {
@@ -287,9 +300,9 @@ func TestPlanCapacityOverrides(t *testing.T) {
 	opts.PlanChannels[dead] = 0
 	opts.PlanMemory = append([]int(nil), net.Memory...)
 	opts.PlanMemory[pairs[0].S] = 1
-	aware, err := NewEngine(net, pairs, opts)
+	aware, err := newEngine(net, pairs, opts)
 	if err != nil {
-		t.Fatalf("NewEngine(aware): %v", err)
+		t.Fatalf("newEngine(aware): %v", err)
 	}
 	if got := aware.Algorithm(); got != sched.ContendAware {
 		t.Errorf("Algorithm() = %v, want ContendAware", got)
@@ -326,9 +339,9 @@ func TestOfflinePlan(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Offline = true
 		opts.Slot.Algorithm = sched.QPass
-		eng, err := NewEngine(net, pairs, opts)
+		eng, err := newEngine(net, pairs, opts)
 		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
+			t.Fatalf("newEngine: %v", err)
 		}
 		return eng
 	}
@@ -370,9 +383,9 @@ func TestOfflinePlan(t *testing.T) {
 	opts.Offline = true
 	opts.Slot.Algorithm = sched.QPass
 	opts.PlanChannels = make([]int, net.NumLinks()) // everything "announced dead"
-	blind, err := NewEngine(net, pairs, opts)
+	blind, err := newEngine(net, pairs, opts)
 	if err != nil {
-		t.Fatalf("NewEngine(blind): %v", err)
+		t.Fatalf("newEngine(blind): %v", err)
 	}
 	if planSig(blind.fixed.Plan) != planSig(eng.fixed.Plan) || planSig(blind.recovery) != planSig(eng.recovery) {
 		t.Error("offline plan consulted the capacity overrides")
@@ -394,9 +407,9 @@ func TestForecastAvoidedIncident(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Slot.Tracer = tr
 	opts.Slot.ForecastAvoided = 3
-	eng, err := NewEngine(net, pairs, opts)
+	eng, err := newEngine(net, pairs, opts)
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("newEngine: %v", err)
 	}
 	rng := xrand.New(2)
 	for s := 0; s < 4; s++ {
@@ -418,10 +431,10 @@ func TestPlanWorkersIdentical(t *testing.T) {
 		build := func(workers int) *Engine {
 			opts := DefaultOptions()
 			opts.Offline = offline
-			opts.Segment.Workers = workers
-			eng, err := NewEngine(net, pairs, opts)
+			opts.Workers = workers
+			eng, err := newEngine(net, pairs, opts)
 			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
+				t.Fatalf("newEngine: %v", err)
 			}
 			return eng
 		}

@@ -4,6 +4,9 @@ import (
 	"fmt"
 
 	"see/internal/contend"
+	"see/internal/engines"
+	"see/internal/sched"
+	"see/internal/segment"
 	"see/internal/topo"
 	"see/internal/xrand"
 )
@@ -14,7 +17,12 @@ import (
 // and swaps, so a fixed seed reproduces the slot exactly.
 func Example() {
 	net, pairs := topo.Motivation()
-	eng, err := contend.NewEngine(net, pairs, contend.DefaultOptions())
+	enum, _ := engines.Enumeration(sched.Contend)
+	set, err := segment.Build(net, pairs, enum)
+	if err != nil {
+		panic(err)
+	}
+	eng, err := contend.New(set, set.ConnCap(nil), contend.DefaultOptions())
 	if err != nil {
 		panic(err)
 	}

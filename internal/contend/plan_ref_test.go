@@ -16,7 +16,6 @@ import (
 	"see/internal/graph"
 	"see/internal/segment"
 	"see/internal/topo"
-	"see/internal/warm"
 	"see/internal/xrand"
 )
 
@@ -347,7 +346,6 @@ func TestPlanMatchesReference(t *testing.T) {
 		cfg.Channels = 2 + rng.Intn(6)
 		net, pairs := buildWith(t, cfg, 5+rng.Intn(16), int64(k))
 		opts := DefaultOptions()
-		opts.Warm = warm.New()
 		opts.RecoveryAttempts = rng.Intn(3)
 		if k%5 != 0 {
 			opts.PlanChannels = shrink(rng, net.Channels)
@@ -355,7 +353,7 @@ func TestPlanMatchesReference(t *testing.T) {
 		}
 		for _, offline := range []bool{false, true} {
 			opts.Offline = offline
-			e, err := NewEngine(net, pairs, opts)
+			e, err := newEngine(net, pairs, opts)
 			if err != nil {
 				t.Fatalf("instance %d offline=%v: %v", k, offline, err)
 			}

@@ -18,21 +18,27 @@ import (
 func motivationEngine(t *testing.T, opts Options) *Engine {
 	t.Helper()
 	net, pairs := topo.Motivation()
-	e, err := NewEngine(net, pairs, opts)
+	e, err := newEngine(net, pairs, seeEnumeration(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
 }
 
-func TestNewEngineValidation(t *testing.T) {
-	net, pairs := topo.Motivation()
-	if _, err := NewEngine(nil, pairs, DefaultOptions()); err == nil {
-		t.Fatal("nil network accepted")
+// seeEnumeration is SEE's row of the enumeration table in
+// internal/engines, which imports this package.
+func seeEnumeration() segment.Options {
+	return segment.Options{KPaths: 5, MaxSegmentHops: 10, MinProb: 0.05, MaxCandidatesPerPair: 3}
+}
+
+// newEngine builds the engine the way engines.New does: the candidate set
+// from seg, N_i from the planning memory.
+func newEngine(net *topo.Network, pairs []topo.SDPair, seg segment.Options, opts Options) (*Engine, error) {
+	set, err := segment.Build(net, pairs, seg)
+	if err != nil {
+		return nil, err
 	}
-	if _, err := NewEngine(net, nil, DefaultOptions()); err == nil {
-		t.Fatal("empty pairs accepted")
-	}
+	return New(nil, set, set.ConnCap(opts.Flow.Memory), opts)
 }
 
 func TestEngineSolvesLPOnce(t *testing.T) {
@@ -187,7 +193,7 @@ func TestOrderPaths(t *testing.T) {
 func TestRunSlotPerfectNetwork(t *testing.T) {
 	net := perfectLine(5, 4, 8)
 	pairs := []topo.SDPair{{S: 0, D: 4}}
-	e, err := NewEngine(net, pairs, DefaultOptions())
+	e, err := newEngine(net, pairs, seeEnumeration(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +234,7 @@ func TestRunSlotZeroMemoryEndpoint(t *testing.T) {
 	net := perfectLine(3, 2, 4)
 	net.Memory[0] = 0 // source cannot store its Bell photon
 	pairs := []topo.SDPair{{S: 0, D: 2}}
-	e, err := NewEngine(net, pairs, DefaultOptions())
+	e, err := newEngine(net, pairs, seeEnumeration(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,9 +255,9 @@ func TestRunSlotRandomNetworkInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := topo.ChooseSDPairs(net, 5, xrand.New(12))
-	opts := DefaultOptions()
-	opts.Segment.KPaths = 3
-	e, err := NewEngine(net, pairs, opts)
+	seg := seeEnumeration()
+	seg.KPaths = 3
+	e, err := newEngine(net, pairs, seg, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +297,7 @@ func TestESCLedgerNeverOverdraws(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := topo.ChooseSDPairs(net, 6, xrand.New(22))
-	e, err := NewEngine(net, pairs, DefaultOptions())
+	e, err := newEngine(net, pairs, seeEnumeration(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,9 +335,13 @@ func TestESCLedgerNeverOverdraws(t *testing.T) {
 }
 
 func TestFullPathOnlyEngineActsAsE2E(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Segment.FullPathOnly = true
-	e := motivationEngine(t, opts)
+	seg := seeEnumeration()
+	seg.FullPathOnly = true
+	net, pairs := topo.Motivation()
+	e, err := newEngine(net, pairs, seg, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for seed := int64(0); seed < 50; seed++ {
 		res, err := e.RunSlot(xrand.New(seed))
 		if err != nil {
@@ -414,7 +424,7 @@ func TestEstablishConnectionsPrefersHighSwapJunctions(t *testing.T) {
 	}
 	net.SetProber(topo.ExpProber{Alpha: 0})
 	pairs := []topo.SDPair{{S: 0, D: 3}}
-	e, err := NewEngine(net, pairs, DefaultOptions())
+	e, err := newEngine(net, pairs, seeEnumeration(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,17 +454,20 @@ func TestEstablishConnectionsPrefersHighSwapJunctions(t *testing.T) {
 }
 
 func TestSegmentSetRespectsOptionsThroughEngine(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Segment.MaxSegmentHops = 1
-	e := motivationEngine(t, opts)
+	seg := seeEnumeration()
+	seg.MaxSegmentHops = 1
+	net, pairs := topo.Motivation()
+	e, err := newEngine(net, pairs, seg, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, list := range e.Set.ByPair {
 		for _, c := range list {
 			if c.Hops() != 1 {
-				t.Fatal("hop cap leaked through engine options")
+				t.Fatal("the engine planned over candidates outside its set")
 			}
 		}
 	}
-	_ = segment.DefaultOptions()
 }
 
 // Theorem 2's premise: EPI's rounding preserves the LP expectation —
@@ -514,7 +527,7 @@ func TestESCCoverageInvariant(t *testing.T) {
 		pairs := topo.ChooseSDPairs(net, 6, xrand.New(32))
 		opts := DefaultOptions()
 		opts.StrictProvisioning = strict
-		e, err := NewEngine(net, pairs, opts)
+		e, err := newEngine(net, pairs, seeEnumeration(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -565,7 +578,7 @@ func TestSEETracksLPBoundAtQ1(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := topo.ChooseSDPairs(net, 5, xrand.New(42))
-	e, err := NewEngine(net, pairs, DefaultOptions())
+	e, err := newEngine(net, pairs, seeEnumeration(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +610,7 @@ func TestECEAgainstMaxFlowBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := topo.ChooseSDPairs(net, 1, xrand.New(52))
-	e, err := NewEngine(net, pairs, DefaultOptions())
+	e, err := newEngine(net, pairs, seeEnumeration(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

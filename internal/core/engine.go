@@ -21,7 +21,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -33,11 +32,18 @@ import (
 	"see/internal/warm"
 )
 
-// Options configures a SEE engine.
+// Options configures a SEE engine. The candidate set and the per-pair
+// caps are New's arguments: internal/engines decides both for every
+// scheme.
 type Options struct {
-	// Segment tunes candidate enumeration (hop cap, K paths, pruning).
-	Segment segment.Options
-	// Flow tunes the LP relaxation solve.
+	// Flow tunes the LP relaxation solve. Its Channels / Memory, when
+	// non-nil, replace the network's capacity tables in every planning
+	// decision — LP right-hand sides and the ESC reservation ledger —
+	// while the physical phase keeps the true topology. The fault-aware
+	// builder (see-aware in internal/engines) derives them from
+	// chaos.Forecast, so planning on the full topology with announced
+	// outages is byte-identical to planning on the equivalent pre-shrunk
+	// topology. Its ConnCap is New's connCap.
 	Flow flow.Options
 	// StrictProvisioning makes ESC follow Algorithm 2 verbatim: a path is
 	// provisioned only if the *expected* number of created segments covers
@@ -47,26 +53,16 @@ type Options struct {
 	StrictProvisioning bool
 	// Slot is the slot-level configuration (scheme label, tracer, chaos,
 	// fidelity floors, swap order, forecast incident) the shared
-	// sched.Runner applies. Its zero Algorithm is sched.SEE; E2E is this
-	// engine with full-path candidates and the E2E label. The controller
-	// stays unaware of chaos outages: planning and reservation are
-	// untouched, attempts over down routes simply fail, unless the
-	// fault-aware fields below are set.
+	// sched.Runner applies. E2E is this engine with full-path candidates
+	// and the E2E label. The controller stays unaware of chaos outages:
+	// planning and reservation are untouched, attempts over down routes
+	// simply fail, unless Flow's capacity overrides are set.
 	Slot sched.SlotConfig
-	// PlanChannels / PlanMemory, when non-nil, replace the network's
-	// capacity tables in every planning decision — LP right-hand sides,
-	// connection caps and the ESC reservation ledger — while the physical
-	// phase keeps the true topology. The fault-aware builder (see-aware in
-	// internal/engines) derives them from chaos.Forecast, so planning on
-	// the full topology with announced outages is byte-identical to
-	// planning on the equivalent pre-shrunk topology.
-	PlanChannels []int
-	PlanMemory   []int
-	// Warm, when non-nil, memoizes segment sets and LP solutions across
-	// engine (re)builds over the same network (see internal/warm). Replayed
-	// artifacts are byte-identical to cold builds; the cache is bypassed
-	// entirely for budgeted construction (non-nil ctx) so degradation
-	// behavior is cache-independent.
+	// Warm, when non-nil, memoizes LP solutions across engine (re)builds
+	// over the same network (see internal/warm). Replayed artifacts are
+	// byte-identical to cold builds; the cache is bypassed entirely for
+	// budgeted construction (non-nil ctx) so degradation behavior is
+	// cache-independent.
 	Warm *warm.Cache
 	// CarryAwareLP re-prices the LP at the start of any slot that
 	// withdrew banked segments, dividing each segment edge's pricing cost
@@ -78,15 +74,10 @@ type Options struct {
 	CarryAwareLP bool
 }
 
-// DefaultOptions returns the SEE defaults: paper §III-D candidate pruning
-// and the swap-survival-weighted LP objective (see flow.Options).
+// DefaultOptions returns the SEE defaults: the swap-survival-weighted LP
+// objective (see flow.Options).
 func DefaultOptions() Options {
-	seg := segment.DefaultOptions()
-	seg.MaxSegmentHops = 10
-	return Options{
-		Segment: seg,
-		Flow:    flow.Options{SwapWeightedObjective: true},
-	}
+	return Options{Flow: flow.Options{SwapWeightedObjective: true}}
 }
 
 // Engine runs SEE time slots over a fixed network and SD-pair workload.
@@ -97,8 +88,8 @@ type Engine struct {
 	Net   *topo.Network
 	Pairs []topo.SDPair
 	Set   *segment.Set
-	// LP is the cached fractional optimum (an upper bound on per-slot
-	// expected throughput).
+	// LP is the cached fractional optimum; its objective is the planning
+	// value UpperBound returns.
 	LP *flow.Solution
 	// ConnCap is the per-pair connection cap N_i.
 	ConnCap []int
@@ -123,61 +114,24 @@ type Engine struct {
 
 var _ sched.Stateful = (*Engine)(nil)
 
-// NewEngine builds the candidate set and solves the LP relaxation.
-func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, error) {
-	return NewEngineCtx(nil, net, pairs, opts)
-}
-
-// NewEngineCtx is NewEngine with the LP relaxation solve bounded by a
-// context (nil = never cancelled). An expired deadline aborts construction
-// with an error wrapping ctx.Err(); the degradation ladder in
-// internal/engines uses this to fall back to the greedy engine when the
-// solve blows its slot budget.
-func NewEngineCtx(ctx context.Context, net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, error) {
-	if net == nil {
-		return nil, errors.New("core: nil network")
-	}
-	if len(pairs) == 0 {
-		return nil, errors.New("core: no SD pairs")
-	}
-	// Budgeted construction (non-nil ctx) bypasses the warm cache so
-	// timeout behavior never depends on what some earlier build memoized.
-	set, err := opts.Warm.SegmentSet(ctx, net, pairs, opts.Segment)
-	if err != nil {
-		return nil, fmt.Errorf("core: building candidates: %w", err)
-	}
-	// Fault-aware planning: the forecast-shrunk capacity tables feed the
-	// LP (capacity overrides and, via ConnCap below, the per-pair caps);
-	// with both nil the solve sees the network tables unchanged.
-	if opts.PlanChannels != nil {
-		opts.Flow.Channels = opts.PlanChannels
-	}
-	if opts.PlanMemory != nil {
-		opts.Flow.Memory = opts.PlanMemory
-	}
-	connCap := opts.Flow.ConnCap
-	if connCap == nil {
-		mem := net.Memory
-		if opts.PlanMemory != nil {
-			mem = opts.PlanMemory
-		}
-		connCap = make([]int, len(pairs))
-		for i, sd := range pairs {
-			connCap[i] = min(mem[sd.S], mem[sd.D])
-		}
-		opts.Flow.ConnCap = connCap
-	}
+// New solves the LP relaxation over the candidate set, with connCap as the
+// per-pair caps N_i. ctx (nil = never cancelled) bounds the solve: an
+// expired deadline aborts construction with an error wrapping ctx.Err();
+// the degradation ladder in internal/engines uses this to fall back to
+// the greedy engine when the solve blows its slot budget.
+func New(ctx context.Context, set *segment.Set, connCap []int, opts Options) (*Engine, error) {
+	opts.Flow.ConnCap = connCap
 	sol, err := opts.Warm.Solve(ctx, set, opts.Flow)
 	if err != nil {
 		return nil, fmt.Errorf("core: solving LP relaxation: %w", err)
 	}
 	return &Engine{
-		Net:     net,
-		Pairs:   pairs,
+		Net:     set.Net,
+		Pairs:   set.Pairs,
 		Set:     set,
 		LP:      sol,
 		ConnCap: connCap,
-		Runner:  sched.NewRunner(opts.Slot, net, set.CandidateFor),
+		Runner:  sched.NewRunner(opts.Slot, set.Net, set.CandidateFor),
 		opts:    opts,
 	}, nil
 }
@@ -299,6 +253,8 @@ func (e *Engine) carryAwareSolve(withdrawn []*qnet.Segment) *flow.Solution {
 	return sol
 }
 
-// UpperBound returns the LP objective, an upper bound on the expected
-// number of connections SEE can establish per slot.
+// UpperBound returns the LP objective, SEE's planning value (see
+// sched.Engine.UpperBound). It bounds the fractional plan's expected
+// single-pass throughput, not what a slot delivers: ECE's retries over
+// redundant segments can establish more.
 func (e *Engine) UpperBound() float64 { return e.LP.Objective }

@@ -26,7 +26,7 @@ import (
 func (e *Engine) escReference(planned []PlannedPath) (qnet.AttemptPlan, []PlannedPath, error) {
 	ordered := orderPathsReference(planned)
 
-	ledger := qnet.NewLedgerWithCapacities(e.Net, e.opts.PlanChannels, e.opts.PlanMemory)
+	ledger := qnet.NewLedgerWithCapacities(e.Net, e.opts.Flow.Channels, e.opts.Flow.Memory)
 	plan := make(map[*segment.Candidate]int)
 	expected := make(map[segment.PairKey]float64)
 	demand := make(map[segment.PairKey]int)
@@ -229,14 +229,15 @@ func TestESCMatchesReference(t *testing.T) {
 		pairs := topo.ChooseSDPairs(net, 2+rng.Intn(6), rng)
 		opts := DefaultOptions()
 		opts.StrictProvisioning = trial%2 == 1
-		opts.Segment.FullPathOnly = trial%3 == 2
+		seg := seeEnumeration()
+		seg.FullPathOnly = trial%3 == 2
 		if trial%4 == 3 {
-			opts.PlanChannels = slices.Clone(net.Channels)
-			for i := range opts.PlanChannels {
-				opts.PlanChannels[i] = max(0, opts.PlanChannels[i]-rng.Intn(2))
+			opts.Flow.Channels = slices.Clone(net.Channels)
+			for i := range opts.Flow.Channels {
+				opts.Flow.Channels[i] = max(0, opts.Flow.Channels[i]-rng.Intn(2))
 			}
 		}
-		e, err := NewEngine(net, pairs, opts)
+		e, err := newEngine(net, pairs, seg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

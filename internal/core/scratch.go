@@ -63,7 +63,7 @@ type pathRank struct {
 func (e *Engine) scratch() *slotScratch {
 	if e.slot == nil {
 		e.slot = &slotScratch{
-			ledger: qnet.NewLedgerWithCapacities(e.Net, e.opts.PlanChannels, e.opts.PlanMemory),
+			ledger: qnet.NewLedgerWithCapacities(e.Net, e.opts.Flow.Channels, e.opts.Flow.Memory),
 		}
 	}
 	return e.slot

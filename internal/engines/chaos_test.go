@@ -76,7 +76,7 @@ func TestZeroFaultPlanByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("NewInjector: %v", err)
 				}
-				eng, err := builders[alg](nil, tc.net, tc.pairs, Config{}, inj)
+				eng, err := build(nil, alg, tc.net, tc.pairs, Config{}, inj)
 				if err != nil {
 					t.Fatalf("build(%v): %v", alg, err)
 				}
@@ -108,7 +108,7 @@ func TestFaultsReportedThroughTracer(t *testing.T) {
 				t.Fatalf("NewInjector: %v", err)
 			}
 			tr := sched.NewCountingTracer()
-			eng, err := builders[alg](nil, net, pairs, Config{Tracer: tr}, inj)
+			eng, err := build(nil, alg, net, pairs, Config{Tracer: tr}, inj)
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}

@@ -4,8 +4,11 @@
 // internal/greedy, internal/contend for Contend, Contend-Aware and QPass,
 // internal/oracle) and translates the one scheduler-options struct, Config,
 // into each engine's options, with the slot-level part filled in one place
-// (slotConfig). New also builds the scheduler's fault injector, ladder and
-// bank. The public API (package see) and the experiment harness build
+// (slotConfig). Each scheme's candidate enumeration is one row of one
+// table (Enumeration); the package builds that set and the per-pair caps
+// N_i once per construction and hands both to the engine's constructor.
+// New also builds the scheduler's fault injector, ladder and bank. The
+// public API (package see) and the experiment harness build
 // schedulers only here, so no algorithm type-switch and no such assembly
 // exists anywhere else.
 //
@@ -43,8 +46,7 @@ import (
 // every scheme. It is the one scheduler-options struct: see.SchedulerOptions
 // is an alias and the experiment harness embeds it. The paper's
 // construction parameters (K shortest paths, the segment hop cap, §III-D
-// probability pruning) are fixed in each engine's DefaultOptions; the
-// ablations that vary them set those options directly.
+// probability pruning) are fixed per scheme in one table (Enumeration).
 type Config struct {
 	// Workers bounds the goroutines of every scheme's LP pricing rounds
 	// and per-SD-pair path enumeration (0 = GOMAXPROCS, 1 = serial).
@@ -134,22 +136,92 @@ func (c Config) Validate() error {
 // every comparison, so it is rejected with the infinities).
 func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
-// Builder constructs one scheme's engine around the scheduler's injector
-// (nil without faults); ctx (nil = never cancelled) bounds any LP solves
-// the construction performs.
-type Builder func(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Stateful, error)
+// builder constructs one scheme's engine from its build inputs; ctx (nil =
+// never cancelled) bounds any LP solves the construction performs.
+type builder func(ctx context.Context, in *instance) (sched.Stateful, error)
 
 // builders is the algorithm registry.
-var builders = map[sched.Algorithm]Builder{
+var builders = map[sched.Algorithm]builder{
 	sched.SEE:          newSEE,
+	sched.SEEAware:     newSEE,
 	sched.REPS:         newREPS,
 	sched.E2E:          newE2E,
 	sched.Greedy:       newGreedy,
 	sched.Contend:      newContend,
-	sched.QPass:        newQPass,
-	sched.ContendAware: newContendAware,
-	sched.SEEAware:     newSEEAware,
+	sched.ContendAware: newContend,
+	sched.QPass:        newContend,
 	sched.Oracle:       newOracle,
+}
+
+// seeEnumeration is SEE's candidate enumeration (paper §III-D): the
+// contiguous sub-segments of K = 5 Yen shortest paths per SD pair, up to
+// 10 hops long, pruned below creation probability 0.05, keeping the best
+// 3 physical realizations per endpoint pair.
+var seeEnumeration = segment.Options{KPaths: 5, MaxSegmentHops: 10, MinProb: 0.05, MaxCandidatesPerPair: 3}
+
+// enumerations is the one candidate-enumeration table: every scheme that
+// plans over segment candidates builds its set from its row here, and
+// only here. REPS and E2E are the two extremes of SEE's enumeration
+// (§IV-A): REPS caps segments at one hop (entanglement links only) and
+// E2E stretches one segment over each pair's whole shortest path; neither
+// prunes by probability. The LP-free engines plan over SEE's catalogue so
+// they are compared on the same candidates. Oracle has no row: capacity
+// bounds need no candidates.
+var enumerations = map[sched.Algorithm]segment.Options{
+	sched.SEE:          seeEnumeration,
+	sched.SEEAware:     seeEnumeration,
+	sched.Contend:      seeEnumeration,
+	sched.ContendAware: seeEnumeration,
+	sched.QPass:        seeEnumeration,
+	sched.Greedy:       seeEnumeration,
+	sched.E2E:          {KPaths: 1, MaxCandidatesPerPair: 3, FullPathOnly: true},
+	sched.REPS:         {KPaths: 5, MaxSegmentHops: 1, MaxCandidatesPerPair: 3},
+}
+
+// Enumeration returns the algorithm's candidate enumeration (Workers
+// unset), and false for a scheme that builds no candidate set.
+func Enumeration(alg sched.Algorithm) (segment.Options, bool) {
+	o, ok := enumerations[alg]
+	return o, ok
+}
+
+// instance is what a builder builds from.
+type instance struct {
+	alg   sched.Algorithm
+	net   *topo.Network
+	pairs []topo.SDPair
+	// set is the scheme's candidate set (nil for a scheme without an
+	// enumeration) and connCap its per-pair caps N_i, from the planning
+	// memory.
+	set     *segment.Set
+	connCap []int
+	// planChannels / planMemory are the forecast capacity tables of a
+	// fault-aware scheme (nil otherwise, and nil without a forecast);
+	// avoided is the number of elements the forecast routes around.
+	planChannels, planMemory []int
+	avoided                  int
+	cfg                      Config
+	inj                      *chaos.Injector
+}
+
+// build constructs the algorithm's engine: it derives the forecast tables
+// of a fault-aware scheme, builds the scheme's candidate set once through
+// the warm cache (a non-nil ctx bypasses it), computes N_i once, and hands
+// all of it to the scheme's builder.
+func build(ctx context.Context, alg sched.Algorithm, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Stateful, error) {
+	in := &instance{alg: alg, net: net, pairs: pairs, cfg: cfg, inj: inj}
+	if alg.FaultAware() {
+		in.planChannels, in.planMemory, in.avoided = forecastTables(inj, net)
+	}
+	if enum, ok := enumerations[alg]; ok {
+		enum.Workers = cfg.Workers
+		set, err := cfg.Warm.SegmentSet(ctx, net, pairs, enum)
+		if err != nil {
+			return nil, fmt.Errorf("engines: building %v candidates: %w", alg, err)
+		}
+		in.set, in.connCap = set, set.ConnCap(in.planMemory)
+	}
+	return builders[alg](ctx, in)
 }
 
 // List returns every registered algorithm in ascending order. The
@@ -173,11 +245,11 @@ func New(alg sched.Algorithm, net *topo.Network, pairs []topo.SDPair, cfg Config
 	if cfg.SlotBudget > 0 {
 		return NewResilient(alg, net, pairs, cfg)
 	}
-	inj, err := prepare(alg, net, cfg)
+	inj, err := prepare(alg, net, pairs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := builders[alg](nil, net, pairs, cfg, inj)
+	eng, err := build(nil, alg, net, pairs, cfg, inj)
 	if err != nil {
 		return nil, err
 	}
@@ -187,12 +259,15 @@ func New(alg sched.Algorithm, net *topo.Network, pairs []topo.SDPair, cfg Config
 
 // prepare checks what every construction path needs before any build work
 // and returns the scheduler's injector (nil without cfg.Faults).
-func prepare(alg sched.Algorithm, net *topo.Network, cfg Config) (*chaos.Injector, error) {
+func prepare(alg sched.Algorithm, net *topo.Network, pairs []topo.SDPair, cfg Config) (*chaos.Injector, error) {
 	if net == nil {
 		return nil, errors.New("engines: nil network")
 	}
 	if !Registered(alg) {
 		return nil, fmt.Errorf("engines: unknown algorithm %v", alg)
+	}
+	if _, ok := enumerations[alg]; ok && len(pairs) == 0 {
+		return nil, fmt.Errorf("engines: %v needs at least one SD pair", alg)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -224,81 +299,74 @@ func attachCarry(eng sched.Stateful, net *topo.Network, cfg Config) {
 }
 
 // slotConfig is the slot-level part of every engine's options: the scheme
-// label and injector plus the tracer, fidelity floors and swap order from
-// the shared Config.
-func slotConfig(alg sched.Algorithm, cfg Config, inj *chaos.Injector) sched.SlotConfig {
+// label, injector and forecast incident plus the tracer, fidelity floors
+// and swap order from the shared Config.
+func slotConfig(in *instance) sched.SlotConfig {
 	return sched.SlotConfig{
-		Algorithm:      alg,
-		Tracer:         cfg.Tracer,
-		Chaos:          inj,
-		FidelityFloors: cfg.FidelityFloors,
-		SwapOrder:      cfg.SwapOrder,
+		Algorithm:       in.alg,
+		Tracer:          in.cfg.Tracer,
+		Chaos:           in.inj,
+		FidelityFloors:  in.cfg.FidelityFloors,
+		SwapOrder:       in.cfg.SwapOrder,
+		ForecastAvoided: in.avoided,
 	}
 }
 
-// segmentOptions is the candidate enumeration of SEE, Contend and Greedy:
-// SEE's defaults on cfg.Workers goroutines.
-func segmentOptions(cfg Config) segment.Options {
-	o := core.DefaultOptions().Segment
-	o.Workers = cfg.Workers
-	return o
-}
-
-// seeOptions translates the shared Config into SEE options; the SEE and
-// SEE-Aware builders start from it.
-func seeOptions(alg sched.Algorithm, cfg Config, inj *chaos.Injector) core.Options {
+// newSEE builds SEE and its fault-aware twin, which plans on the forecast
+// tables (nil for SEE).
+func newSEE(ctx context.Context, in *instance) (sched.Stateful, error) {
 	co := core.DefaultOptions()
-	co.Segment = segmentOptions(cfg)
-	co.Flow.Workers = cfg.Workers
-	co.Warm = cfg.Warm
-	co.CarryAwareLP = cfg.CarryAwareLP
-	co.Slot = slotConfig(alg, cfg, inj)
-	return co
-}
-
-func newSEE(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Stateful, error) {
-	return core.NewEngineCtx(ctx, net, pairs, seeOptions(sched.SEE, cfg, inj))
-}
-
-func newREPS(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Stateful, error) {
-	o := reps.Options{Warm: cfg.Warm, Slot: slotConfig(sched.REPS, cfg, inj)}
-	o.Flow.Workers = cfg.Workers
-	return reps.NewEngineCtx(ctx, net, pairs, o)
+	co.Flow.Workers = in.cfg.Workers
+	co.Flow.Channels, co.Flow.Memory = in.planChannels, in.planMemory
+	// Always on for the twin (not gated on a non-zero forecast) so
+	// planning on a full topology with forecast tables is the same code
+	// path as planning on a pre-shrunk topology with none — the
+	// equivalence the schedtest forecast contract pins. With no dead
+	// links it drops nothing.
+	co.Flow.DropDeadLinks = in.alg.FaultAware()
+	co.Warm = in.cfg.Warm
+	co.CarryAwareLP = in.cfg.CarryAwareLP
+	co.Slot = slotConfig(in)
+	return core.New(ctx, in.set, in.connCap, co)
 }
 
 // newE2E builds the all-optical-switching-only baseline of the paper's
 // evaluation: every connection is one entanglement segment spanning a full
 // physical SD route, with no swapping. It is the "only all-optical
-// switching" extreme of SEE (§IV-A), so it is the SEE engine restricted to
-// full-path candidates. It takes one route per pair (the paper's
-// strawman; more routes make E2E noticeably stronger), and it keeps
-// attempting even hopeless routes (no probability pruning). Only the
-// worker count, the warm cache and the slot-level fields carry over from
-// Config.
-func newE2E(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Stateful, error) {
+// switching" extreme of SEE (§IV-A), so it is the SEE engine over E2E's
+// full-path enumeration (one route per pair, the paper's strawman; more
+// routes make E2E noticeably stronger). Only the worker count, the warm
+// cache and the slot-level fields carry over from Config.
+func newE2E(ctx context.Context, in *instance) (sched.Stateful, error) {
 	co := core.DefaultOptions()
-	co.Segment.FullPathOnly = true
-	co.Segment.MinProb = 0
-	co.Segment.KPaths = 1
-	co.Segment.Workers = cfg.Workers
-	co.Flow.Workers = cfg.Workers
-	co.Warm = cfg.Warm
-	co.Slot = slotConfig(sched.E2E, cfg, inj)
-	return core.NewEngineCtx(ctx, net, pairs, co)
+	co.Flow.Workers = in.cfg.Workers
+	co.Warm = in.cfg.Warm
+	co.Slot = slotConfig(in)
+	return core.New(ctx, in.set, in.connCap, co)
 }
 
-func newContend(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Stateful, error) {
-	return contend.NewEngine(net, pairs, contendOptions(sched.Contend, cfg, inj))
+func newREPS(ctx context.Context, in *instance) (sched.Stateful, error) {
+	o := reps.Options{Warm: in.cfg.Warm, Slot: slotConfig(in)}
+	o.Flow.Workers = in.cfg.Workers
+	return reps.New(ctx, in.set, in.connCap, o)
 }
 
-// contendOptions translates the shared Config into contend options; the
-// Contend, ContendAware and QPass builders all start from it.
-func contendOptions(alg sched.Algorithm, cfg Config, inj *chaos.Injector) contend.Options {
+// newContend builds Contend, its fault-aware twin (which starts its
+// residuals from the forecast tables, nil for the others) and the
+// Q-PASS-style offline contrast baseline: paths fixed from the fault-free
+// topology with per-hop recovery reserved up front, the forecast
+// deliberately ignored.
+func newContend(_ context.Context, in *instance) (sched.Stateful, error) {
 	o := contend.DefaultOptions()
-	o.Segment = segmentOptions(cfg)
-	o.Warm = cfg.Warm
-	o.Slot = slotConfig(alg, cfg, inj)
-	return o
+	o.Slot = slotConfig(in)
+	o.PlanChannels, o.PlanMemory = in.planChannels, in.planMemory
+	o.Offline = in.alg == sched.QPass
+	o.Workers = in.cfg.Workers
+	return contend.New(in.set, in.connCap, o)
+}
+
+func newGreedy(_ context.Context, in *instance) (sched.Stateful, error) {
+	return greedy.New(in.set, in.connCap, slotConfig(in))
 }
 
 // forecastTables turns the injector's announced-fault forecast into
@@ -323,45 +391,11 @@ func forecastTables(in *chaos.Injector, net *topo.Network) (channels, memory []i
 	return channels, memory, fc.Avoided()
 }
 
-func newSEEAware(ctx context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Stateful, error) {
-	co := seeOptions(sched.SEEAware, cfg, inj)
-	co.PlanChannels, co.PlanMemory, co.Slot.ForecastAvoided = forecastTables(inj, net)
-	// Always on (not gated on a non-zero forecast) so planning on a full
-	// topology with forecast tables is the same code path as planning on a
-	// pre-shrunk topology with none — the equivalence the schedtest
-	// forecast contract pins. With no dead links it drops nothing.
-	co.Flow.DropDeadLinks = true
-	return core.NewEngineCtx(ctx, net, pairs, co)
-}
-
-func newContendAware(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Stateful, error) {
-	o := contendOptions(sched.ContendAware, cfg, inj)
-	o.PlanChannels, o.PlanMemory, o.Slot.ForecastAvoided = forecastTables(inj, net)
-	return contend.NewEngine(net, pairs, o)
-}
-
-// newQPass builds the Q-PASS-style offline contrast baseline: paths are
-// fixed from the fault-free topology with per-hop recovery reserved up
-// front, and the forecast is deliberately ignored.
-func newQPass(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Stateful, error) {
-	o := contendOptions(sched.QPass, cfg, inj)
-	o.Offline = true
-	return contend.NewEngine(net, pairs, o)
-}
-
-func newGreedy(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, inj *chaos.Injector) (sched.Stateful, error) {
-	o := greedy.DefaultOptions()
-	o.Segment = segmentOptions(cfg)
-	o.Warm = cfg.Warm
-	o.Slot = slotConfig(sched.Greedy, cfg, inj)
-	return greedy.NewEngine(net, pairs, o)
-}
-
 // newOracle builds the capacity-bound pseudo-engine. It takes only the
 // tracer from the shared Config, on purpose: capacity bounds depend on the
 // topology and the demand set alone, not on any scheme tuning or fault.
-func newOracle(_ context.Context, net *topo.Network, pairs []topo.SDPair, cfg Config, _ *chaos.Injector) (sched.Stateful, error) {
-	return oracle.NewEngine(net, pairs, cfg.Tracer)
+func newOracle(_ context.Context, in *instance) (sched.Stateful, error) {
+	return oracle.NewEngine(in.net, in.pairs, in.cfg.Tracer)
 }
 
 // maxConstructionRetries bounds how many slots retry a failed LP
@@ -406,7 +440,7 @@ var _ sched.Stateful = (*Resilient)(nil)
 // panics). The network and configuration are validated eagerly, but the
 // primary's LP is deferred to the first slot.
 func NewResilient(alg sched.Algorithm, net *topo.Network, pairs []topo.SDPair, cfg Config) (*Resilient, error) {
-	inj, err := prepare(alg, net, cfg)
+	inj, err := prepare(alg, net, pairs, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -437,7 +471,7 @@ func (r *Resilient) buildPrimary() (eng sched.Stateful, err error) {
 			err = fmt.Errorf("engines: construction panic: %v", v)
 		}
 	}()
-	return builders[r.alg](ctx, r.net, r.pairs, r.cfg, r.inj)
+	return build(ctx, r.alg, r.net, r.pairs, r.cfg, r.inj)
 }
 
 // RunSlot serves the slot with the primary engine when available, else
@@ -460,7 +494,7 @@ func (r *Resilient) RunSlot(rng *rand.Rand) (*sched.SlotResult, error) {
 		return r.primary.RunSlot(rng)
 	}
 	if r.fallback == nil {
-		eng, err := newGreedy(nil, r.net, r.pairs, r.cfg, r.inj)
+		eng, err := build(nil, sched.Greedy, r.net, r.pairs, r.cfg, r.inj)
 		if err != nil {
 			return nil, fmt.Errorf("engines: greedy fallback: %w (primary: %v)", err, r.lastErr)
 		}
@@ -474,8 +508,8 @@ func (r *Resilient) RunSlot(rng *rand.Rand) (*sched.SlotResult, error) {
 // Algorithm reports the scheme the caller asked for, degraded or not.
 func (r *Resilient) Algorithm() sched.Algorithm { return r.alg }
 
-// UpperBound returns the primary's LP bound when available, else the
-// fallback's heuristic value (0 before any slot has run).
+// UpperBound returns the primary's planning value when available, else
+// the fallback's heuristic value (0 before any slot has run).
 func (r *Resilient) UpperBound() float64 {
 	if r.primary != nil {
 		return r.primary.UpperBound()

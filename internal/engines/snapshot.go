@@ -72,7 +72,7 @@ func (r *Resilient) RestoreEngineState(st *sched.EngineState) error {
 	}
 	var primary, fallback sched.Stateful
 	if ld.PrimaryBuilt {
-		eng, err := builders[r.alg](nil, r.net, r.pairs, r.cfg, r.inj)
+		eng, err := build(nil, r.alg, r.net, r.pairs, r.cfg, r.inj)
 		if err != nil {
 			return fmt.Errorf("engines: rebuilding primary: %w", err)
 		}
@@ -80,7 +80,7 @@ func (r *Resilient) RestoreEngineState(st *sched.EngineState) error {
 		r.attachBank(eng)
 	}
 	if ld.FallbackBuilt {
-		eng, err := newGreedy(nil, r.net, r.pairs, r.cfg, r.inj)
+		eng, err := build(nil, sched.Greedy, r.net, r.pairs, r.cfg, r.inj)
 		if err != nil {
 			return fmt.Errorf("engines: rebuilding fallback: %w", err)
 		}

@@ -11,7 +11,7 @@ import (
 	"see/internal/xrand"
 )
 
-// ExampleSolve_arena shows column-pool reuse across solves: REPS's
+// ExampleSolveCtx_arena shows column-pool reuse across solves: REPS's
 // progressive rounding re-solves the LP on residual capacities up to six
 // times over the same segment set, and an Arena carries the
 // dual-independent candidate tables (attempt factors, master-row indices)
@@ -19,7 +19,7 @@ import (
 // Reuse is observationally transparent — the arena-backed solution is
 // byte-identical to a cold one, because the pooled tables are pure
 // functions of the segment set.
-func ExampleSolve_arena() {
+func ExampleSolveCtx_arena() {
 	cfg := topo.DefaultConfig()
 	cfg.Nodes = 24
 	net, err := topo.Generate(cfg, xrand.New(3))
@@ -32,7 +32,7 @@ func ExampleSolve_arena() {
 		log.Fatal(err)
 	}
 
-	cold, err := flow.Solve(set, flow.Options{})
+	cold, err := flow.SolveCtx(nil, set, flow.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,11 +40,11 @@ func ExampleSolve_arena() {
 	// Two sequential solves sharing one arena: the second reuses the
 	// pooled tables the first built.
 	arena := &flow.Arena{}
-	first, err := flow.Solve(set, flow.Options{Arena: arena})
+	first, err := flow.SolveCtx(nil, set, flow.Options{Arena: arena})
 	if err != nil {
 		log.Fatal(err)
 	}
-	second, err := flow.Solve(set, flow.Options{Arena: arena})
+	second, err := flow.SolveCtx(nil, set, flow.Options{Arena: arena})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -69,7 +69,8 @@ type PathFlow struct {
 // Solution is the LP optimum in path form.
 type Solution struct {
 	Status lp.Status
-	// Objective is the LP value (upper bound on expected connections).
+	// Objective is the LP value, the planning value of the path flows (see
+	// sched.Engine.UpperBound).
 	Objective float64
 	// PerCommodity is T_i = Σ flow of commodity i's paths.
 	PerCommodity []float64
@@ -81,15 +82,17 @@ type Solution struct {
 	Columns int
 }
 
+// epsilon is the reduced-cost threshold for adding a column: a priced path
+// enters the master only if w_P − dual_i − cost > epsilon.
+const epsilon = 1e-7
+
 // Options tunes the solve.
 type Options struct {
 	// MaxRounds caps column-generation rounds (default 120).
 	MaxRounds int
-	// ConnCap is the per-pair cap N_i; nil derives min(mem_s, mem_d).
+	// ConnCap is the per-pair cap N_i; nil derives the network's
+	// (segment.Set.ConnCap).
 	ConnCap []int
-	// Epsilon is the reduced-cost threshold for adding a column
-	// (default 1e-7).
-	Epsilon float64
 	// Channels, when non-nil, overrides the per-link channel capacities
 	// (REPS's progressive rounding re-solves the LP on residual
 	// capacities).
@@ -182,17 +185,11 @@ func (o Options) withDefaults(set *segment.Set) Options {
 	if o.MaxRounds <= 0 {
 		o.MaxRounds = 120
 	}
-	if o.Epsilon <= 0 {
-		o.Epsilon = 1e-7
-	}
 	if o.MaxJunctions <= 0 {
 		o.MaxJunctions = 14
 	}
 	if o.ConnCap == nil {
-		o.ConnCap = make([]int, len(set.Pairs))
-		for i, sd := range set.Pairs {
-			o.ConnCap[i] = min(set.Net.Memory[sd.S], set.Net.Memory[sd.D])
-		}
+		o.ConnCap = set.ConnCap(nil)
 	}
 	return o
 }
@@ -314,15 +311,11 @@ func (s *colKeySet) add(k []int32) bool {
 	return true
 }
 
-// Solve runs column generation to LP optimality (or MaxRounds).
-func Solve(set *segment.Set, opts Options) (*Solution, error) {
-	return SolveCtx(nil, set, opts)
-}
-
-// SolveCtx is Solve bounded by a context (nil = never cancelled). The
-// deadline is honored at every stage of the column-generation loop — master
-// pivots (lp.SolveCtx), realization pricing and path pricing (par.*Ctx) —
-// so an expired slot budget aborts the solve promptly with ctx.Err()
+// SolveCtx runs column generation to LP optimality (or MaxRounds),
+// bounded by a context (nil = never cancelled). The deadline is honored at
+// every stage of the column-generation loop — master pivots
+// (lp.SolveCtx), realization pricing and path pricing (par.*Ctx) — so an
+// expired slot budget aborts the solve promptly with ctx.Err()
 // instead of finishing the round. A cancelled solve returns no Solution;
 // the degradation ladder in internal/engines falls back to the greedy
 // engine when that happens.
@@ -374,7 +367,7 @@ func (m *model) run(ctx context.Context) (*Solution, error) {
 	if err := m.priceRealizations(ctx, unitDuals(m.numRows)); err != nil {
 		return nil, fmt.Errorf("flow: seed pricing: %w", err)
 	}
-	if err := m.priceColumns(ctx, nil, opts.Epsilon, priced); err != nil {
+	if err := m.priceColumns(ctx, nil, epsilon, priced); err != nil {
 		return nil, fmt.Errorf("flow: seed pricing: %w", err)
 	}
 	for i := range set.Pairs {
@@ -394,7 +387,7 @@ func (m *model) run(ctx context.Context) (*Solution, error) {
 		if err := m.priceRealizations(ctx, duals); err != nil {
 			return nil, fmt.Errorf("flow: pricing round %d: %w", rounds, err)
 		}
-		if err := m.priceColumns(ctx, duals, opts.Epsilon, priced); err != nil {
+		if err := m.priceColumns(ctx, duals, epsilon, priced); err != nil {
 			return nil, fmt.Errorf("flow: pricing round %d: %w", rounds, err)
 		}
 		added := 0

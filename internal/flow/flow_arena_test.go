@@ -46,13 +46,13 @@ func TestArenaResidualSolvesIdentical(t *testing.T) {
 
 	arena := &Arena{}
 	for round := 0; round < 3; round++ {
-		cold, err := Solve(set, residualOpts(round))
+		cold, err := SolveCtx(nil, set, residualOpts(round))
 		if err != nil {
 			t.Fatal(err)
 		}
 		opts := residualOpts(round)
 		opts.Arena = arena
-		warm, err := Solve(set, opts)
+		warm, err := SolveCtx(nil, set, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,14 +79,14 @@ func TestArenaDropDeadLinksInvalidation(t *testing.T) {
 	}
 
 	arena := &Arena{}
-	if _, err := Solve(set, Options{DropDeadLinks: true, Channels: full, Arena: arena}); err != nil {
+	if _, err := SolveCtx(nil, set, Options{DropDeadLinks: true, Channels: full, Arena: arena}); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Solve(set, Options{DropDeadLinks: true, Channels: crippled, Arena: arena})
+	warm, err := SolveCtx(nil, set, Options{DropDeadLinks: true, Channels: crippled, Arena: arena})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Solve(set, Options{DropDeadLinks: true, Channels: crippled})
+	cold, err := SolveCtx(nil, set, Options{DropDeadLinks: true, Channels: crippled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +100,14 @@ func TestArenaDropDeadLinksInvalidation(t *testing.T) {
 func TestArenaWorkerGrowth(t *testing.T) {
 	set := arenaTestSet(t)
 	arena := &Arena{}
-	cold, err := Solve(set, Options{SwapWeightedObjective: true})
+	cold, err := SolveCtx(nil, set, Options{SwapWeightedObjective: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Solve(set, Options{SwapWeightedObjective: true, Workers: 1, Arena: arena}); err != nil {
+	if _, err := SolveCtx(nil, set, Options{SwapWeightedObjective: true, Workers: 1, Arena: arena}); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Solve(set, Options{SwapWeightedObjective: true, Workers: 3, Arena: arena})
+	warm, err := SolveCtx(nil, set, Options{SwapWeightedObjective: true, Workers: 3, Arena: arena})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestArenaSequenceAcrossWorkers(t *testing.T) {
 	for k, st := range steps {
 		opts := st.opts
 		opts.Workers = 1
-		if cold[k], err = Solve(st.set, opts); err != nil {
+		if cold[k], err = SolveCtx(nil, st.set, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +173,7 @@ func TestArenaSequenceAcrossWorkers(t *testing.T) {
 			opts := st.opts
 			opts.Workers = workers
 			opts.Arena = arena
-			sol, err := Solve(st.set, opts)
+			sol, err := SolveCtx(nil, st.set, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

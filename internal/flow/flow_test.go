@@ -52,7 +52,7 @@ func TestSolvePerfectChain(t *testing.T) {
 	net := lineNetwork(4, 100, 3, 10, 1, 0)
 	pairs := []topo.SDPair{{S: 0, D: 3}}
 	set := buildSet(t, net, pairs, segment.DefaultOptions())
-	sol, err := Solve(set, Options{})
+	sol, err := SolveCtx(nil, set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSolveMemoryBound(t *testing.T) {
 	net := lineNetwork(3, 100, 5, 2, 1, 0)
 	pairs := []topo.SDPair{{S: 0, D: 2}}
 	set := buildSet(t, net, pairs, segment.DefaultOptions())
-	sol, err := Solve(set, Options{})
+	sol, err := SolveCtx(nil, set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +85,14 @@ func TestSolveConnCap(t *testing.T) {
 	net := lineNetwork(3, 100, 5, 10, 1, 0)
 	pairs := []topo.SDPair{{S: 0, D: 2}}
 	set := buildSet(t, net, pairs, segment.DefaultOptions())
-	sol, err := Solve(set, Options{ConnCap: []int{1}})
+	sol, err := SolveCtx(nil, set, Options{ConnCap: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(sol.Objective-1) > 1e-6 {
 		t.Fatalf("objective = %v, want 1 (ConnCap)", sol.Objective)
 	}
-	if _, err := Solve(set, Options{ConnCap: []int{1, 2}}); err == nil {
+	if _, err := SolveCtx(nil, set, Options{ConnCap: []int{1, 2}}); err == nil {
 		t.Fatal("mismatched ConnCap length accepted")
 	}
 }
@@ -113,7 +113,7 @@ func TestSolveUnroutablePair(t *testing.T) {
 	net.Channels = append(net.Channels, 3)
 	net.SetProber(topo.ExpProber{Alpha: 0})
 	set := buildSet(t, net, []topo.SDPair{{S: 0, D: 3}, {S: 0, D: 1}}, segment.DefaultOptions())
-	sol, err := Solve(set, Options{})
+	sol, err := SolveCtx(nil, set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestSolveUnroutablePair(t *testing.T) {
 }
 
 func TestSolveNilSet(t *testing.T) {
-	if _, err := Solve(nil, Options{}); err == nil {
+	if _, err := SolveCtx(nil, nil, Options{}); err == nil {
 		t.Fatal("nil set accepted")
 	}
 }
@@ -185,7 +185,7 @@ func verifyFeasibility(t *testing.T, set *segment.Set, sol *Solution, caps []int
 func TestSolveMotivationFeasibleAndPositive(t *testing.T) {
 	net, pairs := topo.Motivation()
 	set := buildSet(t, net, pairs, segment.DefaultOptions())
-	sol, err := Solve(set, Options{})
+	sol, err := SolveCtx(nil, set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestSolveMatchesDenseOracle(t *testing.T) {
 				connCap[i] = min(set.Net.Memory[sd.S], set.Net.Memory[sd.D])
 			}
 		}
-		sol, err := Solve(set, Options{ConnCap: connCap})
+		sol, err := SolveCtx(nil, set, Options{ConnCap: connCap})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -433,7 +433,7 @@ func TestSolveZeroSwapProbability(t *testing.T) {
 	net := lineNetwork(3, 100, 3, 10, 0, 0)
 	pairs := []topo.SDPair{{S: 0, D: 2}}
 	set := buildSet(t, net, pairs, segment.DefaultOptions())
-	sol, err := Solve(set, Options{})
+	sol, err := SolveCtx(nil, set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,11 +448,11 @@ func TestSwapWeightedMatchesPlainAtQ1(t *testing.T) {
 	net := lineNetwork(5, 100, 3, 10, 1, 0)
 	pairs := []topo.SDPair{{S: 0, D: 4}}
 	set := buildSet(t, net, pairs, segment.DefaultOptions())
-	plain, err := Solve(set, Options{})
+	plain, err := SolveCtx(nil, set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	weighted, err := Solve(set, Options{SwapWeightedObjective: true})
+	weighted, err := SolveCtx(nil, set, Options{SwapWeightedObjective: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestSwapWeightedPrefersFewJunctions(t *testing.T) {
 	net := lineNetwork(3, 100, 4, 10, 0.5, 0) // q = 0.5, p = 1 (alpha 0)
 	pairs := []topo.SDPair{{S: 0, D: 2}}
 	set := buildSet(t, net, pairs, segment.DefaultOptions())
-	sol, err := Solve(set, Options{SwapWeightedObjective: true})
+	sol, err := SolveCtx(nil, set, Options{SwapWeightedObjective: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +493,7 @@ func TestSwapWeightedObjectiveValue(t *testing.T) {
 	net := lineNetwork(3, 100, 2, 10, 0.8, 0)
 	pairs := []topo.SDPair{{S: 0, D: 2}}
 	set := buildSet(t, net, pairs, segment.DefaultOptions())
-	sol, err := Solve(set, Options{SwapWeightedObjective: true})
+	sol, err := SolveCtx(nil, set, Options{SwapWeightedObjective: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,11 +517,11 @@ func TestSwapWeightedBoundedByPlain(t *testing.T) {
 		opts := segment.DefaultOptions()
 		opts.KPaths = 3
 		set := buildSet(t, net, pairs, opts)
-		plain, err := Solve(set, Options{})
+		plain, err := SolveCtx(nil, set, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		weighted, err := Solve(set, Options{SwapWeightedObjective: true})
+		weighted, err := SolveCtx(nil, set, Options{SwapWeightedObjective: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,12 +551,12 @@ func TestSolveParallelPricingDeterministic(t *testing.T) {
 	set := buildSet(t, net, pairs, segOpts)
 
 	for _, weighted := range []bool{false, true} {
-		base, err := Solve(set, Options{SwapWeightedObjective: weighted, Workers: 1})
+		base, err := SolveCtx(nil, set, Options{SwapWeightedObjective: weighted, Workers: 1})
 		if err != nil {
 			t.Fatalf("weighted=%v workers=1: %v", weighted, err)
 		}
 		for _, workers := range []int{2, 3, 8} {
-			got, err := Solve(set, Options{SwapWeightedObjective: weighted, Workers: workers})
+			got, err := SolveCtx(nil, set, Options{SwapWeightedObjective: weighted, Workers: workers})
 			if err != nil {
 				t.Fatalf("weighted=%v workers=%d: %v", weighted, workers, err)
 			}

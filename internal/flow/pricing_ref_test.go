@@ -300,8 +300,8 @@ func comparePricing(t *testing.T, name string, m *model, rounds []pricingRound) 
 		}
 		expanded, dominance := ps.expanded, ds.expanded
 		for i := range m.set.Pairs {
-			nodes, edges, w := m.layeredPrice(ps, i, r.dualI[i], m.opts.Epsilon)
-			rNodes, rEdges, rw := m.layeredPriceReference(rs, i, r.dualI[i], m.opts.Epsilon)
+			nodes, edges, w := m.layeredPrice(ps, i, r.dualI[i], epsilon)
+			rNodes, rEdges, rw := m.layeredPriceReference(rs, i, r.dualI[i], epsilon)
 			if fmt.Sprint(nodes, edges) != fmt.Sprint(rNodes, rEdges) || math.Float64bits(w) != math.Float64bits(rw) {
 				t.Fatalf("%s round %s commodity %d: got %v %v w=%v, reference %v %v w=%v",
 					name, r.name, i, nodes, edges, w, rNodes, rEdges, rw)
@@ -333,7 +333,7 @@ func trajectoryRounds(t *testing.T, set *segment.Set, opts Options) []pricingRou
 	if err := m.priceRealizations(nil, unitDuals(m.numRows)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.priceColumns(nil, nil, m.opts.Epsilon, priced); err != nil {
+	if err := m.priceColumns(nil, nil, epsilon, priced); err != nil {
 		t.Fatal(err)
 	}
 	for i := range priced {
@@ -350,7 +350,7 @@ func trajectoryRounds(t *testing.T, set *segment.Set, opts Options) []pricingRou
 		if err := m.priceRealizations(nil, duals); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.priceColumns(nil, duals, m.opts.Epsilon, priced); err != nil {
+		if err := m.priceColumns(nil, duals, epsilon, priced); err != nil {
 			t.Fatal(err)
 		}
 		added := 0
@@ -381,12 +381,12 @@ func thresholds(t *testing.T, m *model, rounds []pricingRound) [][]float64 {
 		out[k] = make([]float64, len(m.set.Pairs))
 		for i := range out[k] {
 			out[k][i] = math.NaN()
-			if _, edges, w := m.layeredPriceReference(rs, i, math.Inf(-1), m.opts.Epsilon); edges != nil {
+			if _, edges, w := m.layeredPriceReference(rs, i, math.Inf(-1), epsilon); edges != nil {
 				var cost float64 // summed in layer order, as the DP's dist
 				for _, id := range edges {
 					cost += m.bestCost[id]
 				}
-				out[k][i] = w - cost - m.opts.Epsilon
+				out[k][i] = w - cost - epsilon
 			}
 		}
 	}

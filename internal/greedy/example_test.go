@@ -3,7 +3,10 @@ package greedy_test
 import (
 	"fmt"
 
+	"see/internal/engines"
 	"see/internal/greedy"
+	"see/internal/sched"
+	"see/internal/segment"
 	"see/internal/topo"
 	"see/internal/xrand"
 )
@@ -13,7 +16,12 @@ import (
 // and the swaps, so a fixed seed reproduces the slot exactly.
 func Example() {
 	net, pairs := topo.Motivation()
-	eng, err := greedy.NewEngine(net, pairs, greedy.DefaultOptions())
+	enum, _ := engines.Enumeration(sched.Greedy)
+	set, err := segment.Build(net, pairs, enum)
+	if err != nil {
+		panic(err)
+	}
+	eng, err := greedy.New(set, set.ConnCap(nil), sched.SlotConfig{Algorithm: sched.Greedy})
 	if err != nil {
 		panic(err)
 	}

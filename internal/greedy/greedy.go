@@ -14,7 +14,6 @@
 package greedy
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -24,7 +23,6 @@ import (
 	"see/internal/sched"
 	"see/internal/segment"
 	"see/internal/topo"
-	"see/internal/warm"
 )
 
 // Pricing constants for the planning shortest path: infeasible edges get a
@@ -34,28 +32,6 @@ const (
 	infeasibleWeight = 1e12
 	rejectThreshold  = 1e11
 )
-
-// Options tunes the greedy engine.
-type Options struct {
-	// Segment tunes candidate enumeration; the zero value uses the SEE
-	// defaults (hop cap 10) so the greedy plans over the same segment
-	// catalogue as the engine it substitutes for.
-	Segment segment.Options
-	// Slot is the slot-level configuration the shared sched.Runner
-	// applies; a zero (sched.SEE) Algorithm selects sched.Greedy.
-	Slot sched.SlotConfig
-	// Warm, when non-nil, memoizes the segment-candidate set across engine
-	// (re)builds over the same network (see internal/warm). The engine
-	// solves no LP, so the candidate build is the only cacheable stage.
-	Warm *warm.Cache
-}
-
-// DefaultOptions returns the greedy defaults.
-func DefaultOptions() Options {
-	seg := segment.DefaultOptions()
-	seg.MaxSegmentHops = 10
-	return Options{Segment: seg, Slot: sched.SlotConfig{Algorithm: sched.Greedy}}
-}
 
 // Engine runs greedy time slots over a fixed network and workload.
 type Engine struct {
@@ -75,38 +51,17 @@ type Engine struct {
 
 var _ sched.Stateful = (*Engine)(nil)
 
-// NewEngine enumerates candidates and fixes the greedy plan. It never
-// solves an LP, so unlike the other engines it needs no context/budget
-// variant: construction cost is one Yen enumeration plus a handful of
-// Dijkstra runs.
-func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, error) {
-	if net == nil {
-		return nil, errors.New("greedy: nil network")
-	}
-	if len(pairs) == 0 {
-		return nil, errors.New("greedy: no SD pairs")
-	}
-	if opts.Segment.KPaths == 0 && opts.Segment.MaxSegmentHops == 0 {
-		d := DefaultOptions()
-		opts.Segment = d.Segment
-	}
-	if opts.Slot.Algorithm == 0 {
-		opts.Slot.Algorithm = sched.Greedy
-	}
-	set, err := opts.Warm.SegmentSet(nil, net, pairs, opts.Segment)
-	if err != nil {
-		return nil, fmt.Errorf("greedy: building candidates: %w", err)
-	}
-	connCap := make([]int, len(pairs))
-	for i, sd := range pairs {
-		connCap[i] = min(net.Memory[sd.S], net.Memory[sd.D])
-	}
+// New fixes the greedy plan over the candidate set, with connCap as the
+// per-pair caps N_i, under the slot-level configuration slot. It never
+// solves an LP, so unlike the LP engines it needs no context/budget
+// variant: construction is a handful of Dijkstra runs.
+func New(set *segment.Set, connCap []int, slot sched.SlotConfig) (*Engine, error) {
 	e := &Engine{
-		Net:     net,
-		Pairs:   pairs,
+		Net:     set.Net,
+		Pairs:   set.Pairs,
 		Set:     set,
 		ConnCap: connCap,
-		Runner:  sched.NewRunner(opts.Slot, net, set.CandidateFor),
+		Runner:  sched.NewRunner(slot, set.Net, set.CandidateFor),
 	}
 	if err := e.buildPlan(); err != nil {
 		return nil, fmt.Errorf("greedy: planning: %w", err)

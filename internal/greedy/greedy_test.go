@@ -5,15 +5,27 @@ import (
 	"testing"
 
 	"see/internal/sched"
+	"see/internal/segment"
 	"see/internal/topo"
 	"see/internal/xrand"
 )
 
+// newEngine builds the engine the way engines.New does: SEE's row of the
+// enumeration table in internal/engines (which imports this package), N_i
+// from the network's memory.
+func newEngine(net *topo.Network, pairs []topo.SDPair) (*Engine, error) {
+	set, err := segment.Build(net, pairs, segment.Options{KPaths: 5, MaxSegmentHops: 10, MinProb: 0.05, MaxCandidatesPerPair: 3})
+	if err != nil {
+		return nil, err
+	}
+	return New(set, set.ConnCap(nil), sched.SlotConfig{Algorithm: sched.Greedy})
+}
+
 func TestRunSlotInvariants(t *testing.T) {
 	net, pairs := topo.Motivation()
-	eng, err := NewEngine(net, pairs, DefaultOptions())
+	eng, err := newEngine(net, pairs)
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("newEngine: %v", err)
 	}
 	if got := eng.Algorithm(); got != sched.Greedy {
 		t.Errorf("Algorithm() = %v, want Greedy", got)
@@ -57,9 +69,9 @@ func TestRunSlotInvariants(t *testing.T) {
 func TestDeterministicPerSeed(t *testing.T) {
 	net, pairs := topo.Motivation()
 	run := func() []sched.SlotResult {
-		eng, err := NewEngine(net, pairs, DefaultOptions())
+		eng, err := newEngine(net, pairs)
 		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
+			t.Fatalf("newEngine: %v", err)
 		}
 		rng := xrand.New(42)
 		var out []sched.SlotResult
@@ -90,9 +102,9 @@ func TestRespectsResources(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 	pairs := topo.ChooseSDPairs(net, 8, xrand.New(4))
-	eng, err := NewEngine(net, pairs, DefaultOptions())
+	eng, err := newEngine(net, pairs)
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("newEngine: %v", err)
 	}
 	capTotal := 0
 	for l := 0; l < net.NumLinks(); l++ {

@@ -14,7 +14,6 @@ import (
 	"see/internal/sched"
 	"see/internal/segment"
 	"see/internal/topo"
-	"see/internal/warm"
 	"see/internal/xrand"
 )
 
@@ -184,9 +183,7 @@ func TestPlanMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		pairs := topo.ChooseSDPairs(net, 5+rng.Intn(16), xrand.New(int64(k)+1))
-		opts := DefaultOptions()
-		opts.Warm = warm.New()
-		e, err := NewEngine(net, pairs, opts)
+		e, err := newEngine(net, pairs)
 		if err != nil {
 			t.Fatalf("instance %d: %v", k, err)
 		}

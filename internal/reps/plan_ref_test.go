@@ -164,7 +164,7 @@ func TestProvisionMatchesReference(t *testing.T) {
 		}
 		pairs := topo.ChooseSDPairs(net, 5+rng.Intn(16), xrand.New(int64(k)+1))
 		opts := Options{RoundingSolves: 1 + rng.Intn(6), Warm: warm.New()}
-		e, err := NewEngine(net, pairs, opts)
+		e, err := newEngine(net, pairs, opts)
 		if err != nil {
 			t.Fatalf("instance %d: %v", k, err)
 		}

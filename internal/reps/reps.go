@@ -14,7 +14,6 @@ package reps
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -28,7 +27,8 @@ import (
 	"see/internal/warm"
 )
 
-// Options tunes REPS.
+// Options tunes REPS. The link-candidate set and the per-pair caps are
+// New's arguments: internal/engines decides both for every scheme.
 type Options struct {
 	// RoundingSolves caps the LP re-solves of progressive rounding
 	// (default 6).
@@ -36,12 +36,12 @@ type Options struct {
 	// Flow tunes the underlying LP solves.
 	Flow flow.Options
 	// Slot is the slot-level configuration the shared sched.Runner
-	// applies; REPS always reports sched.REPS whatever its Algorithm says.
+	// applies.
 	Slot sched.SlotConfig
-	// Warm, when non-nil, memoizes the link-candidate set and every
-	// progressive-rounding LP solution across engine (re)builds over the
-	// same network (see internal/warm and the matching field in
-	// core.Options). Bypassed for budgeted construction (non-nil ctx).
+	// Warm, when non-nil, memoizes every progressive-rounding LP solution
+	// across engine (re)builds over the same network (see internal/warm
+	// and the matching field in core.Options). Bypassed for budgeted
+	// construction (non-nil ctx).
 	Warm *warm.Cache
 }
 
@@ -76,44 +76,17 @@ type Engine struct {
 
 var _ sched.Stateful = (*Engine)(nil)
 
-// NewEngine provisions entanglement links for the workload.
-func NewEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, error) {
-	return NewEngineCtx(nil, net, pairs, opts)
-}
-
-// NewEngineCtx is NewEngine with the provisioning LP solves bounded by a
-// context (nil = never cancelled); see core.NewEngineCtx.
-func NewEngineCtx(ctx context.Context, net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, error) {
-	if net == nil {
-		return nil, errors.New("reps: nil network")
-	}
-	if len(pairs) == 0 {
-		return nil, errors.New("reps: no SD pairs")
-	}
+// New provisions entanglement links over the link-candidate set, with
+// connCap as the per-pair caps N_i. ctx (nil = never cancelled) bounds
+// the provisioning LP solves; see core.New.
+func New(ctx context.Context, set *segment.Set, connCap []int, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
-	segOpts := segment.DefaultOptions() // K = 5 Yen paths per SD pair
-	segOpts.MaxSegmentHops = 1          // entanglement links only
-	segOpts.MinProb = 0
-	segOpts.Workers = opts.Flow.Workers
-	// Budgeted construction bypasses the warm cache (see core.NewEngineCtx).
-	set, err := opts.Warm.SegmentSet(ctx, net, pairs, segOpts)
-	if err != nil {
-		return nil, fmt.Errorf("reps: building link candidates: %w", err)
-	}
-	connCap := opts.Flow.ConnCap
-	if connCap == nil {
-		connCap = make([]int, len(pairs))
-		for i, sd := range pairs {
-			connCap[i] = min(net.Memory[sd.S], net.Memory[sd.D])
-		}
-	}
-	opts.Slot.Algorithm = sched.REPS
 	e := &Engine{
-		Net:     net,
-		Pairs:   pairs,
+		Net:     set.Net,
+		Pairs:   set.Pairs,
 		Set:     set,
 		ConnCap: connCap,
-		Runner:  sched.NewRunner(opts.Slot, net, set.CandidateFor),
+		Runner:  sched.NewRunner(opts.Slot, set.Net, set.CandidateFor),
 		opts:    opts,
 	}
 	if err := e.provision(ctx); err != nil {

@@ -4,23 +4,25 @@ import (
 	"testing"
 
 	"see/internal/graph"
+	"see/internal/segment"
 	"see/internal/topo"
 	"see/internal/xrand"
 )
 
-func TestNewEngineValidation(t *testing.T) {
-	net, pairs := topo.Motivation()
-	if _, err := NewEngine(nil, pairs, Options{}); err == nil {
-		t.Fatal("nil network accepted")
+// newEngine builds the engine the way engines.New does for REPS: the
+// link-only row of the enumeration table in internal/engines (which
+// imports this package), N_i from the network's memory.
+func newEngine(net *topo.Network, pairs []topo.SDPair, opts Options) (*Engine, error) {
+	set, err := segment.Build(net, pairs, segment.Options{KPaths: 5, MaxSegmentHops: 1, MaxCandidatesPerPair: 3})
+	if err != nil {
+		return nil, err
 	}
-	if _, err := NewEngine(net, nil, Options{}); err == nil {
-		t.Fatal("empty pairs accepted")
-	}
+	return New(nil, set, set.ConnCap(nil), opts)
 }
 
 func TestProvisionUsesOnlyLinks(t *testing.T) {
 	net, pairs := topo.Motivation()
-	e, err := NewEngine(net, pairs, Options{})
+	e, err := newEngine(net, pairs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func TestProvisionRespectsCapacities(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := topo.ChooseSDPairs(net, 6, xrand.New(5))
-	e, err := NewEngine(net, pairs, Options{})
+	e, err := newEngine(net, pairs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func TestProvisionRespectsCapacities(t *testing.T) {
 
 func TestRunSlotDeterministicAndSane(t *testing.T) {
 	net, pairs := topo.Motivation()
-	e, err := NewEngine(net, pairs, Options{})
+	e, err := newEngine(net, pairs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestRunSlotDeterministicAndSane(t *testing.T) {
 // strictly below the SEE ideal 1.489.
 func TestMotivationThroughputBand(t *testing.T) {
 	net, pairs := topo.Motivation()
-	e, err := NewEngine(net, pairs, Options{})
+	e, err := newEngine(net, pairs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestPerfectNetworkSaturatesChannels(t *testing.T) {
 	// capacity for the single pair.
 	net := perfectLine(4, 3, 10)
 	pairs := []topo.SDPair{{S: 0, D: 3}}
-	e, err := NewEngine(net, pairs, Options{})
+	e, err := newEngine(net, pairs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,7 +196,8 @@ type Engine interface {
 	// UpperBound returns the engine's LP planning value. For the default
 	// swap-survival-weighted objective this bounds the expected
 	// single-pass throughput; retry-based establishment (backed by
-	// redundant segments) can deliver somewhat more.
+	// redundant segments) can deliver more, so it is a planning value,
+	// not a bound on delivered throughput.
 	UpperBound() float64
 }
 

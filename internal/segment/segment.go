@@ -407,6 +407,19 @@ func (s *Set) Best(a, b int) *Candidate {
 	return list[0]
 }
 
+// ConnCap returns the per-SD-pair connection cap N_i = min(m_s, m_d) of
+// formulation (1), read from memory (nil = the network's memory table).
+func (s *Set) ConnCap(memory []int) []int {
+	if memory == nil {
+		memory = s.Net.Memory
+	}
+	caps := make([]int, len(s.Pairs))
+	for i, sd := range s.Pairs {
+		caps[i] = min(memory[sd.S], memory[sd.D])
+	}
+	return caps
+}
+
 // NumPairsWithCandidates returns how many endpoint pairs have candidates.
 func (s *Set) NumPairsWithCandidates() int { return len(s.ByPair) }
 

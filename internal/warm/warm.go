@@ -39,7 +39,8 @@
 // no lookup, no insert, no stats — so degradation behavior under
 // -slot-budget is exactly what it would be without a cache. SegmentSet and
 // Solve make that decision themselves, and a nil *Cache builds cold the
-// same way, so engine constructors call them unconditionally.
+// same way, so internal/engines (segment sets) and the LP engines
+// (solutions) call them unconditionally.
 //
 // All returned artifacts are shared and must be treated as immutable,
 // which they already are everywhere in the engine layer.
@@ -103,7 +104,6 @@ type solveEntry struct {
 // package comment).
 type solveKey struct {
 	maxRounds             int
-	epsilon               float64
 	dropDeadLinks         bool
 	swapWeightedObjective bool
 	maxJunctions          int
@@ -116,7 +116,6 @@ type solveKey struct {
 func makeSolveKey(o flow.Options) solveKey {
 	return solveKey{
 		maxRounds:             o.MaxRounds,
-		epsilon:               o.Epsilon,
 		dropDeadLinks:         o.DropDeadLinks,
 		swapWeightedObjective: o.SwapWeightedObjective,
 		maxJunctions:          o.MaxJunctions,
@@ -129,7 +128,6 @@ func makeSolveKey(o flow.Options) solveKey {
 
 func (k solveKey) equal(o solveKey) bool {
 	return k.maxRounds == o.maxRounds &&
-		k.epsilon == o.epsilon &&
 		k.dropDeadLinks == o.dropDeadLinks &&
 		k.swapWeightedObjective == o.swapWeightedObjective &&
 		k.maxJunctions == o.maxJunctions &&
