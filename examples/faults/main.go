@@ -1,6 +1,7 @@
 // Faults demonstrates the robustness layer: deterministic fault injection
 // (node crashes, link outages, memory decoherence) and graceful degradation of the LP scheduler to the greedy fallback when
-// its solve budget is exceeded. Every event streams to a JSONL trace.
+// its solve budget is exceeded. Every event streams to a JSONL trace, written
+// into a temporary directory that is removed on exit.
 package main
 
 import (
@@ -18,11 +19,26 @@ import (
 const slots = 5
 
 func main() {
+	dir, err := os.MkdirTemp("", "see-faults-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	err = run(filepath.Join(dir, "see-faults.jsonl"))
+	if rmErr := os.RemoveAll(dir); err == nil {
+		err = rmErr
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the demonstration, streaming the faulty run's events to trace.
+func run(trace string) error {
 	cfg := see.DefaultNetworkConfig()
 	cfg.Nodes = 60
 	net, pairs, err := see.GenerateNetwork(cfg, 8, 42)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	st := net.Stats()
 	fmt.Printf("network: %d nodes, %d links, %d SD pairs\n", st.Nodes, st.Links, len(pairs))
@@ -32,85 +48,98 @@ func main() {
 	spec := "seed=7;node=3@1-;link=10@2-3;decohere=0.02"
 	plan, err := see.ParseFaultSpec(spec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("fault plan: %s\n\n", plan)
 
 	// Baseline: the same instance without faults.
 	fmt.Printf("=== SEE, no faults ===\n")
-	clean := runSEE(net, pairs, &see.SchedulerOptions{})
+	clean, err := runSEE(net, pairs, &see.SchedulerOptions{})
+	if err != nil {
+		return err
+	}
 
 	// Same instance, same slot seeds, faults on. Every fault decision is
 	// derived from the plan seed, so this run is fully reproducible — and
 	// a zero plan would be byte-identical to the run above.
 	fmt.Printf("\n=== SEE, faults injected ===\n")
 	tracer := see.NewCountingTracer()
-	trace := filepath.Join(os.TempDir(), "see-faults.jsonl")
 	f, err := os.Create(trace)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	jt := see.NewJSONLTracer(f)
-	faulty := runSEE(net, pairs, &see.SchedulerOptions{
+	faulty, err := runSEE(net, pairs, &see.SchedulerOptions{
 		Faults: plan,
 		Tracer: see.MultiTracer(tracer, jt),
 	})
-	if err := jt.Close(); err != nil {
-		log.Fatal(err)
+	if closeErr := jt.Close(); err == nil {
+		err = closeErr
+	}
+	if err != nil {
+		return err
 	}
 	c := tracer.Counts()
 	fmt.Printf("incidents: faults=%d degraded=%d\n",
 		c.IncidentCount(see.IncidentFault),
 		c.IncidentCount(see.IncidentDegraded))
 	fmt.Printf("throughput: %d established without faults, %d with\n", clean, faulty)
-	showTrace(trace)
+	if err := showTrace(trace); err != nil {
+		return err
+	}
 
 	// Degradation ladder: an impossible 1ns solve budget forces every slot
 	// onto the greedy non-LP fallback — the slots still complete and
 	// establish connections instead of the run aborting.
 	fmt.Printf("\n=== SEE, 1ns solve budget (forced degradation) ===\n")
 	degTracer := see.NewCountingTracer()
-	degraded := runSEE(net, pairs, &see.SchedulerOptions{
+	degraded, err := runSEE(net, pairs, &see.SchedulerOptions{
 		SlotBudget: time.Nanosecond,
 		Tracer:     degTracer,
 	})
+	if err != nil {
+		return err
+	}
 	dc := degTracer.Counts()
 	fmt.Printf("degraded slots: %d, LP retries: %d, established: %d\n",
 		dc.IncidentCount(see.IncidentDegraded), dc.IncidentCount(see.IncidentRetry), degraded)
+	return nil
 }
 
 // runSEE runs the fixed slot schedule and returns total established
 // connections. Every run uses the same slot seeds so the configurations
 // are comparable.
-func runSEE(net *see.Network, pairs []see.SDPair, opts *see.SchedulerOptions) int {
+func runSEE(net *see.Network, pairs []see.SDPair, opts *see.SchedulerOptions) (int, error) {
 	sched, err := see.NewScheduler(see.SEE, net, pairs, opts)
 	if err != nil {
-		log.Fatal(err)
+		return 0, err
 	}
 	rng := rand.New(rand.NewSource(7))
 	total := 0
 	for s := 0; s < slots; s++ {
 		res, err := sched.RunSlot(rng)
 		if err != nil {
-			log.Fatal(err)
+			return 0, err
 		}
 		fmt.Printf("slot %d: %3d attempts, %3d segments, %2d established\n",
 			s, res.Attempts, res.SegmentsCreated, res.Established)
 		total += res.Established
 	}
-	return total
+	return total, nil
 }
 
-// showTrace prints the first few JSONL events of the streamed slot log.
-func showTrace(path string) {
+// showTrace prints the first few JSONL events of the streamed slot log,
+// naming the file without its temporary directory so the output is the
+// same on every run.
+func showTrace(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	lines := 0
 	sc := bufio.NewScanner(f)
-	fmt.Printf("JSONL trace (%s):\n", path)
+	fmt.Printf("JSONL trace (%s):\n", filepath.Base(path))
 	for sc.Scan() {
 		if lines < 4 {
 			fmt.Printf("  %s\n", sc.Text())
@@ -118,4 +147,5 @@ func showTrace(path string) {
 		lines++
 	}
 	fmt.Printf("  ... %d events total\n", lines)
+	return sc.Err()
 }

@@ -125,8 +125,9 @@ type Engine struct {
 	recovery qnet.AttemptPlan
 	expected float64
 	opts     Options
-	// avail is the recovery pass's reusable per-pair segment count.
-	avail map[segment.PairKey]int
+	// avail is the recovery pass's reusable segment count per endpoint
+	// pair, indexed by the set's pair index (segment.Candidate.PairID).
+	avail []int
 }
 
 var _ sched.Stateful = (*Engine)(nil)
@@ -142,7 +143,7 @@ func New(set *segment.Set, connCap []int, opts Options) (*Engine, error) {
 		ConnCap: connCap,
 		Runner:  sched.NewRunner(opts.Slot, set.Net, set.CandidateFor),
 		opts:    opts,
-		avail:   make(map[segment.PairKey]int),
+		avail:   make([]int, len(set.EdgePairs)),
 	}
 	if err := e.buildPlan(); err != nil {
 		return nil, fmt.Errorf("contend: planning: %w", err)
@@ -410,12 +411,11 @@ func (e *Engine) buildPlanOffline() error {
 // assemble the planned paths from realized segments (retrying on redundant
 // segments like the other engines).
 func (e *Engine) RunSlot(rng *rand.Rand) (*sched.SlotResult, error) {
-	return e.Run(e, rng, &sched.SlotResult{
+	return e.Run(e, rng, sched.SlotResult{
 		LPObjective:      e.expected,
 		PlannedPaths:     len(e.paths),
 		ProvisionedPaths: len(e.paths),
-		PerPair:          make([]int, len(e.Pairs)),
-	})
+	}, len(e.Pairs))
 }
 
 // PlanPhase implements sched.SlotPhases: the fixed paths.
@@ -437,25 +437,21 @@ func (e *Engine) PhysicalHook(s *sched.Slot) {
 	avail := e.avail
 	clear(avail)
 	for _, seg := range s.Withdrawn {
-		avail[seg.Pair()]++
+		e.count(seg)
 	}
 	for _, seg := range s.Created {
-		avail[seg.Pair()]++
+		e.count(seg)
 	}
 	recoveryFired := 0
 	for _, pp := range e.paths {
 		for _, h := range pp.hops {
-			if h.recovery == nil || avail[h.pair] > 0 {
+			// A hop's candidates are the set's own, so PairID indexes
+			// avail; the recovery realization shares the hop's pair.
+			if h.recovery == nil || avail[h.cand.PairID] > 0 {
 				continue
 			}
 			recoveryFired += h.recAttempts
-			recCreated := qnet.AttemptAll(qnet.AttemptPlan{{Cand: h.recovery, N: h.recAttempts}}, s.Rng, s.Faults, s.ObserveAttempt)
-			s.Result.SegmentsCreated += len(recCreated)
-			recCreated, _ = qnet.ApplyDecoherence(recCreated, s.Faults)
-			for _, seg := range recCreated {
-				avail[seg.Pair()]++
-			}
-			s.Created = append(s.Created, recCreated...)
+			avail[h.cand.PairID] += len(s.Attempt(qnet.AttemptPlan{{Cand: h.recovery, N: h.recAttempts}}))
 		}
 	}
 	if recoveryFired > 0 {
@@ -463,8 +459,19 @@ func (e *Engine) PhysicalHook(s *sched.Slot) {
 	}
 }
 
+// count adds a pooled segment to avail. A segment whose candidate is the
+// set's own is counted by its PairID; any other (a restored segment
+// without one) by its pair's key, if the set has the pair at all.
+func (e *Engine) count(seg *qnet.Segment) {
+	if c := seg.Cand; c != nil && c.PairID < len(e.Set.EdgePairs) && e.Set.EdgePairs[c.PairID] == seg.Pair() {
+		e.avail[c.PairID]++
+	} else if id, ok := e.Set.EdgeOf[seg.Pair()]; ok {
+		e.avail[id]++
+	}
+}
+
 // StitchPhase implements sched.SlotPhases: the fixed paths.
-func (e *Engine) StitchPhase(s *sched.Slot) ([]*qnet.Connection, int, int) {
+func (e *Engine) StitchPhase(s *sched.Slot) (assembled, floorRejected int) {
 	return e.fixed.StitchPhase(s)
 }
 

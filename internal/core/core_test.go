@@ -60,6 +60,7 @@ func TestRunSlotDeterministicPerSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	a = a.Clone() // the next slot reuses the result
 	b, err := e.RunSlot(xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +303,7 @@ func TestESCLedgerNeverOverdraws(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 60; seed++ {
-		planned := e.identifyPathsLP(e.LP, xrand.New(seed))
+		planned := e.identifyPathsLP(nil, e.LP, xrand.New(seed))
 		plan, provisioned, err := e.createSegmentsPlanScratch(planned, e.scratch())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -375,7 +376,7 @@ func (p *stitchOnly) PhysicalHook(s *sched.Slot) {
 	p.e.scratch().provisioned = p.provisioned
 }
 
-func (p *stitchOnly) StitchPhase(s *sched.Slot) ([]*qnet.Connection, int, int) {
+func (p *stitchOnly) StitchPhase(s *sched.Slot) (assembled, floorRejected int) {
 	return p.e.StitchPhase(s)
 }
 
@@ -383,8 +384,7 @@ func (p *stitchOnly) StitchPhase(s *sched.Slot) ([]*qnet.Connection, int, int) {
 // and the assembly attempts (established + swap-failed).
 func runECE(t *testing.T, e *Engine, provisioned []PlannedPath, segs []*qnet.Segment, rng *rand.Rand) ([]*qnet.Connection, int) {
 	t.Helper()
-	res, err := e.Run(&stitchOnly{e: e, provisioned: provisioned, segs: segs}, rng,
-		&sched.SlotResult{PerPair: make([]int, len(e.Pairs))})
+	res, err := e.Run(&stitchOnly{e: e, provisioned: provisioned, segs: segs}, rng, sched.SlotResult{}, len(e.Pairs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestEPIPlannedExpectationMatchesLP(t *testing.T) {
 	counts := make([]float64, len(e.Pairs))
 	rng := xrand.New(99)
 	for r := 0; r < rounds; r++ {
-		for _, p := range e.identifyPathsLP(e.LP, rng) {
+		for _, p := range e.identifyPathsLP(nil, e.LP, rng) {
 			counts[p.Commodity]++
 		}
 	}
@@ -498,7 +498,7 @@ func TestEPISamplesAllPositiveFlowPaths(t *testing.T) {
 	seen := make(map[string]bool)
 	rng := xrand.New(5)
 	for r := 0; r < 5000; r++ {
-		for _, p := range e.identifyPathsLP(e.LP, rng) {
+		for _, p := range e.identifyPathsLP(nil, e.LP, rng) {
 			seen[fmt.Sprintf("%d:%v", p.Commodity, p.Nodes)] = true
 		}
 	}
@@ -532,7 +532,7 @@ func TestESCCoverageInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		for seed := int64(0); seed < 20; seed++ {
-			planned := e.identifyPathsLP(e.LP, xrand.New(seed))
+			planned := e.identifyPathsLP(nil, e.LP, xrand.New(seed))
 			plan, provisioned, err := e.createSegmentsPlanScratch(planned, e.scratch())
 			if err != nil {
 				t.Fatal(err)
@@ -617,12 +617,13 @@ func TestECEAgainstMaxFlowBound(t *testing.T) {
 	achievedTotal, boundTotal := 0, 0
 	for seed := int64(0); seed < 25; seed++ {
 		rng := xrand.New(seed)
-		planned := e.identifyPathsLP(e.LP, rng)
+		planned := e.identifyPathsLP(nil, e.LP, rng)
 		plan, provisioned, err := e.createSegmentsPlanScratch(planned, e.scratch())
 		if err != nil {
 			t.Fatal(err)
 		}
-		created := qnet.AttemptAll(plan, rng, nil, nil)
+		var arena qnet.Arena
+		created := arena.Attempt(nil, plan, rng, nil, nil)
 		// Max-flow bound over realized segment multiplicities.
 		counts := map[segment.PairKey]int{}
 		for _, s := range created {

@@ -140,10 +140,7 @@ func New(ctx context.Context, set *segment.Set, connCap []int, opts Options) (*E
 // physical phase and swapping; a fixed rng state reproduces the slot
 // exactly (tracers observe outcomes but never consume randomness).
 func (e *Engine) RunSlot(rng *rand.Rand) (*sched.SlotResult, error) {
-	return e.Run(e, rng, &sched.SlotResult{
-		LPObjective: e.LP.Objective,
-		PerPair:     make([]int, len(e.Pairs)),
-	})
+	return e.Run(e, rng, sched.SlotResult{LPObjective: e.LP.Objective}, len(e.Pairs))
 }
 
 // PlanPhase implements sched.SlotPhases with step i, EPI. With carry-aware
@@ -158,7 +155,7 @@ func (e *Engine) PlanPhase(s *sched.Slot) bool {
 		}
 	}
 	sc := e.scratch()
-	sc.planned = e.identifyPathsLP(lp, s.Rng)
+	sc.planned = e.identifyPathsLP(sc.planned[:0], lp, s.Rng)
 	s.Result.PlannedPaths = len(sc.planned)
 	if s.Traced {
 		for _, p := range sc.planned {
@@ -202,7 +199,7 @@ func (e *Engine) PhysicalHook(*sched.Slot) {}
 // is what makes redundant provisioning compensate swapping losses (and it
 // is the only reading under which the paper's Fig. 5 scaling and the
 // SEE→E2E convergence at low q are reproducible).
-func (e *Engine) StitchPhase(s *sched.Slot) ([]*qnet.Connection, int, int) {
+func (e *Engine) StitchPhase(s *sched.Slot) (assembled, floorRejected int) {
 	sc := e.scratch()
 	// The provisioned paths as the Runner's fixed paths, over buffers
 	// recycled from the slot scratch.
@@ -215,9 +212,9 @@ func (e *Engine) StitchPhase(s *sched.Slot) ([]*qnet.Connection, int, int) {
 		fixed = append(fixed, sched.FixedPath{Commodity: p.Commodity, Nodes: p.Nodes, Hops: keys[from:]})
 	}
 	sc.fixed, sc.hopKeys = fixed, keys
-	conns, assembled, floorRejected := s.StitchFixed(fixed, e.ConnCap)
-	more, a, f := s.StitchRoutes(e.Pairs, e.ConnCap)
-	return append(conns, more...), assembled + a, floorRejected + f
+	assembled, floorRejected = s.StitchFixed(fixed, e.ConnCap)
+	a, f := s.StitchRoutes(e.Pairs, e.ConnCap)
+	return assembled + a, floorRejected + f
 }
 
 // carryAwareSolve re-prices the LP with the slot's banked inventory folded

@@ -32,8 +32,9 @@ type PlannedPath struct {
 //
 // Rounding over the engine's fixed LP uses the cached EPI tables; a
 // slot-local solution (the carry-aware re-solve) derives its own tables
-// for the slot.
-func (e *Engine) identifyPathsLP(sol *flow.Solution, rng *rand.Rand) []PlannedPath {
+// for the slot. The planned paths are appended to dst, which is returned
+// extended, so the slot scratch reuses one buffer.
+func (e *Engine) identifyPathsLP(dst []PlannedPath, sol *flow.Solution, rng *rand.Rand) []PlannedPath {
 	// The per-commodity grouping and sampling weights are pure functions of
 	// the LP solution, derived once per solution instead of per slot.
 	var perCommodity [][]flow.PathFlow
@@ -43,7 +44,7 @@ func (e *Engine) identifyPathsLP(sol *flow.Solution, rng *rand.Rand) []PlannedPa
 	} else {
 		perCommodity, allWeights = deriveEpiTables(len(e.Pairs), sol)
 	}
-	var out []PlannedPath
+	out := dst
 	for i, paths := range perCommodity {
 		if len(paths) == 0 {
 			continue

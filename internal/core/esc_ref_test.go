@@ -243,7 +243,7 @@ func TestESCMatchesReference(t *testing.T) {
 		}
 		sc := e.scratch()
 		for slot := 0; slot < 15; slot++ {
-			planned := e.identifyPathsLP(e.LP, rng)
+			planned := e.identifyPathsLP(nil, e.LP, rng)
 			if slot%3 == 2 {
 				rng.Shuffle(len(planned), func(i, j int) { planned[i], planned[j] = planned[j], planned[i] })
 				planned = append(planned, planned[:len(planned)/2]...)

@@ -37,7 +37,7 @@ func runEngine(t *testing.T, eng sched.Engine, slots int) []sched.SlotResult {
 		if err != nil {
 			t.Fatalf("RunSlot(%v): %v", alg, err)
 		}
-		out = append(out, *res)
+		out = append(out, *res.Clone())
 	}
 	return out
 }
@@ -195,8 +195,8 @@ func TestResilientHealthy(t *testing.T) {
 				if err != nil {
 					t.Fatalf("slot %d: %v", s, err)
 				}
-				if !reflect.DeepEqual(*res, plain[s]) {
-					t.Fatalf("slot %d diverged from plain engine:\nplain:     %+v\nresilient: %+v", s, plain[s], *res)
+				if got := *res.Clone(); !reflect.DeepEqual(got, plain[s]) {
+					t.Fatalf("slot %d diverged from plain engine:\nplain:     %+v\nresilient: %+v", s, plain[s], got)
 				}
 			}
 			c := tr.Counts()

@@ -162,13 +162,20 @@ func (sc *DijkstraScratch) appendPath(dst Path, s, t int) Path {
 // otherwise. Returns (nil, Unreachable) when no path exists. Afterwards
 // PrevEdge reads the edge IDs along the path.
 func ShortestPathTarget(g *Graph, s, t int, bound float64, opts DijkstraOptions, sc *DijkstraScratch) (Path, float64) {
+	return AppendShortestPathTarget(nil, g, s, t, bound, opts, sc)
+}
+
+// AppendShortestPathTarget is ShortestPathTarget appending the path's
+// nodes to dst, so a caller can reuse one buffer. It returns the extended
+// slice, or dst unchanged and Unreachable when there is no path.
+func AppendShortestPathTarget(dst Path, g *Graph, s, t int, bound float64, opts DijkstraOptions, sc *DijkstraScratch) (Path, float64) {
 	if sc == nil {
 		sc = &DijkstraScratch{}
 	}
 	if t < 0 || t >= g.N() || !sc.search(g, s, t, bound, opts, nil) {
-		return nil, Unreachable
+		return dst, Unreachable
 	}
-	return sc.appendPath(nil, s, t), sc.dist[t]
+	return sc.appendPath(dst, s, t), sc.dist[t]
 }
 
 // PrevEdge returns the ID of the edge the last search reached v by: for

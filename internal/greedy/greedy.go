@@ -182,12 +182,11 @@ func expectedEstablished(net *topo.Network, nodes graph.Path, hops []hop) float6
 // segments allow retries, like ECE's provisioned pass).
 func (e *Engine) RunSlot(rng *rand.Rand) (*sched.SlotResult, error) {
 	n := len(e.fixed.Paths)
-	return e.Run(&e.fixed, rng, &sched.SlotResult{
+	return e.Run(&e.fixed, rng, sched.SlotResult{
 		LPObjective:      e.expected,
 		PlannedPaths:     n,
 		ProvisionedPaths: n,
-		PerPair:          make([]int, len(e.Pairs)),
-	})
+	}, len(e.Pairs))
 }
 
 // UpperBound returns the heuristic expected established count of the fixed

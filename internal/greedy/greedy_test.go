@@ -80,7 +80,7 @@ func TestDeterministicPerSeed(t *testing.T) {
 			if err != nil {
 				t.Fatalf("RunSlot: %v", err)
 			}
-			out = append(out, *res)
+			out = append(out, *res.Clone())
 		}
 		return out
 	}

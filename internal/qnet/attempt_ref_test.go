@@ -15,7 +15,7 @@ import (
 // attemptAllReference is the physical phase as it ran over map-keyed
 // plans: it sorts the candidates by endpoint pair, then topo.Key of the
 // path, and fires each one's attempts in that order.
-// TestAttemptAllMatchesReference pins AttemptAll to it.
+// TestAttemptAllMatchesReference pins Arena.Attempt to it.
 func attemptAllReference(plan map[*segment.Candidate]int, rng *rand.Rand, fm FaultModel, obs AttemptObserver) []*Segment {
 	cm, _ := fm.(CapacityModel)
 	sorted := make([]*segment.Candidate, 0, len(plan))
@@ -109,8 +109,9 @@ func (f brownoutFaults) CapAttempts(c *segment.Candidate, want int) int {
 	return want
 }
 
-// TestAttemptAllMatchesReference fires random plans through AttemptAll
-// and attemptAllReference from equal rng states, under no fault model, a
+// TestAttemptAllMatchesReference fires random plans through Arena.Attempt
+// (one arena, reset between plans, so its storage is reused) and
+// attemptAllReference from equal rng states, under no fault model, a
 // blocking model and a brownout model whose budgets run out mid-plan,
 // with and without an observer. The plans are built through one reused
 // PlanBuilder from scattered adds and rolled-back candidates. Both must
@@ -122,6 +123,8 @@ func TestAttemptAllMatchesReference(t *testing.T) {
 		ok bool
 	}
 	var b PlanBuilder
+	var arena Arena
+	var dst []*Segment
 	for trial := 0; trial < 60; trial++ {
 		rng := xrand.New(int64(trial))
 		cfg := topo.DefaultConfig()
@@ -197,7 +200,9 @@ func TestAttemptAllMatchesReference(t *testing.T) {
 				}
 				seed := rng.Int63()
 				gotRng, wantRng := xrand.New(seed), xrand.New(seed)
-				got := AttemptAll(plan, gotRng, model(), gotObs)
+				arena.Reset()
+				got := arena.Attempt(dst[:0], plan, gotRng, model(), gotObs)
+				dst = got
 				want := attemptAllReference(ref, wantRng, model(), wantObs)
 				if !slices.EqualFunc(got, want, func(a, b *Segment) bool { return *a == *b }) {
 					t.Fatalf("trial %d %s observed=%v: %d segments, reference %d (or different ones)", trial, name, observed, len(got), len(want))

@@ -16,7 +16,7 @@ func binomialZ(k, n int, p float64) float64 {
 }
 
 // The physical phase samples the paper's segment model: over 10⁵
-// AttemptAll attempts, every candidate's created/attempted ratio matches
+// Arena.Attempt attempts, every candidate's created/attempted ratio matches
 // its p = e^{−αl} + δ (PAPER.md §1, step 3) within a binomial |z| ≤ 5. The
 // model p is computed here from the candidate's links, not read from the
 // candidate, and δ stays within its ±Delta band.
@@ -52,7 +52,7 @@ func TestAttemptAllConformsToSegmentModel(t *testing.T) {
 			if math.Abs(c.Prob-p) > 1e-12 {
 				t.Errorf("candidate %v: Prob %v, model p %v", c.Path, c.Prob, p)
 			}
-			created := len(AttemptAll(AttemptPlan{{Cand: c, N: attempts}}, rng, nil, nil))
+			created := len(attemptFresh(AttemptPlan{{Cand: c, N: attempts}}, rng, nil, nil))
 			if z := binomialZ(created, attempts, p); math.Abs(z) > 5 {
 				t.Errorf("candidate %v (%.0f km): created %d/%d = %.4f, p = %.4f, z = %.1f",
 					c.Path, l, created, attempts, float64(created)/attempts, p, z)

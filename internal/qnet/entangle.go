@@ -26,6 +26,10 @@ type Segment struct {
 	// The state bank stamps it at withdrawal from the segment's banked
 	// age, so carried segments arrive degraded.
 	wernerScale float64
+	// born is one more than the creation slot the state bank stamped at
+	// withdrawal, so a re-deposit keeps the segment's age; 0 for a
+	// segment the bank never held.
+	born int
 }
 
 // Pair returns the endpoint pair key.
@@ -46,6 +50,23 @@ func (s *Segment) WernerScale() float64 {
 // SetWernerScale stamps the age-decay multiplier (the state bank calls it
 // at withdrawal; values are clamped to [0,1] by construction there).
 func (s *Segment) SetWernerScale(w float64) { s.wernerScale = w }
+
+// BankBirth returns the creation slot the state bank stamped on the
+// segment at withdrawal, and false for a segment the bank never held.
+func (s *Segment) BankBirth() (slot int, ok bool) { return s.born - 1, s.born > 0 }
+
+// SetBankBirth stamps the segment's creation slot (the state bank calls it
+// at withdrawal, so an unconsumed re-deposit keeps the segment's age).
+func (s *Segment) SetBankBirth(slot int) { s.born = slot + 1 }
+
+// lengthOf is the fibre length a segment's fidelity decays over: its
+// candidate's route length (segment.Candidate.LengthKM), 0 without one.
+func lengthOf(s *Segment) float64 {
+	if s.Cand == nil {
+		return 0
+	}
+	return s.Cand.LengthKM
+}
 
 // PlanEntry is one candidate realization with the number of creation
 // attempts reserved for it (an x^k_uv of the paper).
@@ -164,9 +185,41 @@ type CapacityModel interface {
 	CapAttempts(c *segment.Candidate, want int) int
 }
 
-// AttemptAll performs the physical phase: every reserved attempt succeeds
-// independently with its candidate's probability, in plan order, so a
-// fixed rng yields a fixed outcome.
+// arenaChunk is the number of segments in one Arena chunk.
+const arenaChunk = 256
+
+// Arena is slot-scoped Segment storage: the physical phase realizes a
+// slot's segments into it, and Reset hands the storage back at the next
+// slot's start. Segments live in fixed-size chunks that are never moved,
+// so a pointer stays valid while more segments are appended, until the
+// next Reset. Anything that outlives the slot (the state bank) copies
+// segments out by value. The zero value is ready to use.
+type Arena struct {
+	chunks [][]Segment
+	n      int // segments in use
+}
+
+// Reset releases every segment for reuse. Pointers handed out before it
+// are dead afterwards.
+func (a *Arena) Reset() { a.n = 0 }
+
+// add stores a fresh segment of candidate c and returns its address.
+func (a *Arena) add(c *segment.Candidate) *Segment {
+	ci, off := a.n/arenaChunk, a.n%arenaChunk
+	if ci == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]Segment, arenaChunk))
+	}
+	s := &a.chunks[ci][off]
+	*s = Segment{A: c.U(), B: c.V(), Cand: c}
+	a.n++
+	return s
+}
+
+// Attempt performs a plan's creation attempts: every reserved attempt
+// succeeds independently with its candidate's probability, in plan order,
+// so a fixed rng yields a fixed outcome. Realized segments are stored in
+// the arena and appended to dst, in creation order; the extended slice is
+// returned.
 //
 // Every argument after rng may be nil. Under a fault model, attempts whose
 // candidate is blocked fail deterministically, consuming no randomness, so
@@ -174,15 +227,8 @@ type CapacityModel interface {
 // is a pure function of (engine seed, fault plan). The observer sees every
 // attempt in the same deterministic order and does not affect the rng
 // stream.
-func AttemptAll(plan AttemptPlan, rng *rand.Rand, fm FaultModel, obs AttemptObserver) []*Segment {
+func (a *Arena) Attempt(dst []*Segment, plan AttemptPlan, rng *rand.Rand, fm FaultModel, obs AttemptObserver) []*Segment {
 	cm, _ := fm.(CapacityModel)
-	// One slab allocation for every possible success this slot: successes
-	// never exceed attempts, so append never regrows and pointers into the
-	// slab stay valid for as long as any segment is referenced. Realized
-	// segments are never recycled: banked segments outlive their slot.
-	total := plan.TotalAttempts()
-	slab := make([]Segment, 0, total)
-	out := make([]*Segment, 0, total)
 	for _, e := range plan {
 		c := e.Cand
 		if fm != nil && fm.CandidateBlocked(c) {
@@ -202,8 +248,7 @@ func AttemptAll(plan AttemptPlan, rng *rand.Rand, fm FaultModel, obs AttemptObse
 		for k := 0; k < granted; k++ {
 			created := xrand.Bernoulli(rng, c.Prob)
 			if created {
-				slab = append(slab, Segment{A: c.U(), B: c.V(), Cand: c})
-				out = append(out, &slab[len(slab)-1])
+				dst = append(dst, a.add(c))
 			}
 			if obs != nil {
 				obs(c, created)
@@ -215,10 +260,7 @@ func AttemptAll(plan AttemptPlan, rng *rand.Rand, fm FaultModel, obs AttemptObse
 			}
 		}
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return dst
 }
 
 // ApplyDecoherence filters realized segments through the fault model's
@@ -259,6 +301,32 @@ type Connection struct {
 	// use, over Segments only — spares replace measured photons, they do
 	// not change the delivered pair count or composition length.
 	Fidelity float64
+}
+
+// Clone returns a deep copy of the connection: its own node sequence and
+// copies of its segments and spares (their candidates shared). Empty
+// segment lists come back nil, as a freshly assembled connection has them,
+// whatever backing array a reused connection kept.
+func (c *Connection) Clone() *Connection {
+	out := *c
+	out.Nodes = slices.Clone(c.Nodes)
+	out.Segments = cloneSegments(c.Segments)
+	out.Spares = cloneSegments(c.Spares)
+	return &out
+}
+
+// cloneSegments copies each segment into one fresh backing array.
+func cloneSegments(segs []*Segment) []*Segment {
+	if len(segs) == 0 {
+		return nil
+	}
+	vals := make([]Segment, len(segs))
+	out := make([]*Segment, len(segs))
+	for i, s := range segs {
+		vals[i] = *s
+		out[i] = &vals[i]
+	}
+	return out
 }
 
 // Junctions returns the intermediate nodes that must perform quantum
@@ -349,12 +417,7 @@ func (c *Connection) EstablishOrderedObserved(net *topo.Network, pool *Pool, hop
 		}
 	}
 	if established {
-		c.Fidelity = DefaultFidelityModel().PredictFidelity(c.Segments, func(s *Segment) float64 {
-			if s.Cand == nil {
-				return 0
-			}
-			return net.PathLengthKM(s.Cand.Path)
-		})
+		c.Fidelity = DefaultFidelityModel().PredictFidelity(c.Segments, lengthOf)
 	}
 	return established
 }

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"see/internal/topo"
 )
 
 // FidelityModel estimates end-to-end entanglement fidelity under a
@@ -212,15 +210,14 @@ func parseFloor(s string) (float64, error) {
 type FloorPolicy struct {
 	floors *FloorSpec
 	model  FidelityModel
-	net    *topo.Network
 }
 
 // NewFloorPolicy builds the policy under the default fidelity model; a nil
 // or all-zero spec yields an inactive policy whose Take degenerates to
 // Pool.Take, keeping floor-disabled stitch loops byte-identical to
 // pre-floor behavior.
-func NewFloorPolicy(floors *FloorSpec, net *topo.Network) FloorPolicy {
-	return FloorPolicy{floors: floors, model: DefaultFidelityModel(), net: net}
+func NewFloorPolicy(floors *FloorSpec) FloorPolicy {
+	return FloorPolicy{floors: floors, model: DefaultFidelityModel()}
 }
 
 // Active reports whether any pair has a nonzero floor.
@@ -228,12 +225,7 @@ func (f FloorPolicy) Active() bool { return !f.floors.IsZero() }
 
 // LengthOf is the physical fibre length of a segment's realization
 // (candidate-less segments decay nothing).
-func (f FloorPolicy) LengthOf(s *Segment) float64 {
-	if s.Cand == nil {
-		return 0
-	}
-	return f.net.PathLengthKM(s.Cand.Path)
-}
+func (f FloorPolicy) LengthOf(s *Segment) float64 { return lengthOf(s) }
 
 // Score orders a pair's available segments by their contribution to the
 // composed Werner parameter (decayed by fibre length and banked age), so

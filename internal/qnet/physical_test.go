@@ -40,8 +40,8 @@ func TestAttemptAllBlockedAndBrownout(t *testing.T) {
 
 	observed := map[*segment.Candidate][]bool{}
 	obs := func(c *segment.Candidate, ok bool) { observed[c] = append(observed[c], ok) }
-	got := AttemptAll(plan, xrand.New(5), &stubFaults{blocked: blocked, grant: 2}, obs)
-	want := AttemptAll(AttemptPlan{{Cand: capped, N: 2}}, xrand.New(5), nil, nil)
+	got := attemptFresh(plan, xrand.New(5), &stubFaults{blocked: blocked, grant: 2}, obs)
+	want := attemptFresh(AttemptPlan{{Cand: capped, N: 2}}, xrand.New(5), nil, nil)
 	if len(got) != len(want) {
 		t.Fatalf("faulty phase created %d segments, fault-free over the fired attempts %d", len(got), len(want))
 	}
@@ -84,7 +84,7 @@ func TestPoolResetTakeBestUnconsumed(t *testing.T) {
 	if pool.IndexOf(segment.MakePairKey(5, 6)) != -1 {
 		t.Fatal("IndexOf invented a pair the pool never held")
 	}
-	if got := pool.Unconsumed(); !reflect.DeepEqual(got, []*Segment{old, twin, other}) {
+	if got := pool.AppendUnconsumed(nil); !reflect.DeepEqual(got, []*Segment{old, twin, other}) {
 		t.Fatalf("Unconsumed = %v, want sorted pairs then insertion order", got)
 	}
 
@@ -98,7 +98,6 @@ func TestPoolResetTakeBestUnconsumed(t *testing.T) {
 }
 
 func TestFloorPolicy(t *testing.T) {
-	_, net := motivationSet(t)
 	pk := segment.MakePairKey(0, 1)
 	mk := func() (aged, fresh *Segment, pool *Pool) {
 		aged, fresh = &Segment{A: 0, B: 1}, &Segment{A: 0, B: 1}
@@ -106,18 +105,18 @@ func TestFloorPolicy(t *testing.T) {
 		return aged, fresh, NewPool([]*Segment{aged, fresh})
 	}
 
-	off := NewFloorPolicy(nil, net)
+	off := NewFloorPolicy(nil)
 	aged, _, pool := mk()
 	if off.Active() || off.TakeAt(pool, 0, pool.IndexOf(pk)) != aged || off.Rejects(0, []*Segment{aged}) {
 		t.Fatal("an unfloored policy must take FIFO and reject nothing")
 	}
-	if NewFloorPolicy(&FloorSpec{PerPair: map[int]float64{2: 0}}, net).Active() {
+	if NewFloorPolicy(&FloorSpec{PerPair: map[int]float64{2: 0}}).Active() {
 		t.Fatal("an all-zero spec must be inactive")
 	}
 
 	f := DefaultFidelityModel().PredictFidelity([]*Segment{{}}, off.LengthOf)
 	spec := &FloorSpec{Default: 0, PerPair: map[int]float64{0: f - 1e-9}}
-	on := NewFloorPolicy(spec, net)
+	on := NewFloorPolicy(spec)
 	aged, fresh, pool := mk()
 	if !on.Active() || on.TakeAt(pool, 0, pool.IndexOf(pk)) != fresh {
 		t.Fatal("a floored pair must take its best-scored segment first")

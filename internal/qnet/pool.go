@@ -12,7 +12,10 @@ import (
 // connections.
 //
 // Each endpoint pair gets a dense index the first time a segment of it is
-// filled in, and keeps it across Reset. Per index the pool holds the
+// filled in, and keeps it across Reset. A segment's pair is found through
+// its candidate's set-wide pair index (segment.Candidate.PairID) without
+// hashing; the key map serves segments without a candidate, pairs seen
+// for the first time, and IndexOf. Per index the pool holds the
 // pair's bucket (insertion order) and its count of unconsumed segments,
 // which TakeAt, TakeBestAt and Return maintain, so AvailableAt is a
 // counter read. The key set only grows; it is bounded by the endpoint
@@ -21,7 +24,12 @@ import (
 // had never been filled. Segments handed to a pool must be distinct, and
 // their consumed state changes only through the pool.
 type Pool struct {
-	index   map[segment.PairKey]int
+	index map[segment.PairKey]int
+	// byCand maps a candidate's PairID to its pair's index plus one (0 for
+	// none yet). An entry is trusted only if keys says it is the
+	// segment's own pair, so candidates of another set, or made outside
+	// one, fall back to index.
+	byCand  []int
 	keys    []segment.PairKey // index → endpoint pair
 	buckets [][]*Segment      // index → the pair's segments
 	avail   []int             // index → unconsumed segments in the bucket
@@ -42,8 +50,7 @@ func NewPool(segs []*Segment) *Pool {
 // fresh pool every slot.
 func (p *Pool) Reset(segs []*Segment) {
 	for i, b := range p.buckets {
-		// AttemptAll slab-allocates a slot's segments, so one stale
-		// pointer past len would pin a whole old slab.
+		// A stale pointer past len would keep a dead segment reachable.
 		clear(b)
 		p.buckets[i] = b[:0]
 		p.avail[i] = 0
@@ -53,20 +60,46 @@ func (p *Pool) Reset(segs []*Segment) {
 
 func (p *Pool) fill(segs []*Segment) {
 	for _, s := range segs {
-		pk := s.Pair()
-		i, ok := p.index[pk]
+		i, ok := p.cached(s)
 		if !ok {
-			i = len(p.keys)
-			p.index[pk] = i
-			p.keys = append(p.keys, pk)
-			p.buckets = append(p.buckets, nil)
-			p.avail = append(p.avail, 0)
+			i = p.assign(s)
 		}
 		p.buckets[i] = append(p.buckets[i], s)
 		if !s.consumed {
 			p.avail[i]++
 		}
 	}
+}
+
+// cached returns the index of s's pair if the PairID cache holds it.
+func (p *Pool) cached(s *Segment) (int, bool) {
+	if c := s.Cand; c != nil && c.PairID >= 0 && c.PairID < len(p.byCand) {
+		if i := p.byCand[c.PairID] - 1; i >= 0 && p.keys[i] == s.Pair() {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// assign returns the index of s's pair, giving the pair one if it has
+// none, and caches it under the candidate's PairID.
+func (p *Pool) assign(s *Segment) int {
+	pk := s.Pair()
+	i, ok := p.index[pk]
+	if !ok {
+		i = len(p.keys)
+		p.index[pk] = i
+		p.keys = append(p.keys, pk)
+		p.buckets = append(p.buckets, nil)
+		p.avail = append(p.avail, 0)
+	}
+	if c := s.Cand; c != nil && c.PairID >= 0 {
+		if c.PairID >= len(p.byCand) {
+			p.byCand = append(p.byCand, make([]int, c.PairID+1-len(p.byCand))...)
+		}
+		p.byCand[c.PairID] = i + 1
+	}
+	return i
 }
 
 // AvailableAt returns how many unconsumed segments remain for the pair of
@@ -110,7 +143,11 @@ func (p *Pool) Return(s *Segment) {
 		return
 	}
 	s.consumed = false
-	if i, ok := p.index[s.Pair()]; ok {
+	i, ok := p.cached(s)
+	if !ok {
+		i, ok = p.index[s.Pair()]
+	}
+	if ok {
 		p.avail[i]++
 	}
 }
@@ -164,12 +201,12 @@ func (p *Pool) SortedIndices() []int {
 // KeyAt returns the endpoint pair of index i.
 func (p *Pool) KeyAt(i int) segment.PairKey { return p.keys[i] }
 
-// Unconsumed returns every segment no connection consumed, in deterministic
-// order (sorted endpoint pairs, then insertion order within a pair). The
-// cross-slot state bank deposits from this list, so the set of banked
-// segments is a pure function of the slot's outcome.
-func (p *Pool) Unconsumed() []*Segment {
-	var out []*Segment
+// AppendUnconsumed appends every segment no connection consumed to out,
+// in deterministic order (sorted endpoint pairs, then insertion order
+// within a pair), and returns the extended slice. The cross-slot state
+// bank deposits from this list, so the set of banked segments is a pure
+// function of the slot's outcome.
+func (p *Pool) AppendUnconsumed(out []*Segment) []*Segment {
 	for _, i := range p.SortedIndices() {
 		if p.avail[i] == 0 {
 			continue

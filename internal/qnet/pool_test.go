@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"see/internal/graph"
 	"see/internal/segment"
 	"see/internal/xrand"
 )
@@ -132,15 +133,31 @@ func (p *poolReference) Unconsumed() []*Segment {
 // twinSegments is one segment universe realized twice: the reference pool
 // runs on a, the indexed pool on b, and a[k] ↔ b[k] is the same segment.
 // Consumed state lives in the segments, so each pool needs its own copy.
+//
+// A segment has no candidate, a candidate of one set (cands: PairID dense
+// per pair), or a candidate whose small random PairID may name another
+// pair, as one from another set or made outside one would.
 type twinSegments struct {
-	a, b []*Segment
-	idx  map[*Segment]int
+	a, b  []*Segment
+	idx   map[*Segment]int
+	cands map[segment.PairKey]*segment.Candidate
 }
 
 func (tw *twinSegments) add(rng *rand.Rand, u, v int) int {
 	scale := []float64{0.5, 0.75, 1}[rng.Intn(3)]
+	var c *segment.Candidate
+	switch rng.Intn(3) {
+	case 1:
+		pk := segment.MakePairKey(u, v)
+		if c = tw.cands[pk]; c == nil {
+			c = &segment.Candidate{Path: graph.Path{u, v}, PairID: len(tw.cands)}
+			tw.cands[pk] = c
+		}
+	case 2:
+		c = &segment.Candidate{Path: graph.Path{u, v}, PairID: rng.Intn(4)}
+	}
 	for _, dst := range []*[]*Segment{&tw.a, &tw.b} {
-		s := &Segment{A: u, B: v}
+		s := &Segment{A: u, B: v, Cand: c}
 		s.SetWernerScale(scale)
 		*dst = append(*dst, s)
 		tw.idx[s] = len(*dst) - 1
@@ -150,16 +167,17 @@ func (tw *twinSegments) add(rng *rand.Rand, u, v int) int {
 
 // TestPoolMatchesReference drives the indexed Pool and poolReference
 // through random sequences of NewPool, Reset (to overlapping and disjoint
-// key sets, with carried leftovers), TakeAt and TakeBestAt (against the
+// key sets, with carried leftovers; segments with and without candidates,
+// whose PairIDs are right or misleading), TakeAt and TakeBestAt (against the
 // reference's Take and TakeBest) and Return, and after every step
 // requires the same returned segment, the same available count for every
 // pair, IndexOf equal to a scan of the keys, SortedIndices in pair order,
-// Pairs and Unconsumed.
+// Pairs and AppendUnconsumed.
 func TestPoolMatchesReference(t *testing.T) {
 	score := func(s *Segment) float64 { return s.WernerScale() }
 	for trial := 0; trial < 200; trial++ {
 		rng := xrand.New(int64(trial))
-		tw := &twinSegments{idx: make(map[*Segment]int)}
+		tw := &twinSegments{idx: make(map[*Segment]int), cands: make(map[segment.PairKey]*segment.Candidate)}
 		// Pairs over nodes [base, base+span): Reset shifts base to move
 		// between overlapping and disjoint key sets.
 		span := 2 + rng.Intn(4)
@@ -270,7 +288,7 @@ func TestPoolMatchesReference(t *testing.T) {
 			if a, b := ref.Pairs(), availablePairs(pool); !slices.Equal(a, b) {
 				t.Fatalf("trial %d step %d (%s): Pairs = %v, reference %v", trial, step, what, b, a)
 			}
-			if a, b := mapped(ref.Unconsumed()), mapped(pool.Unconsumed()); !slices.Equal(a, b) {
+			if a, b := mapped(ref.Unconsumed()), mapped(pool.AppendUnconsumed(nil)); !slices.Equal(a, b) {
 				t.Fatalf("trial %d step %d (%s): Unconsumed = %v, reference %v", trial, step, what, b, a)
 			}
 		}
@@ -279,7 +297,7 @@ func TestPoolMatchesReference(t *testing.T) {
 
 // TestPoolResetRetainsNoSegments: after Reset to fewer segments no bucket's
 // backing array still points at a previous slot's segment past its length,
-// which would keep that slot's whole slab (AttemptAll) alive.
+// which would keep a dead segment (and whatever holds it) reachable.
 func TestPoolResetRetainsNoSegments(t *testing.T) {
 	var first []*Segment
 	for i := 0; i < 8; i++ {

@@ -112,10 +112,10 @@ func TestAttemptAllDeterministicAndDistributed(t *testing.T) {
 	set, _ := motivationSet(t)
 	c := set.Best(topo.MotivS1, topo.MotivR1) // p = 0.9
 	plan := AttemptPlan{{Cand: c, N: 1000}}
-	a := AttemptAll(plan, xrand.New(5), nil, nil)
-	b := AttemptAll(plan, xrand.New(5), nil, nil)
+	a := attemptFresh(plan, xrand.New(5), nil, nil)
+	b := attemptFresh(plan, xrand.New(5), nil, nil)
 	if len(a) != len(b) {
-		t.Fatal("AttemptAll not deterministic for a fixed seed")
+		t.Fatal("Arena.Attempt not deterministic for a fixed seed")
 	}
 	rate := float64(len(a)) / 1000
 	if math.Abs(rate-0.9) > 0.04 {

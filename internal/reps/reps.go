@@ -252,10 +252,7 @@ func fractionalAttempts(net *topo.Network, sol *flow.Solution) []fracAttempt {
 // and the reserve phase just re-commits it; PlannedPaths and
 // ProvisionedPaths stay zero — REPS plans links, not entanglement paths.
 func (e *Engine) RunSlot(rng *rand.Rand) (*sched.SlotResult, error) {
-	return e.Run(e, rng, &sched.SlotResult{
-		LPObjective: e.LPObjective,
-		PerPair:     make([]int, len(e.Pairs)),
-	})
+	return e.Run(e, rng, sched.SlotResult{LPObjective: e.LPObjective}, len(e.Pairs))
 }
 
 // PlanPhase implements sched.SlotPhases: REPS has no per-slot plan phase.
@@ -277,7 +274,7 @@ func (e *Engine) PhysicalHook(*sched.Slot) {}
 // (sched.Slot.StitchRoutes, the routed stage SEE's ECE shares). Swapping
 // is sampled per assembled connection; a failure consumes the links but
 // the pair stays eligible, so redundant links back up failed swaps.
-func (e *Engine) StitchPhase(s *sched.Slot) ([]*qnet.Connection, int, int) {
+func (e *Engine) StitchPhase(s *sched.Slot) (assembled, floorRejected int) {
 	return s.StitchRoutes(e.Pairs, e.ConnCap)
 }
 

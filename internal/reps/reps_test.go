@@ -86,6 +86,7 @@ func TestRunSlotDeterministicAndSane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	a = a.Clone() // the next slot reuses the result
 	b, err := e.RunSlot(xrand.New(9))
 	if err != nil {
 		t.Fatal(err)

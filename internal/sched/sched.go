@@ -25,6 +25,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"see/internal/qnet"
@@ -154,6 +155,11 @@ func (a Algorithm) FaultAwareVariant() (Algorithm, bool) {
 // every engine. Phases an engine does not run per slot leave their fields
 // zero (REPS provisions once at construction, so it reports
 // PlannedPaths = ProvisionedPaths = 0).
+//
+// A SlotResult belongs to the engine that returned it: the result, its
+// PerPair, its connections and their segments are slot-scoped storage the
+// engine reuses, valid until that engine's next RunSlot. A caller that
+// keeps any of it across slots keeps a Clone.
 type SlotResult struct {
 	// LPObjective is the engine's fractional planning optimum (identical
 	// across slots; also exposed as Engine.UpperBound).
@@ -184,6 +190,23 @@ type SlotResult struct {
 	Connections []*qnet.Connection
 }
 
+// Clone returns a deep copy of the result that stays valid across slots:
+// its own PerPair, connections and segments (segment.Candidate pointers
+// are shared, as candidates outlive every slot). No connections come back
+// as nil Connections, as a fresh engine reports them.
+func (r *SlotResult) Clone() *SlotResult {
+	out := *r
+	out.PerPair = slices.Clone(r.PerPair)
+	out.Connections = nil
+	if len(r.Connections) > 0 {
+		out.Connections = make([]*qnet.Connection, len(r.Connections))
+		for i, c := range r.Connections {
+			out.Connections[i] = c.Clone()
+		}
+	}
+	return &out
+}
+
 // Engine runs time slots of one entanglement-establishment scheme over a
 // fixed network and demand set. All engines are deterministic functions of
 // the rng state passed to RunSlot.
@@ -191,7 +214,9 @@ type Engine interface {
 	// Algorithm identifies the scheme.
 	Algorithm() Algorithm
 	// RunSlot simulates one time slot; the rng drives all stochastic
-	// outcomes, so a fixed generator state reproduces the slot.
+	// outcomes, so a fixed generator state reproduces the slot. The
+	// result, its connections and their segments are valid until the
+	// engine's next RunSlot (see SlotResult).
 	RunSlot(rng *rand.Rand) (*SlotResult, error)
 	// UpperBound returns the engine's LP planning value. For the default
 	// swap-survival-weighted objective this bounds the expected

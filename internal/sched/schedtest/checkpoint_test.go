@@ -64,7 +64,7 @@ func runCheckpointProtocol(t *testing.T, build func(t *testing.T) sched.Stateful
 			t.Fatalf("slot %d: %v", s, err)
 		}
 		if s >= split {
-			want = append(want, *res)
+			want = append(want, *res.Clone())
 		}
 	}
 
@@ -78,9 +78,9 @@ func runCheckpointProtocol(t *testing.T, build func(t *testing.T) sched.Stateful
 		if err != nil {
 			t.Fatalf("resumed slot %d: %v", s, err)
 		}
-		if !reflect.DeepEqual(*res, want[s-split]) {
+		if got := *res.Clone(); !reflect.DeepEqual(got, want[s-split]) {
 			t.Fatalf("resumed slot %d diverged from the uninterrupted run:\n got %+v\nwant %+v",
-				s, *res, want[s-split])
+				s, got, want[s-split])
 		}
 	}
 	if rstream.Pos() != stream.Pos() {

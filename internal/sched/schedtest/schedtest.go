@@ -33,8 +33,9 @@ func Instance(nodes, pairs int, seed int64) (*topo.Network, []topo.SDPair, error
 }
 
 // Run executes slots consecutive time slots from a fresh seeded rng and
-// returns the dereferenced results (safe for reflect.DeepEqual between
-// runs).
+// returns deep copies of the results (SlotResult.Clone: an engine reuses
+// a result's storage at its next slot), safe for reflect.DeepEqual
+// between runs.
 func Run(eng sched.Engine, seed int64, slots int) ([]sched.SlotResult, error) {
 	rng := xrand.New(seed)
 	out := make([]sched.SlotResult, 0, slots)
@@ -43,7 +44,7 @@ func Run(eng sched.Engine, seed int64, slots int) ([]sched.SlotResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("slot %d: %w", s, err)
 		}
-		out = append(out, *res)
+		out = append(out, *res.Clone())
 	}
 	return out, nil
 }

@@ -56,16 +56,19 @@ type SlotPhases interface {
 	// reports both plans' reservations.
 	ReservePhase(s *Slot) (plan, held qnet.AttemptPlan, err error)
 	// PhysicalHook runs after the planned attempts resolved and memory
-	// decoherence hit s.Created, before faults are attributed.
+	// decoherence hit s.Created, before faults are attributed. It may fire
+	// more attempts through s.Attempt.
 	PhysicalHook(s *Slot)
-	// StitchPhase assembles connections from s.Pool and returns the
-	// established ones with the assembly and floor-rejection counts.
-	StitchPhase(s *Slot) (conns []*qnet.Connection, assembled, floorRejected int)
+	// StitchPhase assembles connections from s.Pool, adds the established
+	// ones to s.Result.Connections (StitchFixed and StitchRoutes do) and
+	// returns the assembly and floor-rejection counts.
+	StitchPhase(s *Slot) (assembled, floorRejected int)
 }
 
 // Slot is the state of the slot in flight, handed to every phase method.
 // It lives in the Runner and is reused; nothing in it outlives the slot
-// except what the SlotResult takes over.
+// except what the SlotResult takes over, which lives until the next slot
+// (see SlotResult).
 type Slot struct {
 	// Rng drives every stochastic outcome of the slot.
 	Rng *rand.Rand
@@ -80,10 +83,10 @@ type Slot struct {
 	// untraced.
 	ObserveAttempt qnet.AttemptObserver
 	// Withdrawn are the banked segments carried into this slot, oldest
-	// first.
+	// first (the bank's own storage).
 	Withdrawn []*qnet.Segment
 	// Created are the physical phase's realized segments that survived
-	// decoherence.
+	// decoherence, in the Runner's slot arena.
 	Created []*qnet.Segment
 	// Pool is the stitch phase's segment pool: Withdrawn then Created.
 	Pool *qnet.Pool
@@ -103,18 +106,33 @@ type Runner struct {
 	resolve state.CandidateResolver
 	bank    *state.Bank
 
-	// Reused per-slot state: the slot context, the segment pool, the
-	// stitch loops' shared per-pair connection counters, StitchFixed's
-	// hop → pool-index table and StitchRoutes' auxiliary graph, its
-	// aux-edge → pool-index table, its route's hop indices, its
-	// skipped-pair marks and the targeted-Dijkstra buffers. None of it
-	// outlives the slot.
-	slot    Slot
-	pool    *qnet.Pool
-	perPair []int
-	hops    hopIndex
-	aux     *graph.Graph
-	auxIdx  []int
+	// Slot storage, reset at each slot's start: the result Run returns,
+	// the arena the slot's segments are realized into, and the
+	// connections the stitch loops assemble (the first nconn belong to
+	// the slot's result; the next one is the assembly in hand). They live
+	// until the next Run, which is SlotResult's validity.
+	res   SlotResult
+	arena qnet.Arena
+	conns []*qnet.Connection
+	nconn int
+
+	// Reused per-slot state: the slot context, the created-segment list,
+	// the pool input (Withdrawn ++ Created), the leftovers deposited in
+	// the bank, the segment pool, the stitch loops' shared per-pair
+	// connection counters, StitchFixed's hop → pool-index table and
+	// floor-dead marks, and StitchRoutes' auxiliary graph, its aux-edge →
+	// pool-index table, its route's hop indices, its skipped-pair marks
+	// and the targeted-Dijkstra buffers. None of it outlives the slot.
+	slot      Slot
+	created   []*qnet.Segment
+	poolIn    []*qnet.Segment
+	leftover  []*qnet.Segment
+	pool      *qnet.Pool
+	perPair   []int
+	hops      hopIndex
+	floorDead []bool
+	aux       *graph.Graph
+	auxIdx    []int
 	// routeHops holds the pool index of each hop of the route in hand.
 	routeHops []int
 	dead      []bool
@@ -162,20 +180,26 @@ func (r *Runner) Bank() *state.Bank { return r.bank }
 //  2. PlanPhase, then PhasePlan if the engine has one.
 //  3. ReservePhase; the bank trims the creation plan; AttemptReserved for
 //     the creation plan then the held plan; PhaseReserve.
-//  4. The planned attempts and memory decoherence; PhysicalHook; fault,
-//     flap and brownout incidents; PhasePhysical.
+//  4. The planned attempts and memory decoherence (Attempt);
+//     PhysicalHook; fault, flap and brownout incidents; PhasePhysical.
 //  5. StitchPhase over Withdrawn ++ Created, with the per-pair
 //     connection counters of StitchFixed and StitchRoutes zeroed; every
 //     connection validated and counted; the leftovers deposited;
 //     PhaseStitch; SlotEnd.
 //
-// res carries the engine's fixed fields (LPObjective, PerPair sized to the
-// demand set, and any per-slot constants). The rng is consumed only by
-// the phases and the physical attempts, never by tracing.
-func (r *Runner) Run(ph SlotPhases, rng *rand.Rand, res *SlotResult) (*SlotResult, error) {
+// head carries the engine's fixed fields (LPObjective and any per-slot
+// constants); its PerPair and Connections are ignored. The result has
+// PerPair sized to pairs. It is the Runner's own, as are its connections
+// and their segments: all of it is valid until the next Run. The rng is
+// consumed only by the phases and the physical attempts, never by
+// tracing.
+func (r *Runner) Run(ph SlotPhases, rng *rand.Rand, head SlotResult, pairs int) (*SlotResult, error) {
 	tr := r.tracer
+	res := r.resetResult(head, pairs)
+	r.arena.Reset()
+	r.nconn = 0
 	s := &r.slot
-	*s = Slot{Rng: rng, Result: res, Traced: !IsNop(tr), ObserveAttempt: r.observe, r: r}
+	*s = Slot{Rng: rng, Result: res, Traced: !IsNop(tr), ObserveAttempt: r.observe, Created: r.created[:0], r: r}
 	tr.SlotStart(r.cfg.Algorithm)
 
 	// Chaos: advance the injector's slot clock. With a nil or zero-plan
@@ -228,11 +252,7 @@ func (r *Runner) Run(ph SlotPhases, rng *rand.Rand, res *SlotResult) (*SlotResul
 	s.phaseDone(PhaseReserve, t0)
 
 	t0 = s.clock()
-	created := qnet.AttemptAll(plan, rng, s.Faults, s.ObserveAttempt)
-	res.SegmentsCreated = len(created)
-	// Memory decoherence loses realized segments before the stitch phase;
-	// SegmentsCreated still reconciles with the created=true events.
-	s.Created, _ = qnet.ApplyDecoherence(created, s.Faults)
+	s.Attempt(plan)
 	ph.PhysicalHook(s)
 	if s.Faults != nil {
 		// Brownout denials and flap downs get their own incident kinds; the
@@ -254,38 +274,92 @@ func (r *Runner) Run(ph SlotPhases, rng *rand.Rand, res *SlotResult) (*SlotResul
 	// Withdrawn carried segments join the pool ahead of the fresh ones so
 	// the oldest photons are consumed preferentially.
 	t0 = s.clock()
-	segs := append(s.Withdrawn, s.Created...)
+	r.poolIn = append(append(r.poolIn[:0], s.Withdrawn...), s.Created...)
 	if r.pool == nil {
-		r.pool = qnet.NewPool(segs)
+		r.pool = qnet.NewPool(r.poolIn)
 	} else {
-		r.pool.Reset(segs)
+		r.pool.Reset(r.poolIn)
 	}
 	s.Pool = r.pool
 	if len(r.perPair) != len(res.PerPair) {
 		r.perPair = make([]int, len(res.PerPair))
 	}
 	clear(r.perPair)
-	conns, assembled, floorRejected := ph.StitchPhase(s)
-	res.Assembled = assembled
-	res.FloorRejected = floorRejected
-	for _, c := range conns {
+	res.Assembled, res.FloorRejected = ph.StitchPhase(s)
+	for _, c := range res.Connections {
 		if err := c.Validate(); err != nil {
 			return nil, fmt.Errorf("sched: %v assembled an invalid connection: %w", r.cfg.Algorithm, err)
 		}
 		res.Established++
 		res.PerPair[c.Pair]++
-		res.Connections = append(res.Connections, c)
 	}
 	// Cross-slot state: bank the unconsumed leftovers (fresh and carried
-	// alike) for the next slot, within each node's memory budget.
+	// alike) for the next slot, within each node's memory budget. The
+	// bank copies them out of the arena.
 	if r.bank != nil {
-		if accepted := r.bank.Deposit(s.Pool.Unconsumed()); accepted > 0 {
+		r.leftover = s.Pool.AppendUnconsumed(r.leftover[:0])
+		if accepted := r.bank.Deposit(r.leftover); accepted > 0 {
 			tr.Incident(IncidentBankDeposit, accepted)
 		}
 	}
 	s.phaseDone(PhaseStitch, t0)
 	tr.SlotEnd(res)
 	return res, nil
+}
+
+// resetResult empties the Runner's result for a new slot: head's fixed
+// fields, PerPair zeroed at length pairs, no connections. PerPair's and
+// Connections' backing arrays are kept.
+func (r *Runner) resetResult(head SlotResult, pairs int) *SlotResult {
+	perPair, conns := r.res.PerPair, r.res.Connections
+	if cap(perPair) < pairs {
+		perPair = make([]int, pairs)
+	}
+	perPair = perPair[:pairs]
+	clear(perPair)
+	r.res = head
+	r.res.PerPair, r.res.Connections = perPair, conns[:0]
+	return &r.res
+}
+
+// Attempt fires a creation plan's attempts (qnet.Arena.Attempt) into the
+// Runner's slot arena, counts every realized segment in
+// Result.SegmentsCreated, puts the new segments through memory
+// decoherence in creation order, and appends the survivors to Created,
+// returning them. The physical phase fires the slot's creation plan
+// through it; PhysicalHook may fire more (Contend's recovery attempts).
+func (s *Slot) Attempt(plan qnet.AttemptPlan) []*qnet.Segment {
+	from := len(s.Created)
+	s.Created = s.r.arena.Attempt(s.Created, plan, s.Rng, s.Faults, s.ObserveAttempt)
+	// SegmentsCreated counts decohered segments too, so it reconciles
+	// with the created=true events.
+	s.Result.SegmentsCreated += len(s.Created) - from
+	kept, _ := qnet.ApplyDecoherence(s.Created[from:], s.Faults)
+	s.Created = s.Created[:from+len(kept)]
+	s.r.created = s.Created
+	return kept
+}
+
+// newConn returns the Runner's next free connection, emptied for pair but
+// keeping its backing arrays. It joins the slot's result only through
+// keep; otherwise the next newConn hands it out again.
+func (s *Slot) newConn(pair int) *qnet.Connection {
+	r := s.r
+	if r.nconn == len(r.conns) {
+		r.conns = append(r.conns, new(qnet.Connection))
+	}
+	// Field by field: truncating a slice in place writes no pointer,
+	// where a struct literal would copy all three through write barriers.
+	c := r.conns[r.nconn]
+	c.Pair, c.Fidelity = pair, 0
+	c.Nodes, c.Segments, c.Spares = c.Nodes[:0], c.Segments[:0], c.Spares[:0]
+	return c
+}
+
+// keep adds the connection newConn last handed out to the slot's result.
+func (s *Slot) keep(c *qnet.Connection) {
+	s.r.nconn++
+	s.Result.Connections = append(s.Result.Connections, c)
 }
 
 // clock reads the time for a PhaseDone duration; an untraced slot reads
@@ -357,7 +431,7 @@ func (f *FixedPlan) PhysicalHook(*Slot) {}
 // StitchPhase implements SlotPhases: StitchFixed, with the paths' hop
 // indices resolved only when the pool has learned a pair since the last
 // slot.
-func (f *FixedPlan) StitchPhase(s *Slot) ([]*qnet.Connection, int, int) {
+func (f *FixedPlan) StitchPhase(s *Slot) (assembled, floorRejected int) {
 	return s.stitchFixed(f.Paths, f.ConnCap, f.hops.resolve(s.Pool, f.Paths))
 }
 
@@ -394,6 +468,7 @@ func (h *hopIndex) resolve(pool *qnet.Pool, paths []FixedPath) []int {
 // (the highest-fidelity one for floored pairs), until a sweep makes no
 // progress, so redundant segments retry failed swaps. A path whose best
 // composition misses its floor is floor-dead for the rest of the slot.
+// Established connections are added to s.Result.Connections.
 //
 // Swapping is sampled as each connection is assembled: a failed swap
 // consumes the connection's segments but leaves its pair eligible, so
@@ -404,18 +479,18 @@ func (h *hopIndex) resolve(pool *qnet.Pool, paths []FixedPath) []int {
 // Every hop is resolved to its pool index once per call, which is exact:
 // the pool's pairs are fixed within the call, and a pair the pool has
 // never held (index −1) has nothing available for the whole call.
-func (s *Slot) StitchFixed(paths []FixedPath, connCap []int) (conns []*qnet.Connection, assembled, floorRejected int) {
+func (s *Slot) StitchFixed(paths []FixedPath, connCap []int) (assembled, floorRejected int) {
 	s.r.hops.pool = nil // the paths may differ from the last call's
 	return s.stitchFixed(paths, connCap, s.r.hops.resolve(s.Pool, paths))
 }
 
 // stitchFixed is StitchFixed over hopIdx, the hops' pool indices back to
 // back in path order.
-func (s *Slot) stitchFixed(paths []FixedPath, connCap []int, hopIdx []int) (conns []*qnet.Connection, assembled, floorRejected int) {
+func (s *Slot) stitchFixed(paths []FixedPath, connCap []int, hopIdx []int) (assembled, floorRejected int) {
 	r := s.r
 	pool := s.Pool
 	perPair := r.perPair
-	fp := qnet.NewFloorPolicy(r.cfg.FidelityFloors, r.net)
+	fp := qnet.NewFloorPolicy(r.cfg.FidelityFloors)
 	var floorDead []bool // paths proven unable to meet their floor
 	for {
 		progress := false
@@ -439,7 +514,8 @@ func (s *Slot) stitchFixed(paths []FixedPath, connCap []int, hopIdx []int) (conn
 			if !ok {
 				continue
 			}
-			conn := &qnet.Connection{Pair: p.Commodity, Nodes: p.Nodes}
+			conn := s.newConn(p.Commodity)
+			conn.Nodes = append(conn.Nodes, p.Nodes...)
 			for _, i := range hops {
 				conn.Segments = append(conn.Segments, fp.TakeAt(pool, p.Commodity, i))
 			}
@@ -448,7 +524,7 @@ func (s *Slot) stitchFixed(paths []FixedPath, connCap []int, hopIdx []int) (conn
 					pool.Return(seg)
 				}
 				if floorDead == nil {
-					floorDead = make([]bool, len(paths))
+					floorDead = r.floorDeadMarks(len(paths))
 				}
 				floorDead[pi] = true
 				floorRejected++
@@ -458,14 +534,24 @@ func (s *Slot) stitchFixed(paths []FixedPath, connCap []int, hopIdx []int) (conn
 			assembled++
 			progress = true
 			if s.establish(conn, hops) {
-				conns = append(conns, conn)
+				s.keep(conn)
 				perPair[p.Commodity]++
 			}
 		}
 		if !progress {
-			return conns, assembled, floorRejected
+			return assembled, floorRejected
 		}
 	}
+}
+
+// floorDeadMarks returns n cleared marks from the Runner's reused buffer.
+func (r *Runner) floorDeadMarks(n int) []bool {
+	if cap(r.floorDead) < n {
+		r.floorDead = make([]bool, n)
+	}
+	r.floorDead = r.floorDead[:n]
+	clear(r.floorDead)
+	return r.floorDead
 }
 
 // Auxiliary-graph weights of StitchRoutes (the paper's Algorithm 3).
@@ -504,12 +590,12 @@ const (
 // target below it settles after exactly the unbounded search's pushes and
 // pops, so ties break the same way. Every aux edge is its own endpoint
 // pair, so each hop is taken by the pool index of the edge the search
-// took.
-func (s *Slot) StitchRoutes(pairs []topo.SDPair, connCap []int) (conns []*qnet.Connection, assembled, floorRejected int) {
+// took. Established connections are added to s.Result.Connections.
+func (s *Slot) StitchRoutes(pairs []topo.SDPair, connCap []int) (assembled, floorRejected int) {
 	r := s.r
 	pool := s.Pool
 	perPair := r.perPair
-	fp := qnet.NewFloorPolicy(r.cfg.FidelityFloors, r.net)
+	fp := qnet.NewFloorPolicy(r.cfg.FidelityFloors)
 	if r.nodeWeight == nil {
 		r.nodeWeight = make([]float64, r.net.NumNodes())
 		for u := range r.nodeWeight {
@@ -558,12 +644,13 @@ func (s *Slot) StitchRoutes(pairs []topo.SDPair, connCap []int) (conns []*qnet.C
 			if perPair[i] >= connCap[i] || dead[i] {
 				continue
 			}
-			path, _ := graph.ShortestPathTarget(aux, sd.S, sd.D, routeRejectThreshold, opts, &r.dij)
-			if path == nil {
+			conn := s.newConn(i)
+			path, _ := graph.AppendShortestPathTarget(conn.Nodes, aux, sd.S, sd.D, routeRejectThreshold, opts, &r.dij)
+			if len(path) == 0 {
 				dead[i] = true
 				continue
 			}
-			conn := &qnet.Connection{Pair: i, Nodes: path}
+			conn.Nodes = path
 			hops := r.routeHops[:0]
 			ok := true
 			for h := 1; h < len(path); h++ {
@@ -596,12 +683,12 @@ func (s *Slot) StitchRoutes(pairs []topo.SDPair, connCap []int) (conns []*qnet.C
 			assembled++
 			progress = true
 			if s.establish(conn, hops) {
-				conns = append(conns, conn)
+				s.keep(conn)
 				perPair[i]++
 			}
 		}
 		if !progress {
-			return conns, assembled, floorRejected
+			return assembled, floorRejected
 		}
 	}
 }

@@ -24,7 +24,7 @@ func (s *Slot) stitchRoutesReference(pairs []topo.SDPair, connCap []int) (conns 
 	r := s.r
 	pool := s.Pool
 	perPair := r.perPair
-	fp := qnet.NewFloorPolicy(r.cfg.FidelityFloors, r.net)
+	fp := qnet.NewFloorPolicy(r.cfg.FidelityFloors)
 	// One aux edge per endpoint pair with a segment left, in sorted
 	// order.
 	aux := graph.New(r.net.NumNodes())
@@ -114,7 +114,7 @@ func (s *Slot) stitchFixedReference(paths []FixedPath, connCap []int) (conns []*
 	r := s.r
 	pool := s.Pool
 	perPair := r.perPair
-	fp := qnet.NewFloorPolicy(r.cfg.FidelityFloors, r.net)
+	fp := qnet.NewFloorPolicy(r.cfg.FidelityFloors)
 	var floorDead []bool // paths proven unable to meet their floor
 	for {
 		progress := false
@@ -207,24 +207,25 @@ func (p *stitchOnly) ReservePhase(*Slot) (plan, held qnet.AttemptPlan, err error
 
 func (p *stitchOnly) PhysicalHook(s *Slot) { s.Created = p.segs }
 
-func (p *stitchOnly) StitchPhase(s *Slot) ([]*qnet.Connection, int, int) {
-	var conns []*qnet.Connection
-	assembled, floorRejected := 0, 0
+func (p *stitchOnly) StitchPhase(s *Slot) (assembled, floorRejected int) {
+	if p.ref {
+		var conns []*qnet.Connection
+		if p.fixed != nil {
+			conns, assembled, floorRejected = s.stitchFixedReference(p.fixed.Paths, p.connCap)
+		}
+		more, a, f := s.stitchRoutesReference(p.pairs, p.connCap)
+		s.Result.Connections = append(append(s.Result.Connections, conns...), more...)
+		return assembled + a, floorRejected + f
+	}
 	switch {
 	case p.fixed == nil:
-	case p.ref:
-		conns, assembled, floorRejected = s.stitchFixedReference(p.fixed.Paths, p.connCap)
 	case p.cached:
-		conns, assembled, floorRejected = p.fixed.StitchPhase(s)
+		assembled, floorRejected = p.fixed.StitchPhase(s)
 	default:
-		conns, assembled, floorRejected = s.StitchFixed(p.fixed.Paths, p.connCap)
+		assembled, floorRejected = s.StitchFixed(p.fixed.Paths, p.connCap)
 	}
-	routes := s.StitchRoutes
-	if p.ref {
-		routes = s.stitchRoutesReference
-	}
-	more, a, f := routes(p.pairs, p.connCap)
-	return append(conns, more...), assembled + a, floorRejected + f
+	a, f := s.StitchRoutes(p.pairs, p.connCap)
+	return assembled + a, floorRejected + f
 }
 
 // eventLog records the stitch loop's tracer events in order (timings
@@ -395,7 +396,7 @@ func TestStitchRoutesMatchesReference(t *testing.T) {
 			var res [2]*SlotResult
 			for k, side := range sides {
 				ph := &stitchOnly{segs: segs[k], fixed: plans[k], pairs: pairs, connCap: connCap, ref: k == 1, cached: cached}
-				got, err := side.r.Run(ph, side.rng, &SlotResult{PerPair: make([]int, len(pairs))})
+				got, err := side.r.Run(ph, side.rng, SlotResult{}, len(pairs))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -424,7 +425,7 @@ func TestStitchRoutesMatchesReference(t *testing.T) {
 					t.Fatalf("%s: connection %d = %+v, reference %+v", where, c, ca, cb)
 				}
 			}
-			if !slices.Equal(mapped(0, sides[0].r.pool.Unconsumed()), mapped(1, sides[1].r.pool.Unconsumed())) {
+			if !slices.Equal(mapped(0, sides[0].r.pool.AppendUnconsumed(nil)), mapped(1, sides[1].r.pool.AppendUnconsumed(nil))) {
 				t.Fatalf("%s: leftover pools differ", where)
 			}
 			if !slices.Equal(sides[0].log.events, sides[1].log.events) {

@@ -34,10 +34,10 @@ func (p *stitchPhases) ReservePhase(*sched.Slot) (plan, held qnet.AttemptPlan, e
 
 func (p *stitchPhases) PhysicalHook(s *sched.Slot) { s.Created = p.segs }
 
-func (p *stitchPhases) StitchPhase(s *sched.Slot) ([]*qnet.Connection, int, int) {
-	conns, assembled, rejected := s.StitchFixed(p.fixed, p.connCap)
-	more, a, r := s.StitchRoutes(p.pairs, p.connCap)
-	return append(conns, more...), assembled + a, rejected + r
+func (p *stitchPhases) StitchPhase(s *sched.Slot) (assembled, floorRejected int) {
+	assembled, floorRejected = s.StitchFixed(p.fixed, p.connCap)
+	a, r := s.StitchRoutes(p.pairs, p.connCap)
+	return assembled + a, floorRejected + r
 }
 
 // runStitch runs one slot of p over a network of n perfect-swap nodes.
@@ -49,7 +49,7 @@ func runStitch(t *testing.T, p *stitchPhases, n int, floors *qnet.FloorSpec) (*s
 	}
 	tr := sched.NewCountingTracer()
 	r := sched.NewRunner(sched.SlotConfig{Tracer: tr, FidelityFloors: floors}, net, nil)
-	res, err := r.Run(p, xrand.New(1), &sched.SlotResult{PerPair: make([]int, len(p.pairs))})
+	res, err := r.Run(p, xrand.New(1), sched.SlotResult{}, len(p.pairs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,10 +33,48 @@ type Candidate struct {
 	// Prob is the one-slot success probability of creating the segment
 	// over this route (p^k_uv in the paper).
 	Prob float64
+	// LengthKM is the route's fibre length (topo.Network.PathLengthKM),
+	// the length Prob was computed from and the one the fidelity model
+	// decays a segment over.
+	LengthKM float64
 	// ID numbers the set's candidates densely from 0 in the physical
 	// phase's order: by endpoint pair (U, V), then by topo.Key(Path)
 	// (KeyLess). Attempt plans are ordered by it.
 	ID int
+	// PairID is the dense index of the candidate's endpoint pair within
+	// its set: the pair's segment-graph edge ID, so Set.EdgePairs[PairID]
+	// is ⟨U, V⟩. Build sets it; a candidate made outside a set has 0,
+	// which need not be its pair's, so readers check EdgePairs or their
+	// own key table before trusting it.
+	PairID int
+}
+
+// NewCandidate builds the candidate over the physical route p the way
+// Build does: the route copied, its link IDs, its success probability and
+// the fibre length that probability was computed from. ID and PairID stay
+// 0. It fails on a route of fewer than two nodes or with a non-adjacent
+// hop.
+func NewCandidate(net *topo.Network, p graph.Path) (*Candidate, error) {
+	if len(p) < 2 {
+		return nil, fmt.Errorf("segment: route %v has fewer than two nodes", p)
+	}
+	prob, length := net.SegmentProbLength(p)
+	return newCandidate(net, p, prob, length)
+}
+
+// newCandidate completes a candidate over p whose probability and length
+// are already known.
+func newCandidate(net *topo.Network, p graph.Path, prob, length float64) (*Candidate, error) {
+	ids, err := net.PathEdgeIDs(p)
+	if err != nil {
+		return nil, err
+	}
+	return &Candidate{
+		Path:     append(graph.Path(nil), p...),
+		EdgeIDs:  ids,
+		Prob:     prob,
+		LengthKM: length,
+	}, nil
 }
 
 // U returns the smaller endpoint of the candidate.
@@ -212,21 +250,16 @@ func (s *Set) addCandidate(p graph.Path, seen *pathSet, skipMinProb bool) {
 	if !seen.add(p) {
 		return
 	}
-	prob := s.Net.SegmentSuccessProb(p)
+	prob, length := s.Net.SegmentProbLength(p)
 	if prob <= 0 {
 		return
 	}
 	if !skipMinProb && prob < s.opts.MinProb {
 		return
 	}
-	ids, err := s.Net.PathEdgeIDs(p)
+	c, err := newCandidate(s.Net, p, prob, length)
 	if err != nil {
 		return
-	}
-	c := &Candidate{
-		Path:    append(graph.Path(nil), p...),
-		EdgeIDs: ids,
-		Prob:    prob,
 	}
 	pk := MakePairKey(c.Path[0], c.Path[len(c.Path)-1])
 	s.ByPair[pk] = append(s.ByPair[pk], c)
@@ -338,6 +371,7 @@ func (s *Set) buildSegGraph() {
 		})
 		for _, c := range byKey {
 			c.ID = next
+			c.PairID = id
 			next++
 		}
 	}

@@ -197,6 +197,54 @@ func TestCandidateInvariants(t *testing.T) {
 	}
 }
 
+// TestCandidateLengthAndPairID: every built candidate carries the fibre
+// length its probability came from, bit for bit PathLengthKM, and the
+// segment-graph edge of its endpoint pair as PairID; NewCandidate over the
+// same route rebuilds it field for field (but for the set-assigned IDs)
+// and refuses routes Build could not realize.
+func TestCandidateLengthAndPairID(t *testing.T) {
+	cfg := topo.DefaultConfig()
+	cfg.Nodes = 60
+	net, err := topo.Generate(cfg, xrand.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Build(net, topo.ChooseSDPairs(net, 8, xrand.New(10)), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pk, list := range s.ByPair {
+		for _, c := range list {
+			if l := net.PathLengthKM(c.Path); c.LengthKM != l {
+				t.Fatalf("candidate %v: LengthKM %v, PathLengthKM %v", c.Path, c.LengthKM, l)
+			}
+			if s.EdgePairs[c.PairID] != pk || s.EdgeOf[pk] != c.PairID {
+				t.Fatalf("candidate %v of %+v has PairID %d (edge of %+v)", c.Path, pk, c.PairID, s.EdgePairs[c.PairID])
+			}
+			fresh, err := NewCandidate(net, c.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh.ID, fresh.PairID = c.ID, c.PairID
+			if !reflect.DeepEqual(fresh, c) {
+				t.Fatalf("NewCandidate(%v) = %+v, Build made %+v", c.Path, fresh, c)
+			}
+		}
+	}
+	if _, err := NewCandidate(net, graph.Path{0}); err == nil {
+		t.Error("NewCandidate accepted a one-node route")
+	}
+	far := -1
+	for v := 1; v < net.NumNodes() && far < 0; v++ {
+		if !slices.ContainsFunc(net.G.Neighbors(0), func(e graph.Edge) bool { return e.To == v }) {
+			far = v
+		}
+	}
+	if _, err := NewCandidate(net, graph.Path{0, far}); far > 0 && err == nil {
+		t.Errorf("NewCandidate accepted the non-adjacent hop 0–%d", far)
+	}
+}
+
 func TestBuildRejectsBadInput(t *testing.T) {
 	net, _ := topo.Motivation()
 	if _, err := Build(nil, nil, DefaultOptions()); err == nil {

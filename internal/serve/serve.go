@@ -147,6 +147,8 @@ type Server struct {
 	userServed    []int
 	established   int // engine connections over the whole run
 	floorRejected int // stitch assemblies rolled back by fidelity floors
+	// stats is the report RunSlot returns, reused every slot.
+	stats SlotStats
 }
 
 // New builds a traffic server over an engine serving `pairs` SD pairs.
@@ -209,10 +211,12 @@ func (s *Server) Fingerprint() string {
 }
 
 // RunSlot advances the server one slot: expire, admit arrivals, run the
-// engine, serve queues in class-priority order.
+// engine, serve queues in class-priority order. The returned report is
+// the server's own, overwritten by the next RunSlot: copy it to keep it.
 func (s *Server) RunSlot() (*SlotStats, error) {
 	slot := s.slot
-	stats := &SlotStats{Slot: slot}
+	s.stats = SlotStats{Slot: slot}
+	stats := &s.stats
 
 	// Expiry happens at slot start: a request whose deadline is this slot
 	// had Deadline−Arrived full slots of service opportunity.

@@ -100,20 +100,20 @@ func TestWithdrawOldestFirst(t *testing.T) {
 
 	b.BeginSlot() // slot 1
 	out := b.WithdrawAll()
-	if len(out) != 1 || out[0] != old {
+	if len(out) != 1 || out[0].Pair() != old.Pair() {
 		t.Fatalf("withdraw returned %v, want the slot-0 segment", out)
 	}
 	young := seg(2, 3)
-	// Deposit the young segment first, then re-deposit the old one: deposit
-	// order now disagrees with age order.
-	b.Deposit([]*qnet.Segment{young, old})
+	// Deposit the young segment first, then re-deposit the withdrawn old
+	// one: deposit order now disagrees with age order.
+	b.Deposit([]*qnet.Segment{young, out[0]})
 
 	b.BeginSlot() // slot 2
 	out = b.WithdrawAll()
 	if len(out) != 2 {
 		t.Fatalf("withdrew %d segments, want 2", len(out))
 	}
-	if out[0] != old || out[1] != young {
+	if out[0].Pair() != old.Pair() || out[1].Pair() != young.Pair() {
 		t.Error("WithdrawAll is not oldest-first across re-deposits")
 	}
 }
@@ -138,15 +138,12 @@ func TestWithdrawalAges(t *testing.T) {
 		if rng.Intn(4) != 0 {
 			continue
 		}
-		births := make(map[*qnet.Segment]int, len(b.entries))
-		for _, e := range b.entries {
-			births[e.seg] = e.birth
-		}
 		out := b.WithdrawAll()
 		for i := 1; i < len(out); i++ {
-			if births[out[i-1]] > births[out[i]] {
-				t.Fatalf("op %d: withdrawal out of age order: %d after %d",
-					op, births[out[i-1]], births[out[i]])
+			prev, _ := out[i-1].BankBirth()
+			cur, _ := out[i].BankBirth()
+			if prev > cur {
+				t.Fatalf("op %d: withdrawal out of age order: %d after %d", op, prev, cur)
 			}
 		}
 		// Re-deposit a random prefix so later withdrawals see mixed ages.

@@ -32,8 +32,8 @@ type BankedSegment struct {
 // deposit sequence counter, the lifetime tallies and every banked entry.
 // Policy and network are configuration, rebuilt on restore, not state.
 // Snapshots are valid only at slot boundaries (between a slot's deposits
-// and the next BeginSlot) — the withdrawn-birth scratch map is dead there
-// and is deliberately not captured.
+// and the next BeginSlot) — the withdrawn buffer is dead there and is
+// deliberately not captured.
 type BankState struct {
 	Slot    int             `json:"slot"`
 	Seq     int             `json:"seq"`
@@ -87,7 +87,7 @@ func (b *Bank) Restore(st *BankState, resolve CandidateResolver) error {
 		if bs.A < 0 || bs.B < 0 || bs.A >= b.net.NumNodes() || bs.B >= b.net.NumNodes() {
 			return fmt.Errorf("state: banked segment endpoints ⟨%d,%d⟩ outside network", bs.A, bs.B)
 		}
-		seg := &qnet.Segment{A: bs.A, B: bs.B}
+		seg := qnet.Segment{A: bs.A, B: bs.B}
 		if len(bs.Path) > 0 {
 			if resolve == nil {
 				return errors.New("state: bank snapshot has candidate routes but no resolver")
@@ -108,7 +108,6 @@ func (b *Bank) Restore(st *BankState, resolve CandidateResolver) error {
 	b.slot = st.Slot
 	b.seq = st.Seq
 	b.stats = st.Stats
-	b.withdrawnBirth = nil
 	b.entries = entries
 	b.used = used
 	return nil

@@ -29,8 +29,14 @@
 //   - WithdrawAll hands every surviving segment to the engine for the new
 //     slot and releases the banked memory. Withdrawn segments the slot
 //     does not consume may be re-deposited; they keep their original
-//     creation slot, so the age window measures true segment age and a
-//     segment can never ride the bank forever.
+//     creation slot (stamped on the withdrawn segment,
+//     qnet.Segment.BankBirth), so the age window measures true segment
+//     age and a segment can never ride the bank forever.
+//
+// The bank owns its segments by value: Deposit copies each one into bank
+// storage, so nothing it holds points into an engine's slot-scoped
+// segment arena, and WithdrawAll returns pointers into a second bank
+// buffer that no deposit writes until the next withdrawal.
 //
 // Engines expose the capability through sched.Stateful and gate every
 // bank interaction on the bank being attached: a nil bank (carry-over
@@ -39,10 +45,10 @@
 package state
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"see/internal/chaos"
 	"see/internal/qnet"
@@ -112,9 +118,9 @@ type Stats struct {
 // Lost sums the decoherence losses (age window + stochastic hazard).
 func (s Stats) Lost() int { return s.Expired + s.Decohered }
 
-// entry is one banked segment with its provenance.
+// entry is one banked segment, held by value, with its provenance.
 type entry struct {
-	seg *qnet.Segment
+	seg qnet.Segment
 	// birth is the slot the segment was realized in (preserved across
 	// re-deposits of a withdrawn-but-unconsumed segment).
 	birth int
@@ -135,12 +141,14 @@ type Bank struct {
 	slot    int
 	seq     int
 	entries []entry
+	// withdrawn holds the segments of the last WithdrawAll, which handed
+	// out pointers into it (out). It swaps buffers with entries at each
+	// withdrawal, so deposits never overwrite a segment withdrawn in the
+	// same slot.
+	withdrawn []entry
+	out       []*qnet.Segment
 	// used is the banked memory units per node; invariant used[u] <= m_u.
 	used []int
-	// withdrawnBirth remembers, for the current slot only, the creation
-	// slot of each withdrawn segment so an unconsumed re-deposit does not
-	// reset its age.
-	withdrawnBirth map[*qnet.Segment]int
 
 	stats Stats
 }
@@ -203,7 +211,6 @@ func (b *Bank) Stats() Stats {
 // top of RunSlot, before withdrawing.
 func (b *Bank) BeginSlot() (expired, decohered int) {
 	b.slot++
-	b.withdrawnBirth = nil
 	if len(b.entries) == 0 {
 		return 0, 0
 	}
@@ -213,11 +220,11 @@ func (b *Bank) BeginSlot() (expired, decohered int) {
 		switch {
 		case b.slot-e.birth > window:
 			expired++
-			b.release(e.seg)
+			b.release(&e.seg)
 		case b.policy.Decoherence > 0 &&
 			chaos.Hash01(b.policy.Seed, hashKindBank, b.slot, e.seq) < b.policy.Decoherence:
 			decohered++
-			b.release(e.seg)
+			b.release(&e.seg)
 		default:
 			kept = append(kept, e)
 		}
@@ -234,20 +241,22 @@ func (b *Bank) BeginSlot() (expired, decohered int) {
 // releasing their banked memory. The engine adds them to the slot's
 // realized pool (and may shrink its attempt plan with TrimPlan); whatever
 // the slot leaves unconsumed can be re-deposited with its age preserved.
+// The segments are the bank's own and stay valid until the next
+// WithdrawAll; the slice is the bank's too, valid as long.
 func (b *Bank) WithdrawAll() []*qnet.Segment {
 	if len(b.entries) == 0 {
 		return nil
 	}
-	sort.SliceStable(b.entries, func(i, j int) bool {
-		if b.entries[i].birth != b.entries[j].birth {
-			return b.entries[i].birth < b.entries[j].birth
+	slices.SortStableFunc(b.entries, func(x, y entry) int {
+		if c := cmp.Compare(x.birth, y.birth); c != 0 {
+			return c
 		}
-		return b.entries[i].seq < b.entries[j].seq
+		return cmp.Compare(x.seq, y.seq)
 	})
-	out := make([]*qnet.Segment, len(b.entries))
-	b.withdrawnBirth = make(map[*qnet.Segment]int, len(b.entries))
+	out := b.out[:0]
 	decay := b.policy.WernerRetention > 0 && b.policy.WernerRetention < 1
-	for i, e := range b.entries {
+	for i := range b.entries {
+		e := &b.entries[i]
 		if decay {
 			// Recomputed from total age at every withdrawal (never
 			// compounded on the stored scale), so a withdraw/re-deposit
@@ -256,20 +265,25 @@ func (b *Bank) WithdrawAll() []*qnet.Segment {
 				e.seg.SetWernerScale(math.Pow(b.policy.WernerRetention, float64(age)))
 			}
 		}
-		out[i] = e.seg
-		b.withdrawnBirth[e.seg] = e.birth
-		b.release(e.seg)
+		e.seg.SetBankBirth(e.birth)
+		b.release(&e.seg)
+		out = append(out, &e.seg)
 	}
-	b.entries = b.entries[:0]
+	// The withdrawn segments stay put; deposits go to the other buffer.
+	b.entries, b.withdrawn = b.withdrawn[:0], b.entries
+	b.out = out
 	b.stats.Withdrawn += len(out)
 	return out
 }
 
-// Deposit banks the given segments, in order, while both endpoints of each
-// have free banked memory; segments that do not fit are rejected (their
-// photons are released, not stored). Consumed segments are skipped. It
-// returns the number accepted. Callers pass segments in a deterministic
-// order (qnet.Pool.Unconsumed) so the acceptance set is reproducible.
+// Deposit banks copies of the given segments, in order, while both
+// endpoints of each have free banked memory; segments that do not fit are
+// rejected (their photons are released, not stored). Consumed segments are
+// skipped. A segment this bank withdrew keeps its stamped creation slot;
+// any other is born in the current slot. It returns the number accepted.
+// Callers pass segments in a deterministic order (qnet.Pool.AppendUnconsumed)
+// so the acceptance set is reproducible. The bank keeps no pointer to the
+// segments passed.
 func (b *Bank) Deposit(segs []*qnet.Segment) int {
 	accepted := 0
 	for _, s := range segs {
@@ -281,12 +295,12 @@ func (b *Bank) Deposit(segs []*qnet.Segment) int {
 			continue
 		}
 		birth := b.slot
-		if orig, ok := b.withdrawnBirth[s]; ok {
+		if orig, ok := s.BankBirth(); ok {
 			birth = orig
 		}
 		b.used[s.A]++
 		b.used[s.B]++
-		b.entries = append(b.entries, entry{seg: s, birth: birth, seq: b.seq})
+		b.entries = append(b.entries, entry{seg: *s, birth: birth, seq: b.seq})
 		b.seq++
 		accepted++
 	}

@@ -129,7 +129,7 @@ func TestWithdrawPreservesAgeOnRedeposit(t *testing.T) {
 
 	b.BeginSlot() // slot 1: inside the window
 	got := b.WithdrawAll()
-	if len(got) != 1 || got[0] != s {
+	if len(got) != 1 || got[0].Pair() != s.Pair() || got[0].Cand != s.Cand {
 		t.Fatalf("withdrew %v, want the deposited segment", got)
 	}
 	if b.MemoryUsed(0) != 0 || b.MemoryUsed(1) != 0 {
@@ -137,7 +137,7 @@ func TestWithdrawPreservesAgeOnRedeposit(t *testing.T) {
 	}
 	// Unconsumed: re-deposit. Birth must stay slot 0, so the segment
 	// expires at the next boundary instead of living another full window.
-	b.Deposit([]*qnet.Segment{s})
+	b.Deposit(got)
 	if expired, _ := b.BeginSlot(); expired != 1 {
 		t.Fatalf("re-deposited segment kept riding the bank (expired=%d)", expired)
 	}

@@ -94,21 +94,30 @@ func (n *Network) PathEdgeIDs(p graph.Path) ([]int, error) {
 // entanglement segment over the given physical segment, clamped to [0, 1].
 // Single-node paths (no transmission) have probability 1.
 func (n *Network) SegmentSuccessProb(p graph.Path) float64 {
+	prob, _ := n.SegmentProbLength(p)
+	return prob
+}
+
+// SegmentProbLength returns SegmentSuccessProb(p) together with the
+// PathLengthKM(p) it was computed from, so a caller that needs both scans
+// the path once. A single-node path has probability 1 and length 0; a
+// path with a non-adjacent hop has probability 0 and length +Inf.
+func (n *Network) SegmentProbLength(p graph.Path) (prob, lengthKM float64) {
 	if len(p) <= 1 {
-		return 1
+		return 1, 0
 	}
 	l := n.PathLengthKM(p)
 	if math.IsInf(l, 1) {
-		return 0
+		return 0, l
 	}
-	prob := n.prober.SegmentProb(p, l)
+	prob = n.prober.SegmentProb(p, l)
 	if prob < 0 {
-		return 0
+		return 0, l
 	}
 	if prob > 1 {
-		return 1
+		return 1, l
 	}
-	return prob
+	return prob, l
 }
 
 // SetProber replaces the probability model (used by fixtures and tests).

@@ -278,7 +278,10 @@ func SchedulerCarryStats(s Scheduler) CarryStats { return s.Bank().Stats() }
 // SlotResult reports one simulated time slot. It is the canonical
 // sched.SlotResult every engine returns — see that type for the full
 // pipeline breakdown (planned/provisioned paths, attempts, segments,
-// assembly attempts, established connections).
+// assembly attempts, established connections). A scheduler reuses its
+// result's storage: a SlotResult, its connections and their segments are
+// valid until that scheduler's next RunSlot, so keep a Clone to hold one
+// longer.
 type SlotResult = sched.SlotResult
 
 // Scheduler runs time slots of one entanglement-establishment scheme over
@@ -461,7 +464,8 @@ type ServeConfig = serve.Config
 // service rates and Jain's fairness index over per-user service.
 type ServeReport = serve.Report
 
-// ServeSlotStats reports one service-mode slot.
+// ServeSlotStats reports one service-mode slot. The server reuses it: it is
+// valid until the server's next slot.
 type ServeSlotStats = serve.SlotStats
 
 // ParseArrivalSpec parses a service-mode arrival specification such as

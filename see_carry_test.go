@@ -20,7 +20,7 @@ func runSlots(t *testing.T, sc Scheduler, seed int64, n int) []SlotResult {
 		if err != nil {
 			t.Fatalf("slot %d: %v", s, err)
 		}
-		out = append(out, *res)
+		out = append(out, *res.Clone())
 	}
 	return out
 }

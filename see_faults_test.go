@@ -31,7 +31,7 @@ func TestFaultsZeroPlanIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					out = append(out, *res)
+					out = append(out, *res.Clone())
 				}
 				return out
 			}

@@ -129,6 +129,7 @@ func TestSchedulerDeterministicPerSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, _ := sched.RunSlot(rand.New(rand.NewSource(3)))
+	a = a.Clone() // the next slot reuses the result
 	b, _ := sched.RunSlot(rand.New(rand.NewSource(3)))
 	if a.Established != b.Established || a.Attempts != b.Attempts {
 		t.Fatal("scheduler not deterministic per seed")
