@@ -182,17 +182,17 @@ bench-smoke:
 # docs/PROFILING.md. PROFILE_BENCH picks the benchmark (a -bench regexp;
 # default one SEE slot), e.g.
 #   make profile PROFILE_BENCH='ColumnGeneration$'
-# for one LP solve. Profiles land in /tmp/see-profile for interactive
-# follow-up with `go tool pprof`.
+# for one LP solve. Profiles land in $TMPDIR/see-profile (default
+# /tmp/see-profile) for interactive follow-up with `go tool pprof`.
 PROFILE_BENCH ?= SlotSEE$$
 
 profile:
-	@mkdir -p /tmp/see-profile
+	@set -e; dir="$${TMPDIR:-/tmp}/see-profile"; mkdir -p "$$dir"; \
 	$(GO) test -bench='$(PROFILE_BENCH)' -benchtime=$(BENCHTIME) -run='^$$' \
-		-cpuprofile /tmp/see-profile/cpu.pprof -memprofile /tmp/see-profile/mem.pprof \
-		-o /tmp/see-profile/see.test .
-	$(GO) tool pprof -top -nodecount=15 /tmp/see-profile/see.test /tmp/see-profile/cpu.pprof
-	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_space /tmp/see-profile/see.test /tmp/see-profile/mem.pprof
+		-cpuprofile "$$dir/cpu.pprof" -memprofile "$$dir/mem.pprof" \
+		-o "$$dir/see.test" .; \
+	$(GO) tool pprof -top -nodecount=15 "$$dir/see.test" "$$dir/cpu.pprof"; \
+	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_space "$$dir/see.test" "$$dir/mem.pprof"
 
 figures:
 	$(GO) run ./cmd/seefig -fig 3

@@ -176,7 +176,10 @@ func TestOrderPaths(t *testing.T) {
 	in := []PlannedPath{
 		mk(1, 2, 4), mk(0, 1, 3), mk(1, 1, 2), mk(0, 1, 2), mk(0, 1, 2),
 	}
-	got := (&slotScratch{}).orderPaths(in)
+	got, err := (&slotScratch{}).orderPaths(in)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Class (1 seg, 2 hops): round robin over commodities 0,1 ->
 	// c0, c1, c0. Then (1,3): c0. Then (2,4): c1.
 	wantSegs := []int{1, 1, 1, 1, 2}

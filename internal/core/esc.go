@@ -2,6 +2,8 @@ package core
 
 import (
 	"cmp"
+	"fmt"
+	"math/bits"
 	"slices"
 
 	"see/internal/qnet"
@@ -21,7 +23,10 @@ import (
 // it, so they are only valid until the next slot (RunSlot consumes them
 // in-slot).
 func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratch) (qnet.AttemptPlan, []PlannedPath, error) {
-	ordered := sc.orderPaths(planned)
+	ordered, err := sc.orderPaths(planned)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	// The ledger reserves against the planning capacities (fault-aware
 	// planning shrinks them to the forecast; nil overrides keep the
@@ -112,8 +117,7 @@ func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratc
 				keys = append(keys, escKey{edge: id})
 			}
 		}
-		sc.keys = keys
-		for {
+		for len(keys) > 0 {
 			// Each key's coverage is computed once per round. Ties break
 			// on the unique edge ID, so the order is strict and total: any
 			// correct sort yields the same permutation.
@@ -121,14 +125,12 @@ func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratc
 				keys[i].cover = expected[keys[i].edge] / float64(demand[keys[i].edge])
 			}
 			slices.SortFunc(keys, compareEscKeys)
-			reserved, err := e.backupRound(keys, ledger, plan, expected, attempts)
-			if err != nil {
+			var err error
+			if keys, err = e.backupRound(keys, ledger, plan, expected, attempts); err != nil {
 				return nil, nil, err
 			}
-			if reserved == 0 {
-				break
-			}
 		}
+		sc.keys = keys
 	}
 
 	if err := ledger.Validate(); err != nil {
@@ -151,24 +153,30 @@ func compareEscKeys(a, b escKey) int {
 }
 
 // backupRound performs one backup-provisioning pass over the sorted edge
-// keys: for each pair, reserve its best reservable candidate (if any).
+// keys: for each pair, reserve its best reservable candidate (if any). It
+// returns the keys that reserved, in order; the backup loop ends with a
+// round that keeps none. A key without a reservable candidate never gets
+// one later in the loop, whose ledger only reserves (CanReserve only turns
+// false), so dropping it changes no reservation; the kept keys' (cover,
+// edge) order is strict, so sorting them alone orders them as sorting all
+// keys would.
 func (e *Engine) backupRound(keys []escKey, ledger *qnet.Ledger,
-	plan *qnet.PlanBuilder, expected []float64, attempts []int) (int, error) {
-	reserved := 0
+	plan *qnet.PlanBuilder, expected []float64, attempts []int) ([]escKey, error) {
+	kept := keys[:0]
 	for _, k := range keys {
 		cand := e.bestReservable(k.edge, ledger)
 		if cand == nil {
 			continue
 		}
 		if err := ledger.Reserve(cand, 1); err != nil {
-			return 0, err
+			return nil, err
 		}
 		plan.Add(cand, 1)
 		expected[k.edge] += cand.Prob
 		attempts[k.edge]++
-		reserved++
+		kept = append(kept, k)
 	}
-	return reserved, nil
+	return kept, nil
 }
 
 // bestReservable returns the highest-probability candidate for the
@@ -186,35 +194,48 @@ func (e *Engine) bestReservable(id int, ledger *qnet.Ledger) *segment.Candidate 
 // count, then physical hop count), with round-robin across SD pairs inside
 // each equal-length class to preserve fairness: first one path of each SD
 // pair in commodity order, then the second of each, and so on, each pair's
-// paths in planned order. It sorts twice over the scratch's index buffer:
-// by class, commodity and planned index to number each path within its
-// pair and class, then by class, that number and commodity. Both orders
-// are strict, so the result is the stable round-robin order. The returned
-// slice is the scratch's, valid until the next call.
-func (sc *slotScratch) orderPaths(planned []PlannedPath) []PlannedPath {
-	ord := sc.order[:0]
+// paths in planned order. It sorts packed integer keys twice over the
+// scratch's buffer: (class, commodity, planned index) to number each path
+// within its pair and class, then (class, that number, commodity, planned
+// index). Each field is as wide as its largest value needs, and the
+// planned index makes both keys unique, so the result is the stable
+// round-robin order. It fails if the fields do not fit 64 bits. The
+// returned slice is the scratch's, valid until the next call.
+func (sc *slotScratch) orderPaths(planned []PlannedPath) ([]PlannedPath, error) {
+	var segs, phys, comm int
+	for _, p := range planned {
+		segs, phys, comm = max(segs, len(p.Hops)), max(phys, p.PhysHops), max(comm, p.Commodity)
+	}
+	wp, wc, wi := bits.Len(uint(phys)), bits.Len(uint(comm)), bits.Len(uint(len(planned)))
+	if bits.Len(uint(segs))+wp+wc+2*wi > 64 {
+		return nil, fmt.Errorf("core: %d planned paths (%d segments, %d hops, commodity %d) overflow the path-order key",
+			len(planned), segs, phys, comm)
+	}
+	keys := sc.order[:0]
 	for i, p := range planned {
-		ord = append(ord, pathRank{segs: len(p.Hops), phys: p.PhysHops, commodity: p.Commodity, i: i})
+		class := uint64(len(p.Hops))<<wp | uint64(p.PhysHops)
+		keys = append(keys, (class<<wc|uint64(p.Commodity))<<wi|uint64(i))
 	}
-	sc.order = ord
-	class := func(a, b *pathRank) int {
-		return cmp.Or(cmp.Compare(a.segs, b.segs), cmp.Compare(a.phys, b.phys))
-	}
-	slices.SortFunc(ord, func(a, b pathRank) int {
-		return cmp.Or(class(&a, &b), cmp.Compare(a.commodity, b.commodity), cmp.Compare(a.i, b.i))
-	})
-	for k := 1; k < len(ord); k++ {
-		if prev := &ord[k-1]; class(prev, &ord[k]) == 0 && prev.commodity == ord[k].commodity {
-			ord[k].rank = prev.rank + 1
+	slices.Sort(keys)
+	// Paths of one pair and class share every bit above the index; number
+	// them in index order.
+	idxMask, commMask := uint64(1)<<wi-1, uint64(1)<<wc-1
+	var group, rank uint64
+	for k, key := range keys {
+		if g := key >> wi; k == 0 || g != group {
+			group, rank = g, 0
+		} else {
+			rank++
 		}
+		class, commodity := group>>wc, group&commMask
+		keys[k] = ((class<<wi|rank)<<wc|commodity)<<wi | key&idxMask
 	}
-	slices.SortFunc(ord, func(a, b pathRank) int {
-		return cmp.Or(class(&a, &b), cmp.Compare(a.rank, b.rank), cmp.Compare(a.commodity, b.commodity))
-	})
+	slices.Sort(keys)
+	sc.order = keys
 	out := sc.ordered[:0]
-	for _, o := range ord {
-		out = append(out, planned[o.i])
+	for _, key := range keys {
+		out = append(out, planned[key&idxMask])
 	}
 	sc.ordered = out
-	return out
+	return out, nil
 }

@@ -266,24 +266,89 @@ func TestESCMatchesReference(t *testing.T) {
 	}
 }
 
-// TestOrderPathsMatchesReference compares the two-sort path order with
+// TestESCBackupRoundsMatchReference runs createSegmentsPlanScratch and
+// escReference on networks with ample channels and memory, where backup
+// provisioning runs several rounds and its keys die at different rounds
+// (TestESCMatchesReference's scarce instances saturate within one round).
+// The attempt plans and provisioned paths must be equal.
+func TestESCBackupRoundsMatchReference(t *testing.T) {
+	for trial := 0; trial < 16; trial++ {
+		rng := xrand.New(int64(300 + trial))
+		cfg := topo.DefaultConfig()
+		cfg.Nodes = 20 + rng.Intn(30)
+		cfg.Channels = 4 + rng.Intn(8)
+		cfg.Memory = 10 + rng.Intn(30)
+		if trial%4 == 3 {
+			cfg.Alpha, cfg.Delta = 0, 0 // lossless: coverage ratios tie
+		}
+		net, err := topo.Generate(cfg, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultOptions()
+		opts.StrictProvisioning = trial%2 == 1
+		e, err := newEngine(net, topo.ChooseSDPairs(net, 2+rng.Intn(6), rng), seeEnumeration(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := e.scratch()
+		for slot := 0; slot < 8; slot++ {
+			planned := e.identifyPathsLP(nil, e.LP, rng)
+			wantPlan, wantProv, err := e.escReference(planned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotPlan, gotProv, err := e.createSegmentsPlanScratch(planned, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(gotPlan, wantPlan) {
+				t.Fatalf("trial %d slot %d: plan %v, reference %v", trial, slot, gotPlan, wantPlan)
+			}
+			if len(gotProv)+len(wantProv) > 0 && !reflect.DeepEqual(gotProv, wantProv) {
+				t.Fatalf("trial %d slot %d: provisioned %d paths, reference %d (or different ones)", trial, slot, len(gotProv), len(wantProv))
+			}
+		}
+	}
+}
+
+// TestOrderPathsMatchesReference compares the packed-key path order with
 // the per-class commodity map it replaced on random planned lists with
-// few classes and many ties.
+// few classes and many ties, then with fields spread over wide ranges so
+// every packed field takes from zero to many bits, and checks that a list
+// whose fields cannot share 64 bits is refused.
 func TestOrderPathsMatchesReference(t *testing.T) {
 	rng := xrand.New(5)
 	var sc slotScratch
-	for trial := 0; trial < 500; trial++ {
+	for trial := 0; trial < 1000; trial++ {
+		// Narrow ranges tie often; wide ones need wide key fields.
+		commodities, segs, phys := 5, 3, 3
+		if trial >= 500 {
+			commodities, segs, phys = 1<<rng.Intn(21), 1<<rng.Intn(9), 1<<rng.Intn(17)
+		}
 		planned := make([]PlannedPath, rng.Intn(30))
+		if trial%50 == 49 {
+			// A long list widens the index and rank fields.
+			planned, segs = make([]PlannedPath, 1000+rng.Intn(3000)), 3
+		}
 		for i := range planned {
 			planned[i] = PlannedPath{
-				Commodity: rng.Intn(5),
-				Hops:      make([]flow.SegHop, 1+rng.Intn(3)),
-				PhysHops:  rng.Intn(3),
+				Commodity: rng.Intn(commodities),
+				Hops:      make([]flow.SegHop, 1+rng.Intn(segs)),
+				PhysHops:  rng.Intn(phys),
 				Nodes:     graph.Path{i}, // identifies the path
 			}
 		}
-		if got, want := sc.orderPaths(planned), orderPathsReference(planned); !reflect.DeepEqual(got, want) {
+		got, err := sc.orderPaths(planned)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if want := orderPathsReference(planned); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: order %v, reference %v", trial, got, want)
 		}
+	}
+	wide := []PlannedPath{{Commodity: 1 << 40, Hops: make([]flow.SegHop, 1), PhysHops: 1 << 30}}
+	if _, err := sc.orderPaths(wide); err == nil {
+		t.Fatal("a 75-bit key was accepted")
 	}
 }

@@ -17,7 +17,7 @@ type slotScratch struct {
 	// ESC: reservation ledger and attempt counts (Reset per slot), the
 	// coverage tables by segment edge ID (zeroed per slot), the
 	// backup-round keys, one path's rollback list, the path order and its
-	// index buffer.
+	// packed sort keys.
 	ledger   *qnet.Ledger
 	plan     qnet.PlanBuilder
 	expected []float64
@@ -25,7 +25,7 @@ type slotScratch struct {
 	attempts []int
 	keys     []escKey
 	added    []escAdded
-	order    []pathRank
+	order    []uint64
 	ordered  []PlannedPath
 
 	// EPI's planned paths and ESC's provisioned subset, handed from phase
@@ -50,13 +50,6 @@ type escKey struct {
 type escAdded struct {
 	cand *segment.Candidate
 	edge int
-}
-
-// pathRank is one planned path in orderPaths' sorts: its class (segment
-// and physical hop counts), commodity and planned index, and its rank
-// among its SD pair's paths of the same class.
-type pathRank struct {
-	segs, phys, commodity, i, rank int
 }
 
 // scratch returns the engine's slot scratch, creating it on first use.

@@ -81,7 +81,7 @@ func (h *minHeap) pop() pqItem {
 // results; use BellmanFord to detect them in tests. It returns
 // (nil, Unreachable) when no path exists.
 func ShortestPath(g *Graph, s, t int, opts DijkstraOptions) (Path, float64) {
-	return ShortestPathTarget(g, s, t, 0, opts, nil)
+	return ShortestPathTarget(g, s, t, opts, nil)
 }
 
 // PathLength computes the total cost of a path under the same cost model as

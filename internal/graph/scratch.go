@@ -3,10 +3,10 @@ package graph
 import "slices"
 
 // DijkstraScratch holds the reusable per-call buffers of a shortest-path
-// search. Engines run thousands of small queries per slot (the ECE stitch
-// loop, REPS's pool selection); one scratch per engine makes a query
-// allocate nothing and reset only the entries the previous search wrote
-// (the touched list), not all n. ShortestPath, ShortestPathTarget,
+// search. Column generation runs thousands of small queries per solve
+// (plain pricing) and Yen one per spur; one scratch per caller makes a
+// query allocate nothing and reset only the entries the previous search
+// wrote (the touched list), not all n. ShortestPath, ShortestPathTarget,
 // ShortestPathEdgesTarget and every Yen spur run the same search over one,
 // on graphs of any size.
 // The zero value is ready and grows on first use. Not safe for
@@ -154,34 +154,18 @@ func (sc *DijkstraScratch) appendPath(dst Path, s, t int) Path {
 }
 
 // ShortestPathTarget is ShortestPath with all working storage taken from
-// sc (nil allocates fresh buffers) and an optional distance bound. The
-// search stops as soon as the target is settled, which returns the full
-// single-source search's path and distance (see search). A positive bound
-// makes it give up at that distance: it returns the same path and
-// distance when the distance is below bound, and (nil, Unreachable)
-// otherwise. Returns (nil, Unreachable) when no path exists. Afterwards
-// PrevEdge reads the edge IDs along the path.
-func ShortestPathTarget(g *Graph, s, t int, bound float64, opts DijkstraOptions, sc *DijkstraScratch) (Path, float64) {
-	return AppendShortestPathTarget(nil, g, s, t, bound, opts, sc)
-}
-
-// AppendShortestPathTarget is ShortestPathTarget appending the path's
-// nodes to dst, so a caller can reuse one buffer. It returns the extended
-// slice, or dst unchanged and Unreachable when there is no path.
-func AppendShortestPathTarget(dst Path, g *Graph, s, t int, bound float64, opts DijkstraOptions, sc *DijkstraScratch) (Path, float64) {
+// sc (nil allocates fresh buffers). The search stops as soon as the target
+// is settled, which returns the full single-source search's path and
+// distance (see search). Returns (nil, Unreachable) when no path exists.
+func ShortestPathTarget(g *Graph, s, t int, opts DijkstraOptions, sc *DijkstraScratch) (Path, float64) {
 	if sc == nil {
 		sc = &DijkstraScratch{}
 	}
-	if t < 0 || t >= g.N() || !sc.search(g, s, t, bound, opts, nil) {
-		return dst, Unreachable
+	if t < 0 || t >= g.N() || !sc.search(g, s, t, 0, opts, nil) {
+		return nil, Unreachable
 	}
-	return sc.appendPath(dst, s, t), sc.dist[t]
+	return sc.appendPath(nil, s, t), sc.dist[t]
 }
-
-// PrevEdge returns the ID of the edge the last search reached v by: for
-// consecutive nodes u, v of the path it returned, the u–v edge it took
-// (-1 for the source and for unreached nodes).
-func (sc *DijkstraScratch) PrevEdge(v int) int { return sc.prevEdge[v] }
 
 // ShortestPathEdgesTarget is ShortestPathTarget that also returns the IDs
 // of the edges along the path, in path order: the predecessor edges the
@@ -192,7 +176,7 @@ func ShortestPathEdgesTarget(g *Graph, s, t int, opts DijkstraOptions, sc *Dijks
 	if sc == nil {
 		sc = &DijkstraScratch{}
 	}
-	path, dist := ShortestPathTarget(g, s, t, 0, opts, sc)
+	path, dist := ShortestPathTarget(g, s, t, opts, sc)
 	if path == nil {
 		return nil, nil, Unreachable
 	}
@@ -200,7 +184,7 @@ func ShortestPathEdgesTarget(g *Graph, s, t int, opts DijkstraOptions, sc *Dijks
 	if len(path) > 1 {
 		edges = make([]int, len(path)-1)
 		for i := len(path) - 1; i > 0; i-- {
-			edges[i-1] = sc.PrevEdge(path[i])
+			edges[i-1] = sc.prevEdge[path[i]]
 		}
 	}
 	return path, edges, dist

@@ -35,7 +35,7 @@ func TestShortestPathTargetMatchesFull(t *testing.T) {
 			s, d := rng.Intn(n), rng.Intn(n)
 			full := Dijkstra(g, s, opts)
 			wantPath, wantDist := full.PathTo(d), full.Dist[d]
-			gotPath, gotDist := ShortestPathTarget(g, s, d, 0, opts, sc)
+			gotPath, gotDist := ShortestPathTarget(g, s, d, opts, sc)
 			if gotDist != wantDist || !reflect.DeepEqual(gotPath, wantPath) {
 				t.Fatalf("trial %d query %d→%d: target-stop (%v, %v) != full (%v, %v)",
 					trial, s, d, gotPath, gotDist, wantPath, wantDist)
@@ -58,11 +58,11 @@ func TestShortestPathTargetNilScratch(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
-	p, d := ShortestPathTarget(g, 0, 2, 0, DijkstraOptions{}, nil)
+	p, d := ShortestPathTarget(g, 0, 2, DijkstraOptions{}, nil)
 	if d != 2 || !reflect.DeepEqual(p, Path{0, 1, 2}) {
 		t.Fatalf("got (%v, %v)", p, d)
 	}
-	if p, d := ShortestPathTarget(g, 0, 0, 0, DijkstraOptions{}, nil); d != 0 || !reflect.DeepEqual(p, Path{0}) {
+	if p, d := ShortestPathTarget(g, 0, 0, DijkstraOptions{}, nil); d != 0 || !reflect.DeepEqual(p, Path{0}) {
 		t.Fatalf("s==t: got (%v, %v)", p, d)
 	}
 	if p, es, d := ShortestPathEdgesTarget(g, 0, 2, DijkstraOptions{}, nil); d != 2 ||
@@ -86,7 +86,7 @@ func TestGraphReset(t *testing.T) {
 	if id != 0 {
 		t.Fatalf("edge IDs must restart at 0 after Reset, got %d", id)
 	}
-	if p, d := ShortestPathTarget(g, 2, 3, 0, DijkstraOptions{}, nil); d != 1 || !reflect.DeepEqual(p, Path{2, 3}) {
+	if p, d := ShortestPathTarget(g, 2, 3, DijkstraOptions{}, nil); d != 1 || !reflect.DeepEqual(p, Path{2, 3}) {
 		t.Fatalf("post-reset graph broken: (%v, %v)", p, d)
 	}
 }
@@ -111,13 +111,18 @@ func randomTiedGraph(rng *rand.Rand, n int) (*Graph, DijkstraOptions) {
 	return g, DijkstraOptions{NodeWeight: func(v int) float64 { return nw[v] }}
 }
 
-// checkBounded asserts that ShortestPathTarget on sc returns the
-// unbounded search's path, distance and path edges when that distance is
-// below bound, and (nil, Unreachable) otherwise.
+// checkBounded asserts that a search bounded at bound (the bound Yen's
+// spurs pass) on sc settles d with the unbounded search's path, distance
+// and path edges when that distance is below bound, and leaves d
+// unsettled otherwise.
 func checkBounded(t *testing.T, g *Graph, s, d int, bound float64, opts DijkstraOptions, sc *DijkstraScratch) {
 	t.Helper()
 	wantPath, wantEdges, wantDist := ShortestPathEdgesTarget(g, s, d, opts, nil)
-	gotPath, gotDist := ShortestPathTarget(g, s, d, bound, opts, sc)
+	var gotPath Path
+	gotDist := Unreachable
+	if sc.search(g, s, d, bound, opts, nil) {
+		gotPath, gotDist = sc.appendPath(nil, s, d), sc.dist[d]
+	}
 	if bound > 0 && wantDist >= bound {
 		wantPath, wantEdges, wantDist = nil, nil, Unreachable
 	}
@@ -126,17 +131,18 @@ func checkBounded(t *testing.T, g *Graph, s, d int, bound float64, opts Dijkstra
 	}
 	var gotEdges []int
 	for i := 1; i < len(gotPath); i++ {
-		gotEdges = append(gotEdges, sc.PrevEdge(gotPath[i]))
+		gotEdges = append(gotEdges, sc.prevEdge[gotPath[i]])
 	}
 	if !reflect.DeepEqual(gotEdges, wantEdges) {
 		t.Fatalf("%d→%d bound %v: edges %v, want %v", s, d, bound, gotEdges, wantEdges)
 	}
 }
 
-// TestShortestPathBoundMatchesUnbounded: a bounded search returns the
-// unbounded path and distance whenever that distance is below the bound,
-// and unreachable otherwise, on random graphs with node weights and tied
-// edge weights, with bounds at, just above and just below the distance.
+// TestShortestPathBoundMatchesUnbounded: a bounded search (search, as
+// Yen's spurs run it) returns the unbounded path and distance whenever
+// that distance is below the bound, and unreachable otherwise, on random
+// graphs with node weights and tied edge weights, with bounds at, just
+// above and just below the distance.
 func TestShortestPathBoundMatchesUnbounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	sc := &DijkstraScratch{}
@@ -205,7 +211,7 @@ func TestScratchInterleavedSearches(t *testing.T) {
 
 // FuzzShortestPathBound: on a graph decoded from the input (tied edge
 // weights from one byte each, node weights from the last bytes), a
-// bounded search agrees with the unbounded one as checkBounded requires,
+// bounded search (search, as Yen's spurs run it) agrees with the unbounded one as checkBounded requires,
 // on a scratch reused across the input's queries.
 func FuzzShortestPathBound(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 1, 1, 2, 1, 2, 3, 2, 0, 3, 9}, 2.5)

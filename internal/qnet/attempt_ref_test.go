@@ -15,7 +15,7 @@ import (
 // attemptAllReference is the physical phase as it ran over map-keyed
 // plans: it sorts the candidates by endpoint pair, then topo.Key of the
 // path, and fires each one's attempts in that order.
-// TestAttemptAllMatchesReference pins Arena.Attempt to it.
+// TestArenaAttemptMatchesReference pins Arena.Attempt to it.
 func attemptAllReference(plan map[*segment.Candidate]int, rng *rand.Rand, fm FaultModel, obs AttemptObserver) []*Segment {
 	cm, _ := fm.(CapacityModel)
 	sorted := make([]*segment.Candidate, 0, len(plan))
@@ -109,7 +109,7 @@ func (f brownoutFaults) CapAttempts(c *segment.Candidate, want int) int {
 	return want
 }
 
-// TestAttemptAllMatchesReference fires random plans through Arena.Attempt
+// TestArenaAttemptMatchesReference fires random plans through Arena.Attempt
 // (one arena, reset between plans, so its storage is reused) and
 // attemptAllReference from equal rng states, under no fault model, a
 // blocking model and a brownout model whose budgets run out mid-plan,
@@ -117,7 +117,7 @@ func (f brownoutFaults) CapAttempts(c *segment.Candidate, want int) int {
 // PlanBuilder from scattered adds and rolled-back candidates. Both must
 // realize the same segments, show the observer the same sequence and
 // leave the rng in the same state.
-func TestAttemptAllMatchesReference(t *testing.T) {
+func TestArenaAttemptMatchesReference(t *testing.T) {
 	type event struct {
 		c  *segment.Candidate
 		ok bool

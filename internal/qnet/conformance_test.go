@@ -20,7 +20,7 @@ func binomialZ(k, n int, p float64) float64 {
 // its p = e^{−αl} + δ (PAPER.md §1, step 3) within a binomial |z| ≤ 5. The
 // model p is computed here from the candidate's links, not read from the
 // candidate, and δ stays within its ±Delta band.
-func TestAttemptAllConformsToSegmentModel(t *testing.T) {
+func TestArenaAttemptConformsToSegmentModel(t *testing.T) {
 	const (
 		alpha, delta = 4e-4, 0.05
 		seed         = 17
@@ -112,7 +112,7 @@ link 3 4
 			for h := 0; h+1 < len(path); h++ {
 				c.Segments = append(c.Segments, pool.TakeAt(pool.IndexOf(segment.MakePairKey(path[h], path[h+1]))))
 			}
-			c.EstablishOrderedObserved(net, pool, nil, rng, obs, order)
+			c.EstablishOrderedObserved(net, pool, nil, rng, obs, order, nil)
 		}
 		for j, want := range q {
 			if sampled[j] < 10_000 {

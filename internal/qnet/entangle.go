@@ -1,10 +1,10 @@
 package qnet
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"see/internal/graph"
 	"see/internal/segment"
@@ -389,18 +389,25 @@ type SwapObserver func(junction int, ok bool)
 // SwapOrderPath visits the junctions from source to destination;
 // SwapOrderGreedy visits them in ascending swap probability (ties by path
 // position), so connections doomed by an unreliable junction fail before
-// reliable junctions burn rng draws and spare segments. On success the
-// delivered Fidelity is recorded from the connection's segments —
-// swap-order-independent by the Werner algebra's commutativity.
-func (c *Connection) EstablishOrderedObserved(net *topo.Network, pool *Pool, hops []int, rng *rand.Rand, obs SwapObserver, order SwapOrder) bool {
+// reliable junctions burn rng draws and spare segments. buf, when not
+// nil, holds the greedy order's junction positions across calls, so a
+// caller that keeps it allocates nothing; nil uses a fresh buffer. On
+// success the delivered Fidelity is recorded from the connection's
+// segments — swap-order-independent by the Werner algebra's
+// commutativity.
+func (c *Connection) EstablishOrderedObserved(net *topo.Network, pool *Pool, hops []int, rng *rand.Rand, obs SwapObserver, order SwapOrder, buf *[]int) bool {
 	established := true
 	if order == SwapOrderGreedy && len(c.Nodes) > 3 {
-		idx := make([]int, 0, len(c.Nodes)-2)
+		if buf == nil {
+			buf = new([]int)
+		}
+		idx := (*buf)[:0]
 		for i := 1; i+1 < len(c.Nodes); i++ {
 			idx = append(idx, i)
 		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			return net.SwapProb[c.Nodes[idx[a]]] < net.SwapProb[c.Nodes[idx[b]]]
+		*buf = idx
+		slices.SortStableFunc(idx, func(a, b int) int {
+			return cmp.Compare(net.SwapProb[c.Nodes[a]], net.SwapProb[c.Nodes[b]])
 		})
 		for _, i := range idx {
 			if !c.swapAtJunction(net, pool, hops, rng, obs, i) {

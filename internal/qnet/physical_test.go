@@ -32,7 +32,7 @@ func (f *stubFaults) SegmentDecohered() bool {
 // Blocked and brownout-denied attempts fail without an rng draw, so a
 // faulty physical phase equals the fault-free phase over the attempts that
 // were actually fired, and the observer still sees every reserved attempt.
-func TestAttemptAllBlockedAndBrownout(t *testing.T) {
+func TestArenaAttemptBlockedAndBrownout(t *testing.T) {
 	set, _ := motivationSet(t)
 	blocked := set.Best(topo.MotivS1, topo.MotivR1)
 	capped := set.Best(topo.MotivS2, topo.MotivD2)
@@ -169,7 +169,7 @@ func TestGreedySwapOrder(t *testing.T) {
 	} {
 		var visited []int
 		obs := func(junction int, _ bool) { visited = append(visited, junction) }
-		if conn().EstablishOrderedObserved(net, NewPool(nil), nil, xrand.New(1), obs, tc.order) {
+		if conn().EstablishOrderedObserved(net, NewPool(nil), nil, xrand.New(1), obs, tc.order, nil) {
 			t.Fatalf("%v: a q=0 junction established", tc.order)
 		}
 		if !reflect.DeepEqual(visited, tc.want) {
@@ -179,7 +179,7 @@ func TestGreedySwapOrder(t *testing.T) {
 
 	net.SwapProb[2] = 1
 	c := conn()
-	if !c.EstablishOrderedObserved(net, NewPool(nil), nil, xrand.New(1), nil, SwapOrderGreedy) || c.Fidelity <= 0 {
+	if !c.EstablishOrderedObserved(net, NewPool(nil), nil, xrand.New(1), nil, SwapOrderGreedy, nil) || c.Fidelity <= 0 {
 		t.Fatalf("greedy order over reliable junctions: fidelity %v", c.Fidelity)
 	}
 }

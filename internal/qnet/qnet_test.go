@@ -108,7 +108,7 @@ func TestAttemptPlanAccounting(t *testing.T) {
 	}
 }
 
-func TestAttemptAllDeterministicAndDistributed(t *testing.T) {
+func TestArenaAttemptDeterministicAndDistributed(t *testing.T) {
 	set, _ := motivationSet(t)
 	c := set.Best(topo.MotivS1, topo.MotivR1) // p = 0.9
 	plan := AttemptPlan{{Cand: c, N: 1000}}
@@ -196,7 +196,7 @@ func TestConnectionJunctionsAndSwap(t *testing.T) {
 	ok := 0
 	const n = 20000
 	for i := 0; i < n; i++ {
-		if conn.EstablishOrderedObserved(net, NewPool(nil), nil, rng, nil, SwapOrderPath) {
+		if conn.EstablishOrderedObserved(net, NewPool(nil), nil, rng, nil, SwapOrderPath, nil) {
 			ok++
 		}
 	}
@@ -245,7 +245,7 @@ func TestEstablishWithRetriesNoJunctions(t *testing.T) {
 		Segments: []*Segment{{A: c.U(), B: c.V(), Cand: c}},
 	}
 	pool := NewPool(nil)
-	if !conn.EstablishOrderedObserved(net, pool, nil, xrand.New(1), nil, SwapOrderPath) {
+	if !conn.EstablishOrderedObserved(net, pool, nil, xrand.New(1), nil, SwapOrderPath, nil) {
 		t.Fatal("junction-free connection must always establish")
 	}
 	if len(conn.Spares) != 0 {
@@ -273,7 +273,7 @@ func TestEstablishWithRetriesConsumesSpares(t *testing.T) {
 		Segments: []*Segment{mk(cl), mk(cs)},
 	}
 	rng := xrand.New(7)
-	if !conn.EstablishOrderedObserved(net, pool, nil, rng, nil, SwapOrderPath) {
+	if !conn.EstablishOrderedObserved(net, pool, nil, rng, nil, SwapOrderPath, nil) {
 		t.Fatal("establishment with 200 spares at q=0.2 should succeed")
 	}
 	if len(conn.Spares) == 0 {
@@ -306,7 +306,7 @@ func TestEstablishWithRetriesFailsWithoutSpares(t *testing.T) {
 		Nodes:    graph.Path{topo.MotivS1, topo.MotivR1, topo.MotivD1},
 		Segments: []*Segment{mk(cl), mk(cs)},
 	}
-	if conn.EstablishOrderedObserved(net, pool, nil, xrand.New(3), nil, SwapOrderPath) {
+	if conn.EstablishOrderedObserved(net, pool, nil, xrand.New(3), nil, SwapOrderPath, nil) {
 		t.Fatal("q=0 with empty pool must fail")
 	}
 }
@@ -333,7 +333,7 @@ func TestEstablishWithRetriesGeometric(t *testing.T) {
 			Nodes:    graph.Path{topo.MotivS1, topo.MotivR1, topo.MotivD1},
 			Segments: []*Segment{mk(cl), mk(cs)},
 		}
-		if !conn.EstablishOrderedObserved(net, pool, nil, rng, nil, SwapOrderPath) {
+		if !conn.EstablishOrderedObserved(net, pool, nil, rng, nil, SwapOrderPath, nil) {
 			t.Fatal("establishment with 100 spares at q=0.5 failed")
 		}
 		totalSpares += len(conn.Spares)

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -122,7 +121,7 @@ type Runner struct {
 	// connection counters, StitchFixed's hop → pool-index table and
 	// floor-dead marks, and StitchRoutes' auxiliary graph, its aux-edge →
 	// pool-index table, its route's hop indices, its skipped-pair marks
-	// and the targeted-Dijkstra buffers. None of it outlives the slot.
+	// and its route search. None of it outlives the slot.
 	slot      Slot
 	created   []*qnet.Segment
 	poolIn    []*qnet.Segment
@@ -136,10 +135,9 @@ type Runner struct {
 	// routeHops holds the pool index of each hop of the route in hand.
 	routeHops []int
 	dead      []bool
-	dij       graph.DijkstraScratch
-	// nodeWeight is StitchRoutes' junction weight per node (−ln q, or
-	// routeMissingWeight where q ≤ 0), derived once: net never changes.
-	nodeWeight []float64
+	route     routeSearch
+	// swapIdx holds the greedy swap order's junction positions.
+	swapIdx []int
 	// Tracer adapters, bound once so slots allocate no method values.
 	observe qnet.AttemptObserver
 	swapObs qnet.SwapObserver
@@ -554,16 +552,6 @@ func (r *Runner) floorDeadMarks(n int) []bool {
 	return r.floorDead
 }
 
-// Auxiliary-graph weights of StitchRoutes (the paper's Algorithm 3).
-const (
-	routeAvailableWeight = 1e-5
-	routeMissingWeight   = 1e9
-	// routeRejectThreshold rejects any route that traverses a missing
-	// segment: a usable route costs at most hops·1e-5 + Σ(−ln q), far
-	// below 1e8 for any q the simulator produces.
-	routeRejectThreshold = 1e8
-)
-
 // StitchRoutes is the floor-checked routed stitch loop: round-robin over
 // the SD pairs, routing each on the auxiliary graph of the pool's
 // remaining segments by shortest path (node weight −ln q, edge weight
@@ -582,29 +570,19 @@ const (
 // rejected. A search has no side effect (no rng draw, no event), so
 // skipping it changes nothing else.
 //
-// Each search is bounded at routeRejectThreshold: it gives up at the
-// first heap pop at or above the threshold instead of settling the rest
-// of the graph. That is exact. Popped distances never decrease, so a
-// target the unbounded search would settle at or above the threshold (a
-// route this loop rejects, marking the pair dead) stays unsettled, and a
-// target below it settles after exactly the unbounded search's pushes and
-// pops, so ties break the same way. Every aux edge is its own endpoint
-// pair, so each hop is taken by the pool index of the edge the search
-// took. Established connections are added to s.Result.Connections.
+// Each search is routeSearch.find, which returns the route of the
+// unbounded targeted Dijkstra whenever that route costs less than
+// routeRejectThreshold and fails otherwise (DESIGN.md §5b). Every aux edge
+// is its own endpoint pair, so each hop is taken by the pool index of the
+// edge the search took. Established connections are added to
+// s.Result.Connections.
 func (s *Slot) StitchRoutes(pairs []topo.SDPair, connCap []int) (assembled, floorRejected int) {
 	r := s.r
 	pool := s.Pool
 	perPair := r.perPair
 	fp := qnet.NewFloorPolicy(r.cfg.FidelityFloors)
-	if r.nodeWeight == nil {
-		r.nodeWeight = make([]float64, r.net.NumNodes())
-		for u := range r.nodeWeight {
-			if q := r.net.SwapProb[u]; q <= 0 {
-				r.nodeWeight[u] = routeMissingWeight
-			} else {
-				r.nodeWeight[u] = -math.Log(q)
-			}
-		}
+	if r.aux == nil {
+		r.route.init(r.net.SwapProb)
 		r.aux = graph.New(r.net.NumNodes())
 	}
 	// One aux edge per endpoint pair with a segment left, rebuilt in place
@@ -621,16 +599,6 @@ func (s *Slot) StitchRoutes(pairs []topo.SDPair, connCap []int) (assembled, floo
 		}
 	}
 	r.auxIdx = auxIdx
-	nodeWeight := r.nodeWeight
-	opts := graph.DijkstraOptions{
-		NodeWeight: func(u int) float64 { return nodeWeight[u] },
-		EdgeWeight: func(id int, _ float64) float64 {
-			if pool.AvailableAt(auxIdx[id]) >= 1 {
-				return routeAvailableWeight
-			}
-			return routeMissingWeight
-		},
-	}
 	// dead marks pairs skipped for the rest of the call: no usable route,
 	// or a best route that missed the floor.
 	if cap(r.dead) < len(pairs) {
@@ -644,17 +612,17 @@ func (s *Slot) StitchRoutes(pairs []topo.SDPair, connCap []int) (assembled, floo
 			if perPair[i] >= connCap[i] || dead[i] {
 				continue
 			}
-			conn := s.newConn(i)
-			path, _ := graph.AppendShortestPathTarget(conn.Nodes, aux, sd.S, sd.D, routeRejectThreshold, opts, &r.dij)
-			if len(path) == 0 {
+			if !r.route.find(aux, sd.S, sd.D, pool, auxIdx) {
 				dead[i] = true
 				continue
 			}
+			conn := s.newConn(i)
+			path := r.route.appendPath(conn.Nodes, sd.S, sd.D)
 			conn.Nodes = path
 			hops := r.routeHops[:0]
 			ok := true
 			for h := 1; h < len(path); h++ {
-				pi := auxIdx[r.dij.PrevEdge(path[h])]
+				pi := auxIdx[r.route.prevEdge[path[h]]]
 				hops = append(hops, pi)
 				seg := fp.TakeAt(pool, i, pi)
 				if seg == nil {
@@ -698,7 +666,7 @@ func (s *Slot) StitchRoutes(pairs []topo.SDPair, connCap []int) (assembled, floo
 // and reports the assembly to the tracer.
 func (s *Slot) establish(conn *qnet.Connection, hops []int) bool {
 	r := s.r
-	ok := conn.EstablishOrderedObserved(r.net, s.Pool, hops, s.Rng, r.swapObs, r.cfg.SwapOrder)
+	ok := conn.EstablishOrderedObserved(r.net, s.Pool, hops, s.Rng, r.swapObs, r.cfg.SwapOrder, &r.swapIdx)
 	r.tracer.ConnectionAssembled(conn.Pair, ok)
 	return ok
 }

@@ -61,7 +61,7 @@ func (s *Slot) stitchRoutesReference(pairs []topo.SDPair, connCap []int) (conns 
 			if floorDead != nil && floorDead[i] {
 				continue
 			}
-			path, dist := graph.ShortestPathTarget(aux, sd.S, sd.D, 0, opts, &dij)
+			path, dist := graph.ShortestPathTarget(aux, sd.S, sd.D, opts, &dij)
 			if path == nil || dist >= routeRejectThreshold {
 				continue
 			}

@@ -149,6 +149,8 @@ type Bank struct {
 	out       []*qnet.Segment
 	// used is the banked memory units per node; invariant used[u] <= m_u.
 	used []int
+	// trim is TrimPlan's reused storage.
+	trim trimScratch
 
 	stats Stats
 }
@@ -361,48 +363,88 @@ func checkConservation(net *topo.Network, entries []entry, used []int) error {
 // every withdrawn segment substituting. The input plan is never mutated —
 // engines cache their plans across slots — and is returned unchanged
 // (same slice) when nothing trims; the second result is the number of
-// attempts removed.
+// attempts removed. A trimmed plan is the bank's own storage, valid until
+// the next TrimPlan.
 func (b *Bank) TrimPlan(plan qnet.AttemptPlan, withdrawn []*qnet.Segment) (qnet.AttemptPlan, int) {
 	if b == nil {
-		return trimPlan(plan, withdrawn, 0)
+		var sc trimScratch
+		return sc.trimPlan(plan, withdrawn, 0)
 	}
-	return trimPlan(plan, withdrawn, b.policy.MinWernerScale)
+	return b.trim.trimPlan(plan, withdrawn, b.policy.MinWernerScale)
+}
+
+// trimScratch is TrimPlan's reused storage: the substituting endpoint
+// pairs with their remaining counts, sorted by pair, and the trimmed plan.
+type trimScratch struct {
+	subst []pairCount
+	out   qnet.AttemptPlan
+}
+
+// pairCount is one endpoint pair and a count of its segments.
+type pairCount struct {
+	pair segment.PairKey
+	n    int
+}
+
+// comparePairs orders endpoint pairs by U, then V.
+func comparePairs(a, b segment.PairKey) int {
+	if c := cmp.Compare(a.U, b.U); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.V, b.V)
 }
 
 // trimPlan is TrimPlan with the substitution threshold minScale (<= 0
-// keeps every withdrawn segment substituting).
-func trimPlan(plan qnet.AttemptPlan, withdrawn []*qnet.Segment, minScale float64) (qnet.AttemptPlan, int) {
+// keeps every withdrawn segment substituting). It counts the substitutes
+// per pair in a sorted list, so each plan entry finds its pair by binary
+// search: exact for any candidate and segment, nothing hashed.
+func (sc *trimScratch) trimPlan(plan qnet.AttemptPlan, withdrawn []*qnet.Segment, minScale float64) (qnet.AttemptPlan, int) {
 	if len(withdrawn) == 0 || len(plan) == 0 {
 		return plan, 0
 	}
-	avail := make(map[segment.PairKey]int, len(withdrawn))
+	subst := sc.subst[:0]
 	for _, s := range withdrawn {
 		if minScale > 0 && s.WernerScale() < minScale {
 			continue
 		}
-		avail[s.Pair()]++
+		subst = append(subst, pairCount{pair: s.Pair(), n: 1})
 	}
+	slices.SortFunc(subst, func(a, b pairCount) int { return comparePairs(a.pair, b.pair) })
+	// Merge each pair's run into one count.
+	k := 0
+	for _, c := range subst {
+		if k > 0 && subst[k-1].pair == c.pair {
+			subst[k-1].n++
+			continue
+		}
+		subst[k] = c
+		k++
+	}
+	subst = subst[:k]
+	sc.subst = subst
 	var out qnet.AttemptPlan
 	trimmed := 0
 	for i, e := range plan {
-		pk := segment.MakePairKey(e.Cand.U(), e.Cand.V())
-		w := avail[pk]
-		if w == 0 {
+		j, found := slices.BinarySearchFunc(subst, segment.MakePairKey(e.Cand.U(), e.Cand.V()),
+			func(c pairCount, pk segment.PairKey) int { return comparePairs(c.pair, pk) })
+		if !found || subst[j].n == 0 {
 			continue
 		}
-		cut := min(w, e.N)
+		cut := min(subst[j].n, e.N)
 		if cut == 0 {
 			continue
 		}
 		if out == nil {
-			out = slices.Clone(plan)
+			out = append(sc.out[:0], plan...)
 		}
 		out[i].N -= cut
-		avail[pk] -= cut
+		subst[j].n -= cut
 		trimmed += cut
 	}
 	if out == nil {
 		return plan, 0
 	}
-	return slices.DeleteFunc(out, func(e qnet.PlanEntry) bool { return e.N == 0 }), trimmed
+	out = slices.DeleteFunc(out, func(e qnet.PlanEntry) bool { return e.N == 0 })
+	sc.out = out
+	return out, trimmed
 }
