@@ -108,8 +108,10 @@ type Engine struct {
 	// simplex's buffers and the pricing scratch across the carry-aware
 	// per-slot LP re-solves (Options.CarryAwareLP); the re-solve bypasses
 	// the warm cache because its inputs change with the slot's banked
-	// inventory.
-	carryArena flow.Arena
+	// inventory. carryWeights is the re-solve's CarryWeights buffer,
+	// refilled every slot; the solve reads it only while it runs.
+	carryArena   flow.Arena
+	carryWeights []float64
 }
 
 var _ sched.Stateful = (*Engine)(nil)
@@ -224,7 +226,10 @@ func (e *Engine) StitchPhase(s *sched.Slot) (assembled, floorRejected int) {
 // flow.Options.CarryWeights). A failed solve falls back to the
 // construction-time LP rather than failing the slot.
 func (e *Engine) carryAwareSolve(withdrawn []*qnet.Segment) *flow.Solution {
-	weights := make([]float64, len(e.Set.EdgePairs))
+	if len(e.carryWeights) != len(e.Set.EdgePairs) {
+		e.carryWeights = make([]float64, len(e.Set.EdgePairs))
+	}
+	weights := e.carryWeights
 	for i := range weights {
 		weights[i] = 1
 	}

@@ -116,7 +116,8 @@ type Options struct {
 	// apportioning), which over-plans junction-heavy paths as q drops;
 	// with this flag SEE's planning degrades gracefully toward the pure
 	// all-optical solution at low q, matching the paper's Fig. 5.
-	// Pricing stays exact via a junction-layered Dijkstra.
+	// Pricing stays exact via layeredPrice, a dynamic program over hop
+	// layers (no priority queue; DESIGN.md §5b).
 	SwapWeightedObjective bool
 	// MaxJunctions bounds the junction count considered by the layered
 	// pricing (default 14); only used with SwapWeightedObjective.

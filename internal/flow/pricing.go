@@ -153,12 +153,14 @@ func (m *model) buildGoalW(hops int) {
 // if its distance is below best[v], the least distance to v over the layers
 // already built: a state no cheaper than a shorter walk to its node cannot
 // lie on the winning walk, and the source (best = 0) is never re-expanded.
-// Outside seeding rounds a pruned round also applies a goal bound: a state
-// (v, h) enters the next frontier only if (goalW[h+1] − dualI) − dist_h[v]
-// > eps, the reduced cost its walks would have if the rest were free.
-// Costs are non-negative and w never exceeds goalW, so no walk through a
-// rejected state can qualify. The pruned DP returns exactly the unpruned
-// one's walk and weight (DESIGN.md §5b).
+// A pruned round also branches and bounds: it keeps inc, the largest
+// reduced cost at d over the layers built so far, and a state (v, h) enters
+// the next frontier only if (goalW[h+1] − dualI) − dist_h[v] > max(eps,
+// inc), the reduced cost its walks would have if the rest were free
+// (seeding rounds take dualI as 0 and the threshold as inc alone). Costs
+// are non-negative and w never exceeds goalW, so no walk through a
+// rejected state can qualify or beat an earlier layer's walk. The pruned
+// DP returns exactly the unpruned one's walk and weight (DESIGN.md §5b).
 //
 // Min-cost fixed-hop walks may in principle revisit nodes; such walks are
 // strictly dominated (positive arc costs, weights ≤ 1), so loopy
@@ -172,8 +174,16 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 	n := g.N()
 	maxHops := m.opts.MaxJunctions + 1
 	prune := m.pruneDominated
-	goal := prune && !math.IsInf(dualI, -1)
 	order := m.reach[i]
+	// Rank layers by reduced cost against effDual; seeding (dualI = −Inf)
+	// accepts the best finite layer unconditionally. thr is the pruned
+	// round's bound, max(minRC, inc): it starts at minRC and rises with
+	// each layer's reduced cost at d, in the extraction's own expression.
+	effDual, minRC := dualI, eps
+	if math.IsInf(dualI, -1) {
+		effDual, minRC = 0, math.Inf(-1)
+	}
+	thr := minRC
 
 	ps.resize(maxHops+1, n)
 	dist, logq := ps.dist, ps.logq
@@ -229,20 +239,24 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 		}
 		built = h
 		// Without pruning best stays +Inf, so every reached node enters.
-		// best[v] records a dominating state even when the goal bound
-		// rejects it, so the expanded states are exactly the
-		// dominance-pruned DP's that pass the bound.
+		// best[v] records a dominating state even when the bound rejects
+		// it, so the bound only removes states the dominance rule keeps.
 		next = next[:0]
 		var reach float64
-		if goal {
-			reach = m.goalW[h+1] - dualI
+		if prune {
+			if d := hDist[sd.D]; d < math.Inf(1) {
+				if rc := math.Exp(-hLogq[sd.D]) - effDual - d; rc > thr {
+					thr = rc
+				}
+			}
+			reach = m.goalW[h+1] - effDual
 		}
 		for _, v := range order.layer(h) {
 			if d := hDist[v]; d < best[v] {
 				if prune {
 					best[v] = d
 				}
-				if !goal || reach-d > eps {
+				if !prune || reach-d > thr {
 					next = append(next, v)
 				}
 			}
@@ -251,14 +265,6 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 	}
 	ps.frontier, ps.next = frontier, next
 
-	// Rank layers by reduced cost; seeding (dualI = −Inf) accepts the best
-	// finite layer unconditionally.
-	effDual := dualI
-	minRC := eps
-	if math.IsInf(dualI, -1) {
-		effDual = 0
-		minRC = math.Inf(-1)
-	}
 	cands := ps.cands[:0]
 	for h := 1; h <= built; h++ {
 		st := h*n + sd.D

@@ -278,21 +278,28 @@ func pricingRounds(m *model, rng *rand.Rand) []pricingRound {
 // pricingStats counts what comparePricing saw: rounds that ran pruned,
 // calls that returned a walk, and the frontier entries layeredPrice
 // expanded in the pruned rounds against those the dominance-only DP
-// expands on them.
+// expands on them, in all of them and in the seeding ones alone.
 type pricingStats struct {
-	pruned    int
-	priced    int
-	expanded  int
-	dominance int
+	pruned        int
+	priced        int
+	expanded      int
+	dominance     int
+	seedExpanded  int
+	seedDominance int
 }
 
 // comparePricing prices every commodity of every round with layeredPrice
 // and layeredPriceReference and requires identical nodes, edges and weight
 // bits. The dominance-only DP's expansions are counted by calling
-// layeredPrice with eps = −Inf, where every state passes the goal bound.
+// layeredPrice with every goalW at +Inf, where every state passes the
+// bound whatever the incumbent.
 func comparePricing(t *testing.T, name string, m *model, rounds []pricingRound) pricingStats {
 	t.Helper()
 	ps, rs, ds := &priceScratch{}, &refPriceScratch{}, &priceScratch{}
+	goalW, noBound := m.goalW, make([]float64, len(m.goalW))
+	for h := range noBound {
+		noBound[h] = math.Inf(1)
+	}
 	var st pricingStats
 	for _, r := range rounds {
 		if err := m.priceRealizations(nil, r.duals); err != nil {
@@ -309,12 +316,18 @@ func comparePricing(t *testing.T, name string, m *model, rounds []pricingRound) 
 			if nodes != nil {
 				st.priced++
 			}
-			m.layeredPrice(ds, i, r.dualI[i], math.Inf(-1))
+			m.goalW = noBound
+			m.layeredPrice(ds, i, r.dualI[i], epsilon)
+			m.goalW = goalW
 		}
 		if m.pruneDominated {
 			st.pruned++
 			st.expanded += ps.expanded - expanded
 			st.dominance += ds.expanded - dominance
+			if math.IsInf(r.dualI[0], -1) {
+				st.seedExpanded += ps.expanded - expanded
+				st.seedDominance += ds.expanded - dominance
+			}
 		}
 	}
 	return st
@@ -424,8 +437,8 @@ func paperPricingSet(t *testing.T, seed int64) *segment.Set {
 }
 
 // TestLayeredPriceMatchesReference pins the pruned layered DP (dominance
-// rule and goal bound) to the pre-pruning one, call for call, on Waxman
-// sets with uniform and jittered q, a paper-default instance and
+// rule, goal bound and incumbent) to the pre-pruning one, call for call,
+// on Waxman sets with uniform and jittered q, a paper-default instance and
 // equal-length grids where cost ties are common, under seeding, unit,
 // zero, link-heavy, tie-heavy and random duals, at the default junction
 // bound and at small ones where the last layer often wins. On the Waxman
@@ -433,9 +446,9 @@ func paperPricingSet(t *testing.T, seed int64) *segment.Set {
 // master solve of a real column generation (trajectory rounds), and, for
 // every third of those, rounds whose dual_i sits on and either side of the
 // winning walk's threshold (±1 ulp, ±10⁻⁹), where the goal bound is
-// tightest. The goal bound must expand at most 60%
-// of the dominance-only DP's frontier entries on the trajectory rounds, so
-// a bound that stops firing fails here.
+// tightest. The bound (goalW against the incumbent) must expand at most
+// 60% of the dominance-only DP's frontier entries on the trajectory rounds
+// and on the seeding rounds, so a bound that stops firing fails here.
 func TestLayeredPriceMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type instance struct {
@@ -464,7 +477,7 @@ func TestLayeredPriceMatchesReference(t *testing.T) {
 				instance{fmt.Sprintf("grid k=%d dead-q", k), gridSet(t, k, rng, true), 0, false, false})
 		}
 	}
-	var traj, below, above pricingStats
+	var traj, seed, below, above pricingStats
 	for _, in := range insts {
 		opts := Options{SwapWeightedObjective: true, MaxJunctions: in.maxJunctions}
 		if in.dropDead {
@@ -488,19 +501,21 @@ func TestLayeredPriceMatchesReference(t *testing.T) {
 			t.Fatalf("%s: uniformQ = %v, want %v", in.name, m.uniformQ, uniform)
 		}
 		rounds := pricingRounds(m, rng)
-		pruned := comparePricing(t, in.name, m, rounds).pruned
+		st := comparePricing(t, in.name, m, rounds)
+		seed.seedExpanded += st.seedExpanded
+		seed.seedDominance += st.seedDominance
 		if want := len(rounds); !uniform {
-			if pruned != 0 {
-				t.Fatalf("%s: %d rounds pruned with heterogeneous q", in.name, pruned)
+			if st.pruned != 0 {
+				t.Fatalf("%s: %d rounds pruned with heterogeneous q", in.name, st.pruned)
 			}
-		} else if pruned != want {
-			t.Fatalf("%s: %d of %d rounds pruned with uniform q", in.name, pruned, want)
+		} else if st.pruned != want {
+			t.Fatalf("%s: %d of %d rounds pruned with uniform q", in.name, st.pruned, want)
 		}
 		if !in.trajectory {
 			continue
 		}
 		master := trajectoryRounds(t, in.set, opts)
-		st := comparePricing(t, in.name, m, master)
+		st = comparePricing(t, in.name, m, master)
 		t.Logf("%s: %d trajectory rounds, %d pruned, %d of %d dominance-kept frontier entries expanded",
 			in.name, len(master), st.pruned, st.expanded, st.dominance)
 		traj.expanded += st.expanded
@@ -522,11 +537,17 @@ func TestLayeredPriceMatchesReference(t *testing.T) {
 		above.priced += a.priced
 	}
 	if traj.dominance == 0 || 10*traj.expanded > 6*traj.dominance {
-		t.Fatalf("trajectory rounds: goal bound expanded %d of %d dominance-kept frontier entries, want at most 60%%",
+		t.Fatalf("trajectory rounds: bound expanded %d of %d dominance-kept frontier entries, want at most 60%%",
 			traj.expanded, traj.dominance)
 	}
-	t.Logf("trajectory rounds: %d of %d frontier entries expanded; boundary rounds: %d walks below the thresholds, %d above",
-		traj.expanded, traj.dominance, below.priced, above.priced)
+	// Seeding rounds have no dual to bound against until the first walk
+	// reaches d; from then on the incumbent prunes them too.
+	if seed.seedDominance == 0 || 10*seed.seedExpanded > 6*seed.seedDominance {
+		t.Fatalf("seeding rounds: bound expanded %d of %d dominance-kept frontier entries, want at most 60%%",
+			seed.seedExpanded, seed.seedDominance)
+	}
+	t.Logf("trajectory rounds: %d of %d frontier entries expanded; seeding rounds: %d of %d; boundary rounds: %d walks below the thresholds, %d above",
+		traj.expanded, traj.dominance, seed.seedExpanded, seed.seedDominance, below.priced, above.priced)
 	// Just below its threshold a commodity's winning walk qualifies, just
 	// above it does not: the boundary rounds straddle the bound.
 	if below.priced == 0 || above.priced >= below.priced {
@@ -599,5 +620,40 @@ func TestLayeredPriceNegativeCostUnpruned(t *testing.T) {
 	}
 	if negRounds < 30 {
 		t.Fatalf("only %d rounds had a negative arc cost", negRounds)
+	}
+}
+
+// TestLayeredPriceAllocs: once its scratch has grown, a pricing call that
+// finds no walk allocates nothing, and one that returns a walk allocates
+// exactly the walk's node and edge slices.
+func TestLayeredPriceAllocs(t *testing.T) {
+	m, err := newModel(waxmanPricingSet(t, 0, 1), Options{SwapWeightedObjective: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.priceRealizations(nil, unitDuals(m.numRows)); err != nil {
+		t.Fatal(err)
+	}
+	if !m.pruneDominated {
+		t.Fatal("unit duals on a uniform-q set do not prune")
+	}
+	ps := &priceScratch{}
+	for _, c := range []struct {
+		name  string
+		dualI float64
+		want  float64 // 2 when the call returns a walk
+	}{
+		{"seeding", math.Inf(-1), 2},
+		{"pricing", -1e9, 2},
+		{"no walk", 10, 0},
+	} {
+		for i := range m.set.Pairs {
+			if nodes, _, _ := m.layeredPrice(ps, i, c.dualI, epsilon); (nodes != nil) != (c.want > 0) {
+				t.Fatalf("%s commodity %d: walk %v", c.name, i, nodes)
+			}
+			if got := testing.AllocsPerRun(20, func() { m.layeredPrice(ps, i, c.dualI, epsilon) }); got != c.want {
+				t.Errorf("%s commodity %d: %v allocs per call, want %v", c.name, i, got, c.want)
+			}
+		}
 	}
 }
