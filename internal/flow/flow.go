@@ -220,12 +220,15 @@ type tables struct {
 	// Swap-weighted objective only, built on first use. negLogQ[v] caches
 	// −ln(SwapProb[v]) (+Inf at q ≤ 0). uniformQ: every node has the same
 	// q, with −ln q ≥ 0. reach holds each commodity's unpruned frontier
-	// order for reachHops layers (reachOrder), and goalW the per-layer
-	// survival bound of layeredPrice's goal bound (uniform q only).
+	// order for reachHops layers (reachOrder); layerW the swap survival
+	// of every state at a layer of a pruned round and goalW the
+	// per-layer survival bound of layeredPrice's goal bound (uniform q
+	// only, buildGoalW).
 	negLogQ   []float64
 	uniformQ  bool
 	reach     []reachOrder
 	reachHops int
+	layerW    []float64
 	goalW     []float64
 }
 

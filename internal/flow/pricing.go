@@ -110,24 +110,29 @@ func (m *model) buildReach(hops int) {
 	m.reachHops = hops
 }
 
-// buildGoalW computes goalW for hops layers when q is uniform: goalW[h] is
-// the largest swap survival of any walk ending at layer h or later,
-// max_{k≥h} exp(−L_k), where L_k is the logq the pruned DP stores at layer
-// k (0 at layer 1, then one −ln q added per layer, the same float sums).
+// buildGoalW computes layerW and goalW for hops layers when q is uniform.
+// layerW[h] is exp(−L_h), where L_h is the logq the pruned DP stores at
+// layer h (0 at layer 1, then one −ln q added per layer, the same float
+// sums): in a pruned round the source is never expanded again, so every
+// state at layer h carries L_h and its swap survival is layerW[h], bit
+// for bit the exponential of its stored logq. goalW[h] is the largest
+// survival of any walk ending at layer h or later, max_{k≥h} layerW[k];
 // goalW[hops+1] is −Inf: no walk continues past the last layer. Taking
 // the suffix max keeps the goal bound sound without relying on exp being
 // monotone.
 func (m *model) buildGoalW(hops int) {
-	m.goalW = nil
+	m.goalW, m.layerW = nil, nil
 	if !m.uniformQ {
 		return
 	}
+	m.layerW = make([]float64, hops+1)
 	m.goalW = make([]float64, hops+2)
 	var lq float64
 	for h := 1; h <= hops; h++ {
-		m.goalW[h] = math.Exp(-lq)
+		m.layerW[h] = math.Exp(-lq)
 		lq += m.negLogQ[0]
 	}
+	copy(m.goalW, m.layerW)
 	m.goalW[hops+1] = math.Inf(-1)
 	for h := hops; h >= 1; h-- {
 		m.goalW[h] = math.Max(m.goalW[h], m.goalW[h+1])
@@ -160,7 +165,9 @@ func (m *model) buildGoalW(hops int) {
 // (seeding rounds take dualI as 0 and the threshold as inc alone). Costs
 // are non-negative and w never exceeds goalW, so no walk through a
 // rejected state can qualify or beat an earlier layer's walk. The pruned
-// DP returns exactly the unpruned one's walk and weight (DESIGN.md §5b).
+// DP returns exactly the unpruned one's walk and weight (DESIGN.md §5b),
+// and reads each layer's swap survival from layerW rather than
+// exponentiating the stored logq, which is the same number there.
 //
 // Min-cost fixed-hop walks may in principle revisit nodes; such walks are
 // strictly dominated (positive arc costs, weights ≤ 1), so loopy
@@ -245,7 +252,7 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 		var reach float64
 		if prune {
 			if d := hDist[sd.D]; d < math.Inf(1) {
-				if rc := math.Exp(-hLogq[sd.D]) - effDual - d; rc > thr {
+				if rc := m.layerW[h] - effDual - d; rc > thr {
 					thr = rc
 				}
 			}
@@ -271,7 +278,12 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 		if math.IsInf(dist[st], 1) {
 			continue
 		}
-		w := math.Exp(-logq[st])
+		var w float64
+		if prune {
+			w = m.layerW[h]
+		} else {
+			w = math.Exp(-logq[st])
+		}
 		if rc := w - effDual - dist[st]; rc > minRC {
 			cands = append(cands, layerCand{h: h, rc: rc, w: w})
 		}

@@ -98,3 +98,60 @@ func TestMaxFlowEqualsMinCut(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxFlowResetMatchesFresh solves one network again and again, reset
+// to random capacity vectors between solves (directed and undirected arcs
+// mixed), and requires every value to equal a fresh network's over the
+// same arcs and capacities, for random s–t pairs.
+func TestMaxFlowResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(8)
+		type arc struct {
+			u, v       int
+			undirected bool
+		}
+		var arcs []arc
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if u != v && rng.Float64() < 0.3 {
+					arcs = append(arcs, arc{u, v, rng.Intn(2) == 0})
+				}
+			}
+		}
+		build := func(caps []int) *MaxFlow {
+			m := NewMaxFlow(n)
+			for k, a := range arcs {
+				var id int
+				if a.undirected {
+					id = m.AddUndirected(a.u, a.v, caps[2*k])
+				} else {
+					id = m.AddEdge(a.u, a.v, caps[2*k])
+				}
+				if id != 2*k {
+					t.Fatalf("arc %d got index %d, want %d", k, id, 2*k)
+				}
+			}
+			return m
+		}
+		randCaps := func() []int {
+			caps := make([]int, 2*len(arcs))
+			for k, a := range arcs {
+				caps[2*k] = rng.Intn(6)
+				if a.undirected {
+					caps[2*k+1] = caps[2*k]
+				}
+			}
+			return caps
+		}
+		reused := build(randCaps())
+		for solve := 0; solve < 8; solve++ {
+			caps := randCaps()
+			s, d := rng.Intn(n), rng.Intn(n)
+			reused.Reset(caps)
+			if got, want := reused.Solve(s, d), build(caps).Solve(s, d); got != want {
+				t.Fatalf("trial %d solve %d (%d→%d): reset network %d, fresh %d", trial, solve, s, d, got, want)
+			}
+		}
+	}
+}

@@ -58,24 +58,26 @@ type Bound struct {
 	Expected float64
 }
 
-// ComputeBounds evaluates both bounds for every pair. Each min-cut runs on
-// a fresh flow network (graph.MaxFlow is consumable), so the cost is
-// O(pairs · Dinic) — negligible next to an LP solve.
+// ComputeBounds evaluates both bounds for every pair. It builds one flow
+// network over the physical topology and both capacity vectors once, so
+// each link's success probability is evaluated once per call, and resets
+// the network to the right vector before every min-cut. Max-flow values
+// are unique, so reusing the network cannot change a bound; the cost is
+// O(pairs · Dinic), negligible next to an LP solve.
 func ComputeBounds(net *topo.Network, pairs []topo.SDPair) []Bound {
+	mf, hardCap, scaledCap := flowNetwork(net)
 	out := make([]Bound, len(pairs))
 	for i, p := range pairs {
-		hard := minCut(net, p, func(id int, _, _ int) int { return net.Channels[id] })
+		mf.Reset(hardCap)
+		hard := mf.Solve(p.S, p.D)
 		if m := net.Memory[p.S]; m < hard {
 			hard = m
 		}
 		if m := net.Memory[p.D]; m < hard {
 			hard = m
 		}
-		scaled := minCut(net, p, func(id int, u, v int) int {
-			prob := net.SegmentSuccessProb(graph.Path{u, v})
-			return int(math.Round(rateScale * float64(net.Channels[id]) * prob))
-		})
-		expected := float64(scaled) / rateScale
+		mf.Reset(scaledCap)
+		expected := float64(mf.Solve(p.S, p.D)) / rateScale
 		if expected > float64(hard) {
 			expected = float64(hard)
 		}
@@ -84,20 +86,31 @@ func ComputeBounds(net *topo.Network, pairs []topo.SDPair) []Bound {
 	return out
 }
 
-// minCut computes the s-t max-flow (= min-cut) over the physical topology
-// with per-link capacities from capOf(edgeID, u, v). Both arcs of a link
-// share an edge ID, so each undirected link is added once, from its
-// lower-numbered endpoint's adjacency list.
-func minCut(net *topo.Network, p topo.SDPair, capOf func(id, u, v int) int) int {
-	mf := graph.NewMaxFlow(net.NumNodes())
+// flowNetwork builds the flow network over the physical topology, one
+// undirected arc pair per link, added from its lower-numbered endpoint's
+// adjacency list (both directions share an edge ID), and its two
+// per-arc capacity vectors: the link's channel count, and that count
+// scaled by the link's single-hop success probability in units of
+// 1/rateScale.
+func flowNetwork(net *topo.Network) (mf *graph.MaxFlow, hardCap, scaledCap []int) {
+	mf = graph.NewMaxFlow(net.NumNodes())
+	hardCap = make([]int, 0, 2*len(net.Channels))
+	scaledCap = make([]int, 0, 2*len(net.Channels))
+	hop := make(graph.Path, 2)
 	for u := 0; u < net.NumNodes(); u++ {
 		for _, e := range net.G.Neighbors(u) {
 			if u < e.To {
-				mf.AddUndirected(u, e.To, capOf(e.ID, u, e.To))
+				c := net.Channels[e.ID]
+				hop[0], hop[1] = u, e.To
+				prob := net.SegmentSuccessProb(hop)
+				scaled := int(math.Round(rateScale * float64(c) * prob))
+				mf.AddUndirected(u, e.To, c)
+				hardCap = append(hardCap, c, c)
+				scaledCap = append(scaledCap, scaled, scaled)
 			}
 		}
 	}
-	return mf.Solve(p.S, p.D)
+	return mf, hardCap, scaledCap
 }
 
 // Engine is the oracle pseudo-engine. RunSlot delivers nothing and draws

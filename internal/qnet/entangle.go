@@ -3,6 +3,7 @@ package qnet
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -59,15 +60,6 @@ func (s *Segment) BankBirth() (slot int, ok bool) { return s.born - 1, s.born > 
 // at withdrawal, so an unconsumed re-deposit keeps the segment's age).
 func (s *Segment) SetBankBirth(slot int) { s.born = slot + 1 }
 
-// lengthOf is the fibre length a segment's fidelity decays over: its
-// candidate's route length (segment.Candidate.LengthKM), 0 without one.
-func lengthOf(s *Segment) float64 {
-	if s.Cand == nil {
-		return 0
-	}
-	return s.Cand.LengthKM
-}
-
 // PlanEntry is one candidate realization with the number of creation
 // attempts reserved for it (an x^k_uv of the paper).
 type PlanEntry struct {
@@ -101,12 +93,13 @@ func (p AttemptPlan) ExpectedSegments() float64 {
 
 // PlanBuilder accumulates attempt counts for the candidates of one
 // segment.Set and emits them as an AttemptPlan. Counts live in dense
-// tables by candidate ID, so adding is an index, and only the IDs touched
-// since the last Reset are visited. The zero value is ready to use.
+// tables by candidate ID, so adding is an index, and a bitset marks the
+// IDs touched since the last Reset, so Plan and Reset walk them in
+// ascending ID order without sorting. The zero value is ready to use.
 type PlanBuilder struct {
 	counts  []int                // candidate ID → attempts
 	cands   []*segment.Candidate // candidate ID → candidate, nil if untouched
-	touched []int                // IDs with a non-nil cands entry
+	touched []uint64             // bit id set iff cands[id] is non-nil
 	plan    AttemptPlan
 }
 
@@ -117,12 +110,15 @@ func (b *PlanBuilder) Add(c *segment.Candidate, n int) {
 		grow := id + 1 - len(b.counts)
 		b.counts = append(b.counts, make([]int, grow)...)
 		b.cands = append(b.cands, make([]*segment.Candidate, grow)...)
+		if words := (id >> 6) + 1; words > len(b.touched) {
+			b.touched = append(b.touched, make([]uint64, words-len(b.touched))...)
+		}
 	}
 	switch b.cands[id] {
 	case c:
 	case nil:
 		b.cands[id] = c
-		b.touched = append(b.touched, id)
+		b.touched[id>>6] |= 1 << (id & 63)
 	default:
 		panic("qnet: PlanBuilder given two candidates with one ID")
 	}
@@ -140,11 +136,13 @@ func (b *PlanBuilder) Count(c *segment.Candidate) int {
 // Plan returns the accumulated positive counts in candidate ID order. The
 // slice is the builder's own, valid until the next Plan or Reset.
 func (b *PlanBuilder) Plan() AttemptPlan {
-	slices.Sort(b.touched)
 	out := b.plan[:0]
-	for _, id := range b.touched {
-		if n := b.counts[id]; n > 0 {
-			out = append(out, PlanEntry{Cand: b.cands[id], N: n})
+	for w, word := range b.touched {
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			if n := b.counts[id]; n > 0 {
+				out = append(out, PlanEntry{Cand: b.cands[id], N: n})
+			}
 		}
 	}
 	b.plan = out
@@ -153,11 +151,14 @@ func (b *PlanBuilder) Plan() AttemptPlan {
 
 // Reset zeroes every count, visiting only the touched IDs.
 func (b *PlanBuilder) Reset() {
-	for _, id := range b.touched {
-		b.counts[id] = 0
-		b.cands[id] = nil
+	for w, word := range b.touched {
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			b.counts[id] = 0
+			b.cands[id] = nil
+		}
+		b.touched[w] = 0
 	}
-	b.touched = b.touched[:0]
 }
 
 // AttemptObserver is notified of each physical creation attempt's outcome.
@@ -424,7 +425,7 @@ func (c *Connection) EstablishOrderedObserved(net *topo.Network, pool *Pool, hop
 		}
 	}
 	if established {
-		c.Fidelity = DefaultFidelityModel().PredictFidelity(c.Segments, lengthOf)
+		c.Fidelity = DefaultFidelityModel().PredictFidelity(c.Segments)
 	}
 	return established
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"see/internal/segment"
 )
 
 // FidelityModel estimates end-to-end entanglement fidelity under a
@@ -19,9 +21,10 @@ type FidelityModel struct {
 	// distance (detector/source imperfections only). Typical: 0.99.
 	F0 float64
 	// DecayKM is the depolarization length: transmission over l km scales
-	// the Werner parameter by e^(−l/DecayKM). Typical: 20,000 km for
-	// purified links (the simulator's default keeps fidelity secondary to
-	// throughput, as in the paper).
+	// the Werner parameter by e^(−l/DecayKM). The default is
+	// segment.DecayKM, the length every candidate's stored Decay factor
+	// is computed at; PredictFidelity reads those factors, so only
+	// SegmentFidelity reads this field.
 	DecayKM float64
 	// SwapF0 scales the Werner parameter at every swap operation,
 	// modelling imperfect Bell-state measurement. Typical: 0.98.
@@ -30,7 +33,7 @@ type FidelityModel struct {
 
 // DefaultFidelityModel returns plausible near-term parameters.
 func DefaultFidelityModel() FidelityModel {
-	return FidelityModel{F0: 0.99, DecayKM: 20000, SwapF0: 0.98}
+	return FidelityModel{F0: 0.99, DecayKM: segment.DecayKM, SwapF0: 0.98}
 }
 
 // wernerOf converts fidelity F to the Werner parameter w = (4F−1)/3.
@@ -59,20 +62,31 @@ func (m FidelityModel) SwapFidelity(f1, f2 float64) float64 {
 // commutative, so the value is independent of the swap order: it is both
 // the decision-time prediction the fidelity floors gate on and the
 // report-time value recorded on established connections — one function, so
-// the two can never drift.
-func (m FidelityModel) PredictFidelity(segs []*Segment, lengthOf func(s *Segment) float64) float64 {
+// the two can never drift. Each segment decays by its candidate's stored
+// factor (segment.Candidate.Decay, at segment.DecayKM), or by exactly 1
+// without a candidate.
+func (m FidelityModel) PredictFidelity(segs []*Segment) float64 {
 	if len(segs) == 0 {
 		return 0
 	}
 	w := 1.0
 	for _, s := range segs {
-		w *= wernerOf(m.F0) * math.Exp(-lengthOf(s)/m.DecayKM) * s.WernerScale()
+		w *= wernerOf(m.F0) * decayOf(s) * s.WernerScale()
 	}
 	sw := wernerOf(m.SwapF0)
 	for i := 1; i < len(segs); i++ {
 		w *= sw
 	}
 	return fidelityOf(w)
+}
+
+// decayOf is the factor transmission over s's route scales its Werner
+// parameter by: its candidate's Decay, 1 without a candidate.
+func decayOf(s *Segment) float64 {
+	if s.Cand == nil {
+		return 1
+	}
+	return s.Cand.Decay
 }
 
 // FloorSpec is a per-request fidelity-floor table: Default applies to every
@@ -223,15 +237,11 @@ func NewFloorPolicy(floors *FloorSpec) FloorPolicy {
 // Active reports whether any pair has a nonzero floor.
 func (f FloorPolicy) Active() bool { return !f.floors.IsZero() }
 
-// LengthOf is the physical fibre length of a segment's realization
-// (candidate-less segments decay nothing).
-func (f FloorPolicy) LengthOf(s *Segment) float64 { return lengthOf(s) }
-
 // Score orders a pair's available segments by their contribution to the
 // composed Werner parameter (decayed by fibre length and banked age), so
 // TakeBestAt maximizes the predicted end-to-end fidelity.
 func (f FloorPolicy) Score(s *Segment) float64 {
-	return s.WernerScale() * math.Exp(-f.LengthOf(s)/f.model.DecayKM)
+	return s.WernerScale() * decayOf(s)
 }
 
 // TakeAt draws a segment of the pair of pool index i for the given
@@ -248,7 +258,7 @@ func (f FloorPolicy) TakeAt(pool *Pool, commodity, i int) *Segment {
 // misses the commodity's floor.
 func (f FloorPolicy) Rejects(commodity int, segs []*Segment) bool {
 	floor := f.floors.Floor(commodity)
-	return floor > 0 && f.model.PredictFidelity(segs, f.LengthOf) < floor
+	return floor > 0 && f.model.PredictFidelity(segs) < floor
 }
 
 // SwapOrder selects the order the stitch phase performs a connection's

@@ -1,12 +1,16 @@
 package qnet
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"see/internal/graph"
+	"see/internal/segment"
 	"see/internal/topo"
 )
 
@@ -69,7 +73,6 @@ func TestSwapFidelityRange(t *testing.T) {
 func TestConnectionFidelity(t *testing.T) {
 	set, net := motivationSet(t)
 	m := DefaultFidelityModel()
-	lengthOf := func(s *Segment) float64 { return net.PathLengthKM(s.Cand.Path) }
 
 	// Single-segment (E2E-style) connection: fidelity is the segment's.
 	cSeg := set.Best(topo.MotivS2, topo.MotivD2)
@@ -79,7 +82,7 @@ func TestConnectionFidelity(t *testing.T) {
 		Segments: []*Segment{{A: cSeg.U(), B: cSeg.V(), Cand: cSeg}},
 	}
 	wantDirect := m.SegmentFidelity(net.PathLengthKM(cSeg.Path))
-	if got := m.PredictFidelity(direct.Segments, lengthOf); math.Abs(got-wantDirect) > 1e-12 {
+	if got := m.PredictFidelity(direct.Segments); math.Abs(got-wantDirect) > 1e-12 {
 		t.Fatalf("direct fidelity = %v, want %v", got, wantDirect)
 	}
 
@@ -95,7 +98,7 @@ func TestConnectionFidelity(t *testing.T) {
 			{A: cs.U(), B: cs.V(), Cand: cs},
 		},
 	}
-	got := m.PredictFidelity(twoSeg.Segments, lengthOf)
+	got := m.PredictFidelity(twoSeg.Segments)
 	f1 := m.SegmentFidelity(net.PathLengthKM(cl.Path))
 	f2 := m.SegmentFidelity(net.PathLengthKM(cs.Path))
 	if got >= math.Min(f1, f2) {
@@ -104,7 +107,7 @@ func TestConnectionFidelity(t *testing.T) {
 	if got < 0.25 {
 		t.Fatalf("fidelity below maximally mixed: %v", got)
 	}
-	if m.PredictFidelity(nil, lengthOf) != 0 {
+	if m.PredictFidelity(nil) != 0 {
 		t.Fatal("empty connection must have zero fidelity")
 	}
 }
@@ -152,21 +155,37 @@ func TestSwapFidelityCommutative(t *testing.T) {
 // pristine segments, stay invariant under any permutation of the chain
 // (swap-order independence), never exceed any single segment's fidelity,
 // and decrease when a segment carries banked age decay. Randomized sweep
-// over chain lengths, span lengths and decay scales, fixed seed.
+// over chain lengths, span lengths and decay scales, fixed seed. Each
+// segment is realized over a segment.NewCandidate of one link of a line
+// network with the span's length, so its decay is the candidate's stored
+// factor, as in a slot.
 func TestPredictFidelityProperties(t *testing.T) {
 	m := DefaultFidelityModel()
 	rng := rand.New(rand.NewSource(20220406))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(5)
-		segs := make([]*Segment, n)
-		lengths := make(map[*Segment]float64, n)
-		for i := range segs {
-			segs[i] = &Segment{A: i, B: i + 1}
-			lengths[segs[i]] = rng.Float64() * 4000
+		var spec strings.Builder
+		for v := 0; v <= n; v++ {
+			fmt.Fprintf(&spec, "node %d %d 0\n", v, 100*v)
 		}
-		lengthOf := func(s *Segment) float64 { return lengths[s] }
+		for v := 0; v < n; v++ {
+			fmt.Fprintf(&spec, "link %d %d %s\n", v, v+1, strconv.FormatFloat(rng.Float64()*4000, 'g', -1, 64))
+		}
+		net, err := topo.LoadEdgeList(strings.NewReader(spec.String()), topo.DefaultConfig(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs := make([]*Segment, n)
+		for i := range segs {
+			c, err := segment.NewCandidate(net, graph.Path{i, i + 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs[i] = &Segment{A: i, B: i + 1, Cand: c}
+		}
+		lengthOf := func(s *Segment) float64 { return net.PathLengthKM(s.Cand.Path) }
 
-		got := m.PredictFidelity(segs, lengthOf)
+		got := m.PredictFidelity(segs)
 		want := m.SegmentFidelity(lengthOf(segs[0]))
 		for _, s := range segs[1:] {
 			want = m.SwapFidelity(want, m.SegmentFidelity(lengthOf(s)))
@@ -185,14 +204,14 @@ func TestPredictFidelityProperties(t *testing.T) {
 		for i, j := range perm {
 			shuffled[i] = segs[j]
 		}
-		if shuf := m.PredictFidelity(shuffled, lengthOf); math.Abs(shuf-got) > 1e-12 {
+		if shuf := m.PredictFidelity(shuffled); math.Abs(shuf-got) > 1e-12 {
 			t.Fatalf("trial %d: permutation changed fidelity: %v vs %v", trial, shuf, got)
 		}
 
 		// Age decay on any one segment strictly degrades the chain.
 		k := rng.Intn(n)
 		segs[k].SetWernerScale(0.5 + rng.Float64()*0.4)
-		if aged := m.PredictFidelity(segs, lengthOf); aged >= got {
+		if aged := m.PredictFidelity(segs); aged >= got {
 			t.Fatalf("trial %d: aged chain fidelity %v not below pristine %v", trial, aged, got)
 		}
 		segs[k].SetWernerScale(1)

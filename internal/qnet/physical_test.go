@@ -114,7 +114,7 @@ func TestFloorPolicy(t *testing.T) {
 		t.Fatal("an all-zero spec must be inactive")
 	}
 
-	f := DefaultFidelityModel().PredictFidelity([]*Segment{{}}, off.LengthOf)
+	f := DefaultFidelityModel().PredictFidelity([]*Segment{{}})
 	spec := &FloorSpec{Default: 0, PerPair: map[int]float64{0: f - 1e-9}}
 	on := NewFloorPolicy(spec)
 	aged, fresh, pool := mk()

@@ -36,6 +36,10 @@ type Pool struct {
 	// order lists the indices sorted by endpoint pair. It is re-sorted
 	// only when the key set has grown since the last sort.
 	order []int
+	// filled lists the indices whose bucket the last fill wrote, each
+	// once: every other bucket is already empty, so Reset visits only
+	// these.
+	filled []int
 }
 
 // NewPool builds a pool over realized segments.
@@ -47,14 +51,22 @@ func NewPool(segs []*Segment) *Pool {
 
 // Reset repopulates the pool in place with a new slot's segments, reusing
 // the pair index and the buckets' backing arrays instead of allocating a
-// fresh pool every slot.
+// fresh pool every slot. It empties only the buckets the last fill wrote
+// (every other one is empty already), so its cost follows the previous
+// slot's segments, not every pair the pool has ever held. It nils their
+// pointers first, as a stale pointer past len would keep a dead segment
+// reachable; a plain loop, since a clear call per bucket costs more than
+// the few stores a bucket needs.
 func (p *Pool) Reset(segs []*Segment) {
-	for i, b := range p.buckets {
-		// A stale pointer past len would keep a dead segment reachable.
-		clear(b)
+	for _, i := range p.filled {
+		b := p.buckets[i]
+		for k := 0; k < len(b); k++ {
+			b[k] = nil
+		}
 		p.buckets[i] = b[:0]
 		p.avail[i] = 0
 	}
+	p.filled = p.filled[:0]
 	p.fill(segs)
 }
 
@@ -63,6 +75,9 @@ func (p *Pool) fill(segs []*Segment) {
 		i, ok := p.cached(s)
 		if !ok {
 			i = p.assign(s)
+		}
+		if len(p.buckets[i]) == 0 {
+			p.filled = append(p.filled, i)
 		}
 		p.buckets[i] = append(p.buckets[i], s)
 		if !s.consumed {

@@ -1,6 +1,7 @@
 package schedtest
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"see/internal/qnet"
 	"see/internal/sched"
 	"see/internal/state"
+	"see/internal/topo"
 )
 
 // TestOracleBoundsDeliveries pins the capacity oracle's central promise
@@ -72,26 +74,20 @@ func TestOracleBoundsDeliveries(t *testing.T) {
 	})
 }
 
-// TestFidelityMatchesRecompute checks that with floors disabled the
-// fidelity stamped on every delivered connection is exactly what the
-// default model recomputes from the connection's own segments — the same
-// function with the same lengthOf, so equality is exact, not approximate.
-// Recomputation happens inside the slot loop because segment arenas may be
-// recycled across slots.
+// TestFidelityMatchesRecompute checks that the fidelity stamped on every
+// delivered connection is, bit for bit, the fold of referenceFidelity
+// over the connection's own segments: every engine with floors disabled,
+// and SEE, REPS, Contend and Greedy under a fidelity floor and with a
+// carry-over bank, whose withdrawn segments carry age decay. Checking
+// happens inside the slot loop because segment arenas are recycled
+// across slots.
 func TestFidelityMatchesRecompute(t *testing.T) {
 	net, pairs, err := Instance(testNodes, testPairs, testSeed+10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := qnet.DefaultFidelityModel()
-	lengthOf := func(s *qnet.Segment) float64 {
-		if s.Cand == nil {
-			return 0
-		}
-		return net.PathLengthKM(s.Cand.Path)
-	}
-	forEachEngine(t, func(t *testing.T, alg sched.Algorithm) {
-		eng, err := engines.New(alg, net, pairs, engines.Config{})
+	check := func(t *testing.T, alg sched.Algorithm, cfg engines.Config) {
+		eng, err := engines.New(alg, net, pairs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,9 +99,8 @@ func TestFidelityMatchesRecompute(t *testing.T) {
 				t.Fatalf("slot %d: %v", s, err)
 			}
 			for ci, c := range res.Connections {
-				want := model.PredictFidelity(c.Segments, lengthOf)
-				if c.Fidelity != want {
-					t.Errorf("slot %d connection %d: Fidelity %v, recomputed %v", s, ci, c.Fidelity, want)
+				if want := referenceFidelity(net, c.Segments); c.Fidelity != want {
+					t.Errorf("slot %d connection %d: Fidelity %v, reference fold %v", s, ci, c.Fidelity, want)
 				}
 				checked++
 			}
@@ -113,7 +108,41 @@ func TestFidelityMatchesRecompute(t *testing.T) {
 		if checked == 0 && alg != sched.Oracle {
 			t.Errorf("%v delivered no connections to check", alg)
 		}
-	})
+	}
+	forEachEngine(t, func(t *testing.T, alg sched.Algorithm) { check(t, alg, engines.Config{}) })
+	for _, alg := range []sched.Algorithm{sched.SEE, sched.REPS, sched.Contend, sched.Greedy} {
+		t.Run(alg.String()+"-floored", func(t *testing.T) {
+			check(t, alg, engines.Config{FidelityFloors: &qnet.FloorSpec{Default: 0.8}})
+		})
+		t.Run(alg.String()+"-banked", func(t *testing.T) {
+			check(t, alg, engines.Config{CarryOver: true, DecoherenceSlots: 2,
+				CarryWernerRetention: 0.9, CarryMinWernerScale: 0.5})
+		})
+	}
+}
+
+// referenceFidelity is the default model's end-to-end fidelity of segs as
+// qnet computed it before candidates stored their decay factor: each
+// segment's exp(−L/DecayKM) recomputed from its route's fibre length (0
+// without a candidate), in the same operand order.
+func referenceFidelity(net *topo.Network, segs []*qnet.Segment) float64 {
+	if len(segs) == 0 {
+		return 0
+	}
+	m := qnet.DefaultFidelityModel()
+	werner := func(f float64) float64 { return (4*f - 1) / 3 }
+	w := 1.0
+	for _, s := range segs {
+		var l float64
+		if s.Cand != nil {
+			l = net.PathLengthKM(s.Cand.Path)
+		}
+		w *= werner(m.F0) * math.Exp(-l/m.DecayKM) * s.WernerScale()
+	}
+	for i := 1; i < len(segs); i++ {
+		w *= werner(m.SwapF0)
+	}
+	return (3*w + 1) / 4
 }
 
 // TestFloorsEnforced runs every engine under a tight fidelity floor and

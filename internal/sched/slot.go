@@ -119,7 +119,7 @@ type Runner struct {
 	// the pool input (Withdrawn ++ Created), the leftovers deposited in
 	// the bank, the segment pool, the stitch loops' shared per-pair
 	// connection counters, StitchFixed's hop → pool-index table and
-	// floor-dead marks, and StitchRoutes' auxiliary graph, its aux-edge →
+	// live paths, and StitchRoutes' auxiliary graph, its aux-edge →
 	// pool-index table, its route's hop indices, its skipped-pair marks
 	// and its route search. None of it outlives the slot.
 	slot      Slot
@@ -129,7 +129,7 @@ type Runner struct {
 	pool      *qnet.Pool
 	perPair   []int
 	hops      hopIndex
-	floorDead []bool
+	livePaths []livePath
 	aux       *graph.Graph
 	auxIdx    []int
 	// routeHops holds the pool index of each hop of the route in hand.
@@ -482,26 +482,41 @@ func (s *Slot) StitchFixed(paths []FixedPath, connCap []int) (assembled, floorRe
 	return s.stitchFixed(paths, connCap, s.r.hops.resolve(s.Pool, paths))
 }
 
+// livePath is a path StitchFixed may still assemble: its index and the
+// offset of its hops' pool indices.
+type livePath struct{ path, hop int }
+
 // stitchFixed is StitchFixed over hopIdx, the hops' pool indices back to
 // back in path order.
+//
+// Each sweep visits only the paths still live, in path order, and drops
+// every path it skips, which is exact: a skipped path stays skipped for
+// the rest of the call. Availability only falls within it (a floor
+// rejection returns only the segments it took), a pair's connection
+// count only rises, and a floor-dead path stays dead. So the sweeps
+// attempt exactly the paths, in exactly the order, that sweeps over every
+// path would.
 func (s *Slot) stitchFixed(paths []FixedPath, connCap []int, hopIdx []int) (assembled, floorRejected int) {
 	r := s.r
 	pool := s.Pool
 	perPair := r.perPair
 	fp := qnet.NewFloorPolicy(r.cfg.FidelityFloors)
-	var floorDead []bool // paths proven unable to meet their floor
+	live := r.livePaths[:0]
+	next := 0
+	for pi, p := range paths {
+		live = append(live, livePath{path: pi, hop: next})
+		next += len(p.Hops)
+	}
+	r.livePaths = live
 	for {
 		progress := false
-		next := 0
-		for pi, p := range paths {
-			hops := hopIdx[next : next+len(p.Hops)]
-			next += len(p.Hops)
+		kept := live[:0]
+		for _, lp := range live {
+			p := &paths[lp.path]
 			if perPair[p.Commodity] >= connCap[p.Commodity] {
 				continue
 			}
-			if floorDead != nil && floorDead[pi] {
-				continue
-			}
+			hops := hopIdx[lp.hop : lp.hop+len(p.Hops)]
 			ok := true
 			for _, i := range hops {
 				if i < 0 || pool.AvailableAt(i) < 1 {
@@ -518,17 +533,15 @@ func (s *Slot) stitchFixed(paths []FixedPath, connCap []int, hopIdx []int) (asse
 				conn.Segments = append(conn.Segments, fp.TakeAt(pool, p.Commodity, i))
 			}
 			if fp.Rejects(p.Commodity, conn.Segments) {
+				// The path is floor-dead for the rest of the slot.
 				for _, seg := range conn.Segments {
 					pool.Return(seg)
 				}
-				if floorDead == nil {
-					floorDead = r.floorDeadMarks(len(paths))
-				}
-				floorDead[pi] = true
 				floorRejected++
 				r.tracer.Incident(IncidentFloorReject, 1)
 				continue
 			}
+			kept = append(kept, lp)
 			assembled++
 			progress = true
 			if s.establish(conn, hops) {
@@ -536,20 +549,11 @@ func (s *Slot) stitchFixed(paths []FixedPath, connCap []int, hopIdx []int) (asse
 				perPair[p.Commodity]++
 			}
 		}
+		live = kept
 		if !progress {
 			return assembled, floorRejected
 		}
 	}
-}
-
-// floorDeadMarks returns n cleared marks from the Runner's reused buffer.
-func (r *Runner) floorDeadMarks(n int) []bool {
-	if cap(r.floorDead) < n {
-		r.floorDead = make([]bool, n)
-	}
-	r.floorDead = r.floorDead[:n]
-	clear(r.floorDead)
-	return r.floorDead
 }
 
 // StitchRoutes is the floor-checked routed stitch loop: round-robin over

@@ -37,6 +37,12 @@ type Candidate struct {
 	// the length Prob was computed from and the one the fidelity model
 	// decays a segment over.
 	LengthKM float64
+	// Decay is the factor transmission over the route scales a segment's
+	// Werner parameter by, math.Exp(−LengthKM/DecayKM), computed once
+	// here so the fidelity prediction of every assembled connection
+	// reads it instead of recomputing the exponential. Only Build and
+	// NewCandidate set it; a candidate literal has 0.
+	Decay float64
 	// ID numbers the set's candidates densely from 0 in the physical
 	// phase's order: by endpoint pair (U, V), then by topo.Key(Path)
 	// (KeyLess). Attempt plans are ordered by it.
@@ -49,11 +55,18 @@ type Candidate struct {
 	PairID int
 }
 
+// DecayKM is the depolarization length of the fidelity model:
+// transmission over l km scales a segment's Werner parameter by
+// e^(−l/DecayKM). 20,000 km models purified links and keeps fidelity
+// secondary to throughput, as in the paper. Candidate.Decay and
+// qnet.DefaultFidelityModel share it.
+const DecayKM = 20000
+
 // NewCandidate builds the candidate over the physical route p the way
-// Build does: the route copied, its link IDs, its success probability and
-// the fibre length that probability was computed from. ID and PairID stay
-// 0. It fails on a route of fewer than two nodes or with a non-adjacent
-// hop.
+// Build does: the route copied, its link IDs, its success probability,
+// the fibre length that probability was computed from and the decay
+// factor over that length. ID and PairID stay 0. It fails on a route of
+// fewer than two nodes or with a non-adjacent hop.
 func NewCandidate(net *topo.Network, p graph.Path) (*Candidate, error) {
 	if len(p) < 2 {
 		return nil, fmt.Errorf("segment: route %v has fewer than two nodes", p)
@@ -74,6 +87,7 @@ func newCandidate(net *topo.Network, p graph.Path, prob, length float64) (*Candi
 		EdgeIDs:  ids,
 		Prob:     prob,
 		LengthKM: length,
+		Decay:    math.Exp(-length / DecayKM),
 	}, nil
 }
 

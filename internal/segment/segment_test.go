@@ -198,10 +198,11 @@ func TestCandidateInvariants(t *testing.T) {
 }
 
 // TestCandidateLengthAndPairID: every built candidate carries the fibre
-// length its probability came from, bit for bit PathLengthKM, and the
-// segment-graph edge of its endpoint pair as PairID; NewCandidate over the
-// same route rebuilds it field for field (but for the set-assigned IDs)
-// and refuses routes Build could not realize.
+// length its probability came from, bit for bit PathLengthKM, its decay
+// factor, bit for bit exp(−PathLengthKM/DecayKM), and the segment-graph
+// edge of its endpoint pair as PairID; NewCandidate over the same route
+// rebuilds it field for field (but for the set-assigned IDs) and refuses
+// routes Build could not realize.
 func TestCandidateLengthAndPairID(t *testing.T) {
 	cfg := topo.DefaultConfig()
 	cfg.Nodes = 60
@@ -218,12 +219,18 @@ func TestCandidateLengthAndPairID(t *testing.T) {
 			if l := net.PathLengthKM(c.Path); c.LengthKM != l {
 				t.Fatalf("candidate %v: LengthKM %v, PathLengthKM %v", c.Path, c.LengthKM, l)
 			}
+			if d := math.Exp(-net.PathLengthKM(c.Path) / DecayKM); c.Decay != d {
+				t.Fatalf("candidate %v: Decay %v, exp(−L/DecayKM) %v", c.Path, c.Decay, d)
+			}
 			if s.EdgePairs[c.PairID] != pk || s.EdgeOf[pk] != c.PairID {
 				t.Fatalf("candidate %v of %+v has PairID %d (edge of %+v)", c.Path, pk, c.PairID, s.EdgePairs[c.PairID])
 			}
 			fresh, err := NewCandidate(net, c.Path)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if d := math.Exp(-net.PathLengthKM(c.Path) / DecayKM); fresh.Decay != d {
+				t.Fatalf("NewCandidate(%v): Decay %v, exp(−L/DecayKM) %v", c.Path, fresh.Decay, d)
 			}
 			fresh.ID, fresh.PairID = c.ID, c.PairID
 			if !reflect.DeepEqual(fresh, c) {

@@ -41,14 +41,13 @@ const maxDeadline = 1 << 30
 // arbitrarily large (or, past the address space, panicking) allocation.
 const maxUsers = 1 << 20
 
-// poissonDraw samples Poisson(λ) by Knuth's product method. The number of
-// rng draws varies with the outcome, which is fine: the server's rng cursor
-// counts draws, not slots.
-func poissonDraw(rng *rand.Rand, lambda float64) int {
+// poissonDraw samples Poisson(λ) by Knuth's product method; limit is
+// math.Exp(−λ). The number of rng draws varies with the outcome, which is
+// fine: the server's rng cursor counts draws, not slots.
+func poissonDraw(rng *rand.Rand, lambda, limit float64) int {
 	if lambda <= 0 {
 		return 0
 	}
-	limit := math.Exp(-lambda)
 	k, p := 0, 1.0
 	for {
 		p *= rng.Float64()
@@ -59,17 +58,36 @@ func poissonDraw(rng *rand.Rand, lambda float64) int {
 	}
 }
 
+// expLimit memoizes Knuth's limit math.Exp(−λ) for the last rate asked,
+// so a process whose rate seldom changes draws without an exponential.
+type expLimit struct {
+	lambda, limit float64
+	set           bool
+}
+
+// of returns math.Exp(−lambda), recomputing it only for a new rate.
+func (e *expLimit) of(lambda float64) float64 {
+	if !e.set || e.lambda != lambda {
+		e.lambda, e.limit, e.set = lambda, math.Exp(-lambda), true
+	}
+	return e.limit
+}
+
 // Poisson is a memoryless arrival process with a constant mean rate per
 // slot.
 type Poisson struct {
 	// Rate is the mean number of request arrivals per slot.
 	Rate float64
+
+	limit expLimit
 }
 
 func (p *Poisson) String() string { return fmt.Sprintf("poisson(rate=%g)", p.Rate) }
 
 // Arrivals draws Poisson(Rate).
-func (p *Poisson) Arrivals(rng *rand.Rand, _ int) int { return poissonDraw(rng, p.Rate) }
+func (p *Poisson) Arrivals(rng *rand.Rand, _ int) int {
+	return poissonDraw(rng, p.Rate, p.limit.of(p.Rate))
+}
 
 // Phase returns 0: the process is memoryless.
 func (p *Poisson) Phase() int { return 0 }
@@ -107,7 +125,8 @@ func (d *Diurnal) RateAt(slot int) float64 {
 
 // Arrivals draws Poisson(RateAt(slot)).
 func (d *Diurnal) Arrivals(rng *rand.Rand, slot int) int {
-	return poissonDraw(rng, d.RateAt(slot))
+	rate := d.RateAt(slot)
+	return poissonDraw(rng, rate, math.Exp(-rate))
 }
 
 // Phase returns 0: the slot index alone determines the rate.
@@ -133,7 +152,8 @@ type Bursty struct {
 	// Switch is the per-slot probability of toggling states.
 	Switch float64
 
-	burst bool
+	burst                 bool
+	calmLimit, burstLimit expLimit
 }
 
 func (b *Bursty) String() string {
@@ -146,11 +166,10 @@ func (b *Bursty) Arrivals(rng *rand.Rand, _ int) int {
 	if rng.Float64() < b.Switch {
 		b.burst = !b.burst
 	}
-	rate := b.Calm
 	if b.burst {
-		rate = b.Burst
+		return poissonDraw(rng, b.Burst, b.burstLimit.of(b.Burst))
 	}
-	return poissonDraw(rng, rate)
+	return poissonDraw(rng, b.Calm, b.calmLimit.of(b.Calm))
 }
 
 // Phase returns the current mode: 0 calm, 1 burst.

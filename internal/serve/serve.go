@@ -147,6 +147,11 @@ type Server struct {
 	userServed    []int
 	established   int // engine connections over the whole run
 	floorRejected int // stitch assemblies rolled back by fidelity floors
+	// nextExpiry[i] is a lower bound on every deadline in queues[i], so
+	// a slot before it expires nothing there and skips the queue. It
+	// derives from the queues alone: 0, as after New or a restore, makes
+	// the next slot scan the queue and recompute it.
+	nextExpiry []int
 	// stats is the report RunSlot returns, reused every slot.
 	stats SlotStats
 }
@@ -190,6 +195,7 @@ func New(eng sched.Engine, pairs int, cfg Config) (*Server, error) {
 		cfg:         cfg,
 		stream:      xrand.NewStream(cfg.Seed),
 		queues:      make([][]Request, pairs),
+		nextExpiry:  make([]int, pairs),
 		userArrived: make([]int, cfg.Users),
 		userServed:  make([]int, cfg.Users),
 	}, nil
@@ -219,18 +225,34 @@ func (s *Server) RunSlot() (*SlotStats, error) {
 	stats := &s.stats
 
 	// Expiry happens at slot start: a request whose deadline is this slot
-	// had Deadline−Arrived full slots of service opportunity.
-	for i := range s.queues {
-		kept := s.queues[i][:0]
-		for _, r := range s.queues[i] {
-			if slot >= r.Deadline {
-				s.class[r.Class].Expired++
-				stats.Expired++
-				continue
-			}
-			kept = append(kept, r)
+	// had Deadline−Arrived full slots of service opportunity. A queue is
+	// scanned only once a deadline may have come, and compacted only from
+	// its first expired request, so one with nothing expiring is never
+	// copied.
+	for i, q := range s.queues {
+		if slot < s.nextExpiry[i] {
+			continue
 		}
-		s.queues[i] = kept
+		next := math.MaxInt
+		first := 0
+		for ; first < len(q) && slot < q[first].Deadline; first++ {
+			next = min(next, q[first].Deadline)
+		}
+		if first < len(q) {
+			kept := q[:first]
+			for k := first; k < len(q); k++ {
+				r := &q[k]
+				if slot >= r.Deadline {
+					s.class[r.Class].Expired++
+					stats.Expired++
+					continue
+				}
+				next = min(next, r.Deadline)
+				kept = append(kept, *r)
+			}
+			s.queues[i] = kept
+		}
+		s.nextExpiry[i] = next
 	}
 
 	// Arrivals and admission. Draw order (count, then user and class per
@@ -258,6 +280,7 @@ func (s *Server) RunSlot() (*SlotStats, error) {
 		}
 		s.nextID++
 		s.queues[r.Pair] = append(s.queues[r.Pair], r)
+		s.nextExpiry[r.Pair] = min(s.nextExpiry[r.Pair], r.Deadline)
 		s.class[class].Admitted++
 		stats.Admitted++
 		active++

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"see/internal/engines"
+	"see/internal/qnet"
 	"see/internal/sched"
 	"see/internal/sched/schedtest"
 )
@@ -326,5 +327,59 @@ func TestEnginePairMismatch(t *testing.T) {
 	}
 	if _, err := srv.RunSlot(); err == nil {
 		t.Fatal("pair-width mismatch accepted")
+	}
+}
+
+// TestServeSlotAllocs guards the allocation-free served slot: once the
+// queues and the engine's slot storage have grown to the instance, a
+// serve.Server slot (expiry, bursty arrivals and admission, the engine
+// slot, class-priority service) over Contend or Greedy allocates nothing,
+// with and without a fidelity floor.
+func TestServeSlotAllocs(t *testing.T) {
+	net, pairs, err := schedtest.Instance(40, 6, 91)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []sched.Algorithm{sched.Contend, sched.Greedy} {
+		for _, floored := range []bool{false, true} {
+			name := alg.String()
+			var ecfg engines.Config
+			if floored {
+				name += "-floored"
+				ecfg.FidelityFloors = &qnet.FloorSpec{Default: 0.8}
+			}
+			t.Run(name, func(t *testing.T) {
+				eng, err := engines.New(alg, net, pairs, ecfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg, err := ParseSpec("bursty;rate=2;burst-rate=8;switch=0.1;users=120;mix=2/3/5;deadline=4/8/16;max-active=60")
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Seed = 1
+				srv, err := New(eng, len(pairs), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				slot := func() {
+					if _, err := srv.RunSlot(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Grow the queues and every reused buffer first.
+				for range 300 {
+					slot()
+				}
+				if got := testing.AllocsPerRun(300, slot); got != 0 {
+					t.Errorf("%s served slot allocates %v times, want 0", name, got)
+				}
+				rep := srv.Report()
+				if rep.Served == 0 || rep.Expired == 0 || floored && rep.FloorRejected == 0 {
+					t.Errorf("%s: served %d, expired %d, floor-rejected %d: the slots exercised too little",
+						name, rep.Served, rep.Expired, rep.FloorRejected)
+				}
+			})
+		}
 	}
 }

@@ -165,6 +165,7 @@ func (s *Server) restore(c *checkpoint, horizon int) error {
 	s.established = c.Established
 	s.floorRejected = c.FloorRejected
 	s.queues = c.Queues
+	clear(s.nextExpiry)
 	copy(s.class[:], c.Classes)
 	s.userArrived = c.UserArrived
 	s.userServed = c.UserServed
