@@ -24,12 +24,13 @@
 // reduced cost), so on convergence the solution is LP-optimal over the
 // whole exponential column space.
 //
-// Both pricing stages parallelize deterministically (Options.Workers): the
-// per-segment-edge realization scan and the per-commodity path searches
-// write only per-index output slots, and the priced columns are inserted
-// into the master in commodity order, so the column sequence — and with it
-// the simplex basis trajectory and the returned Solution — is byte-identical
-// at any worker count.
+// The per-commodity path searches parallelize deterministically
+// (Options.Workers): each writes only its commodity's output slot, and the
+// priced columns are inserted into the master in commodity order, so the
+// column sequence — and with it the simplex basis trajectory and the
+// returned Solution — is byte-identical at any worker count. The
+// per-segment-edge realization scan before them is a few table reads per
+// realization and runs on the calling goroutine.
 package flow
 
 import (
@@ -122,11 +123,11 @@ type Options struct {
 	// MaxJunctions bounds the junction count considered by the layered
 	// pricing (default 14); only used with SwapWeightedObjective.
 	MaxJunctions int
-	// Workers bounds the goroutines used by each pricing round (the
-	// per-segment-edge realization scan and the per-commodity path
-	// searches). 0 means GOMAXPROCS, 1 is fully serial. The solve is
-	// deterministic: the same inputs yield a byte-identical Solution at
-	// any worker count.
+	// Workers bounds the goroutines used by each pricing round's
+	// per-commodity path searches; the realization scan before them runs
+	// on the calling goroutine. 0 means GOMAXPROCS, 1 is fully serial. The
+	// solve is deterministic: the same inputs yield a byte-identical
+	// Solution at any worker count.
 	Workers int
 	// CarryWeights, when non-nil, divides each segment edge's priced
 	// realization cost by its weight (indexed by segment-graph edge ID;
@@ -585,12 +586,24 @@ func unitDuals(n int) []float64 {
 // priceRealizations computes, per segment edge, the cheapest realization
 // cost under the duals: factor · (Σ link duals + endpoint memory duals),
 // and decides whether this round's layered pricing prunes dominated states.
-// Edges are priced in parallel; each index writes only its own slots, so
-// the result is independent of the worker count. A cancelled ctx aborts
-// the scan and returns ctx.Err(); the partially written slots are
-// discarded by the caller.
+// The scan runs on the calling goroutine: it is a few table reads per
+// realization, and a parallel scan measured no faster. It polls ctx every
+// realizationPoll edges; a cancelled ctx aborts the scan and returns
+// ctx.Err(), and the partially written slots are discarded by the caller.
 func (m *model) priceRealizations(ctx context.Context, duals []float64) error {
-	err := par.ForCtx(ctx, m.opts.Workers, len(m.set.EdgePairs), func(id int) {
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
+	cw := m.opts.CarryWeights
+	for id := range m.set.EdgePairs {
+		if done != nil && id%realizationPoll == 0 {
+			select {
+			case <-done:
+				return ctx.Err()
+			default:
+			}
+		}
 		best := math.Inf(1)
 		bestK := -1
 		mr := m.pairMemRows[id]
@@ -616,7 +629,7 @@ func (m *model) priceRealizations(ctx context.Context, duals []float64) error {
 		// Carry-aware bias: edges covered by banked inventory price
 		// cheaper (both the plain Dijkstra and the layered DP read
 		// bestCost, so this is the single application point).
-		if cw := m.opts.CarryWeights; id < len(cw) && cw[id] > 1 {
+		if id < len(cw) && cw[id] > 1 {
 			best /= cw[id]
 		}
 		m.bestCost[id] = best
@@ -628,11 +641,15 @@ func (m *model) priceRealizations(ctx context.Context, duals []float64) error {
 			m.bestCand[id] = nil
 			m.bestFactor[id] = math.Inf(1)
 		}
-	})
+	}
 	// bestCost is never NaN (a NaN cost never beats the +Inf start).
 	m.pruneDominated = m.uniformQ && !slices.ContainsFunc(m.bestCost, func(c float64) bool { return c < 0 })
-	return err
+	return nil
 }
+
+// realizationPoll is how many segment edges priceRealizations prices
+// between two polls of its context.
+const realizationPoll = 32
 
 // priceColumns runs the per-commodity pricing oracle for every SD pair into
 // the per-commodity slots of out. duals == nil is the seeding round (every

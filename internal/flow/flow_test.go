@@ -1,9 +1,12 @@
 package flow
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"testing"
 
 	"see/internal/graph"
@@ -604,5 +607,39 @@ func TestSolveParallelPricingDeterministic(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPriceRealizationsCancelled: the realization scan runs on the calling
+// goroutine and still honours its context. A live context prices exactly
+// what a nil one does; a cancelled one aborts the scan, and SolveCtx, with
+// ctx.Err().
+func TestPriceRealizationsCancelled(t *testing.T) {
+	set := waxmanPricingSet(t, 0, 1)
+	if len(set.EdgePairs) <= realizationPoll {
+		t.Fatalf("%d segment edges: the scan polls only once", len(set.EdgePairs))
+	}
+	m, err := newModel(set, Options{SwapWeightedObjective: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	duals := unitDuals(m.numRows)
+	if err := m.priceRealizations(nil, duals); err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(m.bestCost)
+	if err := m.priceRealizations(context.Background(), duals); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(m.bestCost, want) {
+		t.Fatal("a live context priced the realizations differently from a nil one")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := m.priceRealizations(ctx, duals); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled scan returned %v, want context.Canceled", err)
+	}
+	if _, err := SolveCtx(ctx, set, Options{SwapWeightedObjective: true}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled solve returned %v, want context.Canceled", err)
 	}
 }

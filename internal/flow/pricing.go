@@ -22,9 +22,11 @@ type priceScratch struct {
 	next     []int32
 	cands    []layerCand
 	dijkstra graph.DijkstraScratch
-	// expanded counts the frontier entries the layered DP has expanded
-	// over the scratch's lifetime; tests read it to see the pruning fire.
-	expanded int
+	// expanded counts the frontier entries the layered DP has expanded,
+	// scanned the arcs it has scanned from them and stored the
+	// relaxations that wrote a state, over the scratch's lifetime; tests
+	// read them to see the pruning and the seeded layers fire.
+	expanded, scanned, stored int
 }
 
 // layerCand is one hop-count layer whose best s→d walk qualifies.
@@ -158,6 +160,8 @@ func (m *model) buildGoalW(hops int) {
 // if its distance is below best[v], the least distance to v over the layers
 // already built: a state no cheaper than a shorter walk to its node cannot
 // lie on the winning walk, and the source (best = 0) is never re-expanded.
+// Each layer starts at best[v] rather than +Inf (D excepted), so a
+// relaxation that cannot beat a shorter walk to its node stores nothing.
 // A pruned round also branches and bounds: it keeps inc, the largest
 // reduced cost at d over the layers built so far, and a state (v, h) enters
 // the next frontier only if (goalW[h+1] − dualI) − dist_h[v] > max(eps,
@@ -196,15 +200,17 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 	dist, logq := ps.dist, ps.logq
 	prevNode, prevEdge := ps.prevNode, ps.prevEdge
 	best := ps.best
-	// Each layer's dist is reset when the layer is reached; layers past the
-	// last one built are never read. prevNode/prevEdge are read exclusively
-	// at entries whose dist was written this call (reconstruct follows
-	// layers h…1 of a finite-dist path), so stale values are never observed.
+	// Each layer's dist is seeded when the layer is reached; layers past the
+	// last one built are never read. logq, prevNode and prevEdge are read
+	// only at frontier states (the next layer's relaxations and
+	// reconstruct's chain, every state of which was expanded) and at D
+	// (the extraction), and every such entry was written this call, so
+	// stale values are never observed.
 	for v := range best {
 		best[v] = math.Inf(1)
 		dist[v] = math.Inf(1)
 	}
-	dist[sd.S] = 0 // layer 0
+	dist[sd.S], logq[sd.S] = 0, 0 // layer 0
 	if prune {
 		best[sd.S] = 0
 	}
@@ -214,15 +220,20 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 	frontier := append(ps.frontier[:0], int32(sd.S))
 	next := ps.next
 	bestCost, negLogQ := m.bestCost, m.negLogQ
-	built := 0
+	built, scanned, stored := 0, 0, 0
 	for h := 1; h <= maxHops && len(frontier) > 0; h++ {
 		ps.expanded += len(frontier)
 		prevDist, prevLogq := dist[(h-1)*n:h*n], logq[(h-1)*n:h*n]
 		hDist, hLogq := dist[h*n:(h+1)*n], logq[h*n:(h+1)*n]
 		hNode, hEdge := prevNode[h*n:(h+1)*n], prevEdge[h*n:(h+1)*n]
-		for v := range hDist {
-			hDist[v] = math.Inf(1)
-		}
+		// Seed the layer with best[v] (+Inf in a round that does not
+		// prune): a relaxation then stores only if it beats every shorter
+		// walk to its node, and a node that stores nothing keeps best[v]
+		// and fails the frontier test below, as it would at +Inf. D keeps
+		// +Inf because the incumbent and the extraction read its distance
+		// at every layer (DESIGN.md §5b).
+		copy(hDist, best)
+		hDist[sd.D] = math.Inf(1)
 		for _, u := range frontier {
 			base := prevDist[u]
 			var addLogq float64
@@ -232,17 +243,9 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 					continue
 				}
 			}
-			lq := prevLogq[u] + addLogq
-			for _, e := range g.Neighbors(int(u)) {
-				// An arc with no usable realization costs +Inf, and
-				// base + Inf never beats a stored distance.
-				if nd := base + bestCost[e.ID]; nd < hDist[e.To] {
-					hDist[e.To] = nd
-					hLogq[e.To] = lq
-					hNode[e.To] = u
-					hEdge[e.To] = int32(e.ID)
-				}
-			}
+			arcs := g.Neighbors(int(u))
+			scanned += len(arcs)
+			stored += relaxArcs(arcs, bestCost, u, base, prevLogq[u]+addLogq, hDist, hLogq, hNode, hEdge)
 		}
 		built = h
 		// Without pruning best stays +Inf, so every reached node enters.
@@ -271,6 +274,8 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 		frontier, next = next, frontier
 	}
 	ps.frontier, ps.next = frontier, next
+	ps.scanned += scanned
+	ps.stored += stored
 
 	cands := ps.cands[:0]
 	for h := 1; h <= built; h++ {
@@ -305,6 +310,30 @@ func (m *model) layeredPrice(ps *priceScratch, i int, dualI, eps float64) (graph
 		cands = cands[:len(cands)-1]
 	}
 	return nil, nil, 0
+}
+
+// relaxArcs relaxes u's arcs into one layer: an arc stores its head's
+// distance base + cost, the logq lq and u as its predecessor only if it
+// beats the layer's value there, and relaxArcs returns how many stored.
+// It is kept out of layeredPrice, whose many live values would otherwise
+// spill this loop's slices to the stack and reload them on every arc.
+//
+//go:noinline
+func relaxArcs(arcs []graph.Edge, cost []float64, u int32, base, lq float64, dist, logq []float64, node, edge []int32) int {
+	logq, node, edge = logq[:len(dist)], node[:len(dist)], edge[:len(dist)]
+	stored := 0
+	for _, e := range arcs {
+		// An arc with no usable realization costs +Inf, and base + Inf
+		// never beats a stored distance.
+		if nd := base + cost[e.ID]; nd < dist[e.To] {
+			dist[e.To] = nd
+			logq[e.To] = lq
+			node[e.To] = u
+			edge[e.To] = int32(e.ID)
+			stored++
+		}
+	}
+	return stored
 }
 
 func reconstruct(prevNode, prevEdge []int32, n, h, dst int) (graph.Path, []int) {

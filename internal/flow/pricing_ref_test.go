@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -276,9 +277,10 @@ func pricingRounds(m *model, rng *rand.Rand) []pricingRound {
 }
 
 // pricingStats counts what comparePricing saw: rounds that ran pruned,
-// calls that returned a walk, and the frontier entries layeredPrice
-// expanded in the pruned rounds against those the dominance-only DP
-// expands on them, in all of them and in the seeding ones alone.
+// calls that returned a walk, the frontier entries layeredPrice expanded
+// in the pruned rounds against those the dominance-only DP expands on
+// them, in all of them and in the seeding ones alone, and the arcs
+// layeredPrice scanned and the relaxations it stored in the pruned rounds.
 type pricingStats struct {
 	pruned        int
 	priced        int
@@ -286,13 +288,71 @@ type pricingStats struct {
 	dominance     int
 	seedExpanded  int
 	seedDominance int
+	scanned       int
+	stored        int
+}
+
+// poisonScratch sizes ps for m and fills its tables with values no call
+// writes (NaN distances and logq, −1 predecessors), so a layeredPrice
+// call that reads an entry it did not write this call fails the
+// comparison or checkStoredWalks.
+func poisonScratch(m *model, ps *priceScratch) {
+	ps.resize(m.opts.MaxJunctions+2, m.set.SegGraph.N())
+	for k := range ps.dist {
+		ps.dist[k], ps.logq[k] = math.NaN(), math.NaN()
+		ps.prevNode[k], ps.prevEdge[k] = -1, -1
+	}
+}
+
+// checkStoredWalks requires, after a layeredPrice call on a poisoned
+// scratch, that every finite distance at D in a built layer h is the
+// layer-order cost of the h-hop walk from S its predecessors record: the
+// extraction and the incumbent read D's distance at every layer, so a
+// seed must never leave a value there that no relaxation stored. Layers
+// past the last one built still hold the poison.
+func checkStoredWalks(t *testing.T, name string, m *model, ps *priceScratch, i int) {
+	t.Helper()
+	sd, g := m.set.Pairs[i], m.set.SegGraph
+	n := g.N()
+	for h := 1; h <= m.opts.MaxJunctions+1; h++ {
+		d := ps.dist[h*n+sd.D]
+		if math.IsNaN(d) {
+			break
+		}
+		if math.IsInf(d, 1) {
+			continue
+		}
+		nodes := make([]int, h+1)
+		edges := make([]int, h)
+		v := sd.D
+		for layer := h; layer > 0; layer-- {
+			nodes[layer] = v
+			u, id := int(ps.prevNode[layer*n+v]), int(ps.prevEdge[layer*n+v])
+			if u < 0 || u >= n || !slices.ContainsFunc(g.Neighbors(u), func(e graph.Edge) bool { return e.ID == id && e.To == v }) {
+				t.Fatalf("%s commodity %d: layer %d distance %v at D, but layer %d records no arc %d→%d (edge %d)",
+					name, i, h, d, layer, u, v, id)
+			}
+			edges[layer-1], v = id, u
+		}
+		nodes[0] = v
+		var cost float64 // summed in layer order, as the DP's dist
+		for _, id := range edges {
+			cost += m.bestCost[id]
+		}
+		if v != sd.S || math.Float64bits(cost) != math.Float64bits(d) {
+			t.Fatalf("%s commodity %d: layer %d distance %v at D, but its recorded walk %v (edges %v) starts at %d and costs %v",
+				name, i, h, d, nodes, edges, v, cost)
+		}
+	}
 }
 
 // comparePricing prices every commodity of every round with layeredPrice
 // and layeredPriceReference and requires identical nodes, edges and weight
-// bits. The dominance-only DP's expansions are counted by calling
-// layeredPrice with every goalW at +Inf, where every state passes the
-// bound whatever the incumbent.
+// bits. layeredPrice runs on a poisoned scratch (poisonScratch), and its
+// distances at D must be those of recorded walks (checkStoredWalks). The
+// dominance-only DP's expansions are counted by calling layeredPrice with
+// every goalW at +Inf, where every state passes the bound whatever the
+// incumbent.
 func comparePricing(t *testing.T, name string, m *model, rounds []pricingRound) pricingStats {
 	t.Helper()
 	ps, rs, ds := &priceScratch{}, &refPriceScratch{}, &priceScratch{}
@@ -306,13 +366,16 @@ func comparePricing(t *testing.T, name string, m *model, rounds []pricingRound) 
 			t.Fatal(err)
 		}
 		expanded, dominance := ps.expanded, ds.expanded
+		scanned, stored := ps.scanned, ps.stored
 		for i := range m.set.Pairs {
+			poisonScratch(m, ps)
 			nodes, edges, w := m.layeredPrice(ps, i, r.dualI[i], epsilon)
 			rNodes, rEdges, rw := m.layeredPriceReference(rs, i, r.dualI[i], epsilon)
 			if fmt.Sprint(nodes, edges) != fmt.Sprint(rNodes, rEdges) || math.Float64bits(w) != math.Float64bits(rw) {
 				t.Fatalf("%s round %s commodity %d: got %v %v w=%v, reference %v %v w=%v",
 					name, r.name, i, nodes, edges, w, rNodes, rEdges, rw)
 			}
+			checkStoredWalks(t, name+" round "+r.name, m, ps, i)
 			if nodes != nil {
 				st.priced++
 			}
@@ -324,6 +387,8 @@ func comparePricing(t *testing.T, name string, m *model, rounds []pricingRound) 
 			st.pruned++
 			st.expanded += ps.expanded - expanded
 			st.dominance += ds.expanded - dominance
+			st.scanned += ps.scanned - scanned
+			st.stored += ps.stored - stored
 			if math.IsInf(r.dualI[0], -1) {
 				st.seedExpanded += ps.expanded - expanded
 				st.seedDominance += ds.expanded - dominance
@@ -448,7 +513,11 @@ func paperPricingSet(t *testing.T, seed int64) *segment.Set {
 // winning walk's threshold (±1 ulp, ±10⁻⁹), where the goal bound is
 // tightest. The bound (goalW against the incumbent) must expand at most
 // 60% of the dominance-only DP's frontier entries on the trajectory rounds
-// and on the seeding rounds, so a bound that stops firing fails here.
+// and on the seeding rounds, so a bound that stops firing fails here, and
+// the pruned layers, seeded with the dominance bound, must store at most
+// 30% of the arcs they scan on the trajectory rounds. Every call runs on a
+// poisoned scratch and has its distances at D checked against the walks
+// it records (comparePricing).
 func TestLayeredPriceMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type instance struct {
@@ -516,10 +585,12 @@ func TestLayeredPriceMatchesReference(t *testing.T) {
 		}
 		master := trajectoryRounds(t, in.set, opts)
 		st = comparePricing(t, in.name, m, master)
-		t.Logf("%s: %d trajectory rounds, %d pruned, %d of %d dominance-kept frontier entries expanded",
-			in.name, len(master), st.pruned, st.expanded, st.dominance)
+		t.Logf("%s: %d trajectory rounds, %d pruned, %d of %d dominance-kept frontier entries expanded, %d of %d scanned arcs stored",
+			in.name, len(master), st.pruned, st.expanded, st.dominance, st.stored, st.scanned)
 		traj.expanded += st.expanded
 		traj.dominance += st.dominance
+		traj.scanned += st.scanned
+		traj.stored += st.stored
 		// Every third master round is enough to straddle the thresholds,
 		// and keeps the race run short.
 		var sample []pricingRound
@@ -540,14 +611,20 @@ func TestLayeredPriceMatchesReference(t *testing.T) {
 		t.Fatalf("trajectory rounds: bound expanded %d of %d dominance-kept frontier entries, want at most 60%%",
 			traj.expanded, traj.dominance)
 	}
+	// A layer seeded with best[v] stores only relaxations that beat every
+	// shorter walk to their node; at +Inf it stores about 40% of the
+	// scanned arcs here, seeded about 20%.
+	if traj.scanned == 0 || 10*traj.stored > 3*traj.scanned {
+		t.Fatalf("trajectory rounds: %d of %d scanned arcs stored, want at most 30%%", traj.stored, traj.scanned)
+	}
 	// Seeding rounds have no dual to bound against until the first walk
 	// reaches d; from then on the incumbent prunes them too.
 	if seed.seedDominance == 0 || 10*seed.seedExpanded > 6*seed.seedDominance {
 		t.Fatalf("seeding rounds: bound expanded %d of %d dominance-kept frontier entries, want at most 60%%",
 			seed.seedExpanded, seed.seedDominance)
 	}
-	t.Logf("trajectory rounds: %d of %d frontier entries expanded; seeding rounds: %d of %d; boundary rounds: %d walks below the thresholds, %d above",
-		traj.expanded, traj.dominance, seed.seedExpanded, seed.seedDominance, below.priced, above.priced)
+	t.Logf("trajectory rounds: %d of %d frontier entries expanded, %d of %d scanned arcs stored; seeding rounds: %d of %d; boundary rounds: %d walks below the thresholds, %d above",
+		traj.expanded, traj.dominance, traj.stored, traj.scanned, seed.seedExpanded, seed.seedDominance, below.priced, above.priced)
 	// Just below its threshold a commodity's winning walk qualifies, just
 	// above it does not: the boundary rounds straddle the bound.
 	if below.priced == 0 || above.priced >= below.priced {
