@@ -161,8 +161,8 @@ fidelity-smoke:
 	rm -rf "$$dir"; \
 	echo "fidelity-smoke: floor-disabled output byte-identical to committed golden"
 
-# bench-smoke executes each substrate benchmark, the SEE, REPS, Greedy
-# and Contend slot kernels, the service-mode slot over Contend and
+# bench-smoke executes each substrate benchmark, the SEE, REPS, E2E,
+# Greedy and Contend slot kernels, the service-mode slot over Contend and
 # Greedy, the candidate-set build and the Greedy,
 # Contend and QPass construction kernels exactly once — a fast compile-and-run check, not a measurement —
 # then runs the repo benchmark (bench/run.sh, BENCHMARK.json) for one
@@ -174,7 +174,7 @@ fidelity-smoke:
 # depends on the code's bits, never on the host's speed; speed is judged
 # by alternated parent/change runs against BENCHMARK.json's bounds.
 bench-smoke:
-	$(GO) test -bench='ColumnGeneration|YenKShortest|SegmentBuild$$|Slot(SEE|REPS|Greedy|Contend)$$|ServeSlot|Build(Greedy|Contend|QPass)$$' -benchtime=1x -run='^$$' .
+	$(GO) test -bench='ColumnGeneration|YenKShortest|SegmentBuild$$|Slot(SEE|REPS|E2E|Greedy|Contend)$$|ServeSlot|Build(Greedy|Contend|QPass)$$' -benchtime=1x -run='^$$' .
 	bash bench/run.sh --seconds 1
 
 # profile captures CPU and allocation profiles of one root benchmark and

@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"see/internal/flow"
 	"see/internal/qnet"
@@ -205,15 +206,17 @@ func (e *Engine) StitchPhase(s *sched.Slot) (assembled, floorRejected int) {
 	sc := e.scratch()
 	// The provisioned paths as the Runner's fixed paths, over buffers
 	// recycled from the slot scratch.
-	fixed, keys := sc.fixed[:0], sc.hopKeys[:0]
-	for _, p := range sc.provisioned {
+	fixed := slices.Grow(sc.fixed[:0], len(sc.provisioned))[:len(sc.provisioned)]
+	keys, ids := sc.hopKeys[:0], sc.hopIDs[:0]
+	for i := range sc.provisioned {
+		p, fp := &sc.provisioned[i], &fixed[i]
 		from := len(keys)
 		for _, hop := range p.Hops {
-			keys = append(keys, hop.Pair)
+			keys, ids = append(keys, hop.Pair), append(ids, hop.Edge)
 		}
-		fixed = append(fixed, sched.FixedPath{Commodity: p.Commodity, Nodes: p.Nodes, Hops: keys[from:]})
+		fp.Commodity, fp.Nodes, fp.Hops, fp.PairIDs = p.Commodity, p.Nodes, keys[from:], ids[from:]
 	}
-	sc.fixed, sc.hopKeys = fixed, keys
+	sc.fixed, sc.hopKeys, sc.hopIDs = fixed, keys, ids
 	assembled, floorRejected = s.StitchFixed(fixed, e.ConnCap)
 	a, f := s.StitchRoutes(e.Pairs, e.ConnCap)
 	return assembled + a, floorRejected + f

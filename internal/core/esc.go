@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -38,13 +37,8 @@ func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratc
 	ledger.Reset()
 	plan := &sc.plan
 	plan.Reset()
-	if n := len(e.Set.EdgePairs); len(sc.demand) != n {
-		sc.expected, sc.demand, sc.attempts = make([]float64, n), make([]int, n), make([]int, n)
-	}
+	sc.resetTables(len(e.Set.EdgePairs))
 	expected, demand, attempts := sc.expected, sc.demand, sc.attempts
-	clear(expected)
-	clear(demand)
-	clear(attempts)
 
 	provisioned := sc.provisioned[:0]
 	for _, p := range ordered {
@@ -55,10 +49,14 @@ func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratc
 		ok := true
 		for _, hop := range p.Hops {
 			id := hop.Edge
+			if !sc.listed[id] {
+				sc.listed[id] = true
+				sc.demanded = append(sc.demanded, id)
+			}
 			demand[id]++
 			counted++
 			for expected[id] < float64(demand[id]) {
-				cand := e.bestReservable(id, ledger)
+				cand := sc.reserveBest(e.Set.ByEdge[id], id, ledger)
 				if cand == nil {
 					// Out of resources for redundancy. In strict mode
 					// (Algorithm 2 verbatim) the path is released. By
@@ -72,9 +70,6 @@ func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratc
 						ok = false
 					}
 					break
-				}
-				if err := ledger.Reserve(cand, 1); err != nil {
-					return nil, nil, err
 				}
 				plan.Add(cand, 1)
 				expected[id] += cand.Prob
@@ -91,6 +86,8 @@ func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratc
 			continue
 		}
 		// Rollback: release the attempts added for p and drop its demand.
+		// A release can make a skipped candidate reservable again, so
+		// every cursor restarts.
 		for _, a := range added {
 			if err := ledger.Release(a.cand, 1); err != nil {
 				return nil, nil, err
@@ -98,6 +95,9 @@ func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratc
 			plan.Add(a.cand, -1)
 			expected[a.edge] -= a.cand.Prob
 			attempts[a.edge]--
+		}
+		if len(added) > 0 {
+			sc.resetCursors()
 		}
 		for _, hop := range p.Hops[:counted] {
 			demand[hop.Edge]--
@@ -112,23 +112,28 @@ func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratc
 	// segments first so availability is equalized.
 	if len(provisioned) > 0 {
 		keys := sc.keys[:0]
-		for id, d := range demand {
-			if d > 0 {
+		for _, id := range sc.demanded {
+			if demand[id] > 0 {
 				keys = append(keys, escKey{edge: id})
 			}
 		}
-		for len(keys) > 0 {
-			// Each key's coverage is computed once per round. Ties break
-			// on the unique edge ID, so the order is strict and total: any
-			// correct sort yields the same permutation.
+		// Each key's coverage is computed once per round. Ties break on
+		// the unique edge ID, so the order is strict and total: any
+		// correct sort yields the same permutation. The first round sorts
+		// the keys from listing order; every later round re-orders the
+		// previous round's order in place by one insertion pass, where
+		// only the keys that reserved remain and each one's coverage has
+		// risen.
+		for round := 0; len(keys) > 0; round++ {
 			for i := range keys {
 				keys[i].cover = expected[keys[i].edge] / float64(demand[keys[i].edge])
 			}
-			slices.SortFunc(keys, compareEscKeys)
-			var err error
-			if keys, err = e.backupRound(keys, ledger, plan, expected, attempts); err != nil {
-				return nil, nil, err
+			if round == 0 {
+				slices.SortFunc(keys, compareEscKeys)
+			} else {
+				insertionSortEscKeys(keys)
 			}
+			keys = e.backupRound(keys, sc, ledger, plan)
 		}
 		sc.keys = keys
 	}
@@ -141,7 +146,8 @@ func (e *Engine) createSegmentsPlanScratch(planned []PlannedPath, sc *slotScratc
 
 // compareEscKeys orders backup-provisioning keys by coverage, least
 // covered first, then by edge ID, which orders endpoint pairs (Set.EdgeOf
-// numbers them in sorted order).
+// numbers them in sorted order). Coverages are never NaN (demand is
+// positive), so the order is strict and total.
 func compareEscKeys(a, b escKey) int {
 	if a.cover != b.cover {
 		if a.cover < b.cover {
@@ -149,45 +155,67 @@ func compareEscKeys(a, b escKey) int {
 		}
 		return 1
 	}
-	return cmp.Compare(a.edge, b.edge)
+	// Edge IDs index Set.EdgePairs, so the difference cannot overflow.
+	return a.edge - b.edge
+}
+
+// insertionSortEscKeys sorts keys into compareEscKeys order in place.
+// Between backup rounds the keys are already close to that order (each
+// rises by one attempt's probability over its demand), so the pass moves
+// few of them.
+func insertionSortEscKeys(keys []escKey) {
+	for i := 1; i < len(keys); i++ {
+		k := keys[i]
+		j := i
+		for ; j > 0 && compareEscKeys(k, keys[j-1]) < 0; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
+	}
 }
 
 // backupRound performs one backup-provisioning pass over the sorted edge
-// keys: for each pair, reserve its best reservable candidate (if any). It
-// returns the keys that reserved, in order; the backup loop ends with a
-// round that keeps none. A key without a reservable candidate never gets
+// keys: for each pair, reserve one attempt over its best reservable
+// candidate (if any). It returns the keys that reserved, in order; the
+// backup loop ends with a round that keeps none. A key without a reservable candidate never gets
 // one later in the loop, whose ledger only reserves (CanReserve only turns
 // false), so dropping it changes no reservation; the kept keys' (cover,
 // edge) order is strict, so sorting them alone orders them as sorting all
 // keys would.
-func (e *Engine) backupRound(keys []escKey, ledger *qnet.Ledger,
-	plan *qnet.PlanBuilder, expected []float64, attempts []int) ([]escKey, error) {
+func (e *Engine) backupRound(keys []escKey, sc *slotScratch, ledger *qnet.Ledger, plan *qnet.PlanBuilder) []escKey {
 	kept := keys[:0]
 	for _, k := range keys {
-		cand := e.bestReservable(k.edge, ledger)
+		cand := sc.reserveBest(e.Set.ByEdge[k.edge], k.edge, ledger)
 		if cand == nil {
 			continue
 		}
-		if err := ledger.Reserve(cand, 1); err != nil {
-			return nil, err
-		}
 		plan.Add(cand, 1)
-		expected[k.edge] += cand.Prob
-		attempts[k.edge]++
+		sc.expected[k.edge] += cand.Prob
+		sc.attempts[k.edge]++
 		kept = append(kept, k)
 	}
-	return kept, nil
+	return kept
 }
 
-// bestReservable returns the highest-probability candidate for the
-// segment edge that the ledger can still accommodate, or nil.
-func (e *Engine) bestReservable(id int, ledger *qnet.Ledger) *segment.Candidate {
-	for _, c := range e.Set.ByEdge[id] {
-		if ledger.CanReserve(c) {
-			return c
+// reserveBest reserves one attempt over the highest-probability candidate
+// of cands, the segment edge id's realizations (Set.ByEdge[id]), that the
+// ledger can still accommodate, and returns it, or nil if none fits. It
+// starts at the edge's cursor, which every candidate before it has failed:
+// CanReserve turns true again only after a Release, and ESC restarts
+// every cursor after one (resetCursors), so the scan picks what a scan
+// from the first candidate would.
+func (sc *slotScratch) reserveBest(cands []*segment.Candidate, id int, ledger *qnet.Ledger) *segment.Candidate {
+	k := sc.cursor[id]
+	for ; k < len(cands); k++ {
+		if ledger.TryReserve(cands[k]) {
+			break
 		}
 	}
-	return nil
+	sc.cursor[id] = k
+	if k == len(cands) {
+		return nil
+	}
+	return cands[k]
 }
 
 // orderPaths implements ESC's ordering: increasing path length (segment

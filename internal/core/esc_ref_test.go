@@ -22,8 +22,9 @@ import (
 // parallel scan was exact by construction). It runs on its own ledger
 // and tables, accumulates its plan in a candidate-keyed map and returns it
 // in the physical phase's order (orderedPlanReference).
-// TestESCMatchesReference pins createSegmentsPlanScratch to it.
-func (e *Engine) escReference(planned []PlannedPath) (qnet.AttemptPlan, []PlannedPath, error) {
+// TestESCMatchesReference pins createSegmentsPlanScratch to it. A non-nil
+// tr records what the slot exercised.
+func (e *Engine) escReference(planned []PlannedPath, tr *escTrace) (qnet.AttemptPlan, []PlannedPath, error) {
 	ordered := orderPathsReference(planned)
 
 	ledger := qnet.NewLedgerWithCapacities(e.Net, e.opts.Flow.Channels, e.opts.Flow.Memory)
@@ -40,12 +41,16 @@ func (e *Engine) escReference(planned []PlannedPath) (qnet.AttemptPlan, []Planne
 		return nil
 	}
 
+	dropped := make(map[segment.PairKey]bool) // demand fell to 0 in a rollback
 	var provisioned []PlannedPath
 	for _, p := range ordered {
 		var added []*segment.Candidate
 		counted := 0
 		ok := true
 		for _, hop := range p.Hops {
+			if tr != nil && dropped[hop.Pair] && demand[hop.Pair] == 0 {
+				tr.redemanded = true
+			}
 			demand[hop.Pair]++
 			counted++
 			for expected[hop.Pair] < float64(demand[hop.Pair]) {
@@ -84,8 +89,14 @@ func (e *Engine) escReference(planned []PlannedPath) (qnet.AttemptPlan, []Planne
 			expected[pk] -= cand.Prob
 			attempts[pk]--
 		}
+		if tr != nil && len(added) > 0 {
+			tr.released = true
+		}
 		for _, hop := range p.Hops[:counted] {
 			demand[hop.Pair]--
+			if demand[hop.Pair] == 0 {
+				dropped[hop.Pair] = true
+			}
 		}
 	}
 
@@ -133,13 +144,40 @@ func (e *Engine) escReference(planned []PlannedPath) (qnet.AttemptPlan, []Planne
 			if reserved == 0 {
 				break
 			}
+			if tr != nil {
+				tr.backupRounds++
+			}
 		}
 	}
 
 	if err := ledger.Validate(); err != nil {
 		return nil, nil, err
 	}
+	if tr != nil {
+		for pk := range demand {
+			tr.demanded = append(tr.demanded, pk)
+		}
+	}
 	return orderedPlanReference(plan), provisioned, nil
+}
+
+// escTrace records what one escReference slot exercised: a rollback that
+// released attempts, an edge demanded again after a rollback dropped its
+// demand to zero, the number of backup rounds that reserved, and every
+// pair the slot demanded.
+type escTrace struct {
+	released, redemanded bool
+	backupRounds         int
+	demanded             []segment.PairKey
+}
+
+// sortedPairs returns the pairs sorted by (U, V), duplicates kept.
+func sortedPairs(pks []segment.PairKey) []segment.PairKey {
+	out := slices.Clone(pks)
+	slices.SortFunc(out, func(a, b segment.PairKey) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
+	return out
 }
 
 // orderedPlanReference lists a candidate-keyed plan in the order the
@@ -248,7 +286,7 @@ func TestESCMatchesReference(t *testing.T) {
 				rng.Shuffle(len(planned), func(i, j int) { planned[i], planned[j] = planned[j], planned[i] })
 				planned = append(planned, planned[:len(planned)/2]...)
 			}
-			wantPlan, wantProv, err := e.escReference(planned)
+			wantPlan, wantProv, err := e.escReference(planned, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -294,7 +332,7 @@ func TestESCBackupRoundsMatchReference(t *testing.T) {
 		sc := e.scratch()
 		for slot := 0; slot < 8; slot++ {
 			planned := e.identifyPathsLP(nil, e.LP, rng)
-			wantPlan, wantProv, err := e.escReference(planned)
+			wantPlan, wantProv, err := e.escReference(planned, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,6 +345,124 @@ func TestESCBackupRoundsMatchReference(t *testing.T) {
 			}
 			if len(gotProv)+len(wantProv) > 0 && !reflect.DeepEqual(gotProv, wantProv) {
 				t.Fatalf("trial %d slot %d: provisioned %d paths, reference %d (or different ones)", trial, slot, len(gotProv), len(wantProv))
+			}
+		}
+	}
+}
+
+// TestESCRollbackThenBackupMatchesReference runs createSegmentsPlanScratch
+// and escReference on networks between the scarce and ample fixtures (2–5
+// channels, 4–12 memory units, SEE and E2E candidates), where a slot can
+// roll a path back, release its attempts, demand the dropped edge again for
+// a later path and still run several backup rounds. That is where ESC's
+// decided state is easiest to get wrong: an edge listed twice, or a
+// candidate cursor left past a candidate the release made reservable
+// again. The attempt plans and provisioned paths must be equal, and some
+// slots must release, re-demand a dropped edge and then reserve in at least
+// two backup rounds.
+func TestESCRollbackThenBackupMatchesReference(t *testing.T) {
+	exercised := 0
+	for trial := 0; trial < 24; trial++ {
+		rng := xrand.New(int64(500 + trial))
+		cfg := topo.DefaultConfig()
+		cfg.Nodes = 20 + rng.Intn(30)
+		cfg.Channels = 2 + rng.Intn(4)
+		cfg.Memory = 4 + rng.Intn(9)
+		net, err := topo.Generate(cfg, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultOptions()
+		opts.StrictProvisioning = trial%2 == 1
+		seg := seeEnumeration()
+		seg.FullPathOnly = trial%3 == 2
+		e, err := newEngine(net, topo.ChooseSDPairs(net, 4+rng.Intn(6), rng), seg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := e.scratch()
+		for slot := 0; slot < 12; slot++ {
+			planned := e.identifyPathsLP(nil, e.LP, rng)
+			if slot%2 == 1 {
+				// Shuffled duplicates demand the same edges again.
+				rng.Shuffle(len(planned), func(i, j int) { planned[i], planned[j] = planned[j], planned[i] })
+				planned = append(planned, planned[:len(planned)/2]...)
+			}
+			var tr escTrace
+			wantPlan, wantProv, err := e.escReference(planned, &tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotPlan, gotProv, err := e.createSegmentsPlanScratch(planned, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(gotPlan, wantPlan) {
+				t.Fatalf("trial %d slot %d: plan %v, reference %v", trial, slot, gotPlan, wantPlan)
+			}
+			if len(gotProv)+len(wantProv) > 0 && !reflect.DeepEqual(gotProv, wantProv) {
+				t.Fatalf("trial %d slot %d: provisioned %d paths, reference %d (or different ones)", trial, slot, len(gotProv), len(wantProv))
+			}
+			// Each demanded edge is listed once: a duplicate would reserve
+			// twice per backup round, which the plans above show only when
+			// its extra attempts take a resource another key needed.
+			var listed []segment.PairKey
+			for _, id := range sc.demanded {
+				listed = append(listed, e.Set.EdgePairs[id])
+			}
+			if !slices.Equal(sortedPairs(listed), sortedPairs(tr.demanded)) {
+				t.Fatalf("trial %d slot %d: listed edges %v, reference demanded %v", trial, slot, listed, tr.demanded)
+			}
+			if tr.released && tr.redemanded && tr.backupRounds >= 2 {
+				exercised++
+			}
+		}
+	}
+	t.Logf("%d slots released, re-demanded a dropped edge and ran at least two backup rounds", exercised)
+	if exercised == 0 {
+		t.Fatal("no slot released, re-demanded a dropped edge and ran at least two backup rounds")
+	}
+}
+
+// TestInsertionSortEscKeysMatchesSortFunc sorts random backup keys of
+// every length up to 288, with few distinct coverages (ties broken by
+// edge) and with all-distinct ones, from a random order and from a nearly
+// sorted one (a sorted list whose coverages then rise, as between backup
+// rounds), by insertionSortEscKeys, and requires the permutation
+// slices.SortFunc gives under the (cover, edge) order.
+func TestInsertionSortEscKeysMatchesSortFunc(t *testing.T) {
+	rng := xrand.New(11)
+	byCoverEdge := func(a, b escKey) int {
+		return cmp.Or(cmp.Compare(a.cover, b.cover), cmp.Compare(a.edge, b.edge))
+	}
+	for n := 0; n <= 288; n++ {
+		for _, levels := range []int{3, 0} {
+			keys := make([]escKey, n)
+			for i, e := range rng.Perm(4 * n) {
+				if i == n {
+					break
+				}
+				cover := rng.Float64()
+				if levels > 0 {
+					cover = float64(rng.Intn(levels)) / 2
+				}
+				keys[i] = escKey{edge: e, cover: cover}
+			}
+			risen := slices.Clone(keys)
+			slices.SortFunc(risen, byCoverEdge)
+			for i := range risen {
+				if rng.Intn(2) == 0 {
+					risen[i].cover += float64(rng.Intn(3)) / 4
+				}
+			}
+			for _, in := range [][]escKey{keys, risen} {
+				want := slices.Clone(in)
+				slices.SortFunc(want, byCoverEdge)
+				got := slices.Clone(in)
+				insertionSortEscKeys(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("n %d: insertionSortEscKeys gave %v, want %v", n, got, want)
+				}
 			}
 		}
 	}

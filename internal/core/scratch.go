@@ -15,14 +15,19 @@ import (
 // segments, connections) is allocated fresh.
 type slotScratch struct {
 	// ESC: reservation ledger and attempt counts (Reset per slot), the
-	// coverage tables by segment edge ID (zeroed per slot), the
+	// coverage tables and candidate cursors by segment edge ID, the edges
+	// whose demand rose this slot (each once, marked in listed), the
 	// backup-round keys, one path's rollback list, the path order and its
-	// packed sort keys.
+	// packed sort keys. Only listed edges hold nonzero table entries, so
+	// resetTables zeroes those alone.
 	ledger   *qnet.Ledger
 	plan     qnet.PlanBuilder
 	expected []float64
 	demand   []int
 	attempts []int
+	cursor   []int
+	listed   []bool
+	demanded []int
 	keys     []escKey
 	added    []escAdded
 	order    []uint64
@@ -33,9 +38,10 @@ type slotScratch struct {
 	planned, provisioned []PlannedPath
 
 	// ECE: the provisioned paths as sched.FixedPaths, and the flat
-	// backing array of their hop keys.
+	// backing arrays of their hop keys and pair IDs.
 	fixed   []sched.FixedPath
 	hopKeys []segment.PairKey
+	hopIDs  []int
 }
 
 // escKey is one demanded segment edge of a backup-provisioning round with
@@ -50,6 +56,31 @@ type escKey struct {
 type escAdded struct {
 	cand *segment.Candidate
 	edge int
+}
+
+// resetTables readies ESC's per-edge tables for a set of n segment
+// edges: sized to n and zero on every edge. A slot writes them only on
+// the edges it lists, so it zeroes those and empties the list.
+func (sc *slotScratch) resetTables(n int) {
+	if len(sc.demand) != n {
+		sc.expected, sc.demand, sc.attempts = make([]float64, n), make([]int, n), make([]int, n)
+		sc.cursor, sc.listed = make([]int, n), make([]bool, n)
+		sc.demanded = sc.demanded[:0]
+		return
+	}
+	for _, id := range sc.demanded {
+		sc.expected[id], sc.demand[id], sc.attempts[id] = 0, 0, 0
+		sc.cursor[id], sc.listed[id] = 0, false
+	}
+	sc.demanded = sc.demanded[:0]
+}
+
+// resetCursors restarts every candidate cursor. Only listed edges are
+// ever scanned, so only their cursors can have moved.
+func (sc *slotScratch) resetCursors() {
+	for _, id := range sc.demanded {
+		sc.cursor[id] = 0
+	}
 }
 
 // scratch returns the engine's slot scratch, creating it on first use.

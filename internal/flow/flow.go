@@ -245,11 +245,11 @@ type model struct {
 	// states.
 	pruneDominated bool
 
-	// Per segment edge, recomputed each round: the cheapest realization
-	// under current duals, its cost, its attempt factor and its index in
-	// the ByEdge list (the compact column-key component).
+	// Per segment edge, recomputed each round: the cost of the cheapest
+	// realization under current duals, its attempt factor and its index
+	// in the ByEdge list (−1 for none; the compact column-key component,
+	// from which insertColumn reads the candidate).
 	bestCost    []float64
-	bestCand    []*segment.Candidate
 	bestCandIdx []int32
 	bestFactor  []float64
 	// edgeCost reads bestCost as the plain pricing search's edge weight.
@@ -416,7 +416,6 @@ func (m *model) run(ctx context.Context) (*Solution, error) {
 func (m *model) buildTables() {
 	n := len(m.set.EdgePairs)
 	m.bestCost = make([]float64, n)
-	m.bestCand = make([]*segment.Candidate, n)
 	m.bestCandIdx = make([]int32, n)
 	m.bestFactor = make([]float64, n)
 	a := m.opts.Arena
@@ -635,10 +634,8 @@ func (m *model) priceRealizations(ctx context.Context, duals []float64) error {
 		m.bestCost[id] = best
 		m.bestCandIdx[id] = int32(bestK)
 		if bestK >= 0 {
-			m.bestCand[id] = m.set.ByEdge[id][bestK]
 			m.bestFactor[id] = fs[bestK]
 		} else {
-			m.bestCand[id] = nil
 			m.bestFactor[id] = math.Inf(1)
 		}
 	}
@@ -708,12 +705,12 @@ func (m *model) insertColumn(i int, pp *pricedPath) bool {
 	key := make([]int32, 0, 1+2*len(pp.edgeIDs))
 	key = append(key, int32(i))
 	for h, id := range pp.edgeIDs {
-		cand := m.bestCand[id]
-		if cand == nil {
+		k := m.bestCandIdx[id]
+		if k < 0 {
 			return false
 		}
-		hops[h] = SegHop{Pair: m.set.EdgePairs[id], Edge: id, Cand: cand}
-		key = append(key, int32(id), m.bestCandIdx[id])
+		hops[h] = SegHop{Pair: m.set.EdgePairs[id], Edge: id, Cand: m.set.ByEdge[id][k]}
+		key = append(key, int32(id), k)
 	}
 	if !m.colKeys.add(key) {
 		return false

@@ -83,6 +83,18 @@ func (l *Ledger) CanReserve(c *segment.Candidate) bool {
 	return true
 }
 
+// TryReserve commits one attempt over the candidate if it fits and
+// reports whether it did: CanReserve, then Reserve(c, 1) without
+// Reserve's second check of what CanReserve just read. It changes nothing
+// when it returns false.
+func (l *Ledger) TryReserve(c *segment.Candidate) bool {
+	if !l.CanReserve(c) {
+		return false
+	}
+	l.take(c, 1)
+	return true
+}
+
 // Width returns how many attempts over the candidate fit, up to want: the
 // least of want, the free channels on each link of its route and the free
 // memory at its endpoints.
@@ -100,12 +112,18 @@ func (l *Ledger) Reserve(c *segment.Candidate, n int) error {
 	if n < 0 || l.Width(c, n) < n {
 		return fmt.Errorf("qnet: insufficient resources for %d attempts over segment %v", n, c.Path)
 	}
+	l.take(c, n)
+	return nil
+}
+
+// take takes n attempts' resources over the candidate from the ledger,
+// unchecked: Reserve and TryReserve check that they fit first.
+func (l *Ledger) take(c *segment.Candidate, n int) {
 	for _, e := range c.EdgeIDs {
 		l.chanFree[e] -= n
 	}
 	l.memFree[c.Path[0]] -= n
 	l.memFree[c.Path[len(c.Path)-1]] -= n
-	return nil
 }
 
 // Release returns n attempts' resources to the ledger. It fails, changing

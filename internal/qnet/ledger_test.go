@@ -1,6 +1,7 @@
 package qnet
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -113,8 +114,9 @@ func TestLedgerFailedCallsChangeNothing(t *testing.T) {
 
 // TestLedgerCanReserveMatchesWidth drives random reservations and releases
 // over the motivation fixture's candidates: CanReserve is always
-// Width(c, 1) == 1, a reservation within Width always succeeds, and the
-// invariants hold throughout.
+// Width(c, 1) == 1, a reservation within Width always succeeds, TryReserve
+// reserves one attempt exactly when CanReserve holds (and changes nothing
+// otherwise), and the invariants hold throughout.
 func TestLedgerCanReserveMatchesWidth(t *testing.T) {
 	set, net := motivationSet(t)
 	var cands []*segment.Candidate
@@ -129,17 +131,38 @@ func TestLedgerCanReserveMatchesWidth(t *testing.T) {
 		if l.CanReserve(c) != (l.Width(c, 1) == 1) {
 			t.Fatalf("step %d: CanReserve %v, Width(c, 1) %d", step, l.CanReserve(c), l.Width(c, 1))
 		}
-		if rng.Intn(2) == 0 {
+		switch rng.Intn(3) {
+		case 0:
+			can := l.CanReserve(c)
+			ch, mem := l.Free()
+			ch, mem = slices.Clone(ch), slices.Clone(mem)
+			if can {
+				for _, e := range c.EdgeIDs {
+					ch[e]--
+				}
+				mem[c.Path[0]]--
+				mem[c.Path[len(c.Path)-1]]--
+			}
+			if got := l.TryReserve(c); got != can {
+				t.Fatalf("step %d: TryReserve %v, CanReserve %v", step, got, can)
+			}
+			requireFree(t, l, ch, mem, fmt.Sprintf("step %d: TryReserve", step))
+			if can {
+				held[c]++
+			}
+		case 1:
 			n := rng.Intn(l.Width(c, 3) + 1)
 			if err := l.Reserve(c, n); err != nil {
 				t.Fatalf("step %d: Reserve(c, %d) within Width: %v", step, n, err)
 			}
 			held[c] += n
-		} else if n := held[c]; n > 0 {
-			if err := l.Release(c, n); err != nil {
-				t.Fatalf("step %d: Release(c, %d) of held attempts: %v", step, n, err)
+		default:
+			if n := held[c]; n > 0 {
+				if err := l.Release(c, n); err != nil {
+					t.Fatalf("step %d: Release(c, %d) of held attempts: %v", step, n, err)
+				}
+				held[c] = 0
 			}
-			held[c] = 0
 		}
 		if err := l.Validate(); err != nil {
 			t.Fatalf("step %d: %v", step, err)

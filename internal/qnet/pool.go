@@ -15,7 +15,7 @@ import (
 // filled in, and keeps it across Reset. A segment's pair is found through
 // its candidate's set-wide pair index (segment.Candidate.PairID) without
 // hashing; the key map serves segments without a candidate, pairs seen
-// for the first time, and IndexOf. Per index the pool holds the
+// for the first time, IndexOf and IndexOfID's misses. Per index the pool holds the
 // pair's bucket (insertion order) and its count of unconsumed segments,
 // which TakeAt, TakeBestAt and Return maintain, so AvailableAt is a
 // counter read. The key set only grows; it is bounded by the endpoint
@@ -133,6 +133,21 @@ func (p *Pool) IndexOf(pk segment.PairKey) int {
 		return i
 	}
 	return -1
+}
+
+// IndexOfID is IndexOf for a pair whose set-wide pair ID
+// (segment.Candidate.PairID) is id: it reads the PairID cache first and
+// hashes pk only if the cache does not hold pk under id, so an id of
+// another pair, or a negative one, gives IndexOf's answer.
+func (p *Pool) IndexOfID(id int, pk segment.PairKey) int {
+	// cached's check, on an ID and key instead of a segment: cached stays
+	// small enough to inline into fill.
+	if id >= 0 && id < len(p.byCand) {
+		if i := p.byCand[id] - 1; i >= 0 && p.keys[i] == pk {
+			return i
+		}
+	}
+	return p.IndexOf(pk)
 }
 
 // TakeAt consumes one segment of the pair of index i, in insertion order,

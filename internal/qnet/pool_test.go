@@ -171,7 +171,8 @@ func (tw *twinSegments) add(rng *rand.Rand, u, v int) int {
 // whose PairIDs are right or misleading), TakeAt and TakeBestAt (against the
 // reference's Take and TakeBest) and Return, and after every step
 // requires the same returned segment, the same available count for every
-// pair, IndexOf equal to a scan of the keys, SortedIndices in pair order,
+// pair, IndexOf and IndexOfID (under right, absent and misleading IDs)
+// equal to a scan of the keys, SortedIndices in pair order,
 // Pairs and AppendUnconsumed.
 func TestPoolMatchesReference(t *testing.T) {
 	score := func(s *Segment) float64 { return s.WernerScale() }
@@ -274,8 +275,20 @@ func TestPoolMatchesReference(t *testing.T) {
 					if a, b := ref.Available(pk), available(pool, pk); a != b {
 						t.Fatalf("trial %d step %d (%s): Available(%v) = %d, reference %d", trial, step, what, pk, b, a)
 					}
-					if a, b := indexOf(pool, pk), pool.IndexOf(pk); a != b {
+					a := indexOf(pool, pk)
+					if b := pool.IndexOf(pk); a != b {
 						t.Fatalf("trial %d step %d (%s): IndexOf(%v) = %d, scan says %d", trial, step, what, pk, b, a)
+					}
+					// IndexOfID under the pair's own ID, no ID and the
+					// small IDs that may name another pair.
+					ids := []int{-1, 0, 1, 2, 3}
+					if c := tw.cands[pk]; c != nil {
+						ids = append(ids, c.PairID)
+					}
+					for _, id := range ids {
+						if b := pool.IndexOfID(id, pk); a != b {
+							t.Fatalf("trial %d step %d (%s): IndexOfID(%d, %v) = %d, scan says %d", trial, step, what, id, pk, b, a)
+						}
 					}
 				}
 			}

@@ -384,6 +384,14 @@ type FixedPath struct {
 	Commodity int
 	Nodes     graph.Path
 	Hops      []segment.PairKey
+	// PairIDs, if not nil, holds each hop's set-wide pair ID
+	// (segment.Candidate.PairID), in Hops' order, so the pool resolves the
+	// hop without hashing (qnet.Pool.IndexOfID). An ID of another pair
+	// only costs the hashed lookup. SEE and E2E fill it, since
+	// StitchFixed resolves their paths on every call; a FixedPlan's hops
+	// are resolved again only when the pool learns a pair, so Greedy and
+	// Contend leave it nil.
+	PairIDs []int
 }
 
 // FixedPlan implements SlotPhases for an engine whose paths and creation
@@ -451,10 +459,21 @@ func (h *hopIndex) resolve(pool *qnet.Pool, paths []FixedPath) []int {
 	if h.pool == pool && h.pairs == pool.NumPairs() {
 		return h.idx
 	}
+	return h.lookup(pool, paths)
+}
+
+// lookup resolves every hop of paths in pool and records the pool and its
+// pair count; resolve keeps its cached case small enough to inline.
+func (h *hopIndex) lookup(pool *qnet.Pool, paths []FixedPath) []int {
 	h.idx = h.idx[:0]
-	for _, p := range paths {
-		for _, pk := range p.Hops {
-			h.idx = append(h.idx, pool.IndexOf(pk))
+	for i := range paths {
+		p := &paths[i]
+		for k, pk := range p.Hops {
+			id := -1
+			if p.PairIDs != nil {
+				id = p.PairIDs[k]
+			}
+			h.idx = append(h.idx, pool.IndexOfID(id, pk))
 		}
 	}
 	h.pool, h.pairs = pool, pool.NumPairs()
@@ -503,9 +522,9 @@ func (s *Slot) stitchFixed(paths []FixedPath, connCap []int, hopIdx []int) (asse
 	fp := qnet.NewFloorPolicy(r.cfg.FidelityFloors)
 	live := r.livePaths[:0]
 	next := 0
-	for pi, p := range paths {
+	for pi := range paths {
 		live = append(live, livePath{path: pi, hop: next})
-		next += len(p.Hops)
+		next += len(paths[pi].Hops)
 	}
 	r.livePaths = live
 	for {

@@ -264,9 +264,10 @@ type stitchSide struct {
 // random fixed paths, some over pairs the pool never held, are stitched
 // first by stitchFixedReference and, for all three slots, either by
 // StitchFixed or by one FixedPlan's StitchPhase, whose hop indices are
-// kept across slots while the pool learns new pairs. Every slot must give
-// the
-// same connections (nodes, segments, spares, fidelity), assembly and
+// kept across slots while the pool learns new pairs; in half of those
+// the paths carry their hops' pair IDs, some of them wrong, and the
+// segments carry candidates with the pool's PairID cache keys. Every slot
+// must give the same connections (nodes, segments, spares, fidelity), assembly and
 // floor-rejection counts, per-pair counters, event stream, leftover pool
 // and next rng draw.
 //
@@ -357,6 +358,26 @@ func TestStitchRoutesMatchesReference(t *testing.T) {
 			}
 			fixed = append(fixed, fp)
 		}
+		// In half the trials segments carry candidates with set-wide pair
+		// IDs and fixed paths carry their hops' IDs, a quarter of them
+		// wrong (another pair's, negative or past every ID), so the pool
+		// resolves hops through its PairID cache and falls back to the
+		// key map on a miss. They come from a third stream.
+		irng := xrand.New(int64(trial) + 2<<32)
+		withIDs := irng.Intn(2) == 0
+		pairID := func(u, v int) int { return min(u, v)*n + max(u, v) }
+		if withIDs {
+			for k := range fixed {
+				fp := &fixed[k]
+				for h := 1; h < len(fp.Nodes); h++ {
+					id := pairID(fp.Nodes[h-1], fp.Nodes[h])
+					if irng.Intn(4) == 0 {
+						id = []int{-1, n * n, pairID(irng.Intn(n), irng.Intn(n))}[irng.Intn(3)]
+					}
+					fp.PairIDs = append(fp.PairIDs, id)
+				}
+			}
+		}
 		var plans [2]*FixedPlan
 		if fixed != nil {
 			plans = [2]*FixedPlan{{Paths: fixed, ConnCap: connCap}, {Paths: fixed, ConnCap: connCap}}
@@ -386,8 +407,12 @@ func TestStitchRoutesMatchesReference(t *testing.T) {
 					u, v = junction, half(1)
 				}
 				scale := []float64{0.3, 0.6, 1}[rng.Intn(3)]
+				var cand *segment.Candidate
+				if withIDs {
+					cand = &segment.Candidate{Path: graph.Path{min(u, v), max(u, v)}, Decay: 1, PairID: pairID(u, v)}
+				}
 				for k, side := range sides {
-					sg := &qnet.Segment{A: min(u, v), B: max(u, v)}
+					sg := &qnet.Segment{A: min(u, v), B: max(u, v), Cand: cand}
 					sg.SetWernerScale(scale)
 					side.idx[sg] = j
 					segs[k] = append(segs[k], sg)
