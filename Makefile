@@ -67,8 +67,9 @@ cover-update:
 
 # fuzz-smoke runs each committed fuzz target for a few seconds beyond its
 # seed corpus — a quick shake, not a soak (go test accepts one -fuzz
-# pattern per package invocation, hence the separate lines). FuzzRestore
-# and FuzzShortestPathBound cap input minimization at 1s: minimizing each
+# pattern per package invocation, hence the separate lines). FuzzRestore,
+# FuzzShortestPathBound and FuzzYenMatchesReference cap input
+# minimization at 1s: minimizing each
 # new interesting input (a whole checkpoint, a graph) would otherwise take
 # most of the fuzz time.
 FUZZTIME ?= 5s
@@ -80,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseArrivals -fuzztime=$(FUZZTIME) -run='^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzRestore -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzShortestPathBound -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/graph
+	$(GO) test -fuzz=FuzzYenMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/graph
 
 # docs-check keeps the documentation honest: gofmt-clean tree, a package
 # comment on every internal/* package, and every seesim flag present in

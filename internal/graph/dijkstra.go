@@ -78,8 +78,7 @@ func (h *minHeap) pop() pqItem {
 // ShortestPath returns a shortest path from s to t and its length under
 // non-negative edge weights, adding node weights at intermediate nodes and
 // honouring node/edge exclusions. Negative edge weights cause undefined
-// results; use BellmanFord to detect them in tests. It returns
-// (nil, Unreachable) when no path exists.
+// results. It returns (nil, Unreachable) when no path exists.
 func ShortestPath(g *Graph, s, t int, opts DijkstraOptions) (Path, float64) {
 	return ShortestPathTarget(g, s, t, opts, nil)
 }

@@ -1,9 +1,8 @@
 // Package graph provides the graph substrate used throughout the simulator:
 // adjacency structures, shortest-path algorithms (Dijkstra with combined
-// edge and node weights, Bellman-Ford as a test oracle), Yen's K-shortest
-// loopless paths, and connectivity utilities. The shortest-path queries
-// and every Yen spur share one targeted search over a typed binary heap
-// and reusable scratch buffers.
+// edge and node weights), Yen's K-shortest loopless paths, and
+// connectivity utilities. The shortest-path queries and every Yen spur
+// share one typed binary heap and reusable scratch buffers.
 //
 // Nodes are dense integers in [0, N). Edges carry a float64 weight and an
 // opaque integer ID so that callers can attach attributes (lengths,
@@ -30,6 +29,10 @@ type Edge struct {
 type Graph struct {
 	adj      [][]Edge
 	numEdges int
+	// undirected holds while every arc was added by AddEdge, so each arc
+	// has a reverse twin of equal weight and distances to a node are
+	// distances from it. AddArc clears it; Reset restores it.
+	undirected bool
 }
 
 // New returns an empty graph with n nodes.
@@ -37,7 +40,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
-	return &Graph{adj: make([][]Edge, n)}
+	return &Graph{adj: make([][]Edge, n), undirected: true}
 }
 
 // N returns the number of nodes.
@@ -51,6 +54,7 @@ func (g *Graph) AddArc(from, to int, weight float64) int {
 	id := g.numEdges
 	g.numEdges++
 	g.adj[from] = append(g.adj[from], Edge{To: to, Weight: weight, ID: id})
+	g.undirected = false
 	return id
 }
 
@@ -74,6 +78,7 @@ func (g *Graph) Reset() {
 		g.adj[u] = g.adj[u][:0]
 	}
 	g.numEdges = 0
+	g.undirected = true
 }
 
 // Neighbors returns the adjacency list of u. The slice is owned by the
@@ -97,7 +102,7 @@ func (g *Graph) SetWeightByID(id int, weight float64) {
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{adj: make([][]Edge, len(g.adj)), numEdges: g.numEdges}
+	c := &Graph{adj: make([][]Edge, len(g.adj)), numEdges: g.numEdges, undirected: g.undirected}
 	for u, es := range g.adj {
 		c.adj[u] = append([]Edge(nil), es...)
 	}

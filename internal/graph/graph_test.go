@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -149,5 +150,42 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	h.adj[0][0].ID = 3
 	if err := h.Validate(); err == nil {
 		t.Fatal("Validate must reject out-of-range edge ID")
+	}
+}
+
+// TestUndirectedFlag: New and AddEdge leave a graph undirected, AddArc
+// makes it directed, Reset makes it undirected again and Clone copies the
+// flag. distancesTo, which trusts the flag, must give one-way arcs their
+// reversed-arc distances (a search from t over the arcs as stored would
+// read 0→1→2 backwards), and Yen over them must still match the reference.
+func TestUndirectedFlag(t *testing.T) {
+	g := New(3)
+	if !g.undirected {
+		t.Fatal("New: graph not undirected")
+	}
+	g.AddEdge(0, 1, 1)
+	if !g.undirected || !g.Clone().undirected {
+		t.Fatal("AddEdge or Clone cleared the undirected flag")
+	}
+	g.AddArc(1, 2, 1)
+	g.AddArc(2, 0, 5)
+	if g.undirected || g.Clone().undirected {
+		t.Fatal("AddArc did not clear the undirected flag, or Clone lost it")
+	}
+	var sc DijkstraScratch
+	if h := sc.distancesTo(g, 2); !reflect.DeepEqual(h, []float64{2, 1, 0}) {
+		t.Fatalf("distances to 2 over one-way arcs = %v, want [2 1 0]", h)
+	}
+	if got, want := YenKShortest(g, 0, 2, 3, DijkstraOptions{}), yenReference(g, 0, 2, 3, DijkstraOptions{}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Yen over one-way arcs = %v, reference %v", got, want)
+	}
+	c := g.Clone()
+	g.Reset()
+	if !g.undirected || c.undirected {
+		t.Fatal("Reset did not restore the undirected flag, or it reached the clone")
+	}
+	g.AddEdge(0, 2, 4)
+	if h := sc.distancesTo(g, 2); !reflect.DeepEqual(h, []float64{4, Unreachable, 0}) {
+		t.Fatalf("distances to 2 after Reset = %v, want [4 Unreachable 0]", h)
 	}
 }

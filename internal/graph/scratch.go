@@ -1,6 +1,9 @@
 package graph
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // DijkstraScratch holds the reusable per-call buffers of a shortest-path
 // search. Column generation runs thousands of small queries per solve
@@ -8,7 +11,7 @@ import "slices"
 // query allocate nothing and reset only the entries the previous search
 // wrote (the touched list), not all n. ShortestPath, ShortestPathTarget,
 // ShortestPathEdgesTarget and every Yen spur run the same search over one,
-// on graphs of any size.
+// on graphs of any size (a goal-directed Yen spur runs goalSearch).
 // The zero value is ready and grows on first use. Not safe for
 // concurrent queries.
 type DijkstraScratch struct {
@@ -136,6 +139,88 @@ func (sc *DijkstraScratch) search(g *Graph, s, t int, bound float64, opts Dijkst
 		}
 	}
 	return false
+}
+
+// goalSearch is search for a Yen spur under zero-value options, run as A*:
+// the heap is keyed on dist + h, where h[v] is v's distance to t in g
+// without bans. Bans only remove arcs and nodes, so h stays a lower bound
+// on the banned distance, and it never drops by more than an arc's weight
+// along that arc. Nodes that cannot reach t (h Unreachable) are never
+// pushed, t is never expanded, and the search pops until the key exceeds
+// lim = min(dist[t], bound)·(1 + 1e-9), so it expands every node that can
+// lie on a shortest s→t path, or precede one of its nodes at a tied
+// distance, whatever the rounding of the keys. found reports whether t was
+// reached below a positive bound (any distance without one).
+//
+// exact is false when a relaxation from another node exactly ties a
+// tentative distance, or reaches a settled node at or below its distance:
+// only there can the order of pops pick a different predecessor than
+// search's, and the caller reruns search. Otherwise every expanded node
+// took its distance from one strictly best expanded neighbour, the one
+// search settles it through, so the path to t is search's, node for node
+// (DESIGN.md §5b).
+func (sc *DijkstraScratch) goalSearch(g *Graph, s, t int, bound float64, h []float64, ban *spurBan) (found, exact bool) {
+	sc.reset(g.N())
+	if h[s] == Unreachable {
+		return false, true
+	}
+	lim := math.Inf(1)
+	if bound > 0 {
+		lim = bound * (1 + 1e-9)
+	}
+	sc.dist[s] = 0
+	sc.touched = append(sc.touched, s)
+	sc.pq.push(pqItem{node: s, dist: h[s]})
+	for len(sc.pq) > 0 {
+		it := sc.pq.pop()
+		if it.dist > lim {
+			break
+		}
+		u := it.node
+		if sc.done[u] {
+			continue
+		}
+		sc.done[u] = true
+		if u == t {
+			continue
+		}
+		du := sc.dist[u]
+		for _, e := range g.Neighbors(u) {
+			v := e.To
+			if h[v] == Unreachable || ban.root[v] == ban.epoch || u == s && slices.Contains(ban.targets, v) {
+				continue
+			}
+			nd := du + e.Weight
+			key := nd + h[v]
+			if key > lim {
+				continue
+			}
+			switch dv := sc.dist[v]; {
+			case sc.done[v]:
+				if nd <= dv {
+					return false, false
+				}
+				continue
+			case nd > dv:
+				continue
+			case nd == dv:
+				if sc.prev[v] != u {
+					return false, false
+				}
+				continue
+			case dv == Unreachable:
+				sc.touched = append(sc.touched, v)
+			}
+			sc.dist[v] = nd
+			sc.prev[v] = u
+			sc.prevEdge[v] = e.ID
+			sc.pq.push(pqItem{node: v, dist: key})
+			if v == t {
+				lim = min(lim, nd*(1+1e-9))
+			}
+		}
+	}
+	return sc.done[t] && (bound <= 0 || sc.dist[t] < bound), true
 }
 
 // appendPath appends the s→t predecessor chain of the last search to dst.

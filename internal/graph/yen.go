@@ -15,7 +15,7 @@ import (
 // copy the graph: the spur search skips the banned arcs out of the spur
 // node and the root-path nodes in place (see spurBan).
 //
-// Two rules cut the spur searches of textbook Yen without changing its
+// Three rules cut the spur searches of textbook Yen without changing its
 // output, ties included:
 //
 //   - Lawler's rule. Each path remembers the spur index it deviated at,
@@ -37,6 +37,16 @@ import (
 //     unbounded search up to the point where it stops (see search), so a
 //     path it does return is the unbounded one, and one it gives up on
 //     was never acceptable.
+//   - Goal direction. Under zero-value opts with k > 1 the call first
+//     computes every node's distance h to t (one Dijkstra from t, over
+//     reversed arcs unless g is undirected), and each spur search runs as
+//     A* keyed on distance + h (see goalSearch). h stays a lower bound
+//     under any bans, the search expands every node within
+//     min(distance to t, bound)·(1 + 1e-9), and the one place where the
+//     order of pops could pick another predecessor, an exact tie or a
+//     relaxation reaching a settled node at or below its distance, makes
+//     the spur rerun the plain search. The first path's search, and every
+//     search under an option hook, stay plain.
 func YenKShortest(g *Graph, s, t, k int, opts DijkstraOptions) []Path {
 	if k <= 0 || s < 0 || t < 0 || s >= g.N() || t >= g.N() {
 		return nil
@@ -48,6 +58,7 @@ func YenKShortest(g *Graph, s, t, k int, opts DijkstraOptions) []Path {
 	if !sc.search(g, s, t, 0, opts, nil) {
 		return nil
 	}
+	yenNote(&sc, false)
 
 	type candidate struct {
 		path Path
@@ -67,6 +78,13 @@ func YenKShortest(g *Graph, s, t, k int, opts DijkstraOptions) []Path {
 		return 1
 	}
 	accepted := []candidate{{path: sc.appendPath(nil, s, t)}}
+	// h, every node's distance to t, turns the spur searches into A*
+	// (goalSearch) when no option hook can change what a search sees.
+	var h []float64
+	if k > 1 && opts.NodeWeight == nil && opts.Forbidden == nil && opts.ForbiddenEdge == nil && opts.EdgeWeight == nil {
+		h = sc.distancesTo(g, t)
+		yenNote(&sc, false)
+	}
 	// candidates stays sorted by cmp, so the next accepted path is its
 	// head and the need-th length is an index away.
 	var candidates []candidate
@@ -119,7 +137,16 @@ func YenKShortest(g *Graph, s, t, k int, opts DijkstraOptions) []Path {
 			for _, v := range prev[:i] {
 				ban.root[v] = ban.epoch
 			}
-			if !sc.search(g, spurNode, t, bound, opts, &ban) {
+			var found, exact bool
+			if h != nil {
+				found, exact = sc.goalSearch(g, spurNode, t, bound, h, &ban)
+				yenNote(&sc, false)
+			}
+			if !exact {
+				found = sc.search(g, spurNode, t, bound, opts, &ban)
+				yenNote(&sc, h != nil)
+			}
+			if !found {
 				continue
 			}
 			total = sc.appendPath(append(total[:0], prev[:i]...), spurNode, t)
@@ -145,6 +172,35 @@ func YenKShortest(g *Graph, s, t, k int, opts DijkstraOptions) []Path {
 		out[i] = a.path
 	}
 	return out
+}
+
+// distancesTo returns every node's distance to t under the stored
+// weights, Unreachable where t cannot be reached: one Dijkstra from t over
+// g itself when g is undirected, over a reversed copy of its arcs
+// otherwise. It leaves that search in sc.
+func (sc *DijkstraScratch) distancesTo(g *Graph, t int) []float64 {
+	r := g
+	if !g.undirected {
+		r = New(g.N())
+		for u, es := range g.adj {
+			for _, e := range es {
+				r.AddArc(e.To, u, e.Weight)
+			}
+		}
+	}
+	sc.search(r, t, -1, 0, DijkstraOptions{}, nil)
+	return slices.Clone(sc.dist)
+}
+
+// yenSearchHook, when non-nil, is handed the scratch after every search
+// YenKShortest runs, and whether that search was a goal-directed spur's
+// plain rerun. Only tests set it, and never while YenKShortest runs.
+var yenSearchHook func(sc *DijkstraScratch, fallback bool)
+
+func yenNote(sc *DijkstraScratch, fallback bool) {
+	if hook := yenSearchHook; hook != nil {
+		hook(sc, fallback)
+	}
 }
 
 func lessPath(a, b Path) bool {

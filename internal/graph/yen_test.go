@@ -180,7 +180,7 @@ func TestYenMatchesReference(t *testing.T) {
 	// need-th length and many spurs share their root with an earlier one.
 	for trial := 0; trial < 250; trial++ {
 		n := 2 + rng.Intn(29)
-		g := tieMultigraph(rng, n)
+		g := tieMultigraph(rng, n, true)
 		var opts DijkstraOptions
 		if rng.Intn(2) == 0 {
 			opts = randomOptions(rng, g)
@@ -198,15 +198,21 @@ func TestYenMatchesReference(t *testing.T) {
 }
 
 // tieMultigraph is randomMultigraph with weights 0 and 1 only and about
-// four arcs per node: undirected edges, one-way arcs and parallel pairs.
-func tieMultigraph(rng *rand.Rand, n int) *Graph {
+// four arcs per node: undirected edges, parallel pairs and, when oneWay,
+// one-way arcs (an undirected edge in their place otherwise, from the same
+// draws).
+func tieMultigraph(rng *rand.Rand, n int, oneWay bool) *Graph {
 	g := New(n)
 	for i := 0; i < 4*n; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		w := float64(rng.Intn(2))
 		switch rng.Intn(4) {
 		case 0:
-			g.AddArc(u, v, w)
+			if oneWay {
+				g.AddArc(u, v, w)
+			} else {
+				g.AddEdge(u, v, w)
+			}
 		case 1:
 			g.AddEdge(u, v, w)
 			g.AddEdge(u, v, float64(rng.Intn(2)))
@@ -430,9 +436,31 @@ func dijkstraReference(g *Graph, source int, opts DijkstraOptions) *ShortestResu
 	return res
 }
 
-// YenReference exposes yenReference to the external-package tests, which
-// can build networks through packages that import this one.
-var YenReference = yenReference
+// YenReference and TieMultigraph expose yenReference and tieMultigraph to
+// the external-package tests, which can build networks through packages
+// that import this one.
+var (
+	YenReference  = yenReference
+	TieMultigraph = tieMultigraph
+)
+
+// CountYenSearches makes every YenKShortest call add the nodes each of its
+// searches settles to *settled, and each goal-directed spur's plain rerun
+// to *fallbacks, until the returned func removes the hook. Tests that use
+// it must not run YenKShortest concurrently.
+func CountYenSearches(settled, fallbacks *int) (restore func()) {
+	yenSearchHook = func(sc *DijkstraScratch, fallback bool) {
+		for _, v := range sc.touched {
+			if sc.done[v] {
+				*settled++
+			}
+		}
+		if fallback {
+			*fallbacks++
+		}
+	}
+	return func() { yenSearchHook = nil }
+}
 
 // yenReference is Yen's algorithm as the kernel ran it before the in-place
 // spur search: each spur deep-copies the adjacency without its banned
@@ -531,3 +559,47 @@ func pathKey(p Path) string {
 	}
 	return string(b)
 }
+
+// FuzzYenMatchesReference: on a multigraph decoded from the input (four
+// bytes an arc or edge: endpoints, a weight from fuzzWeights, and whether
+// it is a one-way arc, a parallel pair or a plain edge), YenKShortest
+// under zero-value options, whose spurs run goal-directed, returns the
+// reference's paths for the fuzzed s, t and k. The integer weights make
+// exact ties; the decimal ones make sums that differ by an ulp with the
+// order of summation (0.1 + 0.2 > 0.3).
+func FuzzYenMatchesReference(f *testing.F) {
+	f.Add([]byte{5, 0, 1, 1, 2, 1, 2, 1, 2, 2, 3, 2, 2, 0, 3, 3, 2, 1, 4, 0, 2}, uint8(0), uint8(3), uint8(6))
+	f.Add([]byte{6, 0, 1, 0, 0, 1, 2, 0, 1, 2, 3, 1, 0, 3, 4, 0, 2, 4, 5, 0, 0, 0, 5, 1, 1}, uint8(0), uint8(5), uint8(9))
+	f.Add([]byte{4, 0, 1, 1, 0, 1, 2, 1, 0, 2, 3, 1, 0, 3, 0, 1, 0}, uint8(0), uint8(3), uint8(4))
+	// Each input below fails when goalSearch loses one piece: the tie
+	// fallback, the expansion past t's pop, or the 1e-9 slack.
+	f.Add([]byte("\x0512100000AY%020111B19Y2%201721A10"), uint8(0x00), uint8(0x21), uint8(0x87))
+	f.Add([]byte(".1&$1B%011B01%970C%009&%0%0$1%110\x95C00"), uint8(0x1d), uint8(0x01), uint8(0x94))
+	f.Add([]byte("&010102002%0000000000=00000000000000000000000+9$1\xcdZ&0.Z&209$00000.+00Z011"), uint8(0x8d), uint8(0x1b), uint8(0x09))
+	f.Fuzz(func(t *testing.T, data []byte, s, d, k uint8) {
+		if len(data) < 1 {
+			return
+		}
+		n := 2 + int(data[0])%24
+		g := New(n)
+		for body := data[1:]; len(body) >= 4; body = body[4:] {
+			u, v, w := int(body[0])%n, int(body[1])%n, fuzzWeights[body[2]%8]
+			switch body[3] % 4 {
+			case 0:
+				g.AddArc(u, v, w)
+			case 1:
+				g.AddEdge(u, v, w)
+				g.AddEdge(u, v, fuzzWeights[body[3]/4%8])
+			default:
+				g.AddEdge(u, v, w)
+			}
+		}
+		src, dst, kk := int(s)%n, int(d)%n, 1+int(k)%14
+		want := yenReference(g, src, dst, kk, DijkstraOptions{})
+		if got := YenKShortest(g, src, dst, kk, DijkstraOptions{}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Yen(%d→%d, k=%d) = %v, reference %v", src, dst, kk, got, want)
+		}
+	})
+}
+
+var fuzzWeights = [8]float64{0, 1, 2, 3, 0.1, 0.2, 0.3, 0.7}
