@@ -83,9 +83,13 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzShortestPathBound -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/graph
 	$(GO) test -fuzz=FuzzYenMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s -run='^$$' ./internal/graph
 
-# docs-check keeps the documentation honest: gofmt-clean tree, a package
-# comment on every internal/* package, and every seesim flag present in
-# README.md's flag table (cmd/docscheck).
+# docs-check keeps the documentation and the API honest (cmd/docscheck):
+# a gofmt-clean tree, a package comment on every internal/* package,
+# README.md's seesim flag table equal to the registered flags and its
+# architecture tree equal to the internal/ packages, a godoc Example in
+# internal/lp and internal/flow, examples/ on the public API only, and no
+# name that no non-test code of the module or bench/ references unless
+# cmd/docscheck/testdata/deadnames.txt lists it with a reason (~2 s).
 docs-check:
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi

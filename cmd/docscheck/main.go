@@ -16,7 +16,12 @@
 //  4. README.md's architecture tree lists exactly the packages under
 //     internal/, so a package added or deleted cannot leave it stale, and
 //  5. no program under examples/ imports a see/internal/... package, so
-//     every example runs on the public API alone.
+//     every example runs on the public API alone, and
+//  6. every package-level exported name, method and unexported function
+//     that no non-test file of the module or of bench/ references is
+//     listed, with the reason to keep it, in testdata/deadnames.txt, and
+//     every listed name is still dead, so the list can only shrink
+//     (packages named *test are test support and are not scanned).
 //
 // It exits non-zero with one line per violation.
 package main
@@ -74,6 +79,12 @@ func main() {
 		os.Exit(1)
 	}
 	problems = append(problems, exampleProblems...)
+	deadProblems, err := checkDeadNames(root, filepath.Join(root, "cmd", "docscheck", "testdata", "deadnames.txt"))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "docscheck:", err)
+		os.Exit(1)
+	}
+	problems = append(problems, deadProblems...)
 
 	// The packages whose contracts are taught by worked godoc Examples
 	// (DESIGN.md §9 links to both).

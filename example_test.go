@@ -41,7 +41,8 @@ func ExampleNSFNETNetwork() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(net.NumNodes(), net.NumLinks())
+	st := net.Stats()
+	fmt.Println(st.Nodes, st.Links)
 	// Output: 14 21
 }
 

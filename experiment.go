@@ -8,7 +8,7 @@ import (
 // ExperimentParams configures one evaluation data point (paper §IV-A
 // defaults via DefaultExperimentParams). The embedded NetworkConfig is
 // every trial's topology, resolved like GenerateNetwork's (zero means
-// "paper default", ExplicitZero an actual zero). The embedded
+// "paper default", a negative value an actual zero). The embedded
 // SchedulerOptions configure every engine of every trial; each engine gets
 // its own fault injector and bank, and its Workers also bounds the
 // goroutines running trials concurrently (results are identical at any

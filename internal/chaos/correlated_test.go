@@ -255,14 +255,14 @@ func TestForecastAnnouncedVsSurprise(t *testing.T) {
 	if fc.IsZero() {
 		t.Fatal("forecast is zero")
 	}
-	if !fc.NodeDead(4) || fc.NodeDead(0) {
-		t.Error("NodeDead wrong")
+	if !fc.deadNode[4] || fc.deadNode[0] {
+		t.Error("deadNode wrong")
 	}
-	if fc.LinkDead(0) {
+	if fc.deadLink[0] {
 		t.Error("surprise link outage leaked into the forecast")
 	}
 	for _, id := range net.IncidentLinks(4) {
-		if !fc.LinkDead(id) {
+		if !fc.deadLink[id] {
 			t.Errorf("link %d incident to dead node 4 not dead", id)
 		}
 	}
@@ -291,12 +291,12 @@ func TestForecastAnnouncedVsSurprise(t *testing.T) {
 	}
 	// The nil forecast reports full capacity everywhere.
 	var nilFc *Forecast
-	if nilFc.NodeDead(0) || nilFc.LinkDead(0) || nilFc.Channels(0, 4) != 4 || nilFc.Memory(0, 3) != 3 || nilFc.Avoided() != 0 {
+	if nilFc.Channels(0, 4) != 4 || nilFc.Memory(0, 3) != 3 || nilFc.Avoided() != 0 {
 		t.Error("nil forecast is not the zero view")
 	}
 	// A zero up-cycle flap forecasts the link dead outright.
 	dead := &FaultPlan{Flaps: []Flap{{Link: 3, Period: 5, Duty: 0, From: 0, To: 10}}}
-	if fc := dead.Forecast(net); !fc.LinkDead(3) {
+	if fc := dead.Forecast(net); !fc.deadLink[3] {
 		t.Error("duty-0 flap not forecast dead")
 	}
 }

@@ -117,13 +117,6 @@ func (in *Injector) Forecast() *Forecast {
 // IsZero reports whether the forecast announces nothing.
 func (f *Forecast) IsZero() bool { return f == nil || f.avoided == 0 }
 
-// NodeDead reports whether the node has an announced outage.
-func (f *Forecast) NodeDead(v int) bool { return f != nil && f.deadNode[v] }
-
-// LinkDead reports whether the link has an announced outage (directly, via
-// a disc cut, via a dead endpoint, or via a zero surviving fraction).
-func (f *Forecast) LinkDead(id int) bool { return f != nil && f.deadLink[id] }
-
 // Channels maps a link's full channel count to its announced effective
 // capacity: 0 when dead, floor(frac·full) when de-rated, full otherwise.
 func (f *Forecast) Channels(id, full int) int {

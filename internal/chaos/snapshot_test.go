@@ -84,8 +84,8 @@ func TestInjectorStateRestore(t *testing.T) {
 	if err := resumed.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if resumed.Slot() != split-1 {
-		t.Fatalf("restored slot %d, want %d", resumed.Slot(), split-1)
+	if resumed.slot != split-1 {
+		t.Fatalf("restored slot %d, want %d", resumed.slot, split-1)
 	}
 	for i := 0; i < slots-split; i++ {
 		if got := drive(resumed); !reflect.DeepEqual(got, want[i]) {
@@ -163,8 +163,8 @@ func TestInjectorRestoreNilResets(t *testing.T) {
 	if err := in.Restore(nil); err != nil {
 		t.Fatal(err)
 	}
-	if in.Slot() != -1 || in.Counts().Total() != 0 {
-		t.Fatalf("after Restore(nil): slot %d, counts %+v", in.Slot(), in.Counts())
+	if in.slot != -1 || in.Counts().Total() != 0 {
+		t.Fatalf("after Restore(nil): slot %d, counts %+v", in.slot, in.Counts())
 	}
 	fresh, _ := NewInjector(snapshotPlan(), net)
 	for s := 0; s < 6; s++ {

@@ -478,11 +478,3 @@ func (e *Engine) StitchPhase(s *sched.Slot) (assembled, floorRejected int) {
 // UpperBound returns the heuristic expected established count of the fixed
 // plan (not an LP bound — the engine solves none).
 func (e *Engine) UpperBound() float64 { return e.expected }
-
-// PlannedPathCount reports how many entanglement paths the contention-aware
-// selection accepted (diagnostics for tests and tools).
-func (e *Engine) PlannedPathCount() int { return len(e.paths) }
-
-// RecoveryReserved reports the total recovery attempts held in reserve per
-// slot (diagnostics for tests and tools).
-func (e *Engine) RecoveryReserved() int { return e.recovery.TotalAttempts() }

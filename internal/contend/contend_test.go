@@ -190,7 +190,7 @@ func TestRecoveryFires(t *testing.T) {
 	if err != nil {
 		t.Fatalf("newEngine: %v", err)
 	}
-	if eng.RecoveryReserved() == 0 {
+	if eng.recovery.TotalAttempts() == 0 {
 		t.Fatal("no recovery attempts reserved on the diamond fixture")
 	}
 	rng := xrand.New(9)
@@ -214,8 +214,8 @@ func TestRecoveryDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatalf("newEngine: %v", err)
 	}
-	if eng.RecoveryReserved() != 0 {
-		t.Errorf("RecoveryReserved() = %d with recovery disabled", eng.RecoveryReserved())
+	if eng.recovery.TotalAttempts() != 0 {
+		t.Errorf("%d recovery attempts reserved with recovery disabled", eng.recovery.TotalAttempts())
 	}
 	if _, err := eng.RunSlot(xrand.New(1)); err != nil {
 		t.Fatalf("RunSlot: %v", err)
@@ -251,7 +251,7 @@ func TestCarryOverConservation(t *testing.T) {
 			trimmed = true
 		}
 	}
-	if bank.Stats().Deposited == 0 {
+	if bank.State().Stats.Deposited == 0 {
 		t.Error("bank never accepted a deposit in 20 slots")
 	}
 	if !trimmed {
@@ -349,7 +349,7 @@ func TestOfflinePlan(t *testing.T) {
 	if got := eng.Algorithm(); got != sched.QPass {
 		t.Errorf("Algorithm() = %v, want QPass", got)
 	}
-	if eng.PlannedPathCount() == 0 {
+	if len(eng.paths) == 0 {
 		t.Fatal("offline planner accepted no paths")
 	}
 	channels := make([]int, net.NumLinks())

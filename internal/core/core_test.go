@@ -398,7 +398,7 @@ func TestEstablishConnectionsUsesLeftovers(t *testing.T) {
 	// No provisioned paths, but realized segments exist: phase B must
 	// still build connections.
 	e := motivationEngine(t, DefaultOptions())
-	s2d2 := e.Set.Best(topo.MotivS2, topo.MotivD2)
+	s2d2 := e.Set.For(topo.MotivS2, topo.MotivD2)[0]
 	segs := []*qnet.Segment{{A: s2d2.U(), B: s2d2.V(), Cand: s2d2}}
 	conns, attempts := runECE(t, e, nil, segs, xrand.New(1))
 	if len(conns) != 1 || attempts != 1 {
@@ -432,7 +432,7 @@ func TestEstablishConnectionsPrefersHighSwapJunctions(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(a, b int) *qnet.Segment {
-		c := e.Set.Best(a, b)
+		c := e.Set.For(a, b)[0]
 		if c == nil {
 			t.Fatalf("no candidate %d-%d", a, b)
 		}
@@ -448,8 +448,8 @@ func TestEstablishConnectionsPrefersHighSwapJunctions(t *testing.T) {
 	if !conns[0].Nodes.Equal(graph.Path{0, 1, 3}) {
 		t.Fatalf("ECE chose %v first, want the high-q junction path [0 1 3]", conns[0].Nodes)
 	}
-	if math.Abs(conns[0].SuccessProb(net)-(1-1e-9)) > 1e-12 {
-		t.Fatalf("success prob = %v, want ~1", conns[0].SuccessProb(net))
+	if q := net.SwapProb[conns[0].Nodes[1]]; math.Abs(q-(1-1e-9)) > 1e-12 {
+		t.Fatalf("junction swap prob = %v, want ~1", q)
 	}
 	if !conns[1].Nodes.Equal(graph.Path{0, 2, 3}) {
 		t.Fatalf("second connection %v, want [0 2 3]", conns[1].Nodes)

@@ -168,9 +168,8 @@ func TestResilientDegradation(t *testing.T) {
 	if got := c.IncidentCount(sched.IncidentRetry); got != maxConstructionRetries {
 		t.Errorf("retry incidents = %d, want %d", got, maxConstructionRetries)
 	}
-	degraded, lastErr := r.Degraded()
-	if !degraded || lastErr == nil {
-		t.Errorf("Degraded() = %v, %v; want true with error", degraded, lastErr)
+	if r.primary != nil || r.failures == 0 || r.lastErr == nil {
+		t.Errorf("ladder: primary %v, %d failures, last error %v; want degraded with an error", r.primary, r.failures, r.lastErr)
 	}
 	if r.UpperBound() <= 0 {
 		t.Errorf("fallback bound = %v, want > 0", r.UpperBound())
@@ -203,7 +202,7 @@ func TestResilientHealthy(t *testing.T) {
 			if c.IncidentCount(sched.IncidentDegraded) != 0 || c.IncidentCount(sched.IncidentRetry) != 0 {
 				t.Errorf("healthy run reported incidents: %+v", c.Incidents)
 			}
-			if degraded, _ := r.Degraded(); degraded {
+			if r.primary == nil && r.failures > 0 {
 				t.Error("healthy run reports degraded")
 			}
 		})
@@ -356,7 +355,7 @@ func TestResilientRestoreLadder(t *testing.T) {
 	if err := resumed.RestoreEngineState(nil); err != nil {
 		t.Fatalf("reset: %v", err)
 	}
-	if degraded, _ := resumed.Degraded(); degraded || resumed.Bank().Size() != 0 {
-		t.Errorf("reset left degraded=%v and %d banked segments", degraded, resumed.Bank().Size())
+	if (resumed.primary == nil && resumed.failures > 0) || len(resumed.Bank().State().Entries) != 0 {
+		t.Errorf("reset left %d failures without a primary and %d banked segments", resumed.failures, len(resumed.Bank().State().Entries))
 	}
 }

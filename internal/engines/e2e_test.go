@@ -36,7 +36,7 @@ func TestE2EConnectionsAreSingleSegment(t *testing.T) {
 			if len(conn.Segments) != 1 {
 				t.Fatalf("E2E built a %d-segment connection", len(conn.Segments))
 			}
-			if len(conn.Junctions()) != 0 {
+			if len(conn.Nodes) != 2 {
 				t.Fatal("E2E connection has swap junctions")
 			}
 			sd := pairs[conn.Pair]

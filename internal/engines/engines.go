@@ -520,12 +520,6 @@ func (r *Resilient) UpperBound() float64 {
 	return 0
 }
 
-// Degraded reports how the ladder stands: whether the primary is
-// unavailable and the error of its last failed construction.
-func (r *Resilient) Degraded() (bool, error) {
-	return r.primary == nil && r.failures > 0, r.lastErr
-}
-
 // AttachBank implements sched.Stateful. The bank is handed to whichever
 // engine serves slots — including a primary built lazily on a later slot —
 // so banked segments survive degradation and recovery alike.

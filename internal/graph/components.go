@@ -32,13 +32,6 @@ func Components(g *Graph) (label []int, count int) {
 	return label, count
 }
 
-// Connected reports whether the graph has exactly one connected component
-// (empty graphs are considered connected).
-func Connected(g *Graph) bool {
-	_, c := Components(g)
-	return c <= 1
-}
-
 // BFSHops returns the minimum hop count from source to every node
 // (Unreachable-like -1 for unreachable nodes).
 func BFSHops(g *Graph, source int) []int {

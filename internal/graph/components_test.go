@@ -16,21 +16,18 @@ func TestComponents(t *testing.T) {
 	if label[0] != label[1] || label[2] != label[3] || label[0] == label[2] || label[4] == label[0] || label[4] == label[2] {
 		t.Fatalf("bad labels: %v", label)
 	}
-	if Connected(g) {
-		t.Fatal("graph must not be connected")
-	}
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(3, 4, 1)
-	if !Connected(g) {
+	if _, count := Components(g); count != 1 {
 		t.Fatal("graph must be connected after joining")
 	}
 }
 
 func TestConnectedEmpty(t *testing.T) {
-	if !Connected(New(0)) {
-		t.Fatal("empty graph is connected by convention")
+	if _, count := Components(New(0)); count != 0 {
+		t.Fatal("empty graph has a component")
 	}
-	if !Connected(New(1)) {
+	if _, count := Components(New(1)); count != 1 {
 		t.Fatal("singleton graph is connected")
 	}
 }

@@ -88,27 +88,6 @@ func (g *Graph) Neighbors(u int) []Edge { return g.adj[u] }
 // Degree returns the out-degree of u (for undirected graphs, its degree).
 func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 
-// SetWeightByID updates the weight on every arc carrying the given edge ID.
-// It is O(E); use it for small graphs or infrequent updates.
-func (g *Graph) SetWeightByID(id int, weight float64) {
-	for u := range g.adj {
-		for i := range g.adj[u] {
-			if g.adj[u][i].ID == id {
-				g.adj[u][i].Weight = weight
-			}
-		}
-	}
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{adj: make([][]Edge, len(g.adj)), numEdges: g.numEdges, undirected: g.undirected}
-	for u, es := range g.adj {
-		c.adj[u] = append([]Edge(nil), es...)
-	}
-	return c
-}
-
 // Validate checks internal consistency (arc endpoints in range, non-negative
 // IDs). It is intended for tests and debug assertions.
 func (g *Graph) Validate() error {

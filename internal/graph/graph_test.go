@@ -39,32 +39,6 @@ func TestUndirectedEdgeSharesID(t *testing.T) {
 	}
 }
 
-func TestSetWeightByID(t *testing.T) {
-	g := New(3)
-	id := g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 5)
-	g.SetWeightByID(id, 9)
-	if g.Neighbors(0)[0].Weight != 9 || g.Neighbors(1)[0].Weight != 9 {
-		t.Fatal("SetWeightByID must update both arcs")
-	}
-	if g.Neighbors(1)[1].Weight != 5 {
-		t.Fatal("SetWeightByID must not touch other edges")
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1, 1)
-	c := g.Clone()
-	c.AddEdge(0, 1, 7)
-	if g.Degree(0) != 1 {
-		t.Fatal("mutating clone affected original")
-	}
-	if c.Degree(0) != 2 {
-		t.Fatal("clone missing added edge")
-	}
-}
-
 func TestPathHelpers(t *testing.T) {
 	p := Path{1, 2, 3}
 	if p.Hops() != 2 {
@@ -154,8 +128,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 }
 
 // TestUndirectedFlag: New and AddEdge leave a graph undirected, AddArc
-// makes it directed, Reset makes it undirected again and Clone copies the
-// flag. distancesTo, which trusts the flag, must give one-way arcs their
+// makes it directed and Reset makes it undirected again. distancesTo, which trusts the flag, must give one-way arcs their
 // reversed-arc distances (a search from t over the arcs as stored would
 // read 0→1→2 backwards), and Yen over them must still match the reference.
 func TestUndirectedFlag(t *testing.T) {
@@ -164,13 +137,13 @@ func TestUndirectedFlag(t *testing.T) {
 		t.Fatal("New: graph not undirected")
 	}
 	g.AddEdge(0, 1, 1)
-	if !g.undirected || !g.Clone().undirected {
-		t.Fatal("AddEdge or Clone cleared the undirected flag")
+	if !g.undirected {
+		t.Fatal("AddEdge cleared the undirected flag")
 	}
 	g.AddArc(1, 2, 1)
 	g.AddArc(2, 0, 5)
-	if g.undirected || g.Clone().undirected {
-		t.Fatal("AddArc did not clear the undirected flag, or Clone lost it")
+	if g.undirected {
+		t.Fatal("AddArc did not clear the undirected flag")
 	}
 	var sc DijkstraScratch
 	if h := sc.distancesTo(g, 2); !reflect.DeepEqual(h, []float64{2, 1, 0}) {
@@ -179,10 +152,9 @@ func TestUndirectedFlag(t *testing.T) {
 	if got, want := YenKShortest(g, 0, 2, 3, DijkstraOptions{}), yenReference(g, 0, 2, 3, DijkstraOptions{}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Yen over one-way arcs = %v, reference %v", got, want)
 	}
-	c := g.Clone()
 	g.Reset()
-	if !g.undirected || c.undirected {
-		t.Fatal("Reset did not restore the undirected flag, or it reached the clone")
+	if !g.undirected {
+		t.Fatal("Reset did not restore the undirected flag")
 	}
 	g.AddEdge(0, 2, 4)
 	if h := sc.distancesTo(g, 2); !reflect.DeepEqual(h, []float64{4, Unreachable, 0}) {

@@ -6,10 +6,9 @@ package graph
 // can assemble for one SD pair from realized segments is at most the max
 // flow of the availability graph with unit node capacities relaxed.
 //
-// Arcs are numbered in insertion order, two per AddEdge or AddUndirected
-// call: the returned index is the forward arc and the next one its
-// reverse, so a capacity vector for Reset lists both arcs of every call,
-// in call order.
+// Arcs are numbered in insertion order, two per AddUndirected call: the
+// returned index is the forward arc and the next one its reverse, so a
+// capacity vector for Reset lists both arcs of every call, in call order.
 type MaxFlow struct {
 	n     int
 	head  []int
@@ -28,12 +27,6 @@ func NewMaxFlow(n int) *MaxFlow {
 		head[i] = -1
 	}
 	return &MaxFlow{n: n, head: head}
-}
-
-// AddEdge inserts a directed edge with the given capacity (and a residual
-// reverse edge of capacity 0). It returns the forward arc's index.
-func (m *MaxFlow) AddEdge(from, to, capacity int) int {
-	return m.addArcs(from, to, capacity, 0)
 }
 
 // AddUndirected inserts an undirected unit-type edge: capacity in both

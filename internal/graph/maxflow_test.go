@@ -155,3 +155,9 @@ func TestMaxFlowResetMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// AddEdge inserts a directed edge with the given capacity (and a residual
+// reverse edge of capacity 0). It returns the forward arc's index.
+func (m *MaxFlow) AddEdge(from, to, capacity int) int {
+	return m.addArcs(from, to, capacity, 0)
+}

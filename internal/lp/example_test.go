@@ -15,12 +15,12 @@ func ExamplePackingSolver() {
 		log.Fatal(err)
 	}
 	s.AddColumn(1, []lp.Entry{{Index: 0, Value: 1}})
-	s.Solve()
+	s.SolveCtx(nil)
 	before := s.Objective()
 
 	// A better column arrives (e.g. priced out by an oracle).
 	s.AddColumn(3, []lp.Entry{{Index: 0, Value: 1}})
-	s.Solve()
+	s.SolveCtx(nil)
 	fmt.Printf("before=%.0f after=%.0f dual=%.0f\n", before, s.Objective(), s.Duals()[0])
 	// Output: before=10 after=30 dual=3
 }
@@ -43,13 +43,13 @@ func ExamplePackingSolver_warmStart() {
 	for i := 0; i < 4; i++ {
 		warm.AddColumn(1, unit(i))
 	}
-	warm.Solve()
+	warm.SolveCtx(nil)
 	base := warm.Pivots()
 
 	// Price in one more column and re-solve from the current basis.
 	extra := []lp.Entry{{Index: 0, Value: 1}, {Index: 1, Value: 1}}
 	warm.AddColumn(2.5, extra)
-	warm.Solve()
+	warm.SolveCtx(nil)
 	warmPivots := warm.Pivots() - base
 
 	// A cold solver sees all five columns from scratch.
@@ -61,7 +61,7 @@ func ExamplePackingSolver_warmStart() {
 		cold.AddColumn(1, unit(i))
 	}
 	cold.AddColumn(2.5, extra)
-	cold.Solve()
+	cold.SolveCtx(nil)
 
 	fmt.Printf("objectives equal: %v\n", warm.Objective() == cold.Objective())
 	fmt.Printf("warm re-solve pivots: %d (cold solve: %d)\n", warmPivots, cold.Pivots())

@@ -21,8 +21,8 @@ const ctxCheckStride = 64
 // All rows are ≤ with non-negative right-hand sides, so the all-slack basis
 // is feasible and no phase 1 is needed. Columns are sparse and can be added
 // between solves, which makes the type the master problem of the
-// column-generation loop in internal/flow: Solve, read Duals, price new
-// columns, AddColumn, Solve again (warm-started from the current basis).
+// column-generation loop in internal/flow: SolveCtx, read Duals, price new
+// columns, AddColumn, SolveCtx again (warm-started from the current basis).
 // Reset re-initializes a solver for a new problem while keeping its
 // buffers, so a sequence of solves allocates B⁻¹ and the pivot scratch
 // once.
@@ -53,15 +53,12 @@ type PackingSolver struct {
 	//	               O(m²) from-scratch product per iteration.
 	//	slackInBasis — per row, whether its slack is basic (replaces a
 	//	               linear basis scan per pricing candidate).
-	//	basisRowOf   — structural column → basis row, or −1 (makes Primal
-	//	               O(1)).
 	y            []float64
 	slackInBasis []bool
-	basisRowOf   []int
 
-	// MaxIter caps pivots per Solve call; 0 means automatic.
+	// MaxIter caps pivots per SolveCtx call; 0 means automatic.
 	MaxIter int
-	// pivots counts total pivots across Solve calls (refactorization
+	// pivots counts total pivots across SolveCtx calls (refactorization
 	// schedule and tests).
 	pivots int
 	// supBuf/supVal are pivot's reusable scratch for the nonzero support
@@ -138,10 +135,6 @@ func (s *PackingSolver) resetBasis() {
 	}
 	s.inBasis = resize(s.inBasis, len(s.col))
 	clear(s.inBasis)
-	s.basisRowOf = resize(s.basisRowOf, len(s.col))
-	for j := range s.basisRowOf {
-		s.basisRowOf[j] = -1
-	}
 	s.solved = false
 }
 
@@ -154,12 +147,10 @@ func resize[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// Pivots returns the total simplex pivots performed across all Solve calls
-// — the direct measure of how much work a warm-started re-solve skipped.
+// Pivots returns the total simplex pivots performed across all SolveCtx
+// calls — the direct measure of how much work a warm-started re-solve
+// skipped.
 func (s *PackingSolver) Pivots() int { return s.pivots }
-
-// NumCols returns the number of structural columns.
-func (s *PackingSolver) NumCols() int { return len(s.col) }
 
 // AddColumn appends a sparse column with the given objective coefficient
 // and returns its index. Entries must reference valid rows; duplicate rows
@@ -204,7 +195,6 @@ func (s *PackingSolver) AddColumn(obj float64, entries []Entry) (int, error) {
 	s.colBuf = buf
 	s.col = append(s.col, packedColumn{obj: obj, entries: es[start:len(es):len(es)]})
 	s.inBasis = append(s.inBasis, false)
-	s.basisRowOf = append(s.basisRowOf, -1)
 	return len(s.col) - 1, nil
 }
 
@@ -254,18 +244,6 @@ func (s *PackingSolver) Objective() float64 {
 	return v
 }
 
-// Primal returns the value of structural column j in the current basic
-// solution.
-func (s *PackingSolver) Primal(j int) float64 {
-	if j < 0 || j >= len(s.col) {
-		return 0
-	}
-	if r := s.basisRowOf[j]; r >= 0 {
-		return s.xb[r]
-	}
-	return 0
-}
-
 // Primals returns all structural values as a slice.
 func (s *PackingSolver) Primals() []float64 {
 	x := make([]float64, len(s.col))
@@ -275,16 +253,6 @@ func (s *PackingSolver) Primals() []float64 {
 		}
 	}
 	return x
-}
-
-// ReducedCost computes c_j − yᵀA_j for a hypothetical column without adding
-// it; y must come from Duals().
-func ReducedCost(obj float64, entries []Entry, y []float64) float64 {
-	rc := obj
-	for _, e := range entries {
-		rc -= y[e.Index] * e.Value
-	}
-	return rc
 }
 
 func (s *PackingSolver) objOf(basisID int) float64 {
@@ -321,19 +289,14 @@ func (s *PackingSolver) columnInto(basisID int, out []float64) {
 	}
 }
 
-// Solve optimizes from the current basis and returns the status. After
-// StatusOptimal, Duals/Primal/Objective describe the optimum. The packing
+// SolveCtx optimizes from the current basis and returns the status. After
+// StatusOptimal, Duals/Primals/Objective describe the optimum. The packing
 // form cannot be infeasible, and with finite b it cannot be unbounded unless
-// a column has no positive entries and positive objective.
-func (s *PackingSolver) Solve() (Status, error) {
-	return s.SolveCtx(nil)
-}
-
-// SolveCtx is Solve bounded by a context (nil = never cancelled). The
-// deadline is polled every ctxCheckStride pivots — cheap relative to the
-// O(m) pricing pass — and a cancelled solve returns ctx.Err() with the
-// basis left in the valid (suboptimal) state of the last completed pivot,
-// so a later Solve can resume from it.
+// a column has no positive entries and positive objective. A nil ctx is
+// never cancelled; otherwise the deadline is polled every ctxCheckStride
+// pivots — cheap relative to the O(m) pricing pass — and a cancelled solve
+// returns ctx.Err() with the basis left in the valid (suboptimal) state of
+// the last completed pivot, so a later SolveCtx can resume from it.
 func (s *PackingSolver) SolveCtx(ctx context.Context) (Status, error) {
 	var done <-chan struct{}
 	if ctx != nil {
@@ -438,13 +401,11 @@ func (s *PackingSolver) pivot(leave, entering int, dir []float64, theta, rc floa
 	old := s.basis[leave]
 	if old >= 0 {
 		s.inBasis[old] = false
-		s.basisRowOf[old] = -1
 	} else {
 		s.slackInBasis[-old-1] = false
 	}
 	if entering >= 0 {
 		s.inBasis[entering] = true
-		s.basisRowOf[entering] = leave
 	} else {
 		s.slackInBasis[-entering-1] = true
 	}

@@ -95,7 +95,7 @@ func testPackingBitsGolden(t *testing.T) {
 			}
 			// Refactorize on the (1 + round%3)-th pivot of this solve.
 			ps.pivots = 2000*(ps.pivots/2000+1) - 1 - round%3
-			st, err := ps.Solve()
+			st, err := ps.SolveCtx(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

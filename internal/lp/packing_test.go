@@ -22,15 +22,15 @@ func TestPackingSimple(t *testing.T) {
 	if _, err := s.AddColumn(2, []Entry{{0, 1}, {1, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.Solve()
+	st, err := s.SolveCtx(nil)
 	if err != nil || st != StatusOptimal {
 		t.Fatalf("Solve: %v %v", st, err)
 	}
 	if math.Abs(s.Objective()-12) > 1e-7 {
 		t.Fatalf("objective = %v, want 12", s.Objective())
 	}
-	if math.Abs(s.Primal(0)-4) > 1e-7 || math.Abs(s.Primal(1)) > 1e-7 {
-		t.Fatalf("primal = %v,%v want 4,0", s.Primal(0), s.Primal(1))
+	if x := s.Primals(); math.Abs(x[0]-4) > 1e-7 || math.Abs(x[1]) > 1e-7 {
+		t.Fatalf("primal = %v want 4,0", x)
 	}
 }
 
@@ -57,7 +57,7 @@ func TestPackingUnbounded(t *testing.T) {
 	s, _ := NewPacking([]float64{5})
 	// Column with no positive entries and positive objective is unbounded.
 	s.AddColumn(1, nil)
-	st, err := s.Solve()
+	st, err := s.SolveCtx(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestPackingZeroRHS(t *testing.T) {
 	s, _ := NewPacking([]float64{0, 0})
 	s.AddColumn(5, []Entry{{0, 1}})
 	s.AddColumn(3, []Entry{{1, 2}})
-	st, err := s.Solve()
+	st, err := s.SolveCtx(nil)
 	if err != nil || st != StatusOptimal {
 		t.Fatalf("Solve: %v %v", st, err)
 	}
@@ -84,28 +84,28 @@ func TestPackingIncrementalColumns(t *testing.T) {
 	// Solve, add a better column, re-solve warm.
 	s, _ := NewPacking([]float64{10})
 	s.AddColumn(1, []Entry{{0, 1}})
-	if st, _ := s.Solve(); st != StatusOptimal {
+	if st, _ := s.SolveCtx(nil); st != StatusOptimal {
 		t.Fatal("first solve failed")
 	}
 	if math.Abs(s.Objective()-10) > 1e-7 {
 		t.Fatalf("objective = %v, want 10", s.Objective())
 	}
 	j, _ := s.AddColumn(3, []Entry{{0, 1}})
-	if st, _ := s.Solve(); st != StatusOptimal {
+	if st, _ := s.SolveCtx(nil); st != StatusOptimal {
 		t.Fatal("second solve failed")
 	}
 	if math.Abs(s.Objective()-30) > 1e-7 {
 		t.Fatalf("objective = %v, want 30 after adding better column", s.Objective())
 	}
-	if math.Abs(s.Primal(j)-10) > 1e-7 {
-		t.Fatalf("new column value = %v, want 10", s.Primal(j))
+	if x := s.Primals()[j]; math.Abs(x-10) > 1e-7 {
+		t.Fatalf("new column value = %v, want 10", x)
 	}
 }
 
 func TestPackingDuplicateRowEntriesMerged(t *testing.T) {
 	s, _ := NewPacking([]float64{4})
 	s.AddColumn(1, []Entry{{0, 1}, {0, 1}}) // effectively 2x <= 4
-	if st, _ := s.Solve(); st != StatusOptimal {
+	if st, _ := s.SolveCtx(nil); st != StatusOptimal {
 		t.Fatal("solve failed")
 	}
 	if math.Abs(s.Objective()-2) > 1e-7 {
@@ -118,7 +118,7 @@ func TestPackingDuals(t *testing.T) {
 	s, _ := NewPacking([]float64{4, 6})
 	s.AddColumn(3, []Entry{{0, 1}, {1, 1}})
 	s.AddColumn(2, []Entry{{0, 1}, {1, 3}})
-	if st, _ := s.Solve(); st != StatusOptimal {
+	if st, _ := s.SolveCtx(nil); st != StatusOptimal {
 		t.Fatal("solve failed")
 	}
 	y := s.Duals()
@@ -128,14 +128,6 @@ func TestPackingDuals(t *testing.T) {
 	// Strong duality: yᵀb == objective.
 	if math.Abs(y[0]*4+y[1]*6-s.Objective()) > 1e-7 {
 		t.Fatal("strong duality violated")
-	}
-}
-
-func TestReducedCost(t *testing.T) {
-	y := []float64{2, 1}
-	rc := ReducedCost(5, []Entry{{0, 1}, {1, 2}}, y)
-	if math.Abs(rc-1) > 1e-12 {
-		t.Fatalf("ReducedCost = %v, want 1", rc)
 	}
 }
 
@@ -184,7 +176,7 @@ func exactDot(a, x []float64) *big.Rat {
 // 1e-9·(1+bᵢ) of its bound, x ≥ 0, y ≥ −1e-9 and strong duality.
 func checkAgainstExact(t *testing.T, name string, ps *PackingSolver, c, b []float64, rows [][]float64) {
 	t.Helper()
-	st, err := ps.Solve()
+	st, err := ps.SolveCtx(nil)
 	if err != nil || st != StatusOptimal {
 		t.Fatalf("%s: packing solve %v %v", name, st, err)
 	}
@@ -309,11 +301,11 @@ func TestPackingOptimalityCondition(t *testing.T) {
 		m := 2 + rng.Intn(6)
 		n := 2 + rng.Intn(10)
 		ps, _, _, _ := randomPacking(rng, m, n)
-		if st, _ := ps.Solve(); st != StatusOptimal {
+		if st, _ := ps.SolveCtx(nil); st != StatusOptimal {
 			t.Fatalf("trial %d: not optimal", trial)
 		}
 		y := ps.Duals()
-		for j := 0; j < ps.NumCols(); j++ {
+		for j := 0; j < len(ps.col); j++ {
 			rc := ps.col[j].obj
 			for _, e := range ps.col[j].entries {
 				rc -= y[e.Index] * e.Value
@@ -356,18 +348,7 @@ func TestPackingIncrementalStateMatchesScratch(t *testing.T) {
 				t.Fatalf("trial %d: incremental dual %d = %v, scratch %v", trial, j, ps.y[j], want[j])
 			}
 		}
-		// basisRowOf and slackInBasis against the basis definition.
-		for j := 0; j < ps.NumCols(); j++ {
-			row := -1
-			for i, bi := range ps.basis {
-				if bi == j {
-					row = i
-				}
-			}
-			if ps.basisRowOf[j] != row {
-				t.Fatalf("trial %d: basisRowOf[%d] = %d, want %d", trial, j, ps.basisRowOf[j], row)
-			}
-		}
+		// slackInBasis against the basis definition.
 		for r := 0; r < ps.m; r++ {
 			want := false
 			for _, bi := range ps.basis {
@@ -386,7 +367,7 @@ func TestPackingIncrementalStateMatchesScratch(t *testing.T) {
 		m := 2 + rng.Intn(7)
 		n := 2 + rng.Intn(12)
 		ps, _, _, _ := randomPacking(rng, m, n)
-		if st, _ := ps.Solve(); st != StatusOptimal {
+		if st, _ := ps.SolveCtx(nil); st != StatusOptimal {
 			t.Fatalf("trial %d: not optimal", trial)
 		}
 		checkState(trial, ps)
@@ -398,31 +379,10 @@ func TestPackingIncrementalStateMatchesScratch(t *testing.T) {
 			obj := y[r]*2 + 0.5 // guaranteed-attractive column on row r
 			ps.AddColumn(obj, []Entry{{Index: r, Value: 1}})
 		}
-		if st, _ := ps.Solve(); st != StatusOptimal {
+		if st, _ := ps.SolveCtx(nil); st != StatusOptimal {
 			t.Fatalf("trial %d: warm re-solve not optimal", trial)
 		}
 		checkState(trial, ps)
-	}
-}
-
-// Primal(j) must agree with Primals() for every column (the O(1) basis-row
-// lookup against the slice construction).
-func TestPackingPrimalMatchesPrimals(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 10; trial++ {
-		ps, _, _, _ := randomPacking(rng, 3+rng.Intn(5), 4+rng.Intn(10))
-		if st, _ := ps.Solve(); st != StatusOptimal {
-			t.Fatalf("trial %d: not optimal", trial)
-		}
-		xs := ps.Primals()
-		for j, want := range xs {
-			if got := ps.Primal(j); got != want {
-				t.Fatalf("trial %d: Primal(%d) = %v, Primals %v", trial, j, got, want)
-			}
-		}
-		if ps.Primal(-1) != 0 || ps.Primal(ps.NumCols()) != 0 {
-			t.Fatalf("trial %d: out-of-range Primal not 0", trial)
-		}
 	}
 }
 
@@ -462,7 +422,7 @@ func TestPackingResetMatchesFresh(t *testing.T) {
 			reused.pivots, fresh.pivots = 1999, 1999
 		}
 		for _, s := range []*PackingSolver{reused, fresh} {
-			if st, err := s.Solve(); err != nil || st != StatusOptimal {
+			if st, err := s.SolveCtx(nil); err != nil || st != StatusOptimal {
 				t.Fatalf("trial %d: %v %v", trial, st, err)
 			}
 		}

@@ -37,13 +37,11 @@ func pivotReference(s *PackingSolver, leave, entering int, dir []float64, theta,
 	old := s.basis[leave]
 	if old >= 0 {
 		s.inBasis[old] = false
-		s.basisRowOf[old] = -1
 	} else {
 		s.slackInBasis[-old-1] = false
 	}
 	if entering >= 0 {
 		s.inBasis[entering] = true
-		s.basisRowOf[entering] = leave
 	} else {
 		s.slackInBasis[-entering-1] = true
 	}
@@ -346,7 +344,7 @@ func testPivotMatchesReference(t *testing.T) {
 						}
 					}
 				}
-				if st, err := real.Solve(); err != nil || st != StatusOptimal {
+				if st, err := real.SolveCtx(nil); err != nil || st != StatusOptimal {
 					t.Fatalf("m=%d round=%d: Solve = %v, %v", m, round, st, err)
 				}
 				if real.Pivots() != ref.Pivots() {
@@ -355,8 +353,9 @@ func testPivotMatchesReference(t *testing.T) {
 				if math.Float64bits(real.Objective()) != math.Float64bits(ref.Objective()) {
 					t.Fatalf("m=%d round=%d: objective %v, reference %v", m, round, real.Objective(), ref.Objective())
 				}
+				realX := real.Primals()
 				for j, x := range ref.Primals() {
-					if got := real.Primal(j); math.Float64bits(got) != math.Float64bits(x) {
+					if got := realX[j]; math.Float64bits(got) != math.Float64bits(x) {
 						t.Fatalf("m=%d round=%d: primal %d = %v, reference %v", m, round, j, got, x)
 					}
 				}

@@ -16,9 +16,11 @@ func ExampleSummarize() {
 // The empirical CDF reproduces the paper's per-SD-pair subplots.
 func ExampleNewCDF() {
 	cdf := metrics.NewCDF([]float64{0, 1, 1, 2})
-	fmt.Printf("P(x<=0)=%.2f P(x<=1)=%.2f P(x<=2)=%.2f\n",
-		cdf.At(0), cdf.At(1), cdf.At(2))
-	// Output: P(x<=0)=0.25 P(x<=1)=0.75 P(x<=2)=1.00
+	fmt.Print(cdf.Table())
+	// Output:
+	// 0	0.2500
+	// 1	0.7500
+	// 2	1.0000
 }
 
 // Jain's index quantifies the fairness goal of ESC's round-robin ordering.

@@ -63,7 +63,6 @@ type CDF struct {
 	// Xs are the sorted distinct sample values; Ps[i] = P(X <= Xs[i]).
 	Xs []float64
 	Ps []float64
-	n  int
 }
 
 // NewCDF builds the empirical CDF of the samples.
@@ -75,7 +74,6 @@ func NewCDF(samples []float64) CDF {
 	sorted := append([]float64(nil), samples...)
 	sort.Float64s(sorted)
 	var c CDF
-	c.n = n
 	for i := 0; i < n; {
 		j := i
 		for j < n && sorted[j] == sorted[i] {
@@ -87,25 +85,6 @@ func NewCDF(samples []float64) CDF {
 	}
 	return c
 }
-
-// At returns P(X ≤ x).
-func (c CDF) At(x float64) float64 {
-	if len(c.Xs) == 0 {
-		return 0
-	}
-	// Find the last Xs[i] <= x.
-	i := sort.SearchFloat64s(c.Xs, x)
-	if i < len(c.Xs) && c.Xs[i] == x {
-		return c.Ps[i]
-	}
-	if i == 0 {
-		return 0
-	}
-	return c.Ps[i-1]
-}
-
-// N returns the sample count.
-func (c CDF) N() int { return c.n }
 
 // Table renders "x p" rows for plotting (gnuplot-style).
 func (c CDF) Table() string {

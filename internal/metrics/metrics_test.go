@@ -2,7 +2,8 @@ package metrics
 
 import (
 	"math"
-	"sort"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -35,21 +36,11 @@ func TestSummarize(t *testing.T) {
 
 func TestCDFBasics(t *testing.T) {
 	c := NewCDF([]float64{3, 1, 2, 2})
-	if c.N() != 4 {
-		t.Fatalf("N = %d", c.N())
+	if !reflect.DeepEqual(c.Xs, []float64{1, 2, 3}) || !reflect.DeepEqual(c.Ps, []float64{0.25, 0.75, 1}) {
+		t.Fatalf("CDF = %v / %v, want [1 2 3] / [0.25 0.75 1]", c.Xs, c.Ps)
 	}
-	cases := []struct {
-		x, want float64
-	}{
-		{0.5, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {2.9, 0.75}, {3, 1}, {99, 1},
-	}
-	for _, tc := range cases {
-		if got := c.At(tc.x); math.Abs(got-tc.want) > 1e-12 {
-			t.Fatalf("At(%v) = %v, want %v", tc.x, got, tc.want)
-		}
-	}
-	if NewCDF(nil).At(1) != 0 {
-		t.Fatal("empty CDF must be 0 everywhere")
+	if e := NewCDF(nil); len(e.Xs) != 0 || len(e.Ps) != 0 {
+		t.Fatal("empty CDF must have no steps")
 	}
 	if c.Table() == "" {
 		t.Fatal("Table() empty")
@@ -83,9 +74,7 @@ func TestCDFProperties(t *testing.T) {
 		if math.Abs(c.Ps[len(c.Ps)-1]-1) > 1e-12 {
 			return false
 		}
-		sorted := append([]float64(nil), clean...)
-		sort.Float64s(sorted)
-		return c.At(sorted[0]) > 0
+		return c.Xs[0] == slices.Min(clean) && c.Ps[0] > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -124,10 +124,8 @@ type Engine struct {
 	// bounds are properties of the topology, not of banked inventory.
 	sched.Runner
 
-	net    *topo.Network
-	pairs  []topo.SDPair
-	bounds []Bound
-	total  float64
+	pairs []topo.SDPair
+	total float64
 }
 
 var _ sched.Stateful = (*Engine)(nil)
@@ -150,18 +148,13 @@ func NewEngine(net *topo.Network, pairs []topo.SDPair, tr sched.Tracer) (*Engine
 	}
 	e := &Engine{
 		Runner: sched.NewRunner(sched.SlotConfig{Algorithm: sched.Oracle, Tracer: tr}, net, nil),
-		net:    net,
 		pairs:  pairs,
-		bounds: ComputeBounds(net, pairs),
 	}
-	for _, b := range e.bounds {
+	for _, b := range ComputeBounds(net, pairs) {
 		e.total += b.Expected
 	}
 	return e, nil
 }
-
-// Bounds returns the per-pair capacity bounds, in demand order.
-func (e *Engine) Bounds() []Bound { return e.bounds }
 
 // UpperBound implements sched.Engine: the summed Expected bound.
 func (e *Engine) UpperBound() float64 { return e.total }

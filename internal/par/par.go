@@ -13,8 +13,8 @@
 // Worker panics are recovered and re-raised on the caller's goroutine as a
 // *WorkerPanic carrying the worker's stack, so a bug in f produces one
 // attributable trace instead of killing the process from an anonymous
-// goroutine. The context-aware variants (ForCtx, ForWorkerCtx) let callers
-// bound a parallel loop with a deadline: cancellation is checked between
+// goroutine. The context-aware variant ForWorkerCtx lets callers bound a
+// parallel loop with a deadline: cancellation is checked between
 // indices, remaining indices are skipped, and the loop reports ctx.Err().
 package par
 
@@ -92,18 +92,13 @@ func ForWorker(workers, n int, f func(w, i int)) {
 	_ = ForWorkerCtx(nil, workers, n, f) //nolint:staticcheck // nil ctx is the uncancellable fast path
 }
 
-// ForCtx is For bounded by a context: between indices each worker checks
-// ctx and stops early once it is cancelled. It returns ctx.Err() if the
-// loop was cut short (some f(i) skipped), nil if every index ran. The
-// partial writes of a cancelled loop are well-defined — each produced slot
-// is complete — but the set of produced slots is schedule-dependent, so
-// callers must discard the output on a non-nil return.
-func ForCtx(ctx context.Context, workers, n int, f func(i int)) error {
-	return ForWorkerCtx(ctx, workers, n, func(_, i int) { f(i) })
-}
-
-// ForWorkerCtx is ForWorker bounded by a context (nil = never cancelled);
-// see ForCtx for the cancellation contract. A worker panic cancels nothing
+// ForWorkerCtx is ForWorker bounded by a context (nil = never cancelled):
+// between indices each worker checks ctx and stops early once it is
+// cancelled. It returns ctx.Err() if the loop was cut short (some f(w, i)
+// skipped), nil if every index ran. The partial writes of a cancelled loop
+// are well-defined — each produced slot is complete — but the set of
+// produced slots is schedule-dependent, so callers must discard the output
+// on a non-nil return. A worker panic cancels nothing
 // by itself, but after all workers stop it is re-panicked on the caller as
 // a *WorkerPanic carrying the worker's stack.
 func ForWorkerCtx(ctx context.Context, workers, n int, f func(w, i int)) error {

@@ -183,7 +183,7 @@ func TestForCtxCancelled(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int64
-		err := ForCtx(ctx, workers, 1000, func(i int) {
+		err := ForWorkerCtx(ctx, workers, 1000, func(_, i int) {
 			if ran.Add(1) == 10 {
 				cancel()
 			}
@@ -200,7 +200,7 @@ func TestForCtxCancelled(t *testing.T) {
 
 func TestForCtxNilAndComplete(t *testing.T) {
 	var ran atomic.Int64
-	if err := ForCtx(nil, 3, 100, func(i int) { ran.Add(1) }); err != nil {
+	if err := ForWorkerCtx(nil, 3, 100, func(_, i int) { ran.Add(1) }); err != nil {
 		t.Fatalf("nil ctx: %v", err)
 	}
 	if ran.Load() != 100 {

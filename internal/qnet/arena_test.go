@@ -20,7 +20,7 @@ func attemptFresh(plan AttemptPlan, rng *rand.Rand, fm FaultModel, obs AttemptOb
 // same storage out again instead of allocating.
 func TestArenaPointersStable(t *testing.T) {
 	set, _ := motivationSet(t)
-	c := set.Best(topo.MotivS1, topo.MotivR1) // p = 0.9
+	c := set.For(topo.MotivS1, topo.MotivR1)[0] // p = 0.9
 	plan := AttemptPlan{{Cand: c, N: 3 * arenaChunk}}
 	var a Arena
 	first := a.Attempt(nil, plan, xrand.New(1), nil, nil)

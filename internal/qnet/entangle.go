@@ -82,15 +82,6 @@ func (p AttemptPlan) TotalAttempts() int {
 	return total
 }
 
-// ExpectedSegments returns Σ x^k_uv · p^k_uv over the plan.
-func (p AttemptPlan) ExpectedSegments() float64 {
-	var total float64
-	for _, e := range p {
-		total += float64(e.N) * e.Cand.Prob
-	}
-	return total
-}
-
 // PlanBuilder accumulates attempt counts for the candidates of one
 // segment.Set and emits them as an AttemptPlan. Counts live in dense
 // tables by candidate ID, so adding is an index, and a bitset marks the
@@ -330,15 +321,6 @@ func cloneSegments(segs []*Segment) []*Segment {
 	return out
 }
 
-// Junctions returns the intermediate nodes that must perform quantum
-// swapping.
-func (c *Connection) Junctions() []int {
-	if len(c.Nodes) <= 2 {
-		return nil
-	}
-	return c.Nodes[1 : len(c.Nodes)-1]
-}
-
 // Validate checks the connection's structural invariants.
 func (c *Connection) Validate() error {
 	if len(c.Nodes) < 2 {
@@ -354,16 +336,6 @@ func (c *Connection) Validate() error {
 		}
 	}
 	return nil
-}
-
-// SuccessProb returns the analytic probability that all junction swaps
-// succeed in a single pass (no retries).
-func (c *Connection) SuccessProb(net *topo.Network) float64 {
-	p := 1.0
-	for _, u := range c.Junctions() {
-		p *= net.SwapProb[u]
-	}
-	return p
 }
 
 // SwapObserver is notified of each sampled quantum swap's outcome.

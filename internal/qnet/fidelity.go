@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"see/internal/segment"
 )
 
 // FidelityModel estimates end-to-end entanglement fidelity under a
@@ -15,17 +13,12 @@ import (
 // fidelity to future work; this extension makes the SEE-vs-REPS fidelity
 // trade-off measurable: segmented establishment crosses each fibre span in
 // one optical shot (fewer noisy swap operations) but its photons travel
-// farther before detection (more transmission depolarization).
+// farther before detection (more transmission depolarization), each
+// segment by its candidate's stored factor e^(−l/segment.DecayKM).
 type FidelityModel struct {
 	// F0 is the fidelity of a freshly created Bell pair over zero
 	// distance (detector/source imperfections only). Typical: 0.99.
 	F0 float64
-	// DecayKM is the depolarization length: transmission over l km scales
-	// the Werner parameter by e^(−l/DecayKM). The default is
-	// segment.DecayKM, the length every candidate's stored Decay factor
-	// is computed at; PredictFidelity reads those factors, so only
-	// SegmentFidelity reads this field.
-	DecayKM float64
 	// SwapF0 scales the Werner parameter at every swap operation,
 	// modelling imperfect Bell-state measurement. Typical: 0.98.
 	SwapF0 float64
@@ -33,7 +26,7 @@ type FidelityModel struct {
 
 // DefaultFidelityModel returns plausible near-term parameters.
 func DefaultFidelityModel() FidelityModel {
-	return FidelityModel{F0: 0.99, DecayKM: segment.DecayKM, SwapF0: 0.98}
+	return FidelityModel{F0: 0.99, SwapF0: 0.98}
 }
 
 // wernerOf converts fidelity F to the Werner parameter w = (4F−1)/3.
@@ -41,20 +34,6 @@ func wernerOf(f float64) float64 { return (4*f - 1) / 3 }
 
 // fidelityOf converts a Werner parameter back to fidelity.
 func fidelityOf(w float64) float64 { return (3*w + 1) / 4 }
-
-// SegmentFidelity is the fidelity of one entanglement segment created over
-// lengthKM of fibre.
-func (m FidelityModel) SegmentFidelity(lengthKM float64) float64 {
-	w := wernerOf(m.F0) * math.Exp(-lengthKM/m.DecayKM)
-	return fidelityOf(w)
-}
-
-// SwapFidelity composes two Werner states joined by an (imperfect) swap:
-// Werner parameters multiply, scaled by the measurement quality.
-func (m FidelityModel) SwapFidelity(f1, f2 float64) float64 {
-	w := wernerOf(f1) * wernerOf(f2) * wernerOf(m.SwapF0)
-	return fidelityOf(w)
-}
 
 // PredictFidelity is the end-to-end fidelity of a connection assembled from
 // segs, including each segment's age-decay Werner scale (see
@@ -109,22 +88,6 @@ func (f *FloorSpec) Floor(pair int) float64 {
 		return v
 	}
 	return f.Default
-}
-
-// IsZero reports whether the spec constrains nothing.
-func (f *FloorSpec) IsZero() bool {
-	if f == nil {
-		return true
-	}
-	if f.Default != 0 {
-		return false
-	}
-	for _, v := range f.PerPair {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the spec in the canonical form ParseFloorSpec accepts:
@@ -233,9 +196,6 @@ type FloorPolicy struct {
 func NewFloorPolicy(floors *FloorSpec) FloorPolicy {
 	return FloorPolicy{floors: floors, model: DefaultFidelityModel()}
 }
-
-// Active reports whether any pair has a nonzero floor.
-func (f FloorPolicy) Active() bool { return !f.floors.IsZero() }
 
 // Score orders a pair's available segments by their contribution to the
 // composed Werner parameter (decayed by fibre length and banked age), so

@@ -1,11 +1,8 @@
 package qnet
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -14,53 +11,73 @@ import (
 	"see/internal/topo"
 )
 
+// over is a pristine segment whose candidate carries the transmission
+// factor of l km of fibre at depolarization length decayKM.
+func over(l, decayKM float64) *Segment {
+	return &Segment{Cand: &segment.Candidate{Decay: math.Exp(-l / decayKM)}}
+}
+
+// of is a pristine segment of fidelity f under a model with F0 = 1.
+func of(f float64) *Segment {
+	return &Segment{Cand: &segment.Candidate{Decay: wernerOf(f)}}
+}
+
+// pristineFidelity is the fidelity of one fresh segment over l km at
+// segment.DecayKM, computed from the Werner algebra directly.
+func pristineFidelity(m FidelityModel, l float64) float64 {
+	return fidelityOf(wernerOf(m.F0) * math.Exp(-l/segment.DecayKM))
+}
+
 func TestSegmentFidelityLimits(t *testing.T) {
 	m := DefaultFidelityModel()
-	if got := m.SegmentFidelity(0); math.Abs(got-m.F0) > 1e-12 {
+	one := func(l float64) float64 { return m.PredictFidelity([]*Segment{over(l, segment.DecayKM)}) }
+	if got := one(0); math.Abs(got-m.F0) > 1e-12 {
 		t.Fatalf("zero-distance fidelity = %v, want F0 = %v", got, m.F0)
 	}
 	// Fidelity decays monotonically toward 1/4 (maximally mixed).
-	prev := m.SegmentFidelity(0)
+	prev := one(0)
 	for _, l := range []float64{100, 1000, 10000, 1e6, 1e9} {
-		f := m.SegmentFidelity(l)
+		f := one(l)
 		if f > prev+1e-15 {
 			t.Fatalf("fidelity increased with distance at %v km", l)
 		}
 		prev = f
 	}
-	if math.Abs(m.SegmentFidelity(1e12)-0.25) > 1e-6 {
-		t.Fatalf("asymptotic fidelity = %v, want 0.25", m.SegmentFidelity(1e12))
+	if math.Abs(one(1e12)-0.25) > 1e-6 {
+		t.Fatalf("asymptotic fidelity = %v, want 0.25", one(1e12))
 	}
 }
 
 func TestSwapFidelityComposition(t *testing.T) {
-	perfect := FidelityModel{F0: 1, DecayKM: math.Inf(1), SwapF0: 1}
+	perfect := FidelityModel{F0: 1, SwapF0: 1}
 	// Perfect swap of perfect pairs stays perfect.
-	if got := perfect.SwapFidelity(1, 1); math.Abs(got-1) > 1e-12 {
+	if got := perfect.PredictFidelity([]*Segment{of(1), of(1)}); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("perfect swap = %v", got)
 	}
 	// Swapping with a maximally mixed state yields maximally mixed.
-	if got := perfect.SwapFidelity(1, 0.25); math.Abs(got-0.25) > 1e-12 {
+	if got := perfect.PredictFidelity([]*Segment{of(1), of(0.25)}); math.Abs(got-0.25) > 1e-12 {
 		t.Fatalf("mixed swap = %v, want 0.25", got)
 	}
-	// Werner parameters multiply: symmetric and order-independent.
-	m := DefaultFidelityModel()
-	a, b, c := 0.95, 0.9, 0.85
-	left := m.SwapFidelity(m.SwapFidelity(a, b), c)
-	right := m.SwapFidelity(a, m.SwapFidelity(b, c))
-	if math.Abs(left-right) > 1e-12 {
-		t.Fatalf("swap composition not associative: %v vs %v", left, right)
+	// Composition is associative: a chain predicts what its two halves'
+	// predictions, swapped together, predict.
+	m := FidelityModel{F0: 1, SwapF0: 0.98}
+	a, b, c := of(0.95), of(0.9), of(0.85)
+	all := m.PredictFidelity([]*Segment{a, b, c})
+	left := m.PredictFidelity([]*Segment{of(m.PredictFidelity([]*Segment{a, b})), c})
+	right := m.PredictFidelity([]*Segment{a, of(m.PredictFidelity([]*Segment{b, c}))})
+	if math.Abs(left-all) > 1e-12 || math.Abs(right-all) > 1e-12 {
+		t.Fatalf("swap composition not associative: %v, %v vs %v", left, right, all)
 	}
 }
 
 // Property: composed fidelity is within [1/4, min(f1, f2)] for valid
 // Werner inputs.
 func TestSwapFidelityRange(t *testing.T) {
-	m := DefaultFidelityModel()
+	m := FidelityModel{F0: 1, SwapF0: 0.98}
 	f := func(a, b float64) bool {
 		f1 := 0.25 + math.Mod(math.Abs(a), 0.75)
 		f2 := 0.25 + math.Mod(math.Abs(b), 0.75)
-		got := m.SwapFidelity(f1, f2)
+		got := m.PredictFidelity([]*Segment{of(f1), of(f2)})
 		return got >= 0.25-1e-12 && got <= math.Min(f1, f2)+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -75,21 +92,21 @@ func TestConnectionFidelity(t *testing.T) {
 	m := DefaultFidelityModel()
 
 	// Single-segment (E2E-style) connection: fidelity is the segment's.
-	cSeg := set.Best(topo.MotivS2, topo.MotivD2)
+	cSeg := set.For(topo.MotivS2, topo.MotivD2)[0]
 	direct := &Connection{
 		Pair:     1,
 		Nodes:    graph.Path{topo.MotivS2, topo.MotivD2},
 		Segments: []*Segment{{A: cSeg.U(), B: cSeg.V(), Cand: cSeg}},
 	}
-	wantDirect := m.SegmentFidelity(net.PathLengthKM(cSeg.Path))
+	wantDirect := pristineFidelity(m, net.PathLengthKM(cSeg.Path))
 	if got := m.PredictFidelity(direct.Segments); math.Abs(got-wantDirect) > 1e-12 {
 		t.Fatalf("direct fidelity = %v, want %v", got, wantDirect)
 	}
 
 	// Two-segment connection must be strictly worse than either segment
 	// (an extra swap and more fibre).
-	cl := set.Best(topo.MotivS1, topo.MotivR1)
-	cs := set.Best(topo.MotivR1, topo.MotivD1)
+	cl := set.For(topo.MotivS1, topo.MotivR1)[0]
+	cs := set.For(topo.MotivR1, topo.MotivD1)[0]
 	twoSeg := &Connection{
 		Pair:  0,
 		Nodes: graph.Path{topo.MotivS1, topo.MotivR1, topo.MotivD1},
@@ -99,8 +116,8 @@ func TestConnectionFidelity(t *testing.T) {
 		},
 	}
 	got := m.PredictFidelity(twoSeg.Segments)
-	f1 := m.SegmentFidelity(net.PathLengthKM(cl.Path))
-	f2 := m.SegmentFidelity(net.PathLengthKM(cs.Path))
+	f1 := pristineFidelity(m, net.PathLengthKM(cl.Path))
+	f2 := pristineFidelity(m, net.PathLengthKM(cs.Path))
 	if got >= math.Min(f1, f2) {
 		t.Fatalf("swapped fidelity %v not below min segment fidelity %v", got, math.Min(f1, f2))
 	}
@@ -140,11 +157,11 @@ func TestWernerFidelityRoundTrip(t *testing.T) {
 // independent of the junction swap order, which the SwapOrderGreedy policy
 // relies on.
 func TestSwapFidelityCommutative(t *testing.T) {
-	m := DefaultFidelityModel()
+	m := FidelityModel{F0: 1, SwapF0: 0.98}
 	f := func(a, b float64) bool {
 		f1 := 0.25 + math.Mod(math.Abs(a), 0.75)
 		f2 := 0.25 + math.Mod(math.Abs(b), 0.75)
-		return math.Abs(m.SwapFidelity(f1, f2)-m.SwapFidelity(f2, f1)) <= 1e-12
+		return math.Abs(m.PredictFidelity([]*Segment{of(f1), of(f2)})-m.PredictFidelity([]*Segment{of(f2), of(f1)})) <= 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -156,45 +173,29 @@ func TestSwapFidelityCommutative(t *testing.T) {
 // (swap-order independence), never exceed any single segment's fidelity,
 // and decrease when a segment carries banked age decay. Randomized sweep
 // over chain lengths, span lengths and decay scales, fixed seed. Each
-// segment is realized over a segment.NewCandidate of one link of a line
-// network with the span's length, so its decay is the candidate's stored
-// factor, as in a slot.
+// segment's candidate carries its span's decay factor, as in a slot.
 func TestPredictFidelityProperties(t *testing.T) {
 	m := DefaultFidelityModel()
 	rng := rand.New(rand.NewSource(20220406))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(5)
-		var spec strings.Builder
-		for v := 0; v <= n; v++ {
-			fmt.Fprintf(&spec, "node %d %d 0\n", v, 100*v)
-		}
-		for v := 0; v < n; v++ {
-			fmt.Fprintf(&spec, "link %d %d %s\n", v, v+1, strconv.FormatFloat(rng.Float64()*4000, 'g', -1, 64))
-		}
-		net, err := topo.LoadEdgeList(strings.NewReader(spec.String()), topo.DefaultConfig(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		segs := make([]*Segment, n)
+		spans := make([]float64, n)
 		for i := range segs {
-			c, err := segment.NewCandidate(net, graph.Path{i, i + 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			segs[i] = &Segment{A: i, B: i + 1, Cand: c}
+			spans[i] = rng.Float64() * 4000
+			segs[i] = over(spans[i], segment.DecayKM)
 		}
-		lengthOf := func(s *Segment) float64 { return net.PathLengthKM(s.Cand.Path) }
 
 		got := m.PredictFidelity(segs)
-		want := m.SegmentFidelity(lengthOf(segs[0]))
-		for _, s := range segs[1:] {
-			want = m.SwapFidelity(want, m.SegmentFidelity(lengthOf(s)))
+		want := pristineFidelity(m, spans[0])
+		for _, l := range spans[1:] {
+			want = fidelityOf(wernerOf(want) * wernerOf(pristineFidelity(m, l)) * wernerOf(m.SwapF0))
 		}
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("trial %d: PredictFidelity = %v, pairwise fold = %v", trial, got, want)
 		}
-		for _, s := range segs {
-			if seg := m.SegmentFidelity(lengthOf(s)); got > seg+1e-12 {
+		for _, l := range spans {
+			if seg := pristineFidelity(m, l); got > seg+1e-12 {
 				t.Fatalf("trial %d: composed fidelity %v exceeds segment fidelity %v", trial, got, seg)
 			}
 		}
@@ -223,23 +224,24 @@ func TestPredictFidelityProperties(t *testing.T) {
 // are imperfect, and loses when transmission decay dominates.
 func TestFidelityTradeoff(t *testing.T) {
 	const totalKM = 3000
+	chain := func(m FidelityModel, n int, decayKM float64) float64 {
+		segs := make([]*Segment, n)
+		for i := range segs {
+			segs[i] = over(totalKM/float64(n), decayKM)
+		}
+		return m.PredictFidelity(segs)
+	}
 	// Imperfect swaps, slow decay: the single segment wins.
-	m := FidelityModel{F0: 0.99, DecayKM: 50000, SwapF0: 0.95}
-	single := m.SegmentFidelity(totalKM)
-	chain := m.SegmentFidelity(totalKM / 3)
-	chain = m.SwapFidelity(chain, m.SegmentFidelity(totalKM/3))
-	chain = m.SwapFidelity(chain, m.SegmentFidelity(totalKM/3))
-	if single <= chain {
-		t.Fatalf("slow decay: single %v should beat chain %v", single, chain)
+	m := FidelityModel{F0: 0.99, SwapF0: 0.95}
+	if single, three := chain(m, 1, 50000), chain(m, 3, 50000); single <= three {
+		t.Fatalf("slow decay: single %v should beat chain %v", single, three)
 	}
 	// Perfect swaps, fast decay: fidelity is length-determined; chain and
 	// single tie exactly (Werner parameters multiply over distance), so
 	// with even infinitesimally imperfect links the chain's extra swap
 	// scaling is the only difference. Verify the tie at SwapF0 = 1.
-	m2 := FidelityModel{F0: 1, DecayKM: 1000, SwapF0: 1}
-	single2 := m2.SegmentFidelity(totalKM)
-	chain2 := m2.SwapFidelity(m2.SegmentFidelity(totalKM/2), m2.SegmentFidelity(totalKM/2))
-	if math.Abs(single2-chain2) > 1e-12 {
-		t.Fatalf("with perfect ops, distance alone must determine fidelity: %v vs %v", single2, chain2)
+	m2 := FidelityModel{F0: 1, SwapF0: 1}
+	if single, two := chain(m2, 1, 1000), chain(m2, 2, 1000); math.Abs(single-two) > 1e-12 {
+		t.Fatalf("with perfect ops, distance alone must determine fidelity: %v vs %v", single, two)
 	}
 }

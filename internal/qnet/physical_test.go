@@ -34,8 +34,8 @@ func (f *stubFaults) SegmentDecohered() bool {
 // were actually fired, and the observer still sees every reserved attempt.
 func TestArenaAttemptBlockedAndBrownout(t *testing.T) {
 	set, _ := motivationSet(t)
-	blocked := set.Best(topo.MotivS1, topo.MotivR1)
-	capped := set.Best(topo.MotivS2, topo.MotivD2)
+	blocked := set.For(topo.MotivS1, topo.MotivR1)[0]
+	capped := set.For(topo.MotivS2, topo.MotivD2)[0]
 	plan := planOf(PlanEntry{Cand: blocked, N: 3}, PlanEntry{Cand: capped, N: 4})
 
 	observed := map[*segment.Candidate][]bool{}
@@ -107,10 +107,12 @@ func TestFloorPolicy(t *testing.T) {
 
 	off := NewFloorPolicy(nil)
 	aged, _, pool := mk()
-	if off.Active() || off.TakeAt(pool, 0, pool.IndexOf(pk)) != aged || off.Rejects(0, []*Segment{aged}) {
+	if off.TakeAt(pool, 0, pool.IndexOf(pk)) != aged || off.Rejects(0, []*Segment{aged}) {
 		t.Fatal("an unfloored policy must take FIFO and reject nothing")
 	}
-	if NewFloorPolicy(&FloorSpec{PerPair: map[int]float64{2: 0}}).Active() {
+	zero := NewFloorPolicy(&FloorSpec{PerPair: map[int]float64{2: 0}})
+	aged, _, pool = mk()
+	if zero.TakeAt(pool, 2, pool.IndexOf(pk)) != aged || zero.Rejects(2, []*Segment{aged}) {
 		t.Fatal("an all-zero spec must be inactive")
 	}
 
@@ -118,7 +120,7 @@ func TestFloorPolicy(t *testing.T) {
 	spec := &FloorSpec{Default: 0, PerPair: map[int]float64{0: f - 1e-9}}
 	on := NewFloorPolicy(spec)
 	aged, fresh, pool := mk()
-	if !on.Active() || on.TakeAt(pool, 0, pool.IndexOf(pk)) != fresh {
+	if on.TakeAt(pool, 0, pool.IndexOf(pk)) != fresh {
 		t.Fatal("a floored pair must take its best-scored segment first")
 	}
 	if on.TakeAt(pool, 1, pool.IndexOf(pk)) != aged {

@@ -115,13 +115,6 @@ func (t *JSONLTracer) Flush() error {
 	return t.err
 }
 
-// Err returns the first write error, if any.
-func (t *JSONLTracer) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
 // Close flushes and, if the underlying writer is a Closer, closes it.
 func (t *JSONLTracer) Close() error {
 	err := t.Flush()

@@ -79,8 +79,8 @@ func TestJSONLTracerLatchesFirstError(t *testing.T) {
 	if err := tr.Flush(); err == nil {
 		t.Fatal("Flush did not surface write error")
 	}
-	if tr.Err() == nil {
-		t.Fatal("Err() nil after failed write")
+	if tr.err == nil {
+		t.Fatal("no error latched after failed write")
 	}
 	// Later events must be dropped silently, not panic.
 	tr.SlotStart(REPS)

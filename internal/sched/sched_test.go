@@ -143,13 +143,6 @@ func TestCountingTracer(t *testing.T) {
 	if tr.String() == "" {
 		t.Error("String() empty")
 	}
-	tr.Reset()
-	if c := tr.Counts(); c != (TracerCounts{}) {
-		t.Errorf("Reset left counts %+v", c)
-	}
-	if s := tr.PhaseLatency(PhasePlan); s.N != 0 {
-		t.Error("Reset left latency samples")
-	}
 }
 
 func TestOrNop(t *testing.T) {

@@ -20,6 +20,7 @@ type bankProbe struct {
 	*core.Engine
 	t         *testing.T
 	retention float64
+	window    int              // the bank's age window, DecoherenceSlots
 	prev      *state.BankState // the bank after the previous slot
 	withdrawn int              // segments checked over the run
 }
@@ -27,7 +28,7 @@ type bankProbe struct {
 func (p *bankProbe) PhysicalHook(s *sched.Slot) {
 	p.Engine.PhysicalHook(s)
 	bank := p.Bank()
-	slot, window := bank.Slot(), bank.Policy().CarrySlots
+	slot, window := bank.State().Slot, p.window
 	// No decoherence hazard: exactly the entries inside the age window
 	// survive the boundary, and they are withdrawn oldest first.
 	var want []state.BankedSegment
@@ -65,13 +66,13 @@ func TestBankedSegmentsSurviveArenaReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const retention = 0.9
-	eng, err := engines.New(sched.SEE, net, pairs, engines.Config{CarryOver: true, DecoherenceSlots: 2, CarryWernerRetention: retention})
+	const retention, window = 0.9, 2
+	eng, err := engines.New(sched.SEE, net, pairs, engines.Config{CarryOver: true, DecoherenceSlots: window, CarryWernerRetention: retention})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := eng.(*core.Engine)
-	p := &bankProbe{Engine: e, t: t, retention: retention, prev: e.Bank().State()}
+	p := &bankProbe{Engine: e, t: t, retention: retention, window: window, prev: e.Bank().State()}
 	rng := NewRng(testSeed)
 	created := 0
 	for slot := 0; slot < 30; slot++ {

@@ -83,8 +83,8 @@ func runCheckpointProtocol(t *testing.T, build func(t *testing.T) sched.Stateful
 				s, got, want[s-split])
 		}
 	}
-	if rstream.Pos() != stream.Pos() {
-		t.Errorf("resumed rng consumed %d draws, uninterrupted %d", rstream.Pos(), stream.Pos())
+	if rstream.Cursor().Pos != stream.Cursor().Pos {
+		t.Errorf("resumed rng consumed %d draws, uninterrupted %d", rstream.Cursor().Pos, stream.Cursor().Pos)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"see/internal/oracle"
 	"see/internal/qnet"
 	"see/internal/sched"
+	"see/internal/segment"
 	"see/internal/state"
 	"see/internal/topo"
 )
@@ -137,7 +138,7 @@ func referenceFidelity(net *topo.Network, segs []*qnet.Segment) float64 {
 		if s.Cand != nil {
 			l = net.PathLengthKM(s.Cand.Path)
 		}
-		w *= werner(m.F0) * math.Exp(-l/m.DecayKM) * s.WernerScale()
+		w *= werner(m.F0) * math.Exp(-l/segment.DecayKM) * s.WernerScale()
 	}
 	for i := 1; i < len(segs); i++ {
 		w *= werner(m.SwapF0)

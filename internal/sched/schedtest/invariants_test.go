@@ -387,7 +387,7 @@ func TestCarryOverContract(t *testing.T) {
 		// rare by construction. The oracle holds the bank without ever
 		// touching it. So the deposit assertion applies only to the
 		// segmented engines.
-		if alg != sched.E2E && alg != sched.Oracle && bank.Stats().Deposited == 0 {
+		if alg != sched.E2E && alg != sched.Oracle && bank.State().Stats.Deposited == 0 {
 			t.Errorf("%v never deposited into the bank over 8 slots", alg)
 		}
 	})

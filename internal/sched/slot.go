@@ -158,9 +158,6 @@ func NewRunner(cfg SlotConfig, net *topo.Network, resolve state.CandidateResolve
 // Algorithm returns the configured scheme label.
 func (r *Runner) Algorithm() Algorithm { return r.cfg.Algorithm }
 
-// SlotConfig returns the slot-level configuration.
-func (r *Runner) SlotConfig() SlotConfig { return r.cfg }
-
 // Tracer returns the configured tracer (never nil).
 func (r *Runner) Tracer() Tracer { return r.tracer }
 

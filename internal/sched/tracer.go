@@ -229,7 +229,7 @@ type TracerCounts struct {
 	Incidents [NumIncidents]int
 }
 
-// Incidents returns the tally for one incident kind (0 for out-of-range
+// IncidentCount returns the tally for one incident kind (0 for out-of-range
 // kinds).
 func (c TracerCounts) IncidentCount(kind Incident) int {
 	if kind < 0 || kind >= NumIncidents {
@@ -363,14 +363,6 @@ func (t *CountingTracer) PhaseLatency(ph Phase) metrics.Summary {
 func (t *CountingTracer) RestoreCounts(c TracerCounts) {
 	t.mu.Lock()
 	t.counts = c
-	t.latency = [NumPhases][]float64{}
-	t.mu.Unlock()
-}
-
-// Reset clears all tallies and latencies.
-func (t *CountingTracer) Reset() {
-	t.mu.Lock()
-	t.counts = TracerCounts{}
 	t.latency = [NumPhases][]float64{}
 	t.mu.Unlock()
 }

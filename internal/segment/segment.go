@@ -40,8 +40,8 @@ type Candidate struct {
 	// Decay is the factor transmission over the route scales a segment's
 	// Werner parameter by, math.Exp(−LengthKM/DecayKM), computed once
 	// here so the fidelity prediction of every assembled connection
-	// reads it instead of recomputing the exponential. Only Build and
-	// NewCandidate set it; a candidate literal has 0.
+	// reads it instead of recomputing the exponential. Only Build sets
+	// it; a candidate literal has 0.
 	Decay float64
 	// ID numbers the set's candidates densely from 0 in the physical
 	// phase's order: by endpoint pair (U, V), then by topo.Key(Path)
@@ -62,21 +62,10 @@ type Candidate struct {
 // qnet.DefaultFidelityModel share it.
 const DecayKM = 20000
 
-// NewCandidate builds the candidate over the physical route p the way
-// Build does: the route copied, its link IDs, its success probability,
-// the fibre length that probability was computed from and the decay
-// factor over that length. ID and PairID stay 0. It fails on a route of
-// fewer than two nodes or with a non-adjacent hop.
-func NewCandidate(net *topo.Network, p graph.Path) (*Candidate, error) {
-	if len(p) < 2 {
-		return nil, fmt.Errorf("segment: route %v has fewer than two nodes", p)
-	}
-	prob, length := net.SegmentProbLength(p)
-	return newCandidate(net, p, prob, length)
-}
-
-// newCandidate completes a candidate over p whose probability and length
-// are already known.
+// newCandidate builds the candidate over the physical route p, whose
+// success probability and fibre length are already known: the route
+// copied, its link IDs and the decay factor over that length. ID and
+// PairID stay 0.
 func newCandidate(net *topo.Network, p graph.Path, prob, length float64) (*Candidate, error) {
 	ids, err := net.PathEdgeIDs(p)
 	if err != nil {
@@ -125,19 +114,6 @@ func MakePairKey(a, b int) PairKey {
 		a, b = b, a
 	}
 	return PairKey{U: a, V: b}
-}
-
-// Other returns the endpoint opposite to node x, and false if x is not an
-// endpoint.
-func (k PairKey) Other(x int) (int, bool) {
-	switch x {
-	case k.U:
-		return k.V, true
-	case k.V:
-		return k.U, true
-	default:
-		return -1, false
-	}
 }
 
 // Options tunes candidate enumeration.
@@ -443,16 +419,6 @@ func (s *Set) CandidateFor(a, b int, path []int) *Candidate {
 		}
 	}
 	return nil
-}
-
-// Best returns the highest-probability candidate for an endpoint pair, or
-// nil.
-func (s *Set) Best(a, b int) *Candidate {
-	list := s.For(a, b)
-	if len(list) == 0 {
-		return nil
-	}
-	return list[0]
 }
 
 // ConnCap returns the per-SD-pair connection cap N_i = min(m_s, m_d) of

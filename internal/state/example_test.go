@@ -17,17 +17,16 @@ func Example() {
 	b.BeginSlot() // slot 0
 	s := &qnet.Segment{A: 0, B: 2}
 	accepted := b.Deposit([]*qnet.Segment{s})
-	fmt.Printf("slot 0: banked %d segment(s), node 0 uses %d memory unit(s)\n",
-		accepted, b.MemoryUsed(0))
+	fmt.Printf("slot 0: banked %d segment(s)\n", accepted)
 
 	expired, decohered := b.BeginSlot() // slot 1 boundary
 	fmt.Printf("boundary: expired=%d decohered=%d\n", expired, decohered)
 
 	carried := b.WithdrawAll()
 	fmt.Printf("slot 1: withdrew %d segment(s), bank now holds %d\n",
-		len(carried), b.Size())
+		len(carried), len(b.State().Entries))
 	// Output:
-	// slot 0: banked 1 segment(s), node 0 uses 1 memory unit(s)
+	// slot 0: banked 1 segment(s)
 	// boundary: expired=0 decohered=0
 	// slot 1: withdrew 1 segment(s), bank now holds 0
 }

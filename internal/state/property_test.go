@@ -59,7 +59,7 @@ func TestBankProperties(t *testing.T) {
 					b.Deposit(segs)
 					check("deposit")
 				case 1: // slot boundary
-					sizeBefore := b.Size()
+					sizeBefore := len(b.entries)
 					expired, decohered := b.BeginSlot()
 					if lost := expired + decohered; lost > sizeBefore {
 						t.Fatalf("boundary lost %d of %d banked segments", lost, sizeBefore)
@@ -67,13 +67,13 @@ func TestBankProperties(t *testing.T) {
 					carried = nil
 					check("begin-slot")
 				case 2: // withdraw, maybe re-deposit an unconsumed subset
-					size := b.Size()
+					size := len(b.entries)
 					out := b.WithdrawAll()
 					if len(out) != size {
 						t.Fatalf("withdrew %d of %d banked segments", len(out), size)
 					}
-					if b.Size() != 0 {
-						t.Fatalf("%d segments left after WithdrawAll", b.Size())
+					if len(b.entries) != 0 {
+						t.Fatalf("%d segments left after WithdrawAll", len(b.entries))
 					}
 					check("withdraw")
 					carried = out

@@ -25,7 +25,7 @@ func bankFixture(t *testing.T) (*Bank, *segment.Set, *topo.Network) {
 // candSeg realizes a segment over the catalogue's best candidate for (a,b).
 func candSeg(t *testing.T, set *segment.Set, a, b int) *qnet.Segment {
 	t.Helper()
-	c := set.Best(a, b)
+	c := set.For(a, b)[0]
 	if c == nil {
 		t.Fatalf("no candidate for ⟨%d,%d⟩", a, b)
 	}
@@ -51,7 +51,7 @@ func TestBankStateRestoreRoundTrip(t *testing.T) {
 	var wantLost [2]int
 	wantLost[0], wantLost[1] = b.BeginSlot()
 	wantOrder := describe(b.WithdrawAll())
-	wantStats := b.Stats()
+	wantStats := b.stats
 
 	// Resumed continuation: fresh bank + fresh catalogue (as a restarted
 	// process would rebuild), restore, then the same slot.
@@ -59,8 +59,8 @@ func TestBankStateRestoreRoundTrip(t *testing.T) {
 	if err := fresh.Restore(snap, freshSet.CandidateFor); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Slot() != 1 || fresh.Size() != len(snap.Entries) {
-		t.Fatalf("restored slot %d size %d, want 1 and %d", fresh.Slot(), fresh.Size(), len(snap.Entries))
+	if fresh.slot != 1 || len(fresh.entries) != len(snap.Entries) {
+		t.Fatalf("restored slot %d size %d, want 1 and %d", fresh.slot, len(fresh.entries), len(snap.Entries))
 	}
 	var gotLost [2]int
 	gotLost[0], gotLost[1] = fresh.BeginSlot()
@@ -71,7 +71,7 @@ func TestBankStateRestoreRoundTrip(t *testing.T) {
 	if got := describe(withdrawn); !reflect.DeepEqual(got, wantOrder) {
 		t.Fatalf("withdraw order diverges:\n got %v\nwant %v", got, wantOrder)
 	}
-	if got := fresh.Stats(); got != wantStats {
+	if got := fresh.stats; got != wantStats {
 		t.Fatalf("stats diverge: %+v vs %+v", got, wantStats)
 	}
 	// Candidates must be re-linked to the fresh catalogue's objects.
@@ -127,8 +127,8 @@ func TestBankRestoreNilResets(t *testing.T) {
 	if err := b.Restore(nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if b.Slot() != -1 || b.Size() != 0 || b.Stats() != (Stats{}) {
-		t.Fatalf("after reset: slot %d size %d stats %+v", b.Slot(), b.Size(), b.Stats())
+	if b.slot != -1 || len(b.entries) != 0 || b.stats != (Stats{}) {
+		t.Fatalf("after reset: slot %d size %d stats %+v", b.slot, len(b.entries), b.stats)
 	}
 	if err := b.CheckConservation(); err != nil {
 		t.Fatal(err)

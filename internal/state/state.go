@@ -115,9 +115,6 @@ type Stats struct {
 	Decohered int
 }
 
-// Lost sums the decoherence losses (age window + stochastic hazard).
-func (s Stats) Lost() int { return s.Expired + s.Decohered }
-
 // entry is one banked segment, held by value, with its provenance.
 type entry struct {
 	seg qnet.Segment
@@ -163,46 +160,6 @@ func NewBank(net *topo.Network, policy Policy) *Bank {
 		slot:   -1,
 		used:   make([]int, net.NumNodes()),
 	}
-}
-
-// Policy returns the bank's carry-over policy (with the window default
-// resolved).
-func (b *Bank) Policy() Policy {
-	p := b.policy
-	p.CarrySlots = p.window()
-	return p
-}
-
-// Slot returns the current slot index (-1 before the first BeginSlot).
-func (b *Bank) Slot() int {
-	if b == nil {
-		return -1
-	}
-	return b.slot
-}
-
-// Size returns the number of banked segments.
-func (b *Bank) Size() int {
-	if b == nil {
-		return 0
-	}
-	return len(b.entries)
-}
-
-// MemoryUsed returns the banked memory units at node u.
-func (b *Bank) MemoryUsed(u int) int {
-	if b == nil {
-		return 0
-	}
-	return b.used[u]
-}
-
-// Stats returns the lifetime tallies.
-func (b *Bank) Stats() Stats {
-	if b == nil {
-		return Stats{}
-	}
-	return b.stats
 }
 
 // BeginSlot advances the slot clock and applies decoherence to the banked

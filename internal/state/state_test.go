@@ -45,10 +45,10 @@ func TestDepositRespectsMemory(t *testing.T) {
 	if accepted != 3 {
 		t.Fatalf("accepted %d segments, want 3", accepted)
 	}
-	if got := b.MemoryUsed(0); got != 2 {
+	if got := b.used[0]; got != 2 {
 		t.Errorf("node 0 banks %d units, want 2", got)
 	}
-	if st := b.Stats(); st.Rejected != 1 || st.Deposited != 3 {
+	if st := b.stats; st.Rejected != 1 || st.Deposited != 3 {
 		t.Errorf("stats = %+v, want 1 rejection, 3 deposits", st)
 	}
 	if err := b.CheckConservation(); err != nil {
@@ -84,10 +84,10 @@ func TestAgeWindowExpiry(t *testing.T) {
 	if expired != 1 || decohered != 0 {
 		t.Fatalf("expiry boundary lost (%d,%d), want (1,0)", expired, decohered)
 	}
-	if b.Size() != 0 {
-		t.Errorf("bank still holds %d segments", b.Size())
+	if len(b.entries) != 0 {
+		t.Errorf("bank still holds %d segments", len(b.entries))
 	}
-	if got := b.MemoryUsed(0); got != 0 {
+	if got := b.used[0]; got != 0 {
 		t.Errorf("expired segment still occupies %d units at node 0", got)
 	}
 }
@@ -113,7 +113,7 @@ func TestStochasticDecoherenceIsSeededAndExhaustive(t *testing.T) {
 		}
 		b.Deposit(segs)
 		b.BeginSlot()
-		return b.Size()
+		return len(b.entries)
 	}
 	if survivors(3) != survivors(3) {
 		t.Error("same seed, different survivor count")
@@ -132,7 +132,7 @@ func TestWithdrawPreservesAgeOnRedeposit(t *testing.T) {
 	if len(got) != 1 || got[0].Pair() != s.Pair() || got[0].Cand != s.Cand {
 		t.Fatalf("withdrew %v, want the deposited segment", got)
 	}
-	if b.MemoryUsed(0) != 0 || b.MemoryUsed(1) != 0 {
+	if b.used[0] != 0 || b.used[1] != 0 {
 		t.Fatal("withdrawal did not release banked memory")
 	}
 	// Unconsumed: re-deposit. Birth must stay slot 0, so the segment
@@ -141,7 +141,7 @@ func TestWithdrawPreservesAgeOnRedeposit(t *testing.T) {
 	if expired, _ := b.BeginSlot(); expired != 1 {
 		t.Fatalf("re-deposited segment kept riding the bank (expired=%d)", expired)
 	}
-	if st := b.Stats(); st.Withdrawn != 1 || st.Expired != 1 {
+	if st := b.stats; st.Withdrawn != 1 || st.Expired != 1 {
 		t.Errorf("stats = %+v, want 1 withdrawal and 1 expiry", st)
 	}
 }
@@ -212,19 +212,16 @@ func TestConservationAcrossChurn(t *testing.T) {
 			}
 		}
 	}
-	st := b.Stats()
-	if st.Deposited == 0 || st.Withdrawn == 0 || st.Lost() == 0 {
+	st := b.stats
+	if st.Deposited == 0 || st.Withdrawn == 0 || st.Expired+st.Decohered == 0 {
 		t.Errorf("churn exercised too little of the bank: %+v", st)
 	}
 }
 
 func TestNilBankIsInert(t *testing.T) {
 	var b *Bank
-	if b.Size() != 0 || b.Slot() != -1 || b.MemoryUsed(0) != 0 {
+	if b.State() != nil {
 		t.Error("nil bank reported state")
-	}
-	if (b.Stats() != Stats{}) {
-		t.Error("nil bank reported stats")
 	}
 	if err := b.CheckConservation(); err != nil {
 		t.Error(err)

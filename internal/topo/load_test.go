@@ -91,7 +91,7 @@ func TestNSFNet(t *testing.T) {
 	if net.NumLinks() != 21 {
 		t.Fatalf("NSFNET has %d links, want 21", net.NumLinks())
 	}
-	if !graph.Connected(net.G) {
+	if _, count := graph.Components(net.G); count != 1 {
 		t.Fatal("NSFNET must be connected")
 	}
 	st := Summarize(net)

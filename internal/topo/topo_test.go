@@ -77,7 +77,7 @@ func TestGenerateConnectedAndValid(t *testing.T) {
 		if err := net.Validate(); err != nil {
 			t.Fatalf("Validate(%d): %v", n, err)
 		}
-		if !graph.Connected(net.G) {
+		if _, count := graph.Components(net.G); count != 1 {
 			t.Fatalf("network with %d nodes not connected", n)
 		}
 		for u := 0; u < n; u++ {

@@ -43,23 +43,10 @@ func NewStream(seed int64) *Stream {
 	return s
 }
 
-// ForTrialStream is ForTrial with an explicit position: it derives the
-// canonical per-trial seed and wraps it in a Stream. ForTrial(base, t) and
-// ForTrialStream(base, t).Rand() produce byte-identical values.
-func ForTrialStream(baseSeed int64, trial int) *Stream {
-	return NewStream(TrialSeed(baseSeed, trial))
-}
-
 // Rand returns the generator backed by this stream. Every draw through it
 // advances the stream's position by the number of low-level source steps it
 // consumes.
 func (s *Stream) Rand() *rand.Rand { return s.rng }
-
-// SeedValue returns the seed the stream was created from.
-func (s *Stream) SeedValue() int64 { return s.seed }
-
-// Pos returns the number of low-level draws consumed so far.
-func (s *Stream) Pos() uint64 { return s.pos }
 
 // Cursor snapshots the stream's position. Valid only between draws (i.e.
 // between RunSlot calls, not mid-slot): restoring a cursor reproduces the

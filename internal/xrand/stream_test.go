@@ -14,14 +14,15 @@ func TestStreamMatchesNew(t *testing.T) {
 			t.Fatalf("draw %d: stream %d, plain %d", i, got, want)
 		}
 	}
-	if s.Pos() != 1000 {
-		t.Fatalf("Pos() = %d after 1000 draws", s.Pos())
+	if s.pos != 1000 {
+		t.Fatalf("pos = %d after 1000 draws", s.pos)
 	}
 }
 
-// TestForTrialStreamMatchesForTrial pins the trial-seed derivation.
+// TestForTrialStreamMatchesForTrial pins the trial-seed derivation: a
+// Stream over the trial seed draws what ForTrial draws.
 func TestForTrialStreamMatchesForTrial(t *testing.T) {
-	s := ForTrialStream(20220101, 7)
+	s := NewStream(TrialSeed(20220101, 7))
 	plain := ForTrial(20220101, 7)
 	for i := 0; i < 100; i++ {
 		if got, want := s.Rand().Float64(), plain.Float64(); got != want {
@@ -53,8 +54,8 @@ func TestCursorRestore(t *testing.T) {
 		want := burn(ref, 50)
 
 		resumed := Restore(cur)
-		if resumed.Pos() != cur.Pos {
-			t.Fatalf("split %d: restored Pos %d, want %d", split, resumed.Pos(), cur.Pos)
+		if resumed.pos != cur.Pos {
+			t.Fatalf("split %d: restored Pos %d, want %d", split, resumed.pos, cur.Pos)
 		}
 		got := burn(resumed, 50)
 		for i := range want {
@@ -70,8 +71,8 @@ func TestStreamReseed(t *testing.T) {
 	s := NewStream(3)
 	s.Rand().Int63()
 	s.Seed(11)
-	if s.Pos() != 0 || s.SeedValue() != 11 {
-		t.Fatalf("after Seed(11): pos=%d seed=%d", s.Pos(), s.SeedValue())
+	if s.pos != 0 || s.seed != 11 {
+		t.Fatalf("after Seed(11): pos=%d seed=%d", s.pos, s.seed)
 	}
 	if got, want := s.Rand().Int63(), New(11).Int63(); got != want {
 		t.Fatalf("reseeded stream %d, fresh generator %d", got, want)
@@ -86,8 +87,8 @@ func TestSkip(t *testing.T) {
 		a.Rand().Int63()
 	}
 	b.Skip(33)
-	if a.Pos() != b.Pos() {
-		t.Fatalf("pos mismatch: %d vs %d", a.Pos(), b.Pos())
+	if a.pos != b.pos {
+		t.Fatalf("pos mismatch: %d vs %d", a.pos, b.pos)
 	}
 	if x, y := a.Rand().Int63(), b.Rand().Int63(); x != y {
 		t.Fatalf("post-skip draw mismatch: %d vs %d", x, y)

@@ -21,8 +21,8 @@ func Split(rng *rand.Rand) *rand.Rand {
 
 // ForTrial derives the canonical per-trial generator: trial t of an
 // experiment with base seed s is always seeded identically, regardless of
-// how many trials run or in which order. ForTrialStream is the
-// position-tracking variant used by checkpointing layers.
+// how many trials run or in which order. NewStream(TrialSeed(s, t)) is
+// the position-tracking variant used by checkpointing layers.
 func ForTrial(baseSeed int64, trial int) *rand.Rand {
 	return rand.New(rand.NewSource(TrialSeed(baseSeed, trial)))
 }
@@ -68,9 +68,4 @@ func WeightedIndex(rng *rand.Rand, weights []float64) int {
 		}
 	}
 	return -1
-}
-
-// Shuffle permutes the first n indices, calling swap as rand.Shuffle does.
-func Shuffle(rng *rand.Rand, n int, swap func(i, j int)) {
-	rng.Shuffle(n, swap)
 }

@@ -33,7 +33,6 @@ import (
 	"see/internal/qnet"
 	"see/internal/sched"
 	"see/internal/serve"
-	"see/internal/state"
 	"see/internal/topo"
 	"see/internal/warm"
 	"see/internal/xrand"
@@ -79,13 +78,13 @@ type NetworkConfig struct {
 	// Memory units per node (default 10).
 	Memory int
 	// SwapProb is the quantum swapping success probability q (default 0.9).
-	// Zero means "use the default"; set ExplicitZero for an actual q = 0.
+	// Zero means "use the default"; a negative value is an actual q = 0.
 	SwapProb float64
 	// Alpha is the attenuation in p = e^(−αl) + δ (default 2e-4).
-	// Zero means "use the default"; set ExplicitZero for an actual α = 0.
+	// Zero means "use the default"; a negative value is an actual α = 0.
 	Alpha float64
 	// Delta is the half-width of the uniform noise δ (default 0.05).
-	// Zero means "use the default"; set ExplicitZero for an actual δ = 0.
+	// Zero means "use the default"; a negative value is an actual δ = 0.
 	Delta float64
 }
 
@@ -103,16 +102,12 @@ func DefaultNetworkConfig() NetworkConfig {
 	}
 }
 
-// ExplicitZero marks a NetworkConfig field as "explicitly zero". The zero
-// value of SwapProb, Alpha and Delta means "use the paper default" (so
-// sparse literals like NetworkConfig{Nodes: 50} keep working); assigning
-// ExplicitZero — or any negative value — requests an actual zero, e.g.
-// perfect swapping ablations (SwapProb stays default, q=0 kills every swap)
-// or a noise-free success model (Alpha=0 ⇒ p=1+δ clamp, Delta=0 ⇒ no noise).
-const ExplicitZero = -1
-
 // overrideFloat resolves the unset / default / explicit-zero convention:
-// 0 keeps def, ExplicitZero (any negative) means an actual 0.
+// 0 keeps def, any negative value means an actual 0. The zero value means
+// "use the paper default" so sparse literals like NetworkConfig{Nodes: 50}
+// keep working; a negative value asks for perfect-swap ablations (q = 0
+// kills every swap) or a noise-free success model (α = 0 ⇒ p = 1+δ
+// clamp, δ = 0 ⇒ no noise).
 func overrideFloat(v, def float64) float64 {
 	switch {
 	case v < 0:
@@ -126,7 +121,7 @@ func overrideFloat(v, def float64) float64 {
 
 // toTopo is the one place the NetworkConfig convention is resolved: a
 // zero (or negative) Nodes, AreaKM, Channels or Memory and a zero
-// SwapProb, Alpha or Delta keep the paper default; ExplicitZero is an
+// SwapProb, Alpha or Delta keep the paper default; a negative one is an
 // actual zero. GenerateNetwork, NSFNETNetwork, LoadNetwork and
 // RunExperiment all build from its result.
 func (c NetworkConfig) toTopo() topo.Config {
@@ -157,12 +152,6 @@ type SDPair = topo.SDPair
 type Network struct {
 	inner *topo.Network
 }
-
-// NumNodes returns the node count.
-func (n *Network) NumNodes() int { return n.inner.NumNodes() }
-
-// NumLinks returns the quantum link count.
-func (n *Network) NumLinks() int { return n.inner.NumLinks() }
 
 // Stats summarizes the topology (degree, link lengths, probabilities).
 func (n *Network) Stats() NetworkStats {
@@ -248,12 +237,9 @@ type FloorSpec = qnet.FloorSpec
 func ParseFloorSpec(s string) (*FloorSpec, error) { return qnet.ParseFloorSpec(s) }
 
 // SwapOrder selects the junction-swap sampling order of the stitch phase;
-// see SchedulerOptions.SwapOrder.
+// see SchedulerOptions.SwapOrder. The zero SwapOrder samples swaps in path
+// order; "greedy" samples the least reliable junction first.
 type SwapOrder = qnet.SwapOrder
-
-// SwapOrderGreedy samples the least reliable junction first; the zero
-// SwapOrder samples swaps in path order (the default).
-const SwapOrderGreedy = qnet.SwapOrderGreedy
 
 // ParseSwapOrder parses a swap-order name ("path" or "greedy").
 func ParseSwapOrder(s string) (SwapOrder, error) { return qnet.ParseSwapOrder(s) }
@@ -265,15 +251,6 @@ type WarmCache = warm.Cache
 
 // NewWarmCache returns an empty warm-start cache.
 func NewWarmCache() *WarmCache { return warm.New() }
-
-// CarryStats tallies the lifetime activity of a scheduler's cross-slot
-// state bank: segments deposited, rejected for lack of memory, withdrawn,
-// and lost to decoherence. Read it with SchedulerCarryStats.
-type CarryStats = state.Stats
-
-// SchedulerCarryStats returns the carry-over bank tallies of a scheduler
-// built with CarryOver enabled (zero stats otherwise).
-func SchedulerCarryStats(s Scheduler) CarryStats { return s.Bank().Stats() }
 
 // SlotResult reports one simulated time slot. It is the canonical
 // sched.SlotResult every engine returns — see that type for the full
@@ -398,10 +375,10 @@ func NewScheduler(alg Algorithm, net *Network, pairs []SDPair, opts *SchedulerOp
 //	link <u> <v> [length-km] [channels]
 //
 // Omitted per-element resources fall back to cfg, resolved like every
-// NetworkConfig (zero means the paper default, ExplicitZero an actual
-// zero); the segment success model is p = e^(−αl) + δ with δ noise seeded
-// by seed. The file fixes the nodes, so cfg.Nodes and cfg.AreaKM are not
-// read.
+// NetworkConfig (zero means the paper default, a negative value an
+// actual zero); the segment success model is p = e^(−αl) + δ with δ
+// noise seeded by seed. The file fixes the nodes, so cfg.Nodes and
+// cfg.AreaKM are not read.
 func LoadNetwork(r io.Reader, cfg NetworkConfig, seed int64) (*Network, error) {
 	net, err := topo.LoadEdgeList(r, cfg.toTopo(), seed)
 	if err != nil {

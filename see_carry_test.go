@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"see/internal/state"
 	"see/internal/xrand"
 )
 
@@ -52,7 +53,7 @@ func TestCarryOverDisabledByteIdentical(t *testing.T) {
 			if !reflect.DeepEqual(plain, off) {
 				t.Fatalf("CarryOver=false changed results:\n%+v\nvs\n%+v", plain, off)
 			}
-			if (SchedulerCarryStats(offSC) != CarryStats{}) {
+			if b := offSC.Bank(); b != nil && (b.State().Stats != state.Stats{}) {
 				t.Error("disabled carry-over accumulated bank stats")
 			}
 		})
@@ -98,7 +99,7 @@ func TestCarryOverImprovesThroughput(t *testing.T) {
 			if carry < plain {
 				t.Errorf("carry-over lost throughput: %d vs %d", carry, plain)
 			}
-			st := SchedulerCarryStats(carrySC)
+			st := carrySC.Bank().State().Stats
 			if st.Deposited == 0 || st.Withdrawn == 0 {
 				t.Fatalf("bank never cycled: %+v", st)
 			}
@@ -109,8 +110,8 @@ func TestCarryOverImprovesThroughput(t *testing.T) {
 			if got := c.IncidentCount(IncidentBankWithdraw); got != st.Withdrawn {
 				t.Errorf("withdraw incidents %d != bank stat %d", got, st.Withdrawn)
 			}
-			if got := c.IncidentCount(IncidentBankDecohered); got != st.Lost() {
-				t.Errorf("decohere incidents %d != bank losses %d", got, st.Lost())
+			if got := c.IncidentCount(IncidentBankDecohered); got != st.Expired+st.Decohered {
+				t.Errorf("decohere incidents %d != bank losses %d", got, st.Expired+st.Decohered)
 			}
 		})
 	}
@@ -181,7 +182,7 @@ func TestCarryConservation(t *testing.T) {
 	if wrapped.checked != 50 {
 		t.Fatalf("conservation checked on %d slots, want 50", wrapped.checked)
 	}
-	if carry := SchedulerCarryStats(wrapped); carry.Deposited == 0 {
+	if carry := wrapped.Bank().State().Stats; carry.Deposited == 0 {
 		t.Errorf("workload never banked a segment: %+v", carry)
 	}
 }
@@ -240,7 +241,7 @@ func TestCarryResilientBankSurvivesDegradation(t *testing.T) {
 	if got := tr.Counts().IncidentCount(IncidentDegraded); got != 5 {
 		t.Fatalf("degraded incidents = %d, want 5", got)
 	}
-	st := SchedulerCarryStats(sc)
+	st := sc.Bank().State().Stats
 	if st.Deposited == 0 {
 		t.Errorf("degraded slots never banked a segment: %+v", st)
 	}

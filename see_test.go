@@ -10,6 +10,7 @@ import (
 
 	"see/internal/engines"
 	"see/internal/experiment"
+	"see/internal/qnet"
 	"see/internal/topo"
 	"see/internal/xrand"
 )
@@ -21,14 +22,11 @@ func TestGenerateNetworkAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if net.NumNodes() != 50 {
-		t.Fatalf("nodes = %d", net.NumNodes())
-	}
 	if len(pairs) != 5 {
 		t.Fatalf("pairs = %d", len(pairs))
 	}
 	st := net.Stats()
-	if st.Nodes != 50 || st.Links != net.NumLinks() || st.AvgDegree <= 0 {
+	if st.Nodes != 50 || st.Links != net.inner.NumLinks() || st.AvgDegree <= 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.MeanLinkProb < 0.5 || st.MeanLinkProb > 1 {
@@ -39,7 +37,7 @@ func TestGenerateNetworkAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if net2.NumLinks() != net.NumLinks() || pairs2[0] != pairs[0] {
+	if net2.inner.NumLinks() != net.inner.NumLinks() || pairs2[0] != pairs[0] {
 		t.Fatal("same seed produced a different network")
 	}
 }
@@ -200,7 +198,7 @@ func TestSchedulerOptionsValidate(t *testing.T) {
 			t.Errorf("%s: NewScheduler accepted", tc.name)
 		}
 	}
-	if _, err := NewScheduler(SEE, net, pairs, &SchedulerOptions{SwapOrder: SwapOrderGreedy, FidelityFloors: &FloorSpec{Default: 1}}); err != nil {
+	if _, err := NewScheduler(SEE, net, pairs, &SchedulerOptions{SwapOrder: qnet.SwapOrderGreedy, FidelityFloors: &FloorSpec{Default: 1}}); err != nil {
 		t.Errorf("in-range options rejected: %v", err)
 	}
 }
@@ -210,8 +208,8 @@ func TestNSFNETNetworkAndLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if net.NumNodes() != 14 || net.NumLinks() != 21 {
-		t.Fatalf("NSFNET = %d nodes, %d links", net.NumNodes(), net.NumLinks())
+	if st := net.Stats(); st.Nodes != 14 || st.Links != 21 {
+		t.Fatalf("NSFNET = %d nodes, %d links", st.Nodes, st.Links)
 	}
 	pairs := ChoosePairs(net, 4, 2)
 	if len(pairs) != 4 {
@@ -233,7 +231,7 @@ func TestNSFNETNetworkAndLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if small.NumNodes() != 2 {
+	if small.inner.NumNodes() != 2 {
 		t.Fatal("loaded network wrong")
 	}
 	if _, err := LoadNetwork(strings.NewReader("garbage\n"), DefaultNetworkConfig(), 3); err == nil {
@@ -278,16 +276,16 @@ func TestNetworkConfigExplicitZero(t *testing.T) {
 	if sparse.SwapProb != def.SwapProb || sparse.Alpha != def.Alpha || sparse.Delta != def.Delta {
 		t.Fatalf("sparse config lost defaults: %+v", sparse)
 	}
-	// ...while ExplicitZero forces an actual zero.
-	zeroed := NetworkConfig{Nodes: 30, SwapProb: ExplicitZero, Alpha: ExplicitZero, Delta: ExplicitZero}.toTopo()
+	// ...while a negative value forces an actual zero.
+	zeroed := NetworkConfig{Nodes: 30, SwapProb: -1, Alpha: -1, Delta: -1}.toTopo()
 	if zeroed.SwapProb != 0 || zeroed.Alpha != 0 || zeroed.Delta != 0 {
-		t.Fatalf("ExplicitZero not honored: %+v", zeroed)
+		t.Fatalf("negative value not honored: %+v", zeroed)
 	}
 	// A q=0 network can create segments but never completes a swap, so SEE
 	// still establishes single-segment connections only.
 	cfg := DefaultNetworkConfig()
 	cfg.Nodes = 40
-	cfg.SwapProb = ExplicitZero
+	cfg.SwapProb = -1
 	net, pairs, err := GenerateNetwork(cfg, 4, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -323,17 +321,17 @@ func TestNetworkConfigExplicitZero(t *testing.T) {
 		}},
 	}
 	for _, b := range constructors {
-		zero, err := b.build(NetworkConfig{Nodes: 30, SwapProb: ExplicitZero, Alpha: ExplicitZero, Delta: ExplicitZero})
+		zero, err := b.build(NetworkConfig{Nodes: 30, SwapProb: -1, Alpha: -1, Delta: -1})
 		if err != nil {
 			t.Fatalf("%s: %v", b.name, err)
 		}
 		for u, q := range zero.inner.SwapProb {
 			if q != 0 {
-				t.Fatalf("%s: ExplicitZero swap gave node %d q = %v", b.name, u, q)
+				t.Fatalf("%s: negative swap probability gave node %d q = %v", b.name, u, q)
 			}
 		}
 		if p := zero.Stats().MeanLinkProb; p != 1 {
-			t.Fatalf("%s: ExplicitZero alpha and delta gave mean link probability %v, want 1", b.name, p)
+			t.Fatalf("%s: negative alpha and delta gave mean link probability %v, want 1", b.name, p)
 		}
 		sparse, err := b.build(NetworkConfig{})
 		if err != nil {
