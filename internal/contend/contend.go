@@ -125,9 +125,13 @@ type Engine struct {
 	recovery qnet.AttemptPlan
 	expected float64
 	opts     Options
-	// avail is the recovery pass's reusable segment count per endpoint
-	// pair, indexed by the set's pair index (segment.Candidate.PairID).
-	avail []int
+	// avail is the recovery pass's reusable segment count for each
+	// endpoint pair of a hop with a recovery reservation, the only pairs
+	// the pass reads; availAt maps the set's pair index
+	// (segment.Candidate.PairID) to its entry, or −1 for every other pair,
+	// which the pass does not count.
+	avail   []int
+	availAt []int32
 }
 
 var _ sched.Stateful = (*Engine)(nil)
@@ -143,13 +147,16 @@ func New(set *segment.Set, connCap []int, opts Options) (*Engine, error) {
 		ConnCap: connCap,
 		Runner:  sched.NewRunner(opts.Slot, set.Net, set.CandidateFor),
 		opts:    opts,
-		avail:   make([]int, len(set.EdgePairs)),
 	}
 	if err := e.buildPlan(); err != nil {
 		return nil, fmt.Errorf("contend: planning: %w", err)
 	}
 	e.fixed.ConnCap = connCap
 	var primary, recovery qnet.PlanBuilder
+	e.availAt = make([]int32, len(set.EdgePairs))
+	for id := range e.availAt {
+		e.availAt[id] = -1
+	}
 	for _, pp := range e.paths {
 		fp := sched.FixedPath{Commodity: pp.commodity, Nodes: pp.nodes}
 		for _, h := range pp.hops {
@@ -157,6 +164,10 @@ func New(set *segment.Set, connCap []int, opts Options) (*Engine, error) {
 			primary.Add(h.cand, h.attempts)
 			if h.recovery != nil {
 				recovery.Add(h.recovery, h.recAttempts)
+				if id := h.cand.PairID; e.availAt[id] < 0 {
+					e.availAt[id] = int32(len(e.avail))
+					e.avail = append(e.avail, 0)
+				}
 			}
 		}
 		e.fixed.Paths = append(e.fixed.Paths, fp)
@@ -167,18 +178,18 @@ func New(set *segment.Set, connCap []int, opts Options) (*Engine, error) {
 
 // candidatePaths enumerates the per-pair candidate entanglement paths on
 // the segment graph (Yen K shortest under the static attempt-cost metric
-// with −ln q node weights, the same weights the greedy planner routes
-// with). The metric is static, so each segment-graph edge's cost is
-// computed once per build and looked up by edge ID. The pairs are
-// enumerated on up to opts.Workers goroutines, each writing only
-// its own slot, so the result is the serial one.
+// with −ln q node costs, the same costs the greedy planner routes with).
+// The metric is static, so each node's and each segment-graph edge's cost
+// is computed once per build into a table the searches read. The pairs
+// are enumerated on up to opts.Workers goroutines, each on its own Yen
+// scratch and writing only its own slot, so the result is the serial one.
 func (e *Engine) candidatePaths() [][]graph.Path {
-	nodeWeight := func(u int) float64 {
-		q := e.Net.SwapProb[u]
-		if q <= 0 {
-			return infeasibleWeight
+	nodeCost := make([]float64, len(e.Net.SwapProb))
+	for u, q := range e.Net.SwapProb {
+		nodeCost[u] = infeasibleWeight
+		if q > 0 {
+			nodeCost[u] = -math.Log(q)
 		}
-		return -math.Log(q)
 	}
 	edgeCost := make([]float64, len(e.Set.EdgePairs))
 	for id, pk := range e.Set.EdgePairs {
@@ -193,13 +204,11 @@ func (e *Engine) candidatePaths() [][]graph.Path {
 		}
 		edgeCost[id] = best
 	}
-	edgeWeight := func(id int, _ float64) float64 { return edgeCost[id] }
+	opts := graph.DijkstraOptions{NodeCost: nodeCost, EdgeCost: edgeCost}
 	out := make([][]graph.Path, len(e.Pairs))
-	par.For(e.opts.Workers, len(e.Pairs), func(i int) {
-		out[i] = graph.YenKShortest(e.Set.SegGraph, e.Pairs[i].S, e.Pairs[i].D, pathsPerPair, graph.DijkstraOptions{
-			NodeWeight: nodeWeight,
-			EdgeWeight: edgeWeight,
-		})
+	yen := make([]graph.YenScratch, par.Resolve(e.opts.Workers, len(e.Pairs)))
+	par.ForWorker(e.opts.Workers, len(e.Pairs), func(w, i int) {
+		out[i] = yen[w].KShortest(e.Set.SegGraph, e.Pairs[i].S, e.Pairs[i].D, pathsPerPair, opts)
 	})
 	return out
 }
@@ -446,12 +455,16 @@ func (e *Engine) PhysicalHook(s *sched.Slot) {
 	for _, pp := range e.paths {
 		for _, h := range pp.hops {
 			// A hop's candidates are the set's own, so PairID indexes
-			// avail; the recovery realization shares the hop's pair.
-			if h.recovery == nil || avail[h.cand.PairID] > 0 {
+			// availAt; the recovery realization shares the hop's pair.
+			if h.recovery == nil {
+				continue
+			}
+			a := &avail[e.availAt[h.cand.PairID]]
+			if *a > 0 {
 				continue
 			}
 			recoveryFired += h.recAttempts
-			avail[h.cand.PairID] += len(s.Attempt(qnet.AttemptPlan{{Cand: h.recovery, N: h.recAttempts}}))
+			*a += len(s.Attempt(qnet.AttemptPlan{{Cand: h.recovery, N: h.recAttempts}}))
 		}
 	}
 	if recoveryFired > 0 {
@@ -459,14 +472,21 @@ func (e *Engine) PhysicalHook(s *sched.Slot) {
 	}
 }
 
-// count adds a pooled segment to avail. A segment whose candidate is the
-// set's own is counted by its PairID; any other (a restored segment
-// without one) by its pair's key, if the set has the pair at all.
+// count adds a pooled segment to avail if its pair is one the recovery
+// pass reads. A segment whose candidate is the set's own is looked up by
+// its PairID; any other (a restored segment without one) by its pair's
+// key, if the set has the pair at all.
 func (e *Engine) count(seg *qnet.Segment) {
+	id := -1
 	if c := seg.Cand; c != nil && c.PairID < len(e.Set.EdgePairs) && e.Set.EdgePairs[c.PairID] == seg.Pair() {
-		e.avail[c.PairID]++
-	} else if id, ok := e.Set.EdgeOf[seg.Pair()]; ok {
-		e.avail[id]++
+		id = c.PairID
+	} else if pid, ok := e.Set.EdgeOf[seg.Pair()]; ok {
+		id = pid
+	}
+	if id >= 0 {
+		if k := e.availAt[id]; k >= 0 {
+			e.avail[k]++
+		}
 	}
 }
 

@@ -204,6 +204,63 @@ func TestRecoveryFires(t *testing.T) {
 	}
 }
 
+// TestRecoveryPassForgetsLastSlot: the recovery pass resets only the
+// counts of the pairs it reads, so a slot that follows another must decide
+// exactly as a fresh engine does on the same rng state. On the diamond
+// fixture and a 40-node instance, each trial runs one engine for a slot on
+// one seed, then for a slot on another (a different created set), and a
+// fresh engine for a slot on the second seed; the second slots' results
+// and recovery firings must match. Some second slots must fire recovery
+// and some must not, or the check proves nothing.
+func TestRecoveryPassForgetsLastSlot(t *testing.T) {
+	net40, pairs40 := buildInstance(t, 40, 8, 6)
+	netD, pairsD := diamond()
+	fired, quiet := 0, 0
+	for _, inst := range []struct {
+		net   *topo.Network
+		pairs []topo.SDPair
+	}{{netD, pairsD}, {net40, pairs40}} {
+		for trial := int64(0); trial < 30; trial++ {
+			var runs [2]*sched.SlotResult
+			var recoveries [2]int
+			for k, first := range []int64{trial, -1} {
+				tr := sched.NewCountingTracer()
+				opts := DefaultOptions()
+				opts.Slot.Tracer = tr
+				eng, err := newEngine(inst.net, inst.pairs, opts)
+				if err != nil {
+					t.Fatalf("newEngine: %v", err)
+				}
+				if first >= 0 {
+					if _, err := eng.RunSlot(xrand.New(100 + first)); err != nil {
+						t.Fatalf("RunSlot: %v", err)
+					}
+				}
+				before := tr.Counts().IncidentCount(sched.IncidentRecovery)
+				res, err := eng.RunSlot(xrand.New(500 + trial))
+				if err != nil {
+					t.Fatalf("RunSlot: %v", err)
+				}
+				runs[k] = res.Clone()
+				recoveries[k] = tr.Counts().IncidentCount(sched.IncidentRecovery) - before
+			}
+			if recoveries[0] != recoveries[1] || !reflect.DeepEqual(runs[0], runs[1]) {
+				t.Fatalf("trial %d on %d nodes: a second slot fired %d recovery attempts, a fresh engine %d (results equal: %v)",
+					trial, inst.net.NumNodes(), recoveries[0], recoveries[1], reflect.DeepEqual(runs[0], runs[1]))
+			}
+			if recoveries[0] > 0 {
+				fired++
+			} else {
+				quiet++
+			}
+		}
+	}
+	t.Logf("second slots: %d fired recovery, %d did not", fired, quiet)
+	if fired == 0 || quiet == 0 {
+		t.Fatalf("second slots: %d fired recovery, %d did not; want some of each", fired, quiet)
+	}
+}
+
 // TestRecoveryDisabled checks RecoveryAttempts = 0 reserves nothing and
 // still runs.
 func TestRecoveryDisabled(t *testing.T) {

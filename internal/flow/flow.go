@@ -252,8 +252,6 @@ type model struct {
 	bestCost    []float64
 	bestCandIdx []int32
 	bestFactor  []float64
-	// edgeCost reads bestCost as the plain pricing search's edge weight.
-	edgeCost func(id int, stored float64) float64
 
 	colKeys colKeySet
 	columns []column
@@ -344,7 +342,6 @@ func newModel(set *segment.Set, opts Options) (*model, error) {
 	}
 
 	m := &model{set: set, opts: opts}
-	m.edgeCost = func(id int, _ float64) float64 { return m.bestCost[id] }
 	m.buildTables()
 	var err error
 	if a := opts.Arena; a != nil && a.solver != nil {
@@ -687,7 +684,7 @@ func (m *model) pricePath(w, i int, dualI, eps float64) pricedPath {
 	// and distance to sd.D (graph.ShortestPathEdgesTarget).
 	sd := m.set.Pairs[i]
 	nodes, edgeIDs, dist := graph.ShortestPathEdgesTarget(m.set.SegGraph, sd.S, sd.D,
-		graph.DijkstraOptions{EdgeWeight: m.edgeCost}, &ps.dijkstra)
+		graph.DijkstraOptions{EdgeCost: m.bestCost}, &ps.dijkstra)
 	if dist == graph.Unreachable || 1-dualI-dist <= eps {
 		return pricedPath{}
 	}

@@ -2,7 +2,7 @@ package graph
 
 // BellmanFord computes single-source shortest path distances by edge
 // relaxation. It is O(V·E), the property-test oracle for Dijkstra, and
-// supports the same intermediate-node weighting.
+// supports the same intermediate-node costs.
 //
 // The bool result is false if a negative cycle is reachable from the source.
 func BellmanFord(g *Graph, source int, opts DijkstraOptions) ([]float64, bool) {
@@ -22,19 +22,13 @@ func BellmanFord(g *Graph, source int, opts DijkstraOptions) ([]float64, bool) {
 				continue
 			}
 			depart := dist[u]
-			if opts.NodeWeight != nil && u != source {
-				depart += opts.NodeWeight(u)
+			if opts.NodeCost != nil && u != source {
+				depart += opts.NodeCost[u]
 			}
 			for _, e := range g.Neighbors(u) {
-				if opts.Forbidden != nil && opts.Forbidden(e.To) {
-					continue
-				}
-				if opts.ForbiddenEdge != nil && opts.ForbiddenEdge(e.ID) {
-					continue
-				}
 				w := e.Weight
-				if opts.EdgeWeight != nil {
-					w = opts.EdgeWeight(e.ID, e.Weight)
+				if opts.EdgeCost != nil {
+					w = opts.EdgeCost[e.ID]
 				}
 				if nd := depart + w; nd < dist[e.To] {
 					dist[e.To] = nd

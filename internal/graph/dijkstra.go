@@ -6,24 +6,22 @@ import "math"
 // source.
 const Unreachable = math.MaxFloat64
 
-// DijkstraOptions controls a shortest-path run.
+// DijkstraOptions holds the cost tables of a shortest-path run. A search
+// only reads them, so one table may serve concurrent searches; a nil table
+// means no node costs, or the stored edge weights.
 type DijkstraOptions struct {
-	// NodeWeight, when non-nil, adds NodeWeight(v) every time the path
-	// passes *through* v as an intermediate node (it is charged when
+	// NodeCost, when non-nil, holds one cost per node, added every time a
+	// path passes *through* v as an intermediate node (it is charged when
 	// departing v, so neither the source nor the final destination pay
-	// their own weight). This matches the auxiliary-graph construction in
+	// their own cost). This matches the auxiliary-graph construction in
 	// the paper's ECE algorithm, where junction nodes cost −ln q_u.
-	NodeWeight func(v int) float64
-	// Forbidden, when non-nil, reports nodes that must not be traversed.
-	// The source is always allowed.
-	Forbidden func(v int) bool
-	// ForbiddenEdge, when non-nil, reports edge IDs that must not be used.
-	ForbiddenEdge func(id int) bool
-	// EdgeWeight, when non-nil, overrides the stored weight of each edge.
-	// Returning a negative value is invalid. It allows callers (e.g. the
-	// column-generation pricing oracle) to re-weight a graph per query
-	// without rebuilding it.
-	EdgeWeight func(id int, stored float64) float64
+	NodeCost []float64
+	// EdgeCost, when non-nil, replaces each arc's stored weight by the
+	// entry of its edge ID. Callers (e.g. the column-generation pricing
+	// oracle) re-weight a graph per query this way without rebuilding it.
+	// An entry of +Inf hides its edge: no search relaxes it. A negative
+	// entry is invalid.
+	EdgeCost []float64
 }
 
 // pqItem is one heap entry: a node and the tentative distance it was
@@ -75,17 +73,9 @@ func (h *minHeap) pop() pqItem {
 	return q[n]
 }
 
-// ShortestPath returns a shortest path from s to t and its length under
-// non-negative edge weights, adding node weights at intermediate nodes and
-// honouring node/edge exclusions. Negative edge weights cause undefined
-// results. It returns (nil, Unreachable) when no path exists.
-func ShortestPath(g *Graph, s, t int, opts DijkstraOptions) (Path, float64) {
-	return ShortestPathTarget(g, s, t, opts, nil)
-}
-
 // PathLength computes the total cost of a path under the same cost model as
-// ShortestPath (edge weights plus node weights at intermediate nodes). The edge
-// chosen between consecutive nodes is the minimum-weight parallel arc. It
+// the searches (edge costs plus node costs at intermediate nodes). The edge
+// chosen between consecutive nodes is the minimum-cost parallel arc. It
 // returns Unreachable if consecutive nodes are not adjacent.
 func PathLength(g *Graph, p Path, opts DijkstraOptions) float64 {
 	if len(p) == 0 {
@@ -93,10 +83,10 @@ func PathLength(g *Graph, p Path, opts DijkstraOptions) float64 {
 	}
 	var total float64
 	for i := 0; i+1 < len(p); i++ {
-		if i > 0 && opts.NodeWeight != nil {
-			total += opts.NodeWeight(p[i])
+		if i > 0 && opts.NodeCost != nil {
+			total += opts.NodeCost[p[i]]
 		}
-		best := arcWeight(g, p[i], p[i+1], opts)
+		best := arcWeight(g, p[i], p[i+1], opts.EdgeCost)
 		if best == Unreachable {
 			return Unreachable
 		}
@@ -105,20 +95,17 @@ func PathLength(g *Graph, p Path, opts DijkstraOptions) float64 {
 	return total
 }
 
-// arcWeight is the weight of the cheapest allowed u→v arc, or Unreachable
-// when there is none.
-func arcWeight(g *Graph, u, v int, opts DijkstraOptions) float64 {
+// arcWeight is the cost of the cheapest u→v arc under edgeCost (nil: the
+// stored weights), or Unreachable when there is none.
+func arcWeight(g *Graph, u, v int, edgeCost []float64) float64 {
 	best := Unreachable
 	for _, e := range g.Neighbors(u) {
 		if e.To != v {
 			continue
 		}
-		if opts.ForbiddenEdge != nil && opts.ForbiddenEdge(e.ID) {
-			continue
-		}
 		w := e.Weight
-		if opts.EdgeWeight != nil {
-			w = opts.EdgeWeight(e.ID, e.Weight)
+		if edgeCost != nil {
+			w = edgeCost[e.ID]
 		}
 		if w < best {
 			best = w

@@ -31,7 +31,7 @@ func TestDijkstraPrefersLighterPath(t *testing.T) {
 	g.AddEdge(0, 2, 10)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
-	p, d := ShortestPath(g, 0, 2, DijkstraOptions{})
+	p, d := ShortestPathTarget(g, 0, 2, DijkstraOptions{}, nil)
 	if d != 2 || !p.Equal(Path{0, 1, 2}) {
 		t.Fatalf("got path %v length %v, want 0-1-2 length 2", p, d)
 	}
@@ -47,8 +47,8 @@ func TestDijkstraUnreachable(t *testing.T) {
 	if res.PathTo(2) != nil {
 		t.Fatal("PathTo(unreachable) must be nil")
 	}
-	if p, d := ShortestPath(g, 0, 2, DijkstraOptions{}); p != nil || d != Unreachable {
-		t.Fatal("ShortestPath(unreachable) must be nil/Unreachable")
+	if p, d := ShortestPathTarget(g, 0, 2, DijkstraOptions{}, nil); p != nil || d != Unreachable {
+		t.Fatal("ShortestPathTarget(unreachable) must be nil/Unreachable")
 	}
 }
 
@@ -58,52 +58,56 @@ func TestDijkstraNodeWeights(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(0, 2, 4)
-	nw := func(v int) float64 {
-		if v == 1 {
-			return 5
-		}
-		return 0
-	}
-	p, d := ShortestPath(g, 0, 2, DijkstraOptions{NodeWeight: nw})
+	p, d := ShortestPathTarget(g, 0, 2, DijkstraOptions{NodeCost: []float64{0, 5, 0}}, nil)
 	if !p.Equal(Path{0, 2}) || d != 4 {
-		t.Fatalf("node weight ignored: path %v len %v", p, d)
+		t.Fatalf("node cost ignored: path %v len %v", p, d)
 	}
-	// Endpoints never pay their own weight.
-	heavyEnds := func(v int) float64 {
-		if v == 0 || v == 2 {
-			return 100
-		}
-		return 0
-	}
-	_, d = ShortestPath(g, 0, 2, DijkstraOptions{NodeWeight: heavyEnds})
+	// Endpoints never pay their own cost.
+	_, d = ShortestPathTarget(g, 0, 2, DijkstraOptions{NodeCost: []float64{100, 0, 100}}, nil)
 	if d != 2 {
-		t.Fatalf("endpoint weights must not be charged: len %v, want 2", d)
+		t.Fatalf("endpoint costs must not be charged: len %v, want 2", d)
 	}
 }
 
+// TestDijkstraForbidden: a spur ban's root mark hides a node from the
+// search.
 func TestDijkstraForbidden(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 3, 1)
 	g.AddEdge(0, 2, 1)
 	g.AddEdge(2, 3, 5)
-	forbidden := func(v int) bool { return v == 1 }
-	p, d := ShortestPath(g, 0, 3, DijkstraOptions{Forbidden: forbidden})
-	if !p.Equal(Path{0, 2, 3}) || d != 6 {
-		t.Fatalf("forbidden node traversed: %v len %v", p, d)
+	ban := spurBan{root: make([]uint32, 4), epoch: 1}
+	ban.root[1] = 1
+	var sc DijkstraScratch
+	if !sc.search(g, 0, 3, 0, DijkstraOptions{}, &ban) {
+		t.Fatal("node 3 must stay reachable around the banned node")
+	}
+	if p, d := sc.appendPath(nil, 0, 3), sc.dist[3]; !p.Equal(Path{0, 2, 3}) || d != 6 {
+		t.Fatalf("banned node traversed: %v len %v", p, d)
 	}
 }
 
+// TestDijkstraForbiddenEdge: a spur ban's target hides every arc from the
+// source to it, and an EdgeCost entry of +Inf hides its edge alone.
 func TestDijkstraForbiddenEdge(t *testing.T) {
 	g := New(3)
 	fast := g.AddEdge(0, 2, 1)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
-	p, d := ShortestPath(g, 0, 2, DijkstraOptions{
-		ForbiddenEdge: func(id int) bool { return id == fast },
-	})
-	if !p.Equal(Path{0, 1, 2}) || d != 2 {
-		t.Fatalf("forbidden edge used: %v len %v", p, d)
+	g.AddEdge(0, 2, 3)
+	ban := spurBan{targets: []int{2}, root: make([]uint32, 3), epoch: 1}
+	var sc DijkstraScratch
+	if !sc.search(g, 0, 2, 0, DijkstraOptions{}, &ban) {
+		t.Fatal("node 2 must stay reachable around the banned arcs")
+	}
+	if p, d := sc.appendPath(nil, 0, 2), sc.dist[2]; !p.Equal(Path{0, 1, 2}) || d != 2 {
+		t.Fatalf("banned arc used: %v len %v", p, d)
+	}
+	cost := []float64{1, 1, 1, 1}
+	cost[fast] = math.Inf(1)
+	if p, es, d := ShortestPathEdgesTarget(g, 0, 2, DijkstraOptions{EdgeCost: cost}, nil); !p.Equal(Path{0, 2}) || es[0] != 3 || d != 1 {
+		t.Fatalf("hidden edge: path %v edges %v len %v, want 0-2 over edge 3, len 1", p, es, d)
 	}
 }
 
@@ -122,8 +126,7 @@ func TestPathLength(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1, 2)
 	g.AddEdge(1, 2, 3)
-	nw := func(v int) float64 { return float64(v) }
-	got := PathLength(g, Path{0, 1, 2}, DijkstraOptions{NodeWeight: nw})
+	got := PathLength(g, Path{0, 1, 2}, DijkstraOptions{NodeCost: []float64{0, 1, 2}})
 	if got != 2+1+3 {
 		t.Fatalf("PathLength = %v, want 6", got)
 	}
@@ -154,15 +157,13 @@ func TestDijkstraMatchesBellmanFord(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + rng.Intn(30)
 		g := randomGraph(rng, n, rng.Intn(3*n))
-		var nw func(int) float64
+		var opts DijkstraOptions
 		if trial%2 == 1 {
-			weights := make([]float64, n)
-			for i := range weights {
-				weights[i] = rng.Float64() * 3
+			opts.NodeCost = make([]float64, n)
+			for i := range opts.NodeCost {
+				opts.NodeCost[i] = rng.Float64() * 3
 			}
-			nw = func(v int) float64 { return weights[v] }
 		}
-		opts := DijkstraOptions{NodeWeight: nw}
 		src := rng.Intn(n)
 		d1 := Dijkstra(g, src, opts).Dist
 		d2, ok := BellmanFord(g, src, opts)
@@ -206,22 +207,19 @@ func TestDijkstraEdgeWeightOverride(t *testing.T) {
 	fast := g.AddEdge(0, 2, 1)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
-	// Make the direct edge expensive via the override.
-	override := func(id int, stored float64) float64 {
-		if id == fast {
-			return 100
-		}
-		return stored
-	}
-	p, d := ShortestPath(g, 0, 2, DijkstraOptions{EdgeWeight: override})
+	// Make the direct edge expensive through the cost table.
+	cost := []float64{1, 1, 1}
+	cost[fast] = 100
+	opts := DijkstraOptions{EdgeCost: cost}
+	p, d := ShortestPathTarget(g, 0, 2, opts, nil)
 	if !p.Equal(Path{0, 1, 2}) || d != 2 {
-		t.Fatalf("override ignored: %v len %v", p, d)
+		t.Fatalf("edge cost ignored: %v len %v", p, d)
 	}
-	if got := PathLength(g, Path{0, 2}, DijkstraOptions{EdgeWeight: override}); got != 100 {
-		t.Fatalf("PathLength override = %v, want 100", got)
+	if got := PathLength(g, Path{0, 2}, opts); got != 100 {
+		t.Fatalf("PathLength under edge costs = %v, want 100", got)
 	}
-	d2, ok := BellmanFord(g, 0, DijkstraOptions{EdgeWeight: override})
+	d2, ok := BellmanFord(g, 0, opts)
 	if !ok || d2[2] != 2 {
-		t.Fatalf("BellmanFord override = %v, want 2", d2[2])
+		t.Fatalf("BellmanFord under edge costs = %v, want 2", d2[2])
 	}
 }

@@ -6,22 +6,17 @@ import (
 	"see/internal/graph"
 )
 
-// Shortest paths with combined edge and node weights (the ECE auxiliary
-// graph uses node weight −ln q at junctions).
-func ExampleShortestPath() {
+// Shortest paths with combined edge and node costs (the ECE auxiliary
+// graph uses node cost −ln q at junctions); a nil scratch allocates one.
+func ExampleShortestPathTarget() {
 	g := graph.New(4)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 3, 1)
 	g.AddEdge(0, 2, 1)
 	g.AddEdge(2, 3, 1)
 	// Junction 1 is expensive, junction 2 cheap.
-	weight := func(v int) float64 {
-		if v == 1 {
-			return 5
-		}
-		return 0
-	}
-	path, dist := graph.ShortestPath(g, 0, 3, graph.DijkstraOptions{NodeWeight: weight})
+	cost := []float64{0, 5, 0, 0}
+	path, dist := graph.ShortestPathTarget(g, 0, 3, graph.DijkstraOptions{NodeCost: cost}, nil)
 	fmt.Println(path, dist)
 	// Output: [0 2 3] 2
 }

@@ -128,9 +128,10 @@ func TestValidateCatchesCorruption(t *testing.T) {
 }
 
 // TestUndirectedFlag: New and AddEdge leave a graph undirected, AddArc
-// makes it directed and Reset makes it undirected again. distancesTo, which trusts the flag, must give one-way arcs their
-// reversed-arc distances (a search from t over the arcs as stored would
-// read 0→1→2 backwards), and Yen over them must still match the reference.
+// makes it directed and Reset makes it undirected again. goalKeys, which
+// trusts the flag, must give one-way arcs their reversed-arc distances (a
+// search from t over the arcs as stored would read 0→1→2 backwards), node
+// costs included, and Yen over them must still match the reference.
 func TestUndirectedFlag(t *testing.T) {
 	g := New(3)
 	if !g.undirected {
@@ -145,19 +146,27 @@ func TestUndirectedFlag(t *testing.T) {
 	if g.undirected {
 		t.Fatal("AddArc did not clear the undirected flag")
 	}
-	var sc DijkstraScratch
-	if h := sc.distancesTo(g, 2); !reflect.DeepEqual(h, []float64{2, 1, 0}) {
+	var ys YenScratch
+	if h := ys.goalKeys(g, 2, DijkstraOptions{}); !reflect.DeepEqual(h, []float64{2, 1, 0}) {
 		t.Fatalf("distances to 2 over one-way arcs = %v, want [2 1 0]", h)
 	}
-	if got, want := YenKShortest(g, 0, 2, 3, DijkstraOptions{}), yenReference(g, 0, 2, 3, DijkstraOptions{}); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Yen over one-way arcs = %v, reference %v", got, want)
+	// Node 0 reaches 2 through junction 1; each key adds the node's own
+	// cost, except t's.
+	costs := DijkstraOptions{NodeCost: []float64{10, 3, 7}, EdgeCost: []float64{1, 2, 5}}
+	if h := ys.goalKeys(g, 2, costs); !reflect.DeepEqual(h, []float64{1 + 3 + 2 + 10, 2 + 3, 0}) {
+		t.Fatalf("goal keys to 2 under costs = %v, want [16 5 0]", h)
+	}
+	for _, opts := range []DijkstraOptions{{}, costs} {
+		if got, want := YenKShortest(g, 0, 2, 3, opts), yenReference(g, 0, 2, 3, opts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Yen over one-way arcs = %v, reference %v", got, want)
+		}
 	}
 	g.Reset()
 	if !g.undirected {
 		t.Fatal("Reset did not restore the undirected flag")
 	}
 	g.AddEdge(0, 2, 4)
-	if h := sc.distancesTo(g, 2); !reflect.DeepEqual(h, []float64{4, Unreachable, 0}) {
+	if h := ys.goalKeys(g, 2, DijkstraOptions{}); !reflect.DeepEqual(h, []float64{4, Unreachable, 0}) {
 		t.Fatalf("distances to 2 after Reset = %v, want [4 Unreachable 0]", h)
 	}
 }

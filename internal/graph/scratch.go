@@ -9,9 +9,9 @@ import (
 // search. Column generation runs thousands of small queries per solve
 // (plain pricing) and Yen one per spur; one scratch per caller makes a
 // query allocate nothing and reset only the entries the previous search
-// wrote (the touched list), not all n. ShortestPath, ShortestPathTarget,
-// ShortestPathEdgesTarget and every Yen spur run the same search over one,
-// on graphs of any size (a goal-directed Yen spur runs goalSearch).
+// wrote (the touched list), not all n. ShortestPathTarget,
+// ShortestPathEdgesTarget and every Yen search run over one, on graphs of
+// any size (a goal-directed Yen search runs goalSearch).
 // The zero value is ready and grows on first use. Not safe for
 // concurrent queries.
 type DijkstraScratch struct {
@@ -54,10 +54,10 @@ func (sc *DijkstraScratch) reset(n int) {
 	}
 }
 
-// spurBan is what a Yen spur search must avoid besides opts' exclusions:
-// every arc from the spur node (the search source) to a node in targets,
-// all parallel arcs included, and every node v with root[v] == epoch (the
-// root path before the spur node).
+// spurBan is what a Yen spur search must avoid: every arc from the spur
+// node (the search source) to a node in targets, all parallel arcs
+// included, and every node v with root[v] == epoch (the root path before
+// the spur node).
 type spurBan struct {
 	targets []int
 	root    []uint32
@@ -65,7 +65,7 @@ type spurBan struct {
 }
 
 // search runs Dijkstra from s into sc and reports whether t was settled.
-// With t a node, it stops once t is settled: under non-negative weights
+// With t a node, it stops once t is settled: under non-negative costs
 // t's distance and predecessor chain are final at pop time and every node
 // on the chain is already settled, so the path to t is exactly the full
 // run's. t = -1 settles every reachable node. ban, when non-nil, hides a
@@ -84,6 +84,7 @@ func (sc *DijkstraScratch) search(g *Graph, s, t int, bound float64, opts Dijkst
 	if s < 0 || s >= n {
 		return false
 	}
+	nodeCost, edgeCost := opts.NodeCost, opts.EdgeCost
 	sc.dist[s] = 0
 	sc.touched = append(sc.touched, s)
 	sc.pq.push(pqItem{node: s, dist: 0})
@@ -100,10 +101,10 @@ func (sc *DijkstraScratch) search(g *Graph, s, t int, bound float64, opts Dijkst
 		if u == t {
 			return true
 		}
-		// Departing u costs its node weight, unless u is the source.
+		// Departing u costs its node cost, unless u is the source.
 		depart := it.dist
-		if opts.NodeWeight != nil && u != s {
-			depart += opts.NodeWeight(u)
+		if nodeCost != nil && u != s {
+			depart += nodeCost[u]
 		}
 		var banned []int
 		if ban != nil && u == s {
@@ -116,15 +117,9 @@ func (sc *DijkstraScratch) search(g *Graph, s, t int, bound float64, opts Dijkst
 			if ban != nil && (ban.root[e.To] == ban.epoch || slices.Contains(banned, e.To)) {
 				continue
 			}
-			if opts.Forbidden != nil && opts.Forbidden(e.To) {
-				continue
-			}
-			if opts.ForbiddenEdge != nil && opts.ForbiddenEdge(e.ID) {
-				continue
-			}
 			w := e.Weight
-			if opts.EdgeWeight != nil {
-				w = opts.EdgeWeight(e.ID, e.Weight)
+			if edgeCost != nil {
+				w = edgeCost[e.ID]
 			}
 			nd := depart + w
 			if nd < sc.dist[e.To] {
@@ -141,16 +136,19 @@ func (sc *DijkstraScratch) search(g *Graph, s, t int, bound float64, opts Dijkst
 	return false
 }
 
-// goalSearch is search for a Yen spur under zero-value options, run as A*:
-// the heap is keyed on dist + h, where h[v] is v's distance to t in g
-// without bans. Bans only remove arcs and nodes, so h stays a lower bound
-// on the banned distance, and it never drops by more than an arc's weight
-// along that arc. Nodes that cannot reach t (h Unreachable) are never
-// pushed, t is never expanded, and the search pops until the key exceeds
-// lim = min(dist[t], bound)·(1 + 1e-9), so it expands every node that can
-// lie on a shortest s→t path, or precede one of its nodes at a tied
-// distance, whatever the rounding of the keys. found reports whether t was
-// reached below a positive bound (any distance without one).
+// goalSearch is search run as A*: the heap is keyed on dist + key, where
+// key[v] is v's node cost plus its distance to t in g without bans, under
+// opts' costs (key[t] = 0, and Unreachable where t cannot be reached; see
+// YenScratch.goalKeys). The source, which pays no node cost, is pushed at
+// key 0, the only entry of the heap at the time. Bans only remove arcs and
+// nodes, so the key stays a lower bound on the banned cost of the rest of
+// a path, and it never drops by more than the cost of a step (u's node
+// cost plus the arc's) along that step. Nodes that cannot reach t are
+// never pushed, t is never expanded, and the search pops until the key
+// exceeds lim = min(dist[t], bound)·(1 + 1e-9), so it expands every node
+// that can lie on a shortest s→t path, or precede one of its nodes at a
+// tied distance, whatever the rounding of the keys. found reports whether
+// t was reached below a positive bound (any distance without one).
 //
 // exact is false when a relaxation from another node exactly ties a
 // tentative distance, or reaches a settled node at or below its distance:
@@ -158,19 +156,20 @@ func (sc *DijkstraScratch) search(g *Graph, s, t int, bound float64, opts Dijkst
 // search's, and the caller reruns search. Otherwise every expanded node
 // took its distance from one strictly best expanded neighbour, the one
 // search settles it through, so the path to t is search's, node for node
-// (DESIGN.md §5b).
-func (sc *DijkstraScratch) goalSearch(g *Graph, s, t int, bound float64, h []float64, ban *spurBan) (found, exact bool) {
+// (DESIGN.md §5b). Distances are summed as search sums them.
+func (sc *DijkstraScratch) goalSearch(g *Graph, s, t int, bound float64, key []float64, opts DijkstraOptions, ban *spurBan) (found, exact bool) {
 	sc.reset(g.N())
-	if h[s] == Unreachable {
+	if key[s] == Unreachable {
 		return false, true
 	}
 	lim := math.Inf(1)
 	if bound > 0 {
 		lim = bound * (1 + 1e-9)
 	}
+	nodeCost, edgeCost := opts.NodeCost, opts.EdgeCost
 	sc.dist[s] = 0
 	sc.touched = append(sc.touched, s)
-	sc.pq.push(pqItem{node: s, dist: h[s]})
+	sc.pq.push(pqItem{node: s, dist: 0})
 	for len(sc.pq) > 0 {
 		it := sc.pq.pop()
 		if it.dist > lim {
@@ -184,15 +183,22 @@ func (sc *DijkstraScratch) goalSearch(g *Graph, s, t int, bound float64, h []flo
 		if u == t {
 			continue
 		}
-		du := sc.dist[u]
+		depart := sc.dist[u]
+		if nodeCost != nil && u != s {
+			depart += nodeCost[u]
+		}
 		for _, e := range g.Neighbors(u) {
 			v := e.To
-			if h[v] == Unreachable || ban.root[v] == ban.epoch || u == s && slices.Contains(ban.targets, v) {
+			if key[v] == Unreachable || ban.root[v] == ban.epoch || u == s && slices.Contains(ban.targets, v) {
 				continue
 			}
-			nd := du + e.Weight
-			key := nd + h[v]
-			if key > lim {
+			w := e.Weight
+			if edgeCost != nil {
+				w = edgeCost[e.ID]
+			}
+			nd := depart + w
+			k := nd + key[v]
+			if k > lim {
 				continue
 			}
 			switch dv := sc.dist[v]; {
@@ -214,7 +220,7 @@ func (sc *DijkstraScratch) goalSearch(g *Graph, s, t int, bound float64, h []flo
 			sc.dist[v] = nd
 			sc.prev[v] = u
 			sc.prevEdge[v] = e.ID
-			sc.pq.push(pqItem{node: v, dist: key})
+			sc.pq.push(pqItem{node: v, dist: k})
 			if v == t {
 				lim = min(lim, nd*(1+1e-9))
 			}
@@ -238,10 +244,13 @@ func (sc *DijkstraScratch) appendPath(dst Path, s, t int) Path {
 	return dst
 }
 
-// ShortestPathTarget is ShortestPath with all working storage taken from
-// sc (nil allocates fresh buffers). The search stops as soon as the target
-// is settled, which returns the full single-source search's path and
-// distance (see search). Returns (nil, Unreachable) when no path exists.
+// ShortestPathTarget returns a shortest path from s to t and its cost
+// under non-negative edge costs, adding node costs at intermediate nodes
+// (negative edge costs cause undefined results), with all working storage
+// taken from sc (nil allocates fresh buffers). The search stops as soon as
+// the target is settled, which returns the full single-source search's
+// path and distance (see search). Returns (nil, Unreachable) when no path
+// exists.
 func ShortestPathTarget(g *Graph, s, t int, opts DijkstraOptions, sc *DijkstraScratch) (Path, float64) {
 	if sc == nil {
 		sc = &DijkstraScratch{}

@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// TestShortestPathTargetMatchesFull: the early-stop targeted queries (and
-// ShortestPath, which runs one) must return exactly the full Dijkstra's
-// path, edges and distance, on random multigraphs, with and without node
-// weights and re-weighted edges, reusing one scratch across queries.
+// TestShortestPathTargetMatchesFull: the early-stop targeted queries must
+// return exactly the full Dijkstra's path, edges and distance, on random
+// multigraphs, with and without node costs and edge cost tables, reusing
+// one scratch across queries (and on a fresh one).
 func TestShortestPathTargetMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	sc := &DijkstraScratch{}
@@ -26,10 +26,18 @@ func TestShortestPathTargetMatchesFull(t *testing.T) {
 		}
 		var opts DijkstraOptions
 		if trial%2 == 1 {
-			opts.NodeWeight = func(v int) float64 { return float64(v%3) * 0.01 }
+			opts.NodeCost = make([]float64, n)
+			for v := range opts.NodeCost {
+				opts.NodeCost[v] = float64(v%3) * 0.01
+			}
 		}
 		if trial%3 == 2 {
-			opts.EdgeWeight = func(id int, w float64) float64 { return w * float64(1+id%4) }
+			opts.EdgeCost = make([]float64, g.NumEdgeIDs())
+			for _, es := range g.adj {
+				for _, e := range es {
+					opts.EdgeCost[e.ID] = e.Weight * float64(1+e.ID%4)
+				}
+			}
 		}
 		for q := 0; q < 10; q++ {
 			s, d := rng.Intn(n), rng.Intn(n)
@@ -40,8 +48,8 @@ func TestShortestPathTargetMatchesFull(t *testing.T) {
 				t.Fatalf("trial %d query %d→%d: target-stop (%v, %v) != full (%v, %v)",
 					trial, s, d, gotPath, gotDist, wantPath, wantDist)
 			}
-			if p, dist := ShortestPath(g, s, d, opts); dist != wantDist || !reflect.DeepEqual(p, wantPath) {
-				t.Fatalf("trial %d query %d→%d: ShortestPath (%v, %v) != full (%v, %v)",
+			if p, dist := ShortestPathTarget(g, s, d, opts, nil); dist != wantDist || !reflect.DeepEqual(p, wantPath) {
+				t.Fatalf("trial %d query %d→%d: fresh scratch (%v, %v) != full (%v, %v)",
 					trial, s, d, p, dist, wantPath, wantDist)
 			}
 			wantEdges := full.EdgesTo(d)
@@ -92,7 +100,7 @@ func TestGraphReset(t *testing.T) {
 }
 
 // randomTiedGraph is a random multigraph whose edge weights come from a
-// small set, so many paths tie, with a node weight on every third node.
+// small set, so many paths tie, with a node cost on every third node.
 func randomTiedGraph(rng *rand.Rand, n int) (*Graph, DijkstraOptions) {
 	g := New(n)
 	for i := 0; i < 3*n; i++ {
@@ -102,13 +110,13 @@ func randomTiedGraph(rng *rand.Rand, n int) (*Graph, DijkstraOptions) {
 		}
 		g.AddEdge(u, v, float64(1+rng.Intn(3)))
 	}
-	nw := make([]float64, n)
-	for v := range nw {
+	nc := make([]float64, n)
+	for v := range nc {
 		if v%3 == 0 {
-			nw[v] = float64(rng.Intn(2))
+			nc[v] = float64(rng.Intn(2))
 		}
 	}
-	return g, DijkstraOptions{NodeWeight: func(v int) float64 { return nw[v] }}
+	return g, DijkstraOptions{NodeCost: nc}
 }
 
 // checkBounded asserts that a search bounded at bound (the bound Yen's
@@ -141,7 +149,7 @@ func checkBounded(t *testing.T, g *Graph, s, d int, bound float64, opts Dijkstra
 // TestShortestPathBoundMatchesUnbounded: a bounded search (search, as
 // Yen's spurs run it) returns the unbounded path and distance whenever
 // that distance is below the bound, and unreachable otherwise, on random
-// graphs with node weights and tied edge weights, with bounds at, just
+// graphs with node costs and tied edge weights, with bounds at, just
 // above and just below the distance.
 func TestShortestPathBoundMatchesUnbounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -150,7 +158,7 @@ func TestShortestPathBoundMatchesUnbounded(t *testing.T) {
 		g, opts := randomTiedGraph(rng, 2+rng.Intn(30))
 		for q := 0; q < 10; q++ {
 			s, d := rng.Intn(g.N()), rng.Intn(g.N())
-			_, dist := ShortestPath(g, s, d, opts)
+			_, dist := ShortestPathTarget(g, s, d, opts, nil)
 			bounds := []float64{0, -1, 0.5, 1 + 10*rng.Float64(), Unreachable}
 			if dist != Unreachable {
 				bounds = append(bounds, dist, math.Nextafter(dist, math.Inf(1)), math.Nextafter(dist, 0), dist/2)
@@ -210,7 +218,7 @@ func TestScratchInterleavedSearches(t *testing.T) {
 }
 
 // FuzzShortestPathBound: on a graph decoded from the input (tied edge
-// weights from one byte each, node weights from the last bytes), a
+// weights from one byte each, node costs from the last bytes), a
 // bounded search (search, as Yen's spurs run it) agrees with the unbounded one as checkBounded requires,
 // on a scratch reused across the input's queries.
 func FuzzShortestPathBound(f *testing.F) {
@@ -231,12 +239,10 @@ func FuzzShortestPathBound(f *testing.F) {
 			}
 			body = body[3:]
 		}
-		opts := DijkstraOptions{NodeWeight: func(v int) float64 {
-			if v < len(body) {
-				return float64(body[v] % 3)
-			}
-			return 0
-		}}
+		opts := DijkstraOptions{NodeCost: make([]float64, n)}
+		for v := range min(n, len(body)) {
+			opts.NodeCost[v] = float64(body[v] % 3)
+		}
 		sc := &DijkstraScratch{}
 		for s := 0; s < n; s += 3 {
 			for d := 0; d < n; d += 2 {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -79,13 +80,7 @@ func TestYenRespectsNodeWeights(t *testing.T) {
 	g.AddEdge(1, 3, 1)
 	g.AddEdge(0, 2, 2)
 	g.AddEdge(2, 3, 2)
-	nw := func(v int) float64 {
-		if v == 1 {
-			return 10
-		}
-		return 0
-	}
-	paths := YenKShortest(g, 0, 3, 2, DijkstraOptions{NodeWeight: nw})
+	paths := YenKShortest(g, 0, 3, 2, DijkstraOptions{NodeCost: []float64{0, 10, 0, 0}})
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths", len(paths))
 	}
@@ -113,7 +108,7 @@ func TestYenProperties(t *testing.T) {
 		if len(paths) > k {
 			t.Fatalf("returned %d > k=%d paths", len(paths), k)
 		}
-		_, want := ShortestPath(g, s, d, DijkstraOptions{})
+		_, want := ShortestPathTarget(g, s, d, DijkstraOptions{}, nil)
 		if got := PathLength(g, paths[0], DijkstraOptions{}); got > want+1e-9 {
 			t.Fatalf("first Yen path length %v > Dijkstra %v", got, want)
 		}
@@ -158,7 +153,7 @@ func TestYenFindsAllSimplePathsInSmallGraph(t *testing.T) {
 // TestYenMatchesReference: the in-place spur kernel returns exactly the
 // paths of the clone-per-spur Yen over the boxed-heap Dijkstra, on random
 // multigraphs with parallel arcs, one-way arcs, zero-weight arcs, node
-// weights, edge-weight overrides, Forbidden and ForbiddenEdge.
+// costs, edge cost tables and edges hidden by a cost of +Inf.
 func TestYenMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 300; trial++ {
@@ -233,7 +228,7 @@ func TestDijkstraMatchesReference(t *testing.T) {
 		g := randomMultigraph(rng, n)
 		opts := randomOptions(rng, g)
 		src := rng.Intn(n)
-		got, want := Dijkstra(g, src, opts), dijkstraReference(g, src, opts)
+		got, want := Dijkstra(g, src, opts), dijkstraReference(g, src, opts, nil)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: Dijkstra from %d = %+v, reference %+v", trial, src, got, want)
 		}
@@ -283,28 +278,32 @@ func randomMultigraph(rng *rand.Rand, n int) *Graph {
 	return g
 }
 
-// randomOptions switches each DijkstraOptions hook on with probability
-// one half.
+// randomOptions switches on a node cost table, an edge cost table and
+// one hidden edge, each with probability one half. Costs are small
+// halves and integers, so ties stay common.
 func randomOptions(rng *rand.Rand, g *Graph) DijkstraOptions {
 	var opts DijkstraOptions
 	n := g.N()
 	if rng.Intn(2) == 0 {
-		nw := make([]float64, n)
-		for v := range nw {
-			nw[v] = float64(rng.Intn(3)) / 2
+		opts.NodeCost = make([]float64, n)
+		for v := range opts.NodeCost {
+			opts.NodeCost[v] = float64(rng.Intn(3)) / 2
 		}
-		opts.NodeWeight = func(v int) float64 { return nw[v] }
 	}
-	if rng.Intn(2) == 0 {
-		bad := rng.Intn(n)
-		opts.Forbidden = func(v int) bool { return v == bad }
-	}
-	if rng.Intn(2) == 0 && g.NumEdgeIDs() > 0 {
-		bad := rng.Intn(g.NumEdgeIDs())
-		opts.ForbiddenEdge = func(id int) bool { return id == bad }
-	}
-	if rng.Intn(2) == 0 {
-		opts.EdgeWeight = func(id int, stored float64) float64 { return stored + float64(id%3) }
+	reweight, hide := rng.Intn(2) == 0, rng.Intn(2) == 0 && g.NumEdgeIDs() > 0
+	if reweight || hide {
+		opts.EdgeCost = make([]float64, g.NumEdgeIDs())
+		for _, es := range g.adj {
+			for _, e := range es {
+				opts.EdgeCost[e.ID] = e.Weight
+				if reweight {
+					opts.EdgeCost[e.ID] += float64(e.ID % 3)
+				}
+			}
+		}
+		if hide {
+			opts.EdgeCost[rng.Intn(g.NumEdgeIDs())] = math.Inf(1)
+		}
 	}
 	return opts
 }
@@ -379,8 +378,10 @@ func (q *priorityQueue) Pop() interface{} {
 }
 
 // dijkstraReference is the full single-source Dijkstra over
-// container/heap that the typed-heap search replaced.
-func dijkstraReference(g *Graph, source int, opts DijkstraOptions) *ShortestResult {
+// container/heap that the typed-heap search replaced, with the cost model
+// spelled out per arc. forbidden, when non-nil, reports nodes it must not
+// enter (the clone-per-spur Yen forbids its root path this way).
+func dijkstraReference(g *Graph, source int, opts DijkstraOptions, forbidden func(v int) bool) *ShortestResult {
 	n := g.N()
 	res := &ShortestResult{
 		Dist:     make([]float64, n),
@@ -406,23 +407,23 @@ func dijkstraReference(g *Graph, source int, opts DijkstraOptions) *ShortestResu
 			continue
 		}
 		done[u] = true
+		if referenceSettled != nil {
+			*referenceSettled++
+		}
 		depart := it.dist
-		if opts.NodeWeight != nil && u != source {
-			depart += opts.NodeWeight(u)
+		if opts.NodeCost != nil && u != source {
+			depart += opts.NodeCost[u]
 		}
 		for _, e := range g.Neighbors(u) {
 			if done[e.To] {
 				continue
 			}
-			if opts.Forbidden != nil && opts.Forbidden(e.To) {
-				continue
-			}
-			if opts.ForbiddenEdge != nil && opts.ForbiddenEdge(e.ID) {
+			if forbidden != nil && forbidden(e.To) {
 				continue
 			}
 			w := e.Weight
-			if opts.EdgeWeight != nil {
-				w = opts.EdgeWeight(e.ID, e.Weight)
+			if opts.EdgeCost != nil {
+				w = opts.EdgeCost[e.ID]
 			}
 			nd := depart + w
 			if nd < res.Dist[e.To] {
@@ -444,28 +445,66 @@ var (
 	TieMultigraph = tieMultigraph
 )
 
-// CountYenSearches makes every YenKShortest call add the nodes each of its
-// searches settles to *settled, and each goal-directed spur's plain rerun
-// to *fallbacks, until the returned func removes the hook. Tests that use
-// it must not run YenKShortest concurrently.
-func CountYenSearches(settled, fallbacks *int) (restore func()) {
-	yenSearchHook = func(sc *DijkstraScratch, fallback bool) {
+// YenCounts is what CountYenSearches counts: the nodes settled by each
+// pass of every YenKShortest call (the distances behind the goal keys,
+// the first path's search and the spurs' searches, plain reruns included)
+// and the goal-directed searches that reran plain.
+type YenCounts struct {
+	Distances, First, Spurs, Fallbacks int
+}
+
+// Settled is the nodes settled by every pass.
+func (c YenCounts) Settled() int { return c.Distances + c.First + c.Spurs }
+
+// CountYenSearches makes every YenKShortest call add its work to *c,
+// until the returned func removes the hook. Tests that use it must not
+// run YenKShortest concurrently.
+func CountYenSearches(c *YenCounts) (restore func()) {
+	yenSearchHook = func(sc *DijkstraScratch, pass yenPass, fallback bool) {
+		settled := 0
 		for _, v := range sc.touched {
 			if sc.done[v] {
-				*settled++
+				settled++
 			}
 		}
+		switch pass {
+		case yenDistances:
+			c.Distances += settled
+		case yenFirst:
+			c.First += settled
+		default:
+			c.Spurs += settled
+		}
 		if fallback {
-			*fallbacks++
+			c.Fallbacks++
 		}
 	}
 	return func() { yenSearchHook = nil }
 }
 
+// PlainYen keeps every search of a YenKShortest call plain until the
+// returned func restores goal direction.
+func PlainYen() (restore func()) {
+	yenPlain = true
+	return func() { yenPlain = false }
+}
+
+// referenceSettled, when non-nil, counts the nodes dijkstraReference
+// settles.
+var referenceSettled *int
+
+// CountReferenceSettled makes every dijkstraReference run (yenReference's
+// searches included) add the nodes it settles to *n, until the returned
+// func removes the counter.
+func CountReferenceSettled(n *int) (restore func()) {
+	referenceSettled = n
+	return func() { referenceSettled = nil }
+}
+
 // yenReference is Yen's algorithm as the kernel ran it before the in-place
 // spur search: each spur deep-copies the adjacency without its banned
-// (from, to) arcs, forbids the root path through a wrapped Forbidden, and
-// runs dijkstraReference to exhaustion.
+// (from, to) arcs, forbids the root path, and runs dijkstraReference to
+// exhaustion.
 func yenReference(g *Graph, s, t, k int, opts DijkstraOptions) []Path {
 	if k <= 0 || s < 0 || t < 0 || s >= g.N() || t >= g.N() {
 		return nil
@@ -473,7 +512,7 @@ func yenReference(g *Graph, s, t, k int, opts DijkstraOptions) []Path {
 	if s == t {
 		return []Path{{s}}
 	}
-	first := dijkstraReference(g, s, opts).PathTo(t)
+	first := dijkstraReference(g, s, opts, nil).PathTo(t)
 	if first == nil {
 		return nil
 	}
@@ -501,13 +540,9 @@ func yenReference(g *Graph, s, t, k int, opts DijkstraOptions) []Path {
 			for _, v := range rootPath[:i] {
 				rootSet[v] = struct{}{}
 			}
-			spurOpts := opts
-			baseForbidden := opts.Forbidden
-			spurOpts.Forbidden = func(v int) bool {
-				if _, ok := rootSet[v]; ok {
-					return true
-				}
-				return baseForbidden != nil && baseForbidden(v)
+			inRoot := func(v int) bool {
+				_, ok := rootSet[v]
+				return ok
 			}
 			h := g
 			if len(banned) > 0 {
@@ -522,7 +557,7 @@ func yenReference(g *Graph, s, t, k int, opts DijkstraOptions) []Path {
 					}
 				}
 			}
-			spurPath := dijkstraReference(h, spurNode, spurOpts).PathTo(t)
+			spurPath := dijkstraReference(h, spurNode, opts, inRoot).PathTo(t)
 			if spurPath == nil {
 				continue
 			}
@@ -562,11 +597,15 @@ func pathKey(p Path) string {
 
 // FuzzYenMatchesReference: on a multigraph decoded from the input (four
 // bytes an arc or edge: endpoints, a weight from fuzzWeights, and whether
-// it is a one-way arc, a parallel pair or a plain edge), YenKShortest
-// under zero-value options, whose spurs run goal-directed, returns the
-// reference's paths for the fuzzed s, t and k. The integer weights make
-// exact ties; the decimal ones make sums that differ by an ulp with the
-// order of summation (0.1 + 0.2 > 0.3).
+// it is a one-way arc, a parallel pair or a plain edge), YenKShortest,
+// whose searches run goal-directed, returns the reference's paths for the
+// fuzzed s, t and k. The integer weights make exact ties; the decimal ones
+// make sums that differ by an ulp with the order of summation
+// (0.1 + 0.2 > 0.3). The first byte's top bits switch on cost tables, also
+// drawn from fuzzWeights: bit 6 a node cost per node (from the input's
+// bytes, cyclically), bit 7 an edge cost per edge (from the unused bits of
+// its entry). An input whose first byte is below 64 decodes as zero-value
+// options, as every input did before the tables.
 func FuzzYenMatchesReference(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 1, 2, 1, 2, 1, 2, 2, 3, 2, 2, 0, 3, 3, 2, 1, 4, 0, 2}, uint8(0), uint8(3), uint8(6))
 	f.Add([]byte{6, 0, 1, 0, 0, 1, 2, 0, 1, 2, 3, 1, 0, 3, 4, 0, 2, 4, 5, 0, 0, 0, 5, 1, 1}, uint8(0), uint8(5), uint8(9))
@@ -576,12 +615,18 @@ func FuzzYenMatchesReference(f *testing.F) {
 	f.Add([]byte("\x0512100000AY%020111B19Y2%201721A10"), uint8(0x00), uint8(0x21), uint8(0x87))
 	f.Add([]byte(".1&$1B%011B01%970C%009&%0%0$1%110\x95C00"), uint8(0x1d), uint8(0x01), uint8(0x94))
 	f.Add([]byte("&010102002%0000000000=00000000000000000000000+9$1\xcdZ&0.Z&209$00000.+00Z011"), uint8(0x8d), uint8(0x1b), uint8(0x09))
+	// The same graphs as the first three, under node costs, edge costs
+	// and both.
+	f.Add([]byte{5 | 64, 0, 1, 1, 2, 1, 2, 1, 2, 2, 3, 2, 2, 0, 3, 3, 2, 1, 4, 0, 2}, uint8(0), uint8(3), uint8(6))
+	f.Add([]byte{6 | 128, 0, 1, 0 | 8, 0, 1, 2, 0 | 16, 1, 2, 3, 1 | 40, 0, 3, 4, 0, 2, 4, 5, 0 | 8, 0, 0, 5, 1 | 24, 1}, uint8(0), uint8(5), uint8(9))
+	f.Add([]byte{4 | 192, 0, 1, 1 | 8, 0, 1, 2, 1 | 32, 0, 2, 3, 1, 0, 3, 0, 1 | 48, 0}, uint8(0), uint8(3), uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, s, d, k uint8) {
 		if len(data) < 1 {
 			return
 		}
 		n := 2 + int(data[0])%24
 		g := New(n)
+		var edgeCost []float64
 		for body := data[1:]; len(body) >= 4; body = body[4:] {
 			u, v, w := int(body[0])%n, int(body[1])%n, fuzzWeights[body[2]%8]
 			switch body[3] % 4 {
@@ -590,13 +635,25 @@ func FuzzYenMatchesReference(f *testing.F) {
 			case 1:
 				g.AddEdge(u, v, w)
 				g.AddEdge(u, v, fuzzWeights[body[3]/4%8])
+				edgeCost = append(edgeCost, fuzzWeights[body[2]/8%8])
 			default:
 				g.AddEdge(u, v, w)
 			}
+			edgeCost = append(edgeCost, fuzzWeights[body[2]/8%8])
+		}
+		var opts DijkstraOptions
+		if data[0]&64 != 0 {
+			opts.NodeCost = make([]float64, n)
+			for v := range opts.NodeCost {
+				opts.NodeCost[v] = fuzzWeights[data[(v+1)%len(data)]/8%8]
+			}
+		}
+		if data[0]&128 != 0 {
+			opts.EdgeCost = edgeCost
 		}
 		src, dst, kk := int(s)%n, int(d)%n, 1+int(k)%14
-		want := yenReference(g, src, dst, kk, DijkstraOptions{})
-		if got := YenKShortest(g, src, dst, kk, DijkstraOptions{}); !reflect.DeepEqual(got, want) {
+		want := yenReference(g, src, dst, kk, opts)
+		if got := YenKShortest(g, src, dst, kk, opts); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Yen(%d→%d, k=%d) = %v, reference %v", src, dst, kk, got, want)
 		}
 	})

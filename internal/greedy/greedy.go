@@ -83,19 +83,54 @@ func (e *Engine) buildPlan() error {
 	e.fixed = sched.FixedPlan{ConnCap: e.ConnCap}
 	var plan qnet.PlanBuilder
 
-	nodeWeight := func(u int) float64 {
-		q := e.Net.SwapProb[u]
-		if q <= 0 {
-			return infeasibleWeight
+	// The searches read two cost tables: −ln q per node, fixed, and per
+	// segment edge the cost of its cheapest feasible realization. A
+	// reservation changes the ledger only on its links and at its
+	// endpoints, so it marks stale just the edges with a candidate over
+	// one of those links or ending at one of those nodes (touching), and
+	// only those are recomputed before the next search.
+	nodeCost := make([]float64, len(e.Net.SwapProb))
+	for u, q := range e.Net.SwapProb {
+		nodeCost[u] = infeasibleWeight
+		if q > 0 {
+			nodeCost[u] = -math.Log(q)
 		}
-		return -math.Log(q)
 	}
-	edgeWeight := func(id int, _ float64) float64 {
-		if _, cost := ledger.Cheapest(e.Net, e.Set.ByEdge[id], nil); !math.IsInf(cost, 1) {
-			return cost
+	links := e.Net.NumLinks()
+	touching := make([][]int32, links+e.Net.NumNodes())
+	stale := make([]int32, len(e.Set.ByEdge))
+	isStale := make([]bool, len(e.Set.ByEdge))
+	for id, cands := range e.Set.ByEdge {
+		stale[id], isStale[id] = int32(id), true
+		pk := e.Set.EdgePairs[id]
+		touching[links+pk.U] = append(touching[links+pk.U], int32(id))
+		touching[links+pk.V] = append(touching[links+pk.V], int32(id))
+		for _, c := range cands {
+			for _, l := range c.EdgeIDs {
+				if t := touching[l]; len(t) == 0 || t[len(t)-1] != int32(id) {
+					touching[l] = append(t, int32(id))
+				}
+			}
 		}
-		return infeasibleWeight
 	}
+	markStale := func(c *segment.Candidate) {
+		mark := func(ids []int32) {
+			for _, id := range ids {
+				if !isStale[id] {
+					isStale[id] = true
+					stale = append(stale, id)
+				}
+			}
+		}
+		for _, l := range c.EdgeIDs {
+			mark(touching[l])
+		}
+		mark(touching[links+c.Path[0]])
+		mark(touching[links+c.Path[len(c.Path)-1]])
+	}
+	edgeCost := make([]float64, len(e.Set.ByEdge))
+	opts := graph.DijkstraOptions{NodeCost: nodeCost, EdgeCost: edgeCost}
+	var sc graph.DijkstraScratch
 
 	planned := make([]int, len(e.Pairs))
 	for {
@@ -104,10 +139,15 @@ func (e *Engine) buildPlan() error {
 			if planned[i] >= e.ConnCap[i] {
 				continue
 			}
-			path, dist := graph.ShortestPath(e.Set.SegGraph, sd.S, sd.D, graph.DijkstraOptions{
-				NodeWeight: nodeWeight,
-				EdgeWeight: edgeWeight,
-			})
+			for _, id := range stale {
+				edgeCost[id] = infeasibleWeight
+				if _, cost := ledger.Cheapest(e.Net, e.Set.ByEdge[id], nil); !math.IsInf(cost, 1) {
+					edgeCost[id] = cost
+				}
+				isStale[id] = false
+			}
+			stale = stale[:0]
+			path, dist := graph.ShortestPathTarget(e.Set.SegGraph, sd.S, sd.D, opts, &sc)
 			if path == nil || dist >= rejectThreshold {
 				continue
 			}
@@ -126,6 +166,7 @@ func (e *Engine) buildPlan() error {
 				if err := ledger.Reserve(cand, n); err != nil {
 					return err
 				}
+				markStale(cand)
 				hops = append(hops, hop{pair: pk, cand: cand, attempts: n})
 			}
 			if !ok {

@@ -62,11 +62,17 @@ func (e *Engine) buildPlanReference() {
 		}
 		return -math.Log(q)
 	}
-	edgeWeight := func(id int, _ float64) float64 {
+	edgeWeight := func(id int) float64 {
 		if _, cost := cheapestFeasible(e.Set.EdgePairs[id]); !math.IsInf(cost, 1) {
 			return cost
 		}
 		return infeasibleWeight
+	}
+	// The searches read the two weights as tables, filled afresh before
+	// each search from the state at that moment.
+	opts := graph.DijkstraOptions{NodeCost: make([]float64, len(e.Net.SwapProb)), EdgeCost: make([]float64, len(e.Set.EdgePairs))}
+	for u := range opts.NodeCost {
+		opts.NodeCost[u] = nodeWeight(u)
 	}
 
 	planned := make([]int, len(e.Pairs))
@@ -76,10 +82,10 @@ func (e *Engine) buildPlanReference() {
 			if planned[i] >= e.ConnCap[i] {
 				continue
 			}
-			path, dist := graph.ShortestPath(e.Set.SegGraph, sd.S, sd.D, graph.DijkstraOptions{
-				NodeWeight: nodeWeight,
-				EdgeWeight: edgeWeight,
-			})
+			for id := range opts.EdgeCost {
+				opts.EdgeCost[id] = edgeWeight(id)
+			}
+			path, dist := graph.ShortestPathTarget(e.Set.SegGraph, sd.S, sd.D, opts, nil)
 			if path == nil || dist >= rejectThreshold {
 				continue
 			}

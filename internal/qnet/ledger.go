@@ -70,7 +70,7 @@ func (l *Ledger) Free() (channels, memory []int) { return l.chanFree, l.memFree 
 // channel on each link of the route and one memory unit at each endpoint.
 // Interior nodes of the route use all-optical switching and consume no
 // memory (the paper's core observation). It is Width(c, 1) == 1 with early
-// exits, because Dijkstra edge weights call it on every relaxation.
+// exits, because Cheapest calls it on every realization it prices.
 func (l *Ledger) CanReserve(c *segment.Candidate) bool {
 	if l.memFree[c.Path[0]] < 1 || l.memFree[c.Path[len(c.Path)-1]] < 1 {
 		return false

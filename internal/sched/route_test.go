@@ -55,19 +55,18 @@ func TestRouteSearchMatchesDijkstra(t *testing.T) {
 				}
 			}
 		}
-		opts := graph.DijkstraOptions{
-			NodeWeight: func(u int) float64 {
-				if q[u] <= 0 {
-					return routeMissingWeight
-				}
-				return -math.Log(q[u])
-			},
-			EdgeWeight: func(id int, _ float64) float64 {
-				if pool.AvailableAt(auxIdx[id]) >= 1 {
-					return routeAvailableWeight
-				}
-				return routeMissingWeight
-			},
+		opts := graph.DijkstraOptions{NodeCost: make([]float64, n), EdgeCost: make([]float64, len(auxIdx))}
+		for u := range opts.NodeCost {
+			opts.NodeCost[u] = routeMissingWeight
+			if q[u] > 0 {
+				opts.NodeCost[u] = -math.Log(q[u])
+			}
+		}
+		for id, pi := range auxIdx {
+			opts.EdgeCost[id] = routeMissingWeight
+			if pool.AvailableAt(pi) >= 1 {
+				opts.EdgeCost[id] = routeAvailableWeight
+			}
 		}
 		var rs routeSearch
 		rs.init(q)

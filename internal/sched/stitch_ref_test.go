@@ -36,20 +36,15 @@ func (s *Slot) stitchRoutesReference(pairs []topo.SDPair, connCap []int) (conns 
 		}
 	}
 	var dij graph.DijkstraScratch
-	opts := graph.DijkstraOptions{
-		NodeWeight: func(u int) float64 {
-			q := r.net.SwapProb[u]
-			if q <= 0 {
-				return routeMissingWeight
-			}
-			return -math.Log(q)
-		},
-		EdgeWeight: func(id int, _ float64) float64 {
-			if available(pool, auxPairs[id]) >= 1 {
-				return routeAvailableWeight
-			}
-			return routeMissingWeight
-		},
+	// The searches read −ln q per node and per aux edge whether its pair
+	// has a segment left, refilled before each search from the pool of
+	// that moment.
+	opts := graph.DijkstraOptions{NodeCost: make([]float64, r.net.NumNodes()), EdgeCost: make([]float64, len(auxPairs))}
+	for u, q := range r.net.SwapProb {
+		opts.NodeCost[u] = routeMissingWeight
+		if q > 0 {
+			opts.NodeCost[u] = -math.Log(q)
+		}
 	}
 	var floorDead []bool // pairs whose best route missed the floor
 	for {
@@ -60,6 +55,12 @@ func (s *Slot) stitchRoutesReference(pairs []topo.SDPair, connCap []int) (conns 
 			}
 			if floorDead != nil && floorDead[i] {
 				continue
+			}
+			for id, pk := range auxPairs {
+				opts.EdgeCost[id] = routeMissingWeight
+				if available(pool, pk) >= 1 {
+					opts.EdgeCost[id] = routeAvailableWeight
+				}
 			}
 			path, dist := graph.ShortestPathTarget(aux, sd.S, sd.D, opts, &dij)
 			if path == nil || dist >= routeRejectThreshold {

@@ -25,10 +25,13 @@ import (
 // concrete fibre route between the segment's endpoints.
 type Candidate struct {
 	// Path is the physical node sequence; Path[0] and Path[len-1] are the
-	// segment endpoints that will store the Bell-pair photons.
+	// segment endpoints that will store the Bell-pair photons. Build's
+	// candidates share it with the SD path they came from (a sub-slice
+	// capped at its own length), so it is read-only.
 	Path graph.Path
 	// EdgeIDs are the physical link IDs along Path; creating the segment
-	// reserves one channel on each for the whole slot.
+	// reserves one channel on each for the whole slot. Build's candidates
+	// share them with their SD path's, likewise read-only.
 	EdgeIDs []int
 	// Prob is the one-slot success probability of creating the segment
 	// over this route (p^k_uv in the paper).
@@ -61,24 +64,6 @@ type Candidate struct {
 // secondary to throughput, as in the paper. Candidate.Decay and
 // qnet.DefaultFidelityModel share it.
 const DecayKM = 20000
-
-// newCandidate builds the candidate over the physical route p, whose
-// success probability and fibre length are already known: the route
-// copied, its link IDs and the decay factor over that length. ID and
-// PairID stay 0.
-func newCandidate(net *topo.Network, p graph.Path, prob, length float64) (*Candidate, error) {
-	ids, err := net.PathEdgeIDs(p)
-	if err != nil {
-		return nil, err
-	}
-	return &Candidate{
-		Path:     append(graph.Path(nil), p...),
-		EdgeIDs:  ids,
-		Prob:     prob,
-		LengthKM: length,
-		Decay:    math.Exp(-length / DecayKM),
-	}, nil
-}
 
 // U returns the smaller endpoint of the candidate.
 func (c *Candidate) U() int { return min(c.Path[0], c.Path[len(c.Path)-1]) }
@@ -209,23 +194,18 @@ func Build(net *topo.Network, pairs []topo.SDPair, opts Options) (*Set, error) {
 			return nil, fmt.Errorf("segment: invalid SD pair %d: %+v", i, sd)
 		}
 	}
-	// Each pair's Yen call writes only its own slot; candidates are then
-	// added serially in pair order, so the set is the serial one.
-	par.For(opts.Workers, len(pairs), func(i int) {
-		s.SDPaths[i] = graph.YenKShortest(net.G, pairs[i].S, pairs[i].D, opts.KPaths, graph.DijkstraOptions{})
+	// Each pair's Yen call writes only its own slot, on its worker's
+	// scratch; candidates are then added serially in pair order, so the
+	// set is the serial one.
+	yen := make([]graph.YenScratch, par.Resolve(opts.Workers, len(pairs)))
+	par.ForWorker(opts.Workers, len(pairs), func(w, i int) {
+		s.SDPaths[i] = yen[w].KShortest(net.G, pairs[i].S, pairs[i].D, opts.KPaths, graph.DijkstraOptions{})
 	})
 	seen := &pathSet{head: make(map[uint64]int32)}
+	var slab []Candidate
 	for _, paths := range s.SDPaths {
 		for _, p := range paths {
-			if opts.FullPathOnly {
-				s.addCandidate(p, seen, true)
-				continue
-			}
-			for a := 0; a < len(p); a++ {
-				for b := a + 1; b < len(p) && b-a <= opts.MaxSegmentHops; b++ {
-					s.addCandidate(p[a:b+1], seen, false)
-				}
-			}
+			slab = s.addSubpaths(p, seen, slab)
 		}
 	}
 	s.trimAndSort()
@@ -233,26 +213,63 @@ func Build(net *topo.Network, pairs []topo.SDPair, opts Options) (*Set, error) {
 	return s, nil
 }
 
-func (s *Set) addCandidate(p graph.Path, seen *pathSet, skipMinProb bool) {
+// addSubpaths offers the candidates of one SD path p, taking them from
+// slab, and returns what is left of it: p itself under FullPathOnly,
+// otherwise every sub-segment p[a:b+1] of at most MaxSegmentHops hops, in
+// (a, b) order. Each hop's link (the first shortest of its parallel
+// links) and length are read once, and a sub-segment's length grows left
+// to right, the order topo.Network.PathLengthKM sums it in.
+func (s *Set) addSubpaths(p graph.Path, seen *pathSet, slab []Candidate) []Candidate {
 	if len(p) < 2 {
-		return
+		return slab
 	}
+	ids := make([]int, len(p)-1)
+	lens := make([]float64, len(p)-1)
+	for h := range ids {
+		ids[h], lens[h] = -1, math.Inf(1)
+		for _, e := range s.Net.G.Neighbors(p[h]) {
+			if e.To == p[h+1] && s.Net.LinkLen[e.ID] < lens[h] {
+				ids[h], lens[h] = e.ID, s.Net.LinkLen[e.ID]
+			}
+		}
+	}
+	if s.opts.FullPathOnly {
+		var l float64
+		for _, x := range lens {
+			l += x
+		}
+		return s.addCandidate(p, ids, l, seen, slab, true)
+	}
+	for a := range ids {
+		var l float64
+		for b := a + 1; b <= len(ids) && b-a <= s.opts.MaxSegmentHops; b++ {
+			l += lens[b-1]
+			slab = s.addCandidate(p[a:b+1:b+1], ids[a:b:b], l, seen, slab, false)
+		}
+	}
+	return slab
+}
+
+// addCandidate adds the candidate over route p, with link IDs ids and
+// fibre length l, unless its route was offered before or its probability
+// is zero or (unless skipMinProb) below MinProb. The candidate is the
+// next element of slab, whose growth keeps earlier elements in place.
+func (s *Set) addCandidate(p graph.Path, ids []int, l float64, seen *pathSet, slab []Candidate, skipMinProb bool) []Candidate {
 	if !seen.add(p) {
-		return
+		return slab
 	}
-	prob, length := s.Net.SegmentProbLength(p)
-	if prob <= 0 {
-		return
+	prob := s.Net.SegmentProbKM(p, l)
+	if prob <= 0 || !skipMinProb && prob < s.opts.MinProb {
+		return slab
 	}
-	if !skipMinProb && prob < s.opts.MinProb {
-		return
+	if len(slab) == cap(slab) {
+		slab = make([]Candidate, 0, max(64, 2*cap(slab)))
 	}
-	c, err := newCandidate(s.Net, p, prob, length)
-	if err != nil {
-		return
-	}
-	pk := MakePairKey(c.Path[0], c.Path[len(c.Path)-1])
+	slab = append(slab, Candidate{Path: p, EdgeIDs: ids, Prob: prob, LengthKM: l, Decay: math.Exp(-l / DecayKM)})
+	c := &slab[len(slab)-1]
+	pk := MakePairKey(p[0], p[len(p)-1])
 	s.ByPair[pk] = append(s.ByPair[pk], c)
+	return slab
 }
 
 // pathSet is the set of sub-paths Build has already offered as candidates,

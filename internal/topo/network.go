@@ -69,27 +69,6 @@ func (n *Network) PathLengthKM(p graph.Path) float64 {
 	return total
 }
 
-// PathEdgeIDs returns the edge IDs along a physical path (shortest parallel
-// link per hop) or an error for non-adjacent hops.
-func (n *Network) PathEdgeIDs(p graph.Path) ([]int, error) {
-	ids := make([]int, 0, len(p))
-	for i := 0; i+1 < len(p); i++ {
-		bestID := -1
-		best := math.Inf(1)
-		for _, e := range n.G.Neighbors(p[i]) {
-			if e.To == p[i+1] && n.LinkLen[e.ID] < best {
-				best = n.LinkLen[e.ID]
-				bestID = e.ID
-			}
-		}
-		if bestID == -1 {
-			return nil, fmt.Errorf("topo: nodes %d and %d are not adjacent", p[i], p[i+1])
-		}
-		ids = append(ids, bestID)
-	}
-	return ids, nil
-}
-
 // SegmentSuccessProb returns the one-slot success probability of creating an
 // entanglement segment over the given physical segment, clamped to [0, 1].
 // Single-node paths (no transmission) have probability 1.
@@ -107,17 +86,26 @@ func (n *Network) SegmentProbLength(p graph.Path) (prob, lengthKM float64) {
 		return 1, 0
 	}
 	l := n.PathLengthKM(p)
-	if math.IsInf(l, 1) {
-		return 0, l
+	return n.SegmentProbKM(p, l), l
+}
+
+// SegmentProbKM is the success probability of the physical segment p of
+// at least one hop whose fibre length lengthKM is already known: the
+// prober's value clamped to [0, 1], and 0 for a length of +Inf (a
+// non-adjacent hop). With lengthKM = PathLengthKM(p) it is
+// SegmentSuccessProb(p).
+func (n *Network) SegmentProbKM(p graph.Path, lengthKM float64) float64 {
+	if math.IsInf(lengthKM, 1) {
+		return 0
 	}
-	prob = n.prober.SegmentProb(p, l)
+	prob := n.prober.SegmentProb(p, lengthKM)
 	if prob < 0 {
-		return 0, l
+		return 0
 	}
 	if prob > 1 {
-		return 1, l
+		return 1
 	}
-	return prob, l
+	return prob
 }
 
 // SetProber replaces the probability model (used by fixtures and tests).

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -130,6 +131,28 @@ func TestSegmentSuccessProb(t *testing.T) {
 	if p := net.SegmentSuccessProb(graph.Path{MotivS1, MotivD1}); p != 0 {
 		t.Fatalf("non-adjacent segment prob = %v, want 0", p)
 	}
+}
+
+// PathEdgeIDs returns the edge IDs along a physical path (shortest parallel
+// link per hop) or an error for non-adjacent hops. segment.Build picks
+// each hop's link by the same rule.
+func (n *Network) PathEdgeIDs(p graph.Path) ([]int, error) {
+	ids := make([]int, 0, len(p))
+	for i := 0; i+1 < len(p); i++ {
+		bestID := -1
+		best := math.Inf(1)
+		for _, e := range n.G.Neighbors(p[i]) {
+			if e.To == p[i+1] && n.LinkLen[e.ID] < best {
+				best = n.LinkLen[e.ID]
+				bestID = e.ID
+			}
+		}
+		if bestID == -1 {
+			return nil, fmt.Errorf("topo: nodes %d and %d are not adjacent", p[i], p[i+1])
+		}
+		ids = append(ids, bestID)
+	}
+	return ids, nil
 }
 
 func TestPathLengthAndEdgeIDs(t *testing.T) {
